@@ -17,7 +17,7 @@
    level with the same parallelism but a global barrier between levels.
 """
 
-from repro import ProcessCosts, WSMED
+from repro import ProcessCosts, QueryOptions, WSMED
 from repro.algebra.interpreter import ExecutionContext
 from repro.parallel.baseline import run_level_synchronous
 from repro.runtime.simulated import SimKernel
@@ -56,8 +56,14 @@ def _dispatch_times():
     rr = WSMED(profile="paper", process_costs=ProcessCosts(dispatch="round_robin"))
     rr.import_all()
     fanouts = [5, 4]
-    ff_result = ff.sql(QUERY1_SQL, mode="parallel", fanouts=fanouts)
-    rr_result = rr.sql(QUERY1_SQL, mode="parallel", fanouts=fanouts)
+    ff_result = ff.sql(
+        QUERY1_SQL,
+        options=QueryOptions(mode="parallel", fanouts=fanouts),
+    )
+    rr_result = rr.sql(
+        QUERY1_SQL,
+        options=QueryOptions(mode="parallel", fanouts=fanouts),
+    )
     return ff_result, rr_result
 
 
@@ -82,7 +88,8 @@ def _ship_cost_sweep():
         )
         system.import_all()
         times[ship_param] = system.sql(
-            QUERY1_SQL, mode="parallel", fanouts=[5, 4]
+            QUERY1_SQL,
+            options=QueryOptions(mode="parallel", fanouts=[5, 4]),
         ).elapsed
     return times
 

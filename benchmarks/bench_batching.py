@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro import ProcessCosts, WSMED
+from repro import ProcessCosts, QueryOptions, WSMED
 from repro.fdb.functions import helping_function
 from repro.fdb.types import CHARSTRING, TupleType
 
@@ -70,7 +70,8 @@ def _run(system: WSMED, fanout: int, batch) -> dict:
     else:
         costs = replace(COSTS, batch_size=batch)
     result = system.sql(
-        SQL, mode="parallel", fanouts=[fanout], process_costs=costs
+        SQL,
+        options=QueryOptions(mode="parallel", fanouts=[fanout], process_costs=costs),
     )
     stats = result.message_stats
     return {

@@ -16,7 +16,7 @@ claims:
 
 from __future__ import annotations
 
-from repro import CacheConfig, ProcessCosts, WSMED
+from repro import CacheConfig, ProcessCosts, QueryOptions, WSMED
 from repro.fdb.functions import helping_function
 from repro.fdb.types import CHARSTRING, TupleType
 
@@ -67,13 +67,18 @@ def _sweep():
     cache = CacheConfig(enabled=True)
     return {
         "central off": ff.sql(SKEW_SQL),
-        "central on": ff.sql(SKEW_SQL, cache=cache),
-        "parallel ff off": ff.sql(SKEW_SQL, mode="parallel", fanouts=FANOUTS),
+        "central on": ff.sql(SKEW_SQL, options=QueryOptions(cache=cache)),
+        "parallel ff off": ff.sql(
+            SKEW_SQL,
+            options=QueryOptions(mode="parallel", fanouts=FANOUTS),
+        ),
         "parallel ff on": ff.sql(
-            SKEW_SQL, mode="parallel", fanouts=FANOUTS, cache=cache
+            SKEW_SQL,
+            options=QueryOptions(mode="parallel", fanouts=FANOUTS, cache=cache),
         ),
         "parallel affinity on": affinity.sql(
-            SKEW_SQL, mode="parallel", fanouts=FANOUTS, cache=cache
+            SKEW_SQL,
+            options=QueryOptions(mode="parallel", fanouts=FANOUTS, cache=cache),
         ),
     }
 

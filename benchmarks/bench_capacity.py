@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import argparse
 
-from repro import QUERY1_SQL, AdmissionConfig, QueryEngine, WSMED
+from repro import QUERY1_SQL, AdmissionConfig, QueryEngine, WSMED, QueryOptions
 from repro.util.stats import quantile
 
-QUERY_KWARGS = dict(mode="parallel", fanouts=[5, 4])
+QUERY_OPTIONS = QueryOptions(mode="parallel", fanouts=[5, 4])
 SWEEP_LEVELS = (1, 2, 4, 8, 16)
 SMOKE_LEVELS = (1, 4, 16)
 CLIENTS = 16
@@ -54,8 +54,8 @@ def _row_bag(results) -> list[tuple]:
 def measure_level(level: int) -> dict:
     """p50/worst latency of a 16-query batch admitted ``level`` at a time."""
     engine = _engine(max_concurrency=level)
-    engine.sql_many([QUERY1_SQL] * level, **QUERY_KWARGS)  # warm trees
-    results = engine.sql_many([QUERY1_SQL] * CLIENTS, **QUERY_KWARGS)
+    engine.sql_many([QUERY1_SQL] * level, options=QUERY_OPTIONS)  # warm trees
+    results = engine.sql_many([QUERY1_SQL] * CLIENTS, options=QUERY_OPTIONS)
     engine.close()
     latencies = [result.elapsed for result in results]
     return {
@@ -85,8 +85,8 @@ def measure_sweep(levels) -> dict:
 def measure_adaptive_vs_static() -> dict:
     """16 clients: over-admitting static engine vs the online controller."""
     static = _engine(max_concurrency=CLIENTS)
-    baseline = static.sql(QUERY1_SQL, **QUERY_KWARGS).elapsed
-    static_results = static.sql_many([QUERY1_SQL] * CLIENTS, **QUERY_KWARGS)
+    baseline = static.sql(QUERY1_SQL, options=QUERY_OPTIONS).elapsed
+    static_results = static.sql_many([QUERY1_SQL] * CLIENTS, options=QUERY_OPTIONS)
     static_rows = _row_bag(static_results)
     static.close()
 
@@ -94,8 +94,8 @@ def measure_adaptive_vs_static() -> dict:
         max_concurrency=CLIENTS,
         admission=AdmissionConfig(threshold=THRESHOLD),
     )
-    adaptive.sql(QUERY1_SQL, **QUERY_KWARGS)  # solo baseline sample
-    adaptive_results = adaptive.sql_many([QUERY1_SQL] * CLIENTS, **QUERY_KWARGS)
+    adaptive.sql(QUERY1_SQL, options=QUERY_OPTIONS)  # solo baseline sample
+    adaptive_results = adaptive.sql_many([QUERY1_SQL] * CLIENTS, options=QUERY_OPTIONS)
     adaptive_rows = _row_bag(adaptive_results)
     stats = adaptive.stats()
     sweep_table = adaptive.admission.capacity.sweep_table()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro import FaultInjection, ProcessCosts, WSMED
+from repro import FaultInjection, ProcessCosts, QueryOptions, WSMED
 
 SQL = """
 Select gl.placename, gl.state
@@ -53,11 +53,13 @@ def _run(system: WSMED, label: str, *, on_error=None, faults=None) -> dict:
     costs = replace(COSTS, max_redeliveries=MAX_REDELIVERIES)
     result = system.sql(
         SQL,
-        mode="parallel",
-        fanouts=FANOUTS,
-        process_costs=costs,
-        on_error=on_error,
-        faults=faults,
+        options=QueryOptions(
+            mode="parallel",
+            fanouts=FANOUTS,
+            process_costs=costs,
+            on_error=on_error,
+            faults=faults,
+        ),
     )
     stats = result.fault_stats
     return {

@@ -39,7 +39,14 @@ import json
 import threading
 import time
 
-from repro import QUERY1_SQL, AsyncioKernel, QueryEngine, WSMED, build_registry
+from repro import (
+    QUERY1_SQL,
+    AsyncioKernel,
+    QueryEngine,
+    WSMED,
+    build_registry,
+    QueryOptions,
+)
 from repro.runtime.multiprocess import ProcessKernel
 from repro.services.latency import EndpointProfile
 from repro.services.registry import ServiceCosts
@@ -148,7 +155,10 @@ def build_wsmed() -> WSMED:
 
 def _timed_query(wsmed: WSMED, kernel) -> tuple[float, object]:
     started = time.perf_counter()
-    result = wsmed.sql(HASH_SQL, mode="parallel", fanouts=FANOUT, kernel=kernel)
+    result = wsmed.sql(
+        HASH_SQL,
+        options=QueryOptions(mode="parallel", fanouts=FANOUT, kernel=kernel),
+    )
     return time.perf_counter() - started, result
 
 
@@ -211,7 +221,7 @@ def measure_http() -> dict:
 
     def one_request() -> tuple[float, int]:
         body = json.dumps(
-            {"sql": QUERY1_SQL, "mode": "parallel", "fanouts": [5, 4]}
+            {"sql": QUERY1_SQL, "options": {"mode": "parallel", "fanouts": [5, 4]}}
         )
         started = time.perf_counter()
         connection = http.client.HTTPConnection(

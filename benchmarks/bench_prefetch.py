@@ -8,7 +8,7 @@ message costs are small relative to the service times, so depth 1 is
 (mildly) best — consistent with the paper's protocol choice.
 """
 
-from repro import ProcessCosts, WSMED
+from repro import ProcessCosts, QueryOptions, WSMED
 
 from benchmarks.harness import PAPER, QUERY1_SQL
 
@@ -21,7 +21,11 @@ def _sweep():
         system = WSMED(profile="paper", process_costs=ProcessCosts(prefetch=depth))
         system.import_all()
         result = system.sql(
-            QUERY1_SQL, mode="parallel", fanouts=list(PAPER["query1_best_fanouts"])
+            QUERY1_SQL,
+            options=QueryOptions(
+                mode="parallel",
+                fanouts=list(PAPER["query1_best_fanouts"]),
+            ),
         )
         times[depth] = (result.elapsed, len(result))
     return times

@@ -9,7 +9,7 @@ this: the manual vector {5,4} was tuned for one workload, while the
 adaptive operator re-derives a tree per run.
 """
 
-from repro import WSMED, AdaptationParams, GeoConfig, build_registry
+from repro import WSMED, AdaptationParams, GeoConfig, build_registry, QueryOptions
 
 from benchmarks.harness import QUERY1_SQL
 
@@ -30,10 +30,14 @@ def _sweep():
     rows = []
     for count in ATLANTA_COUNTS:
         system = _world(count)
-        central = system.sql(QUERY1_SQL, mode="central")
-        manual = system.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
+        central = system.sql(QUERY1_SQL, options=QueryOptions(mode="central"))
+        manual = system.sql(
+            QUERY1_SQL,
+            options=QueryOptions(mode="parallel", fanouts=[5, 4]),
+        )
         adaptive = system.sql(
-            QUERY1_SQL, mode="adaptive", adaptation=AdaptationParams(p=2)
+            QUERY1_SQL,
+            options=QueryOptions(mode="adaptive", adaptation=AdaptationParams(p=2)),
         )
         rows.append(
             {

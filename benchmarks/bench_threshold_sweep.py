@@ -10,7 +10,7 @@ Expected shape: a small threshold keeps adding children aggressively
 (undersized trees); the paper's 25 % sits in the efficient middle.
 """
 
-from repro import AdaptationParams
+from repro import AdaptationParams, QueryOptions
 
 from benchmarks.harness import PAPER, QUERY1_SQL, run_parallel, wsmed
 
@@ -22,8 +22,10 @@ def _sweep():
     for threshold in THRESHOLDS:
         result = wsmed().sql(
             QUERY1_SQL,
-            mode="adaptive",
-            adaptation=AdaptationParams(p=2, threshold=threshold, drop_stage=False),
+            options=QueryOptions(
+                mode="adaptive",
+                adaptation=AdaptationParams(p=2, threshold=threshold, drop_stage=False),
+            ),
         )
         rows.append(
             {

@@ -5,7 +5,7 @@ non-leaf process decided locally, and compares the result to manual trees
 — no fanout vector had to be chosen.
 """
 
-from repro import QUERY1_SQL, AdaptationParams, WSMED
+from repro import QUERY1_SQL, AdaptationParams, WSMED, QueryOptions
 
 
 def main() -> None:
@@ -14,9 +14,11 @@ def main() -> None:
 
     adaptive = wsmed.sql(
         QUERY1_SQL,
-        mode="adaptive",
-        adaptation=AdaptationParams(p=2, threshold=0.25, drop_stage=False),
-        name="Query1",
+        options=QueryOptions(
+            mode="adaptive",
+            adaptation=AdaptationParams(p=2, threshold=0.25, drop_stage=False),
+            name="Query1",
+        ),
     )
     print("adaptive run:")
     print(adaptive.summary())
@@ -41,7 +43,10 @@ def main() -> None:
     # How close did adaptation get to hand-tuned trees?
     print("comparison against manual FF_APPLYP trees:")
     for fanouts in ([2, 2], [5, 4], [7, 7]):
-        manual = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=fanouts)
+        manual = wsmed.sql(
+            QUERY1_SQL,
+            options=QueryOptions(mode="parallel", fanouts=fanouts),
+        )
         marker = " <- paper's best" if fanouts == [5, 4] else ""
         print(f"  manual {{{fanouts[0]},{fanouts[1]}}}: {manual.elapsed:7.1f} s{marker}")
     print(f"  adaptive     : {adaptive.elapsed:7.1f} s "

@@ -7,7 +7,7 @@ queries like any other.  This example adds a toy *ClimateService* whose
 dependent join GetAllStates -> GetClimate in parallel.
 """
 
-from repro import WSMED, build_registry
+from repro import QueryOptions, WSMED, build_registry
 from repro.services.latency import EndpointProfile
 from repro.services.registry import ServiceCosts
 from repro.util.errors import ServiceFault
@@ -120,9 +120,9 @@ def main() -> None:
         WHERE  gc.state = gs.State AND gc.season = 'summer'
           AND  gc.meanTempC > 12.0
     """
-    central = wsmed.sql(sql, mode="central")
-    parallel = wsmed.sql(sql, mode="parallel", fanouts=[5])
-    adaptive = wsmed.sql(sql, mode="adaptive")
+    central = wsmed.sql(sql, options=QueryOptions(mode="central"))
+    parallel = wsmed.sql(sql, options=QueryOptions(mode="parallel", fanouts=[5]))
+    adaptive = wsmed.sql(sql, options=QueryOptions(mode="adaptive"))
 
     print(f"{len(central)} states with mean summer temperature above 12 C")
     for row in central.as_dicts()[:5]:

@@ -7,7 +7,7 @@ GetAllStates -> GetPlacesWithin -> GetPlaceList: the generated OWF source
 a small fanout sweep.
 """
 
-from repro import QUERY1_SQL, WSMED
+from repro import QUERY1_SQL, QueryOptions, WSMED
 from repro.wsmed import view_columns
 
 
@@ -27,18 +27,24 @@ def main() -> None:
     print()
 
     print("=== central compilation (cf. Figs 6/7/8) ===")
-    print(wsmed.explain(QUERY1_SQL, name="Query1"))
+    print(wsmed.explain(QUERY1_SQL, options=QueryOptions(name="Query1")))
     print()
 
     print("=== parallel plan (cf. Fig 9) ===")
-    print(wsmed.explain(QUERY1_SQL, mode="parallel", fanouts=[5, 4], name="Query1")
+    print(wsmed.explain(
+        QUERY1_SQL,
+        options=QueryOptions(mode="parallel", fanouts=[5, 4], name="Query1"),
+    )
           .split("-- plan --")[1].split("-- estimate --")[0])
 
     print("=== fanout sweep ===")
-    central = wsmed.sql(QUERY1_SQL, mode="central", name="Query1")
+    central = wsmed.sql(QUERY1_SQL, options=QueryOptions(mode="central", name="Query1"))
     print(f"central: {central.elapsed:7.1f} s  ({central.total_calls} calls)")
     for fanouts in ([2, 2], [4, 3], [5, 4], [7, 7]):
-        result = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=fanouts, name="Query1")
+        result = wsmed.sql(
+            QUERY1_SQL,
+            options=QueryOptions(mode="parallel", fanouts=fanouts, name="Query1"),
+        )
         n = fanouts[0] + fanouts[0] * fanouts[1]
         print(f"{{{fanouts[0]},{fanouts[1]}}} (N={n:>2}): {result.elapsed:7.1f} s  "
               f"speed-up {central.elapsed / result.elapsed:4.1f}x")

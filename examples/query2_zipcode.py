@@ -8,7 +8,7 @@ the paper observed, caused by the USZip/Zipcodes endpoints degrading under
 concurrent load.
 """
 
-from repro import QUERY2_SQL, WSMED
+from repro import QUERY2_SQL, QueryOptions, WSMED
 
 
 def main() -> None:
@@ -18,7 +18,7 @@ def main() -> None:
     print("query:")
     print(QUERY2_SQL)
 
-    central = wsmed.sql(QUERY2_SQL, mode="central", name="Query2")
+    central = wsmed.sql(QUERY2_SQL, options=QueryOptions(mode="central", name="Query2"))
     print(f"answer: {central.as_dicts()}  "
           f"(the US Air Force Academy is in Colorado, zip 80840)")
     print()
@@ -26,7 +26,10 @@ def main() -> None:
     print(central.summary())
     print()
 
-    best = wsmed.sql(QUERY2_SQL, mode="parallel", fanouts=[4, 3], name="Query2")
+    best = wsmed.sql(
+        QUERY2_SQL,
+        options=QueryOptions(mode="parallel", fanouts=[4, 3], name="Query2"),
+    )
     print("parallel execution with the paper's best tree {4,3}:")
     print(best.summary())
     print()

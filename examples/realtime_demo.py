@@ -10,7 +10,7 @@ does not matter.
 
 import time
 
-from repro import QUERY1_SQL, AsyncioKernel, WSMED
+from repro import QUERY1_SQL, AsyncioKernel, WSMED, QueryOptions
 
 # One model second runs as five wall milliseconds: Query1's ~245 model-
 # second central plan takes ~1.5 wall seconds; the parallel plan far less.
@@ -29,7 +29,12 @@ def main() -> None:
     ):
         started = time.monotonic()
         result = wsmed.sql(
-            QUERY1_SQL, kernel=AsyncioKernel(time_scale=SCALE), name="Query1", **kwargs
+            QUERY1_SQL,
+            options=QueryOptions(
+                kernel=AsyncioKernel(time_scale=SCALE),
+                name="Query1",
+                **kwargs,
+            ),
         )
         wall = time.monotonic() - started
         runs[label] = (result, wall)

@@ -3,13 +3,15 @@ web service calls (Sabesan & Risch, ICDE 2009).
 
 Quick start::
 
-    from repro import WSMED, QUERY1_SQL
+    from repro import WSMED, QUERY1_SQL, QueryOptions
 
     wsmed = WSMED(profile="paper")
     wsmed.import_all()
-    central = wsmed.sql(QUERY1_SQL, mode="central")
-    best = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
-    adaptive = wsmed.sql(QUERY1_SQL, mode="adaptive")
+    central = wsmed.sql(QUERY1_SQL)
+    best = wsmed.sql(
+        QUERY1_SQL, options=QueryOptions(mode="parallel", fanouts=[5, 4])
+    )
+    adaptive = wsmed.sql(QUERY1_SQL, options=QueryOptions(mode="adaptive"))
     print(central.elapsed, best.elapsed, adaptive.elapsed)
 
 The package layers (see DESIGN.md for the full inventory):

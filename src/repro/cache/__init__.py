@@ -11,6 +11,7 @@ from repro.cache.call_cache import (
     CacheConfig,
     CacheStats,
     CallCache,
+    MemoStore,
     aggregate_stats,
     stable_hash,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "CacheConfig",
     "CacheStats",
     "CallCache",
+    "MemoStore",
     "aggregate_stats",
     "stable_hash",
 ]

@@ -160,8 +160,8 @@ class _Entry:
     expires_at: float | None  # model time; None = never
 
 
-class _InFlight:
-    """Single-flight rendezvous: the leader's outcome, shared by waiters."""
+class _Flight:
+    """Single-flight rendezvous: the leader's outcome, read by waiters."""
 
     __slots__ = ("done", "value", "error")
 
@@ -169,6 +169,72 @@ class _InFlight:
         self.done = kernel.event()
         self.value: Any = None
         self.error: BaseException | None = None
+
+
+class MemoStore:
+    """LRU/TTL memo plus in-flight table behind both call-cache tiers.
+
+    :class:`CallCache` (per process) and
+    :class:`~repro.engine.shared.SharedCallCache` (per engine) keep one
+    each.  The store is mechanism only: the owner passes the stats object
+    to bump (``misses`` / ``failures`` / ``evictions`` / ``expirations``
+    exist on both :class:`CacheStats` and ``SharedStats``) and decides
+    what a waiter does with a failed leader — that policy differs
+    between the tiers and stays with them.
+    """
+
+    def __init__(self, kernel: Kernel, max_entries: int, ttl: float | None) -> None:
+        self.kernel = kernel
+        self.max_entries = max_entries
+        self.ttl = ttl
+        self.entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
+        self.in_flight: dict[Hashable, _Flight] = {}
+
+    def lookup(self, key: Hashable, stats) -> _Entry | None:
+        """The live entry under ``key`` (LRU-touched), else ``None``."""
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        if entry.expires_at is not None and self.kernel.now() >= entry.expires_at:
+            del self.entries[key]
+            stats.expirations += 1
+            return None
+        self.entries.move_to_end(key)
+        return entry
+
+    def store(self, key: Hashable, value: Any, stats) -> None:
+        expires_at = self.kernel.now() + self.ttl if self.ttl is not None else None
+        self.entries[key] = _Entry(value, expires_at)
+        self.entries.move_to_end(key)
+        while len(self.entries) > self.max_entries:
+            self.entries.popitem(last=False)
+            stats.evictions += 1
+
+    async def lead(
+        self, key: Hashable, invoke: Callable[[], Awaitable[Any]], stats
+    ) -> Any:
+        """Perform the call as leader of ``key``'s single-flight group.
+
+        Memoizes a successful result; a failure is recorded on the flight
+        (for waiters to inspect) and re-raised, and nothing is memoized.
+        Either way every parked waiter is woken.
+        """
+        flight = _Flight(self.kernel)
+        self.in_flight[key] = flight
+        stats.misses += 1
+        try:
+            value = await invoke()
+        except BaseException as error:
+            stats.failures += 1
+            flight.error = error
+            raise
+        else:
+            flight.value = value
+            self.store(key, value, stats)
+            return value
+        finally:
+            del self.in_flight[key]
+            flight.done.set()
 
 
 class CallCache:
@@ -186,17 +252,14 @@ class CallCache:
         self.config = config
         self.name = name
         self.stats = CacheStats()
-        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
-        self._in_flight: dict[Hashable, _InFlight] = {}
+        self._memo = MemoStore(kernel, config.max_entries, config.ttl)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._memo.entries)
 
     def clone_for(self, name: str) -> "CallCache":
         """A fresh, empty cache for a child process (no shared memory)."""
         return CallCache(self.kernel, self.config, name=name)
-
-    # -- lookup ------------------------------------------------------------------
 
     async def call(
         self, key: Hashable, invoke: Callable[[], Awaitable[Any]]
@@ -218,60 +281,20 @@ class CallCache:
             self.stats.misses += 1
             return await invoke(), MISS
 
-        entry = self._lookup(key)
+        entry = self._memo.lookup(key, self.stats)
         if entry is not None:
             self.stats.hits += 1
             return entry.value, HIT
 
-        leader_of = self._in_flight.get(key)
-        if leader_of is not None:
+        flight = self._memo.in_flight.get(key)
+        if flight is not None:
             self.stats.collapsed += 1
-            await leader_of.done.wait()
-            if leader_of.error is not None:
-                raise leader_of.error
-            return leader_of.value, COLLAPSED
+            await flight.done.wait()
+            if flight.error is not None:
+                raise flight.error
+            return flight.value, COLLAPSED
 
-        flight = _InFlight(self.kernel)
-        self._in_flight[key] = flight
-        self.stats.misses += 1
-        try:
-            value = await invoke()
-        except BaseException as error:
-            self.stats.failures += 1
-            flight.error = error
-            raise
-        else:
-            flight.value = value
-            self._store(key, value)
-            return value, MISS
-        finally:
-            del self._in_flight[key]
-            flight.done.set()
-
-    # -- internals ------------------------------------------------------------------
-
-    def _lookup(self, key: Hashable) -> _Entry | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if entry.expires_at is not None and self.kernel.now() >= entry.expires_at:
-            del self._entries[key]
-            self.stats.expirations += 1
-            return None
-        self._entries.move_to_end(key)
-        return entry
-
-    def _store(self, key: Hashable, value: Any) -> None:
-        expires_at = (
-            self.kernel.now() + self.config.ttl
-            if self.config.ttl is not None
-            else None
-        )
-        self._entries[key] = _Entry(value, expires_at)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.config.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        return await self._memo.lead(key, invoke, self.stats), MISS
 
 
 def aggregate_stats(caches: list[CallCache], trace=None) -> CacheStats:

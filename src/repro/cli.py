@@ -22,8 +22,8 @@ Meta commands: ``\\views``, ``\\owf NAME``, ``\\mode``, ``\\fanouts``,
 ``\\profile``, ``\\explain SQL;``, ``\\tree``, ``\\summary``, ``\\rows N``,
 ``\\stats [SECTION]``, ``\\help``, ``\\quit``.  Statistics live under one
 ``\\stats`` command (sections: calls, tree, cache, batch, faults,
-critical_path, engine); the former ``\\cache``/``\\batch``/``\\faults``/
-``\\engine`` still work, both as report aliases and as toggles.
+critical_path, engine, share); ``\\cache``/``\\batch``/``\\faults`` take an
+argument and only change settings.
 """
 
 from __future__ import annotations
@@ -214,10 +214,6 @@ class Shell:
             self._batch_command(argument)
         elif command == "faults":
             self._faults_command(argument)
-        elif command == "engine":
-            self._engine_report()
-        elif command == "share":
-            self._share_report()
         elif command == "rows":
             self.max_rows = int(argument)
             self.write(f"rows = {self.max_rows}")
@@ -296,107 +292,79 @@ class Shell:
         )
 
     def _cache_command(self, argument: str) -> None:
-        """``\\cache [on [TTL] | off]``: toggle memoization / show counters."""
-        if argument:
-            word, _, ttl_text = argument.partition(" ")
-            word = word.strip().lower()
-            if word == "on":
-                ttl = float(ttl_text) if ttl_text.strip() else None
-                self.cache_config = CacheConfig(enabled=True, ttl=ttl)
-                suffix = f" (ttl {ttl:g} model s)" if ttl is not None else ""
-                self.write(f"cache = on{suffix}")
-            elif word == "off":
-                self.cache_config = None
-                self.write("cache = off")
-            else:
-                raise ReproError(r"usage: \cache [on [TTL] | off]")
-            return
-        if self.last_result is not None and self.last_result.cache_stats is not None:
-            self.write(self.last_result.report(sections="cache"))
+        """``\\cache on [TTL] | off``: toggle memoization."""
+        word, _, ttl_text = argument.partition(" ")
+        word = word.strip().lower()
+        if word == "on":
+            ttl = float(ttl_text) if ttl_text.strip() else None
+            self.cache_config = CacheConfig(enabled=True, ttl=ttl)
+            suffix = f" (ttl {ttl:g} model s)" if ttl is not None else ""
+            self.write(f"cache = on{suffix}")
+        elif word == "off":
+            self.cache_config = None
+            self.write("cache = off")
         else:
-            state = "on" if self.cache_config else "off"
-            self.write(f"call cache: {state} (no cached execution yet)")
+            raise ReproError(r"usage: \cache on [TTL] | off (counters: \stats cache)")
 
     def _batch_command(self, argument: str) -> None:
-        """``\\batch [N | adaptive | linger T | off]``: micro-batching."""
-        if argument:
-            word, _, rest = argument.partition(" ")
-            word = word.strip().lower()
-            if word == "off":
-                self.batch = {}
-                self.write("batch = off (per-tuple protocol)")
-            elif word == "adaptive":
-                self.batch["batch_adaptive"] = True
-                self.write("batch = adaptive")
-            elif word == "linger":
-                try:
-                    linger = float(rest)
-                except ValueError:
-                    raise ReproError(
-                        r"usage: \batch linger T (model seconds)"
-                    ) from None
-                self.batch["batch_linger"] = linger
-                self.write(f"batch linger = {linger:g} model s")
-            else:
-                try:
-                    self.batch["batch_size"] = int(word)
-                except ValueError:
-                    raise ReproError(
-                        r"usage: \batch [N | adaptive | linger T | off]"
-                    ) from None
-                self.write(f"batch size = {self.batch['batch_size']}")
-            return
-        if self.last_result is not None:
-            self.write(self.last_result.report(sections="batch"))
-        elif self.batch:
-            self.write(f"batching = {self.batch} (no execution yet)")
+        """``\\batch N | adaptive | linger T | off``: micro-batching."""
+        word, _, rest = argument.partition(" ")
+        word = word.strip().lower()
+        if word == "off":
+            self.batch = {}
+            self.write("batch = off (per-tuple protocol)")
+        elif word == "adaptive":
+            self.batch["batch_adaptive"] = True
+            self.write("batch = adaptive")
+        elif word == "linger":
+            try:
+                linger = float(rest)
+            except ValueError:
+                raise ReproError(
+                    r"usage: \batch linger T (model seconds)"
+                ) from None
+            self.batch["batch_linger"] = linger
+            self.write(f"batch linger = {linger:g} model s")
         else:
-            self.write("batching = off (no execution yet)")
+            try:
+                self.batch["batch_size"] = int(word)
+            except ValueError:
+                raise ReproError(
+                    r"usage: \batch N | adaptive | linger T | off "
+                    r"(counters: \stats batch)"
+                ) from None
+            self.write(f"batch size = {self.batch['batch_size']}")
 
     def _faults_command(self, argument: str) -> None:
-        """``\\faults [fail|retry|skip | inject P [C] | off]``: fault policy."""
-        if argument:
-            word, _, rest = argument.partition(" ")
-            word = word.strip().lower()
-            if word in ("fail", "retry", "skip"):
-                self.on_error = word
-                self.write(f"on_error = {word}")
-            elif word == "inject":
-                parts = rest.split()
-                try:
-                    failure = float(parts[0]) if parts else 0.0
-                    crash = float(parts[1]) if len(parts) > 1 else 0.0
-                except ValueError:
-                    raise ReproError(
-                        r"usage: \faults inject FAIL_PROB [CRASH_PROB]"
-                    ) from None
-                self.fault_injection = FaultInjection(
-                    call_failure_probability=failure, crash_probability=crash
-                )
-                self.write(
-                    f"fault injection: call failure {failure:g}, crash {crash:g}"
-                )
-            elif word == "off":
-                self.on_error = None
-                self.fault_injection = None
-                self.write("faults = off (policy fail, no injection)")
-            else:
+        """``\\faults fail|retry|skip | inject P [C] | off``: fault policy."""
+        word, _, rest = argument.partition(" ")
+        word = word.strip().lower()
+        if word in ("fail", "retry", "skip"):
+            self.on_error = word
+            self.write(f"on_error = {word}")
+        elif word == "inject":
+            parts = rest.split()
+            try:
+                failure = float(parts[0]) if parts else 0.0
+                crash = float(parts[1]) if len(parts) > 1 else 0.0
+            except ValueError:
                 raise ReproError(
-                    r"usage: \faults [fail|retry|skip | inject P [C] | off]"
-                )
-            return
-        if self.last_result is not None:
-            self.write(self.last_result.report(sections="faults"))
-        else:
-            policy = self.on_error or "fail"
-            injection = (
-                "none"
-                if self.fault_injection is None
-                else f"call failure {self.fault_injection.call_failure_probability:g}"
-                f", crash {self.fault_injection.crash_probability:g}"
+                    r"usage: \faults inject FAIL_PROB [CRASH_PROB]"
+                ) from None
+            self.fault_injection = FaultInjection(
+                call_failure_probability=failure, crash_probability=crash
             )
             self.write(
-                f"on_error = {policy}; injection = {injection} (no execution yet)"
+                f"fault injection: call failure {failure:g}, crash {crash:g}"
+            )
+        elif word == "off":
+            self.on_error = None
+            self.fault_injection = None
+            self.write("faults = off (policy fail, no injection)")
+        else:
+            raise ReproError(
+                r"usage: \faults fail|retry|skip | inject P [C] | off "
+                r"(counters: \stats faults)"
             )
 
     # -- the loop ------------------------------------------------------------------
@@ -441,20 +409,15 @@ meta commands:
   \\stats            all statistics sections of the last execution
   \\stats SECTION    one section: calls | tree | cache | batch | faults
                     | critical_path (traced runs) | engine | share
-  \\cache            alias for \\stats cache
   \\cache on [TTL]   memoize web-service calls (optional TTL, model s)
   \\cache off        disable the call cache
-  \\batch            alias for \\stats batch
   \\batch N          coalesce N parameter/result tuples per message
   \\batch adaptive   adapt the batch size per child at run time
   \\batch linger T   flush partial batches after T model seconds
   \\batch off        back to the per-tuple protocol
-  \\faults           alias for \\stats faults
   \\faults P         failure policy: fail | retry | skip
   \\faults inject F [C]  inject per-call failures (prob F) / crashes (C)
   \\faults off       seed behavior: policy fail, no injection
-  \\engine           alias for \\stats engine
-  \\share            alias for \\stats share
   \\rows N           max rows displayed
   \\explain SQL;     show calculus, plan and cost estimate
   \\tree             process tree of the last execution

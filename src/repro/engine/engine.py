@@ -4,16 +4,19 @@
 fresh broker, compiles the query from scratch, spawns a new tree of
 child query processes, runs, and tears everything down.  That is the
 paper's experimental setup, but a mediator serving traffic pays the
-compile and cold-start cost on every query.  :class:`QueryEngine` makes
-the expensive parts resident:
+compile and cold-start cost on every query.  :class:`QueryEngine` runs
+the *same* routine — :meth:`WSMED.run_plan` executes every plan, one-shot
+or resident — and only changes what it is handed, making the expensive
+parts resident:
 
 * **one kernel, one broker** — bound at construction; the simulated or
   real-time world persists across queries, so server-side state
   (endpoint semaphores, the seeded jitter stream) behaves like one
   long-running service substrate;
 * **compiled-plan cache** — :class:`~repro.engine.plan_cache.PlanCache`
-  keyed by ``(sql, mode, fanouts, adaptation, name)``, invalidated when
-  ``import_wsdl``/``register_helping_function`` replaces a definition;
+  keyed by ``(sql, mode, fanouts, adaptation, name, optimize)``,
+  invalidated when ``import_wsdl``/``register_helping_function``
+  replaces a definition;
 * **warm child-pool reuse** — coordinator-level operator pools are
   leased from / released to a :class:`~repro.engine.pools.PoolRegistry`
   instead of being spawned and shut down per query, so a warm query
@@ -21,15 +24,15 @@ the expensive parts resident:
   keep their call caches);
 * **concurrent admission** — :meth:`sql_many` multiplexes N queries on
   the one kernel behind a bounded admission semaphore; per-query
-  isolation comes from a fresh :class:`~repro.util.trace.TraceLog` and
-  :class:`~repro.services.broker.CallRecorder` per query plus per-query
-  cache counters, so concurrent :class:`QueryResult`s never share
-  statistics.
+  isolation comes from the fresh :class:`~repro.util.trace.TraceLog`
+  and :class:`~repro.services.broker.CallRecorder` ``run_plan`` gives
+  every query plus per-query cache counters, so concurrent
+  :class:`QueryResult`s never share statistics.
 
-A cold first query at concurrency 1 replays the seed timeline exactly —
-same rows, same trace events, same message counts; the only difference
-is that process shutdown happens at :meth:`close` instead of at the end
-of the query (so ``elapsed`` excludes teardown).
+A cold first query at concurrency 1 replays the one-shot timeline
+exactly — same rows, same trace events, same message counts; the only
+difference is that process shutdown happens at :meth:`close` instead of
+at the end of the query (so ``elapsed`` excludes teardown).
 """
 
 from __future__ import annotations
@@ -37,23 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from dataclasses import replace as _replace
 
-from repro.algebra.explain import render_plan
-from repro.algebra.interpreter import ExecutionContext
 from repro.algebra.plan import AdaptationParams
-from repro.cache import CacheConfig, CacheStats, CallCache, aggregate_stats
+from repro.cache import CacheConfig, CacheStats, CallCache
 from repro.engine.admission import AdmissionConfig, AdmissionController
 from repro.engine.plan_cache import CompiledPlan, PlanCache, plan_dependencies
 from repro.engine.pools import PoolRegistry
 from repro.engine.shared import ShareConfig, SharedCallCache
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import NULL_RECORDER, NullRecorder
-from repro.parallel.batching import message_stats_from_trace
-from repro.parallel.executor import ParallelExecutor
-from repro.parallel.faults import fault_stats_from_trace
-from repro.parallel.tree import tree_stats_from_trace
 from repro.runtime.base import Kernel
 from repro.runtime.simulated import SimKernel
-from repro.services.broker import CallRecorder
 from repro.util.errors import ReproError
 from repro.wsmed.options import ONE_SHOT_ONLY, QueryOptions, resolve_options
 from repro.wsmed.results import QueryResult
@@ -193,10 +188,10 @@ class QueryEngine:
     ::
 
         engine = QueryEngine(wsmed)
-        first = engine.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
-        warm = engine.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
-        batch = engine.sql_many([QUERY1_SQL] * 16, mode="parallel",
-                                fanouts=[5, 4])
+        options = QueryOptions(mode="parallel", fanouts=[5, 4])
+        first = engine.sql(QUERY1_SQL, options=options)
+        warm = engine.sql(QUERY1_SQL, options=options)
+        batch = engine.sql_many([QUERY1_SQL] * 16, options=options)
         engine.close()
 
     The kernel must be *resident* (``SimKernel(resident=True)``, the
@@ -224,7 +219,7 @@ class QueryEngine:
             )
         self.wsmed = wsmed
         self.kernel = kernel if kernel is not None else SimKernel(resident=True)
-        if not getattr(self.kernel, "resident", False):
+        if not self.kernel.resident:
             raise ReproError(
                 "QueryEngine needs a resident kernel "
                 "(SimKernel(resident=True) or AsyncioKernel(resident=True)); "
@@ -234,7 +229,6 @@ class QueryEngine:
         self.broker = wsmed.registry.bind(
             self.kernel, seed=wsmed.seed, fault_rate=fault_rate
         )
-        self._fault_rate = fault_rate
         self.max_concurrency = max_concurrency
         self.plan_cache = PlanCache(plan_cache_size)
         self.pool_registry = PoolRegistry(max_idle_pools)
@@ -278,7 +272,7 @@ class QueryEngine:
         )
         self._admission = None  # static semaphore, created lazily inside the kernel
         self._admission_key: tuple[int, int] | None = None
-        self._kernel_generation = getattr(self.kernel, "generation", 0)
+        self._kernel_generation = self.kernel.generation
         # One process-name counter for the engine's lifetime: the first
         # query numbers its children q1..qN exactly like the seed, and
         # every later (or concurrent) query continues the sequence, so
@@ -333,11 +327,7 @@ class QueryEngine:
     _REJECTED_OPTIONS = frozenset(ONE_SHOT_ONLY | {"observed"})
 
     def sql(
-        self,
-        sql_text: str,
-        *,
-        options: QueryOptions | None = None,
-        **legacy,
+        self, sql_text: str, *, options: QueryOptions | None = None
     ) -> QueryResult:
         """Run one query to completion on the resident kernel.
 
@@ -346,8 +336,7 @@ class QueryEngine:
         ``fanouts``, ``adaptation``, ``retries``, ``cache``,
         ``process_costs``, ``on_error``, ``faults``, ``name``, ``obs``,
         ``optimize``, ``limit_pushdown``) — but not ``kernel`` /
-        ``fault_rate`` / ``observed``, which are engine-level here.  The
-        old individual keyword arguments still work but are deprecated.
+        ``fault_rate`` / ``observed``, which are engine-level here.
         Two admission fields ride along: ``tenant`` (fair-queue identity,
         default ``"default"``) and ``deadline_ms`` (model milliseconds;
         under adaptive admission a query whose deadline the measured
@@ -358,27 +347,20 @@ class QueryEngine:
         only on plan-cache misses (a warm hit skips compilation
         entirely).
         """
-        opts = resolve_options(
-            options, legacy, where="QueryEngine.sql",
-            rejected=self._REJECTED_OPTIONS,
-        )
-        return self.kernel.run(self._admitted(sql_text, opts))
+        return self.kernel.run(self.sql_async(sql_text, options=options))
 
     async def sql_async(
-        self,
-        sql_text: str,
-        *,
-        options: QueryOptions | None = None,
-        **legacy,
+        self, sql_text: str, *, options: QueryOptions | None = None
     ) -> QueryResult:
         """Coroutine form of :meth:`sql` for callers already running
         *inside* the resident kernel (e.g. the HTTP front end in
         :mod:`repro.serve`, whose accept loop owns ``kernel.run``)."""
-        opts = resolve_options(
-            options, legacy, where="QueryEngine.sql_async",
-            rejected=self._REJECTED_OPTIONS,
+        return await self._admitted(sql_text, self._resolve(options))
+
+    def _resolve(self, options: QueryOptions | None) -> QueryOptions:
+        return resolve_options(
+            options, where="QueryEngine", rejected=self._REJECTED_OPTIONS
         )
-        return await self._admitted(sql_text, opts)
 
     def sql_many(
         self,
@@ -386,7 +368,6 @@ class QueryEngine:
         *,
         return_exceptions: bool = False,
         options: QueryOptions | None = None,
-        **common,
     ) -> list[QueryResult]:
         """Run several queries concurrently on the one kernel.
 
@@ -405,10 +386,7 @@ class QueryEngine:
         back as the exception object in its slot instead of destroying
         the whole batch.
         """
-        base = resolve_options(
-            options, common, where="QueryEngine.sql_many",
-            rejected=self._REJECTED_OPTIONS,
-        )
+        base = self._resolve(options)
         coros = []
         for query in queries:
             if isinstance(query, str):
@@ -441,7 +419,7 @@ class QueryEngine:
         dead), coordinator caches (their single-flight events are dead),
         and the admission semaphore (awaiting it would raise or hang).
         """
-        generation = getattr(self.kernel, "generation", 0)
+        generation = self.kernel.generation
         if generation == self._kernel_generation:
             return
         self._kernel_generation = generation
@@ -456,217 +434,101 @@ class QueryEngine:
         if self._closed:
             raise EngineClosed("QueryEngine is closed")
         self._check_generation()
+        # The two policies differ only in how the permit is taken and
+        # returned; the static one is the seed's plain semaphore.
         if self.admission is not None:
             ticket = await self.admission.admit(
                 opts.tenant, deadline_ms=opts.deadline_ms
             )
-            self._active += 1
-            self._peak_active = max(self._peak_active, self._active)
-            started = self.kernel.now()
-            try:
-                return await self._execute(sql_text, opts)
-            finally:
-                self._active -= 1
-                self.admission.release(ticket, self.kernel.now() - started)
-        key = (self._kernel_generation, self.max_concurrency)
-        if self._admission is None or self._admission_key != key:
-            self._admission = self.kernel.semaphore(self.max_concurrency)
-            self._admission_key = key
-        await self._admission.acquire()
+        else:
+            key = (self._kernel_generation, self.max_concurrency)
+            if self._admission is None or self._admission_key != key:
+                self._admission = self.kernel.semaphore(self.max_concurrency)
+                self._admission_key = key
+            await self._admission.acquire()
         self._active += 1
         self._peak_active = max(self._peak_active, self._active)
+        started = self.kernel.now()
         try:
             return await self._execute(sql_text, opts)
         finally:
             self._active -= 1
-            self._admission.release()
+            if self.admission is not None:
+                self.admission.release(ticket, self.kernel.now() - started)
+            else:
+                self._admission.release()
 
     async def _execute(
         self, sql_text: str, opts: QueryOptions
     ) -> QueryResult:
-        fanouts = opts.fanouts
-        adaptation = opts.adaptation
-        name = opts.name
-        cache = opts.cache
-        obs = opts.obs
-        optimize = opts.optimize
+        """Engine work around the shared :meth:`WSMED.run_plan`: plan
+        cache, resident broker/pools/sharing tier, a leased coordinator
+        cache, then observation feedback and re-optimization."""
         await self.pool_registry.drain()
-        mode = ExecutionMode.of(opts.mode)
-        if self.admission is not None and mode is ExecutionMode.ADAPTIVE:
+        if ExecutionMode.of(opts.mode) is ExecutionMode.ADAPTIVE:
+            # Normalize before fingerprinting: None and the default
+            # params compile to the same plan and must share an entry.
+            adaptation = opts.adaptation or AdaptationParams()
             # AFF fanout cap from measured broker queue contention: a
             # saturated endpoint only queues deeper under wider fanout,
             # so clamp the adaptation ceiling.  AdaptationParams is part
             # of the plan-cache fingerprint, so capped and uncapped
             # compilations never share an entry.
-            cap = self.admission.fanout_cap()
-            if cap is not None:
-                params = adaptation if adaptation is not None else AdaptationParams()
-                if params.max_fanout > cap:
-                    adaptation = _replace(
-                        params, max_fanout=max(cap, params.init_fanout)
-                    )
-        recorder = obs if obs is not None else NULL_RECORDER
-        compiled = self._compiled(
-            sql_text, mode, fanouts, adaptation, name, obs=recorder,
-            optimize=optimize,
-        )
-        effective_costs = opts.process_costs or self.wsmed.process_costs
-        if opts.on_error is not None:
-            effective_costs = _replace(effective_costs, on_error=opts.on_error)
-        if opts.faults is not None:
-            effective_costs = _replace(effective_costs, faults=opts.faults)
-        ctx = ExecutionContext(
-            kernel=self.kernel,
-            broker=self.broker,
-            functions=self.wsmed.functions,
-            retries=opts.retries,
-            call_recorder=CallRecorder(),
-            _name_counter=self._name_counter,
-            shared=self.shared,
-            limit_pushdown=opts.limit_pushdown,
-        )
-        config = cache if cache is not None else self.wsmed.cache_config
-        leased_cache = self._lease_coordinator_cache(ctx, config)
-        attach_placement = getattr(self.kernel, "attach_placement", None)
-        if attach_placement is not None:
-            # Multi-process kernel: pool children land in OS workers; the
-            # PoolRegistry lease cycle then keeps warm *processes* across
-            # queries (rebind reaches into the workers).
-            attach_placement(
-                ctx,
-                functions=self.wsmed.functions,
-                registry=self.wsmed.registry,
-                seed=self.wsmed.seed,
-                fault_rate=self._fault_rate,
-            )
-        executor = ParallelExecutor(
-            ctx, effective_costs, pool_registry=self.pool_registry
-        )
-        query_span = -1
-        if recorder.enabled:
-            query_span = recorder.start(
-                f"query:{name}",
-                category="query",
-                process=ctx.process_name,
-                at=self.kernel.now(),
-                mode=mode.value,
-            )
-            ctx.obs = recorder
-            ctx.obs_span = query_span
-            # Concurrent traced queries are last-writer-wins on the
-            # kernel-level hook: task spans attach to whichever traced
-            # query spawned most recently.  Trace one query at a time for
-            # an unambiguous kernel timeline.
-            self.kernel.obs = recorder
-        started = self.kernel.now()
-        try:
-            rows = await executor.execute(compiled.plan)
-        except BaseException:
-            if recorder.enabled:
-                if self.kernel.obs is recorder:
-                    self.kernel.obs = None
-                recorder.finish(query_span, at=self.kernel.now(), outcome="error")
-            raise
-        finally:
-            if leased_cache is not None:
-                self._coordinator_caches[config].append(leased_cache)
-        elapsed = self.kernel.now() - started
-        if recorder.enabled:
-            if self.kernel.obs is recorder:
-                self.kernel.obs = None
-            recorder.finish(query_span, at=self.kernel.now(), rows=len(rows))
-        self._queries += 1
-        call_recorder = ctx.call_recorder
-        self._absorb_observations(call_recorder.all_stats())
-        if compiled.optimize == "cost":
-            self._maybe_reoptimize(
-                sql_text, mode, fanouts, adaptation, name, compiled
-            )
-        return QueryResult(
-            columns=compiled.plan.schema,
-            rows=rows,
-            elapsed=elapsed,
-            mode=mode.value,
-            total_calls=call_recorder.total_calls(),
-            call_stats=call_recorder.all_stats(),
-            trace=ctx.trace,
-            tree=tree_stats_from_trace(ctx.trace),
-            plan_text=render_plan(compiled.plan),
-            cache_stats=(
-                aggregate_stats(
-                    ctx.cache_registry,
-                    trace=ctx.trace if self.shared is not None else None,
+            cap = self.admission.fanout_cap() if self.admission else None
+            if cap is not None and adaptation.max_fanout > cap:
+                adaptation = _replace(
+                    adaptation, max_fanout=max(cap, adaptation.init_fanout)
                 )
-                if ctx.cache_registry or self.shared is not None
-                else None
-            ),
-            message_stats=message_stats_from_trace(ctx.trace),
-            fault_stats=fault_stats_from_trace(ctx.trace),
-            spans=recorder.store if recorder.enabled else None,
-        )
-
-    def _compiled(
-        self,
-        sql_text: str,
-        mode: ExecutionMode,
-        fanouts: list[int] | None,
-        adaptation: AdaptationParams | None,
-        name: str,
-        obs: NullRecorder = NULL_RECORDER,
-        optimize: str = "heuristic",
-    ) -> CompiledPlan:
-        if mode is ExecutionMode.ADAPTIVE:
-            # Normalize before fingerprinting: None and the default
-            # params compile to the same plan and must share an entry.
-            adaptation = adaptation or AdaptationParams()
+            opts = opts.replace(adaptation=adaptation)
         key = PlanCache.fingerprint(
-            sql_text, mode, fanouts, adaptation, name, optimize
+            sql_text, opts.mode, opts.fanouts, opts.adaptation, opts.name,
+            opts.optimize,
         )
         compiled = self.plan_cache.get(key)
         if compiled is None:
-            compiled = self._compile_entry(
-                sql_text, mode, fanouts, adaptation, name, optimize, obs=obs
-            )
+            compiled = self._compile_entry(sql_text, opts)
             self.plan_cache.put(key, compiled)
-        return compiled
+        config = self.wsmed.cache_config_for(opts)
+        leased_cache = self._lease_coordinator_cache(config)
+        try:
+            result = await self.wsmed.run_plan(
+                compiled.plan,
+                opts,
+                self.broker,
+                coordinator_cache=leased_cache,
+                pool_registry=self.pool_registry,
+                shared=self.shared,
+                name_counter=self._name_counter,
+            )
+        finally:
+            if leased_cache is not None:
+                self._coordinator_caches[config].append(leased_cache)
+        self._queries += 1
+        self._absorb_observations(result.call_stats)
+        if self._drifted(compiled):
+            # Replacing the entry recompiles the plan with fresh node
+            # ids, so its warm pools cold-start once — the same trade the
+            # condemn/invalidation machinery already makes.
+            self.plan_cache.put(
+                key, self._compile_entry(sql_text, opts.replace(obs=None))
+            )
+            self._reoptimizations += 1
+            self.metrics.counter("engine.reoptimizations").inc()
+        return result
 
-    def _compile_entry(
-        self,
-        sql_text: str,
-        mode: ExecutionMode,
-        fanouts: list[int] | None,
-        adaptation: AdaptationParams | None,
-        name: str,
-        optimize: str,
-        obs: NullRecorder = NULL_RECORDER,
-    ) -> CompiledPlan:
-        if optimize == "cost":
-            _, plan, report = self.wsmed._compile(
-                sql_text,
-                mode=mode,
-                fanouts=fanouts,
-                adaptation=adaptation,
-                name=name,
-                obs=obs,
-                optimize="cost",
-                observed=self.observed_stats() or None,
-            )
-            return CompiledPlan(
-                plan=plan,
-                dependencies=plan_dependencies(plan),
-                optimize="cost",
-                assumptions=dict(report.assumptions) if report else None,
-                report=report,
-            )
-        plan = self.wsmed.plan(
-            sql_text,
-            mode=mode,
-            fanouts=fanouts,
-            adaptation=adaptation,
-            name=name,
-            obs=obs,
+    def _compile_entry(self, sql_text: str, opts: QueryOptions) -> CompiledPlan:
+        """Compile through :meth:`WSMED._compile`, costing with the
+        engine's live statistics (ignored by the heuristic planner)."""
+        _, plan, report = self.wsmed._compile(
+            sql_text, opts.replace(observed=self.observed_stats() or None)
         )
-        return CompiledPlan(plan=plan, dependencies=plan_dependencies(plan))
+        return CompiledPlan(
+            plan=plan,
+            dependencies=plan_dependencies(plan),
+            optimize=opts.optimize,
+            assumptions=dict(report.assumptions) if report else None,
+            report=report,
+        )
 
     # -- live-stats feedback ----------------------------------------------------
 
@@ -697,70 +559,43 @@ class QueryEngine:
                 observed[operation] = (seconds / calls, rows / calls)
         return observed
 
-    def _maybe_reoptimize(
-        self,
-        sql_text: str,
-        mode: ExecutionMode,
-        fanouts: list[int] | None,
-        adaptation: AdaptationParams | None,
-        name: str,
-        compiled: CompiledPlan,
-    ) -> None:
-        """Re-optimize a cached cost-based plan when live stats drift.
+    def _drifted(self, compiled: CompiledPlan) -> bool:
+        """Whether live stats left a cost-based plan's assumptions behind.
 
         Compares the measured per-operation call cost and fanout against
         the assumptions the cached plan was costed with; past
-        ``drift_threshold`` (a ratio, either direction) the entry is
-        recompiled with the observed statistics so the *next* execution
-        runs the improved plan.  Replacing the cache entry recompiles the
-        plan with fresh node ids, so its warm pools cold-start once —
-        the same trade the condemn/invalidation machinery already makes.
+        ``drift_threshold`` (a ratio, either direction) the engine
+        recompiles the entry with the observed statistics so the *next*
+        execution runs the improved plan.  Heuristic plans carry no
+        assumptions and never drift.
         """
-        assumptions = compiled.assumptions
-        if not assumptions:
-            return
+        if not compiled.assumptions:
+            return False
         observed = self.observed_stats()
-        drifted = False
-        for operation, (assumed_cost, assumed_fanout) in assumptions.items():
-            measured = observed.get(operation)
-            if measured is None:
-                continue
-            for assumed, actual in zip((assumed_cost, assumed_fanout), measured):
+        for operation, assumed_pair in compiled.assumptions.items():
+            for assumed, actual in zip(assumed_pair, observed.get(operation, ())):
                 if assumed <= 0.0 or actual <= 0.0:
                     continue
                 ratio = actual / assumed
                 if ratio > self.drift_threshold or ratio < 1.0 / self.drift_threshold:
-                    drifted = True
-        if not drifted:
-            return
-        key = PlanCache.fingerprint(
-            sql_text, mode, fanouts, adaptation, name, "cost"
-        )
-        fresh = self._compile_entry(
-            sql_text, mode, fanouts, adaptation, name, "cost"
-        )
-        self.plan_cache.put(key, fresh)
-        self._reoptimizations += 1
-        self.metrics.counter("engine.reoptimizations").inc()
+                    return True
+        return False
 
     def _lease_coordinator_cache(
-        self, ctx: ExecutionContext, config: CacheConfig | None
+        self, config: CacheConfig | None
     ) -> CallCache | None:
-        """Attach a warm (or fresh) coordinator cache to a query's context.
+        """A warm (or fresh) coordinator cache for one query, counters at 0.
 
         Pooled per config so concurrent queries never share one cache
         object — sharing would let one query reset another's counters.
         """
-        if config is None or not config.enabled:
+        if config is None:
             return None
         bucket = self._coordinator_caches.setdefault(config, [])
-        if bucket:
-            cache = bucket.pop()
-            cache.stats = CacheStats()
-        else:
-            cache = CallCache(self.kernel, config, name=ctx.process_name)
-        ctx.cache = cache
-        ctx.cache_registry.append(cache)
+        if not bucket:
+            return CallCache(self.kernel, config)
+        cache = bucket.pop()
+        cache.stats = CacheStats()
         return cache
 
     # -- introspection ----------------------------------------------------------------
@@ -837,6 +672,12 @@ class QueryEngine:
         self._closed = True
         self.kernel.run(self.pool_registry.close_all())
         self.kernel.shutdown()
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` has run; queries then raise
+        :class:`EngineClosed`."""
+        return self._closed
 
     def __enter__(self) -> "QueryEngine":
         return self

@@ -36,11 +36,10 @@ engine's call path is bit-for-bit identical to the seed.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any
 
-from repro.cache import MISS
+from repro.cache import MISS, MemoStore
 from repro.runtime.base import Kernel
 from repro.services.broker import BatchRequest, CallRecorder, ServiceBroker
 from repro.util.errors import ReproError
@@ -151,27 +150,6 @@ class SharedStats:
         }
 
 
-@dataclass
-class _Entry:
-    value: Any
-    expires_at: float | None  # model time; None = never
-
-
-class _Flight:
-    """One in-flight shared call: the leader's outcome, read by waiters.
-
-    ``error`` is informational only — waiters never re-raise it (a fault
-    belongs to the query that issued the call); they retry instead.
-    """
-
-    __slots__ = ("done", "value", "error")
-
-    def __init__(self, kernel: Kernel) -> None:
-        self.done = kernel.event()
-        self.value: Any = None
-        self.error: BaseException | None = None
-
-
 class _PendingBatch:
     """Calls waiting to coalesce for one ``(uri, operation)``."""
 
@@ -196,13 +174,12 @@ class SharedCallCache:
         self.kernel = kernel
         self.config = config
         self.stats = SharedStats()
-        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
-        self._in_flight: dict[Hashable, _Flight] = {}
+        self._memo = MemoStore(kernel, config.max_entries, config.ttl)
         self._pending: dict[tuple[str, str], _PendingBatch] = {}
         self._generation = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._memo.entries)
 
     # -- lookup ------------------------------------------------------------------
 
@@ -247,7 +224,7 @@ class SharedCallCache:
 
         waited = False
         while True:
-            entry = self._lookup(key)
+            entry = self._memo.lookup(key, self.stats)
             if entry is not None:
                 if waited:
                     # Parked on a flight whose leader succeeded and
@@ -257,7 +234,7 @@ class SharedCallCache:
                 self.stats.hits += 1
                 return entry.value, SHARED_HIT, False
 
-            flight = self._in_flight.get(key)
+            flight = self._memo.in_flight.get(key)
             if flight is None:
                 break  # no leader: become one
             waited = True
@@ -270,25 +247,18 @@ class SharedCallCache:
             # innocent query — so loop and retry (possibly as the new
             # leader).
 
-        flight = _Flight(self.kernel)
-        self._in_flight[key] = flight
-        self.stats.misses += 1
-        try:
+        coalesced = False
+
+        async def invoke() -> Any:
+            nonlocal coalesced
             value, coalesced = await self._dispatch(
                 broker, uri, service, operation, arguments,
                 recorder=recorder, obs=obs, obs_span=obs_span,
             )
-        except BaseException as error:
-            self.stats.failures += 1
-            flight.error = error
-            raise
-        else:
-            flight.value = value
-            self._store(key, value)
-            return value, MISS, coalesced
-        finally:
-            del self._in_flight[key]
-            flight.done.set()
+            return value
+
+        value = await self._memo.lead(key, invoke, self.stats)
+        return value, MISS, coalesced
 
     # -- cross-query batching ------------------------------------------------------
 
@@ -384,31 +354,6 @@ class SharedCallCache:
             for request in requests:
                 request.done.set()
 
-    # -- memo internals ------------------------------------------------------------
-
-    def _lookup(self, key: Hashable) -> _Entry | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if entry.expires_at is not None and self.kernel.now() >= entry.expires_at:
-            del self._entries[key]
-            self.stats.expirations += 1
-            return None
-        self._entries.move_to_end(key)
-        return entry
-
-    def _store(self, key: Hashable, value: Any) -> None:
-        expires_at = (
-            self.kernel.now() + self.config.ttl
-            if self.config.ttl is not None
-            else None
-        )
-        self._entries[key] = _Entry(value, expires_at)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.config.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
     # -- invalidation ------------------------------------------------------------
 
     def invalidate_operation(self, operation_name: str) -> int:
@@ -422,8 +367,9 @@ class SharedCallCache:
         re-import.
         """
         wanted = operation_name.lower()
-        stale = [key for key in self._entries if key[2].lower() == wanted]
+        entries = self._memo.entries
+        stale = [key for key in entries if key[2].lower() == wanted]
         for key in stale:
-            del self._entries[key]
+            del entries[key]
         self.stats.invalidations += len(stale)
         return len(stale)

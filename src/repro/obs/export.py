@@ -138,10 +138,10 @@ def to_chrome_trace(store: SpanStore) -> dict[str, Any]:
             # span's start to the child span's start.
             flow_id += 1
             ppid, ptid = locate(parent)
-            common = {"cat": "flow", "name": "link", "id": flow_id}
+            link = {"cat": "flow", "name": "link", "id": flow_id}
             events.append(
                 {
-                    **common,
+                    **link,
                     "ph": "s",
                     "ts": _us(parent.start),
                     "pid": ppid,
@@ -150,7 +150,7 @@ def to_chrome_trace(store: SpanStore) -> dict[str, Any]:
             )
             events.append(
                 {
-                    **common,
+                    **link,
                     "ph": "f",
                     "bp": "e",
                     "ts": _us(span.start),

@@ -27,9 +27,8 @@ class ParallelExecutor:
     :class:`~repro.engine.pools.PoolRegistry`), coordinator-level pools
     are leased from / released to the registry instead of being built and
     torn down per query, so a warm query reuses the previous query's
-    child-process trees.  Without one (the seed path) behaviour is
-    unchanged: pools are created on first use and closed in ``execute``'s
-    ``finally``.
+    child-process trees.  Without one (one-shot ``WSMED.sql``) pools are
+    created on first use and closed in ``execute``'s ``finally``.
     """
 
     def __init__(
@@ -59,7 +58,10 @@ class ParallelExecutor:
             return FFPool(ctx, node.plan_function, self.costs, node.fanout)
         return AFFPool(ctx, node.plan_function, self.costs, node.params)
 
-    def _pool_for(self, node: PlanNode, ctx: ExecutionContext) -> ChildPool:
+    async def _acquire_pool(
+        self, node: PlanNode, ctx: ExecutionContext
+    ) -> ChildPool:
+        """The node's persistent pool in ``ctx``, created on first use."""
         if not isinstance(node, (FFApplyNode, AFFApplyNode)):
             raise PlanError(f"not a parallel operator: {node.label()}")
         # Keyed on the node's stable plan-build identity, never id(node):
@@ -72,39 +74,18 @@ class ParallelExecutor:
         # inside child processes belong to that child's (resident)
         # subtree and already survive with it.
         registry = self.pool_registry if ctx is self.ctx else None
-        if registry is not None:
+        if registry is not None and registry.share_pools:
+            # The sharing engine: may wait for a busy warm tree.
+            pool, key = await registry.lease_or_wait(
+                node, self.costs, ctx, self._held_keys
+            )
+            self._held_keys.append(key)
+        elif registry is not None:
             pool = registry.lease(node, self.costs, ctx)
         if pool is None:
             pool = self._build_pool(node, ctx)
             if registry is not None:
                 registry.register(node, self.costs, pool, epoch=self._lease_epoch)
-        ctx.pools[node.node_id] = pool
-        return pool
-
-    async def _acquire_pool(
-        self, node: PlanNode, ctx: ExecutionContext
-    ) -> ChildPool:
-        """Like :meth:`_pool_for`, but may wait for a busy warm tree.
-
-        Engaged only when the registry's ``share_pools`` is on (the
-        sharing engine); every other configuration takes the synchronous
-        seed-identical path.
-        """
-        registry = self.pool_registry if ctx is self.ctx else None
-        if registry is None or not registry.share_pools:
-            return self._pool_for(node, ctx)
-        if not isinstance(node, (FFApplyNode, AFFApplyNode)):
-            raise PlanError(f"not a parallel operator: {node.label()}")
-        pool = ctx.pools.get(node.node_id)
-        if pool is not None:
-            return pool
-        pool, key = await registry.lease_or_wait(
-            node, self.costs, ctx, self._held_keys
-        )
-        if pool is None:
-            pool = self._build_pool(node, ctx)
-            registry.register(node, self.costs, pool, epoch=self._lease_epoch)
-        self._held_keys.append(key)
         ctx.pools[node.node_id] = pool
         return pool
 

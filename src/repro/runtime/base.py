@@ -101,6 +101,27 @@ class Kernel(ABC):
     # never awaits a primitive bound to the dead run.
     generation: int = 0
 
+    # A resident kernel keeps parked tasks (warm child processes) alive
+    # between ``run`` calls; the resident QueryEngine requires one.
+    resident: bool = False
+
+    def attach_placement(
+        self,
+        ctx,
+        *,
+        functions=None,
+        registry=None,
+        seed: int = 0,
+        fault_rate: float = 0.0,
+    ) -> None:
+        """Hook called once per query before its plan runs.
+
+        A kernel that shards child processes across OS workers
+        (:class:`~repro.runtime.multiprocess.ProcessKernel`) points
+        ``ctx.placement`` at its placement layer here; every other
+        kernel keeps spawning locally, so the default does nothing.
+        """
+
     @abstractmethod
     def now(self) -> float:
         """Current time in model seconds."""

@@ -75,12 +75,10 @@ class ProcessKernel(AsyncioKernel):
         seed: int = 0,
         fault_rate: float = 0.0,
     ) -> None:
-        """Duck-typed hook the SQL frontends call before executing a query.
+        """Point ``ctx.placement`` at this kernel's placement layer.
 
-        Points ``ctx.placement`` at this kernel's placement layer and
-        ships the function registry (and, under ``local_services``, the
-        service registry) to the workers.  Kernels without this method
-        simply keep spawning locally.
+        Ships the function registry (and, under ``local_services``, the
+        service registry) to the workers.
         """
         services = registry if self.local_services else None
         self.placement.attach(

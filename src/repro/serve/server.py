@@ -5,17 +5,22 @@ Protocol (all bodies JSON, all responses either JSON or NDJSON):
 ``POST /sql``
     Request body::
 
-        {"sql": "Select ...",        -- required
-         "mode": "parallel",         -- central | parallel | adaptive
-         "fanouts": [5, 4],
-         "retries": 0,
-         "on_error": "retry",
-         "cache": true,              -- or {"max_entries": N, "ttl": T}
-         "name": "Query",
-         "trace": false,             -- per-request span tracing
-         "optimize": "cost",         -- heuristic | cost (planner level)
-         "tenant": "analytics",      -- fair-queue identity (adaptive admission)
-         "deadline_ms": 60000}       -- model-ms deadline; unmeetable -> 429
+        {"sql": "Select ...",          -- required
+         "trace": false,               -- per-request span tracing
+         "options": {                  -- QueryOptions fields, all optional
+           "mode": "parallel",         -- central | parallel | adaptive
+           "fanouts": [5, 4],
+           "adaptation": {...},        -- AdaptationParams fields
+           "retries": 0,
+           "on_error": "retry",
+           "cache": true,              -- or {"max_entries": N, "ttl": T}
+           "name": "Query",
+           "optimize": "cost",         -- heuristic | cost (planner level)
+           "limit_pushdown": true,
+           "tenant": "analytics",      -- fair-queue identity (adaptive admission)
+           "deadline_ms": 60000}}      -- model-ms deadline; unmeetable -> 429
+
+    Any other top-level or ``"options"`` field is a 400.
 
     Under ``--admission adaptive`` a query shed by the deadline policy
     gets ``429 Too Many Requests`` with a ``Retry-After`` header (the
@@ -284,7 +289,7 @@ class QueryServer:
         recorder = TraceRecorder() if trace else None
         if recorder is not None:
             option_kwargs["obs"] = recorder
-        if getattr(self.engine, "_closed", False):
+        if self.engine.closed:
             raise _HttpError(503, "engine is shut down")
         try:
             options = QueryOptions(**option_kwargs)
@@ -358,9 +363,8 @@ class QueryServer:
     def _line(payload: Any) -> bytes:
         return (json.dumps(payload, default=str) + "\n").encode("utf-8")
 
-    #: QueryOptions fields expressible in the POST /sql JSON schema, both
-    #: inside the nested ``"options"`` object (the versioned schema) and at
-    #: the top level (legacy aliases kept for old clients).
+    #: QueryOptions fields expressible in the ``"options"`` object of the
+    #: POST /sql JSON schema.
     _OPTION_FIELDS = frozenset(
         {
             "mode",
@@ -380,10 +384,7 @@ class QueryServer:
     def _parse_sql_request(self, body: bytes) -> tuple[str, bool, dict]:
         """Returns ``(sql, trace, option_kwargs)`` for :class:`QueryOptions`.
 
-        Per-query knobs live in the nested ``"options"`` object; the same
-        names are also accepted at the top level as legacy aliases.  A
-        field set in both places with different values is a 400 — silently
-        preferring either would mask a confused client.
+        Per-query knobs live in the nested ``"options"`` object only.
         """
         try:
             request = json.loads(body.decode("utf-8") or "{}")
@@ -393,30 +394,21 @@ class QueryServer:
             request.get("sql"), str
         ):
             raise _HttpError(400, 'request must be a JSON object with a "sql" string')
-        unknown = set(request) - self._OPTION_FIELDS - {"sql", "trace", "options"}
+        unknown = set(request) - {"sql", "trace", "options"}
         if unknown:
             raise _HttpError(400, f"unknown request fields: {sorted(unknown)}")
-        options = request.get("options", {})
-        if not isinstance(options, dict):
+        fields = request.get("options", {})
+        if not isinstance(fields, dict):
             raise _HttpError(400, '"options" must be a JSON object')
-        unknown = set(options) - self._OPTION_FIELDS
+        unknown = set(fields) - self._OPTION_FIELDS
         if unknown:
             raise _HttpError(400, f"unknown options fields: {sorted(unknown)}")
-        merged = dict(options)
-        for name in self._OPTION_FIELDS & set(request):
-            if name in merged and merged[name] != request[name]:
-                raise _HttpError(
-                    400,
-                    f"field {name!r} conflicts between the top level "
-                    'and "options"',
-                )
-            merged[name] = request[name]
-        tenant = merged.get("tenant")
+        tenant = fields.get("tenant")
         if tenant is not None and (
             not isinstance(tenant, str) or not tenant.strip()
         ):
             raise _HttpError(400, f"bad tenant field: {tenant!r}")
-        deadline = merged.get("deadline_ms")
+        deadline = fields.get("deadline_ms")
         if deadline is not None:
             if isinstance(deadline, bool) or not isinstance(
                 deadline, (int, float)
@@ -424,41 +416,41 @@ class QueryServer:
                 raise _HttpError(
                     400, f"deadline_ms must be a positive number: {deadline!r}"
                 )
-        optimize = merged.setdefault("optimize", self.default_optimize)
+        optimize = fields.setdefault("optimize", self.default_optimize)
         if optimize not in ("heuristic", "cost"):
             raise _HttpError(
                 400,
                 f'optimize must be "heuristic" or "cost": {optimize!r}',
             )
-        limit_pushdown = merged.get("limit_pushdown")
+        limit_pushdown = fields.get("limit_pushdown")
         if limit_pushdown is not None and not isinstance(limit_pushdown, bool):
             raise _HttpError(
                 400, f"limit_pushdown must be a boolean: {limit_pushdown!r}"
             )
-        adaptation = merged.get("adaptation")
+        adaptation = fields.get("adaptation")
         if isinstance(adaptation, dict):
             try:
-                merged["adaptation"] = AdaptationParams(**adaptation)
+                fields["adaptation"] = AdaptationParams(**adaptation)
             except TypeError as error:
                 raise _HttpError(400, f"bad adaptation config: {error}")
         elif adaptation is not None:
             raise _HttpError(400, f"bad adaptation field: {adaptation!r}")
-        cache = merged.get("cache")
+        cache = fields.get("cache")
         if cache is True:
-            merged["cache"] = CacheConfig(enabled=True)
+            fields["cache"] = CacheConfig(enabled=True)
         elif isinstance(cache, dict):
             try:
-                merged["cache"] = CacheConfig(enabled=True, **cache)
+                fields["cache"] = CacheConfig(enabled=True, **cache)
             except (TypeError, ReproError) as error:
                 raise _HttpError(400, f"bad cache config: {error}")
         elif cache in (False, None):
-            merged.pop("cache", None)
+            fields.pop("cache", None)
         else:
             raise _HttpError(400, f"bad cache field: {cache!r}")
         for name in ("tenant", "deadline_ms"):
-            if merged.get(name) is None:
-                merged.pop(name, None)
-        return request["sql"], bool(request.get("trace", False)), merged
+            if fields.get(name) is None:
+                fields.pop(name, None)
+        return request["sql"], bool(request.get("trace", False)), fields
 
     async def _send_json(
         self,

@@ -3,14 +3,11 @@
 The statistics surface is the :meth:`QueryResult.report` method: it renders
 named sections ("calls", "tree", "cache", "batch", "faults",
 "critical_path"), every number coming from the :class:`MetricsRegistry`
-built by :meth:`QueryResult.metrics`.  The former per-feature methods
-(``cache_report`` / ``batch_report`` / ``fault_report``) survive as thin
-deprecated shims over the matching section.
+built by :meth:`QueryResult.metrics`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -235,10 +232,7 @@ class QueryResult:
         """Render named statistics sections from the metrics registry.
 
         ``sections`` picks which to show (any of ``REPORT_SECTIONS``); the
-        default shows every section the execution produced data for.  This
-        replaces the former ``cache_report()`` / ``batch_report()`` /
-        ``fault_report()`` trio — their exact output strings are the
-        "cache", "batch" and "faults" sections.
+        default shows every section the execution produced data for.
         """
         registry = self.metrics()
         if sections is None:
@@ -365,35 +359,3 @@ class QueryResult:
     def write_trace(self, path: str) -> None:
         """Write :meth:`chrome_trace` to ``path`` (open it in Perfetto)."""
         write_chrome_trace(self.spans if self.spans is not None else SpanStore(), path)
-
-    # -- deprecated shims ---------------------------------------------------------
-
-    def fault_report(self) -> str:
-        """Deprecated: use ``report(sections=["faults"])``."""
-        warnings.warn(
-            "QueryResult.fault_report() is deprecated; use "
-            'report(sections=["faults"])',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._render_faults(self.metrics())
-
-    def batch_report(self) -> str:
-        """Deprecated: use ``report(sections=["batch"])``."""
-        warnings.warn(
-            "QueryResult.batch_report() is deprecated; use "
-            'report(sections=["batch"])',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._render_batch(self.metrics())
-
-    def cache_report(self) -> str:
-        """Deprecated: use ``report(sections=["cache"])``."""
-        warnings.warn(
-            "QueryResult.cache_report() is deprecated; use "
-            'report(sections=["cache"])',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._render_cache(self.metrics())

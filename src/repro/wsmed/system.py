@@ -6,7 +6,7 @@ Typical use::
 
     wsmed = WSMED(profile="paper")
     wsmed.import_all()                     # read WSDLs, generate OWF views
-    result = wsmed.sql(QUERY2, mode="adaptive")
+    result = wsmed.sql(QUERY2, options=QueryOptions(mode="adaptive"))
     print(result.summary())
 
 Execution modes (Sec. V of the paper):
@@ -38,7 +38,7 @@ from repro.algebra.explain import render_plan
 from dataclasses import replace as _replace
 
 from repro.algebra.interpreter import ExecutionContext
-from repro.algebra.optimizer import OptimizerConfig, create_cost_based_plan
+from repro.algebra.optimizer import create_cost_based_plan
 from repro.algebra.plan import (
     AdaptationParams,
     DistinctNode,
@@ -47,7 +47,7 @@ from repro.algebra.plan import (
     SortNode,
     UnionNode,
 )
-from repro.cache import CacheConfig, aggregate_stats
+from repro.cache import CacheConfig, CallCache, aggregate_stats
 from repro.calculus.expressions import CalculusQuery
 from repro.calculus.generator import generate_calculus
 from repro.calculus.rewrite import rewrite_unfittable
@@ -62,10 +62,11 @@ from repro.parallel.faults import fault_stats_from_trace
 from repro.parallel.parallelizer import parallelize
 from repro.parallel.tree import tree_stats_from_trace
 from repro.runtime.simulated import SimKernel
+from repro.services.broker import CallRecorder, ServiceBroker
 from repro.services.registry import ServiceRegistry, build_registry
 from repro.sql.ast import FuncCall, Star
 from repro.sql.parser import parse_query
-from repro.util.errors import CalculusError, PlanError
+from repro.util.errors import BindingError, CalculusError, PlanError
 from repro.wsmed.options import ENGINE_ONLY, QueryOptions, resolve_options
 from repro.wsmed.owf import generate_owf
 from repro.wsmed.results import QueryResult
@@ -102,6 +103,17 @@ def _getzipcode(zipstr: str) -> list[tuple[str]]:
     worker processes by the multi-process kernel's code shipping.
     """
     return [(code,) for code in zipstr.split(",") if code]
+
+
+def _estimate_lines(estimate) -> list[str]:
+    """The two lines every explain report prints per plan estimate."""
+    return [
+        "web service calls: "
+        + ", ".join(
+            f"{op}={calls:.0f}" for op, calls in sorted(estimate.calls.items())
+        ),
+        f"sequential time: ~{estimate.sequential_time:.1f} s",
+    ]
 
 
 class DisjunctiveCalculus:
@@ -293,48 +305,37 @@ class WSMED:
 
     # -- planning ---------------------------------------------------------------------
 
-    def _compile(
-        self,
-        sql_text: str,
-        *,
-        mode: ExecutionMode | str,
-        fanouts: list[int] | None,
-        adaptation: AdaptationParams | None,
-        name: str,
-        obs=NULL_RECORDER,
-        optimize: str = "heuristic",
-        observed: dict[str, tuple[float, float]] | None = None,
-        optimizer_config: OptimizerConfig | None = None,
-    ):
+    def _compile(self, sql_text: str, opts: QueryOptions):
         """One compilation pass: returns ``(calculus, plan, report)``.
 
-        Shared by :meth:`plan` and :meth:`explain` so explain does not
-        parse and generate the calculus twice.  ``obs`` (a
-        :class:`repro.obs.TraceRecorder`) records one span per compile
-        phase: parse, calculus, algebra, parallelize, plan_functions.
-        Compile spans run on the recorder's wall clock (there is no kernel
-        yet), so they form their own root rather than nesting under the
-        kernel-clocked query span.
+        Every planning knob comes from ``opts``: ``mode`` / ``fanouts`` /
+        ``adaptation`` pick the parallelization, ``name`` labels the
+        query, and ``opts.obs`` (a :class:`repro.obs.TraceRecorder`)
+        records one span per compile phase: parse, calculus, algebra,
+        parallelize, plan_functions.  Compile spans run on the recorder's
+        wall clock (there is no kernel yet), so they form their own root
+        rather than nesting under the kernel-clocked query span.
 
-        ``optimize`` selects the central plan creator: ``"heuristic"``
-        (the paper's greedy signature heuristic — the default, identical
-        to the seed behavior) or ``"cost"`` (the cost-based optimizer of
-        :mod:`repro.algebra.optimizer`, with access-path rewriting of
-        unfittable binding patterns).  ``observed`` overlays measured
-        per-function ``(call cost, fanout)`` statistics onto the profiled
-        cost model — the resident engine feeds its
-        :class:`~repro.services.broker.CallStats` back through this.
-        ``report`` is ``None`` for heuristic compilations.
+        ``opts.optimize`` selects the central plan creator:
+        ``"heuristic"`` (the paper's greedy signature heuristic — the
+        default, identical to the seed behavior) or ``"cost"`` (the
+        cost-based optimizer of :mod:`repro.algebra.optimizer`, with
+        access-path rewriting of unfittable binding patterns).
+        ``opts.observed`` overlays measured per-function ``(call cost,
+        fanout)`` statistics onto the profiled cost model — the resident
+        engine feeds its :class:`~repro.services.broker.CallStats` back
+        through this.  ``report`` is ``None`` for heuristic compilations.
         """
-        mode = ExecutionMode.of(mode)
-        if optimize not in ("heuristic", "cost"):
+        mode = ExecutionMode.of(opts.mode)
+        if opts.optimize not in ("heuristic", "cost"):
             raise PlanError(
-                f"unknown optimize level {optimize!r}; use heuristic or cost"
+                f"unknown optimize level {opts.optimize!r}; use heuristic or cost"
             )
+        obs = opts.obs if opts.obs is not None else NULL_RECORDER
         root = current = -1
         if obs.enabled:
             root = obs.start(
-                f"compile:{name}",
+                f"compile:{opts.name}",
                 category="compile",
                 process="compiler",
                 mode=mode.value,
@@ -354,61 +355,37 @@ class WSMED:
             obs.finish(current)
             phase("calculus")
             if query.is_disjunctive:
-                branches = self._disjunct_calculi(query, name, optimize)
+                branches = self._disjunct_calculi(query, opts)
                 calculus = DisjunctiveCalculus(
                     tuple(branch for branch, _ in branches)
                 )
-            elif optimize == "cost":
-                calculus = generate_calculus(
-                    query, self.functions, name, allow_unbound=True
-                )
-                calculus, rewrites = rewrite_unfittable(calculus, self.functions)
             else:
-                calculus = generate_calculus(query, self.functions, name)
-                rewrites = []
+                calculus, rewrites = self._conjunct_calculus(
+                    query, opts.name, opts.optimize
+                )
             obs.finish(current)
             phase("algebra")
             if query.is_disjunctive:
-                central = self._union_plan(
-                    branches,
-                    optimize=optimize,
-                    observed=observed,
-                    optimizer_config=optimizer_config,
-                )
-                report = None
-            elif optimize == "cost":
-                central, report = create_cost_based_plan(
-                    calculus,
-                    self.functions,
-                    self.cost_model(observed),
-                    optimizer_config,
-                    rewrites=rewrites,
-                )
+                central, report = self._union_plan(branches, opts), None
             else:
-                central = create_central_plan(calculus, self.functions)
-                report = None
+                central, report = self._central_plan(calculus, rewrites, opts)
             obs.finish(current)
             if mode is ExecutionMode.CENTRAL:
                 return calculus, central, report
             phase("parallelize")
             if mode is ExecutionMode.PARALLEL:
-                if fanouts is None:
+                if opts.fanouts is None:
                     raise PlanError("parallel mode requires a fanout vector")
-                plan = parallelize(
-                    central,
-                    self.functions,
-                    fanouts=fanouts,
-                    obs=obs if obs.enabled else None,
-                    obs_parent=current,
-                )
+                shape = {"fanouts": opts.fanouts}
             else:
-                plan = parallelize(
-                    central,
-                    self.functions,
-                    adaptation=adaptation or AdaptationParams(),
-                    obs=obs if obs.enabled else None,
-                    obs_parent=current,
-                )
+                shape = {"adaptation": opts.adaptation or AdaptationParams()}
+            plan = parallelize(
+                central,
+                self.functions,
+                obs=obs if obs.enabled else None,
+                obs_parent=current,
+                **shape,
+            )
             obs.finish(current)
             return calculus, plan, report
         finally:
@@ -416,8 +393,32 @@ class WSMED:
                 obs.finish(current)  # no-op unless a phase failed mid-way
                 obs.finish(root)
 
-    def _disjunct_calculi(
+    def _conjunct_calculus(
         self, query, name: str, optimize: str
+    ) -> tuple[CalculusQuery, list]:
+        """A conjunctive calculus plus the access-path rewrites applied."""
+        if optimize == "cost":
+            calculus = generate_calculus(
+                query, self.functions, name, allow_unbound=True
+            )
+            return rewrite_unfittable(calculus, self.functions)
+        return generate_calculus(query, self.functions, name), []
+
+    def _central_plan(
+        self, calculus: CalculusQuery, rewrites: list, opts: QueryOptions
+    ):
+        """``(central plan, optimizer report)``; no report under heuristic."""
+        if opts.optimize == "cost":
+            return create_cost_based_plan(
+                calculus,
+                self.functions,
+                self.cost_model(opts.observed),
+                rewrites=rewrites,
+            )
+        return create_central_plan(calculus, self.functions), None
+
+    def _disjunct_calculi(
+        self, query, opts: QueryOptions
     ) -> list[tuple[CalculusQuery, list]]:
         """One conjunctive calculus (plus rewrites) per OR branch.
 
@@ -435,28 +436,17 @@ class WSMED:
                 "OR cannot be combined with aggregates or GROUP BY; "
                 "aggregate each branch in its own query instead"
             )
-        branches = []
-        for index, branch in enumerate(query.disjuncts):
-            branch_query = _replace(query, predicates=branch, disjuncts=(branch,))
-            branch_name = f"{name}_or{index + 1}"
-            if optimize == "cost":
-                calc = generate_calculus(
-                    branch_query, self.functions, branch_name, allow_unbound=True
-                )
-                calc, rewrites = rewrite_unfittable(calc, self.functions)
-            else:
-                calc = generate_calculus(branch_query, self.functions, branch_name)
-                rewrites = []
-            branches.append((calc, rewrites))
-        return branches
+        return [
+            self._conjunct_calculus(
+                _replace(query, predicates=branch, disjuncts=(branch,)),
+                f"{opts.name}_or{index + 1}",
+                opts.optimize,
+            )
+            for index, branch in enumerate(query.disjuncts)
+        ]
 
     def _union_plan(
-        self,
-        branches: list[tuple[CalculusQuery, list]],
-        *,
-        optimize: str,
-        observed: dict[str, tuple[float, float]] | None,
-        optimizer_config: OptimizerConfig | None,
+        self, branches: list[tuple[CalculusQuery, list]], opts: QueryOptions
     ) -> PlanNode:
         """Union the branch plans; DISTINCT / ORDER BY / LIMIT go on top.
 
@@ -464,20 +454,14 @@ class WSMED:
         the union, not per branch); the calculus of the first branch
         carries the resolved ORDER BY keys and LIMIT for the whole query.
         """
-        plans = []
-        for calc, rewrites in branches:
-            bare = _replace(calc, distinct=False, order_by=(), limit=None)
-            if optimize == "cost":
-                plan, _ = create_cost_based_plan(
-                    bare,
-                    self.functions,
-                    self.cost_model(observed),
-                    optimizer_config,
-                    rewrites=rewrites,
-                )
-            else:
-                plan = create_central_plan(bare, self.functions)
-            plans.append(plan)
+        plans = [
+            self._central_plan(
+                _replace(calc, distinct=False, order_by=(), limit=None),
+                rewrites,
+                opts,
+            )[0]
+            for calc, rewrites in branches
+        ]
         # OR has set semantics here: duplicate rows across (or within)
         # branches are eliminated, i.e. the DISTINCT of the SQL result.
         plan: PlanNode = DistinctNode(UnionNode(tuple(plans)))
@@ -492,39 +476,15 @@ class WSMED:
         return plan
 
     def plan(
-        self,
-        sql_text: str,
-        *,
-        options: QueryOptions | None = None,
-        **legacy,
+        self, sql_text: str, *, options: QueryOptions | None = None
     ) -> PlanNode:
-        """Compile SQL down to an executable plan for the given mode.
-
-        Accepts a :class:`~repro.wsmed.options.QueryOptions` (planning
-        fields only); the old individual keyword arguments still work but
-        are deprecated.
-        """
-        opts = resolve_options(
-            options, legacy, where="WSMED.plan", rejected=ENGINE_ONLY
-        )
-        _, plan, _ = self._compile(
-            sql_text,
-            mode=opts.mode,
-            fanouts=opts.fanouts,
-            adaptation=opts.adaptation,
-            name=opts.name,
-            obs=opts.obs if opts.obs is not None else NULL_RECORDER,
-            optimize=opts.optimize,
-            observed=opts.observed,
-        )
-        return plan
+        """Compile SQL down to an executable plan (planning fields of
+        :class:`~repro.wsmed.options.QueryOptions` only)."""
+        opts = resolve_options(options, where="WSMED.plan", rejected=ENGINE_ONLY)
+        return self._compile(sql_text, opts)[1]
 
     def explain(
-        self,
-        sql_text: str,
-        *,
-        options: QueryOptions | None = None,
-        **legacy,
+        self, sql_text: str, *, options: QueryOptions | None = None
     ) -> str:
         """Calculus, plan tree and cost estimate as a report.
 
@@ -534,64 +494,28 @@ class WSMED:
         binding-pattern reason) — or, when the heuristic pipeline cannot
         plan the query at all, the error the rewrite repaired.
         """
-        opts = resolve_options(
-            options, legacy, where="WSMED.explain", rejected=ENGINE_ONLY
-        )
+        opts = resolve_options(options, where="WSMED.explain", rejected=ENGINE_ONLY)
         if opts.optimize == "cost":
-            return self._explain_cost(
-                sql_text,
-                mode=opts.mode,
-                fanouts=opts.fanouts,
-                adaptation=opts.adaptation,
-                name=opts.name,
-                observed=opts.observed,
-            )
-        calculus, plan, _ = self._compile(
-            sql_text,
-            mode=opts.mode,
-            fanouts=opts.fanouts,
-            adaptation=opts.adaptation,
-            name=opts.name,
-        )
+            return self._explain_cost(sql_text, opts)
+        calculus, plan, _ = self._compile(sql_text, opts)
         model = CostModel(call_costs=self._profile_call_costs())
-        estimate = estimate_plan(plan, self.functions, model)
-        sections = [
-            "-- calculus --",
-            calculus.to_text(),
-            "",
-            "-- plan --",
-            render_plan(plan),
-            "",
-            "-- estimate --",
-            f"web service calls: "
-            + ", ".join(f"{op}={calls:.0f}" for op, calls in sorted(estimate.calls.items())),
-            f"sequential time: ~{estimate.sequential_time:.1f} s",
-        ]
-        return "\n".join(sections)
-
-    def _explain_cost(
-        self,
-        sql_text: str,
-        *,
-        mode: ExecutionMode | str,
-        fanouts: list[int] | None,
-        adaptation: AdaptationParams | None,
-        name: str,
-        observed: dict[str, tuple[float, float]] | None,
-    ) -> str:
-        """The cost-based explain: chosen plan vs heuristic plan."""
-        from repro.util.errors import BindingError
-
-        calculus, plan, report = self._compile(
-            sql_text,
-            mode=mode,
-            fanouts=fanouts,
-            adaptation=adaptation,
-            name=name,
-            optimize="cost",
-            observed=observed,
+        return "\n".join(
+            [
+                "-- calculus --",
+                calculus.to_text(),
+                "",
+                "-- plan --",
+                render_plan(plan),
+                "",
+                "-- estimate --",
+                *_estimate_lines(estimate_plan(plan, self.functions, model)),
+            ]
         )
-        model = self.cost_model(observed)
+
+    def _explain_cost(self, sql_text: str, opts: QueryOptions) -> str:
+        """The cost-based explain: chosen plan vs heuristic plan."""
+        calculus, plan, report = self._compile(sql_text, opts)
+        model = self.cost_model(opts.observed)
         annotations = {
             node_id: (
                 f"  -- in≈{e.input_cardinality:.1f} out≈{e.output_cardinality:.1f}"
@@ -611,40 +535,18 @@ class WSMED:
         ]
         estimate = report.estimate if report is not None else None
         if estimate is not None:
-            sections += [
-                "",
-                "-- estimate (cost-based) --",
-                "web service calls: "
-                + ", ".join(
-                    f"{op}={calls:.0f}"
-                    for op, calls in sorted(estimate.calls.items())
-                ),
-                f"sequential time: ~{estimate.sequential_time:.1f} s",
-            ]
+            sections += ["", "-- estimate (cost-based) --", *_estimate_lines(estimate)]
         sections += ["", "-- heuristic plan --"]
         try:
             _, heuristic_plan, _ = self._compile(
-                sql_text,
-                mode=mode,
-                fanouts=fanouts,
-                adaptation=adaptation,
-                name=name,
+                sql_text, opts.replace(optimize="heuristic")
             )
         except BindingError as error:
             sections.append(f"(not plannable without rewrites: {error})")
         else:
             sections.append(render_plan(heuristic_plan))
             heuristic = estimate_plan(heuristic_plan, self.functions, model)
-            sections += [
-                "",
-                "-- estimate (heuristic) --",
-                "web service calls: "
-                + ", ".join(
-                    f"{op}={calls:.0f}"
-                    for op, calls in sorted(heuristic.calls.items())
-                ),
-                f"sequential time: ~{heuristic.sequential_time:.1f} s",
-            ]
+            sections += ["", "-- estimate (heuristic) --", *_estimate_lines(heuristic)]
             if estimate is not None and heuristic.sequential_time > 0:
                 ratio = estimate.sequential_time / heuristic.sequential_time
                 sections.append(
@@ -693,17 +595,15 @@ class WSMED:
     # -- execution -----------------------------------------------------------------------
 
     def sql(
-        self,
-        sql_text: str,
-        *,
-        options: QueryOptions | None = None,
-        **legacy,
+        self, sql_text: str, *, options: QueryOptions | None = None
     ) -> QueryResult:
         """Run a SQL query and return rows plus execution statistics.
 
-        All per-query knobs travel in ``options`` (a
-        :class:`~repro.wsmed.options.QueryOptions`); the old individual
-        keyword arguments still work but are deprecated.
+        One-shot, as in the paper's experiments: compile, bind a fresh
+        broker to a fresh kernel, run through :meth:`run_plan`, and tear
+        the process tree down (``elapsed`` includes the teardown).  All
+        per-query knobs travel in ``options`` (a
+        :class:`~repro.wsmed.options.QueryOptions`).
 
         ``kernel`` defaults to a fresh simulated kernel (virtual time);
         pass an :class:`~repro.runtime.realtime.AsyncioKernel` to execute
@@ -727,93 +627,129 @@ class WSMED:
         ``observed`` overlays measured per-function (call cost, fanout)
         statistics onto the optimizer's cost model.
         """
-        opts = resolve_options(
-            options, legacy, where="WSMED.sql", rejected=ENGINE_ONLY
-        )
-        mode = ExecutionMode.of(opts.mode)
-        recorder = opts.obs if opts.obs is not None else NULL_RECORDER
-        _, plan, _ = self._compile(
-            sql_text,
-            mode=mode,
-            fanouts=opts.fanouts,
-            adaptation=opts.adaptation,
-            name=opts.name,
-            obs=recorder,
-            optimize=opts.optimize,
-            observed=opts.observed,
-        )
-        effective_costs = opts.process_costs or self.process_costs
-        if opts.on_error is not None:
-            effective_costs = _replace(effective_costs, on_error=opts.on_error)
-        if opts.faults is not None:
-            effective_costs = _replace(effective_costs, faults=opts.faults)
+        opts = resolve_options(options, where="WSMED.sql", rejected=ENGINE_ONLY)
+        _, plan, _ = self._compile(sql_text, opts)
         kernel = opts.kernel or SimKernel()
         broker = self.registry.bind(
             kernel, seed=self.seed, fault_rate=opts.fault_rate
         )
+        config = self.cache_config_for(opts)
+        return kernel.run(
+            self.run_plan(
+                plan,
+                opts,
+                broker,
+                coordinator_cache=CallCache(kernel, config) if config else None,
+            )
+        )
+
+    def cache_config_for(self, opts: QueryOptions) -> CacheConfig | None:
+        """The query's effective call-cache config; None when disabled."""
+        config = opts.cache if opts.cache is not None else self.cache_config
+        return config if config is not None and config.enabled else None
+
+    async def run_plan(
+        self,
+        plan: PlanNode,
+        opts: QueryOptions,
+        broker: ServiceBroker,
+        *,
+        coordinator_cache: CallCache | None = None,
+        pool_registry=None,
+        shared=None,
+        name_counter: list | None = None,
+    ) -> QueryResult:
+        """Run a compiled ``plan`` on ``broker.kernel``; the one execution
+        path behind :meth:`sql` and :class:`~repro.engine.QueryEngine`.
+
+        Builds the coordinator's :class:`ExecutionContext` (per-query
+        trace and :class:`~repro.services.broker.CallRecorder`), attaches
+        the kernel's placement, opens the ``query:`` span, executes, and
+        assembles the :class:`QueryResult`.  What differs between the
+        callers arrives as arguments: the one-shot path passes a fresh
+        broker and cache and nothing else, so pools are built per query
+        and closed in the executor's ``finally``; the engine passes its
+        resident broker, a leased ``coordinator_cache``, its
+        ``pool_registry`` (warm trees are released, not closed), its
+        ``shared`` tier and its engine-wide process ``name_counter``.
+
+        A coroutine because the realtime kernel's clock is only readable
+        from within its event loop.
+        """
+        kernel = broker.kernel
+        mode = ExecutionMode.of(opts.mode).value
+        recorder = opts.obs if opts.obs is not None else NULL_RECORDER
+        costs = opts.process_costs or self.process_costs
+        if opts.on_error is not None:
+            costs = _replace(costs, on_error=opts.on_error)
+        if opts.faults is not None:
+            costs = _replace(costs, faults=opts.faults)
         ctx = ExecutionContext(
             kernel=kernel,
             broker=broker,
             functions=self.functions,
             retries=opts.retries,
+            call_recorder=CallRecorder(),
+            shared=shared,
             limit_pushdown=opts.limit_pushdown,
+            _name_counter=name_counter if name_counter is not None else [0],
         )
-        ctx.install_cache(opts.cache if opts.cache is not None else self.cache_config)
-        attach_placement = getattr(kernel, "attach_placement", None)
-        if attach_placement is not None:
-            # Multi-process kernel: children of FF/AFF pools are placed in
-            # OS worker processes; ship the (current) function registry.
-            attach_placement(
-                ctx,
-                functions=self.functions,
-                registry=self.registry,
-                seed=self.seed,
-                fault_rate=opts.fault_rate,
+        if coordinator_cache is not None:
+            ctx.cache = coordinator_cache
+            ctx.cache_registry.append(coordinator_cache)
+        kernel.attach_placement(
+            ctx,
+            functions=self.functions,
+            registry=self.registry,
+            seed=self.seed,
+            fault_rate=broker.fault_rate,
+        )
+        executor = ParallelExecutor(ctx, costs, pool_registry=pool_registry)
+        query_span = -1
+        if recorder.enabled:
+            query_span = recorder.start(
+                f"query:{opts.name}",
+                category="query",
+                process=ctx.process_name,
+                at=kernel.now(),
+                mode=mode,
             )
-        executor = ParallelExecutor(ctx, effective_costs)
-
-        async def timed() -> tuple[list[tuple], float]:
-            # Span bookkeeping happens inside the coroutine: the realtime
-            # kernel's clock is only readable from within its event loop.
-            query_span = -1
-            if recorder.enabled:
-                query_span = recorder.start(
-                    f"query:{opts.name}",
-                    category="query",
-                    process=ctx.process_name,
-                    at=kernel.now(),
-                    mode=mode.value,
-                )
-                ctx.obs = recorder
-                ctx.obs_span = query_span
-                kernel.obs = recorder
-            started = kernel.now()
-            try:
-                rows = await executor.execute(plan)
-            except BaseException:
-                if recorder.enabled:
-                    kernel.obs = None
-                    recorder.finish(query_span, at=kernel.now(), outcome="error")
-                raise
+            ctx.obs = recorder
+            ctx.obs_span = query_span
+            # Concurrent traced queries are last-writer-wins on the
+            # kernel-level hook: task spans attach to whichever traced
+            # query spawned most recently.  Trace one query at a time for
+            # an unambiguous kernel timeline.
+            kernel.obs = recorder
+        started = kernel.now()
+        outcome: dict = {"outcome": "error"}
+        try:
+            rows = await executor.execute(plan)
             elapsed = kernel.now() - started
+            outcome = {"rows": len(rows)}
+        finally:
             if recorder.enabled:
-                kernel.obs = None
-                recorder.finish(query_span, at=kernel.now(), rows=len(rows))
-            return rows, elapsed
-
-        rows, elapsed = kernel.run(timed())
+                if kernel.obs is recorder:
+                    kernel.obs = None
+                recorder.finish(query_span, at=kernel.now(), **outcome)
+        calls = ctx.call_recorder
         return QueryResult(
             columns=plan.schema,
             rows=rows,
             elapsed=elapsed,
-            mode=mode.value,
-            total_calls=broker.total_calls(),
-            call_stats=broker.all_stats(),
+            mode=mode,
+            total_calls=calls.total_calls(),
+            call_stats=calls.all_stats(),
             trace=ctx.trace,
             tree=tree_stats_from_trace(ctx.trace),
             plan_text=render_plan(plan),
             cache_stats=(
-                aggregate_stats(ctx.cache_registry) if ctx.cache_registry else None
+                aggregate_stats(
+                    ctx.cache_registry,
+                    trace=ctx.trace if shared is not None else None,
+                )
+                if ctx.cache_registry or shared is not None
+                else None
             ),
             message_stats=message_stats_from_trace(ctx.trace),
             fault_stats=fault_stats_from_trace(ctx.trace),

@@ -14,6 +14,7 @@ from benchmarks.optimizer_world import (
     build_optimizer_world,
     expected_adversarial_rows,
 )
+from repro import QueryOptions
 from repro.algebra.cost import CostModel, model_from_observations
 from repro.algebra.explain import render_plan
 from repro.algebra.optimizer import OptimizerConfig, create_cost_based_plan
@@ -98,15 +99,21 @@ def test_bushy_join_repairs_disconnected_query_order(world) -> None:
     _plan, report = _cost_plan(world, DISCONNECTED_SQL)
     assert report.join_strategy == "dp"
     assert "⋈" in report.join_shape
-    rows = world.sql(DISCONNECTED_SQL, mode="central", optimize="cost").rows
+    rows = world.sql(
+        DISCONNECTED_SQL,
+        options=QueryOptions(mode="central", optimize="cost"),
+    ).rows
     assert sorted(tuple(row) for row in rows) == sorted(
         (f"R{i:02d}",) for i in range(12)
     )
 
 
 def test_adversarial_rows_match_heuristic(world) -> None:
-    cost = world.sql(ADVERSARIAL_SQL, mode="central", optimize="cost")
-    heuristic = world.sql(ADVERSARIAL_SQL, mode="central")
+    cost = world.sql(
+        ADVERSARIAL_SQL,
+        options=QueryOptions(mode="central", optimize="cost"),
+    )
+    heuristic = world.sql(ADVERSARIAL_SQL, options=QueryOptions(mode="central"))
     assert cost.as_bag() == heuristic.as_bag()
     assert sorted(tuple(row) for row in cost.rows) == expected_adversarial_rows()
     # The win the estimate promised is real: far fewer expensive calls.

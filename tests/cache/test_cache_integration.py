@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import QueryOptions
 from repro.cache import CacheConfig
 from repro.fdb.functions import helping_function
 from repro.fdb.types import CHARSTRING, TupleType
@@ -61,7 +62,10 @@ def test_cache_off_by_default(wsmed) -> None:
 
 def test_disabled_config_is_bit_for_bit_default(wsmed) -> None:
     default = wsmed.sql(SKEW_SQL)
-    disabled = wsmed.sql(SKEW_SQL, cache=CacheConfig(enabled=False))
+    disabled = wsmed.sql(
+        SKEW_SQL,
+        options=QueryOptions(cache=CacheConfig(enabled=False)),
+    )
     assert disabled.cache_stats is None
     assert disabled.total_calls == default.total_calls
     assert disabled.elapsed == default.elapsed
@@ -73,17 +77,17 @@ def test_disabled_config_is_bit_for_bit_default(wsmed) -> None:
 
 def test_cache_cuts_calls_and_time_in_central_mode(wsmed) -> None:
     off = wsmed.sql(SKEW_SQL)
-    on = wsmed.sql(SKEW_SQL, cache=CacheConfig(enabled=True))
+    on = wsmed.sql(SKEW_SQL, options=QueryOptions(cache=CacheConfig(enabled=True)))
     assert on.as_bag() == off.as_bag()
     assert on.total_calls == DISTINCT_ZIPS  # every repeat served from cache
     assert on.cache_stats.hits == DISTINCT_ZIPS * (REPEATS - 1)
     assert on.elapsed < off.elapsed
     assert "call cache:" in on.summary()
-    assert "call cache: off" not in on.cache_report()
+    assert "call cache: off" not in on.report(sections="cache")
 
 
 def test_cache_hits_show_up_in_trace(wsmed) -> None:
-    on = wsmed.sql(SKEW_SQL, cache=CacheConfig(enabled=True))
+    on = wsmed.sql(SKEW_SQL, options=QueryOptions(cache=CacheConfig(enabled=True)))
     assert on.trace.count("cache_hit") == on.cache_stats.hits
     assert on.trace.count("service_call") == on.total_calls
 
@@ -104,9 +108,11 @@ def run_parallel_hit_rate(dispatch: str):
     system = build_wsmed(costs)
     result = system.sql(
         SKEW_SQL,
-        mode="parallel",
-        fanouts=[4],
-        cache=CacheConfig(enabled=True),
+        options=QueryOptions(
+            mode="parallel",
+            fanouts=[4],
+            cache=CacheConfig(enabled=True),
+        ),
     )
     return result
 
@@ -127,9 +133,14 @@ def test_hash_affinity_beats_first_finished_hit_rate(wsmed) -> None:
 def test_parallel_cache_cuts_broker_calls_at_least_a_quarter(wsmed) -> None:
     costs = ProcessCosts(dispatch="hash_affinity").scaled(0.01)
     system = build_wsmed(costs)
-    off = system.sql(SKEW_SQL, mode="parallel", fanouts=[4])
+    off = system.sql(SKEW_SQL, options=QueryOptions(mode="parallel", fanouts=[4]))
     on = system.sql(
-        SKEW_SQL, mode="parallel", fanouts=[4], cache=CacheConfig(enabled=True)
+        SKEW_SQL,
+        options=QueryOptions(
+            mode="parallel",
+            fanouts=[4],
+            cache=CacheConfig(enabled=True),
+        ),
     )
     assert on.as_bag() == off.as_bag()
     assert on.total_calls <= 0.75 * off.total_calls

@@ -18,18 +18,18 @@ from benchmarks.optimizer_world import (
     expected_adversarial_rows,
     _profile,
 )
-from repro import QueryEngine
+from repro import QueryEngine, QueryOptions
 from repro.services.registry import ServiceCosts
 
-COST = dict(mode="central", optimize="cost")
+COST = QueryOptions(mode="central", optimize="cost")
 
 
 def test_drift_triggers_reoptimization() -> None:
     engine = QueryEngine(build_optimizer_world(misdeclared=True))
     try:
-        cold = engine.sql(ADVERSARIAL_SQL, **COST)
+        cold = engine.sql(ADVERSARIAL_SQL, options=COST)
         assert engine.stats().reoptimizations >= 1
-        warm = engine.sql(ADVERSARIAL_SQL, **COST)
+        warm = engine.sql(ADVERSARIAL_SQL, options=COST)
         # The replanned entry probes before auditing: far fewer calls.
         assert warm.total_calls < cold.total_calls
         assert warm.as_bag() == cold.as_bag()
@@ -42,8 +42,8 @@ def test_drift_triggers_reoptimization() -> None:
 def test_accurate_hints_never_reoptimize() -> None:
     engine = QueryEngine(build_optimizer_world(misdeclared=False))
     try:
-        first = engine.sql(ADVERSARIAL_SQL, **COST)
-        second = engine.sql(ADVERSARIAL_SQL, **COST)
+        first = engine.sql(ADVERSARIAL_SQL, options=COST)
+        second = engine.sql(ADVERSARIAL_SQL, options=COST)
         stats = engine.stats()
         assert stats.reoptimizations == 0
         assert stats.observed_operations >= 3
@@ -55,8 +55,8 @@ def test_accurate_hints_never_reoptimize() -> None:
 def test_heuristic_path_collects_no_assumptions() -> None:
     engine = QueryEngine(build_optimizer_world(misdeclared=True))
     try:
-        engine.sql(ADVERSARIAL_SQL, mode="central")
-        engine.sql(ADVERSARIAL_SQL, mode="central")
+        engine.sql(ADVERSARIAL_SQL, options=QueryOptions(mode="central"))
+        engine.sql(ADVERSARIAL_SQL, options=QueryOptions(mode="central"))
         assert engine.stats().reoptimizations == 0
     finally:
         engine.close()
@@ -65,7 +65,7 @@ def test_heuristic_path_collects_no_assumptions() -> None:
 def test_stats_report_mentions_optimizer_when_active() -> None:
     engine = QueryEngine(build_optimizer_world(misdeclared=True))
     try:
-        engine.sql(ADVERSARIAL_SQL, **COST)
+        engine.sql(ADVERSARIAL_SQL, options=COST)
         report = engine.stats().report()
         assert "cost optimizer:" in report
         assert "re-optimized" in report
@@ -76,7 +76,7 @@ def test_stats_report_mentions_optimizer_when_active() -> None:
 def test_observations_dropped_when_function_replaced() -> None:
     engine = QueryEngine(build_optimizer_world())
     try:
-        engine.sql(ADVERSARIAL_SQL, **COST)
+        engine.sql(ADVERSARIAL_SQL, options=COST)
         observed = engine.observed_stats()
         assert "CheckRegion" in observed
         assert observed["CheckRegion"][1] == pytest.approx(0.25)

@@ -19,7 +19,7 @@ from benchmarks.optimizer_world import (
     build_optimizer_world,
     expected_rewrite_rows,
 )
-from repro import WSMED, AsyncioKernel, GeoConfig, build_registry
+from repro import WSMED, AsyncioKernel, GeoConfig, build_registry, QueryOptions
 from repro.util.errors import BindingError
 
 from tests.helpers import QUERY1_SQL, QUERY2_SQL
@@ -50,14 +50,17 @@ SYNTH_OPS = ["ListRegions", "AuditRegion", "CheckRegion"]
 def paper_world():
     wsmed = WSMED(build_registry("fast", geo_config=SMALL_GEO))
     wsmed.import_all()
-    bags = [wsmed.sql(sql, mode="central").as_bag() for sql in PAPER_QUERIES]
+    bags = [wsmed.sql(
+        sql,
+        options=QueryOptions(mode="central"),
+    ).as_bag() for sql in PAPER_QUERIES]
     return wsmed, bags
 
 
 @pytest.fixture(scope="module")
 def synth_world():
     wsmed = build_optimizer_world()
-    bag = wsmed.sql(ADVERSARIAL_SQL, mode="central").as_bag()
+    bag = wsmed.sql(ADVERSARIAL_SQL, options=QueryOptions(mode="central")).as_bag()
     return wsmed, bag
 
 
@@ -69,7 +72,8 @@ def test_cost_matches_heuristic_on_paper_queries(
     wsmed, bags = paper_world
     kwargs = {"fanouts": [3, 2]} if mode == "parallel" else {}
     result = wsmed.sql(
-        PAPER_QUERIES[query_index], mode=mode, optimize="cost", **kwargs
+        PAPER_QUERIES[query_index],
+        options=QueryOptions(mode=mode, optimize="cost", **kwargs),
     )
     assert result.as_bag() == bags[query_index]
 
@@ -81,10 +85,12 @@ def test_cost_matches_heuristic_on_realtime_kernel(
     wsmed, bags = paper_world
     result = wsmed.sql(
         PAPER_QUERIES[query_index],
-        mode="parallel",
-        fanouts=[2, 2],
-        optimize="cost",
-        kernel=AsyncioKernel(time_scale=0.002),
+        options=QueryOptions(
+            mode="parallel",
+            fanouts=[2, 2],
+            optimize="cost",
+            kernel=AsyncioKernel(time_scale=0.002),
+        ),
     )
     assert result.as_bag() == bags[query_index]
 
@@ -93,9 +99,11 @@ def test_rewrite_query_runs_on_realtime_kernel(synth_world) -> None:
     wsmed, _bag = synth_world
     result = wsmed.sql(
         REWRITE_SQL,
-        mode="central",
-        optimize="cost",
-        kernel=AsyncioKernel(time_scale=0.002),
+        options=QueryOptions(
+            mode="central",
+            optimize="cost",
+            kernel=AsyncioKernel(time_scale=0.002),
+        ),
     )
     assert sorted(tuple(r) for r in result.rows) == expected_rewrite_rows()
 
@@ -122,9 +130,7 @@ def test_random_observations_never_change_paper_rows(
     wsmed, bags = paper_world
     result = wsmed.sql(
         PAPER_QUERIES[query_index],
-        mode="central",
-        optimize="cost",
-        observed=observed,
+        options=QueryOptions(mode="central", optimize="cost", observed=observed),
     )
     assert result.as_bag() == bags[query_index]
 
@@ -150,7 +156,8 @@ def test_random_observations_never_change_synthetic_rows(
 ) -> None:
     wsmed, bag = synth_world
     result = wsmed.sql(
-        ADVERSARIAL_SQL, mode=mode, optimize="cost", observed=observed
+        ADVERSARIAL_SQL,
+        options=QueryOptions(mode=mode, optimize="cost", observed=observed),
     )
     assert result.as_bag() == bag
 
@@ -158,8 +165,11 @@ def test_random_observations_never_change_synthetic_rows(
 def test_rewrite_query_matches_direct_equivalent(synth_world) -> None:
     wsmed, _bag = synth_world
     with pytest.raises(BindingError):
-        wsmed.sql(REWRITE_SQL, mode="central")
-    rewritten = wsmed.sql(REWRITE_SQL, mode="central", optimize="cost")
-    direct = wsmed.sql(REWRITE_DIRECT_SQL, mode="central")
+        wsmed.sql(REWRITE_SQL, options=QueryOptions(mode="central"))
+    rewritten = wsmed.sql(
+        REWRITE_SQL,
+        options=QueryOptions(mode="central", optimize="cost"),
+    )
+    direct = wsmed.sql(REWRITE_DIRECT_SQL, options=QueryOptions(mode="central"))
     assert rewritten.as_bag() == direct.as_bag()
     assert sorted(tuple(r) for r in rewritten.rows) == expected_rewrite_rows()

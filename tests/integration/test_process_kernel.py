@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro import QUERY1_SQL, QUERY2_SQL, CacheConfig, QueryEngine, WSMED
+from repro import QUERY1_SQL, QUERY2_SQL, CacheConfig, QueryEngine, WSMED, QueryOptions
 from repro.runtime.multiprocess import ProcessKernel
 
 
@@ -29,15 +29,22 @@ def wsmed():
 @pytest.fixture(scope="module")
 def sim_results(wsmed):
     return {
-        "q1_parallel": wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4]),
-        "q2_parallel": wsmed.sql(QUERY2_SQL, mode="parallel", fanouts=[3, 2]),
+        "q1_parallel": wsmed.sql(
+            QUERY1_SQL,
+            options=QueryOptions(mode="parallel", fanouts=[5, 4]),
+        ),
+        "q2_parallel": wsmed.sql(
+            QUERY2_SQL,
+            options=QueryOptions(mode="parallel", fanouts=[3, 2]),
+        ),
     }
 
 
 def test_parallel_query1_row_identical_to_sim(wsmed, sim_results) -> None:
     with ProcessKernel(workers=2) as kernel:
         result = wsmed.sql(
-            QUERY1_SQL, mode="parallel", fanouts=[5, 4], kernel=kernel
+            QUERY1_SQL,
+            options=QueryOptions(mode="parallel", fanouts=[5, 4], kernel=kernel),
         )
     sim = sim_results["q1_parallel"]
     assert result.as_bag() == sim.as_bag()
@@ -48,7 +55,8 @@ def test_parallel_query1_row_identical_to_sim(wsmed, sim_results) -> None:
 def test_parallel_query2_row_identical_to_sim(wsmed, sim_results) -> None:
     with ProcessKernel(workers=2) as kernel:
         result = wsmed.sql(
-            QUERY2_SQL, mode="parallel", fanouts=[3, 2], kernel=kernel
+            QUERY2_SQL,
+            options=QueryOptions(mode="parallel", fanouts=[3, 2], kernel=kernel),
         )
     sim = sim_results["q2_parallel"]
     assert result.as_bag() == sim.as_bag()
@@ -57,7 +65,10 @@ def test_parallel_query2_row_identical_to_sim(wsmed, sim_results) -> None:
 
 def test_adaptive_mode_on_process_kernel(wsmed) -> None:
     with ProcessKernel(workers=2) as kernel:
-        result = wsmed.sql(QUERY1_SQL, mode="adaptive", kernel=kernel)
+        result = wsmed.sql(
+            QUERY1_SQL,
+            options=QueryOptions(mode="adaptive", kernel=kernel),
+        )
     assert len(result) == 360
     assert result.tree.add_stages >= 1
 
@@ -68,10 +79,12 @@ def test_call_cache_counters_cross_the_pipe(wsmed) -> None:
     with ProcessKernel(workers=2) as kernel:
         result = wsmed.sql(
             QUERY2_SQL,
-            mode="parallel",
-            fanouts=[3, 2],
-            cache=CacheConfig(enabled=True),
-            kernel=kernel,
+            options=QueryOptions(
+                mode="parallel",
+                fanouts=[3, 2],
+                cache=CacheConfig(enabled=True),
+                kernel=kernel,
+            ),
         )
     assert result.cache_stats is not None
     assert result.cache_stats.misses > 0
@@ -81,9 +94,15 @@ def test_engine_keeps_worker_processes_warm(wsmed) -> None:
     with ProcessKernel(workers=2) as kernel:
         engine = QueryEngine(wsmed, kernel=kernel)
         try:
-            first = engine.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
+            first = engine.sql(
+                QUERY1_SQL,
+                options=QueryOptions(mode="parallel", fanouts=[5, 4]),
+            )
             pids_after_first = kernel.worker_pool.pids()
-            second = engine.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
+            second = engine.sql(
+                QUERY1_SQL,
+                options=QueryOptions(mode="parallel", fanouts=[5, 4]),
+            )
             stats = engine.stats()
             pids_after_second = kernel.worker_pool.pids()
         finally:
@@ -101,7 +120,13 @@ def test_killed_worker_is_respawned_and_query_completes(wsmed) -> None:
     the pool's on_error=retry policy replaces the lost children, and the
     query still returns the right rows."""
     sim = wsmed.sql(
-        QUERY1_SQL, mode="parallel", fanouts=[5, 4], retries=2, on_error="retry"
+        QUERY1_SQL,
+        options=QueryOptions(
+            mode="parallel",
+            fanouts=[5, 4],
+            retries=2,
+            on_error="retry",
+        ),
     )
     # Paper profile at time_scale=0.1 -> roughly 6 wall seconds; the kill
     # at 1.5s lands mid-execution with plenty of work left.
@@ -121,11 +146,13 @@ def test_killed_worker_is_respawned_and_query_completes(wsmed) -> None:
         try:
             result = paper.sql(
                 QUERY1_SQL,
-                mode="parallel",
-                fanouts=[5, 4],
-                retries=2,
-                on_error="retry",
-                kernel=kernel,
+                options=QueryOptions(
+                    mode="parallel",
+                    fanouts=[5, 4],
+                    retries=2,
+                    on_error="retry",
+                    kernel=kernel,
+                ),
             )
         finally:
             timer.cancel()
@@ -137,7 +164,8 @@ def test_killed_worker_is_respawned_and_query_completes(wsmed) -> None:
 def test_process_kernel_shutdown_is_idempotent(wsmed) -> None:
     kernel = ProcessKernel(workers=2)
     result = wsmed.sql(
-        QUERY1_SQL, mode="parallel", fanouts=[5, 4], kernel=kernel
+        QUERY1_SQL,
+        options=QueryOptions(mode="parallel", fanouts=[5, 4], kernel=kernel),
     )
     assert len(result) == 360
     kernel.shutdown()
@@ -148,8 +176,14 @@ def test_process_kernel_shutdown_is_idempotent(wsmed) -> None:
 def test_default_kernels_untouched_by_placement_hook(wsmed) -> None:
     """The placement integration is opt-in: kernels without
     attach_placement run the seed in-process path, bit for bit."""
-    result = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
+    result = wsmed.sql(
+        QUERY1_SQL,
+        options=QueryOptions(mode="parallel", fanouts=[5, 4]),
+    )
     assert result.elapsed == pytest.approx(
-        wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4]).elapsed
+        wsmed.sql(
+            QUERY1_SQL,
+            options=QueryOptions(mode="parallel", fanouts=[5, 4]),
+        ).elapsed
     )
     assert not hasattr(result, "placement")

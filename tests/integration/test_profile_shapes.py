@@ -8,7 +8,7 @@ profiles.
 
 import pytest
 
-from repro import QUERY1_SQL, WSMED
+from repro import QUERY1_SQL, QueryOptions, WSMED
 
 CONFIGS = ([1, 1], [2, 2], [5, 4], [7, 5])
 
@@ -21,7 +21,8 @@ def timings():
         system.import_all()
         results[profile] = {
             tuple(fanouts): system.sql(
-                QUERY1_SQL, mode="parallel", fanouts=fanouts
+                QUERY1_SQL,
+                options=QueryOptions(mode="parallel", fanouts=fanouts),
             ).elapsed
             for fanouts in CONFIGS
         }

@@ -45,17 +45,3 @@ def test_fig3_fingerprint_is_bit_identical() -> None:
     assert central.elapsed == FIG3_CENTRAL_ELAPSED
     assert central.total_calls == FIG3_CENTRAL_CALLS
     assert central.rows == [("CO", "80840")]
-
-
-def test_options_path_matches_legacy_path_exactly() -> None:
-    """The QueryOptions surface is a pure re-plumbing: same bits out."""
-    import warnings
-
-    system = _paper_system()
-    modern = system.sql(QUERY1_SQL, options=QueryOptions(mode="central"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = system.sql(QUERY1_SQL, mode="central")
-    assert legacy.elapsed == modern.elapsed
-    assert legacy.total_calls == modern.total_calls
-    assert legacy.rows == modern.rows

@@ -4,7 +4,7 @@ checks on real exported traces."""
 import json
 from pathlib import Path
 
-from repro import QUERY1_SQL, TraceRecorder, WSMED
+from repro import QUERY1_SQL, QueryOptions, TraceRecorder, WSMED
 from repro.obs import spans_to_json, to_chrome_trace, write_chrome_trace
 from repro.obs.validate import validate_chrome_trace
 
@@ -68,7 +68,8 @@ def test_real_query_export_is_well_formed(tmp_path) -> None:
     wsmed = WSMED(profile="fast")
     wsmed.import_all()
     result = wsmed.sql(
-        QUERY1_SQL, mode="parallel", fanouts=[5, 4], obs=TraceRecorder()
+        QUERY1_SQL,
+        options=QueryOptions(mode="parallel", fanouts=[5, 4], obs=TraceRecorder()),
     )
     payload = result.chrome_trace()
     assert validate_chrome_trace(payload) == []

@@ -14,6 +14,7 @@ from repro import (
     SimKernel,
     TraceRecorder,
     WSMED,
+    QueryOptions,
 )
 from repro.obs.validate import validate_spans
 
@@ -59,7 +60,8 @@ def _assert_cross_process_links_resolve(store) -> None:
 
 def test_query1_traced_under_sim_kernel(wsmed) -> None:
     result = wsmed.sql(
-        QUERY1_SQL, mode="parallel", fanouts=[5, 4], obs=TraceRecorder()
+        QUERY1_SQL,
+        options=QueryOptions(mode="parallel", fanouts=[5, 4], obs=TraceRecorder()),
     )
     assert len(result.rows) == 360
     _assert_well_formed(result, expect_children=True)
@@ -69,10 +71,12 @@ def test_query1_traced_under_sim_kernel(wsmed) -> None:
 def test_query1_traced_under_asyncio_kernel(wsmed) -> None:
     result = wsmed.sql(
         QUERY1_SQL,
-        mode="parallel",
-        fanouts=[5, 4],
-        kernel=AsyncioKernel(time_scale=SCALE),
-        obs=TraceRecorder(),
+        options=QueryOptions(
+            mode="parallel",
+            fanouts=[5, 4],
+            kernel=AsyncioKernel(time_scale=SCALE),
+            obs=TraceRecorder(),
+        ),
     )
     assert len(result.rows) == 360
     _assert_well_formed(result, expect_children=True)
@@ -84,7 +88,8 @@ def test_query1_traced_under_asyncio_kernel(wsmed) -> None:
 
 def test_query2_traced_under_sim_kernel(wsmed) -> None:
     result = wsmed.sql(
-        QUERY2_SQL, mode="parallel", fanouts=[4, 3], obs=TraceRecorder()
+        QUERY2_SQL,
+        options=QueryOptions(mode="parallel", fanouts=[4, 3], obs=TraceRecorder()),
     )
     _assert_well_formed(result, expect_children=True)
     _assert_cross_process_links_resolve(result.spans)
@@ -104,16 +109,21 @@ def test_query2_traced_under_sim_kernel(wsmed) -> None:
 def test_query2_traced_under_asyncio_kernel(wsmed) -> None:
     result = wsmed.sql(
         QUERY2_SQL,
-        mode="parallel",
-        fanouts=[4, 3],
-        kernel=AsyncioKernel(time_scale=SCALE / 4),
-        obs=TraceRecorder(),
+        options=QueryOptions(
+            mode="parallel",
+            fanouts=[4, 3],
+            kernel=AsyncioKernel(time_scale=SCALE / 4),
+            obs=TraceRecorder(),
+        ),
     )
     _assert_well_formed(result, expect_children=True)
 
 
 def test_adaptive_run_records_adaptation_instants(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="adaptive", obs=TraceRecorder())
+    result = wsmed.sql(
+        QUERY1_SQL,
+        options=QueryOptions(mode="adaptive", obs=TraceRecorder()),
+    )
     _assert_well_formed(result, expect_children=True)
     adapt = [span.name for span in result.spans.by_category("adapt")]
     assert "init_stage" in adapt
@@ -121,7 +131,10 @@ def test_adaptive_run_records_adaptation_instants(wsmed) -> None:
 
 
 def test_central_mode_traces_without_child_processes(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="central", obs=TraceRecorder())
+    result = wsmed.sql(
+        QUERY1_SQL,
+        options=QueryOptions(mode="central", obs=TraceRecorder()),
+    )
     _assert_well_formed(result, expect_children=False)
 
 
@@ -129,9 +142,10 @@ def test_central_mode_traces_without_child_processes(wsmed) -> None:
 
 
 def test_tracing_does_not_change_the_execution(wsmed) -> None:
-    plain = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
+    plain = wsmed.sql(QUERY1_SQL, options=QueryOptions(mode="parallel", fanouts=[5, 4]))
     traced = wsmed.sql(
-        QUERY1_SQL, mode="parallel", fanouts=[5, 4], obs=TraceRecorder()
+        QUERY1_SQL,
+        options=QueryOptions(mode="parallel", fanouts=[5, 4], obs=TraceRecorder()),
     )
     assert traced.rows == plain.rows
     assert traced.elapsed == plain.elapsed
@@ -141,7 +155,7 @@ def test_tracing_does_not_change_the_execution(wsmed) -> None:
 
 
 def test_untraced_result_has_no_spans(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="central")
+    result = wsmed.sql(QUERY1_SQL, options=QueryOptions(mode="central"))
     assert result.spans is None
     assert len(result.critical_path().path) == 0
 
@@ -153,10 +167,12 @@ def test_engine_traces_warm_and_cold_queries(wsmed) -> None:
     engine = QueryEngine(wsmed)
     try:
         cold = engine.sql(
-            QUERY1_SQL, mode="parallel", fanouts=[5, 4], obs=TraceRecorder()
+            QUERY1_SQL,
+            options=QueryOptions(mode="parallel", fanouts=[5, 4], obs=TraceRecorder()),
         )
         warm = engine.sql(
-            QUERY1_SQL, mode="parallel", fanouts=[5, 4], obs=TraceRecorder()
+            QUERY1_SQL,
+            options=QueryOptions(mode="parallel", fanouts=[5, 4], obs=TraceRecorder()),
         )
     finally:
         engine.close()
@@ -171,29 +187,17 @@ def test_engine_traces_warm_and_cold_queries(wsmed) -> None:
 # -- the redesigned stats API -------------------------------------------------
 
 
-def test_report_sections_match_deprecated_shims(wsmed) -> None:
-    from repro.cache import CacheConfig
-
-    result = wsmed.sql(
-        QUERY1_SQL, mode="parallel", fanouts=[5, 4], cache=CacheConfig(enabled=True)
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert result.cache_report() == result.report(sections="cache")
-        assert result.batch_report() == result.report(sections="batch")
-        assert result.fault_report() == result.report(sections="faults")
-    shim_warnings = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(shim_warnings) == 3
-
-
 def test_report_rejects_unknown_sections(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="central")
+    result = wsmed.sql(QUERY1_SQL, options=QueryOptions(mode="central"))
     with pytest.raises(ValueError, match="unknown report section"):
         result.report(sections="nonsense")
 
 
 def test_summary_emits_no_deprecation_warnings(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
+    result = wsmed.sql(
+        QUERY1_SQL,
+        options=QueryOptions(mode="parallel", fanouts=[5, 4]),
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         result.summary()
@@ -201,7 +205,10 @@ def test_summary_emits_no_deprecation_warnings(wsmed) -> None:
 
 
 def test_metrics_registry_reflects_execution(wsmed) -> None:
-    result = wsmed.sql(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
+    result = wsmed.sql(
+        QUERY1_SQL,
+        options=QueryOptions(mode="parallel", fanouts=[5, 4]),
+    )
     registry = result.metrics()
     assert registry.value("query.total_calls") == result.total_calls
     assert registry.value("query.rows") == len(result.rows)

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import QueryOptions
 from repro.algebra.expressions import ColExpr
 from repro.algebra.interpreter import ExecutionContext
 from repro.algebra.plan import AdaptationParams, ApplyNode, ParamNode, PlanFunction
@@ -196,7 +197,7 @@ def test_batching_composes_with_call_cache() -> None:
     system.import_all()
     sql = QUERY1_SQL
     central = system.sql(sql)
-    batched = system.sql(sql, mode="parallel", fanouts=[4, 3])
+    batched = system.sql(sql, options=QueryOptions(mode="parallel", fanouts=[4, 3]))
     assert batched.as_bag() == central.as_bag()
     assert batched.cache_stats is not None
     assert batched.message_stats.param_batches > 0

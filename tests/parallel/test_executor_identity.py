@@ -79,18 +79,22 @@ def test_pools_keyed_per_operator_not_per_object_id() -> None:
     kernel = SimKernel()
     ctx = ExecutionContext(kernel=kernel, broker=None, functions=None)
     executor = ParallelExecutor(ctx)
+
+    def acquire(node):
+        return kernel.run(executor._acquire_pool(node, ctx))
+
     # Two structurally equal operators must get two distinct pools...
     node_a, node_b = _ff_node(), _ff_node()
-    pool_a = executor._pool_for(node_a, ctx)
-    pool_b = executor._pool_for(node_b, ctx)
+    pool_a = acquire(node_a)
+    pool_b = acquire(node_b)
     assert pool_a is not pool_b
     assert set(ctx.pools) == {node_a.node_id, node_b.node_id}
     # ...while the same operator keeps its persistent pool.
-    assert executor._pool_for(node_a, ctx) is pool_a
+    assert acquire(node_a) is pool_a
     # And a re-hydrated copy of the plan (code shipping) still maps to
     # the same pool: identity rides on node_id, not the object.
     restored = plan_from_dict(node_a.to_dict())
-    assert executor._pool_for(restored, ctx) is pool_a
+    assert acquire(restored) is pool_a
 
 
 def test_pool_for_rejects_non_parallel_nodes() -> None:
@@ -98,4 +102,4 @@ def test_pool_for_rejects_non_parallel_nodes() -> None:
     ctx = ExecutionContext(kernel=kernel, broker=None, functions=None)
     executor = ParallelExecutor(ctx)
     with pytest.raises(PlanError, match="not a parallel operator"):
-        executor._pool_for(SingletonNode(), ctx)
+        kernel.run(executor._acquire_pool(SingletonNode(), ctx))

@@ -2,7 +2,7 @@
 well-formed stream termination when a query dies mid-NDJSON-stream.
 
 A stub engine keeps these deterministic — no real kernel, no timing: the
-server only needs ``sql_async`` / ``stats`` / ``_closed`` from it.
+server only needs ``sql_async`` / ``stats`` / ``closed`` from it.
 """
 
 import asyncio
@@ -41,7 +41,7 @@ class StubStats:
 class StubEngine:
     """Engine facade whose behavior per request is a plain callable."""
 
-    _closed = False
+    closed = False
 
     def __init__(self, behavior):
         self._behavior = behavior
@@ -146,12 +146,12 @@ def test_missing_body_post_is_a_clean_400() -> None:
 def test_bad_tenant_and_deadline_fields_are_400s() -> None:
     with running_server(StubEngine(_ok)) as server:
         for body in (
-            {"sql": "Select 1", "tenant": 7},
-            {"sql": "Select 1", "tenant": "  "},
-            {"sql": "Select 1", "deadline_ms": -10},
-            {"sql": "Select 1", "deadline_ms": 0},
-            {"sql": "Select 1", "deadline_ms": True},
-            {"sql": "Select 1", "deadline_ms": "soon"},
+            {"sql": "Select 1", "options": {"tenant": 7}},
+            {"sql": "Select 1", "options": {"tenant": "  "}},
+            {"sql": "Select 1", "options": {"deadline_ms": -10}},
+            {"sql": "Select 1", "options": {"deadline_ms": 0}},
+            {"sql": "Select 1", "options": {"deadline_ms": True}},
+            {"sql": "Select 1", "options": {"deadline_ms": "soon"}},
         ):
             response, payload = request(server, "POST", "/sql", body)
             assert response.status == 400, (body, payload)
@@ -169,7 +169,10 @@ def test_tenant_and_deadline_are_forwarded_to_the_engine() -> None:
             server,
             "POST",
             "/sql",
-            {"sql": "Select 1", "tenant": "analytics", "deadline_ms": 1500},
+            {
+                "sql": "Select 1",
+                "options": {"tenant": "analytics", "deadline_ms": 1500},
+            },
         )
         assert response.status == 200
     assert seen["options"].tenant == "analytics"

@@ -1,4 +1,4 @@
-"""The versioned POST /sql schema: nested "options", legacy aliases."""
+"""The POST /sql schema: option fields live in the nested "options" only."""
 
 import json
 
@@ -48,33 +48,15 @@ def test_nested_options_reach_the_engine_as_a_query_options() -> None:
     assert options.tenant == "analytics"
 
 
-def test_top_level_legacy_aliases_still_work() -> None:
+def test_top_level_option_field_is_an_unknown_request_field() -> None:
     seen = {}
     with running_server(_capture_engine(seen)) as server:
         response, payload = request(
             server, "POST", "/sql", {"sql": "Select 1", "mode": "adaptive"}
         )
-        assert response.status == 200, payload
-    assert seen["options"].mode == "adaptive"
-
-
-def test_matching_duplicate_is_tolerated_conflict_is_a_400() -> None:
-    with running_server(_capture_engine({})) as server:
-        response, _ = request(
-            server,
-            "POST",
-            "/sql",
-            {"sql": "Select 1", "mode": "central", "options": {"mode": "central"}},
-        )
-        assert response.status == 200
-        response, payload = request(
-            server,
-            "POST",
-            "/sql",
-            {"sql": "Select 1", "mode": "central", "options": {"mode": "adaptive"}},
-        )
         assert response.status == 400
-        assert "conflicts" in json.loads(payload)["error"]
+        assert "unknown request fields: ['mode']" in json.loads(payload)["error"]
+    assert not seen
 
 
 def test_unknown_options_field_is_a_400() -> None:

@@ -200,14 +200,12 @@ def test_shell_eof_exits(wsmed) -> None:
 def test_shell_cache_toggle_and_report(wsmed) -> None:
     output = run_shell(
         wsmed,
-        "\\cache\n"
         "\\cache on\n"
         "SELECT gs.Name FROM GetAllStates gs LIMIT 3;\n"
-        "\\cache\n"
+        "\\stats cache\n"
         "\\cache off\n"
         "\\quit\n",
     )
-    assert "call cache: off (no cached execution yet)" in output
     assert "cache = on" in output
     assert "call cache: 0 hits, 1 misses" in output
     assert "cache = off" in output
@@ -220,7 +218,7 @@ def test_shell_cache_on_with_ttl(wsmed) -> None:
 
 def test_shell_cache_bad_argument(wsmed) -> None:
     output = run_shell(wsmed, "\\cache maybe\n\\quit\n")
-    assert "usage: \\cache [on [TTL] | off]" in output
+    assert "usage: \\cache on [TTL] | off" in output
 
 
 def test_cli_cache_flag_reports_in_summary() -> None:
@@ -240,7 +238,6 @@ def test_cli_cache_flag_reports_in_summary() -> None:
 
 def test_shell_faults_policy_and_injection_toggles(wsmed) -> None:
     script = (
-        "\\faults\n"
         "\\faults retry\n"
         "\\faults inject 0.1 0.01\n"
         "\\faults off\n"
@@ -248,11 +245,10 @@ def test_shell_faults_policy_and_injection_toggles(wsmed) -> None:
         "\\quit\n"
     )
     output = run_shell(wsmed, script)
-    assert "on_error = fail; injection = none (no execution yet)" in output
     assert "on_error = retry" in output
     assert "fault injection: call failure 0.1, crash 0.01" in output
     assert "faults = off (policy fail, no injection)" in output
-    assert "usage: \\faults [fail|retry|skip | inject P [C] | off]" in output
+    assert "usage: \\faults fail|retry|skip | inject P [C] | off" in output
 
 
 def test_shell_faults_reports_after_execution(wsmed) -> None:
@@ -264,7 +260,7 @@ def test_shell_faults_reports_after_execution(wsmed) -> None:
         "SELECT gp.ToCity FROM GetAllStates gs, GetPlacesWithin gp "
         "WHERE gp.state = gs.State AND gp.place = 'Atlanta' "
         "AND gp.distance = 15.0 AND gp.placeTypeToFind = 'City';\n"
-        "\\faults\n"
+        "\\stats faults\n"
         "\\quit\n"
     )
     output = run_shell(wsmed, script)
@@ -320,11 +316,19 @@ def test_shell_stats_shows_all_sections(wsmed) -> None:
     assert "faults: none" in output
 
 
-def test_shell_stats_single_section_matches_alias(wsmed) -> None:
-    script = f"{QUERY1_ONELINE};\n\\stats faults\n\\faults\n\\quit\n"
+def test_shell_stats_single_section_and_no_bare_aliases(wsmed) -> None:
+    script = (
+        f"{QUERY1_ONELINE};\n\\stats faults\n"
+        "\\faults\n\\cache\n\\batch\n\\engine\n\\share\n\\quit\n"
+    )
     output = run_shell(wsmed, script, mode="parallel", fanouts=[5, 4])
-    # The new section and the legacy alias print the identical line.
-    assert output.count("faults: none") == 2
+    # Only \stats reports; the bare forms are usage errors / unknown.
+    assert output.count("faults: none") == 1
+    assert "calls: 311" not in output
+    for command in ("faults", "cache", "batch"):
+        assert f"(counters: \\stats {command})" in output
+    assert "unknown command \\engine" in output
+    assert "unknown command \\share" in output
 
 
 def test_shell_stats_engine_section(wsmed) -> None:
@@ -401,4 +405,4 @@ def test_shell_traced_stats_include_critical_path(wsmed, tmp_path) -> None:
 def test_shell_help_mentions_stats(wsmed) -> None:
     output = run_shell(wsmed, "\\help\n\\quit\n")
     assert "\\stats SECTION" in output
-    assert "alias for \\stats cache" in output
+    assert "alias for" not in output

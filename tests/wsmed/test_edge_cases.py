@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import WSMED
+from repro import QueryOptions, WSMED
 from repro.calculus.expressions import Const
 from repro.cli import format_table
 from repro.wsmed.results import QueryResult
@@ -54,8 +54,10 @@ def test_parallel_query_with_empty_level_one_output(wsmed) -> None:
         "AND gp.distance = 15.0 AND gp.placeTypeToFind = 'City' "
         "AND gl.placeName = gp.ToCity + ', ' + gp.ToState "
         "AND gl.MaxItems = 5 AND gl.imagePresence = 'true'",
-        mode="parallel",
-        fanouts=[3, 2],
+        options=QueryOptions(
+            mode="parallel",
+            fanouts=[3, 2],
+        ),
     )
     assert result.rows == []
     assert result.calls("GetPlaceList") == 0
@@ -78,7 +80,9 @@ def test_adaptive_on_tiny_workload(wsmed) -> None:
     result = wsmed.sql(
         "SELECT gi.GetInfoByStateResult FROM GetAllStates gs, GetInfoByState gi "
         "WHERE gi.USState = gs.State AND gs.State = 'Texas'",
-        mode="adaptive",
+        options=QueryOptions(
+            mode="adaptive",
+        ),
     )
     assert len(result) == 1
 

@@ -4,7 +4,7 @@ future work), and transient-fault retries."""
 
 import pytest
 
-from repro import WSMED
+from repro import QueryOptions, WSMED
 from repro.util.errors import BindingError, CalculusError, ReproError, ServiceFault
 
 BUSHY_SQL = """
@@ -96,8 +96,10 @@ def test_limit_stops_consuming_web_service_calls(wsmed) -> None:
         "SELECT gp.ToCity FROM GetAllStates gs, GetPlacesWithin gp "
         "WHERE gp.state = gs.State AND gp.place = 'Atlanta' "
         "AND gp.distance = 15.0 AND gp.placeTypeToFind = 'City' LIMIT 7",
-        mode="parallel",
-        fanouts=[3],
+        options=QueryOptions(
+            mode="parallel",
+            fanouts=[3],
+        ),
     )
     assert len(result) == 7
     assert result.total_calls < 20
@@ -109,8 +111,10 @@ def test_sort_and_limit_stay_in_coordinator(wsmed) -> None:
         "WHERE gp.state = gs.State AND gp.place = 'Atlanta' "
         "AND gp.distance = 15.0 AND gp.placeTypeToFind = 'City' "
         "ORDER BY gp.ToCity LIMIT 5",
-        mode="parallel",
-        fanouts=[4],
+        options=QueryOptions(
+            mode="parallel",
+            fanouts=[4],
+        ),
     )
     # Top of the plan: limit(sort(FF_APPLYP(...))).
     assert plan.label().startswith("limit")
@@ -126,7 +130,7 @@ def test_order_by_parallel_matches_central(wsmed) -> None:
         "ORDER BY gp.ToCity"
     )
     central = wsmed.sql(sql)
-    parallel = wsmed.sql(sql, mode="parallel", fanouts=[5])
+    parallel = wsmed.sql(sql, options=QueryOptions(mode="parallel", fanouts=[5]))
     # Sorted output is fully deterministic even under first-finished
     # delivery.
     assert parallel.rows == central.rows
@@ -146,8 +150,11 @@ def test_self_join_on_independent_chains(wsmed) -> None:
 
 def test_bushy_query_modes_agree(wsmed) -> None:
     central = wsmed.sql(BUSHY_SQL)
-    parallel = wsmed.sql(BUSHY_SQL, mode="parallel", fanouts=[2, 3])
-    adaptive = wsmed.sql(BUSHY_SQL, mode="adaptive")
+    parallel = wsmed.sql(
+        BUSHY_SQL,
+        options=QueryOptions(mode="parallel", fanouts=[2, 3]),
+    )
+    adaptive = wsmed.sql(BUSHY_SQL, options=QueryOptions(mode="adaptive"))
     assert len(central) == 260
     assert parallel.as_bag() == central.as_bag()
     assert adaptive.as_bag() == central.as_bag()
@@ -174,7 +181,7 @@ def test_bushy_fanout_vector_covers_all_branches(wsmed) -> None:
     from repro.util.errors import PlanError
 
     with pytest.raises(PlanError, match="fanout vector"):
-        wsmed.sql(BUSHY_SQL, mode="parallel", fanouts=[2])
+        wsmed.sql(BUSHY_SQL, options=QueryOptions(mode="parallel", fanouts=[2]))
 
 
 def test_cartesian_product_rejected(wsmed) -> None:
@@ -191,9 +198,9 @@ def test_retries_rescue_transient_faults(wsmed) -> None:
     sql = "SELECT gs.Name FROM GetAllStates gs WHERE gs.State = 'Ohio'"
     # Without retries a high fault rate kills the query...
     with pytest.raises(ServiceFault):
-        wsmed.sql(sql, fault_rate=0.7)
+        wsmed.sql(sql, options=QueryOptions(fault_rate=0.7))
     # ...with retries it survives, and the trace shows the attempts.
-    result = wsmed.sql(sql, fault_rate=0.7, retries=25)
+    result = wsmed.sql(sql, options=QueryOptions(fault_rate=0.7, retries=25))
     assert result.rows == [("Ohio",)]
     assert result.trace.count("retry") >= 1
 
@@ -202,8 +209,7 @@ def test_retries_exhausted_still_fail(wsmed) -> None:
     with pytest.raises(ReproError):
         wsmed.sql(
             "SELECT gs.Name FROM GetAllStates gs",
-            fault_rate=0.999,
-            retries=2,
+            options=QueryOptions(fault_rate=0.999, retries=2),
         )
 
 
@@ -213,7 +219,10 @@ def test_retry_in_parallel_child(wsmed) -> None:
         "WHERE gp.state = gs.State AND gp.place = 'Atlanta' "
         "AND gp.distance = 15.0 AND gp.placeTypeToFind = 'City'"
     )
-    result = wsmed.sql(sql, mode="parallel", fanouts=[4], fault_rate=0.05, retries=30)
+    result = wsmed.sql(
+        sql,
+        options=QueryOptions(mode="parallel", fanouts=[4], fault_rate=0.05, retries=30),
+    )
     assert len(result) == 260
     retry_processes = {
         event.data["process"] for event in result.trace.events("retry")
@@ -224,7 +233,7 @@ def test_retry_in_parallel_child(wsmed) -> None:
 def test_retry_trace_events_number_the_attempts(wsmed) -> None:
     """Each ``retry`` event carries the operation and a 1-based attempt."""
     sql = "SELECT gs.Name FROM GetAllStates gs WHERE gs.State = 'Ohio'"
-    result = wsmed.sql(sql, fault_rate=0.7, retries=25)
+    result = wsmed.sql(sql, options=QueryOptions(fault_rate=0.7, retries=25))
     retries = result.trace.events("retry")
     assert retries  # the 0.7 fault rate guarantees at least one
     attempts = [event.data["attempt"] for event in retries]
@@ -271,22 +280,24 @@ def test_fault_stats_surface_on_the_query_result(wsmed) -> None:
         "WHERE gp.state = gs.State AND gp.place = 'Atlanta' "
         "AND gp.distance = 15.0 AND gp.placeTypeToFind = 'City'"
     )
-    clean = wsmed.sql(sql, mode="parallel", fanouts=[4])
+    clean = wsmed.sql(sql, options=QueryOptions(mode="parallel", fanouts=[4]))
     assert not clean.fault_stats.any()
-    assert clean.fault_report() == "faults: none"
+    assert clean.report(sections="faults") == "faults: none"
     assert "faults:" not in clean.summary()
 
     result = wsmed.sql(
         sql,
-        mode="parallel",
-        fanouts=[4],
-        on_error="retry",
-        faults=FaultInjection(call_failure_probability=0.05),
+        options=QueryOptions(
+            mode="parallel",
+            fanouts=[4],
+            on_error="retry",
+            faults=FaultInjection(call_failure_probability=0.05),
+        ),
     )
     assert result.as_bag() == clean.as_bag()
     assert result.fault_stats.failed_calls > 0
     assert result.fault_stats.redeliveries > 0
-    assert "failed calls" in result.fault_report()
+    assert "failed calls" in result.report(sections="faults")
     assert "faults:" in result.summary()
 
     import json

@@ -1,4 +1,4 @@
-"""The unified QueryOptions API and its legacy-keyword compatibility shim."""
+"""The unified QueryOptions API: the only way to pass per-query knobs."""
 
 import warnings
 
@@ -24,76 +24,72 @@ def wsmed():
 # -- resolve_options mechanics ---------------------------------------------------
 
 
-def test_legacy_keywords_merge_over_options_with_a_deprecation_warning() -> None:
-    base = QueryOptions(mode="parallel", retries=1)
-    with pytest.warns(DeprecationWarning, match="retries"):
-        resolved = resolve_options(base, {"retries": 3}, where="WSMED.sql")
-    assert resolved.mode == "parallel"
-    assert resolved.retries == 3
-
-
 def test_no_legacy_keywords_no_warning() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        resolved = resolve_options(None, {}, where="WSMED.sql")
+        resolved = resolve_options(None, where="WSMED.sql")
     assert resolved == QueryOptions()
 
 
-def test_unknown_legacy_keyword_is_a_type_error() -> None:
-    with pytest.raises(TypeError, match="fanout_vector"):
-        resolve_options(None, {"fanout_vector": [3]}, where="WSMED.sql")
+def test_unknown_legacy_keyword_is_a_type_error(wsmed) -> None:
+    """``options=`` is the only spelling: every former keyword — known
+    field or not — is now a plain ``TypeError`` on all six surfaces."""
+    engine = QueryEngine(wsmed)
+    try:
+        for surface in (wsmed.sql, wsmed.plan, wsmed.explain, engine.sql):
+            for keyword in ({"mode": "parallel"}, {"fanout_vector": [3]}):
+                with pytest.raises(TypeError):
+                    surface(QUERY1_SQL, **keyword)
+        with pytest.raises(TypeError):
+            engine.sql_many([QUERY1_SQL], mode="parallel")
+        with pytest.raises(TypeError):
+            engine.sql_async(QUERY1_SQL, mode="parallel")
+    finally:
+        engine.close()
 
 
 def test_non_options_object_is_rejected() -> None:
     with pytest.raises(PlanError, match="QueryOptions"):
-        resolve_options({"mode": "central"}, {}, where="WSMED.sql")
+        resolve_options({"mode": "central"}, where="WSMED.sql")
 
 
 def test_rejected_fields_raise_only_when_set() -> None:
-    resolve_options(QueryOptions(), {}, where="X", rejected=ENGINE_ONLY)
+    resolve_options(QueryOptions(), where="X", rejected=ENGINE_ONLY)
     with pytest.raises(PlanError, match="tenant"):
         resolve_options(
-            QueryOptions(tenant="analytics"), {}, where="X", rejected=ENGINE_ONLY
+            QueryOptions(tenant="analytics"), where="X", rejected=ENGINE_ONLY
         )
 
 
 # -- surface equivalence ---------------------------------------------------------
 
 
-def test_wsmed_sql_options_equals_legacy_kwargs(wsmed) -> None:
-    knobs = dict(mode="parallel", fanouts=[5, 4], retries=1)
-    with pytest.warns(DeprecationWarning):
-        legacy = wsmed.sql(QUERY1_SQL, **knobs)
-    modern = wsmed.sql(QUERY1_SQL, options=QueryOptions(**knobs))
-    assert sorted(legacy.rows) == sorted(modern.rows)
-    assert legacy.elapsed == modern.elapsed
-    assert legacy.total_calls == modern.total_calls
-
-
 def test_wsmed_explain_accepts_options(wsmed) -> None:
-    with pytest.warns(DeprecationWarning):
-        legacy = wsmed.explain(QUERY1_SQL, mode="parallel", fanouts=[5, 4])
-    modern = wsmed.explain(
+    report = wsmed.explain(
         QUERY1_SQL, options=QueryOptions(mode="parallel", fanouts=[5, 4])
     )
-    assert legacy == modern
+    assert "FF_APPLYP" in report
+    assert "FF_APPLYP" not in wsmed.explain(QUERY1_SQL)
 
 
-def test_engine_sql_options_equals_legacy_kwargs() -> None:
-    def run(**call):
-        system = WSMED(profile="fast")
-        system.import_all()
-        engine = QueryEngine(system)
+def test_options_only_callers_never_trip_a_deprecation_warning(wsmed) -> None:
+    """A cold (plan-cache miss) and a warm engine query, and every WSMED
+    surface, under ``-W error::DeprecationWarning``: the engine's own
+    compile step used to call ``WSMED.plan`` keyword-style."""
+    options = QueryOptions(mode="parallel", fanouts=[5, 4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        engine = QueryEngine(wsmed)
         try:
-            return engine.sql(QUERY1_SQL, **call)
+            cold = engine.sql(QUERY1_SQL, options=options)
+            warm = engine.sql(QUERY1_SQL, options=options)
         finally:
             engine.close()
-
-    with pytest.warns(DeprecationWarning):
-        legacy = run(mode="adaptive", retries=1)
-    modern = run(options=QueryOptions(mode="adaptive", retries=1))
-    assert sorted(legacy.rows) == sorted(modern.rows)
-    assert legacy.elapsed == modern.elapsed
+        one_shot = wsmed.sql(QUERY1_SQL, options=options)
+        wsmed.plan(QUERY1_SQL, options=options)
+        wsmed.explain(QUERY1_SQL, options=options)
+    assert engine.stats().plan_cache_hits == 1
+    assert sorted(cold.rows) == sorted(warm.rows) == sorted(one_shot.rows)
 
 
 # -- per-surface rejections ------------------------------------------------------
