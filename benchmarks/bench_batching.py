@@ -14,7 +14,7 @@ client side is the bottleneck) with elevated messaging costs, and sweeps
 * ``batch_adaptive`` lands within ~10% of the best fixed batch size
   without being told the right size.
 
-Results are also written to ``benchmarks/results/BENCH_batching.json``
+Results are also written to ``BENCH_batching.json`` (repository root)
 via :func:`benchmarks.report.save_bench_json`.
 """
 

@@ -14,7 +14,7 @@ what it buys on Query1 (two dependent-join levels, fanouts 5x4):
   is still complete.
 
 Results are also written to
-``benchmarks/results/BENCH_fault_tolerance.json`` via
+``BENCH_fault_tolerance.json`` (repository root) via
 :func:`benchmarks.report.save_bench_json`.
 """
 

@@ -10,8 +10,8 @@ and the ablations.  EXPERIMENTS.md records a snapshot of this output.
 
 Benches that track a perf trajectory across PRs additionally write
 machine-readable snapshots via :func:`save_bench_json` into
-``benchmarks/results/BENCH_<name>.json`` (override the directory with the
-``BENCH_RESULTS_DIR`` environment variable).
+``BENCH_<name>.json`` at the repository root (override the directory with
+the ``BENCH_RESULTS_DIR`` environment variable).
 """
 
 from __future__ import annotations
@@ -56,21 +56,15 @@ SECTIONS = (
 def save_bench_json(name: str, payload: dict) -> Path:
     """Write one bench's machine-readable results and return the path.
 
-    Results land in ``benchmarks/results/BENCH_<name>.json`` next to this
-    module (or under ``$BENCH_RESULTS_DIR``), so the perf trajectory can
-    be diffed across PRs.  Default runs additionally refresh the
-    canonical ``BENCH_<name>.json`` copy at the repository root — the
-    file trajectory-tracking tools diff; a ``BENCH_RESULTS_DIR``
-    override (tests, scratch runs) writes only there.
+    Results land in ``BENCH_<name>.json`` at the repository root — the
+    one tracked copy, so the perf trajectory can be diffed across PRs —
+    or under ``$BENCH_RESULTS_DIR`` (tests, scratch runs).
     """
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     override = os.environ.get("BENCH_RESULTS_DIR")
-    directory = Path(override) if override else Path(__file__).parent / "results"
+    directory = Path(override) if override else Path(__file__).parent.parent
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"BENCH_{name}.json"
-    path.write_text(text)
-    if override is None:
-        (Path(__file__).parent.parent / f"BENCH_{name}.json").write_text(text)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

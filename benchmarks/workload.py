@@ -9,12 +9,12 @@ workload classes this repo's dialect supports:
 * **join** — two chains joined on the shared ``tag`` column,
 * **aggregate** — GROUP BY over a chain's leaves,
 * **or** — a disjunctive tag filter (union + distinct),
-* **limit** — a chain under ``LIMIT k`` with pushdown into the pool.
+* **limit** — a chain under ``LIMIT k``.
 
 Every query's row bag is diffed against the naive in-memory reference
 evaluator (the ``reference_*`` methods on :class:`benchmarks.worlds.World`),
 so the bench doubles as an end-to-end equivalence check.  A dedicated
-section measures LIMIT pushdown: the limited query must make *strictly
+section measures LIMIT: the limited query must make *strictly
 fewer* web-service calls than the limit-less run while returning exactly
 its first ``k`` rows.
 
@@ -151,27 +151,21 @@ def replay_engine(world: World, trace: list[dict]) -> tuple[dict, list]:
     return payload, results
 
 
-def measure_limit_pushdown(world: World) -> dict:
+def measure_limit(world: World) -> dict:
     """LIMIT k vs limit-less, same plan shape: fewer calls, same prefix."""
     spec = world.spec
     options = QueryOptions(mode="parallel", fanouts=[2] * spec.depth, retries=1)
     wsmed = world.build()
     full = wsmed.sql(world.chain_sql(0), options=options)
     limited = wsmed.sql(world.chain_sql(0, limit=LIMIT_K), options=options)
-    unpushed = wsmed.sql(
-        world.chain_sql(0, limit=LIMIT_K),
-        options=options.replace(limit_pushdown=False),
-    )
     return {
         "limit": LIMIT_K,
         "no_limit_calls": full.total_calls,
         "limit_calls": limited.total_calls,
-        "pushdown_off_calls": unpushed.total_calls,
         "saved_calls": full.total_calls - limited.total_calls,
         "no_limit_model_s": full.elapsed,
         "limit_model_s": limited.elapsed,
         "rows_prefix_ok": list(limited.rows) == list(full.rows)[:LIMIT_K],
-        "rows_match_unpushed": list(limited.rows) == list(unpushed.rows),
     }
 
 
@@ -260,7 +254,7 @@ def run(queries: int = DEFAULT_QUERIES, serve: bool = False) -> dict:
             "class_counts": class_counts,
         },
         "engine": engine_payload,
-        "limit_pushdown": measure_limit_pushdown(world),
+        "limit": measure_limit(world),
     }
     if serve:
         payload["serve"] = replay_serve(world, trace)
@@ -278,9 +272,9 @@ def _report(payload: dict) -> None:
         f"engine replay: {engine['queries']} queries, "
         f"rows {'OK' if engine['rows_ok'] else 'MISMATCH'}"
     )
-    limit = payload["limit_pushdown"]
+    limit = payload["limit"]
     print(
-        f"limit pushdown: LIMIT {limit['limit']} -> {limit['limit_calls']} calls "
+        f"limit: LIMIT {limit['limit']} -> {limit['limit_calls']} calls "
         f"vs {limit['no_limit_calls']} without LIMIT "
         f"({limit['saved_calls']} saved)"
     )
@@ -301,10 +295,9 @@ def _emit_json(payload: dict) -> None:
 def _check(payload: dict) -> None:
     engine = payload["engine"]
     assert engine["rows_ok"], engine["mismatched_queries"]
-    limit = payload["limit_pushdown"]
+    limit = payload["limit"]
     assert limit["limit_calls"] < limit["no_limit_calls"], limit
     assert limit["rows_prefix_ok"], limit
-    assert limit["rows_match_unpushed"], limit
     if "serve" in payload:
         assert payload["serve"]["rows_ok"], payload["serve"]
 

@@ -111,11 +111,6 @@ class ExecutionContext:
     # and the execution fingerprint seed-identical.  Typed loosely
     # because the placement layer sits above this module.
     placement: Optional[object] = None
-    # LIMIT pushdown: a LimitNode directly above an FF/AFF operator asks
-    # the pool to stop dispatching parameter tuples once the limit is
-    # provably satisfiable.  The result rows are identical either way (the
-    # first k rows in arrival order); disabling only affects call counts.
-    limit_pushdown: bool = True
 
     def next_process_name(self) -> str:
         self._name_counter[0] += 1
@@ -238,21 +233,7 @@ async def iterate_plan(
         if node.count == 0:
             return
         emitted = 0
-        if (
-            ctx.limit_pushdown
-            and ctx.parallel_handler is not None
-            and isinstance(node.child, (FFApplyNode, AFFApplyNode))
-        ):
-            # LIMIT pushdown: ask the pool to stop dispatching parameter
-            # tuples once `count` rows exist.  The pool drains its
-            # in-flight calls and ends normally, so no GeneratorExit has
-            # to tear through the operator tree.
-            inner = iterate_plan(node.child.child, ctx, param_row)
-            source = ctx.parallel_handler(
-                node.child, inner, ctx, stop_after=node.count
-            )
-        else:
-            source = iterate_plan(node.child, ctx, param_row)
+        source = iterate_plan(node.child, ctx, param_row)
         try:
             async for row in source:
                 yield row

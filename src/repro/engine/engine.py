@@ -335,7 +335,7 @@ class QueryEngine:
         planning/execution fields of :meth:`WSMED.sql` (``mode``,
         ``fanouts``, ``adaptation``, ``retries``, ``cache``,
         ``process_costs``, ``on_error``, ``faults``, ``name``, ``obs``,
-        ``optimize``, ``limit_pushdown``) — but not ``kernel`` /
+        ``optimize``) — but not ``kernel`` /
         ``fault_rate`` / ``observed``, which are engine-level here.
         Two admission fields ride along: ``tenant`` (fair-queue identity,
         default ``"default"``) and ``deadline_ms`` (model milliseconds;

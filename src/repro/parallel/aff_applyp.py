@@ -48,19 +48,17 @@ class AFFPool(ChildPool):
         self._adapting = True
         self._had_first_cycle = False
         self._previous_time_per_tuple: float | None = None
-        self._cycle_started_at = 0.0
-        self._eoc_in_cycle = 0
-        self._results_in_cycle = 0
-        self._service_in_cycle = 0.0
-        self._failed_in_cycle = 0
+        self._start_cycle(0.0)
 
-    def _obs_instant(self, name: str, **attrs) -> None:
-        """Mirror an adaptation decision into the span store, so traces
-        show *why* the tree changed shape next to *when* it did."""
+    def _decision(self, kind: str, **attrs) -> None:
+        """Record an adaptation decision as a trace event and mirror it
+        into the span store, so traces show *why* the tree changed shape
+        next to *when* it did."""
+        self.event(kind, **attrs)
         obs = self.ctx.obs
         if obs.enabled:
             obs.instant(
-                name,
+                kind,
                 category="adapt",
                 parent=self._inv_span,
                 process=self.ctx.process_name,
@@ -74,14 +72,14 @@ class AFFPool(ChildPool):
     async def on_first_use(self) -> None:
         await self.spawn_children(self.params.init_fanout)
         self._cycle_started_at = self.ctx.kernel.now()
-        self.ctx.trace.record(
-            self._cycle_started_at,
-            "init_stage",
-            process=self.ctx.process_name,
-            plan_function=self.plan_function.name,
-            children=len(self.children),
-        )
-        self._obs_instant("init_stage", children=len(self.children))
+        self._decision("init_stage", children=len(self.children))
+
+    def _start_cycle(self, now: float) -> None:
+        self._cycle_started_at = now
+        self._eoc_in_cycle = 0
+        self._results_in_cycle = 0
+        self._service_in_cycle = 0.0
+        self._failed_in_cycle = 0
 
     def on_rebind(self) -> None:
         """Restart the monitoring clock for the adopting query.
@@ -91,21 +89,14 @@ class AFFPool(ChildPool):
         must not straddle queries — a cycle clock left at the previous
         query's end would make the first warm cycle look arbitrarily slow.
         """
-        self._cycle_started_at = self.ctx.kernel.now()
-        self._eoc_in_cycle = 0
-        self._results_in_cycle = 0
-        self._service_in_cycle = 0.0
-        self._failed_in_cycle = 0
+        self._start_cycle(self.ctx.kernel.now())
 
     def on_result(self, message: ResultTuple) -> None:
         self._results_in_cycle += 1
 
     async def on_end_of_call(self, message: EndOfCall) -> None:
-        self._eoc_in_cycle += 1
         self._service_in_cycle += message.service_time
-        if self._eoc_in_cycle < len(self.children):
-            return
-        await self._finish_cycle()
+        await self._slot_done()
 
     async def on_call_failed(self, message: CallFailed) -> None:
         """A failed call still completes a monitoring slot.
@@ -114,17 +105,19 @@ class AFFPool(ChildPool):
         call) but is tracked separately, so a flaky child that fails fast
         is not misread as a fast one by the adaptation heuristic.
         """
-        self._eoc_in_cycle += 1
         self._failed_in_cycle += 1
-        if self._eoc_in_cycle < len(self.children):
-            return
-        await self._finish_cycle()
+        await self._slot_done()
 
     # -- monitoring cycles --------------------------------------------------------
 
+    async def _slot_done(self) -> None:
+        """A cycle completes after as many resolved calls as children."""
+        self._eoc_in_cycle += 1
+        if self._eoc_in_cycle >= len(self.children):
+            await self._finish_cycle()
+
     async def _finish_cycle(self) -> None:
-        kernel = self.ctx.kernel
-        now = kernel.now()
+        now = self.ctx.kernel.now()
         duration = now - self._cycle_started_at
         tuples = self._results_in_cycle
         failed = self._failed_in_cycle
@@ -135,29 +128,15 @@ class AFFPool(ChildPool):
         # Mean child-side occupancy per call — distinguishes slow calls
         # (high mean_service_time) from large results (high tuples).
         mean_service_time = self._service_in_cycle / calls if calls else 0.0
-        self.ctx.trace.record(
-            now,
+        self._decision(
             "cycle",
-            process=self.ctx.process_name,
-            plan_function=self.plan_function.name,
             children=len(self.children),
             tuples=tuples,
             time_per_tuple=time_per_tuple,
             mean_service_time=mean_service_time,
             **({"failed": failed} if failed else {}),
         )
-        self._obs_instant(
-            "cycle",
-            children=len(self.children),
-            tuples=tuples,
-            time_per_tuple=time_per_tuple,
-            mean_service_time=mean_service_time,
-        )
-        self._eoc_in_cycle = 0
-        self._results_in_cycle = 0
-        self._service_in_cycle = 0.0
-        self._failed_in_cycle = 0
-        self._cycle_started_at = now
+        self._start_cycle(now)
 
         if not self._adapting:
             return
@@ -184,15 +163,7 @@ class AFFPool(ChildPool):
 
     def _stop(self, reason: str) -> None:
         self._adapting = False
-        self.ctx.trace.record(
-            self.ctx.kernel.now(),
-            "adapt_stop",
-            process=self.ctx.process_name,
-            plan_function=self.plan_function.name,
-            children=len(self.children),
-            reason=reason,
-        )
-        self._obs_instant("adapt_stop", children=len(self.children), reason=reason)
+        self._decision("adapt_stop", children=len(self.children), reason=reason)
 
     async def _add_stage(self) -> None:
         self._stages += 1
@@ -205,15 +176,7 @@ class AFFPool(ChildPool):
             self._stop("maximum fanout reached")
             return
         await self.spawn_children(to_add, adaptive=True)
-        self.ctx.trace.record(
-            self.ctx.kernel.now(),
-            "add_stage",
-            process=self.ctx.process_name,
-            plan_function=self.plan_function.name,
-            added=to_add,
-            children=len(self.children),
-        )
-        self._obs_instant("add_stage", added=to_add, children=len(self.children))
+        self._decision("add_stage", added=to_add, children=len(self.children))
 
     async def _drop_stage(self) -> None:
         self._stages += 1
@@ -237,16 +200,6 @@ class AFFPool(ChildPool):
         # The child finishes any in-flight call (its downlink is FIFO),
         # then reads the shutdown and tears down its own subtree.
         victim.endpoints.downlink.send(Shutdown("dropped by adaptation"))
-        self.ctx.trace.record(
-            self.ctx.kernel.now(),
-            "drop_stage",
-            process=self.ctx.process_name,
-            plan_function=self.plan_function.name,
-            dropped=victim.endpoints.name,
-            children=len(self.children),
-        )
-        self._obs_instant(
-            "drop_stage",
-            dropped=victim.endpoints.name,
-            children=len(self.children),
+        self._decision(
+            "drop_stage", dropped=victim.endpoints.name, children=len(self.children)
         )

@@ -84,38 +84,32 @@ class MessageCounters:
         return self.total_messages > 0
 
     def as_dict(self) -> dict:
-        return {
-            "param_tuples": self.param_tuples,
-            "param_batches": self.param_batches,
-            "batched_params": self.batched_params,
-            "result_tuples": self.result_tuples,
-            "result_batches": self.result_batches,
-            "batched_results": self.batched_results,
-            "end_of_calls": self.end_of_calls,
-            "flushes": dict(self.flushes),
-        }
+        counts = {name: getattr(self, name) for name in _COUNT_FIELDS}
+        return {**counts, "flushes": dict(self.flushes)}
 
     def reset(self) -> None:
         """Zero every counter (a resident pool starts each query at 0)."""
-        self.param_tuples = 0
-        self.param_batches = 0
-        self.batched_params = 0
-        self.result_tuples = 0
-        self.result_batches = 0
-        self.batched_results = 0
-        self.end_of_calls = 0
+        for name in _COUNT_FIELDS:
+            setattr(self, name, 0)
         self.flushes.clear()
 
-    def merge(self, other: "MessageCounters") -> None:
-        self.param_tuples += other.param_tuples
-        self.param_batches += other.param_batches
-        self.batched_params += other.batched_params
-        self.result_tuples += other.result_tuples
-        self.result_batches += other.result_batches
-        self.batched_results += other.batched_results
-        self.end_of_calls += other.end_of_calls
-        for trigger, count in other.flushes.items():
+    def add(self, counts: dict) -> None:
+        """Fold in one :meth:`as_dict`-shaped record."""
+        for name in _COUNT_FIELDS:
+            setattr(self, name, getattr(self, name) + counts.get(name, 0))
+        for trigger, count in counts.get("flushes", {}).items():
             self.flushes[trigger] = self.flushes.get(trigger, 0) + count
+
+
+_COUNT_FIELDS = (
+    "param_tuples",
+    "param_batches",
+    "batched_params",
+    "result_tuples",
+    "result_batches",
+    "batched_results",
+    "end_of_calls",
+)
 
 
 class MessageStats(MessageCounters):
@@ -126,15 +120,7 @@ def message_stats_from_trace(trace: TraceLog) -> MessageStats:
     """Aggregate the per-pool ``pool_messages`` trace events."""
     stats = MessageStats()
     for event in trace.events("pool_messages"):
-        stats.param_tuples += event.data.get("param_tuples", 0)
-        stats.param_batches += event.data.get("param_batches", 0)
-        stats.batched_params += event.data.get("batched_params", 0)
-        stats.result_tuples += event.data.get("result_tuples", 0)
-        stats.result_batches += event.data.get("result_batches", 0)
-        stats.batched_results += event.data.get("batched_results", 0)
-        stats.end_of_calls += event.data.get("end_of_calls", 0)
-        for trigger, count in event.data.get("flushes", {}).items():
-            stats.flushes[trigger] = stats.flushes.get(trigger, 0) + count
+        stats.add(event.data)
     return stats
 
 
@@ -255,23 +241,14 @@ class BatchController:
             seq_start = pool._seq + 1
             pool._seq += len(buffer)
             for offset, row in enumerate(buffer):
-                pool.note_sent(child, seq_start + offset, row)
+                child.inflight[seq_start + offset] = row
             child.endpoints.downlink.send(
                 ParamBatch(seq_start, tuple(buffer), span=pool._inv_span)
             )
             self.counters.param_batches += 1
             self.counters.batched_params += len(buffer)
         self.counters.flushes[trigger] = self.counters.flushes.get(trigger, 0) + 1
-        ctx = self.pool.ctx
-        ctx.trace.record(
-            ctx.kernel.now(),
-            "batch_flush",
-            process=ctx.process_name,
-            plan_function=self.pool.plan_function.name,
-            child=name,
-            size=len(buffer),
-            trigger=trigger,
-        )
+        self.pool.event("batch_flush", child=name, size=len(buffer), trigger=trigger)
 
     def flush_all(self, trigger: str) -> None:
         """Flush every non-empty buffer (stream end, pool close)."""
@@ -308,7 +285,7 @@ class BatchController:
     def _send_single(self, child: "_Child", row: tuple) -> None:
         pool = self.pool
         pool._seq += 1
-        pool.note_sent(child, pool._seq, row)
+        child.inflight[pool._seq] = row
         child.endpoints.downlink.send(
             ParamTuple(pool._seq, row, span=pool._inv_span)
         )

@@ -94,10 +94,9 @@ class ParallelExecutor:
         node: PlanNode,
         source: AsyncIterator[tuple],
         ctx: ExecutionContext,
-        stop_after: int | None = None,
     ) -> AsyncIterator[tuple]:
         pool = await self._acquire_pool(node, ctx)
-        async for row in pool.run(source, stop_after=stop_after):
+        async for row in pool.run(source):
             yield row
 
     async def execute(self, plan: PlanNode) -> list[tuple]:
@@ -115,10 +114,10 @@ class ParallelExecutor:
             for pool in list(self.ctx.pools.values()):
                 if self.pool_registry is not None and not pool._closed:
                     # Resident mode: hand the warm tree back instead of
-                    # killing it.  The epoch machinery makes releasing
-                    # after a failed invocation safe — the next lease's
-                    # run() resets per-invocation state and drops stale
-                    # messages.
+                    # killing it.  Releasing after a failed or truncated
+                    # invocation is safe — it reset its per-invocation
+                    # state on the way out, and the next run() drops its
+                    # late messages (by epoch, or by call seq).
                     self.pool_registry.release(pool)
                 else:
                     await pool.close()

@@ -25,10 +25,11 @@ On top of the paper's protocol sits a pool-level fault-tolerance layer
   dead child's in-flight rows per the same policy;
 * a per-pool circuit breaker escalates to ``fail`` once the invocation's
   failure rate crosses ``breaker_threshold``;
-* invocations are epoch-stamped so a persistent pool whose previous
-  invocation failed drops that invocation's stale messages instead of
-  replaying them, and per-invocation dispatch state is reset on the error
-  exit of :meth:`ChildPool.run`.
+* an invocation that stops early — it failed, or its consumer closed the
+  generator (``LIMIT``) — resets the per-invocation dispatch state on the
+  way out of :meth:`ChildPool.run`; the persistent pool's next invocation
+  drops the late messages, told apart by epoch (input) and by sequence
+  number (everything a child sends).
 
 With the defaults (``on_error="fail"``, no fault injection) none of this
 changes a single message or trace event relative to the paper protocol.
@@ -84,6 +85,22 @@ class _Child:
     ctx: ExecutionContext | None = None
 
 
+@dataclass
+class _Invocation:
+    """State of one :meth:`ChildPool.run` — one parameter stream."""
+
+    epoch: int  # stamps this invocation's pump messages
+    # None = stream; a list = rows held back until the input is exhausted.
+    barrier_buffer: list[tuple] | None
+    in_flight: int = 0  # rows read from the input and not yet resolved
+    input_done: bool = False
+    first_round_announced: bool = False
+    # Failure accounting (redelivery budgets + circuit breaker).
+    fail_counts: dict[str, int] = field(default_factory=dict)
+    ok: int = 0
+    failed: int = 0
+
+
 class ChildPool:
     """Pool of child query processes below one FF/AFF operator instance."""
 
@@ -118,15 +135,22 @@ class ChildPool:
         self.total_respawns = 0
         self.failed_calls = 0
         self.skipped_rows = 0
-        # Per-invocation failure accounting (redelivery budgets + breaker).
-        self._fail_counts: dict[str, int] = {}
-        self._ok_in_invocation = 0
-        self._failed_in_invocation = 0
         self.batcher = BatchController(self)
         # Observability (repro.obs): id of the current invocation's span.
         # Stamped onto every downlink message so child-side call spans can
         # link back across the process boundary; -1 = tracing off.
         self._inv_span = -1
+
+    def event(self, kind: str, **data) -> None:
+        """Record one trace event of this pool (``process`` and
+        ``plan_function`` first, then ``data`` in the order given)."""
+        self.ctx.trace.record(
+            self.ctx.kernel.now(),
+            kind,
+            process=self.ctx.process_name,
+            plan_function=self.plan_function.name,
+            **data,
+        )
 
     # -- child lifecycle ---------------------------------------------------------
 
@@ -148,53 +172,45 @@ class ChildPool:
             name = self.ctx.next_process_name()
             if placement is not None:
                 endpoints, handle = placement.spawn_child(self, name)
-                child = _Child(
-                    endpoints=endpoints,
-                    handle=handle,
-                    added_by_adaptation=adaptive,
-                )
-                self._finish_spawn(child, adaptive=adaptive)
-                await kernel.sleep(self.costs.ship_function)
-                self._ship_function(child, adaptive=adaptive)
-                continue
-            endpoints = ChildEndpoints(
-                name=name,
-                downlink=kernel.channel(
-                    f"{name}/downlink", latency=self.costs.message_latency
-                ),
-                uplink=self.inbox,
-            )
-            child_ctx = self.ctx.for_process(name)
-
-            async def close_nested(child_ctx=child_ctx):
-                for pool in list(child_ctx.pools.values()):
-                    await pool.close()
-
-            handle = kernel.spawn(
-                child_main(child_ctx, self.costs, endpoints, on_exit=close_nested),
-                name=name,
-            )
+                child_ctx = None
+            else:
+                endpoints, handle, child_ctx = self._spawn_local(name)
             child = _Child(
                 endpoints=endpoints,
                 handle=handle,
                 added_by_adaptation=adaptive,
                 ctx=child_ctx,
             )
-            self._finish_spawn(child, adaptive=adaptive)
+            self.children.append(child)
+            self._by_name[name] = child
+            self.total_spawned += 1
+            kernel.spawn(self._watch_child(name, handle), name=f"{name}-watch")
             await kernel.sleep(self.costs.ship_function)
-            self._ship_function(child, adaptive=adaptive)
+            self._ship_function(child)
 
-    def _finish_spawn(self, child: _Child, *, adaptive: bool) -> None:
-        """Pool bookkeeping for a freshly spawned (local or remote) child."""
-        name = child.endpoints.name
-        self.children.append(child)
-        self._by_name[name] = child
-        self.total_spawned += 1
-        self.ctx.kernel.spawn(
-            self._watch_child(name, child.handle), name=f"{name}-watch"
+    def _spawn_local(self, name: str):
+        """Start a child as a task of this kernel, under a derived context."""
+        kernel = self.ctx.kernel
+        endpoints = ChildEndpoints(
+            name=name,
+            downlink=kernel.channel(
+                f"{name}/downlink", latency=self.costs.message_latency
+            ),
+            uplink=self.inbox,
         )
+        child_ctx = self.ctx.for_process(name)
 
-    def _ship_function(self, child: _Child, *, adaptive: bool) -> None:
+        async def close_nested():
+            for pool in list(child_ctx.pools.values()):
+                await pool.close()
+
+        handle = kernel.spawn(
+            child_main(child_ctx, self.costs, endpoints, on_exit=close_nested),
+            name=name,
+        )
+        return endpoints, handle, child_ctx
+
+    def _ship_function(self, child: _Child) -> None:
         """Ship the plan function and make the child available for work."""
         child.endpoints.downlink.send(
             ShipPlanFunction(self._plan_function_dict, span=self._inv_span)
@@ -205,7 +221,7 @@ class ChildPool:
             parent=self.ctx.process_name,
             process=child.endpoints.name,
             plan_function=self.plan_function.name,
-            adaptive=adaptive,
+            adaptive=child.added_by_adaptation,
         )
         self._make_idle(child)
 
@@ -235,10 +251,6 @@ class ChildPool:
         """
         return self.costs.prefetch > 1 or self.batcher.enabled
 
-    def _capacity(self, child: _Child) -> int:
-        """Row capacity of a child: ``prefetch`` batches of current size."""
-        return self.batcher.capacity(child)
-
     def _make_idle(self, child: _Child) -> None:
         """End-of-call bookkeeping: the child can take more work."""
         child.outstanding = max(0, child.outstanding - 1)
@@ -248,7 +260,7 @@ class ChildPool:
             # just like the seed protocol; with batching the child must
             # be topped up to a full batch or its buffer would sit below
             # the size trigger with nothing in flight to trigger it.
-            while self._pending and child.outstanding < self._capacity(child):
+            while self._pending and child.outstanding < self.batcher.capacity(child):
                 self._dispatch_now(child, self._take_pending(child))
                 if not self.batcher.enabled:
                     break
@@ -261,10 +273,6 @@ class ChildPool:
     def _dispatch_now(self, child: _Child, row: tuple) -> None:
         child.outstanding += 1
         self.batcher.add(child, row)
-
-    def note_sent(self, child: _Child, seq: int, row: tuple) -> None:
-        """Record a shipped row as in flight (called at seq assignment)."""
-        child.inflight[seq] = row
 
     def _affinity_target(self, row: tuple) -> _Child:
         """The child a tuple hashes to under ``hash_affinity`` dispatch."""
@@ -300,7 +308,7 @@ class ChildPool:
             # call cache.  A saturated target falls back to the policies
             # below — first-finished placement beats a growing queue.
             target = self._affinity_target(row)
-            if target.outstanding < self._capacity(target):
+            if target.outstanding < self.batcher.capacity(target):
                 try:
                     self._idle.remove(target)
                 except ValueError:
@@ -313,7 +321,7 @@ class ChildPool:
             candidates = [
                 child
                 for child in self.children
-                if child.outstanding < self._capacity(child)
+                if child.outstanding < self.batcher.capacity(child)
             ]
             if candidates:
                 self._dispatch_now(
@@ -353,14 +361,9 @@ class ChildPool:
         batcher (seq ``-1`` — never shipped).  Without the eviction, a
         later dispatch to the dead child would hang the query forever.
         """
-        child = self._by_name.pop(name, None)
+        child = self._by_name.pop(name, None) or self._detached.pop(name, None)
         if child is None:
-            child = self._detached.pop(name, None)
-            if child is None:
-                return []
-            lost = list(child.inflight.items())
-            child.inflight.clear()
-            return lost
+            return []
         if child in self.children:
             self.children.remove(child)
         try:
@@ -370,12 +373,11 @@ class ChildPool:
         lost = list(child.inflight.items())
         child.inflight.clear()
         child.outstanding = 0
-        for row in self.batcher.take_buffer(name):
-            lost.append((-1, row))
+        lost.extend((-1, row) for row in self.batcher.take_buffer(name))
         return lost
 
     def _register_failure(
-        self, row: tuple, *, child: str, seq: int, error: str
+        self, inv: _Invocation, row: tuple, *, child: str, seq: int, error: str
     ) -> str:
         """Account one failed call and decide its fate per ``on_error``.
 
@@ -386,84 +388,77 @@ class ChildPool:
         """
         policy = self.costs.on_error
         self.failed_calls += 1
-        self._failed_in_invocation += 1
-        self.ctx.trace.record(
-            self.ctx.kernel.now(),
-            "call_failed",
-            process=self.ctx.process_name,
-            plan_function=self.plan_function.name,
-            child=child,
-            seq=seq,
-            policy=policy,
-            error=error,
-        )
+        inv.failed += 1
+        self.event("call_failed", child=child, seq=seq, policy=policy, error=error)
         if policy == "fail":
             raise ReproError(f"query process {child} failed: {error}")
-        resolved = self._ok_in_invocation + self._failed_in_invocation
+        resolved = inv.ok + inv.failed
         if (
             resolved >= self.costs.breaker_min_calls
-            and self._failed_in_invocation / resolved > self.costs.breaker_threshold
+            and inv.failed / resolved > self.costs.breaker_threshold
         ):
-            self.ctx.trace.record(
-                self.ctx.kernel.now(),
-                "breaker_open",
-                process=self.ctx.process_name,
-                plan_function=self.plan_function.name,
-                failed=self._failed_in_invocation,
-                resolved=resolved,
-            )
+            self.event("breaker_open", failed=inv.failed, resolved=resolved)
             raise ReproError(
                 f"circuit breaker open for {self.plan_function.name}: "
-                f"{self._failed_in_invocation} of {resolved} calls failed"
+                f"{inv.failed} of {resolved} calls failed"
             )
         if policy == "retry":
             key = repr(row)
-            attempt = self._fail_counts.get(key, 0) + 1
-            self._fail_counts[key] = attempt
+            attempt = inv.fail_counts.get(key, 0) + 1
+            inv.fail_counts[key] = attempt
             if attempt > self.costs.max_redeliveries:
                 raise ReproError(
                     f"parameter row {row!r} failed {attempt} times "
                     f"(max_redeliveries={self.costs.max_redeliveries}): {error}"
                 )
-            self.ctx.trace.record(
-                self.ctx.kernel.now(),
-                "redeliver",
-                process=self.ctx.process_name,
-                plan_function=self.plan_function.name,
-                row=key,
-                attempt=attempt,
-                failed_child=child,
-            )
+            self.event("redeliver", row=key, attempt=attempt, failed_child=child)
             return "retry"
         self.skipped_rows += 1
         return "skip"
 
+    async def _settle_owed(
+        self,
+        inv: _Invocation,
+        child: str,
+        owed: list[tuple[int, tuple]],
+        error: str,
+        report: CallFailed | None = None,
+    ) -> None:
+        """Redeliver or write off the rows a failed or dead child owed."""
+        for seq, row in owed:
+            action = self._register_failure(
+                inv, row, child=child, seq=seq, error=error
+            )
+            if report is not None:
+                await self.on_call_failed(report)
+            if action == "retry":
+                await self._dispatch(row)
+            else:
+                inv.in_flight -= 1
+
     async def _respawn(self, died: str, reason: str, lost_rows: int) -> None:
         """Replace a dead child (re-shipping the plan function)."""
         await self.spawn_children(1)
-        replacement = self.children[-1].endpoints.name
         self.total_respawns += 1
-        self.ctx.trace.record(
-            self.ctx.kernel.now(),
+        self.event(
             "respawn",
-            process=self.ctx.process_name,
-            plan_function=self.plan_function.name,
             died=died,
             reason=reason,
-            replacement=replacement,
+            replacement=self.children[-1].endpoints.name,
             lost_rows=lost_rows,
         )
 
     def _reset_invocation_state(self) -> None:
-        """Clear per-invocation dispatch state after a failed invocation.
+        """Clear per-invocation dispatch state after an invocation stopped
+        early (it failed, or its consumer closed the generator).
 
-        A pool whose ``run()`` raised would otherwise keep stale
-        ``_pending`` rows, nonzero ``outstanding`` counts, a stale
-        ``_idle`` deque and buffered batches — and nested pools persist
-        across invocations, so the *next* parameter stream through the
-        same operator would replay stale tuples or under-dispatch.
-        Synchronous on purpose: it must be safe to call from the
-        ``GeneratorExit`` path of an abandoned generator.
+        The pool would otherwise keep stale ``_pending`` rows, nonzero
+        ``outstanding`` counts, a stale ``_idle`` deque and buffered
+        batches — and pools persist across invocations, so the *next*
+        parameter stream through the same operator would replay stale
+        tuples or under-dispatch.  Synchronous on purpose: it must be
+        safe to call from the ``GeneratorExit`` path of an abandoned
+        generator.
         """
         self._pending.clear()
         self.batcher.discard()
@@ -475,7 +470,6 @@ class ChildPool:
         self._detached.clear()
         self._idle.clear()
         self._idle.extend(self.children)
-        self._fail_counts.clear()
 
     def _dirty(self) -> bool:
         """Leftover per-invocation state from a failed previous run?"""
@@ -487,17 +481,12 @@ class ChildPool:
 
     # -- the operator loop ----------------------------------------------------------
 
-    async def run(
-        self, source: AsyncIterator[tuple], stop_after: int | None = None
-    ) -> AsyncIterator[tuple]:
+    async def run(self, source: AsyncIterator[tuple]) -> AsyncIterator[tuple]:
         """One invocation of the operator over one parameter stream.
 
-        ``stop_after`` is the LIMIT-pushdown protocol: once that many
-        result rows exist the pool stops dispatching new parameter tuples,
-        drops everything still queued (with in-flight accounting), drains
-        the calls already on the wire, and only then emits the final row —
-        so the invocation ends normally with exactly ``stop_after`` rows
-        and no stray messages for the pool's next use.
+        An invocation ends when its input is exhausted and every call has
+        resolved — or earlier, when the consumer closes this generator
+        (``LIMIT``): see :meth:`_run`.
 
         When tracing is on, the whole invocation is wrapped in an
         ``invoke`` span whose id is stamped onto every downlink message
@@ -506,288 +495,84 @@ class ChildPool:
         process boundary.
         """
         obs = self.ctx.obs
-        if not obs.enabled:
-            async for row in self._run(source, stop_after):
-                yield row
-            return
-        self._inv_span = obs.start(
-            f"invoke:{self.plan_function.name}",
-            category="invoke",
-            parent=self.ctx.obs_span,
-            process=self.ctx.process_name,
-            at=self.ctx.kernel.now(),
-            plan_function=self.plan_function.name,
-            children=len(self.children),
-        )
-        try:
-            async for row in self._run(source, stop_after):
-                yield row
-        finally:
-            obs.finish(
-                self._inv_span,
+        if obs.enabled:
+            self._inv_span = obs.start(
+                f"invoke:{self.plan_function.name}",
+                category="invoke",
+                parent=self.ctx.obs_span,
+                process=self.ctx.process_name,
                 at=self.ctx.kernel.now(),
+                plan_function=self.plan_function.name,
                 children=len(self.children),
             )
-            self._inv_span = -1
+        try:
+            async for row in self._run(source):
+                yield row
+        finally:
+            if obs.enabled:
+                obs.finish(
+                    self._inv_span,
+                    at=self.ctx.kernel.now(),
+                    children=len(self.children),
+                )
+                self._inv_span = -1
 
-    def _early_stop_cleanup(self) -> int:
-        """Drop every parameter row not yet on the wire (LIMIT pushdown).
+    async def _run(self, source: AsyncIterator[tuple]) -> AsyncIterator[tuple]:
+        """The message loop: receive, hand to the message's handler, repeat.
 
-        Returns how many ``in_flight``-counted rows were dropped: the
-        pending queue plus the per-child batch buffers (a buffered row was
-        counted in ``in_flight`` and in its child's ``outstanding`` at
-        dispatch time, but no message ever carried it).
+        The one way an invocation stops early is this generator being
+        closed or failing: the pump is cancelled and the per-invocation
+        state reset, which leaves the children running whatever they were
+        sent.  Their late messages are told from current ones by epoch
+        (input) and by sequence number against ``inflight`` (results,
+        end-of-calls, failures, child errors) and dropped.
         """
-        dropped = len(self._pending)
-        self._pending.clear()
-        for child in list(self.children) + list(self._detached.values()):
-            buffered = self.batcher.take_buffer(child.endpoints.name)
-            if buffered:
-                dropped += len(buffered)
-                child.outstanding = max(0, child.outstanding - len(buffered))
-        self.batcher.discard()
-        return dropped
-
-    async def _run(
-        self, source: AsyncIterator[tuple], stop_after: int | None = None
-    ) -> AsyncIterator[tuple]:
         if self._closed:
             raise PlanError("operator pool used after shutdown")
         if not self.children:
             await self.on_first_use()
         self._epoch += 1
-        epoch = self._epoch
         if self._dirty():
-            # Defensive: the previous invocation failed without running
+            # Defensive: the previous invocation stopped without running
             # its reset (e.g. its generator was never finalized).
             self._reset_invocation_state()
-        self._fail_counts.clear()
-        self._ok_in_invocation = 0
-        self._failed_in_invocation = 0
-
-        kernel = self.ctx.kernel
-        pump = kernel.spawn(
-            self._pump(source, epoch), name=f"{self.ctx.process_name}-pump"
+        inv = _Invocation(
+            epoch=self._epoch,
+            # WSQ/DSQ-style ablation: materialize the parameter stream
+            # before dispatching instead of streaming (costs.barrier).
+            barrier_buffer=[] if self.costs.barrier else None,
         )
-        in_flight = 0
-        input_done = False
-        first_round_announced = False
-        # WSQ/DSQ-style ablation: materialize the parameter stream before
-        # dispatching instead of streaming (costs.barrier).
-        barrier_buffer: list[tuple] | None = [] if self.costs.barrier else None
-        # LIMIT pushdown: rows released so far, the held-back final row,
-        # and whether the early stop (stop dispatching, drain in-flight)
-        # has begun.  The final row is only emitted after the drain, so
-        # the invocation always ends with a quiet pool.
-        emitted = 0
-        final_row: tuple | None = None
-        stopping = False
-
-        def begin_stop() -> int:
-            """Enter drain mode; returns dropped ``in_flight`` rows."""
-            nonlocal stopping, input_done, barrier_buffer
-            stopping = True
-            input_done = True
-            dropped = self._early_stop_cleanup()
-            if barrier_buffer is not None:
-                dropped += len(barrier_buffer)
-                barrier_buffer = None
-            self.ctx.trace.record(
-                kernel.now(),
-                "limit_stop",
-                process=self.ctx.process_name,
-                plan_function=self.plan_function.name,
-                emitted=stop_after,
-                dropped=dropped,
-            )
-            return dropped
-
+        pump = self.ctx.kernel.spawn(
+            self._pump(source, inv.epoch), name=f"{self.ctx.process_name}-pump"
+        )
         try:
             while True:
-                if input_done and not self._pending:
+                if inv.input_done and not self._pending:
                     # No more rows can join a buffer: release any partial
                     # batches so their end-of-calls can drain in_flight.
                     self.batcher.flush_all("stream_end")
-                if input_done and in_flight == 0 and not self._pending:
-                    break
+                    if inv.in_flight == 0:
+                        break
                 message = await self.inbox.recv()
-                if isinstance(message, InputAvailable):
-                    if message.epoch != epoch or stopping:
-                        continue  # stale input, or the limit is satisfied
-                    in_flight += 1
-                    if barrier_buffer is not None:
-                        barrier_buffer.append(message.row)
-                    else:
-                        await self._dispatch(message.row)
-                elif isinstance(message, InputExhausted):
-                    if message.epoch != epoch or stopping:
-                        continue
-                    input_done = True
-                    if barrier_buffer is not None:
-                        for row in barrier_buffer:
-                            await self._dispatch(row)
-                        barrier_buffer = None
-                    if not first_round_announced:
-                        first_round_announced = True
-                        self._broadcast_ready()
-                elif isinstance(message, InputFailed):
-                    if message.epoch != epoch or stopping:
-                        continue  # an input error after the limit is moot
-                    raise ReproError(message.message)
-                elif isinstance(message, ResultTuple):
-                    if message.seq >= 0:
-                        owner = self._find_child(message.child)
-                        if owner is None or message.seq not in owner.inflight:
-                            continue  # row of a call already written off
-                    self.batcher.counters.result_tuples += 1
-                    self.on_result(message)
-                    if stopping:
-                        continue  # drained row beyond the limit
-                    emitted += 1
-                    if stop_after is not None and emitted >= stop_after:
-                        final_row = message.row
-                        in_flight -= begin_stop()
-                    else:
-                        yield message.row
-                elif isinstance(message, ResultBatch):
-                    owner = self._find_child(message.child)
-                    if owner is None:
-                        continue  # whole batch stale (child evicted)
-                    self.batcher.counters.result_batches += 1
-                    self.batcher.counters.batched_results += len(message.rows)
-                    # Replay the batch as the per-call interleaving of the
-                    # per-tuple protocol: each call's rows, then its
-                    # end-of-call, in execution order.
-                    cursor = 0
-                    for end_of_call in message.end_of_calls:
-                        rows = message.rows[cursor : cursor + end_of_call.rows]
-                        cursor += end_of_call.rows
-                        if end_of_call.seq not in owner.inflight:
-                            continue  # call of a failed previous run
-                        owner.inflight.pop(end_of_call.seq)
-                        self._ok_in_invocation += 1
-                        for row in rows:
-                            self.on_result(
-                                ResultTuple(message.child, row, end_of_call.seq)
-                            )
-                            if stopping:
-                                continue
-                            emitted += 1
-                            if stop_after is not None and emitted >= stop_after:
-                                final_row = row
-                                in_flight -= begin_stop()
-                            else:
-                                yield row
-                        in_flight -= 1
-                        self.batcher.observe(end_of_call)
-                        if owner in self.children:
-                            self._make_idle(owner)
-                        if not stopping:
-                            await self.on_end_of_call(end_of_call)
-                    self._retire_detached(message.child)
-                    for row in message.rows[cursor:]:
-                        # Rows of a call that errored mid-way (no end-of-call;
-                        # a ChildError follows in FIFO order behind this batch).
-                        self.on_result(ResultTuple(message.child, row))
-                        if stopping:
-                            continue
-                        emitted += 1
-                        if stop_after is not None and emitted >= stop_after:
-                            final_row = row
-                            in_flight -= begin_stop()
-                        else:
+                if type(message) is ResultBatch:
+                    async for row in self._replay_batch(inv, message):
+                        yield row
+                else:
+                    handler = self._HANDLERS.get(type(message))
+                    if handler is not None:
+                        row = await handler(self, inv, message)
+                        if row is not None:
                             yield row
-                elif isinstance(message, EndOfCall):
-                    owner = self._find_child(message.child)
-                    if owner is None or message.seq not in owner.inflight:
-                        continue  # call of a failed previous run
-                    owner.inflight.pop(message.seq)
-                    self._retire_detached(message.child)
-                    self._ok_in_invocation += 1
-                    self.batcher.counters.end_of_calls += 1
-                    in_flight -= 1
-                    self.batcher.observe(message)
-                    if owner in self.children:
-                        self._make_idle(owner)
-                    if not stopping:
-                        await self.on_end_of_call(message)
-                elif isinstance(message, CallFailed):
-                    owner = self._find_child(message.child)
-                    if owner is None or message.seq not in owner.inflight:
-                        continue  # failure of a call already written off
-                    row = owner.inflight.pop(message.seq)
-                    self._retire_detached(message.child)
-                    if stopping:
-                        # The limit is satisfied: write the call off with
-                        # no retry and no abort — its rows are not needed.
-                        in_flight -= 1
-                        if owner in self.children:
-                            self._make_idle(owner)
-                        continue
-                    action = self._register_failure(
-                        row, child=message.child, seq=message.seq,
-                        error=message.message,
-                    )
-                    await self.on_call_failed(message)
-                    if action == "retry":
-                        # Redeliver before freeing the failing child's
-                        # slot, so another child is preferred.
-                        await self._dispatch(row)
-                    else:
-                        in_flight -= 1
-                    if owner in self.children:
-                        self._make_idle(owner)
-                elif isinstance(message, ChildDied):
-                    if self._find_child(message.child) is None:
-                        continue  # orderly exit (drop/close) or already evicted
-                    detached = message.child in self._detached
-                    lost = self._evict(message.child)
-                    if stopping:
-                        # Draining: the dead child's in-flight calls are
-                        # simply written off; no respawn, no abort.
-                        in_flight -= len(lost)
-                        continue
-                    if self.costs.on_error == "fail":
-                        raise ReproError(
-                            f"query process {message.child} died"
-                            + (f": {message.reason}" if message.reason else "")
-                        )
-                    if not detached:
-                        await self._respawn(
-                            message.child, message.reason, len(lost)
-                        )
-                    for seq, row in lost:
-                        action = self._register_failure(
-                            row, child=message.child, seq=seq,
-                            error="query process died"
-                            + (f": {message.reason}" if message.reason else ""),
-                        )
-                        if action == "retry":
-                            await self._dispatch(row)
-                        else:
-                            in_flight -= 1
-                elif isinstance(message, ChildError):
-                    if self._find_child(message.child) is None:
-                        continue  # stale error of a failed previous run
-                    # Even under on_error="fail" the dead child must leave
-                    # the pool structures, or reusing the (persistent)
-                    # pool would dispatch to a process nobody runs.
-                    lost = self._evict(message.child)
-                    if stopping:
-                        in_flight -= len(lost)
-                        continue
-                    raise ReproError(
-                        f"query process {message.child} failed: {message.message}"
-                    )
-                if not first_round_announced and in_flight >= len(self.children):
-                    first_round_announced = True
+                if (
+                    not inv.first_round_announced
+                    and inv.in_flight >= len(self.children)
+                ):
+                    inv.first_round_announced = True
                     self._broadcast_ready()
-            if final_row is not None:
-                yield final_row
         except BaseException:
             # Includes GeneratorExit of an abandoned invocation: leave the
             # persistent pool ready for its next parameter stream.
-            if epoch == self._epoch and not self._closed:
+            if inv.epoch == self._epoch and not self._closed:
                 self._reset_invocation_state()
             raise
         finally:
@@ -805,6 +590,155 @@ class ChildPool:
     def _broadcast_ready(self) -> None:
         for child in self.children:
             child.endpoints.downlink.send(ReadyToReceive())
+
+    # -- per-message handlers: each returns the row to hand up, if any -----------------
+
+    async def _on_input_available(self, inv: _Invocation, message: InputAvailable):
+        if message.epoch != inv.epoch:
+            return  # input of an abandoned invocation
+        inv.in_flight += 1
+        if inv.barrier_buffer is not None:
+            inv.barrier_buffer.append(message.row)
+        else:
+            await self._dispatch(message.row)
+
+    async def _on_input_exhausted(self, inv: _Invocation, message: InputExhausted):
+        if message.epoch != inv.epoch:
+            return
+        inv.input_done = True
+        if inv.barrier_buffer is not None:
+            for row in inv.barrier_buffer:
+                await self._dispatch(row)
+            inv.barrier_buffer = None
+        if not inv.first_round_announced:
+            inv.first_round_announced = True
+            self._broadcast_ready()
+
+    async def _on_input_failed(self, inv: _Invocation, message: InputFailed):
+        if message.epoch == inv.epoch:
+            raise ReproError(message.message)
+
+    def _owner_of(self, child: str, seq: int) -> _Child | None:
+        """The slot call ``seq`` is in flight on; None once the call was
+        resolved or written off (a message of an abandoned invocation)."""
+        owner = self._find_child(child)
+        if owner is None or seq not in owner.inflight:
+            return None
+        return owner
+
+    def _accept_row(self, message: ResultTuple) -> tuple | None:
+        """The per-row step: tell the monitor and hand the row up, unless
+        its call was written off (``seq`` -1 = unknown call, accepted)."""
+        if message.seq >= 0 and self._owner_of(message.child, message.seq) is None:
+            return None
+        self.on_result(message)
+        return message.row
+
+    async def _resolve_call(self, inv: _Invocation, message: EndOfCall) -> bool:
+        """The per-call step: the call is done, its child takes more work.
+        False if the call was already written off."""
+        owner = self._owner_of(message.child, message.seq)
+        if owner is None:
+            return False
+        del owner.inflight[message.seq]
+        self._retire_detached(message.child)
+        inv.ok += 1
+        inv.in_flight -= 1
+        self.batcher.observe(message)
+        if owner in self.children:
+            self._make_idle(owner)
+        await self.on_end_of_call(message)
+        return True
+
+    async def _on_result_tuple(self, inv: _Invocation, message: ResultTuple):
+        row = self._accept_row(message)
+        if row is not None:
+            self.batcher.counters.result_tuples += 1
+        return row
+
+    async def _on_end_of_call(self, inv: _Invocation, message: EndOfCall):
+        if await self._resolve_call(inv, message):
+            self.batcher.counters.end_of_calls += 1
+
+    async def _replay_batch(
+        self, inv: _Invocation, message: ResultBatch
+    ) -> AsyncIterator[tuple]:
+        """Replay a batch as the per-call interleaving of the per-tuple
+        protocol: each call's rows, then its end-of-call, in execution
+        order — through the same per-row and per-call steps."""
+        if self._find_child(message.child) is None:
+            return  # whole batch stale (child evicted)
+        self.batcher.counters.result_batches += 1
+        self.batcher.counters.batched_results += len(message.rows)
+        cursor = 0
+        for end_of_call in message.end_of_calls:
+            for row in message.rows[cursor : cursor + end_of_call.rows]:
+                accepted = self._accept_row(
+                    ResultTuple(message.child, row, end_of_call.seq)
+                )
+                if accepted is not None:
+                    yield accepted
+            cursor += end_of_call.rows
+            await self._resolve_call(inv, end_of_call)
+
+    async def _on_call_failed(self, inv: _Invocation, message: CallFailed):
+        owner = self._owner_of(message.child, message.seq)
+        if owner is None:
+            return  # failure of a call already written off
+        row = owner.inflight.pop(message.seq)
+        self._retire_detached(message.child)
+        # A retry is redelivered before the failing child's slot is freed,
+        # so another child is preferred.
+        await self._settle_owed(
+            inv, message.child, [(message.seq, row)], message.message, report=message
+        )
+        if owner in self.children:
+            self._make_idle(owner)
+
+    async def _on_child_died(self, inv: _Invocation, message: ChildDied):
+        if self._find_child(message.child) is None:
+            return  # orderly exit (drop/close) or already evicted
+        detached = message.child in self._detached
+        owed = self._evict(message.child)
+        died = "died" + (f": {message.reason}" if message.reason else "")
+        if owed and self.costs.on_error == "fail":
+            raise ReproError(f"query process {message.child} {died}")
+        if not detached:
+            await self._respawn(message.child, message.reason, len(owed))
+        await self._settle_owed(inv, message.child, owed, f"query process {died}")
+
+    async def _on_child_error(self, inv: _Invocation, message: ChildError):
+        owner = self._find_child(message.child)
+        if owner is None:
+            return  # already evicted
+        current = message.seq < 0 or message.seq in owner.inflight
+        detached = message.child in self._detached
+        # Even when the error aborts the invocation the dead child must
+        # leave the pool structures, or reusing the (persistent) pool
+        # would dispatch to a process nobody runs.
+        owed = self._evict(message.child)
+        if current:
+            raise ReproError(
+                f"query process {message.child} failed: {message.message}"
+            )
+        # The failing call belongs to an abandoned invocation, so nothing
+        # here failed: replace the child, and send the rows dispatched to
+        # it since (it was dead before they arrived) somewhere else.
+        if not detached:
+            await self._respawn(message.child, message.message, len(owed))
+        for _, row in owed:
+            await self._dispatch(row)
+
+    _HANDLERS = {
+        InputAvailable: _on_input_available,
+        InputExhausted: _on_input_exhausted,
+        InputFailed: _on_input_failed,
+        ResultTuple: _on_result_tuple,
+        EndOfCall: _on_end_of_call,
+        CallFailed: _on_call_failed,
+        ChildDied: _on_child_died,
+        ChildError: _on_child_error,
+    }
 
     # -- warm reuse across queries -------------------------------------------------
 
@@ -857,20 +791,17 @@ class ChildPool:
         resident pool instead reports at release time so each query's
         ``pool_messages`` trace events carry only that query's traffic.
         """
-        if self.batcher.counters.any():
-            self.ctx.trace.record(
-                self.ctx.kernel.now(),
-                "pool_messages",
-                process=self.ctx.process_name,
-                plan_function=self.plan_function.name,
-                **self.batcher.counters.as_dict(),
-            )
-            self.batcher.counters.reset()
+        self._report_messages()
+        self.batcher.counters.reset()
         for child in self.children:
             if child.ctx is None:
                 continue
             for pool in child.ctx.pools.values():
                 pool.harvest_messages()
+
+    def _report_messages(self) -> None:
+        if self.batcher.counters.any():
+            self.event("pool_messages", **self.batcher.counters.as_dict())
 
     # -- hooks overridden by the adaptive pool -----------------------------------------
 
@@ -907,14 +838,7 @@ class ChildPool:
         self._idle.clear()
         self._by_name.clear()
         self._detached.clear()
-        if self.batcher.counters.any():
-            self.ctx.trace.record(
-                self.ctx.kernel.now(),
-                "pool_messages",
-                process=self.ctx.process_name,
-                plan_function=self.plan_function.name,
-                **self.batcher.counters.as_dict(),
-            )
+        self._report_messages()
 
 
 class FFPool(ChildPool):

@@ -81,7 +81,7 @@ class ResultBatch:
     per-call :class:`EndOfCall` metadata, in one uplink message.
 
     ``rows`` concatenates the calls' outputs in execution order;
-    ``end_of_calls`` has one entry per parameter tuple of the batch, so
+    ``end_of_calls`` has one entry per completed call of the batch, so
     monitoring stays per-call exact even though messaging is batched.
     """
 
@@ -104,8 +104,14 @@ class EndOfCall:
 
 @dataclass(frozen=True)
 class ChildError:
+    """The child hit an unrecoverable error and exits (``on_error="fail"``)."""
+
     child: str
     message: str
+    # Sequence number of the failing call, so the parent can tell an error
+    # of an abandoned invocation (the call is no longer in flight) from a
+    # current one.  -1 = not tied to a call (protocol error): always fatal.
+    seq: int = -1
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,152 @@ class ChildEndpoints:
     rows_emitted: int = 0
 
 
+class _CallRunner:
+    """Executes the plan function inside one child, one call at a time."""
+
+    def __init__(
+        self,
+        ctx: ExecutionContext,
+        costs: ProcessCosts,
+        endpoints: ChildEndpoints,
+        plan_function: PlanFunction,
+    ) -> None:
+        self.ctx = ctx
+        self.costs = costs
+        self.endpoints = endpoints
+        self.plan_function = plan_function
+        self.fail_fast = costs.on_error == "fail"
+        self._enclosing = -1  # ctx.obs_span outside the running call
+        self.injector = (
+            costs.faults.injector_for(endpoints.name)
+            if costs.faults is not None and costs.faults.active()
+            else None
+        )
+
+    def _begin_span(self, seq: int, parent_span: int, started: float) -> int:
+        """Open the per-call span and make it the context's enclosing span
+        so the web-service spans of the call (and any nested operator's
+        invocation spans) nest under it.  ``ctx.obs`` is read per call,
+        not captured: a warm pool leased into a new query re-homes the
+        recorder via ``ChildPool.rebind()``."""
+        ctx = self.ctx
+        if not ctx.obs.enabled:
+            return -1
+        span = ctx.obs.start(
+            f"call#{seq}",
+            category="call",
+            parent=parent_span,
+            process=self.endpoints.name,
+            at=started,
+            seq=seq,
+        )
+        self._enclosing = ctx.obs_span
+        ctx.obs_span = span
+        return span
+
+    def _end_span(self, span: int, rows: int, **error) -> None:
+        if span == -1:
+            return
+        self.ctx.obs_span = self._enclosing
+        self.ctx.obs.finish(span, at=self.ctx.kernel.now(), rows=rows, **error)
+
+    async def call(self, seq: int, param_row: tuple, parent_span: int, deliver):
+        """Run the plan function for one parameter tuple.
+
+        Every result row costs ``result_tuple`` and is passed to
+        ``deliver`` — which sends it now or buffers it; that choice is all
+        that differs between the protocol modes.  Returns the call's
+        :class:`EndOfCall`; a failed call re-raises its ``ReproError``.
+        """
+        kernel = self.ctx.kernel
+        started = kernel.now()
+        span = self._begin_span(seq, parent_span, started)
+        rows = 0
+        try:
+            if self.injector is not None:
+                self.injector.before_call()
+            async for row in iterate_plan(
+                self.plan_function.body, self.ctx, param_row=param_row
+            ):
+                await kernel.sleep(self.costs.result_tuple)
+                deliver(row)
+                rows += 1
+        except ReproError as error:
+            self._end_span(span, rows, error=str(error))
+            raise
+        self._end_span(span, rows)
+        self.endpoints.calls_handled += 1
+        self.endpoints.rows_emitted += rows
+        return EndOfCall(
+            self.endpoints.name, seq, rows, service_time=kernel.now() - started
+        )
+
+    async def serve_tuple(self, message: ParamTuple) -> bool:
+        """One per-tuple call; False when the process must exit.
+
+        Fail-fast streams rows up as they are produced.  Contained-failure
+        mode buffers them so a failed call ships nothing (redelivery stays
+        exact), reports the failure, and keeps serving.
+        """
+        name, uplink = self.endpoints.name, self.endpoints.uplink
+        buffered: list[tuple] = []
+
+        def send_now(row: tuple) -> None:
+            uplink.send(ResultTuple(name, row, message.seq))
+
+        deliver = send_now if self.fail_fast else buffered.append
+        try:
+            end_of_call = await self.call(
+                message.seq, message.row, message.span, deliver
+            )
+        except ReproError as error:
+            if self.fail_fast:
+                uplink.send(ChildError(name, str(error), message.seq))
+                return False
+            uplink.send(CallFailed(name, message.seq, message.row, str(error)))
+            return True
+        for row in buffered:
+            uplink.send(ResultTuple(name, row, message.seq))
+        uplink.send(end_of_call)
+        return True
+
+    async def serve_batch(self, message: ParamBatch) -> bool:
+        """Drain a batch as successive calls; False when the process must exit.
+
+        The result rows are buffered and go back up in one ResultBatch
+        (one message transit) with per-call EndOfCall metadata.
+        """
+        name, uplink = self.endpoints.name, self.endpoints.uplink
+        batch_rows: list[tuple] = []
+        end_of_calls: list[EndOfCall] = []
+        after_batch: list = []  # failure reports, sent behind the batch
+        serving = True
+        for offset, param_row in enumerate(message.rows):
+            seq = message.seq_start + offset
+            call_rows: list[tuple] = []
+            try:
+                end_of_calls.append(
+                    await self.call(seq, param_row, message.span, call_rows.append)
+                )
+            except ReproError as error:
+                if self.fail_fast:
+                    # Seed semantics: the failing call's partial rows still
+                    # go up — stamped with its seq, like any streamed row —
+                    # then the error, then exit.
+                    after_batch += [ResultTuple(name, row, seq) for row in call_rows]
+                    after_batch.append(ChildError(name, str(error), seq))
+                    serving = False
+                    break
+                after_batch.append(CallFailed(name, seq, param_row, str(error)))
+                continue
+            batch_rows.extend(call_rows)
+        if end_of_calls:
+            uplink.send(ResultBatch(name, tuple(batch_rows), tuple(end_of_calls)))
+        for report in after_batch:
+            uplink.send(report)
+        return serving
+
+
 async def child_main(
     ctx: ExecutionContext,
     costs: ProcessCosts,
@@ -94,178 +240,17 @@ async def child_main(
             plan_function=plan_function.name,
         )
 
-    # ctx.obs is read per call (not captured): a warm pool leased into a
-    # new query re-homes the recorder via ChildPool.rebind().
-    enclosing = [-1]
-
-    def begin_call(seq: int, parent_span: int, started: float) -> int:
-        """Open the per-call span and make it the context's enclosing span
-        so the web-service spans of the call (and any nested operator's
-        invocation spans) nest under it."""
-        obs = ctx.obs
-        if not obs.enabled:
-            return -1
-        span = obs.start(
-            f"call#{seq}",
-            category="call",
-            parent=parent_span,
-            process=endpoints.name,
-            at=started,
-            seq=seq,
-        )
-        enclosing[0] = ctx.obs_span
-        ctx.obs_span = span
-        return span
-
-    def end_call(span: int, rows: int, error: str | None = None) -> None:
-        if span == -1:
-            return
-        ctx.obs_span = enclosing[0]
-        if error is None:
-            ctx.obs.finish(span, at=kernel.now(), rows=rows)
-        else:
-            ctx.obs.finish(span, at=kernel.now(), rows=rows, error=error)
-
-    fail_fast = costs.on_error == "fail"
-    injector = (
-        costs.faults.injector_for(endpoints.name)
-        if costs.faults is not None and costs.faults.active()
-        else None
-    )
-
+    runner = _CallRunner(ctx, costs, endpoints, plan_function)
     try:
-        while True:
+        serving = True
+        while serving:
             message = await endpoints.downlink.recv()
             if isinstance(message, Shutdown):
                 break
             if isinstance(message, ParamTuple):
-                if fail_fast:
-                    rows_for_call = 0
-                    started = kernel.now()
-                    call_span = begin_call(message.seq, message.span, started)
-                    try:
-                        if injector is not None:
-                            injector.before_call()
-                        async for row in iterate_plan(
-                            plan_function.body, ctx, param_row=message.row
-                        ):
-                            await kernel.sleep(costs.result_tuple)
-                            endpoints.uplink.send(
-                                ResultTuple(endpoints.name, row, message.seq)
-                            )
-                            rows_for_call += 1
-                    except ReproError as error:
-                        end_call(call_span, rows_for_call, str(error))
-                        endpoints.uplink.send(ChildError(endpoints.name, str(error)))
-                        break
-                    end_call(call_span, rows_for_call)
-                    endpoints.calls_handled += 1
-                    endpoints.rows_emitted += rows_for_call
-                    endpoints.uplink.send(
-                        EndOfCall(
-                            endpoints.name,
-                            message.seq,
-                            rows_for_call,
-                            service_time=kernel.now() - started,
-                        )
-                    )
-                    continue
-                # Contained-failure mode: buffer the call's rows so a
-                # failed call ships nothing (redelivery stays exact),
-                # report the failure, and keep serving.
-                call_rows: list[tuple] = []
-                started = kernel.now()
-                call_span = begin_call(message.seq, message.span, started)
-                try:
-                    if injector is not None:
-                        injector.before_call()
-                    async for row in iterate_plan(
-                        plan_function.body, ctx, param_row=message.row
-                    ):
-                        await kernel.sleep(costs.result_tuple)
-                        call_rows.append(row)
-                except ReproError as error:
-                    end_call(call_span, len(call_rows), str(error))
-                    endpoints.uplink.send(
-                        CallFailed(
-                            endpoints.name, message.seq, message.row, str(error)
-                        )
-                    )
-                    continue
-                end_call(call_span, len(call_rows))
-                endpoints.calls_handled += 1
-                endpoints.rows_emitted += len(call_rows)
-                for row in call_rows:
-                    endpoints.uplink.send(
-                        ResultTuple(endpoints.name, row, message.seq)
-                    )
-                endpoints.uplink.send(
-                    EndOfCall(
-                        endpoints.name,
-                        message.seq,
-                        len(call_rows),
-                        service_time=kernel.now() - started,
-                    )
-                )
+                serving = await runner.serve_tuple(message)
             elif isinstance(message, ParamBatch):
-                # Drain the whole batch as successive calls, buffering the
-                # result rows; everything goes back up in one ResultBatch
-                # (one message transit) with per-call EndOfCall metadata.
-                batch_rows: list[tuple] = []
-                end_of_calls: list[EndOfCall] = []
-                error_text: str | None = None
-                failures: list[CallFailed] = []
-                for offset, param_row in enumerate(message.rows):
-                    seq = message.seq_start + offset
-                    call_rows = []
-                    started = kernel.now()
-                    call_span = begin_call(seq, message.span, started)
-                    try:
-                        if injector is not None:
-                            injector.before_call()
-                        async for row in iterate_plan(
-                            plan_function.body, ctx, param_row=param_row
-                        ):
-                            await kernel.sleep(costs.result_tuple)
-                            call_rows.append(row)
-                    except ReproError as error:
-                        end_call(call_span, len(call_rows), str(error))
-                        if fail_fast:
-                            # Seed semantics: ship the partial rows (the
-                            # parent replays them as the trailing rows of
-                            # the batch), then the error, then exit.
-                            batch_rows.extend(call_rows)
-                            error_text = str(error)
-                            break
-                        failures.append(
-                            CallFailed(endpoints.name, seq, param_row, str(error))
-                        )
-                        continue
-                    end_call(call_span, len(call_rows))
-                    endpoints.calls_handled += 1
-                    endpoints.rows_emitted += len(call_rows)
-                    batch_rows.extend(call_rows)
-                    end_of_calls.append(
-                        EndOfCall(
-                            endpoints.name,
-                            seq,
-                            len(call_rows),
-                            service_time=kernel.now() - started,
-                        )
-                    )
-                if batch_rows or end_of_calls:
-                    endpoints.uplink.send(
-                        ResultBatch(
-                            endpoints.name,
-                            tuple(batch_rows),
-                            tuple(end_of_calls),
-                        )
-                    )
-                for failure in failures:
-                    endpoints.uplink.send(failure)
-                if error_text is not None:
-                    endpoints.uplink.send(ChildError(endpoints.name, error_text))
-                    break
+                serving = await runner.serve_batch(message)
             # ReadyToReceive and friends need no child action
     finally:
         if on_exit is not None:

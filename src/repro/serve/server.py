@@ -16,7 +16,6 @@ Protocol (all bodies JSON, all responses either JSON or NDJSON):
            "cache": true,              -- or {"max_entries": N, "ttl": T}
            "name": "Query",
            "optimize": "cost",         -- heuristic | cost (planner level)
-           "limit_pushdown": true,
            "tenant": "analytics",      -- fair-queue identity (adaptive admission)
            "deadline_ms": 60000}}      -- model-ms deadline; unmeetable -> 429
 
@@ -375,7 +374,6 @@ class QueryServer:
             "on_error",
             "name",
             "optimize",
-            "limit_pushdown",
             "tenant",
             "deadline_ms",
         }
@@ -421,11 +419,6 @@ class QueryServer:
             raise _HttpError(
                 400,
                 f'optimize must be "heuristic" or "cost": {optimize!r}',
-            )
-        limit_pushdown = fields.get("limit_pushdown")
-        if limit_pushdown is not None and not isinstance(limit_pushdown, bool):
-            raise _HttpError(
-                400, f"limit_pushdown must be a boolean: {limit_pushdown!r}"
             )
         adaptation = fields.get("adaptation")
         if isinstance(adaptation, dict):

@@ -50,8 +50,6 @@ class QueryOptions:
       ``on_error``       pool failure policy shortcut (fail/retry/skip).
       ``faults``         fault-injection knobs.
       ``obs``            a TraceRecorder for span tracing.
-      ``limit_pushdown`` let a LIMIT above FF/AFF stop dispatching calls
-                         early (same rows, fewer calls; default on).
 
     One-shot only (:meth:`WSMED.sql`):
       ``kernel``         execution kernel (defaults to a fresh SimKernel).
@@ -75,7 +73,6 @@ class QueryOptions:
     obs: Optional[object] = None
     optimize: str = "heuristic"
     observed: Optional[dict] = None
-    limit_pushdown: bool = True
     kernel: Optional[object] = None
     fault_rate: float = 0.0
     tenant: str = "default"

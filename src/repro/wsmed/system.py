@@ -691,7 +691,6 @@ class WSMED:
             retries=opts.retries,
             call_recorder=CallRecorder(),
             shared=shared,
-            limit_pushdown=opts.limit_pushdown,
             _name_counter=name_counter if name_counter is not None else [0],
         )
         if coordinator_cache is not None:

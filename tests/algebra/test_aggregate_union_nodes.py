@@ -1,4 +1,4 @@
-"""Unit tests for the aggregation and union plan nodes and LIMIT pushdown."""
+"""Unit tests for the aggregation and union plan nodes."""
 
 import pytest
 

@@ -4,8 +4,8 @@
 the *paper*); this module pins them **exactly** (they must match the
 *seed implementation*, to the last float bit).  Any change to the default
 execution path — including additions that are supposed to be off or
-side-effect-free by default, like LIMIT pushdown (no LIMIT appears in
-either query) or the unified QueryOptions surface — shows up here first.
+side-effect-free by default, like the unified QueryOptions surface —
+shows up here first.
 
 If a PR moves these numbers on purpose, that is a calibration change and
 the new values must be justified in the PR, not silently re-pinned.

@@ -1,7 +1,7 @@
 """Property-based equivalence for the workload-diversity constructs.
 
 Every new dialect construct — joins over chains, GROUP BY aggregates,
-OR disjunction, LIMIT with pushdown — must return exactly the rows a
+OR disjunction, LIMIT — must return exactly the rows a
 naive in-memory evaluation of the generated world's tables produces,
 under every execution mode, on both kernels, with caching, cross-query
 sharing and fault injection toggled on and off.  Hypothesis drives the

@@ -368,6 +368,27 @@ def test_mid_batch_error_replays_trailing_rows_then_fails() -> None:
     assert pool._by_name == {}
 
 
+def test_mid_batch_error_of_an_abandoned_invocation_is_not_replayed() -> None:
+    """The second batch fails after the consumer walked away: neither its
+    partial row nor its error belongs to the next invocation."""
+    kernel = SimKernel()
+    costs = fault_costs(batch_size=2, prefetch=2)
+    pool, ctx = make_pool(kernel, costs, leaky, fanout=1)
+
+    async def main():
+        abandoned = pool.run(_source([(1,), (2,), (4,), (3,)]))
+        first = await abandoned.__anext__()
+        await abandoned.aclose()
+        out = await feed(pool, [(7,), (8,)])
+        await pool.close()
+        return first, out
+
+    first, out = kernel.run(main())
+    assert first == (1, 10)
+    assert sorted(out) == [(7, 70), (7, 71), (8, 80), (8, 81)]
+    assert pool.total_respawns == 1
+
+
 def _source(rows):
     async def source():
         for row in rows:

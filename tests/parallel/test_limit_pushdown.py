@@ -1,17 +1,23 @@
-"""LIMIT pushdown into FF_APPLYP/AFF_APPLYP pools.
+"""LIMIT over FF_APPLYP/AFF_APPLYP pools.
 
-With ``limit_pushdown`` on (the default), a ``LIMIT k`` directly above a
-parallel apply stops dispatching parameter tuples to children once the
-k-th row has arrived, drains the in-flight calls without retrying or
-aborting, and emits exactly the first k arrival-order rows — the same
-rows the non-pushdown path yields, with strictly fewer web-service
-calls on worlds where the limit binds early.
+A ``LIMIT k`` stops consuming after the k-th row and closes the stream
+below it.  A pool under that stream stops the one way a pool invocation
+ever stops early: its generator is closed, the input pump cancelled and
+the per-invocation state reset.  The rows are the first k in arrival
+order, the calls not yet dispatched are never made, and the pool — with
+whatever its children were still running — stays usable: on a resident
+engine the next query leases it warm and drops the late messages.
 """
+
+from collections import Counter
 
 import pytest
 
 from benchmarks.worlds import WorldSpec, build_world
-from repro import QueryOptions
+from repro import QUERY1_SQL, AsyncioKernel, QueryEngine, QueryOptions, SimKernel, WSMED
+from repro.engine.shared import ShareConfig
+from repro.parallel.costs import ProcessCosts
+from repro.runtime.multiprocess import ProcessKernel
 
 LIMIT = 3
 
@@ -37,33 +43,18 @@ def test_pushdown_saves_calls_and_keeps_the_prefix(world, mode) -> None:
 
 
 @pytest.mark.parametrize("mode", ["parallel", "adaptive"])
-def test_pushdown_off_returns_identical_rows(world, mode) -> None:
+def test_limit_above_a_distinct_stops_the_pool_below_it(world, mode) -> None:
+    """The close must travel through the operators between LIMIT and pool."""
     wsmed = world.build()
-    on = wsmed.sql(world.chain_sql(0, limit=LIMIT), options=_options(mode))
-    off = wsmed.sql(
-        world.chain_sql(0, limit=LIMIT),
-        options=_options(mode, limit_pushdown=False),
-    )
-    assert list(on.rows) == list(off.rows)
-
-
-def test_pushdown_records_a_limit_stop_trace_event(world) -> None:
-    wsmed = world.build()
-    result = wsmed.sql(world.chain_sql(0, limit=LIMIT), options=_options("parallel"))
-    stops = [e for e in result.trace.events() if e.kind == "limit_stop"]
-    assert len(stops) == 1
-    assert stops[0].data["emitted"] == LIMIT
-    assert stops[0].data["dropped"] >= 0
-
-
-def test_no_pushdown_event_without_a_limit(world) -> None:
-    wsmed = world.build()
-    result = wsmed.sql(world.chain_sql(0), options=_options("parallel"))
-    assert not [e for e in result.trace.events() if e.kind == "limit_stop"]
+    distinct_sql = world.chain_sql(0).replace("SELECT", "SELECT DISTINCT")
+    full = wsmed.sql(distinct_sql, options=_options(mode))
+    limited = wsmed.sql(distinct_sql + f"LIMIT {LIMIT}\n", options=_options(mode))
+    assert list(limited.rows) == list(full.rows)[:LIMIT]
+    assert limited.total_calls < full.total_calls
 
 
 def test_pushdown_survives_transient_faults() -> None:
-    """Faults arriving after the stop are written off, not retried.
+    """Retried faults before the stop do not disturb the prefix.
 
     The flaky providers count attempts, so each run gets a *fresh* world
     built from the same spec — identical tables, identical fault
@@ -85,8 +76,95 @@ def test_pushdown_survives_transient_faults() -> None:
 
 
 def test_central_limit_unchanged(world) -> None:
-    """No pool below the LIMIT: the plain truncation path is untouched."""
+    """No pool below the LIMIT: the same truncation, nothing to stop."""
     wsmed = world.build()
     full = wsmed.sql(world.chain_sql(0))
     limited = wsmed.sql(world.chain_sql(0, limit=LIMIT))
     assert list(limited.rows) == list(full.rows)[:LIMIT]
+
+
+# -- a truncated invocation leaves a usable warm pool -------------------------------
+
+QUERY1_LIMITED = QUERY1_SQL + "LIMIT 10\n"
+
+KERNELS = {
+    "sim": lambda: SimKernel(resident=True),
+    "asyncio": lambda: AsyncioKernel(resident=True, time_scale=0.0005),
+    "process": lambda: ProcessKernel(workers=2),
+}
+
+# Structural pool fingerprints only (no shared call cache, no batching):
+# Query1 with and without its LIMIT then lease the *same* process tree.
+ONE_TREE = ShareConfig(enabled=True, cache=False, batching=False, pools=True)
+
+
+def _paper_wsmed() -> WSMED:
+    wsmed = WSMED(profile="fast")
+    wsmed.import_all()
+    return wsmed
+
+
+@pytest.fixture(scope="module")
+def query1_bag():
+    options = QueryOptions(mode="parallel", fanouts=[5, 4])
+    return Counter(_paper_wsmed().sql(QUERY1_SQL, options=options).rows)
+
+
+def _limit_full_limit(kernel_name: str, share, **cost_knobs):
+    """LIMIT query, full query, LIMIT query on one resident engine."""
+    costs = ProcessCosts(**cost_knobs).scaled(0.01) if cost_knobs else None
+    options = QueryOptions(mode="parallel", fanouts=[5, 4], process_costs=costs)
+    engine = QueryEngine(_paper_wsmed(), kernel=KERNELS[kernel_name](), share=share)
+    try:
+        results = [
+            engine.sql(sql, options=options)
+            for sql in (QUERY1_LIMITED, QUERY1_SQL, QUERY1_LIMITED)
+        ]
+        return results, engine.stats()
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("kernel_name", KERNELS)
+def test_limit_then_full_then_limit_on_one_engine(kernel_name, query1_bag) -> None:
+    """Each query text keeps its own tree: the full query is exact to the
+    call, and the second LIMIT runs on the tree the first one abandoned."""
+    (first, full, again), stats = _limit_full_limit(kernel_name, None)
+    assert Counter(full.rows) == query1_bag
+    assert full.total_calls == 311
+    assert stats.warm_leases == 1
+    for limited in (first, again):
+        assert len(limited.rows) == 10
+        assert not Counter(limited.rows) - query1_bag
+        assert limited.total_calls < 311
+
+
+@pytest.mark.parametrize(
+    ("kernel_name", "cost_knobs"),
+    [
+        ("sim", {}),
+        ("asyncio", {}),
+        ("process", {}),
+        ("sim", {"batch_size": 4}),
+        ("asyncio", {"batch_size": 4}),
+        ("sim", {"barrier": True}),
+        ("sim", {"batch_size": 4, "barrier": True, "prefetch": 2}),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "-".join(value) or "seed",
+)
+def test_full_query_on_the_tree_a_limit_abandoned(
+    kernel_name, cost_knobs, query1_bag
+) -> None:
+    """All three queries lease one tree.  The full query starts while the
+    children still run (and answer) calls the LIMIT walked away from —
+    abandoned batches included — and must return the exact bag."""
+    (first, full, again), stats = _limit_full_limit(
+        kernel_name, ONE_TREE, **cost_knobs
+    )
+    assert stats.warm_leases == 2
+    assert Counter(full.rows) == query1_bag
+    # The abandoned calls finish inside the children during this query.
+    assert full.total_calls >= 311
+    for limited in (first, again):
+        assert len(limited.rows) == 10
+        assert not Counter(limited.rows) - query1_bag
