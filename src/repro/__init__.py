@@ -26,7 +26,6 @@ The package layers (see DESIGN.md for the full inventory):
 """
 
 from repro.algebra.optimizer import (
-    OptimizerConfig,
     OptimizerReport,
     create_cost_based_plan,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "write_chrome_trace",
     "AccessPath",
     "AppliedRewrite",
-    "OptimizerConfig",
     "OptimizerReport",
     "create_cost_based_plan",
     "rewrite_unfittable",

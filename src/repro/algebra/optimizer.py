@@ -12,7 +12,7 @@ shapes and costs them with :class:`~repro.algebra.cost.CostModel`:
   its input variables are produced).  Cardinality is set-determined —
   the product of placed fanouts times the selectivity of every filter
   that has become applicable — so the DP is exact for the cost model.
-  Components larger than ``dp_limit`` fall back to greedy ordering with
+  Components larger than :data:`DP_LIMIT` fall back to greedy ordering with
   bounded lookahead.
 
 * **Bushy joins** — independent components are combined by a second DP
@@ -45,20 +45,14 @@ from repro.fdb.functions import FunctionKind, FunctionRegistry
 from repro.util.errors import BindingError
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Search-space bounds for the cost-based optimizer.
-
-    ``dp_limit``       max predicates per component for exact subset DP;
-                       larger components use greedy-with-lookahead.
-    ``lookahead``      greedy fallback looks this many placements ahead.
-    ``join_dp_limit``  max independent components for the bushy join DP;
-                       beyond it, a connectivity-aware left-deep walk.
-    """
-
-    dp_limit: int = 12
-    lookahead: int = 2
-    join_dp_limit: int = 8
+# Search-space bounds.
+#: Max predicates per component for exact subset DP; larger components
+#: use greedy ordering that looks LOOKAHEAD placements ahead.
+DP_LIMIT = 12
+LOOKAHEAD = 2
+#: Max independent components for the bushy join DP; beyond it, a
+#: connectivity-aware left-deep walk.
+JOIN_DP_LIMIT = 8
 
 
 @dataclass
@@ -127,7 +121,6 @@ def create_cost_based_plan(
     calculus: CalculusQuery,
     registry: FunctionRegistry,
     model: CostModel | None = None,
-    config: OptimizerConfig | None = None,
     rewrites: list[AppliedRewrite] | None = None,
 ) -> tuple[PlanNode, OptimizerReport]:
     """Build a cost-optimized central plan plus a report of the choices.
@@ -136,7 +129,7 @@ def create_cost_based_plan(
     :func:`repro.calculus.rewrite.rewrite_unfittable` first).
     """
     model = model or CostModel()
-    builder = _CostBuilder(calculus, registry, model, config or OptimizerConfig())
+    builder = _CostBuilder(calculus, registry, model)
     plan = builder.build()
     report = builder.report
     report.rewrites = list(rewrites or [])
@@ -169,11 +162,9 @@ class _CostBuilder(_Builder):
         calculus: CalculusQuery,
         registry: FunctionRegistry,
         model: CostModel,
-        config: OptimizerConfig,
     ) -> None:
         super().__init__(calculus, registry)
         self.model = model
-        self.config = config
         self.report = OptimizerReport()
         self._positions: dict[int, int] = {}  # id(predicate) -> chosen slot
 
@@ -223,7 +214,7 @@ class _CostBuilder(_Builder):
             order = list(component)
             self._record_choice(order, heuristic, "fixed", 0, filters)
             return order
-        if n <= self.config.dp_limit:
+        if n <= DP_LIMIT:
             order, explored = self._dp_order(component, filters)
             strategy = "dp"
         else:
@@ -465,7 +456,7 @@ class _CostBuilder(_Builder):
                     next_produced,
                     next_cardinality,
                     next_used,
-                    self.config.lookahead - 1,
+                    LOOKAHEAD - 1,
                 )
                 if score < best_score:  # ties keep query order (first wins)
                     best_score = score
@@ -498,7 +489,7 @@ class _CostBuilder(_Builder):
             )[1]
             for i in range(len(components))
         ]
-        if len(chains) <= self.config.join_dp_limit:
+        if len(chains) <= JOIN_DP_LIMIT:
             shape = self._join_dp(component_vars, cards, cross_filters)
             self.report.join_strategy = "dp"
         else:

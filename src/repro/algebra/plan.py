@@ -35,6 +35,10 @@ from repro.algebra.expressions import (
 from repro.util.errors import PlanError
 
 
+#: Fanout of AFF_APPLYP's initial balanced tree (paper Sec. V.A: binary).
+INIT_FANOUT = 2
+
+
 @dataclass(frozen=True)
 class AdaptationParams:
     """Tuning of ``AFF_APPLYP`` (paper Sec. V.A).
@@ -43,14 +47,12 @@ class AdaptationParams:
     ``threshold``   relative improvement that re-triggers the add stage
                     (the paper evaluates 25 %).
     ``drop_stage``  whether a slowdown triggers dropping a child subtree.
-    ``init_fanout`` fanout of the initial balanced tree (paper: binary).
     ``max_fanout``  safety bound on a single node's fanout.
     """
 
     p: int = 2
     threshold: float = 0.25
     drop_stage: bool = False
-    init_fanout: int = 2
     max_fanout: int = 16
 
     def __post_init__(self) -> None:
@@ -58,15 +60,12 @@ class AdaptationParams:
             raise PlanError(f"adaptation p must be >= 1, got {self.p}")
         if not 0.0 < self.threshold < 1.0:
             raise PlanError("adaptation threshold must be in (0, 1)")
-        if self.init_fanout < 1:
-            raise PlanError("init_fanout must be >= 1")
 
     def to_dict(self) -> dict:
         return {
             "p": self.p,
             "threshold": self.threshold,
             "drop_stage": self.drop_stage,
-            "init_fanout": self.init_fanout,
             "max_fanout": self.max_fanout,
         }
 

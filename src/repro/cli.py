@@ -34,7 +34,6 @@ import sys
 from dataclasses import replace
 from typing import IO
 
-from repro.algebra.plan import AdaptationParams
 from repro.cache import CacheConfig
 from repro.engine import QueryEngine, ShareConfig
 from repro.obs import TraceRecorder
@@ -84,43 +83,22 @@ class Shell:
         wsmed: WSMED,
         out: IO[str],
         *,
-        mode: str = "central",
-        fanouts: list[int] | None = None,
-        retries: int = 0,
-        cache: CacheConfig | None = None,
-        on_error: str | None = None,
+        options: QueryOptions | None = None,
         engine: QueryEngine | None = None,
         trace_out: str | None = None,
-        kernel: Kernel | None = None,
-        optimize: str = "heuristic",
     ) -> None:
         self.wsmed = wsmed
         self.out = out
+        # Every per-query setting of the session; a ``\`` command
+        # replaces one field.  (``kernel`` rides along for the engineless
+        # --kernel asyncio/process path; an engine owns its own.)
+        self.options = options if options is not None else QueryOptions()
         # With a resident engine the shell is *warm*: repeated queries
         # reuse compiled plans and child-process trees across statements
         # instead of cold-starting per query (see repro.engine).
         self.engine = engine
-        # Explicit execution kernel for the engineless path (--kernel
-        # asyncio/process without --engine); the engine owns its own.
-        self.kernel = kernel
-        self.mode = mode
-        self.fanouts = fanouts
-        # Planner level: "heuristic" (the seed's query-order γ-plan) or
-        # "cost" (the cost-based optimizer of repro.algebra.optimizer).
-        self.optimize = optimize
-        self.adaptation = AdaptationParams()
-        self.retries = retries
-        self.cache_config = cache
         self.max_rows = 20
         self.last_result: QueryResult | None = None
-        # Micro-batching overrides applied on top of the system's cost
-        # model per query (keys of ProcessCosts: batch_size, batch_linger,
-        # batch_adaptive).  Empty = the per-tuple seed protocol.
-        self.batch: dict[str, object] = {}
-        # Pool failure policy (None = the seed default, "fail") and
-        # optional fault injection for demonstrating it.
-        self.on_error = on_error
-        self.fault_injection: FaultInjection | None = None
         # When set, every query runs traced and its span tree is written
         # to this path as a Chrome trace-event file (open in Perfetto).
         self.trace_out = trace_out
@@ -128,34 +106,21 @@ class Shell:
     def write(self, text: str) -> None:
         print(text, file=self.out)
 
+    def _set(self, **fields) -> None:
+        self.options = self.options.replace(**fields)
+
+    def set_batch(self, **fields) -> None:
+        """Micro-batching overrides (``ProcessCosts.batch_*``) on top of
+        the system's cost model; they accumulate until ``\batch off``."""
+        costs = self.options.process_costs or self.wsmed.process_costs
+        self._set(process_costs=replace(costs, **fields))
+
     # -- execution ------------------------------------------------------------
 
     def run_sql(self, sql: str) -> None:
-        kwargs = {}
-        if self.mode == "parallel":
-            kwargs["fanouts"] = self.fanouts
-        elif self.mode == "adaptive":
-            kwargs["adaptation"] = self.adaptation
-        if self.batch:
-            kwargs["process_costs"] = replace(
-                self.wsmed.process_costs, **self.batch
-            )
-        if self.on_error is not None:
-            kwargs["on_error"] = self.on_error
-        if self.fault_injection is not None:
-            kwargs["faults"] = self.fault_injection
+        options = self.options
         if self.trace_out is not None:
-            kwargs["obs"] = TraceRecorder()
-        if self.engine is None and self.kernel is not None:
-            kwargs["kernel"] = self.kernel
-        if self.optimize != "heuristic":
-            kwargs["optimize"] = self.optimize
-        options = QueryOptions(
-            mode=self.mode,
-            retries=self.retries,
-            cache=self.cache_config,
-            **kwargs,
-        )
+            options = options.replace(obs=TraceRecorder())
         runner = self.engine.sql if self.engine is not None else self.wsmed.sql
         result = runner(sql, options=options)
         self.last_result = result
@@ -165,15 +130,7 @@ class Shell:
             self.write(f"trace written to {self.trace_out}")
 
     def explain(self, sql: str) -> None:
-        kwargs = {}
-        if self.mode == "parallel":
-            kwargs["fanouts"] = self.fanouts
-        elif self.mode == "adaptive":
-            kwargs["adaptation"] = self.adaptation
-        if self.optimize != "heuristic":
-            kwargs["optimize"] = self.optimize
-        options = QueryOptions(mode=self.mode, **kwargs)
-        self.write(self.wsmed.explain(sql, options=options))
+        self.write(self.wsmed.explain(sql, options=self.options))
 
     # -- meta commands -----------------------------------------------------------
 
@@ -193,19 +150,19 @@ class Shell:
         elif command == "mode":
             if argument not in ("central", "parallel", "adaptive"):
                 raise ReproError("mode must be central, parallel or adaptive")
-            self.mode = argument
-            self.write(f"mode = {self.mode}")
+            self._set(mode=argument)
+            self.write(f"mode = {argument}")
         elif command == "fanouts":
-            self.fanouts = _parse_fanouts(argument)
-            self.write(f"fanouts = {self.fanouts}")
+            self._set(fanouts=_parse_fanouts(argument))
+            self.write(f"fanouts = {self.options.fanouts}")
         elif command == "optimize":
             if argument not in ("heuristic", "cost"):
                 raise ReproError("optimize must be heuristic or cost")
-            self.optimize = argument
-            self.write(f"optimize = {self.optimize}")
+            self._set(optimize=argument)
+            self.write(f"optimize = {argument}")
         elif command == "retries":
-            self.retries = int(argument)
-            self.write(f"retries = {self.retries}")
+            self._set(retries=int(argument))
+            self.write(f"retries = {self.options.retries}")
         elif command == "stats":
             self._stats_command(argument)
         elif command == "cache":
@@ -297,11 +254,11 @@ class Shell:
         word = word.strip().lower()
         if word == "on":
             ttl = float(ttl_text) if ttl_text.strip() else None
-            self.cache_config = CacheConfig(enabled=True, ttl=ttl)
+            self._set(cache=CacheConfig(enabled=True, ttl=ttl))
             suffix = f" (ttl {ttl:g} model s)" if ttl is not None else ""
             self.write(f"cache = on{suffix}")
         elif word == "off":
-            self.cache_config = None
+            self._set(cache=None)
             self.write("cache = off")
         else:
             raise ReproError(r"usage: \cache on [TTL] | off (counters: \stats cache)")
@@ -311,10 +268,10 @@ class Shell:
         word, _, rest = argument.partition(" ")
         word = word.strip().lower()
         if word == "off":
-            self.batch = {}
+            self._set(process_costs=None)
             self.write("batch = off (per-tuple protocol)")
         elif word == "adaptive":
-            self.batch["batch_adaptive"] = True
+            self.set_batch(batch_adaptive=True)
             self.write("batch = adaptive")
         elif word == "linger":
             try:
@@ -323,24 +280,25 @@ class Shell:
                 raise ReproError(
                     r"usage: \batch linger T (model seconds)"
                 ) from None
-            self.batch["batch_linger"] = linger
+            self.set_batch(batch_linger=linger)
             self.write(f"batch linger = {linger:g} model s")
         else:
             try:
-                self.batch["batch_size"] = int(word)
+                size = int(word)
             except ValueError:
                 raise ReproError(
                     r"usage: \batch N | adaptive | linger T | off "
                     r"(counters: \stats batch)"
                 ) from None
-            self.write(f"batch size = {self.batch['batch_size']}")
+            self.set_batch(batch_size=size)
+            self.write(f"batch size = {size}")
 
     def _faults_command(self, argument: str) -> None:
         """``\\faults fail|retry|skip | inject P [C] | off``: fault policy."""
         word, _, rest = argument.partition(" ")
         word = word.strip().lower()
         if word in ("fail", "retry", "skip"):
-            self.on_error = word
+            self._set(on_error=word)
             self.write(f"on_error = {word}")
         elif word == "inject":
             parts = rest.split()
@@ -351,15 +309,16 @@ class Shell:
                 raise ReproError(
                     r"usage: \faults inject FAIL_PROB [CRASH_PROB]"
                 ) from None
-            self.fault_injection = FaultInjection(
-                call_failure_probability=failure, crash_probability=crash
+            self._set(
+                faults=FaultInjection(
+                    call_failure_probability=failure, crash_probability=crash
+                )
             )
             self.write(
                 f"fault injection: call failure {failure:g}, crash {crash:g}"
             )
         elif word == "off":
-            self.on_error = None
-            self.fault_injection = None
+            self._set(on_error=None, faults=None)
             self.write("faults = off (policy fail, no injection)")
         else:
             raise ReproError(
@@ -563,9 +522,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--admission",
         default="static",
         choices=("static", "adaptive"),
-        help="admission policy: static (the max-concurrency semaphore, "
-        "default) or adaptive (online capacity probing, tenant fair "
-        "queueing, deadline shedding; see repro.engine.admission)",
+        help="admission policy: static (limit pinned at the engine's "
+        "max concurrency, default) or adaptive (online capacity probing "
+        "below it, AFF fanout caps); both queue tenants fairly and shed "
+        "on deadlines (see repro.engine.admission)",
     )
     parser.add_argument(
         "--admission-threshold",
@@ -580,9 +540,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="MS",
-        help="default per-query deadline in model milliseconds; a query "
-        "the measured service rate cannot finish in time is shed with "
-        "HTTP 429 + Retry-After (adaptive admission only)",
+        help="default deadline in model milliseconds for requests that "
+        'carry no "deadline_ms" of their own (applied under --admission '
+        "adaptive); a query the measured service rate cannot finish in "
+        "time is shed with HTTP 429 + Retry-After",
     )
     return parser
 
@@ -689,23 +650,26 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     shell = Shell(
         wsmed,
         out,
-        mode=arguments.mode,
-        fanouts=fanouts,
-        retries=arguments.retries,
-        cache=CacheConfig(enabled=True) if arguments.cache else None,
-        on_error=arguments.on_error,
+        options=QueryOptions(
+            mode=arguments.mode,
+            fanouts=fanouts,
+            retries=arguments.retries,
+            cache=CacheConfig(enabled=True) if arguments.cache else None,
+            on_error=arguments.on_error,
+            optimize=arguments.optimize,
+            # The engine owns its kernel; one-shot queries are handed it.
+            kernel=kernel if engine is None else None,
+        ),
         engine=engine,
         trace_out=arguments.trace_out,
-        kernel=kernel,
-        optimize=arguments.optimize,
     )
     if arguments.batch:
         if arguments.batch.strip().lower() == "adaptive":
-            shell.batch["batch_adaptive"] = True
+            shell.set_batch(batch_adaptive=True)
         else:
             try:
-                shell.batch["batch_size"] = int(arguments.batch)
-            except ValueError:
+                shell.set_batch(batch_size=int(arguments.batch))
+            except (ValueError, ReproError):
                 print(
                     f"error: --batch expects a size or 'adaptive', "
                     f"got {arguments.batch!r}",

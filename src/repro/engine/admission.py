@@ -1,34 +1,38 @@
-"""Capacity-aware admission control for the resident query engine.
+"""Admission control for the resident query engine: the one admission path.
 
-The paper's adaptive operators tune fanout *inside* one query; nothing in
-the seed bounds how many queries the engine admits at once beyond a static
-semaphore.  But concurrency past the safe level inflates worst-query p50
-latency by 50-85% (the querytorque parallel-capacity sweep in SNIPPETS.md),
-so a mediator serving real traffic needs the closed loop this module
-provides:
+The paper's adaptive operators tune fanout *inside* one query; this
+module bounds how many queries the engine runs at once.  Every query is
+admitted by one :class:`AdmissionController`; the engine's two policies
+are the same controller with a different floor:
 
-* :class:`CapacityController` — the *online* version of the offline
-  capacity sweep: completed queries feed per-concurrency-level latency
-  histograms (:class:`repro.obs.metrics.Histogram`), and a feedback
-  control law in the shape of Gounaris et al.'s web-service concurrency
-  controllers raises the admission limit additively while measured p50
+* ``admission="static"`` (the default) pins the limit: the floor equals
+  the ceiling (``max_concurrency``).  A pinned controller takes no
+  latency samples, runs no control step and applies no fanout cap, and a
+  single tenant's queries are admitted first come, first served — the
+  schedule of a plain counting semaphore, bit for bit.
+* ``admission="adaptive"`` (or an :class:`AdmissionConfig`) starts at
+  :data:`MIN_CONCURRENCY` and lets :class:`CapacityController` move the
+  limit.  Concurrency past the safe level inflates worst-query p50
+  latency by 50-85% (the querytorque parallel-capacity sweep in
+  SNIPPETS.md); the controller is the *online* version of that sweep:
+  completed queries feed per-concurrency-level latency histograms, and a
+  feedback control law in the shape of Gounaris et al.'s web-service
+  concurrency controllers raises the limit additively while measured p50
   inflation versus the single-query baseline stays under the threshold,
-  and backs off multiplicatively (with hysteresis: a level that tripped
-  is not re-probed until several clean control windows have passed) when
-  it does not.
+  and backs off multiplicatively (with hysteresis) when it does not.
 
-* :class:`AdmissionController` — the engine-facing facade: weighted fair
-  queueing across tenants (virtual-time tags, so a heavy tenant's backlog
-  cannot starve a light one), deadline-based load shedding (queries whose
-  ``deadline_ms`` cannot be met at the measured service rate are rejected
-  *up front* with :class:`AdmissionRejected`, which the HTTP front end
-  maps to ``429`` + ``Retry-After``), and AFF fanout caps derived from
-  measured broker queue contention.
+Under either policy the controller queues fairly across tenants
+(virtual-time tags, so a heavy tenant's backlog cannot starve a light
+one) and sheds on deadlines: a query whose ``deadline_ms`` cannot be met
+at the measured service rate is rejected *before it runs* with
+:class:`AdmissionRejected`, which the HTTP front end maps to ``429`` +
+``Retry-After``.
 
-Everything here runs on kernel primitives only, so adaptive admission is
+Everything here runs on kernel primitives only, so admission is
 bit-for-bit deterministic under :class:`~repro.runtime.simulated.SimKernel`
-and works unchanged under the real-time kernels.  The engine's default
-(``admission="static"``) never constructs any of this.
+and works unchanged under the real-time kernels.  State is bounded: each
+level keeps a ring of :data:`WINDOW` latency samples, and an idle tenant
+is forgotten once the tenant table is full.
 """
 
 from __future__ import annotations
@@ -39,11 +43,43 @@ from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import ReproError
+from repro.util.stats import quantile
 
-#: Metric names the controller maintains (all in the engine's registry).
+#: Metric names the controller maintains in the engine's registry
+#: (``QueryEngine.metrics``).
 LATENCY_METRIC = "admission.latency"  # histogram, labelled {"level": N}
 ADMITTED_METRIC = "admission.admitted"  # counter, labelled {"tenant": name}
 SHED_METRIC = "admission.shed"  # counter, labelled {"tenant": name}
+
+# The control law's constants.  No caller sets any of them (docs/KNOBS.md);
+# a test that needs another value patches the constant.
+#: Floor and starting limit of the adaptive policy, so the controller
+#: first gathers its single-query baseline.
+MIN_CONCURRENCY = 1
+#: Completed solo queries required before the limit may rise.
+BASELINE_SAMPLES = 2
+#: Completions at the current limit per control decision (the online
+#: sweep's "rounds").
+PROBE_QUERIES = 3
+#: Latency samples kept per level; each p50 is over this ring.
+WINDOW = 32
+#: The limit rises only while inflation is under ``threshold *
+#: RAISE_MARGIN`` (the dead band between raising and backing off).
+RAISE_MARGIN = 0.9
+#: Clean control windows before a level that tripped is probed again.
+REPROBE_WINDOWS = 4
+#: Smoothing of the per-query service-time estimate that prices queue
+#: delay for deadline shedding.
+EWMA_ALPHA = 0.3
+#: Mean queue wait over mean server time above which a broker endpoint
+#: counts as contended, and the lowest fanout cap contention may impose.
+CONTENTION_RATIO = 0.5
+MIN_FANOUT_CAP = 2
+#: Fair-queueing weight per tenant name; a tenant not listed weighs 1.0.
+TENANT_WEIGHTS: dict[str, float] = {}
+#: Tenants remembered at once.  At the bound, tenants with nothing queued
+#: or active and no fairness debt are forgotten with their counters.
+MAX_TENANTS = 64
 
 
 class AdmissionRejected(ReproError):
@@ -62,91 +98,23 @@ class AdmissionRejected(ReproError):
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Tuning of the adaptive admission controller.
+    """Tuning of the adaptive admission policy.
 
-    ``threshold``        p50 inflation versus the single-query baseline
-                         that marks a concurrency level unsafe (1.5 =
-                         "worst-query p50 may grow 50%").
-    ``min_concurrency``  floor of the admission limit (also the starting
-                         level, so the controller first gathers its
-                         single-query baseline).
-    ``max_concurrency``  ceiling of the limit; ``None`` uses the engine's
-                         ``max_concurrency``.
-    ``baseline_samples`` completed solo queries required before the
-                         controller starts raising the limit.
-    ``probe_queries``    completions at the current limit per control
-                         decision (the online sweep's "rounds").
-    ``window``           samples per level the p50 is computed over.
-    ``raise_margin``     raise the limit only while inflation is under
-                         ``threshold * raise_margin`` (the hysteresis
-                         dead band between raising and backing off).
-    ``reprobe_windows``  clean control windows required before a level
-                         that tripped the threshold may be probed again.
-    ``shed``             enable deadline-based load shedding.
+    ``threshold``            p50 inflation versus the single-query
+                             baseline that marks a concurrency level
+                             unsafe (1.5 = "worst-query p50 may grow 50%").
     ``default_deadline_ms``  deadline applied to queries that carry none
-                         (model milliseconds; ``None`` = no deadline).
-    ``ewma_alpha``       smoothing of the per-query service-time estimate
-                         that prices queue delay for shedding.
-    ``fanout_caps``      enable AFF fanout caps from broker contention.
-    ``contention_ratio`` mean queue wait over mean server time above
-                         which an endpoint counts as contended.
-    ``min_fanout_cap``   never cap adaptive fanout below this.
-    ``tenant_weights``   static weighted-fair-queueing weights; tenants
-                         not listed get weight 1.0.
+                             (model milliseconds; ``None`` = no deadline).
     """
 
     threshold: float = 1.5
-    min_concurrency: int = 1
-    max_concurrency: int | None = None
-    baseline_samples: int = 2
-    probe_queries: int = 3
-    window: int = 32
-    raise_margin: float = 0.9
-    reprobe_windows: int = 4
-    shed: bool = True
     default_deadline_ms: float | None = None
-    ewma_alpha: float = 0.3
-    fanout_caps: bool = True
-    contention_ratio: float = 0.5
-    min_fanout_cap: int = 2
-    tenant_weights: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.threshold <= 1.0:
             raise ReproError(
                 f"admission threshold must be > 1.0, got {self.threshold}"
             )
-        if self.min_concurrency < 1:
-            raise ReproError(
-                f"min_concurrency must be >= 1, got {self.min_concurrency}"
-            )
-        if (
-            self.max_concurrency is not None
-            and self.max_concurrency < self.min_concurrency
-        ):
-            raise ReproError(
-                f"max_concurrency {self.max_concurrency} is below "
-                f"min_concurrency {self.min_concurrency}"
-            )
-        if self.baseline_samples < 1 or self.probe_queries < 1:
-            raise ReproError("baseline_samples and probe_queries must be >= 1")
-        if not 0.0 < self.raise_margin <= 1.0:
-            raise ReproError(
-                f"raise_margin must be in (0, 1], got {self.raise_margin}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ReproError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if self.min_fanout_cap < 1:
-            raise ReproError(
-                f"min_fanout_cap must be >= 1, got {self.min_fanout_cap}"
-            )
-        for tenant, weight in self.tenant_weights.items():
-            if weight <= 0:
-                raise ReproError(
-                    f"tenant {tenant!r} weight must be positive, got {weight}"
-                )
 
 
 @dataclass
@@ -174,30 +142,34 @@ class AdmissionStats:
 class CapacityController:
     """Online capacity probe: the offline p50-inflation sweep, closed-loop.
 
-    Completed queries are observed at the concurrency *level* they were
-    admitted at (how many queries were in flight, including themselves).
-    Each level's latencies land in one :class:`Histogram` of ``metrics``,
-    so the measured sweep is inspectable exactly like the offline table
-    in SNIPPETS.md (:meth:`sweep_table`).  The control law:
+    The limit moves between ``floor`` and ``ceiling``; with the two equal
+    the controller is :attr:`pinned` and :class:`AdmissionController`
+    never feeds it.  Otherwise completed queries are observed at the
+    concurrency *level* they were admitted at (how many queries were in
+    flight, including themselves).  Each level's latest :data:`WINDOW`
+    latencies sit in one :class:`Histogram` of ``metrics``, so the
+    measured sweep is inspectable exactly like the offline table in
+    SNIPPETS.md (:meth:`sweep_table`).  The control law:
 
     * the baseline is the p50 of level-1 (solo) samples;
-    * every ``probe_queries`` completions at the current limit, compare
-      the limit's windowed p50 to the baseline;
-    * inflation under ``threshold * raise_margin`` raises the limit by 1
+    * every :data:`PROBE_QUERIES` completions at the current limit,
+      compare the limit's p50 to the baseline;
+    * inflation under ``threshold * RAISE_MARGIN`` raises the limit by 1
       (additive increase) up to the ceiling;
     * inflation over ``threshold`` halves the limit (multiplicative
       decrease) and marks the tripped level unsafe — it is re-probed
-      only after ``reprobe_windows`` consecutive clean windows
+      only after :data:`REPROBE_WINDOWS` consecutive clean windows
       (hysteresis, so a borderline level cannot make the limit flap).
     """
 
     def __init__(
-        self, config: AdmissionConfig, ceiling: int, metrics: MetricsRegistry
+        self, threshold: float, floor: int, ceiling: int, metrics: MetricsRegistry
     ) -> None:
-        self.config = config
-        self.ceiling = max(ceiling, config.min_concurrency)
+        self.threshold = threshold
+        self.floor = floor
+        self.ceiling = ceiling
         self.metrics = metrics
-        self.limit = config.min_concurrency
+        self.limit = floor
         self.raises = 0
         self.backoffs = 0
         self.last_inflation = 0.0
@@ -205,41 +177,46 @@ class CapacityController:
         self._unsafe: int | None = None  # lowest level known to trip
         self._clean_windows = 0
 
+    @property
+    def pinned(self) -> bool:
+        """Floor equals ceiling: the limit can never move."""
+        return self.floor == self.ceiling
+
     # -- measurements ------------------------------------------------------------
 
-    def _histogram(self, level: int):
-        return self.metrics.histogram(LATENCY_METRIC, {"level": str(level)})
+    def _samples(self, level: int) -> list[float]:
+        """The level's ring, or ``[]`` — reading never registers a metric."""
+        histogram = self.metrics.get(LATENCY_METRIC, {"level": str(level)})
+        return histogram.samples if histogram is not None else []
 
     def observe(self, level: int, latency: float) -> None:
-        self._histogram(level).observe(latency)
+        samples = self.metrics.histogram(
+            LATENCY_METRIC, {"level": str(level)}
+        ).samples
+        samples.append(latency)
+        del samples[:-WINDOW]  # a ring: decisions read current rates only
         if level == self.limit:
             self._at_limit += 1
 
     def baseline_p50(self) -> float:
-        baseline = self._histogram(1)
-        if baseline.count < self.config.baseline_samples:
+        baseline = self._samples(1)
+        if len(baseline) < BASELINE_SAMPLES:
             return 0.0
-        return baseline.tail_percentile(0.5, self.config.window)
-
-    def level_p50(self, level: int) -> float:
-        histogram = self._histogram(level)
-        if not histogram.count:
-            return 0.0
-        return histogram.tail_percentile(0.5, self.config.window)
+        return quantile(baseline, 0.5)
 
     def sweep_table(self) -> list[dict[str, float]]:
         """The measured sweep, one row per probed level (snippet-style)."""
         baseline = self.baseline_p50()
         rows = []
         for level in range(1, self.ceiling + 1):
-            histogram = self._histogram(level)
-            if not histogram.count:
+            samples = self._samples(level)
+            if not samples:
                 continue
-            p50 = histogram.tail_percentile(0.5, self.config.window)
+            p50 = quantile(samples, 0.5)
             rows.append(
                 {
                     "level": level,
-                    "samples": histogram.count,
+                    "samples": len(samples),
                     "p50": p50,
                     "inflation": p50 / baseline if baseline else 0.0,
                 }
@@ -253,27 +230,27 @@ class CapacityController:
         baseline = self.baseline_p50()
         if not baseline:
             return  # still gathering the solo baseline
-        if self._at_limit < self.config.probe_queries:
+        if self._at_limit < PROBE_QUERIES:
             return  # not enough evidence at this limit yet
         self._at_limit = 0
-        inflation = self.level_p50(self.limit) / baseline
+        inflation = quantile(self._samples(self.limit), 0.5) / baseline
         self.last_inflation = inflation
-        if inflation > self.config.threshold:
+        if inflation > self.threshold:
             self._unsafe = min(self._unsafe or self.limit, self.limit)
             self._clean_windows = 0
-            backed_off = max(self.config.min_concurrency, self.limit // 2)
+            backed_off = max(self.floor, self.limit // 2)
             if backed_off != self.limit:
                 self.limit = backed_off
                 self.backoffs += 1
             return
         self._clean_windows += 1
-        if inflation > self.config.threshold * self.config.raise_margin:
+        if inflation > self.threshold * RAISE_MARGIN:
             return  # dead band: safe, but too close to the edge to raise
         if self.limit >= self.ceiling:
             return
         next_level = self.limit + 1
         if self._unsafe is not None and next_level >= self._unsafe:
-            if self._clean_windows < self.config.reprobe_windows:
+            if self._clean_windows < REPROBE_WINDOWS:
                 return  # hysteresis: wait before re-probing a tripped level
             self._unsafe = None  # forgive — service rates may have changed
         self._clean_windows = 0
@@ -282,7 +259,9 @@ class CapacityController:
 
 
 class _TenantState:
-    __slots__ = ("name", "weight", "finish", "admitted", "rejected", "queued")
+    __slots__ = (
+        "name", "weight", "finish", "admitted", "rejected", "queued", "active"
+    )
 
     def __init__(self, name: str, weight: float) -> None:
         self.name = name
@@ -291,6 +270,7 @@ class _TenantState:
         self.admitted = 0
         self.rejected = 0
         self.queued = 0
+        self.active = 0
 
 
 class _Waiter:
@@ -325,31 +305,40 @@ class Ticket:
 
 
 class AdmissionController:
-    """Admission facade: capacity limit + tenant WFQ + deadline shedding.
+    """The engine's one admission path: capacity limit + tenant WFQ +
+    deadline shedding.
+
+    ``config=None`` is the static policy — the limit is pinned at
+    ``ceiling`` — and an :class:`AdmissionConfig` the adaptive one, whose
+    limit starts at :data:`MIN_CONCURRENCY` and is moved by
+    :class:`CapacityController`.
 
     ``admit`` either returns a :class:`Ticket` (possibly after queueing)
     or raises :class:`AdmissionRejected`.  ``release`` must run exactly
-    once per ticket — it feeds the latency sample to the capacity
-    controller and hands the freed slot to the fairest waiter.
+    once per ticket — it updates the service-time estimate, feeds an
+    unpinned capacity controller and hands the freed slot to the fairest
+    waiter.
     """
 
     def __init__(
         self,
         kernel,
-        config: AdmissionConfig,
+        config: AdmissionConfig | None,
         *,
         ceiling: int,
         broker=None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.kernel = kernel
-        self.config = config
+        self.config = config if config is not None else AdmissionConfig()
         self.broker = broker
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        effective_ceiling = (
-            config.max_concurrency if config.max_concurrency is not None else ceiling
+        self.capacity = CapacityController(
+            self.config.threshold,
+            ceiling if config is None else MIN_CONCURRENCY,
+            ceiling,
+            self.metrics,
         )
-        self.capacity = CapacityController(config, effective_ceiling, self.metrics)
         self._tenants: dict[str, _TenantState] = {}
         self._queue: list[_Waiter] = []
         self._active = 0
@@ -364,22 +353,41 @@ class AdmissionController:
 
     # -- tenants -----------------------------------------------------------------
 
-    def _tenant(self, name: str, weight: float | None) -> _TenantState:
+    def _tenant(self, name: str) -> _TenantState:
         state = self._tenants.get(name)
         if state is None:
-            state = _TenantState(
-                name, weight or self.config.tenant_weights.get(name, 1.0)
-            )
+            if len(self._tenants) >= MAX_TENANTS:
+                self._forget_idle_tenants()
+            state = _TenantState(name, TENANT_WEIGHTS.get(name, 1.0))
             self._tenants[name] = state
-        elif weight is not None:
-            state.weight = weight
         return state
+
+    def _forget_idle_tenants(self) -> None:
+        """Drop every tenant that carries no state worth keeping: nothing
+        queued or active, and a finish tag virtual time has passed (so a
+        fresh entry would be tagged identically).  Its two labelled
+        counters go with it — tenant names arrive from ``POST /sql``
+        clients, and the registry must not grow with them."""
+        for name, state in list(self._tenants.items()):
+            if state.queued or state.active or state.finish > self._vtime:
+                continue
+            del self._tenants[name]
+            self.metrics.discard(ADMITTED_METRIC, {"tenant": name})
+            self.metrics.discard(SHED_METRIC, {"tenant": name})
 
     # -- admission ---------------------------------------------------------------
 
     @property
     def limit(self) -> int:
         return self.capacity.limit
+
+    def reset(self) -> None:
+        """The kernel restarted: every queued waiter and admitted query
+        died with the old run, and their events cannot fire in the new one."""
+        self._queue.clear()
+        self._active = 0
+        for state in self._tenants.values():
+            state.queued = state.active = 0
 
     def estimated_wait(self) -> float:
         """Expected queue delay for a request arriving now (model seconds)."""
@@ -388,26 +396,31 @@ class AdmissionController:
         backlog = len(self._queue) + max(0, self._active - self.limit + 1)
         return self._ewma * backlog / max(1, self.limit)
 
+    def _shed(self, tenant: _TenantState, message: str, retry_after: float):
+        tenant.rejected += 1
+        self.shed += 1
+        self.metrics.counter(SHED_METRIC, {"tenant": tenant.name}).inc()
+        return AdmissionRejected(
+            message, retry_after=retry_after, tenant=tenant.name
+        )
+
     def _shed_check(self, tenant: _TenantState, deadline: float | None) -> None:
-        if not self.config.shed or deadline is None or self._ewma is None:
+        if deadline is None or self._ewma is None:
             return
         est_wait = self.estimated_wait()
         if deadline / 1000.0 < est_wait + self._ewma:
-            tenant.rejected += 1
-            self.shed += 1
-            self.metrics.counter(SHED_METRIC, {"tenant": tenant.name}).inc()
-            retry_after = max(est_wait, self._ewma)
-            raise AdmissionRejected(
+            raise self._shed(
+                tenant,
                 f"deadline {deadline:g}ms cannot be met: estimated queue wait "
                 f"{est_wait * 1000.0:.0f}ms + service {self._ewma * 1000.0:.0f}ms "
                 f"at admission limit {self.limit}",
-                retry_after=retry_after,
-                tenant=tenant.name,
+                max(est_wait, self._ewma),
             )
 
     def _grant(self, tenant: _TenantState, tag: float) -> Ticket:
         self._vtime = max(self._vtime, tag)
         self._active += 1
+        tenant.active += 1
         tenant.admitted += 1
         self.admitted += 1
         self.admission_log.append(tenant.name)
@@ -415,13 +428,9 @@ class AdmissionController:
         return Ticket(tenant=tenant.name, level=self._active)
 
     async def admit(
-        self,
-        tenant: str = "default",
-        *,
-        deadline_ms: float | None = None,
-        weight: float | None = None,
+        self, tenant: str = "default", *, deadline_ms: float | None = None
     ) -> Ticket:
-        state = self._tenant(tenant, weight)
+        state = self._tenant(tenant)
         deadline = (
             self.config.default_deadline_ms if deadline_ms is None else deadline_ms
         )
@@ -455,14 +464,15 @@ class AdmissionController:
 
     def release(self, ticket: Ticket, latency: float) -> None:
         self._active -= 1
-        alpha = self.config.ewma_alpha
+        self._tenants[ticket.tenant].active -= 1
         self._ewma = (
             latency
             if self._ewma is None
-            else alpha * latency + (1.0 - alpha) * self._ewma
+            else EWMA_ALPHA * latency + (1.0 - EWMA_ALPHA) * self._ewma
         )
-        self.capacity.observe(ticket.level, latency)
-        self.capacity.control_step()
+        if not self.capacity.pinned:
+            self.capacity.observe(ticket.level, latency)
+            self.capacity.control_step()
         self._pump()
 
     def _pump(self) -> None:
@@ -477,25 +487,16 @@ class AdmissionController:
         while self._active < self.limit and self._queue:
             waiter = min(self._queue, key=lambda entry: (entry.tag, entry.seq))
             self._queue.remove(waiter)
-            if (
-                self.config.shed
-                and waiter.deadline_ms is not None
-                and self._ewma is not None
-            ):
+            if waiter.deadline_ms is not None and self._ewma is not None:
                 waited = self.kernel.now() - waiter.submitted_at
                 remaining = waiter.deadline_ms / 1000.0 - waited
                 if remaining < self._ewma:
-                    waiter.tenant.rejected += 1
-                    self.shed += 1
-                    self.metrics.counter(
-                        SHED_METRIC, {"tenant": waiter.tenant.name}
-                    ).inc()
-                    waiter.rejection = AdmissionRejected(
+                    waiter.rejection = self._shed(
+                        waiter.tenant,
                         f"deadline {waiter.deadline_ms:g}ms cannot be met: "
                         f"{waited * 1000.0:.0f}ms spent queued, service "
                         f"needs {self._ewma * 1000.0:.0f}ms",
-                        retry_after=self._ewma,
-                        tenant=waiter.tenant.name,
+                        self._ewma,
                     )
                     waiter.event.set()
                     continue
@@ -507,32 +508,32 @@ class AdmissionController:
     def fanout_cap(self) -> int | None:
         """Fanout ceiling from measured broker queue contention, or None.
 
-        An endpoint whose mean queue wait exceeds ``contention_ratio`` of
-        its mean server time is saturated: dispatching a wider AFF fanout
-        against it only deepens the broker queue (the ``queue`` spans in
-        ``repro.obs`` traces).  The cap allows two in-flight calls per
-        server slot of the most contended endpoint — enough to pipeline
-        the transport, not enough to stack the queue.
+        An endpoint whose mean queue wait exceeds :data:`CONTENTION_RATIO`
+        of its mean server time is saturated: dispatching a wider AFF
+        fanout against it only deepens the broker queue (the ``queue``
+        spans in ``repro.obs`` traces).  The cap allows two in-flight
+        calls per server slot of the most contended endpoint — enough to
+        pipeline the transport, not enough to stack the queue.  A pinned
+        controller adapts nothing, fanout included.
         """
-        if not self.config.fanout_caps or self.broker is None:
+        if self.capacity.pinned or self.broker is None:
             return None
         cap: int | None = None
         for info in self.broker.contention().values():
             if info["server_time_mean"] <= 0.0:
                 continue
             ratio = info["queue_wait_mean"] / info["server_time_mean"]
-            if ratio <= self.config.contention_ratio:
+            if ratio <= CONTENTION_RATIO:
                 continue
-            endpoint_cap = max(self.config.min_fanout_cap, 2 * info["capacity"])
+            endpoint_cap = max(MIN_FANOUT_CAP, 2 * info["capacity"])
             cap = endpoint_cap if cap is None else min(cap, endpoint_cap)
         return cap
 
     # -- introspection -----------------------------------------------------------
 
     def stats(self) -> AdmissionStats:
-        cap = self.fanout_cap()
         return AdmissionStats(
-            policy="adaptive",
+            policy="static" if self.capacity.pinned else "adaptive",
             limit=self.limit,
             ceiling=self.capacity.ceiling,
             baseline_p50=self.capacity.baseline_p50(),
@@ -543,7 +544,7 @@ class AdmissionController:
             queued=len(self._queue),
             raises=self.capacity.raises,
             backoffs=self.capacity.backoffs,
-            fanout_cap=cap or 0,
+            fanout_cap=self.fanout_cap() or 0,
             tenants={
                 state.name: {
                     "weight": state.weight,

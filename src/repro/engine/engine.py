@@ -23,7 +23,8 @@ parts resident:
   ships zero plan functions and spawns zero processes (and its children
   keep their call caches);
 * **concurrent admission** — :meth:`sql_many` multiplexes N queries on
-  the one kernel behind a bounded admission semaphore; per-query
+  the one kernel behind the one
+  :class:`~repro.engine.admission.AdmissionController`; per-query
   isolation comes from the fresh :class:`~repro.util.trace.TraceLog`
   and :class:`~repro.services.broker.CallRecorder` ``run_plan`` gives
   every query plus per-query cache counters, so concurrent
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from dataclasses import replace as _replace
 
-from repro.algebra.plan import AdaptationParams
+from repro.algebra.plan import INIT_FANOUT, AdaptationParams
 from repro.cache import CacheConfig, CacheStats, CallCache
 from repro.engine.admission import AdmissionConfig, AdmissionController
 from repro.engine.plan_cache import CompiledPlan, PlanCache, plan_dependencies
@@ -53,6 +54,14 @@ from repro.util.errors import ReproError
 from repro.wsmed.options import ONE_SHOT_ONLY, QueryOptions, resolve_options
 from repro.wsmed.results import QueryResult
 from repro.wsmed.system import WSMED, ExecutionMode
+
+
+#: Compiled plans kept (LRU) and idle warm pools kept for reuse.
+PLAN_CACHE_SIZE = 64
+MAX_IDLE_POOLS = 32
+#: Observed / assumed ratio (either direction) of an operation's call
+#: cost or fanout past which a cost-based plan is re-optimized.
+DRIFT_THRESHOLD = 2.0
 
 
 class EngineClosed(ReproError):
@@ -85,31 +94,31 @@ class EngineStats:
     resident_processes: int
     # Multi-query sharing (all zero unless the engine was built with an
     # enabled ShareConfig; see repro.engine.shared).
-    sharing: bool = False
-    shared_cache_hits: int = 0
-    shared_cache_misses: int = 0
-    shared_cache_waits: int = 0
-    shared_cache_failures: int = 0
-    shared_cache_entries: int = 0
-    shared_cache_invalidations: int = 0
-    coalesced_batches: int = 0
-    batched_calls: int = 0
-    pool_lease_waits: int = 0
-    shared_pool_leases: int = 0
-    # Capacity-aware admission (repro.engine.admission); policy stays
-    # "static" unless the engine was built with admission="adaptive".
-    admission_policy: str = "static"
-    admission_limit: int = 0
-    admission_shed: int = 0
-    admission_queued: int = 0
-    admission_raises: int = 0
-    admission_backoffs: int = 0
-    admission_baseline_p50: float = 0.0
-    admission_inflation: float = 0.0
-    admission_fanout_cap: int = 0
+    sharing: bool
+    shared_cache_hits: int
+    shared_cache_misses: int
+    shared_cache_waits: int
+    shared_cache_failures: int
+    shared_cache_entries: int
+    shared_cache_invalidations: int
+    coalesced_batches: int
+    batched_calls: int
+    pool_lease_waits: int
+    shared_pool_leases: int
+    # Admission (repro.engine.admission): "static" when the controller's
+    # limit is pinned at max_concurrency, "adaptive" when it moves.
+    admission_policy: str
+    admission_limit: int
+    admission_shed: int
+    admission_queued: int
+    admission_raises: int
+    admission_backoffs: int
+    admission_baseline_p50: float
+    admission_inflation: float
+    admission_fanout_cap: int
     # Cost-based optimizer feedback loop (repro.algebra.optimizer).
-    reoptimizations: int = 0
-    observed_operations: int = 0
+    reoptimizations: int
+    observed_operations: int
 
     def as_dict(self) -> dict[str, object]:
         return dict(self.__dict__)
@@ -206,12 +215,8 @@ class QueryEngine:
         *,
         kernel: Kernel | None = None,
         max_concurrency: int = 8,
-        plan_cache_size: int = 64,
-        max_idle_pools: int = 32,
-        fault_rate: float = 0.0,
         share: ShareConfig | None = None,
         admission: str | AdmissionConfig = "static",
-        drift_threshold: float = 2.0,
     ) -> None:
         if max_concurrency < 1:
             raise ReproError(
@@ -226,12 +231,9 @@ class QueryEngine:
                 "a one-shot kernel would kill warm child processes between "
                 "queries"
             )
-        self.broker = wsmed.registry.bind(
-            self.kernel, seed=wsmed.seed, fault_rate=fault_rate
-        )
-        self.max_concurrency = max_concurrency
-        self.plan_cache = PlanCache(plan_cache_size)
-        self.pool_registry = PoolRegistry(max_idle_pools)
+        self.broker = wsmed.registry.bind(self.kernel, seed=wsmed.seed)
+        self.plan_cache = PlanCache(PLAN_CACHE_SIZE)
+        self.pool_registry = PoolRegistry(MAX_IDLE_POOLS)
         # Multi-query sharing tiers (repro.engine.shared): one shared
         # call cache + single-flight + batching object for the engine's
         # lifetime, and (optionally) shared pool leases.  `None` — the
@@ -244,34 +246,35 @@ class QueryEngine:
         )
         if self.share is not None and self.share.pools:
             self.pool_registry.share_pools = True
-        # Admission policy.  "static" (the default) is the seed path: a
-        # plain semaphore of max_concurrency permits.  "adaptive" (or an
-        # AdmissionConfig) swaps in the capacity-probing controller of
-        # repro.engine.admission — weighted fair tenant queues, deadline
-        # shedding, AFF fanout caps — with max_concurrency as its ceiling.
-        if isinstance(admission, AdmissionConfig):
-            admission_config: AdmissionConfig | None = admission
+        # Live per-operation statistics for the cost-based optimizer's
+        # feedback loop: operation -> [calls, rows, total seconds],
+        # aggregated from every query's CallRecorder.  The same numbers
+        # are published on `metrics`, next to the admission controller's.
+        self._observed_totals: dict[str, list[float]] = {}
+        self._reoptimizations = 0
+        self.metrics = MetricsRegistry()
+        # One admission path.  "static" (the default) pins the
+        # controller's limit at max_concurrency — the seed semaphore's
+        # schedule; "adaptive" (or an AdmissionConfig) lets it probe for
+        # the safe level below that ceiling and cap AFF fanout.
+        if admission == "static":
+            admission_config = None
         elif admission == "adaptive":
             admission_config = AdmissionConfig()
-        elif admission == "static":
-            admission_config = None
+        elif isinstance(admission, AdmissionConfig):
+            admission_config = admission
         else:
             raise ReproError(
                 f'admission must be "static", "adaptive" or an '
                 f"AdmissionConfig, got {admission!r}"
             )
-        self.admission = (
-            AdmissionController(
-                self.kernel,
-                admission_config,
-                ceiling=max_concurrency,
-                broker=self.broker,
-            )
-            if admission_config is not None
-            else None
+        self.admission = AdmissionController(
+            self.kernel,
+            admission_config,
+            ceiling=max_concurrency,
+            broker=self.broker,
+            metrics=self.metrics,
         )
-        self._admission = None  # static semaphore, created lazily inside the kernel
-        self._admission_key: tuple[int, int] | None = None
         self._kernel_generation = self.kernel.generation
         # One process-name counter for the engine's lifetime: the first
         # query numbers its children q1..qN exactly like the seed, and
@@ -287,15 +290,12 @@ class QueryEngine:
         self._active = 0
         self._peak_active = 0
         self._closed = False
-        # Live per-operation statistics for the cost-based optimizer's
-        # feedback loop: operation -> [calls, rows, total seconds],
-        # aggregated from every query's CallRecorder.  The same numbers
-        # are published on `metrics` (MetricsRegistry) for inspection.
-        self.drift_threshold = drift_threshold
-        self._observed_totals: dict[str, list[float]] = {}
-        self._reoptimizations = 0
-        self.metrics = MetricsRegistry()
         wsmed.add_replace_listener(self._on_function_replaced)
+
+    @property
+    def max_concurrency(self) -> int:
+        """Ceiling of the admission limit, fixed at construction."""
+        return self.admission.capacity.ceiling
 
     # -- invalidation ------------------------------------------------------------
 
@@ -335,14 +335,14 @@ class QueryEngine:
         planning/execution fields of :meth:`WSMED.sql` (``mode``,
         ``fanouts``, ``adaptation``, ``retries``, ``cache``,
         ``process_costs``, ``on_error``, ``faults``, ``name``, ``obs``,
-        ``optimize``) — but not ``kernel`` /
-        ``fault_rate`` / ``observed``, which are engine-level here.
+        ``optimize``) — but not ``kernel`` / ``fault_rate`` (the engine
+        owns its kernel and broker) or ``observed`` (it feeds its own
+        statistics).
         Two admission fields ride along: ``tenant`` (fair-queue identity,
         default ``"default"``) and ``deadline_ms`` (model milliseconds;
-        under adaptive admission a query whose deadline the measured
-        service rate cannot meet raises
-        :class:`~repro.engine.admission.AdmissionRejected` up front).
-        Both are accepted and ignored under static admission.  With
+        a query whose deadline the measured service rate cannot meet
+        raises :class:`~repro.engine.admission.AdmissionRejected` before
+        it runs).  Both are honoured under either admission policy.  With
         ``obs`` a :class:`repro.obs.TraceRecorder`, compile spans appear
         only on plan-cache misses (a warm hit skips compilation
         entirely).
@@ -375,11 +375,11 @@ class QueryEngine:
         pairs where ``overrides`` is a :class:`QueryOptions` replacing
         the batch-wide ``options`` for that query, or a field-override
         dict merged over it.  All queries are admitted through the
-        engine's admission policy (the static semaphore by default, the
-        adaptive controller when the engine was built with
-        ``admission=``) and results come back in input order.  Per-query
-        ``tenant`` / ``deadline_ms`` overrides thread through to the
-        admission queue.
+        engine's admission controller (limit pinned at ``max_concurrency``
+        by default, moving below it when the engine was built with
+        ``admission="adaptive"``) and results come back in input order.
+        Per-query ``tenant`` / ``deadline_ms`` overrides thread through
+        to the admission queue.
 
         With ``return_exceptions=True`` a failed query — most usefully an
         :class:`AdmissionRejected` shed by the deadline policy — comes
@@ -417,14 +417,13 @@ class QueryEngine:
         old run.  An engine reused on the same (restarted) kernel must
         therefore cold-start: forget warm pools (their processes are
         dead), coordinator caches (their single-flight events are dead),
-        and the admission semaphore (awaiting it would raise or hang).
+        and the admission queue (its waiters' events are dead).
         """
         generation = self.kernel.generation
         if generation == self._kernel_generation:
             return
         self._kernel_generation = generation
-        self._admission = None
-        self._admission_key = None
+        self.admission.reset()
         self.pool_registry.discard_all()
         self._coordinator_caches.clear()
 
@@ -434,18 +433,9 @@ class QueryEngine:
         if self._closed:
             raise EngineClosed("QueryEngine is closed")
         self._check_generation()
-        # The two policies differ only in how the permit is taken and
-        # returned; the static one is the seed's plain semaphore.
-        if self.admission is not None:
-            ticket = await self.admission.admit(
-                opts.tenant, deadline_ms=opts.deadline_ms
-            )
-        else:
-            key = (self._kernel_generation, self.max_concurrency)
-            if self._admission is None or self._admission_key != key:
-                self._admission = self.kernel.semaphore(self.max_concurrency)
-                self._admission_key = key
-            await self._admission.acquire()
+        ticket = await self.admission.admit(
+            opts.tenant, deadline_ms=opts.deadline_ms
+        )
         self._active += 1
         self._peak_active = max(self._peak_active, self._active)
         started = self.kernel.now()
@@ -453,10 +443,7 @@ class QueryEngine:
             return await self._execute(sql_text, opts)
         finally:
             self._active -= 1
-            if self.admission is not None:
-                self.admission.release(ticket, self.kernel.now() - started)
-            else:
-                self._admission.release()
+            self.admission.release(ticket, self.kernel.now() - started)
 
     async def _execute(
         self, sql_text: str, opts: QueryOptions
@@ -474,10 +461,10 @@ class QueryEngine:
             # so clamp the adaptation ceiling.  AdaptationParams is part
             # of the plan-cache fingerprint, so capped and uncapped
             # compilations never share an entry.
-            cap = self.admission.fanout_cap() if self.admission else None
+            cap = self.admission.fanout_cap()
             if cap is not None and adaptation.max_fanout > cap:
                 adaptation = _replace(
-                    adaptation, max_fanout=max(cap, adaptation.init_fanout)
+                    adaptation, max_fanout=max(cap, INIT_FANOUT)
                 )
             opts = opts.replace(adaptation=adaptation)
         key = PlanCache.fingerprint(
@@ -564,7 +551,7 @@ class QueryEngine:
 
         Compares the measured per-operation call cost and fanout against
         the assumptions the cached plan was costed with; past
-        ``drift_threshold`` (a ratio, either direction) the engine
+        :data:`DRIFT_THRESHOLD` (a ratio, either direction) the engine
         recompiles the entry with the observed statistics so the *next*
         execution runs the improved plan.  Heuristic plans carry no
         assumptions and never drift.
@@ -577,7 +564,7 @@ class QueryEngine:
                 if assumed <= 0.0 or actual <= 0.0:
                     continue
                 ratio = actual / assumed
-                if ratio > self.drift_threshold or ratio < 1.0 / self.drift_threshold:
+                if ratio > DRIFT_THRESHOLD or ratio < 1.0 / DRIFT_THRESHOLD:
                     return True
         return False
 
@@ -604,9 +591,7 @@ class QueryEngine:
         plan_stats = self.plan_cache.stats
         pool_stats = self.pool_registry.stats
         shared_stats = self.shared.stats if self.shared is not None else None
-        admission_stats = (
-            self.admission.stats() if self.admission is not None else None
-        )
+        admission_stats = self.admission.stats()
         return EngineStats(
             queries=self._queries,
             active=self._active,
@@ -639,21 +624,15 @@ class QueryEngine:
             shared_pool_leases=pool_stats.shared_leases,
             reoptimizations=self._reoptimizations,
             observed_operations=len(self._observed_totals),
-            **(
-                {
-                    "admission_policy": admission_stats.policy,
-                    "admission_limit": admission_stats.limit,
-                    "admission_shed": admission_stats.shed,
-                    "admission_queued": admission_stats.queued,
-                    "admission_raises": admission_stats.raises,
-                    "admission_backoffs": admission_stats.backoffs,
-                    "admission_baseline_p50": admission_stats.baseline_p50,
-                    "admission_inflation": admission_stats.inflation,
-                    "admission_fanout_cap": admission_stats.fanout_cap,
-                }
-                if admission_stats is not None
-                else {}
-            ),
+            admission_policy=admission_stats.policy,
+            admission_limit=admission_stats.limit,
+            admission_shed=admission_stats.shed,
+            admission_queued=admission_stats.queued,
+            admission_raises=admission_stats.raises,
+            admission_backoffs=admission_stats.backoffs,
+            admission_baseline_p50=admission_stats.baseline_p50,
+            admission_inflation=admission_stats.inflation,
+            admission_fanout_cap=admission_stats.fanout_cap,
         )
 
     # -- shutdown ------------------------------------------------------------------

@@ -139,8 +139,9 @@ class PlanCache:
 
         SQL text is whitespace-normalized (query text pasted with
         different indentation is the same query); everything else is
-        taken structurally.  :class:`AdaptationParams` is frozen, hence
-        hashable.  ``optimize`` keys heuristic and cost-based
+        taken structurally — ``fanouts`` only in parallel mode, the one
+        mode whose plan it shapes.  :class:`AdaptationParams` is frozen,
+        hence hashable.  ``optimize`` keys heuristic and cost-based
         compilations separately, so switching levels never serves a
         stale plan shape.
         """
@@ -148,7 +149,9 @@ class PlanCache:
         return (
             " ".join(sql_text.split()),
             mode_value,
-            tuple(fanouts) if fanouts is not None else None,
+            tuple(fanouts)
+            if fanouts is not None and mode_value == "parallel"
+            else None,
             adaptation,
             name,
             optimize,

@@ -10,7 +10,7 @@ This module is the first two of the engine's three sharing tiers:
 
 1. **Shared call cache** — one engine-scoped memo of web-service results
    keyed ``(uri, service, operation, args)``, consulted after the
-   per-process tier misses.  LRU/TTL bounds are independent of the
+   per-process tier misses.  Its LRU bound is independent of the
    per-process tier, and entries are invalidated when
    ``import_wsdl``/``register_helping_function`` replaces a definition.
 2. **Cross-query single-flight** — an identical call already in flight
@@ -42,12 +42,22 @@ from typing import Any
 from repro.cache import MISS, MemoStore
 from repro.runtime.base import Kernel
 from repro.services.broker import BatchRequest, CallRecorder, ServiceBroker
-from repro.util.errors import ReproError
 
 #: Shared-tier outcomes, in trace/report vocabulary.  ``MISS`` (a real
 #: broker round trip) is shared with the per-process tier.
 SHARED_HIT = "shared_hit"
 SHARED_WAIT = "shared_wait"
+
+#: LRU bound of the shared memo, independent of the per-process tier
+#: (entries never expire; replaced definitions still evict).
+MAX_ENTRIES = 4096
+#: Cross-query batching: model seconds a miss waits for company before
+#: the coalesced flush (also the added worst-case latency of a lonely
+#: call), and the pending count per ``(uri, operation)`` that flushes at
+#: once.  Distinct from ``ProcessCosts.batch_*``, which batch
+#: parent-to-child messages inside one query.
+BATCH_LINGER = 0.002
+BATCH_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -58,43 +68,17 @@ class ShareConfig:
                       query's call path bit-for-bit seed-identical.
     ``cache``         the shared result memo *and* cross-query
                       single-flight (dedup rides on the in-flight table).
-    ``max_entries``   LRU bound of the shared memo, independent of the
-                      per-process tier.
-    ``ttl``           shared-entry lifetime in model seconds (``None`` =
-                      never expires; replaced definitions still evict).
     ``batching``      coalesce same-endpoint misses from concurrent
-                      queries into one ``call_many`` transport trip.
-    ``batch_linger``  model seconds a miss waits for company before the
-                      coalesced flush (also the added worst-case latency
-                      of a lonely call).
-    ``batch_max``     flush immediately once this many calls are pending
-                      for one ``(uri, operation)``.
+                      queries into one ``call_many`` transport trip
+                      (see :data:`BATCH_LINGER` / :data:`BATCH_MAX`).
     ``pools``         let overlapping queries wait for a busy warm pool
                       (concurrent lease) instead of cold-cloning the tree.
     """
 
     enabled: bool = False
     cache: bool = True
-    max_entries: int = 4096
-    ttl: float | None = None
     batching: bool = True
-    batch_linger: float = 0.002
-    batch_max: int = 16
     pools: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_entries < 1:
-            raise ReproError(
-                f"share max_entries must be >= 1, got {self.max_entries}"
-            )
-        if self.ttl is not None and self.ttl <= 0:
-            raise ReproError(f"share ttl must be positive (or None), got {self.ttl}")
-        if self.batch_linger < 0:
-            raise ReproError(
-                f"share batch_linger must be >= 0, got {self.batch_linger}"
-            )
-        if self.batch_max < 1:
-            raise ReproError(f"share batch_max must be >= 1, got {self.batch_max}")
 
 
 @dataclass
@@ -174,7 +158,7 @@ class SharedCallCache:
         self.kernel = kernel
         self.config = config
         self.stats = SharedStats()
-        self._memo = MemoStore(kernel, config.max_entries, config.ttl)
+        self._memo = MemoStore(kernel, MAX_ENTRIES, None)
         self._pending: dict[tuple[str, str], _PendingBatch] = {}
         self._generation = 0
 
@@ -298,7 +282,7 @@ class SharedCallCache:
             )
         else:
             pending.requests.append(request)
-            if len(pending.requests) >= self.config.batch_max:
+            if len(pending.requests) >= BATCH_MAX:
                 del self._pending[queue_key]
                 await self._flush(broker, uri, service, operation, pending)
         await request.done.wait()
@@ -314,7 +298,7 @@ class SharedCallCache:
         operation: str,
         pending: _PendingBatch,
     ) -> None:
-        await self.kernel.sleep(self.config.batch_linger)
+        await self.kernel.sleep(BATCH_LINGER)
         queue_key = (uri, operation)
         current = self._pending.get(queue_key)
         if current is not pending or current.generation != pending.generation:

@@ -83,18 +83,6 @@ class Histogram:
             return 0.0
         return quantile(self.samples, q)
 
-    def tail_percentile(self, q: float, window: int) -> float:
-        """Quantile over the most recent ``window`` samples.
-
-        Online controllers (``repro.engine.admission``) read this so a
-        decision reflects current service rates, not the whole history.
-        """
-        if not self.samples:
-            return 0.0
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        return quantile(self.samples[-window:], q)
-
     def as_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "type": "histogram",
@@ -150,6 +138,10 @@ class MetricsRegistry:
 
     def get(self, name: str, labels: dict[str, str] | None = None) -> Metric | None:
         return self._metrics.get((name, _label_key(labels)))
+
+    def discard(self, name: str, labels: dict[str, str] | None = None) -> None:
+        """Forget one metric (a labelled series whose subject is gone)."""
+        self._metrics.pop((name, _label_key(labels)), None)
 
     def __iter__(self) -> Iterator[Metric]:
         return iter(self._metrics.values())

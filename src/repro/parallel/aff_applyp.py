@@ -3,7 +3,7 @@
 Replaces the explicit fanout of ``FF_APPLYP`` with local run-time
 adaptation in every non-leaf query process:
 
-1. *init stage* — start with a binary tree (fanout ``init_fanout`` = 2);
+1. *init stage* — start with a binary tree (fanout ``INIT_FANOUT`` = 2);
 2. a *monitoring cycle* completes when the process has received as many
    end-of-call messages as it has children;
 3. after the first cycle, the *add stage* starts ``p`` new children;
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from repro.algebra.interpreter import ExecutionContext
-from repro.algebra.plan import AdaptationParams, PlanFunction
+from repro.algebra.plan import INIT_FANOUT, AdaptationParams, PlanFunction
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.ff_applyp import ChildPool
 from repro.parallel.messages import CallFailed, EndOfCall, ResultTuple, Shutdown
@@ -70,7 +70,7 @@ class AFFPool(ChildPool):
     # -- lifecycle hooks --------------------------------------------------------
 
     async def on_first_use(self) -> None:
-        await self.spawn_children(self.params.init_fanout)
+        await self.spawn_children(INIT_FANOUT)
         self._cycle_started_at = self.ctx.kernel.now()
         self._decision("init_stage", children=len(self.children))
 
@@ -183,7 +183,7 @@ class AFFPool(ChildPool):
         if self._stages > self._max_stages:
             self._stop("stage limit reached")
             return
-        if len(self.children) <= self.params.init_fanout:
+        if len(self.children) <= INIT_FANOUT:
             self._stop("cannot drop below the initial tree")
             return
         victim = self.children[-1]

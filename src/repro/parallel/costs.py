@@ -59,11 +59,6 @@ class ProcessCosts:
                        ``message_latency``: cheap calls get large batches,
                        straggler children fall back to batch 1 so
                        first-finished placement stays adaptive.
-    ``barrier``        when True, an operator materializes its whole input
-                       parameter stream before dispatching — the WSQ/DSQ
-                       style of handling dependent joins the paper contrasts
-                       itself with (Sec. VI); WSMED's streaming default is
-                       False.
     ``on_error``       per-call failure policy of an operator pool:
                        ``fail`` (the paper's behavior and the default — the
                        first failed call aborts the whole query tree),
@@ -77,14 +72,6 @@ class ProcessCosts:
     ``max_redeliveries`` times one parameter row may be redelivered under
                        ``on_error="retry"`` before its failure becomes a
                        query error.
-    ``breaker_threshold`` per-pool circuit breaker: once at least
-                       ``breaker_min_calls`` calls of one invocation have
-                       resolved and more than this fraction of them
-                       failed, the pool escalates to ``fail`` regardless
-                       of ``on_error`` (a mostly-dead service should abort
-                       the query, not grind through redeliveries).
-    ``breaker_min_calls`` minimum resolved calls of one invocation before
-                       the breaker may trip.
     ``faults``         optional :class:`~repro.parallel.faults.FaultInjection`
                        knobs (per-call failure / child crash probability)
                        for the simulated runtime; None injects nothing.
@@ -98,14 +85,11 @@ class ProcessCosts:
     message_latency: float = 0.005
     dispatch: str = "first_finished"
     prefetch: int = 1
-    barrier: bool = False
     batch_size: int = 1
     batch_linger: float = 0.0
     batch_adaptive: bool = False
     on_error: str = "fail"
     max_redeliveries: int = 2
-    breaker_threshold: float = 0.5
-    breaker_min_calls: int = 20
     faults: FaultInjection | None = None
 
     def __post_init__(self) -> None:
@@ -137,14 +121,6 @@ class ProcessCosts:
         if self.max_redeliveries < 0:
             raise PlanError(
                 f"max_redeliveries must be >= 0, got {self.max_redeliveries}"
-            )
-        if not 0.0 < self.breaker_threshold <= 1.0:
-            raise PlanError(
-                f"breaker_threshold must be in (0, 1], got {self.breaker_threshold}"
-            )
-        if self.breaker_min_calls < 1:
-            raise PlanError(
-                f"breaker_min_calls must be >= 1, got {self.breaker_min_calls}"
             )
 
     def scaled(self, factor: float) -> "ProcessCosts":

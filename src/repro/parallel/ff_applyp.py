@@ -24,7 +24,7 @@ On top of the paper's protocol sits a pool-level fault-tolerance layer
   replacement child (re-shipping the plan function) and writes off the
   dead child's in-flight rows per the same policy;
 * a per-pool circuit breaker escalates to ``fail`` once the invocation's
-  failure rate crosses ``breaker_threshold``;
+  failure rate crosses :data:`BREAKER_THRESHOLD`;
 * an invocation that stops early — it failed, or its consumer closed the
   generator (``LIMIT``) — resets the per-invocation dispatch state on the
   way out of :meth:`ChildPool.run`; the persistent pool's next invocation
@@ -64,6 +64,14 @@ from repro.parallel.process import ChildEndpoints, child_main
 from repro.runtime.base import ProcessHandle
 from repro.util.errors import PlanError, ReproError
 
+#: Per-pool circuit breaker: once at least BREAKER_MIN_CALLS calls of one
+#: invocation have resolved and more than BREAKER_THRESHOLD of them
+#: failed, the pool escalates to ``fail`` regardless of ``on_error`` (a
+#: mostly-dead service should abort the query, not grind through
+#: redeliveries).
+BREAKER_THRESHOLD = 0.5
+BREAKER_MIN_CALLS = 20
+
 
 @dataclass(eq=False)
 class _Child:
@@ -90,8 +98,6 @@ class _Invocation:
     """State of one :meth:`ChildPool.run` — one parameter stream."""
 
     epoch: int  # stamps this invocation's pump messages
-    # None = stream; a list = rows held back until the input is exhausted.
-    barrier_buffer: list[tuple] | None
     in_flight: int = 0  # rows read from the input and not yet resolved
     input_done: bool = False
     first_round_announced: bool = False
@@ -394,8 +400,8 @@ class ChildPool:
             raise ReproError(f"query process {child} failed: {error}")
         resolved = inv.ok + inv.failed
         if (
-            resolved >= self.costs.breaker_min_calls
-            and inv.failed / resolved > self.costs.breaker_threshold
+            resolved >= BREAKER_MIN_CALLS
+            and inv.failed / resolved > BREAKER_THRESHOLD
         ):
             self.event("breaker_open", failed=inv.failed, resolved=resolved)
             raise ReproError(
@@ -536,12 +542,7 @@ class ChildPool:
             # Defensive: the previous invocation stopped without running
             # its reset (e.g. its generator was never finalized).
             self._reset_invocation_state()
-        inv = _Invocation(
-            epoch=self._epoch,
-            # WSQ/DSQ-style ablation: materialize the parameter stream
-            # before dispatching instead of streaming (costs.barrier).
-            barrier_buffer=[] if self.costs.barrier else None,
-        )
+        inv = _Invocation(epoch=self._epoch)
         pump = self.ctx.kernel.spawn(
             self._pump(source, inv.epoch), name=f"{self.ctx.process_name}-pump"
         )
@@ -597,19 +598,12 @@ class ChildPool:
         if message.epoch != inv.epoch:
             return  # input of an abandoned invocation
         inv.in_flight += 1
-        if inv.barrier_buffer is not None:
-            inv.barrier_buffer.append(message.row)
-        else:
-            await self._dispatch(message.row)
+        await self._dispatch(message.row)
 
     async def _on_input_exhausted(self, inv: _Invocation, message: InputExhausted):
         if message.epoch != inv.epoch:
             return
         inv.input_done = True
-        if inv.barrier_buffer is not None:
-            for row in inv.barrier_buffer:
-                await self._dispatch(row)
-            inv.barrier_buffer = None
         if not inv.first_round_announced:
             inv.first_round_announced = True
             self._broadcast_ready()

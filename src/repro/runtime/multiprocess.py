@@ -20,8 +20,6 @@ has a placement attached behaves exactly like a resident
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.parallel.placement import Placement
 from repro.runtime.realtime import AsyncioKernel
 from repro.runtime.workers import WorkerPool
@@ -32,18 +30,12 @@ class ProcessKernel(AsyncioKernel):
 
     ``workers``            number of OS worker processes.
     ``time_scale``         model-to-wall clock factor (as AsyncioKernel).
-    ``start_method``       multiprocessing start method; default ``fork``
-                           where available, else ``spawn``.
     ``local_services``     ship the service registry into the workers so
                            children call services *in-process* instead of
                            proxying through the coordinator's broker.
                            Decentralizes call accounting (each worker
                            meters its own calls) but lets CPU-heavy
                            service work run truly in parallel.
-    ``heartbeat_interval`` wall seconds between worker pings; a worker
-                           missing ``3`` consecutive pings is declared
-                           dead, its children failed over, and its slot
-                           respawned.
     """
 
     def __init__(
@@ -51,18 +43,12 @@ class ProcessKernel(AsyncioKernel):
         *,
         workers: int = 4,
         time_scale: float = 0.001,
-        start_method: Optional[str] = None,
         local_services: bool = False,
-        heartbeat_interval: float = 2.0,
     ) -> None:
         super().__init__(time_scale=time_scale, resident=True)
         self.local_services = local_services
         self.worker_pool = WorkerPool(
-            workers,
-            time_scale=time_scale,
-            clock=self.now,
-            start_method=start_method,
-            heartbeat_interval=heartbeat_interval,
+            workers, time_scale=time_scale, clock=self.now
         )
         self.placement = Placement(self, self.worker_pool)
 

@@ -265,6 +265,10 @@ class SimEvent(base.Event):
         return self._set
 
 
+#: Livelock guard: events one ``run`` may process before it is aborted.
+MAX_EVENTS = 50_000_000
+
+
 class SimKernel(base.Kernel):
     """Deterministic discrete-event scheduler.
 
@@ -274,11 +278,10 @@ class SimKernel(base.Kernel):
     fast instead of hanging.
     """
 
-    def __init__(self, *, max_events: int = 50_000_000, resident: bool = False) -> None:
+    def __init__(self, *, resident: bool = False) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
-        self._max_events = max_events
         self._tasks: list[SimTask] = []
         self._parked: dict[int, str] = {}  # id(task) -> what it waits on
         # A resident kernel leaves parked tasks (warm child processes)
@@ -325,9 +328,9 @@ class SimKernel(base.Kernel):
         events = 0
         while self._heap and not main.done:
             events += 1
-            if events > self._max_events:
+            if events > MAX_EVENTS:
                 raise KernelError(
-                    f"simulation exceeded {self._max_events} events; "
+                    f"simulation exceeded {MAX_EVENTS} events; "
                     "likely a livelock in operator code"
                 )
             time, _, action = heapq.heappop(self._heap)

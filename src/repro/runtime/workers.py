@@ -60,6 +60,10 @@ from repro.obs.spans import NULL_RECORDER, TraceRecorder
 from repro.util.errors import KernelError, ReproError, ServiceFault
 from repro.util.trace import TraceLog
 
+#: Wall seconds between worker pings; a worker missing HEARTBEAT_MISSES
+#: consecutive pings is declared hung, killed and respawned.
+HEARTBEAT_INTERVAL = 2.0
+HEARTBEAT_MISSES = 3
 
 # -- code shipping ------------------------------------------------------------
 
@@ -544,9 +548,6 @@ class WorkerPool:
         *,
         time_scale: float,
         clock: Callable[[], float],
-        start_method: Optional[str] = None,
-        heartbeat_interval: float = 2.0,
-        heartbeat_misses: int = 3,
     ) -> None:
         if size < 1:
             raise KernelError(f"worker pool size must be >= 1, got {size}")
@@ -554,16 +555,9 @@ class WorkerPool:
         self.time_scale = time_scale
         self._clock = clock
         methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else "spawn"
-        elif start_method not in methods:
-            raise KernelError(
-                f"start method {start_method!r} unavailable; have {methods}"
-            )
-        self._mp = multiprocessing.get_context(start_method)
-        self.start_method = start_method
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_misses = heartbeat_misses
+        self._mp = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         self.workers: list[WorkerHandle] = []
         self.on_message: Optional[Callable[[WorkerHandle, Any], None]] = None
         self.on_worker_death: Optional[Callable[[WorkerHandle], None]] = None
@@ -679,8 +673,8 @@ class WorkerPool:
 
     async def _heartbeat_loop(self) -> None:
         while not self._closed:
-            await asyncio.sleep(self.heartbeat_interval)
-            deadline = self.heartbeat_interval * self.heartbeat_misses
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
+            deadline = HEARTBEAT_INTERVAL * HEARTBEAT_MISSES
             for worker in list(self.workers):
                 if not worker.alive:
                     continue

@@ -16,14 +16,16 @@ Protocol (all bodies JSON, all responses either JSON or NDJSON):
            "cache": true,              -- or {"max_entries": N, "ttl": T}
            "name": "Query",
            "optimize": "cost",         -- heuristic | cost (planner level)
-           "tenant": "analytics",      -- fair-queue identity (adaptive admission)
+           "tenant": "analytics",      -- fair-queue admission identity
            "deadline_ms": 60000}}      -- model-ms deadline; unmeetable -> 429
 
     Any other top-level or ``"options"`` field is a 400.
 
-    Under ``--admission adaptive`` a query shed by the deadline policy
-    gets ``429 Too Many Requests`` with a ``Retry-After`` header (the
-    controller's wait estimate, whole seconds).
+    ``tenant`` and ``deadline_ms`` are honoured under either admission
+    policy: a query whose deadline the measured service rate cannot meet
+    is shed before it runs and gets ``429 Too Many Requests`` with a
+    ``Retry-After`` header (the controller's wait estimate, whole
+    seconds).
 
     Response is ``application/x-ndjson`` streamed as chunked transfer
     encoding: one header line carrying the column names, one line per

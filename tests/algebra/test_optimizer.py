@@ -17,7 +17,8 @@ from benchmarks.optimizer_world import (
 from repro import QueryOptions
 from repro.algebra.cost import CostModel, model_from_observations
 from repro.algebra.explain import render_plan
-from repro.algebra.optimizer import OptimizerConfig, create_cost_based_plan
+from repro.algebra import optimizer
+from repro.algebra.optimizer import create_cost_based_plan
 from repro.calculus.generator import generate_calculus
 from repro.sql.parser import parse_query
 from repro.util.errors import BindingError
@@ -36,12 +37,12 @@ def world():
     return build_optimizer_world()
 
 
-def _cost_plan(wsmed, sql, config=None):
+def _cost_plan(wsmed, sql):
     calculus = generate_calculus(
         parse_query(sql), wsmed.functions, "Query", allow_unbound=True
     )
     return create_cost_based_plan(
-        calculus, wsmed.functions, wsmed.cost_model(), config
+        calculus, wsmed.functions, wsmed.cost_model()
     )
 
 
@@ -75,9 +76,9 @@ def test_search_is_deterministic(world) -> None:
     ]
 
 
-def test_greedy_fallback_past_dp_limit(world) -> None:
-    config = OptimizerConfig(dp_limit=2, lookahead=2)
-    plan, report = _cost_plan(world, ADVERSARIAL_SQL, config)
+def test_greedy_fallback_past_dp_limit(world, monkeypatch) -> None:
+    monkeypatch.setattr(optimizer, "DP_LIMIT", 2)
+    plan, report = _cost_plan(world, ADVERSARIAL_SQL)
     (choice,) = report.components
     assert choice.strategy == "greedy"
     order = [name.split(":")[1] for name in choice.functions]

@@ -198,8 +198,9 @@ def test_helping_function_replace_only_hits_dependents() -> None:
     engine.close()
 
 
-def test_max_idle_pools_zero_disables_reuse() -> None:
-    engine = fresh_engine(max_idle_pools=0)
+def test_max_idle_pools_zero_disables_reuse(monkeypatch) -> None:
+    monkeypatch.setattr("repro.engine.engine.MAX_IDLE_POOLS", 0)
+    engine = fresh_engine()
     engine.sql(QUERY1_SQL, options=PARALLEL)
     warm_attempt = engine.sql(QUERY1_SQL, options=PARALLEL)
     stats = engine.stats()

@@ -2,7 +2,7 @@
 
 A QueryEngine running ``optimize="cost"`` folds observed per-call
 latencies and fanouts back into the cost model and re-optimizes cached
-plans when the observations drift past ``drift_threshold``.  The
+plans when the observations drift past ``DRIFT_THRESHOLD``.  The
 misdeclared optimizer world (CheckRegion's advisory fanout hint lies,
 the simulated service does not) is the canonical scenario: the cold plan
 trusts the hint and audits first; after one execution the engine notices

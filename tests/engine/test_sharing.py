@@ -1,14 +1,11 @@
 """Cross-query sharing: equivalence, fault isolation, mid-query invalidation."""
 
-import pytest
-
 from repro import (
     QUERY1_SQL,
     AsyncioKernel,
     QueryEngine,
     ShareConfig,
 )
-from repro.util.errors import ReproError
 from repro.wsmed.options import QueryOptions
 
 from tests.engine.test_engine import fresh_wsmed, trace_multiset
@@ -24,17 +21,6 @@ def sharing_engine(wsmed=None, **share_kwargs) -> QueryEngine:
 
 
 # -- configuration ------------------------------------------------------------------
-
-
-def test_share_config_validation() -> None:
-    with pytest.raises(ReproError, match="max_entries"):
-        ShareConfig(max_entries=0)
-    with pytest.raises(ReproError, match="ttl"):
-        ShareConfig(ttl=-1.0)
-    with pytest.raises(ReproError, match="batch_linger"):
-        ShareConfig(batch_linger=-0.1)
-    with pytest.raises(ReproError, match="batch_max"):
-        ShareConfig(batch_max=0)
 
 
 def test_disabled_share_config_is_seed_identical() -> None:

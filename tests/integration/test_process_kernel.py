@@ -132,9 +132,7 @@ def test_killed_worker_is_respawned_and_query_completes(wsmed) -> None:
     # at 1.5s lands mid-execution with plenty of work left.
     paper = WSMED(profile="paper")
     paper.import_all()
-    with ProcessKernel(
-        workers=2, time_scale=0.1, heartbeat_interval=0.3
-    ) as kernel:
+    with ProcessKernel(workers=2, time_scale=0.1) as kernel:
 
         def kill_one_worker() -> None:
             pids = kernel.worker_pool.pids()

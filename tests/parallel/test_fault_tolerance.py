@@ -130,12 +130,6 @@ def test_fault_policy_knob_validation() -> None:
         ProcessCosts(on_error="explode")
     with pytest.raises(PlanError, match="max_redeliveries"):
         ProcessCosts(max_redeliveries=-1)
-    with pytest.raises(PlanError, match="breaker_threshold"):
-        ProcessCosts(breaker_threshold=0.0)
-    with pytest.raises(PlanError, match="breaker_threshold"):
-        ProcessCosts(breaker_threshold=1.5)
-    with pytest.raises(PlanError, match="breaker_min_calls"):
-        ProcessCosts(breaker_min_calls=0)
 
 
 def test_fault_injection_validation_and_determinism() -> None:
@@ -223,9 +217,10 @@ def test_fail_policy_aborts_without_fault_events() -> None:
         assert ctx.trace.count(kind) == 0
 
 
-def test_breaker_escalates_a_mostly_dead_pool() -> None:
+def test_breaker_escalates_a_mostly_dead_pool(monkeypatch) -> None:
+    monkeypatch.setattr("repro.parallel.ff_applyp.BREAKER_MIN_CALLS", 5)
     kernel = SimKernel()
-    costs = fault_costs(on_error="skip", breaker_min_calls=5, breaker_threshold=0.5)
+    costs = fault_costs(on_error="skip")
     pool, ctx = make_pool(kernel, costs, flaky({x: 99 for x in range(20)}))
     with pytest.raises(ReproError, match="circuit breaker open"):
         drive(kernel, pool, [(x,) for x in range(20)])

@@ -147,8 +147,7 @@ def test_limit_then_full_then_limit_on_one_engine(kernel_name, query1_bag) -> No
         ("process", {}),
         ("sim", {"batch_size": 4}),
         ("asyncio", {"batch_size": 4}),
-        ("sim", {"barrier": True}),
-        ("sim", {"batch_size": 4, "barrier": True, "prefetch": 2}),
+        ("sim", {"batch_size": 4, "prefetch": 2}),
     ],
     ids=lambda value: value if isinstance(value, str) else "-".join(value) or "seed",
 )

@@ -1,4 +1,5 @@
-"""Tests for dispatch-protocol variants: prefetch, barrier, level-sync."""
+"""Tests for dispatch-protocol variants: prefetch and the level-synchronous
+(WSQ/DSQ-style materialized levels) baseline."""
 
 import pytest
 
@@ -53,15 +54,6 @@ def test_prefetch_keeps_children_loaded(world) -> None:
 def test_prefetch_validation() -> None:
     with pytest.raises(PlanError, match="prefetch"):
         ProcessCosts(prefetch=0)
-
-
-def test_barrier_mode_preserves_results(world, central_bag) -> None:
-    from repro.fdb.values import Bag
-
-    rows, _, _, _ = run_parallel(
-        world, QUERY1_SQL, fanouts=[5, 4], costs=fast_costs(barrier=True)
-    )
-    assert Bag(rows) == central_bag
 
 
 def run_level_sync(world, sql, workers):

@@ -334,8 +334,9 @@ def test_deadlock_detection_names_parked_tasks() -> None:
         kernel.run(main())
 
 
-def test_livelock_guard_raises() -> None:
-    kernel = SimKernel(max_events=100)
+def test_livelock_guard_raises(monkeypatch) -> None:
+    monkeypatch.setattr("repro.runtime.simulated.MAX_EVENTS", 100)
+    kernel = SimKernel()
 
     async def main():
         while True:

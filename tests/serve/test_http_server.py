@@ -123,6 +123,21 @@ def test_cached_request_reports_cache_counters(server) -> None:
     assert trailer["cache"]["misses"] > 0
 
 
+def test_unmeetable_deadline_is_a_429_under_the_default_policy(server) -> None:
+    """``deadline_ms`` is honoured by the default (static) admission
+    policy too; the parent accepted the field and ignored it."""
+    query(server, {"sql": QUERY1_SQL, "options": PARALLEL})  # service-time estimate
+    response, payload = request(
+        server,
+        "POST",
+        "/sql",
+        {"sql": QUERY1_SQL, "options": {**PARALLEL, "deadline_ms": 1}},
+    )
+    assert response.status == 429, payload
+    assert int(response.getheader("Retry-After")) >= 1
+    assert json.loads(payload)["tenant"] == "default"
+
+
 def test_malformed_json_is_a_400(server) -> None:
     connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
     connection.request("POST", "/sql", body="this is not json")

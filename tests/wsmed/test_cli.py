@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import Shell, format_table, main
 from repro.util.errors import ReproError
+from repro.wsmed.options import QueryOptions
 from repro.wsmed.results import QueryResult
 from repro.wsmed.system import WSMED
 
@@ -15,6 +16,9 @@ def wsmed():
     system = WSMED(profile="fast")
     system.import_all()
     return system
+
+
+PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 
 
 def run_cli(argv):
@@ -306,8 +310,7 @@ def test_shell_stats_shows_all_sections(wsmed) -> None:
     output = run_shell(
         wsmed,
         f"{QUERY1_ONELINE};\n\\stats\n\\quit\n",
-        mode="parallel",
-        fanouts=[5, 4],
+        options=PARALLEL,
     )
     assert "calls: 311 web service calls" in output
     assert "process tree: 25 spawned" in output
@@ -321,7 +324,7 @@ def test_shell_stats_single_section_and_no_bare_aliases(wsmed) -> None:
         f"{QUERY1_ONELINE};\n\\stats faults\n"
         "\\faults\n\\cache\n\\batch\n\\engine\n\\share\n\\quit\n"
     )
-    output = run_shell(wsmed, script, mode="parallel", fanouts=[5, 4])
+    output = run_shell(wsmed, script, options=PARALLEL)
     # Only \stats reports; the bare forms are usage errors / unknown.
     assert output.count("faults: none") == 1
     assert "calls: 311" not in output
@@ -348,7 +351,7 @@ def test_shell_stats_before_query_errors(wsmed) -> None:
 
 def test_shell_stats_critical_path_requires_tracing(wsmed) -> None:
     script = f"{QUERY1_ONELINE};\n\\stats critical_path\n\\quit\n"
-    output = run_shell(wsmed, script, mode="parallel", fanouts=[5, 4])
+    output = run_shell(wsmed, script, options=PARALLEL)
     assert "was not traced" in output
 
 
@@ -394,8 +397,7 @@ def test_shell_traced_stats_include_critical_path(wsmed, tmp_path) -> None:
     output = run_shell(
         wsmed,
         script,
-        mode="parallel",
-        fanouts=[5, 4],
+        options=PARALLEL,
         trace_out=str(trace_path),
     )
     assert "bottleneck: GetPlaceList at level 2" in output
