@@ -295,15 +295,24 @@ class ServiceBroker:
         request_text = soap.encode_request(wsdl_operation, arguments)
         await kernel.sleep(profile.setup + profile.rtt / 2.0)
 
-        payload, rows = await self._service_round(
+        served = await self._service_round(
             endpoint, wsdl_operation, profile, request_text, sinks,
             obs=obs, obs_span=obs_span,
         )
 
-        response_text = soap.encode_response(wsdl_operation, payload)
         await kernel.sleep(profile.rtt / 2.0)
+        return self._deliver(
+            wsdl_operation, request_text, served, sinks, kernel.now() - started
+        )
 
-        total_time = kernel.now() - started
+    def _deliver(
+        self, wsdl_operation, request_text: bytes, served: tuple[Any, int],
+        sinks: list[CallStats], total_time: float,
+    ) -> Sequence:
+        """The tail of every served call: marshal the response, book the
+        call in every sink, hand the client side its decoded value."""
+        payload, rows = served
+        response_text = soap.encode_response(wsdl_operation, payload)
         for sink in sinks:
             sink.calls += 1
             sink.rows += rows
@@ -316,7 +325,7 @@ class ServiceBroker:
         endpoint: _Endpoint,
         wsdl_operation,
         profile,
-        request_text: str,
+        request_text: bytes,
         sinks: list[CallStats],
         *,
         obs=None,
@@ -482,12 +491,8 @@ class ServiceBroker:
             if error is not None:
                 request.error = error
                 continue
-            payload, rows = served
-            response_text = soap.encode_response(wsdl_operation, payload)
-            for sink in self._sinks(operation, request.recorder):
-                sink.calls += 1
-                sink.rows += rows
-                sink.bytes_transferred += len(request_text) + len(response_text)
-                sink.total_time.add(total_time)
-            request.value = soap.decode_response(wsdl_operation, response_text)
+            request.value = self._deliver(
+                wsdl_operation, request_text, served,
+                self._sinks(operation, request.recorder), total_time,
+            )
         return requests

@@ -45,6 +45,7 @@ US_STATES: list[tuple[str, str]] = [
 ]
 
 _EARTH_RADIUS_KM = 6371.0
+_KM_PER_DEGREE_OF_LATITUDE = _EARTH_RADIUS_KM * math.pi / 180.0
 
 _TOWN_STEMS = [
     "Springfield", "Fairview", "Riverside", "Franklin", "Greenville",
@@ -113,6 +114,7 @@ class GeoDatabase:
         self._zips_by_state: dict[str, list[str]] = {}
         self._places_by_zip: dict[str, list[Place]] = {}
         self._places_by_state: dict[str, list[Place]] = {}
+        self._places_by_name: dict[str, list[Place]] = {}
         self.atlanta_states: list[str] = []
         self._build()
 
@@ -134,6 +136,7 @@ class GeoDatabase:
         for place in self._places:
             self._places_by_zip.setdefault(place.zip_code, []).append(place)
             self._places_by_state.setdefault(place.state, []).append(place)
+            self._places_by_name.setdefault(place.name, []).append(place)
 
     def _allocate_zipcodes(self) -> None:
         per_state = self.config.zipcodes_per_state
@@ -278,19 +281,26 @@ class GeoDatabase:
         """Places of ``place_type`` within ``distance_km`` of any place in
         ``state`` whose name starts with ``place_prefix``.
 
-        Returns (place, distance-to-nearest-anchor) pairs, nearest first,
-        mirroring ``GetPlacesWithin``.
+        Returns (place, distance) pairs, nearest first, mirroring
+        ``GetPlacesWithin``; the distance is to the first anchor in range,
+        in dataset order, which need not be the nearest one.
         """
         in_state = self._places_by_state.get(state, [])
         anchors = [
             p for p in in_state
             if p.name.startswith(place_prefix) and p.place_type == "City"
         ]
+        # Two points are never closer than their parallels: latitudes further
+        # apart than the radius (plus a slack far above float rounding) rule a
+        # pair out without computing the arc.
+        reach = distance_km * (1.0 + 1e-9) / _KM_PER_DEGREE_OF_LATITUDE
         results: dict[tuple[str, str], tuple[Place, float]] = {}
         for candidate in in_state:
             if candidate.place_type != place_type:
                 continue
             for anchor in anchors:
+                if abs(anchor.lat - candidate.lat) > reach:
+                    continue
                 distance = haversine_km(
                     anchor.lat, anchor.lon, candidate.lat, candidate.lon
                 )
@@ -318,8 +328,8 @@ class GeoDatabase:
         state_part = state_part.strip()
         matches = [
             place
-            for place in self._places
-            if place.name == name and (not state_part or place.state == state_part)
+            for place in self._places_by_name.get(name, ())
+            if not state_part or place.state == state_part
         ]
         matches.sort(key=lambda place: (place.state, place.place_type))
         return matches[: max_items if max_items > 0 else len(matches)]

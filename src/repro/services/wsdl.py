@@ -15,7 +15,8 @@ referencing request/response elements, and a ``service/port`` pair.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from repro.fdb.types import AtomicType, BOOLEAN, CHARSTRING, INTEGER, REAL
 from repro.util.errors import WsdlError
@@ -34,6 +35,12 @@ _XSD_ATOMS: dict[str, AtomicType] = {
 }
 
 
+def _declared_fields(self) -> dict:
+    """Pickled state: the declared fields only.  What was derived from them
+    (a compiled codec is closures) stays behind; the far side derives its own."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
 class XsdElement:
     """A schema element: either atomic (``atom`` set) or complex."""
@@ -46,6 +53,15 @@ class XsdElement:
     @property
     def is_atomic(self) -> bool:
         return self.atom is not None
+
+    @cached_property
+    def codec(self):
+        """The SOAP codec of this element's documents, compiled once."""
+        from repro.services.soap import Codec  # soap imports this module
+
+        return Codec(self)
+
+    __getstate__ = _declared_fields
 
     def __post_init__(self) -> None:
         if (self.atom is None) == (self.complex is None):
@@ -93,6 +109,12 @@ class WsdlOperation:
                 )
             parameters.append((child.name, child.atom))
         return parameters
+
+    @cached_property
+    def parameter_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.input_parameters())
+
+    __getstate__ = _declared_fields
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,23 @@ def test_parallel_query1_row_identical_to_sim(wsmed, sim_results) -> None:
     assert result.tree.processes_spawned == 25
 
 
+def test_local_services_ship_the_registry_to_the_workers(wsmed, sim_results) -> None:
+    """``local_services=True`` pickles the whole ServiceRegistry — WSDL
+    operations, GeoDatabase and its indexes — into each worker, after the
+    parent (the ``sim_results`` run) has compiled and used the SOAP codecs
+    of those very operations.  Worker-local calls are not mirrored to the
+    parent, which sees only the coordinator's own call: assert the bag."""
+    operation = next(iter(wsmed.registry.documents.values())).operation("GetAllStates")
+    assert "codec" in vars(operation.output_element)
+    with ProcessKernel(workers=2, local_services=True) as kernel:
+        result = wsmed.sql(
+            QUERY1_SQL,
+            options=QueryOptions(mode="parallel", fanouts=[5, 4], kernel=kernel),
+        )
+    assert len(result) == 360
+    assert result.as_bag() == sim_results["q1_parallel"].as_bag()
+
+
 def test_parallel_query2_row_identical_to_sim(wsmed, sim_results) -> None:
     with ProcessKernel(workers=2) as kernel:
         result = wsmed.sql(

@@ -1,5 +1,7 @@
 """Tests pinning the synthetic dataset to the paper's cardinalities."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,3 +153,104 @@ def test_haversine_is_symmetric_and_nonnegative(a, b) -> None:
     backward = haversine_km(b[0], b[1], a[0], a[1])
     assert forward == pytest.approx(backward)
     assert forward >= 0.0
+
+
+# -- the indexed lookups against the scans they replaced ---------------------------
+
+
+def scan_place_list(geo, specification, max_items, image_presence):
+    """``place_list`` as a scan over every place: the reference."""
+    name, _, state_part = specification.partition(",")
+    name = name.strip()
+    state_part = state_part.strip()
+    matches = [
+        place
+        for place in geo._places
+        if place.name == name and (not state_part or place.state == state_part)
+    ]
+    matches.sort(key=lambda place: (place.state, place.place_type))
+    return matches[: max_items if max_items > 0 else len(matches)]
+
+
+def scan_places_within(geo, place_prefix, state, distance_km, place_type):
+    """``places_within`` computing every candidate/anchor arc: the reference."""
+    in_state = geo._places_by_state.get(state, [])
+    anchors = [
+        p for p in in_state
+        if p.name.startswith(place_prefix) and p.place_type == "City"
+    ]
+    results = {}
+    for candidate in in_state:
+        if candidate.place_type != place_type:
+            continue
+        for anchor in anchors:
+            distance = haversine_km(
+                anchor.lat, anchor.lon, candidate.lat, candidate.lon
+            )
+            if distance <= distance_km:
+                key = (candidate.name, candidate.place_type)
+                best = results.get(key)
+                if best is None or distance < best[1]:
+                    results[key] = (candidate, distance)
+                break
+    return sorted(results.values(), key=lambda pair: (pair[1], pair[0].name))
+
+
+def assert_identical(found, expected) -> None:
+    """Same objects in the same order, distances equal to the last bit."""
+    assert len(found) == len(expected)
+    for got, want in zip(found, expected):
+        if isinstance(want, tuple):
+            assert got[0] is want[0] and got[1] == want[1]
+        else:
+            assert got is want
+
+
+@pytest.mark.parametrize("config", [GeoConfig(), GeoConfig(seed=7)], ids=["seed2009", "seed7"])
+def test_indexed_lookups_return_what_the_scans_return(config) -> None:
+    """Every argument list Query1 issues (Query2's three operations never
+    reach these two lookups), then the corners."""
+    geo = GeoDatabase(config)
+    specifications = ["Atlanta", "Springfield", "Nowhere", "Nowhere, GA", " Atlanta ,  GA ", ""]
+    for _, abbreviation in US_STATES:
+        within = [("Atlanta", abbreviation, 15.0, "City")]
+        within.append(("Atlanta", abbreviation, 15.0, "Locale"))
+        within.append(("Atlanta Heights", abbreviation, 3.0, "City"))  # many anchors
+        within.append(("", abbreviation, 60.0, "City"))  # every city an anchor
+        within.append(("Zzz", abbreviation, 15.0, "City"))  # no anchor at all
+        for arguments in within:
+            assert_identical(
+                geo.places_within(*arguments), scan_places_within(geo, *arguments)
+            )
+        for place, _ in geo.places_within("Atlanta", abbreviation, 15.0, "City"):
+            specifications.append(f"{place.name}, {place.state}")
+    assert len(specifications) == 6 + 260
+    for specification in specifications:
+        for max_items in (100, 0, 1, -3):
+            assert_identical(
+                geo.place_list(specification, max_items, True),
+                scan_place_list(geo, specification, max_items, True),
+            )
+    assert geo.places_within("Atlanta", "ZZ", 15.0, "City") == []
+    assert len({p.state for p in geo.place_list("Atlanta", 0, False)}) == 26
+    assert geo.place_list("Nowhere", 100, True) == []
+
+
+def test_latitude_bound_never_drops_a_pair_in_range(geo) -> None:
+    """Sweep the radius across each candidate's exact distance, one ulp
+    either side: the cheap reject must agree with the arc on every pair —
+    including the pairs on one meridian, where the bound is tight."""
+    for state in geo.atlanta_states[:6]:
+        everything = scan_places_within(geo, "Atlanta", state, 500.0, "City")
+        assert len(everything) > 100
+        for _, distance in everything[::7] + everything[:12]:
+            for radius in (math.nextafter(distance, 0.0), distance, math.nextafter(distance, math.inf)):
+                arguments = ("Atlanta", state, radius, "City")
+                assert_identical(
+                    geo.places_within(*arguments), scan_places_within(geo, *arguments)
+                )
+    for latitude in (0.0, 33.7, 64.2, -89.0):
+        for step in (1e-9, 0.004, 0.135, 1.0, 27.5, 90.0):
+            other = latitude + step
+            arc = haversine_km(latitude, -84.4, other, -84.4)
+            assert arc * (1.0 + 1e-9) >= (other - latitude) * 6371.0 * math.pi / 180.0

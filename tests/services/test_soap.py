@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import WSMED, QueryOptions
 from repro.fdb.values import Record, Sequence
 from repro.services import soap
 from repro.services.geodata import GeoDatabase
@@ -11,7 +12,7 @@ from repro.services.providers import (
     USZipProvider,
 )
 from repro.services.wsdl import parse_wsdl
-from repro.util.errors import WsdlError
+from repro.util.errors import ReproError, WsdlError
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +129,54 @@ def test_count_rows_empty_repeated_is_zero(world) -> None:
     operation = documents["GeoPlaces"].operation("GetPlacesWithin")
     payload = {"GetPlacesWithinResult": {"GeoPlaceDistance": []}}
     assert soap.count_rows(operation.output_element, payload) == 0
+
+
+# -- strings XML 1.0 cannot carry as they are ---------------------------------------
+
+
+def test_carriage_return_survives_the_round_trip(world) -> None:
+    """A parser reads a literal CR as LF, which would call the provider
+    with another key than the one the call cache memoizes under."""
+    _, _, documents = world
+    operation = documents["USZip"].operation("GetInfoByState")
+    text = soap.encode_request(operation, ["a\rb\r\nc"])
+    assert text == b"<GetInfoByState><USState>a&#13;b&#13;\nc</USState></GetInfoByState>"
+    assert soap.decode_request(operation, text) == ["a\rb\r\nc"]
+    response = soap.encode_response(operation, {"GetInfoByStateResult": "\r"})
+    assert soap.decode_response(operation, response)[0]["GetInfoByStateResult"] == "\r"
+
+
+@pytest.mark.parametrize(
+    "character",
+    ["\x00", "\x08", "\x0b", "\x0c", "\x0e", "\x1f", "\ud800", "\ufffe", "\uffff"],
+    ids=lambda character: f"U+{ord(character):04X}",
+)
+def test_characters_outside_xml_are_refused_by_the_encoder(world, character) -> None:
+    _, _, documents = world
+    operation = documents["USZip"].operation("GetInfoByState")
+    with pytest.raises(WsdlError, match="is not allowed in XML 1.0 text"):
+        soap.encode_request(operation, [f"Oh{character}io"])
+    with pytest.raises(WsdlError, match="is not allowed in XML 1.0 text"):
+        soap.encode_response(operation, {"GetInfoByStateResult": character})
+
+
+def test_control_character_in_a_query_is_a_repro_error() -> None:
+    """Not a raw ``xml.etree.ElementTree.ParseError``, which is no
+    ``ReproError`` and so slips past every handler of the operators."""
+    wsmed = WSMED(profile="fast")
+    wsmed.import_all()
+    sql = (
+        "SELECT gi.GetInfoByStateResult FROM GetInfoByState gi "
+        "WHERE gi.USState = 'Oh\x0bio'"
+    )
+    with pytest.raises(ReproError, match="is not allowed in XML 1.0 text"):
+        wsmed.sql(sql, options=QueryOptions(mode="central"))
+
+
+def test_malformed_documents_are_wsdl_errors(world) -> None:
+    _, _, documents = world
+    operation = documents["USZip"].operation("GetInfoByState")
+    with pytest.raises(WsdlError, match="not well-formed XML"):
+        soap.decode_response(operation, b"<GetInfoByStateResponse><x>")
+    with pytest.raises(WsdlError, match="not well-formed XML"):
+        soap.decode_request(operation, b"<GetInfoByState><USState>Oh\x0bio")

@@ -8,10 +8,12 @@ from repro.services import soap
 from repro.services.wsdl import WsdlOperation, XsdComplex, XsdElement
 from repro.fdb.types import BOOLEAN, CHARSTRING, INTEGER, REAL
 
-# XML 1.0-safe text (no control chars; ElementTree also normalizes \r).
+# XML 1.0-safe text: no control characters except TAB, LF and CR (the
+# encoder writes CR as a character reference so it survives the parser).
 xml_text = st.text(
-    alphabet=st.characters(
-        min_codepoint=32, max_codepoint=0x2FF, blacklist_characters="\r"
+    alphabet=st.one_of(
+        st.sampled_from("\t\n\r"),
+        st.characters(min_codepoint=32, max_codepoint=0x2FF),
     ),
     max_size=20,
 )
