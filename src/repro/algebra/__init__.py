@@ -33,7 +33,7 @@ from repro.algebra.plan import (
     plan_from_dict,
 )
 from repro.algebra.central import create_central_plan
-from repro.algebra.interpreter import ExecutionContext, collect_rows, iterate_plan
+from repro.algebra.interpreter import ExecutionContext, PullChain, compile_plan
 from repro.algebra.explain import render_plan
 from repro.algebra.cost import CostModel, estimate_plan
 
@@ -60,8 +60,8 @@ __all__ = [
     "plan_from_dict",
     "create_central_plan",
     "ExecutionContext",
-    "collect_rows",
-    "iterate_plan",
+    "PullChain",
+    "compile_plan",
     "render_plan",
     "CostModel",
     "estimate_plan",

@@ -9,6 +9,7 @@ child query processes (Sec. III.A's code shipping).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Union
 
 from repro.calculus.expressions import ArgExpr, Concat, Const, Var
@@ -80,7 +81,7 @@ def compile_expr(
                 f"expression references {expression.name!r} which is not in "
                 f"the input schema {schema}"
             ) from None
-        return lambda row: row[position]
+        return itemgetter(position)
     if isinstance(expression, ConcatExpr):
         compiled = [compile_expr(part, schema) for part in expression.parts]
         return lambda row: "".join(_as_text(fn(row)) for fn in compiled)

@@ -1,21 +1,28 @@
-"""Plan interpreter: evaluates plan trees as asynchronous row streams.
+"""Plan interpreter: plan trees compiled once into pull chains.
 
 Rows flow as plain tuples.  Web-service calls (OWF applies) suspend on the
 kernel through the service broker, which is where all virtual time is
 spent; pure operators (map, filter, project) are free, matching the
 paper's cost assumption that web-service operations dominate.
+:func:`compile_plan` runs once per cached plan and per plan-function
+install: every node becomes an async generator of row chunks, with map,
+filter and project fused into the node below them.
 
-``FF_APPLYP``/``AFF_APPLYP`` nodes are executed by the *parallel handler*
-installed in the context by :mod:`repro.parallel.executor`; a context
-without one (a central-only execution) rejects parallel plans explicitly.
+``FF_APPLYP``/``AFF_APPLYP`` nodes run through the pool that
+:mod:`repro.parallel.executor` hands out via ``ctx.acquire_pool``; a
+context without one (a central-only execution) rejects parallel plans
+explicitly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Callable, Optional
+import operator
+from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import islice
+from typing import Any, AsyncIterator, Awaitable, Callable, NamedTuple, Optional
 
-from repro.algebra.expressions import compile_expr
+from repro.algebra.expressions import ColExpr, compile_expr
 from repro.cache import CacheConfig, CallCache
 from repro.algebra.plan import (
     AFFApplyNode,
@@ -42,12 +49,12 @@ from repro.util.errors import PlanError
 from repro.util.trace import TraceLog
 
 _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
 }
 
 
@@ -58,9 +65,7 @@ class ExecutionContext:
     kernel: Kernel
     broker: ServiceBroker
     functions: FunctionRegistry
-    parallel_handler: Optional[
-        Callable[[PlanNode, AsyncIterator[tuple], "ExecutionContext"], AsyncIterator[tuple]]
-    ] = None
+    acquire_pool: Optional[Callable[[PlanNode, "ExecutionContext"], Awaitable[Any]]] = None
     trace: TraceLog = field(default_factory=TraceLog)
     # Transient-fault policy for web-service calls: a retriable
     # ServiceFault is retried up to `retries` times, sleeping
@@ -125,8 +130,6 @@ class ExecutionContext:
 
     def for_process(self, name: str) -> "ExecutionContext":
         """A context for a child process: shared world, private pools."""
-        from dataclasses import replace
-
         ctx = replace(self, process_name=name, pools={})
         if self.cache is not None:
             ctx.cache = self.cache.clone_for(name)
@@ -134,200 +137,242 @@ class ExecutionContext:
         return ctx
 
 
-async def iterate_plan(
-    node: PlanNode,
-    ctx: ExecutionContext,
-    param_row: tuple | None = None,
-) -> AsyncIterator[tuple]:
-    """Yield the rows of ``node``.
+class PullChain(NamedTuple):
+    """``chunks(ctx, param_row)`` streams one execution as chunks: the rows
+    one await made available, a lazy iterable the consumer finishes before
+    pulling again, so an error or a LIMIT stops on the row it would one row
+    at a time.  A ``single`` chain yields one chunk at most, then ends."""
 
-    ``param_row`` binds the :class:`ParamNode` leaf when executing a plan
-    function's body for one parameter tuple.
-    """
-    if isinstance(node, SingletonNode):
-        yield ()
-        return
+    chunks: Callable
+    single: bool
 
-    if isinstance(node, ParamNode):
-        if param_row is None:
-            raise PlanError("param node outside a plan-function call")
-        if len(param_row) != len(node.schema):
-            raise PlanError(
-                f"parameter tuple {param_row!r} does not match schema {node.schema}"
-            )
-        yield tuple(param_row)
-        return
+    async def rows(self, ctx: ExecutionContext, param_row: tuple | None = None) -> list:
+        rows: list[tuple] = []
+        async for chunk in self.chunks(ctx, param_row):
+            rows.extend(chunk)
+        return rows
+
+
+def compile_plan(node: PlanNode) -> PullChain:
+    """``node`` as a :class:`PullChain`, compiled on its first use.  Only
+    its structure is bound: functions are resolved once per execution."""
+    if node._pull_chain is None:
+        node._pull_chain = PullChain(*_compile(node, _same))
+    return node._pull_chain
+
+
+def _same(rows):
+    return rows
+
+
+def _compile(node: PlanNode, above: Callable) -> tuple[Callable, bool]:
+    """``(chunks, single)`` of ``node``, with ``above`` — the map, filter
+    and project steps over it, composed — applied to every chunk."""
+    if isinstance(node, (MapNode, FilterNode, ProjectNode)):
+        step = _step(node)
+        return _compile(node.child, step if above is _same else lambda rows: above(step(rows)))
+    children = node.children()
+    child, single = _compile(children[0], _same) if len(children) == 1 else (None, True)
+
+    if isinstance(node, (SingletonNode, ParamNode)):
+        async def leaf(ctx, param_row):
+            if isinstance(node, SingletonNode):
+                yield above(((),))
+                return
+            if param_row is None:
+                raise PlanError("param node outside a plan-function call")
+            if len(param_row) != len(node.schema):
+                raise PlanError(
+                    f"parameter tuple {param_row!r} does not match schema {node.schema}"
+                )
+            yield above((tuple(param_row),))
+
+        return leaf, True
 
     if isinstance(node, ApplyNode):
-        argument_fns = [
-            compile_expr(argument, node.child.schema) for argument in node.arguments
-        ]
-        function = ctx.functions.resolve(node.function)
-        async for row in iterate_plan(node.child, ctx, param_row):
-            arguments = [fn(row) for fn in argument_fns]
-            if function.kind is FunctionKind.OWF:
-                out_rows = await function.implementation.call(ctx, arguments)
-            else:
-                result = function.implementation(*arguments)
-                out_rows = result if function.returns_stream else [(result,)]
-            for out_row in out_rows:
-                out_tuple = tuple(out_row)
-                if len(out_tuple) != len(node.out_columns):
-                    raise PlanError(
-                        f"function {function.name!r} returned a row of width "
-                        f"{len(out_tuple)}, expected {len(node.out_columns)}"
-                    )
-                yield row + out_tuple
-        return
+        argument_fns = [compile_expr(a, node.child.schema) for a in node.arguments]
 
-    if isinstance(node, MapNode):
-        expression_fn = compile_expr(node.expression, node.child.schema)
-        async for row in iterate_plan(node.child, ctx, param_row):
-            yield row + (expression_fn(row),)
-        return
+        async def apply(ctx, param_row):
+            function = ctx.functions.resolve(node.function)
+            async for chunk in child(ctx, param_row):
+                for row in chunk:
+                    arguments = [fn(row) for fn in argument_fns]
+                    if function.kind is FunctionKind.OWF:
+                        out_rows = await function.implementation.call(ctx, arguments)
+                    else:
+                        result = function.implementation(*arguments)
+                        out_rows = result if function.returns_stream else [(result,)]
+                    yield above(_widen(row, out_rows, node, function.name))
 
-    if isinstance(node, FilterNode):
-        left_fn = compile_expr(node.left, node.child.schema)
-        right_fn = compile_expr(node.right, node.child.schema)
-        comparator = _COMPARATORS[node.op]
-        async for row in iterate_plan(node.child, ctx, param_row):
-            try:
-                keep = comparator(left_fn(row), right_fn(row))
-            except TypeError as error:
-                raise PlanError(f"filter {node.label()} failed: {error}") from error
-            if keep:
-                yield row
-        return
+        # One chunk per call: over a leaf, at most one row, one call.
+        below = node.child
+        while isinstance(below, (MapNode, FilterNode, ProjectNode)):
+            below = below.child
+        return apply, isinstance(below, (SingletonNode, ParamNode))
 
-    if isinstance(node, ProjectNode):
-        item_fns = [
-            compile_expr(expression, node.child.schema)
-            for _, expression in node.items
-        ]
-        async for row in iterate_plan(node.child, ctx, param_row):
-            yield tuple(fn(row) for fn in item_fns)
-        return
+    if isinstance(node, (FFApplyNode, AFFApplyNode)):
+        async def parallel(ctx, param_row):
+            if ctx.acquire_pool is None:
+                raise PlanError(
+                    f"plan contains {node.label()} but the execution context has "
+                    "no parallel handler; use the parallel executor"
+                )
+            pool = await ctx.acquire_pool(node, ctx)
+            async for row in pool.run(_rows(child, ctx, param_row)):
+                yield above((row,))
+
+        return parallel, False
 
     if isinstance(node, DistinctNode):
-        seen: set[tuple] = set()
-        async for row in iterate_plan(node.child, ctx, param_row):
-            if row not in seen:
-                seen.add(row)
-                yield row
-        return
+        async def distinct(ctx, param_row):
+            seen: set[tuple] = set()
+            async for chunk in child(ctx, param_row):
+                yield above(row for row in chunk if not (row in seen or seen.add(row)))
 
-    if isinstance(node, SortNode):
-        rows = [row for row in await collect_rows(node.child, ctx, param_row)]
-        positions = [
-            (node.child.schema.index(column), ascending)
-            for column, ascending in node.keys
-        ]
-        # Stable multi-key sort: apply keys right-to-left.
-        for position, ascending in reversed(positions):
-            rows.sort(key=lambda row: row[position], reverse=not ascending)
-        for row in rows:
-            yield row
-        return
+        return distinct, single
 
     if isinstance(node, LimitNode):
-        if node.count == 0:
-            return
-        emitted = 0
-        source = iterate_plan(node.child, ctx, param_row)
-        try:
-            async for row in source:
-                yield row
-                emitted += 1
-                if emitted >= node.count:
-                    break
-        finally:
-            # Stop consuming: propagate GeneratorExit down the chain so
-            # parallel operators cancel their input pumps.
-            await source.aclose()
-        return
+        async def limit(ctx, param_row):
+            remaining = node.count
+            if not remaining:
+                return
+            source = child(ctx, param_row)
+            try:
+                async for chunk in source:
+                    rows = list(islice(chunk, remaining))  # never a row past it
+                    remaining -= len(rows)
+                    yield above(rows)
+                    if not remaining:
+                        break
+            finally:
+                # Stop consuming: propagate GeneratorExit down the chain so
+                # parallel operators cancel their input pumps.
+                await source.aclose()
+
+        return limit, False
+
+    if isinstance(node, SortNode):
+        keys = [(node.child.schema.index(c), ascending) for c, ascending in node.keys]
+
+        async def sort(ctx, param_row):
+            rows = await PullChain(child, single).rows(ctx, param_row)
+            # Stable multi-key sort: apply keys right-to-left.
+            for position, ascending in reversed(keys):
+                rows.sort(key=operator.itemgetter(position), reverse=not ascending)
+            yield above(rows)
+
+        return sort, True
 
     if isinstance(node, AggregateNode):
         # Streaming hash aggregation: one accumulator row per key, groups
         # emitted in first-seen order.  A global aggregate (no keys) emits
         # exactly one row even over empty input (COUNT(*) = 0, others NULL).
-        item_fns = [
-            (kind, compile_expr(expression, node.child.schema))
-            for _, kind, expression in node.items
-        ]
-        groups: dict[tuple, list] = {}
+        item_fns = [(kind, compile_expr(e, node.child.schema)) for _, kind, e in node.items]
         key_indexes = [i for i, (kind, _) in enumerate(item_fns) if kind == "key"]
-        async for row in iterate_plan(node.child, ctx, param_row):
-            values = [fn(row) for _, fn in item_fns]
-            key = tuple(values[i] for i in key_indexes)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                groups[key] = [
-                    _agg_init(kind, value)
-                    for (kind, _), value in zip(item_fns, values)
-                ]
-            else:
-                for i, ((kind, _), value) in enumerate(zip(item_fns, values)):
-                    accumulators[i] = _agg_step(kind, accumulators[i], value)
-        if not groups and not key_indexes:
-            groups[()] = [_agg_empty(kind) for kind, _ in item_fns]
-        for accumulators in groups.values():
-            yield tuple(
-                _agg_final(kind, accumulator)
-                for (kind, _), accumulator in zip(item_fns, accumulators)
+
+        async def aggregate(ctx, param_row):
+            groups: dict[tuple, list] = {}
+            async for chunk in child(ctx, param_row):
+                for row in chunk:
+                    values = [fn(row) for _, fn in item_fns]
+                    key = tuple(values[i] for i in key_indexes)
+                    accumulators = groups.get(key)
+                    if accumulators is None:
+                        groups[key] = [
+                            _agg_init(kind, value)
+                            for (kind, _), value in zip(item_fns, values)
+                        ]
+                    else:
+                        for i, ((kind, _), value) in enumerate(zip(item_fns, values)):
+                            accumulators[i] = _agg_step(kind, accumulators[i], value)
+            if not groups and not key_indexes:
+                groups[()] = [_agg_empty(kind) for kind, _ in item_fns]
+            yield above(
+                tuple(_agg_final(kind, acc) for (kind, _), acc in zip(item_fns, accumulators))
+                for accumulators in groups.values()
             )
-        return
+
+        return aggregate, True
 
     if isinstance(node, UnionNode):
         # Disjunctive branches run concurrently — their service calls
         # overlap — and rows are emitted in branch order, so the stream is
         # deterministic regardless of which branch finishes first.  The
         # planner puts a DistinctNode above for set semantics.
-        tasks = [
-            ctx.kernel.spawn(
-                collect_rows(branch, ctx, param_row), name=f"union-{i}"
-            )
-            for i, branch in enumerate(node.inputs)
-        ]
-        for task in tasks:
-            for row in await task.join():
-                yield row
-        return
+        branches = [compile_plan(branch) for branch in node.inputs]
+
+        async def union(ctx, param_row):
+            tasks = [
+                ctx.kernel.spawn(branch.rows(ctx, param_row), name=f"union-{i}")
+                for i, branch in enumerate(branches)
+            ]
+            for task in tasks:
+                yield above(await task.join())
+
+        return union, False
 
     if isinstance(node, JoinNode):
         # Evaluate both independent inputs concurrently — their service
         # calls overlap in time — then hash-join.
-        left_task = ctx.kernel.spawn(
-            collect_rows(node.left, ctx, param_row), name="join-left"
-        )
-        right_task = ctx.kernel.spawn(
-            collect_rows(node.right, ctx, param_row), name="join-right"
-        )
-        left_rows = await left_task.join()
-        right_rows = await right_task.join()
-        left_positions = [node.left.schema.index(l) for l, _ in node.conditions]
-        right_positions = [node.right.schema.index(r) for _, r in node.conditions]
-        table: dict[tuple, list[tuple]] = {}
-        for row in right_rows:
-            key = tuple(row[p] for p in right_positions)
-            table.setdefault(key, []).append(row)
-        for row in left_rows:
-            key = tuple(row[p] for p in left_positions)
-            for match in table.get(key, ()):
-                yield row + match
-        return
+        left, right = compile_plan(node.left), compile_plan(node.right)
+        left_key = operator.itemgetter(*[node.left.schema.index(l) for l, _ in node.conditions])
+        right_key = operator.itemgetter(*[node.right.schema.index(r) for _, r in node.conditions])
 
-    if isinstance(node, (FFApplyNode, AFFApplyNode)):
-        if ctx.parallel_handler is None:
-            raise PlanError(
-                f"plan contains {node.label()} but the execution context has "
-                "no parallel handler; use the parallel executor"
+        async def join(ctx, param_row):
+            left_task = ctx.kernel.spawn(left.rows(ctx, param_row), name="join-left")
+            right_task = ctx.kernel.spawn(right.rows(ctx, param_row), name="join-right")
+            left_rows = await left_task.join()
+            right_rows = await right_task.join()
+            table: dict = {}
+            for row in right_rows:
+                table.setdefault(right_key(row), []).append(row)
+            yield above(
+                row + match for row in left_rows for match in table.get(left_key(row), ())
             )
-        source = iterate_plan(node.child, ctx, param_row)
-        async for row in ctx.parallel_handler(node, source, ctx):
-            yield row
-        return
+
+        return join, True
 
     raise PlanError(f"cannot interpret plan node {node!r}")
+
+
+def _step(node: PlanNode) -> Callable:
+    """The lazy per-chunk function of a map, filter or project."""
+    schema = node.child.schema
+    if isinstance(node, MapNode):
+        expression = compile_expr(node.expression, schema)
+        return lambda rows: (row + (expression(row),) for row in rows)
+    if isinstance(node, FilterNode):
+        left, right = compile_expr(node.left, schema), compile_expr(node.right, schema)
+        compare = _COMPARATORS[node.op]
+
+        def keep(row):
+            try:
+                return compare(left(row), right(row))
+            except TypeError as error:
+                raise PlanError(f"filter {node.label()} failed: {error}") from error
+
+        return partial(filter, keep)
+    items = [compile_expr(expression, schema) for _, expression in node.items]
+    if len(items) > 1 and all(isinstance(e, ColExpr) for _, e in node.items):
+        return partial(map, operator.itemgetter(*[schema.index(e.name) for _, e in node.items]))
+    return lambda rows: (tuple([item(row) for item in items]) for row in rows)
+
+
+def _widen(row: tuple, out_rows, node: ApplyNode, name: str):
+    for out_row in out_rows:
+        out_tuple = tuple(out_row)
+        if len(out_tuple) != len(node.out_columns):
+            raise PlanError(
+                f"function {name!r} returned a row of width "
+                f"{len(out_tuple)}, expected {len(node.out_columns)}"
+            )
+        yield row + out_tuple
+
+
+async def _rows(chunks: Callable, ctx, param_row) -> AsyncIterator[tuple]:
+    async for chunk in chunks(ctx, param_row):
+        for row in chunk:
+            yield row
 
 
 def _agg_init(kind: str, value: Any) -> Any:
@@ -364,13 +409,3 @@ def _agg_final(kind: str, accumulator: Any) -> Any:
 def _agg_empty(kind: str) -> Any:
     """Global-aggregate result over zero rows: COUNT is 0, the rest NULL."""
     return 0 if kind == "count" else None
-
-
-async def collect_rows(
-    node: PlanNode, ctx: ExecutionContext, param_row: tuple | None = None
-) -> list[tuple]:
-    """Run a plan to completion and return all rows."""
-    rows = []
-    async for row in iterate_plan(node, ctx, param_row):
-        rows.append(row)
-    return rows

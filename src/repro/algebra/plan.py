@@ -78,6 +78,9 @@ class PlanNode(ABC):
     """Base class: every node knows its output schema and children."""
 
     schema: tuple[str, ...]
+    # The node compiled for the interpreter (repro.algebra.interpreter),
+    # kept with it from its first execution: a cached plan compiles once.
+    _pull_chain = None
 
     @abstractmethod
     def children(self) -> list["PlanNode"]: ...

@@ -121,16 +121,24 @@ class FunctionRegistry:
         # Lower-cased function name -> access paths usable to replace a
         # call of that function (see declare_access_path).
         self._access_paths: dict[str, list[AccessPath]] = {}
+        self._version = 0
+
+    @property
+    def version(self) -> int:
+        """Moves on every ``register``/``replace`` (a mutation counter)."""
+        return self._version
 
     def register(self, function: FunctionDef) -> None:
         key = function.name.lower()
         if key in self._functions:
             raise FunctionError(f"function {function.name!r} is already registered")
         self._functions[key] = function
+        self._version += 1
 
     def replace(self, function: FunctionDef) -> None:
         """Register, overwriting any previous definition (re-import of a WSDL)."""
         self._functions[function.name.lower()] = function
+        self._version += 1
 
     def resolve(self, name: str) -> FunctionDef:
         try:

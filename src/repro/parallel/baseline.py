@@ -15,7 +15,7 @@ plain worker pool with no process start-up, shipping or messaging costs.
 
 from __future__ import annotations
 
-from repro.algebra.interpreter import ExecutionContext, collect_rows, iterate_plan
+from repro.algebra.interpreter import ExecutionContext, compile_plan
 from repro.algebra.plan import ParamNode, PlanNode
 from repro.fdb.functions import FunctionRegistry
 from repro.parallel.parallelizer import Section, _rebuild, split_sections
@@ -46,7 +46,7 @@ async def run_level_synchronous(
     from repro.algebra.plan import SingletonNode
 
     coordinator_plan = _rebuild(coordinator_nodes[1:], SingletonNode())
-    rows = await collect_rows(coordinator_plan, ctx)
+    rows = await compile_plan(coordinator_plan).rows(ctx)
 
     for section, workers in zip(sections, workers_per_level):
         if workers < 1:
@@ -62,7 +62,7 @@ async def _run_level(
     workers: int,
 ) -> list[tuple]:
     """All calls of one level through a bounded worker pool, materialized."""
-    body = _rebuild(section.nodes, ParamNode(schema=section.input_schema))
+    body = compile_plan(_rebuild(section.nodes, ParamNode(schema=section.input_schema)))
     slots = ctx.kernel.semaphore(workers)
     # Results per parameter keep a deterministic order regardless of the
     # completion interleaving.
@@ -71,8 +71,7 @@ async def _run_level(
     async def one(index: int, row: tuple) -> None:
         await slots.acquire()
         try:
-            async for out_row in iterate_plan(body, ctx, param_row=row):
-                buckets[index].append(out_row)
+            buckets[index] = await body.rows(ctx, row)
         finally:
             slots.release()
 

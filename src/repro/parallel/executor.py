@@ -1,18 +1,16 @@
 """Wires the parallel operators into the plan interpreter.
 
-The executor installs a ``parallel_handler`` on the execution context:
-when the interpreter reaches an ``FF_APPLYP``/``AFF_APPLYP`` node it asks
-the handler for the node's (per-process, persistent) pool and streams the
-node's input through it.  The executor also guarantees teardown: after the
+The executor installs ``acquire_pool`` on the execution context: when the
+interpreter reaches an ``FF_APPLYP``/``AFF_APPLYP`` node it asks for the
+node's (per-process, persistent) pool and streams the node's input
+through it.  The executor also guarantees teardown: after the
 coordinator's plan finishes — successfully or not — every pool in the tree
 receives shutdown and the executor waits for all query processes to exit.
 """
 
 from __future__ import annotations
 
-from typing import AsyncIterator
-
-from repro.algebra.interpreter import ExecutionContext, iterate_plan
+from repro.algebra.interpreter import ExecutionContext, PullChain
 from repro.algebra.plan import AFFApplyNode, FFApplyNode, PlanNode
 from repro.parallel.aff_applyp import AFFPool
 from repro.parallel.costs import ProcessCosts
@@ -51,7 +49,7 @@ class ParallelExecutor:
         # definition replaced while this query runs — is visible as
         # registry.epoch moving past this snapshot.
         self._lease_epoch = pool_registry.epoch if pool_registry is not None else 0
-        ctx.parallel_handler = self._handle
+        ctx.acquire_pool = self._acquire_pool
 
     def _build_pool(self, node: PlanNode, ctx: ExecutionContext) -> ChildPool:
         if isinstance(node, FFApplyNode):
@@ -89,27 +87,16 @@ class ParallelExecutor:
         ctx.pools[node.node_id] = pool
         return pool
 
-    async def _handle(
-        self,
-        node: PlanNode,
-        source: AsyncIterator[tuple],
-        ctx: ExecutionContext,
-    ) -> AsyncIterator[tuple]:
-        pool = await self._acquire_pool(node, ctx)
-        async for row in pool.run(source):
-            yield row
-
-    async def execute(self, plan: PlanNode) -> list[tuple]:
-        """Run ``plan`` to completion in the coordinator and return rows.
+    async def execute(self, plan: PullChain) -> list[tuple]:
+        """Run the compiled ``plan`` to completion in the coordinator and
+        return its rows.
 
         Pool shutdown runs in a ``finally`` so that failed queries do not
         leak query processes into the kernel (which would deadlock the
         simulated run loop).
         """
-        rows: list[tuple] = []
         try:
-            async for row in iterate_plan(plan, self.ctx):
-                rows.append(row)
+            rows = await plan.rows(self.ctx)
         finally:
             for pool in list(self.ctx.pools.values()):
                 if self.pool_registry is not None and not pool._closed:

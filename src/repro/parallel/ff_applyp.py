@@ -205,15 +205,7 @@ class ChildPool:
             uplink=self.inbox,
         )
         child_ctx = self.ctx.for_process(name)
-
-        async def close_nested():
-            for pool in list(child_ctx.pools.values()):
-                await pool.close()
-
-        handle = kernel.spawn(
-            child_main(child_ctx, self.costs, endpoints, on_exit=close_nested),
-            name=name,
-        )
+        handle = kernel.spawn(child_main(child_ctx, self.costs, endpoints), name=name)
         return endpoints, handle, child_ctx
 
     def _ship_function(self, child: _Child) -> None:
@@ -315,10 +307,10 @@ class ChildPool:
             # below — first-finished placement beats a growing queue.
             target = self._affinity_target(row)
             if target.outstanding < self.batcher.capacity(target):
-                try:
+                # Test membership first: a failed deque.remove builds its
+                # error message from the slot's (large) repr.
+                if target in self._idle:
                     self._idle.remove(target)
-                except ValueError:
-                    pass
                 self._dispatch_now(target, row)
                 return
         if self._pipelined():
@@ -372,10 +364,8 @@ class ChildPool:
             return []
         if child in self.children:
             self.children.remove(child)
-        try:
+        if child in self._idle:
             self._idle.remove(child)
-        except ValueError:
-            pass
         lost = list(child.inflight.items())
         child.inflight.clear()
         child.outstanding = 0
@@ -488,11 +478,17 @@ class ChildPool:
     # -- the operator loop ----------------------------------------------------------
 
     async def run(self, source: AsyncIterator[tuple]) -> AsyncIterator[tuple]:
-        """One invocation of the operator over one parameter stream.
+        """One invocation of the operator over one parameter stream: the
+        message loop — receive, hand to the message's handler, repeat —
+        until the input is exhausted and every call has resolved.
 
-        An invocation ends when its input is exhausted and every call has
-        resolved — or earlier, when the consumer closes this generator
-        (``LIMIT``): see :meth:`_run`.
+        The one way an invocation stops early is this generator being
+        closed (``LIMIT``) or failing: the pump is cancelled and the
+        per-invocation state reset, which leaves the children running
+        whatever they were sent.  Their late messages are told from
+        current ones by epoch (input) and by sequence number against
+        ``inflight`` (results, end-of-calls, failures, child errors) and
+        dropped.
 
         When tracing is on, the whole invocation is wrapped in an
         ``invoke`` span whose id is stamped onto every downlink message
@@ -511,42 +507,21 @@ class ChildPool:
                 plan_function=self.plan_function.name,
                 children=len(self.children),
             )
+        inv = pump = None
         try:
-            async for row in self._run(source):
-                yield row
-        finally:
-            if obs.enabled:
-                obs.finish(
-                    self._inv_span,
-                    at=self.ctx.kernel.now(),
-                    children=len(self.children),
-                )
-                self._inv_span = -1
-
-    async def _run(self, source: AsyncIterator[tuple]) -> AsyncIterator[tuple]:
-        """The message loop: receive, hand to the message's handler, repeat.
-
-        The one way an invocation stops early is this generator being
-        closed or failing: the pump is cancelled and the per-invocation
-        state reset, which leaves the children running whatever they were
-        sent.  Their late messages are told from current ones by epoch
-        (input) and by sequence number against ``inflight`` (results,
-        end-of-calls, failures, child errors) and dropped.
-        """
-        if self._closed:
-            raise PlanError("operator pool used after shutdown")
-        if not self.children:
-            await self.on_first_use()
-        self._epoch += 1
-        if self._dirty():
-            # Defensive: the previous invocation stopped without running
-            # its reset (e.g. its generator was never finalized).
-            self._reset_invocation_state()
-        inv = _Invocation(epoch=self._epoch)
-        pump = self.ctx.kernel.spawn(
-            self._pump(source, inv.epoch), name=f"{self.ctx.process_name}-pump"
-        )
-        try:
+            if self._closed:
+                raise PlanError("operator pool used after shutdown")
+            if not self.children:
+                await self.on_first_use()
+            self._epoch += 1
+            if self._dirty():
+                # Defensive: the previous invocation stopped without running
+                # its reset (e.g. its generator was never finalized).
+                self._reset_invocation_state()
+            inv = _Invocation(epoch=self._epoch)
+            pump = self.ctx.kernel.spawn(
+                self._pump(source, inv.epoch), name=f"{self.ctx.process_name}-pump"
+            )
             while True:
                 if inv.input_done and not self._pending:
                     # No more rows can join a buffer: release any partial
@@ -555,15 +530,20 @@ class ChildPool:
                     if inv.in_flight == 0:
                         break
                 message = await self.inbox.recv()
-                if type(message) is ResultBatch:
+                if type(message) is ResultTuple:
+                    row = self._accept_row(message)
+                    if row is not None:
+                        self.batcher.counters.result_tuples += 1
+                        yield row
+                    if message.end_of_call is not None:
+                        await self._resolve_call(inv, message.end_of_call)
+                elif type(message) is ResultBatch:
                     async for row in self._replay_batch(inv, message):
                         yield row
                 else:
                     handler = self._HANDLERS.get(type(message))
                     if handler is not None:
-                        row = await handler(self, inv, message)
-                        if row is not None:
-                            yield row
+                        await handler(self, inv, message)
                 if (
                     not inv.first_round_announced
                     and inv.in_flight >= len(self.children)
@@ -573,11 +553,19 @@ class ChildPool:
         except BaseException:
             # Includes GeneratorExit of an abandoned invocation: leave the
             # persistent pool ready for its next parameter stream.
-            if inv.epoch == self._epoch and not self._closed:
+            if inv is not None and inv.epoch == self._epoch and not self._closed:
                 self._reset_invocation_state()
             raise
         finally:
-            pump.cancel()
+            if pump is not None:
+                pump.cancel()
+            if obs.enabled:
+                obs.finish(
+                    self._inv_span,
+                    at=self.ctx.kernel.now(),
+                    children=len(self.children),
+                )
+                self._inv_span = -1
 
     async def _pump(self, source: AsyncIterator[tuple], epoch: int) -> None:
         try:
@@ -592,7 +580,7 @@ class ChildPool:
         for child in self.children:
             child.endpoints.downlink.send(ReadyToReceive())
 
-    # -- per-message handlers: each returns the row to hand up, if any -----------------
+    # -- per-message handlers (rows are handed up by the loop itself) -----------------
 
     async def _on_input_available(self, inv: _Invocation, message: InputAvailable):
         if message.epoch != inv.epoch:
@@ -643,12 +631,6 @@ class ChildPool:
             self._make_idle(owner)
         await self.on_end_of_call(message)
         return True
-
-    async def _on_result_tuple(self, inv: _Invocation, message: ResultTuple):
-        row = self._accept_row(message)
-        if row is not None:
-            self.batcher.counters.result_tuples += 1
-        return row
 
     async def _on_end_of_call(self, inv: _Invocation, message: EndOfCall):
         if await self._resolve_call(inv, message):
@@ -727,7 +709,6 @@ class ChildPool:
         InputAvailable: _on_input_available,
         InputExhausted: _on_input_exhausted,
         InputFailed: _on_input_failed,
-        ResultTuple: _on_result_tuple,
         EndOfCall: _on_end_of_call,
         CallFailed: _on_call_failed,
         ChildDied: _on_child_died,
@@ -816,8 +797,8 @@ class ChildPool:
 
     # -- shutdown ------------------------------------------------------------------
 
-    async def close(self) -> None:
-        """Send shutdown to all children and wait for the subtree to exit."""
+    def stop(self) -> None:
+        """:meth:`close` without the wait, for where nothing may be awaited."""
         if self._closed:
             return
         self._closed = True
@@ -826,6 +807,12 @@ class ChildPool:
         self.batcher.discard()
         for child in self.children:
             child.endpoints.downlink.send(Shutdown())
+
+    async def close(self) -> None:
+        """Send shutdown to all children and wait for the subtree to exit."""
+        if self._closed:
+            return
+        self.stop()
         for child in self.children:
             await child.handle.join()
         self.children.clear()

@@ -4,8 +4,9 @@ Downlink (parent -> child):
     :class:`ShipPlanFunction`, :class:`ParamTuple`, :class:`ParamBatch`,
     :class:`Shutdown`.
 Uplink (child -> parent, one shared inbox per operator instance):
-    :class:`ResultTuple`, :class:`ResultBatch`, :class:`EndOfCall`,
-    :class:`CallFailed`, :class:`ChildError`.
+    :class:`ResultTuple` (a call's last may carry its :class:`EndOfCall`),
+    :class:`ResultBatch`, :class:`EndOfCall`, :class:`CallFailed`,
+    :class:`ChildError`.
 Internal to the parent's event loop (from its input pump task):
     :class:`InputAvailable`, :class:`InputExhausted`, :class:`InputFailed`;
     and from the per-child death watchers: :class:`ChildDied`.
@@ -73,6 +74,8 @@ class ResultTuple:
     # invocation of a persistent pool).  -1 = unknown (hand-built
     # messages); such rows are always accepted.
     seq: int = -1
+    # The call's EndOfCall, riding on its last row (handled after the row).
+    end_of_call: "EndOfCall | None" = None
 
 
 @dataclass(frozen=True)

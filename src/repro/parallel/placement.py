@@ -170,6 +170,7 @@ class Placement:
         self._child_ids = itertools.count(1)
         self._cursors: dict[str, int] = {}
         self._functions_shipped: Any = None
+        self._functions_source: tuple[Any, int] | None = None
         self._services_source: Any = None
         self.worker_errors: list[tuple[int, str]] = []
 
@@ -187,15 +188,17 @@ class Placement:
         """Point an execution context at this placement and ship code.
 
         The function registry grows between queries (``importwsdl``
-        registers new OWFs lazily), so it is re-serialized per attach and
-        shipped only when its pickled form actually changed; services are
-        shipped once per registry object.  Both are replayed automatically
-        to respawned workers.
+        registers new OWFs lazily), so it is re-serialized when its
+        mutation counter moved and shipped only when the pickled form
+        actually changed; services are shipped once per registry object.
+        Both are replayed automatically to respawned workers.
         """
         from repro.runtime.workers import serialize_functions, serialize_services
 
         ctx.placement = self
-        if functions is not None:
+        source = None if functions is None else (functions, functions.version)
+        if source is not None and source != self._functions_source:
+            self._functions_source = source
             envelope = serialize_functions(functions)
             if (
                 self._functions_shipped is None

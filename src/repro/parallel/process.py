@@ -4,8 +4,10 @@ A query process is spawned by an ``FF_APPLYP``/``AFF_APPLYP`` operator in
 its parent.  It first receives its plan function definition (once, before
 execution — Sec. III), installs it, then loops: receive a parameter tuple,
 execute the plan function for it, stream the result tuples back, send an
-end-of-call message, repeat.  A ``Shutdown`` message ends the process,
-cascading to any children of nested operators via the executor's pools.
+end-of-call message, repeat — the end-of-call riding on the last result
+tuple when the compiled body is ``single``.  A ``Shutdown`` message ends
+the process, cascading to any children of nested operators via the
+executor's pools.
 
 Failure semantics follow ``ProcessCosts.on_error``:
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.interpreter import ExecutionContext, iterate_plan
+from repro.algebra.interpreter import ExecutionContext, PullChain, compile_plan
 from repro.algebra.plan import PlanFunction
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.messages import (
@@ -57,6 +59,23 @@ class ChildEndpoints:
     rows_emitted: int = 0
 
 
+_installed: dict[int, tuple[dict, PlanFunction, PullChain]] = {}
+
+
+def _install(serialized: dict) -> tuple[PlanFunction, PullChain]:
+    """A shipped plan function, rehydrated and compiled once per process
+    and message: the children a pool ships the same dict share the
+    (stateless) chain.  Entries keep their dict, so ids stay unique."""
+    entry = _installed.get(id(serialized))
+    if entry is None or entry[0] is not serialized:
+        if len(_installed) >= 256:
+            _installed.clear()
+        plan_function = PlanFunction.from_dict(serialized)
+        entry = serialized, plan_function, compile_plan(plan_function.body)
+        _installed[id(serialized)] = entry
+    return entry[1], entry[2]
+
+
 class _CallRunner:
     """Executes the plan function inside one child, one call at a time."""
 
@@ -65,12 +84,12 @@ class _CallRunner:
         ctx: ExecutionContext,
         costs: ProcessCosts,
         endpoints: ChildEndpoints,
-        plan_function: PlanFunction,
+        body: PullChain,
     ) -> None:
         self.ctx = ctx
         self.costs = costs
         self.endpoints = endpoints
-        self.plan_function = plan_function
+        self.body = body
         self.fail_fast = costs.on_error == "fail"
         self._enclosing = -1  # ctx.obs_span outside the running call
         self.injector = (
@@ -106,27 +125,39 @@ class _CallRunner:
         self.ctx.obs_span = self._enclosing
         self.ctx.obs.finish(span, at=self.ctx.kernel.now(), rows=rows, **error)
 
-    async def call(self, seq: int, param_row: tuple, parent_span: int, deliver):
+    async def call(self, seq: int, param_row: tuple, parent_span: int, deliver, hold):
         """Run the plan function for one parameter tuple.
 
         Every result row costs ``result_tuple`` and is passed to
         ``deliver`` — which sends it now or buffers it; that choice is all
-        that differs between the protocol modes.  Returns the call's
-        :class:`EndOfCall`; a failed call re-raises its ``ReproError``.
+        that differs between the protocol modes — except a ``single``
+        body's last row, passed to ``hold`` so it can travel with the
+        end-of-call.  Returns the call's :class:`EndOfCall`; a failed call
+        re-raises its ``ReproError``.
         """
         kernel = self.ctx.kernel
+        cost = self.costs.result_tuple
         started = kernel.now()
         span = self._begin_span(seq, parent_span, started)
         rows = 0
         try:
             if self.injector is not None:
                 self.injector.before_call()
-            async for row in iterate_plan(
-                self.plan_function.body, self.ctx, param_row=param_row
-            ):
-                await kernel.sleep(self.costs.result_tuple)
-                deliver(row)
-                rows += 1
+            async for chunk in self.body.chunks(self.ctx, param_row):
+                # One row of look-ahead tells a single body's last row.
+                chunk = iter(chunk)
+                row = next(chunk, None)
+                while row is not None:
+                    try:
+                        following = next(chunk, None)
+                    except Exception:  # the row before a failing one goes first
+                        await kernel.sleep(cost)
+                        deliver(row)
+                        raise
+                    await kernel.sleep(cost)
+                    rows += 1
+                    (hold if following is None and self.body.single else deliver)(row)
+                    row = following
         except ReproError as error:
             self._end_span(span, rows, error=str(error))
             raise
@@ -144,26 +175,26 @@ class _CallRunner:
         mode buffers them so a failed call ships nothing (redelivery stays
         exact), reports the failure, and keeps serving.
         """
-        name, uplink = self.endpoints.name, self.endpoints.uplink
-        buffered: list[tuple] = []
+        name, uplink, seq = self.endpoints.name, self.endpoints.uplink, message.seq
+        unsent: list[tuple] = []
 
         def send_now(row: tuple) -> None:
-            uplink.send(ResultTuple(name, row, message.seq))
+            uplink.send(ResultTuple(name, row, seq))
 
-        deliver = send_now if self.fail_fast else buffered.append
+        deliver = send_now if self.fail_fast else unsent.append
         try:
             end_of_call = await self.call(
-                message.seq, message.row, message.span, deliver
+                seq, message.row, message.span, deliver, unsent.append
             )
         except ReproError as error:
             if self.fail_fast:
-                uplink.send(ChildError(name, str(error), message.seq))
+                uplink.send(ChildError(name, str(error), seq))
                 return False
-            uplink.send(CallFailed(name, message.seq, message.row, str(error)))
+            uplink.send(CallFailed(name, seq, message.row, str(error)))
             return True
-        for row in buffered:
-            uplink.send(ResultTuple(name, row, message.seq))
-        uplink.send(end_of_call)
+        for row in unsent[:-1]:
+            uplink.send(ResultTuple(name, row, seq))
+        uplink.send(ResultTuple(name, unsent[-1], seq, end_of_call) if unsent else end_of_call)
         return True
 
     async def serve_batch(self, message: ParamBatch) -> bool:
@@ -182,7 +213,9 @@ class _CallRunner:
             call_rows: list[tuple] = []
             try:
                 end_of_calls.append(
-                    await self.call(seq, param_row, message.span, call_rows.append)
+                    await self.call(
+                        seq, param_row, message.span, call_rows.append, call_rows.append
+                    )
                 )
             except ReproError as error:
                 if self.fail_fast:
@@ -207,9 +240,10 @@ async def child_main(
     ctx: ExecutionContext,
     costs: ProcessCosts,
     endpoints: ChildEndpoints,
-    on_exit=None,
 ) -> None:
-    """Body of a query process (one level of the tree of Fig 4)."""
+    """Body of a query process (one level of the tree of Fig 4).  On exit
+    it closes its nested operators' pools — without waiting when closed
+    from outside (shutdown, garbage collection): nothing may be awaited."""
     kernel = ctx.kernel
     await kernel.sleep(costs.startup)
 
@@ -221,7 +255,7 @@ async def child_main(
             ChildError(endpoints.name, f"expected a plan function, got {first!r}")
         )
         return
-    plan_function = PlanFunction.from_dict(first.plan_function)
+    plan_function, body = _install(first.plan_function)
     await kernel.sleep(costs.install)
     ctx.trace.record(
         kernel.now(),
@@ -240,7 +274,7 @@ async def child_main(
             plan_function=plan_function.name,
         )
 
-    runner = _CallRunner(ctx, costs, endpoints, plan_function)
+    runner = _CallRunner(ctx, costs, endpoints, body)
     try:
         serving = True
         while serving:
@@ -252,9 +286,13 @@ async def child_main(
             elif isinstance(message, ParamBatch):
                 serving = await runner.serve_batch(message)
             # ReadyToReceive and friends need no child action
+    except GeneratorExit:
+        for pool in ctx.pools.values():
+            pool.stop()  # the close below then has nothing to wait for
+        raise
     finally:
-        if on_exit is not None:
-            await on_exit()
+        for pool in list(ctx.pools.values()):
+            await pool.close()
         ctx.trace.record(
             kernel.now(),
             "process_exit",

@@ -11,10 +11,14 @@ paper's parallel query processes despite the GIL.
 from __future__ import annotations
 
 import asyncio
+import time
 from typing import Any, Coroutine
 
 from repro.runtime import base
 from repro.util.errors import KernelError
+
+#: Wall delays within the clock's resolution are zero: no timer is set.
+_CLOCK_RESOLUTION = time.get_clock_info("monotonic").resolution
 
 
 class _AsyncChannel(base.Channel):
@@ -26,18 +30,16 @@ class _AsyncChannel(base.Channel):
         self._in_flight = 0
 
     def send(self, message: Any) -> None:
-        loop = asyncio.get_running_loop()
-        self._in_flight += 1
         delay = self.latency * self._kernel.time_scale
-
-        def deliver() -> None:
-            self._in_flight -= 1
+        if delay <= _CLOCK_RESOLUTION:
             self._queue.put_nowait(message)
+            return
+        self._in_flight += 1
+        asyncio.get_running_loop().call_later(delay, self._deliver, message)
 
-        if delay > 0:
-            loop.call_later(delay, deliver)
-        else:
-            deliver()
+    def _deliver(self, message: Any) -> None:
+        self._in_flight -= 1
+        self._queue.put_nowait(message)
 
     async def recv(self) -> Any:
         return await self._queue.get()
@@ -116,13 +118,11 @@ class AsyncioKernel(base.Kernel):
         loop = self._loop if self._loop is not None else asyncio.get_running_loop()
         return (loop.time() - self._start) / self.time_scale
 
-    async def _scaled_sleep(self, duration: float) -> None:
-        await asyncio.sleep(duration * self.time_scale)
-
     def sleep(self, duration: float):
         if duration < 0:
             raise KernelError(f"cannot sleep a negative duration: {duration}")
-        return self._scaled_sleep(duration)
+        delay = duration * self.time_scale
+        return asyncio.sleep(delay if delay > _CLOCK_RESOLUTION else 0)
 
     def channel(self, name: str = "", latency: float = 0.0) -> _AsyncChannel:
         return _AsyncChannel(self, name, latency)

@@ -18,13 +18,16 @@ from typing import Any, Callable, Coroutine, Generator
 from repro.runtime import base
 from repro.util.errors import DeadlockError, KernelError
 
-_NOTHING = object()
-
 
 class _Request:
-    """Base class for scheduler requests yielded by awaitables."""
+    """A scheduler request; awaiting one yields it to the scheduler and
+    returns the value the task is resumed with."""
 
     __slots__ = ()
+
+    def __await__(self) -> Generator["_Request", Any, Any]:
+        value = yield self
+        return value
 
 
 class _SleepRequest(_Request):
@@ -62,19 +65,6 @@ class _JoinRequest(_Request):
         self.task = task
 
 
-class _Suspend:
-    """Awaitable wrapper: yields the request, returns the resume value."""
-
-    __slots__ = ("request",)
-
-    def __init__(self, request: _Request) -> None:
-        self.request = request
-
-    def __await__(self) -> Generator[_Request, Any, Any]:
-        value = yield self.request
-        return value
-
-
 class SimTask(base.ProcessHandle):
     """A coroutine scheduled by :class:`SimKernel`."""
 
@@ -96,6 +86,7 @@ class SimTask(base.ProcessHandle):
         # `obs` has been reset (resident kernels park tasks across runs).
         self._obs = None
         self._span = -1
+        self._parked_on: _Request | None = None  # described only in a deadlock
 
     @property
     def done(self) -> bool:
@@ -115,7 +106,7 @@ class SimTask(base.ProcessHandle):
 
     async def join(self) -> Any:
         if not self._done:
-            await _Suspend(_JoinRequest(self))
+            await _JoinRequest(self)
         return self.result()
 
     def cancel(self) -> None:
@@ -162,40 +153,45 @@ class SimChannel(base.Channel):
         self._queue: list[tuple[float, int, Any]] = []
         self._waiters: deque[SimTask] = deque()
         self._seq = 0
+        self._recv = _RecvRequest(self)
+        # When the last drain scheduled here runs, if it has not yet: a
+        # second drain for the same instant would find nothing to hand over.
+        self._drain_at: float | None = None
 
     def send(self, message: Any) -> None:
         deliver_at = self._kernel.now() + self.latency
         heapq.heappush(self._queue, (deliver_at, self._seq, message))
         self._seq += 1
         if self._waiters:
-            self._kernel._schedule(deliver_at, self._drain)
+            self._schedule_drain(deliver_at)
 
-    async def recv(self) -> Any:
-        return await _Suspend(_RecvRequest(self))
+    def recv(self) -> _RecvRequest:
+        return self._recv
 
     def pending(self) -> int:
         return len(self._queue)
 
     # -- internal -----------------------------------------------------------
 
-    def _pop_ready(self, now: float) -> Any:
-        """Pop the earliest message whose delivery time has arrived."""
-        if self._queue and self._queue[0][0] <= now:
-            return heapq.heappop(self._queue)[2]
-        return _NOTHING
+    def _schedule_drain(self, at: float) -> None:
+        if self._drain_at != at:
+            self._drain_at = at
+            self._kernel._schedule(at, self._drain)
 
     def _drain(self) -> None:
         """Hand ready messages to parked receivers, in FIFO order."""
         kernel = self._kernel
         now = kernel.now()
+        if self._drain_at == now:
+            self._drain_at = None
         while self._waiters and self._queue and self._queue[0][0] <= now:
             waiter = self._waiters.popleft()
-            if waiter.done or waiter._cancel_requested:
+            if waiter._done or waiter._cancel_requested:
                 continue
             message = heapq.heappop(self._queue)[2]
             kernel._step(waiter, value=message)
         if self._waiters and self._queue:
-            kernel._schedule(self._queue[0][0], self._drain)
+            self._schedule_drain(self._queue[0][0])
 
 
 class SimSemaphore(base.Semaphore):
@@ -207,9 +203,10 @@ class SimSemaphore(base.Semaphore):
         self._kernel = kernel
         self._value = value
         self._waiters: deque[SimTask] = deque()
+        self._acquire = _AcquireRequest(self)
 
-    async def acquire(self) -> None:
-        await _Suspend(_AcquireRequest(self))
+    def acquire(self) -> _AcquireRequest:
+        return self._acquire
 
     def release(self) -> None:
         self._value += 1
@@ -222,7 +219,7 @@ class SimSemaphore(base.Semaphore):
 
     def _try_take(self) -> bool:
         while self._waiters and (
-            self._waiters[0].done or self._waiters[0]._cancel_requested
+            self._waiters[0]._done or self._waiters[0]._cancel_requested
         ):
             self._waiters.popleft()
         if self._value > 0 and not self._waiters:
@@ -234,7 +231,7 @@ class SimSemaphore(base.Semaphore):
         kernel = self._kernel
         while self._value > 0 and self._waiters:
             waiter = self._waiters.popleft()
-            if waiter.done or waiter._cancel_requested:
+            if waiter._done or waiter._cancel_requested:
                 continue
             self._value -= 1
             kernel._schedule(kernel.now(), lambda w=waiter: kernel._step(w))
@@ -249,7 +246,7 @@ class SimEvent(base.Event):
 
     async def wait(self) -> None:
         if not self._set:
-            await _Suspend(_WaitRequest(self))
+            await _WaitRequest(self)
 
     def set(self) -> None:
         if self._set:
@@ -258,11 +255,22 @@ class SimEvent(base.Event):
         kernel = self._kernel
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:
-            if not waiter.done:
+            if not waiter._done:
                 kernel._schedule(kernel.now(), lambda w=waiter: kernel._step(w))
 
     def is_set(self) -> bool:
         return self._set
+
+
+#: What a parked task waits on, as a DeadlockError names it.
+_PARKED_ON = {
+    _SleepRequest: lambda request: "sleep",
+    _RecvRequest: lambda request: f"recv({request.channel.name})",
+    _AcquireRequest: lambda request: "semaphore",
+    _WaitRequest: lambda request: "event",
+    _JoinRequest: lambda request: f"join({request.task.name})",
+    type(None): lambda request: "?",
+}
 
 
 #: Livelock guard: events one ``run`` may process before it is aborted.
@@ -283,11 +291,16 @@ class SimKernel(base.Kernel):
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._tasks: list[SimTask] = []
-        self._parked: dict[int, str] = {}  # id(task) -> what it waits on
+        self._events = 0
         # A resident kernel leaves parked tasks (warm child processes)
         # alive when ``run`` returns, so later ``run`` calls can resume
         # them; ``shutdown`` reaps whatever is still parked.
         self.resident = resident
+
+    @property
+    def events_processed(self) -> int:
+        """Events all ``run`` calls took off the heap (a count, not a knob)."""
+        return self._events
 
     # -- Kernel API ----------------------------------------------------------
 
@@ -297,7 +310,7 @@ class SimKernel(base.Kernel):
     def sleep(self, duration: float):
         if duration < 0:
             raise KernelError(f"cannot sleep a negative duration: {duration}")
-        return _Suspend(_SleepRequest(duration))
+        return _SleepRequest(duration)
 
     def channel(self, name: str = "", latency: float = 0.0) -> SimChannel:
         return SimChannel(self, name, latency)
@@ -325,22 +338,24 @@ class SimKernel(base.Kernel):
 
     def run(self, coro: Coroutine) -> Any:
         main = self.spawn(coro, name="main")
+        heap, pop = self._heap, heapq.heappop
         events = 0
-        while self._heap and not main.done:
+        while heap and not main._done:
             events += 1
             if events > MAX_EVENTS:
                 raise KernelError(
                     f"simulation exceeded {MAX_EVENTS} events; "
                     "likely a livelock in operator code"
                 )
-            time, _, action = heapq.heappop(self._heap)
+            time, _, action = pop(heap)
             if time < self._now:
                 raise KernelError("scheduler time went backwards")
             self._now = time
             action()
+        self._events += events
         if not main.done:
             waiting = ", ".join(
-                f"{task.name}<-{self._parked.get(id(task), '?')}"
+                f"{task.name}<-{_PARKED_ON[type(task._parked_on)](task._parked_on)}"
                 for task in self._tasks
                 if not task.done
             )
@@ -356,16 +371,12 @@ class SimKernel(base.Kernel):
         """Reap tasks a resident kernel kept parked between runs."""
         self._close_remaining()
         self._tasks.clear()
-        self._parked.clear()
         self._heap.clear()
         self.generation += 1
 
     def _prune_finished(self) -> None:
         """Forget finished tasks so a resident kernel's lists stay bounded."""
-        finished = {id(task) for task in self._tasks if task.done}
         self._tasks = [task for task in self._tasks if not task.done]
-        for key in finished:
-            self._parked.pop(key, None)
 
     def _close_remaining(self) -> None:
         """Close coroutines of tasks abandoned when the main task ended."""
@@ -391,9 +402,8 @@ class SimKernel(base.Kernel):
         self, task: SimTask, value: Any = None, exc: BaseException | None = None
     ) -> None:
         """Advance ``task`` until it parks, sleeps or finishes."""
-        if task.done:
+        if task._done:
             return
-        self._parked.pop(id(task), None)
         while True:
             try:
                 if exc is not None:
@@ -411,49 +421,39 @@ class SimKernel(base.Kernel):
                 task._finish(None, error)
                 return
             value = None
-            if isinstance(request, _SleepRequest):
+            kind = type(request)
+            if kind is _SleepRequest:
                 token = task._wake_token
                 self._schedule(
                     self._now + request.duration,
-                    lambda: self._resume_if_current(task, token),
+                    # A cancel moves the token on: this wake-up is then void.
+                    lambda: task._wake_token == token and self._step(task),
                 )
-                self._parked[id(task)] = "sleep"
-                return
-            if isinstance(request, _RecvRequest):
-                message = request.channel._pop_ready(self._now)
-                if message is not _NOTHING:
-                    value = message
+            elif kind is _RecvRequest:
+                channel = request.channel
+                queue = channel._queue
+                if queue and queue[0][0] <= self._now:
+                    value = heapq.heappop(queue)[2]  # already arrived
                     continue
-                request.channel._waiters.append(task)
-                if request.channel._queue:
-                    self._schedule(
-                        request.channel._queue[0][0], request.channel._drain
-                    )
-                self._parked[id(task)] = f"recv({request.channel.name})"
-                return
-            if isinstance(request, _AcquireRequest):
+                channel._waiters.append(task)
+                if queue:
+                    channel._schedule_drain(queue[0][0])
+            elif kind is _AcquireRequest:
                 if request.semaphore._try_take():
                     continue
                 request.semaphore._waiters.append(task)
-                self._parked[id(task)] = "semaphore"
-                return
-            if isinstance(request, _WaitRequest):
+            elif kind is _WaitRequest:
                 if request.event.is_set():
                     continue
                 request.event._waiters.append(task)
-                self._parked[id(task)] = "event"
-                return
-            if isinstance(request, _JoinRequest):
-                if request.task.done:
+            elif kind is _JoinRequest:
+                if request.task._done:
                     continue
                 request.task._joiners.append(task)
-                self._parked[id(task)] = f"join({request.task.name})"
-                return
-            raise KernelError(
-                f"task {task.name!r} awaited a foreign awaitable: {request!r}; "
-                "only kernel primitives may be awaited under SimKernel"
-            )
-
-    def _resume_if_current(self, task: SimTask, token: int) -> None:
-        if not task.done and task._wake_token == token:
-            self._step(task)
+            else:
+                raise KernelError(
+                    f"task {task.name!r} awaited a foreign awaitable: {request!r}; "
+                    "only kernel primitives may be awaited under SimKernel"
+                )
+            task._parked_on = request
+            return

@@ -14,25 +14,34 @@ Two halves live here:
   spans and cache counters are streamed back as they happen.
 
 * :class:`WorkerPool` — the parent-side manager: spawns/forks the worker
-  processes, pumps each worker's pipe on a dedicated reader thread into
-  the parent's event loop, heartbeats the fleet, and respawns dead
-  workers (a SIGKILLed worker surfaces as pipe EOF within milliseconds;
-  a *hung* worker is caught by missed heartbeats).  Message routing and
-  child bookkeeping live one level up, in
-  :mod:`repro.parallel.placement`.
+  processes, reads each worker's socket on the parent's event loop,
+  heartbeats the fleet, and respawns dead workers (a SIGKILLed worker
+  surfaces as EOF within milliseconds of the loop running; a *hung*
+  worker is caught by missed heartbeats).  Message routing and child
+  bookkeeping live one level up, in :mod:`repro.parallel.placement`.
+
+Both sides write *frames* (a list of envelopes in send order, pickled behind
+its length): the coordinator one per worker and loop tick, a worker one per
+burst of ticks.  A worker reads on a thread, the coordinator on its loop
+without blocking, so every blocking write is always drained.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import multiprocessing
 import os
 import pickle
+import socket
+import struct
 import threading
+import time
 from typing import Any, Callable, Optional
 
 from repro.cache import CacheStats
+from repro.parallel.messages import ResultTuple
 from repro.parallel.process import ChildEndpoints, child_main
 from repro.runtime import base
 from repro.runtime.realtime import AsyncioKernel
@@ -64,6 +73,50 @@ from repro.util.trace import TraceLog
 #: consecutive pings is declared hung, killed and respawned.
 HEARTBEAT_INTERVAL = 2.0
 HEARTBEAT_MISSES = 3
+
+#: A worker's frame waits while each loop tick still adds to it, so the burst
+#: one coordinator frame sets off goes back as one frame; at most this many ticks.
+_HOLD_TICKS = 8
+_HEADER = struct.Struct("!I")  # a frame's length, then its pickled list
+
+
+def write_frame(conn: socket.socket, envelopes: list) -> None:
+    payload = pickle.dumps(envelopes, protocol=pickle.HIGHEST_PROTOCOL)
+    conn.sendall(_HEADER.pack(len(payload)) + payload)
+
+
+def read_frame(stream) -> list:
+    """Block for one whole frame from ``conn.makefile("rb")`` (a worker)."""
+    header = stream.read(_HEADER.size)
+    size = _HEADER.unpack(header)[0] if len(header) == _HEADER.size else -1
+    payload = stream.read(max(size, 0))
+    if len(payload) != size:
+        raise EOFError("worker pipe closed")
+    return pickle.loads(payload)
+
+
+def read_frames(conn: socket.socket, pending: bytearray) -> tuple[list, bool]:
+    """Without blocking (the coordinator, on its loop): the whole frames
+    readable now, and whether the worker hung up; a partial frame's bytes
+    wait in ``pending``."""
+    try:
+        while data := conn.recv(1 << 16, socket.MSG_DONTWAIT):
+            pending += data
+        closed = True
+    except BlockingIOError:
+        closed = False
+    except OSError:
+        closed = True
+    frames, start = [], 0
+    while len(pending) - start >= _HEADER.size:
+        end = start + _HEADER.size + _HEADER.unpack_from(pending, start)[0]
+        if end > len(pending):
+            break
+        frames.append(pickle.loads(pending[start + _HEADER.size : end]))
+        start = end
+    del pending[:start]
+    return frames, closed
+
 
 # -- code shipping ------------------------------------------------------------
 
@@ -161,9 +214,9 @@ class _UplinkForwarder(base.Channel):
 
     The parent delivers them into the pool's real inbox channel, which is
     where the (single) uplink ``message_latency`` is applied — the same
-    one application a local child gets.  Piggybacks a flush of pending
-    spans/cache counters so per-call telemetry arrives no later than the
-    message it describes.
+    one application a local child gets.  Piggybacks pending spans (and,
+    on a message that ends a call, changed cache counters) so per-call
+    telemetry arrives no later than the message it describes.
     """
 
     def __init__(self, runtime: "_WorkerRuntime", slot: "_ChildSlot") -> None:
@@ -171,7 +224,9 @@ class _UplinkForwarder(base.Channel):
         self._slot = slot
 
     def send(self, message: Any) -> None:
-        self._slot.flush()
+        self._slot.flush(
+            counters=type(message) is not ResultTuple or message.end_of_call is not None
+        )
         self._runtime.send(FromChild(self._slot.child_id, message))
 
     async def recv(self) -> Any:
@@ -271,8 +326,8 @@ class _ChildSlot:
         )
         self.handle: Optional[base.ProcessHandle] = None
 
-    def flush(self) -> None:
-        """Ship finished spans and changed cache counters to the parent."""
+    def flush(self, *, counters: bool = True) -> None:
+        """Ship finished spans (and changed cache counters) to the parent."""
         recorder = self.ctx.obs
         if isinstance(recorder, _WorkerRecorder):
             spans = recorder.drain()
@@ -281,7 +336,7 @@ class _ChildSlot:
                     SpanBatch(self.child_id, pickle.dumps(spans))
                 )
         cache = self.ctx.cache
-        if cache is not None:
+        if counters and cache is not None:
             counters = tuple(
                 sorted(
                     (name, value)
@@ -307,16 +362,13 @@ class _ChildSlot:
         for pool in self.ctx.pools.values():
             pool.rebind(self.ctx)
 
-    async def close_nested(self) -> None:
-        for pool in list(self.ctx.pools.values()):
-            await pool.close()
-
 
 class _WorkerRuntime:
     """Everything that runs inside one worker process."""
 
-    def __init__(self, conn, worker_id: int) -> None:
+    def __init__(self, conn: socket.socket, worker_id: int) -> None:
         self.conn = conn
+        self.stream = conn.makefile("rb")  # read by one thread at a time
         self.worker_id = worker_id
         self.kernel: Optional[AsyncioKernel] = None
         self.functions = None  # FunctionRegistry, set by RegisterFunctions
@@ -327,33 +379,49 @@ class _WorkerRuntime:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
         self._send_failed = False
+        self._outbox: list = []  # this tick's envelopes, one frame
 
     # -- plumbing ---------------------------------------------------------
 
     def send(self, envelope: Any) -> None:
         if self._send_failed:
             return
+        self._outbox.append(envelope)
+        if len(self._outbox) == 1:
+            self._loop.call_soon(self._flush, 1)
+
+    def _flush(self, seen: int = 0, held: int = 0) -> None:
+        """Write the outbox as one frame, unless the tick since ``seen``
+        added to it: then the burst is still running, and the frame waits
+        a tick (at most ``_HOLD_TICKS`` times)."""
+        if seen and len(self._outbox) > seen and held < _HOLD_TICKS:
+            self._loop.call_soon(self._flush, len(self._outbox), held + 1)
+            return
+        envelopes, self._outbox = self._outbox, []
+        if not envelopes or self._send_failed:
+            return
         try:
-            self.conn.send(envelope)
-        except (OSError, ValueError):
+            write_frame(self.conn, envelopes)
+        except OSError:
             # Parent is gone; nothing left to report to.
             self._send_failed = True
             if self._stop is not None:
                 self._stop.set()
 
     def run(self) -> None:
-        anchor = self.conn.recv()
+        anchor, *replayed = read_frame(self.stream)
         if not isinstance(anchor, AnchorClock):
             raise KernelError(f"worker expected AnchorClock, got {anchor!r}")
         self.kernel = AsyncioKernel(
             time_scale=anchor.time_scale, resident=True
         )
         try:
-            self.kernel.run(self._main(anchor))
+            self.kernel.run(self._main(anchor, replayed))
         finally:
             self.kernel.shutdown()
+            self._flush()
 
-    async def _main(self, anchor: AnchorClock) -> None:
+    async def _main(self, anchor: AnchorClock, envelopes: list) -> None:
         loop = asyncio.get_running_loop()
         self._loop = loop
         # Re-anchor so now() continues the parent's model clock: both
@@ -362,6 +430,7 @@ class _WorkerRuntime:
         # which real distribution has anyway).
         self.kernel._start = loop.time() - anchor.model_now * anchor.time_scale
         self._stop = asyncio.Event()
+        self._handle_frame(envelopes)  # what arrived with the anchor
         reader = threading.Thread(
             target=self._read_loop, name=f"worker{self.worker_id}-reader", daemon=True
         )
@@ -384,36 +453,22 @@ class _WorkerRuntime:
         self.children.clear()
 
     def _read_loop(self) -> None:
-        while True:
-            try:
-                message = self.conn.recv()
-            except (EOFError, OSError):
-                break
-            try:
-                self._loop.call_soon_threadsafe(self._handle_safe, message)
-            except RuntimeError:  # loop closed under us
-                return
-        try:
+        with contextlib.suppress(RuntimeError):  # the loop closed under us
+            while True:
+                try:
+                    envelopes = read_frame(self.stream)
+                except (EOFError, OSError):
+                    break
+                self._loop.call_soon_threadsafe(self._handle_frame, envelopes)
             self._loop.call_soon_threadsafe(self._stop.set)
-        except RuntimeError:
-            pass
 
-    def _handle_safe(self, message: Any) -> None:
-        try:
-            self._handle(message)
-        except Exception as error:  # noqa: BLE001 - a worker must not die silently
-            self.send(
-                TraceEvents(
-                    -1,
-                    (
-                        (
-                            self.kernel.now(),
-                            "worker_error",
-                            (("worker", self.worker_id), ("error", str(error))),
-                        ),
-                    ),
-                )
-            )
+    def _handle_frame(self, envelopes: list) -> None:
+        for message in envelopes:
+            try:
+                self._handle(message)
+            except Exception as error:  # noqa: BLE001 - a worker must not die silently
+                data = (("worker", self.worker_id), ("error", str(error)))
+                self.send(TraceEvents(-1, ((self.kernel.now(), "worker_error", data),)))
 
     # -- envelope handlers -------------------------------------------------
 
@@ -487,9 +542,7 @@ class _WorkerRuntime:
     async def _run_child(self, slot: _ChildSlot) -> None:
         error: Optional[str] = None
         try:
-            await child_main(
-                slot.ctx, slot.costs, slot.endpoints, on_exit=slot.close_nested
-            )
+            await child_main(slot.ctx, slot.costs, slot.endpoints)
         except asyncio.CancelledError:
             error = "cancelled"
         except BaseException as exc:  # noqa: BLE001 - ship the crash upward
@@ -523,9 +576,9 @@ class WorkerHandle:
         self.process = process
         self.conn = conn
         self.alive = True
-        self.ready = False
         self.last_pong = 0.0
-        self.missed_pings = 0
+        self.outbox: list = []  # this tick's envelopes, one frame
+        self.pending = bytearray()  # a frame not yet whole
 
     @property
     def pid(self) -> Optional[int]:
@@ -581,7 +634,7 @@ class WorkerPool:
         if self._started:
             for worker in self.workers:
                 if worker.alive:
-                    self._send(worker, envelope)
+                    self.send(worker, envelope)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -598,7 +651,7 @@ class WorkerPool:
         )
 
     def _launch(self, index: int) -> WorkerHandle:
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
+        parent_conn, child_conn = socket.socketpair()
         process = self._mp.Process(
             target=worker_entry,
             args=(child_conn, index),
@@ -608,48 +661,24 @@ class WorkerPool:
         process.start()
         child_conn.close()
         worker = WorkerHandle(index, process, parent_conn)
-        worker.last_pong = self._monotonic()
-        threading.Thread(
-            target=self._read_loop,
-            args=(worker,),
-            name=f"worker{index}-pipe",
-            daemon=True,
-        ).start()
-        self._send(worker, AnchorClock(self._clock(), self.time_scale))
+        worker.last_pong = time.monotonic()
+        self._loop.add_reader(parent_conn.fileno(), self._on_readable, worker)
+        self.send(worker, AnchorClock(self._clock(), self.time_scale))
         for envelope in self._registrations:
-            self._send(worker, envelope)
+            self.send(worker, envelope)
         return worker
 
-    @staticmethod
-    def _monotonic() -> float:
-        import time
-
-        return time.monotonic()
-
-    def _read_loop(self, worker: WorkerHandle) -> None:
-        conn = worker.conn
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            try:
-                self._loop.call_soon_threadsafe(self._dispatch, worker, message)
-            except RuntimeError:
-                return
-        try:
-            self._loop.call_soon_threadsafe(self._worker_died, worker)
-        except RuntimeError:
-            pass
+    def _on_readable(self, worker: WorkerHandle) -> None:
+        frames, closed = read_frames(worker.conn, worker.pending)
+        for envelopes in frames:
+            for message in envelopes:
+                self._dispatch(worker, message)
+        if closed:
+            self._worker_died(worker)
 
     def _dispatch(self, worker: WorkerHandle, message: Any) -> None:
-        if isinstance(message, Pong):
-            worker.last_pong = self._monotonic()
-            worker.missed_pings = 0
-            return
-        if isinstance(message, WorkerReady):
-            worker.ready = True
-            worker.last_pong = self._monotonic()
+        if isinstance(message, (Pong, WorkerReady)):
+            worker.last_pong = time.monotonic()
             return
         if self.on_message is not None:
             self.on_message(worker, message)
@@ -658,10 +687,7 @@ class WorkerPool:
         if self._closed or not worker.alive:
             return
         worker.alive = False
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
+        self._disconnect(worker)
         if self.on_worker_death is not None:
             self.on_worker_death(worker)
         # Respawn the slot so the fleet recovers its capacity; children
@@ -681,27 +707,31 @@ class WorkerPool:
                 if not worker.process.is_alive():
                     self._worker_died(worker)
                     continue
-                if self._monotonic() - worker.last_pong > deadline:
+                if time.monotonic() - worker.last_pong > deadline:
                     # Hung worker: kill it; the pipe EOF then drives the
                     # normal death path (fail-over + respawn).
                     worker.process.terminate()
                     continue
-                self._send(worker, Ping(next(self._ping_seq)))
+                self.send(worker, Ping(next(self._ping_seq)))
 
     # -- sending -----------------------------------------------------------
 
-    def _send(self, worker: WorkerHandle, envelope: Any) -> bool:
+    def send(self, worker: WorkerHandle, envelope: Any) -> bool:
         if not worker.alive:
             return False
-        try:
-            worker.conn.send(envelope)
-            return True
-        except (OSError, ValueError):
-            self._worker_died(worker)
-            return False
+        worker.outbox.append(envelope)
+        if len(worker.outbox) == 1:
+            self._loop.call_soon(self._flush, worker)
+        return True
 
-    def send(self, worker: WorkerHandle, envelope: Any) -> bool:
-        return self._send(worker, envelope)
+    def _flush(self, worker: WorkerHandle) -> None:
+        envelopes, worker.outbox = worker.outbox, []
+        if not envelopes or not worker.alive:
+            return
+        try:
+            write_frame(worker.conn, envelopes)
+        except OSError:
+            self._worker_died(worker)
 
     def alive_workers(self) -> list[WorkerHandle]:
         return [worker for worker in self.workers if worker.alive]
@@ -718,9 +748,10 @@ class WorkerPool:
         self._closed = True
         for worker in self.workers:
             if worker.alive:
+                envelopes, worker.outbox = worker.outbox, []
                 try:
-                    worker.conn.send(ShutdownWorker())
-                except (OSError, ValueError):
+                    write_frame(worker.conn, envelopes + [ShutdownWorker()])
+                except OSError:
                     pass
         for worker in self.workers:
             worker.process.join(timeout=2.0)
@@ -728,8 +759,10 @@ class WorkerPool:
                 worker.process.terminate()
                 worker.process.join(timeout=2.0)
             worker.alive = False
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            self._disconnect(worker)
         self.workers.clear()
+
+    def _disconnect(self, worker: WorkerHandle) -> None:
+        if worker.conn.fileno() >= 0:
+            self._loop.remove_reader(worker.conn.fileno())
+            worker.conn.close()

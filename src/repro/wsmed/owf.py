@@ -277,7 +277,7 @@ class OperationWrapper:
             # A repeated atomic leaf: the value itself is the column.
             rows.append(prefix + (value,))
             return
-        here = prefix + tuple(value[column] for column in level.atomic_columns)
+        here = prefix + tuple([value[column] for column in level.atomic_columns])
         if level.descend is None:
             rows.append(here)
             return

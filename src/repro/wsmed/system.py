@@ -37,7 +37,7 @@ from repro.algebra.cost import (
 from repro.algebra.explain import render_plan
 from dataclasses import replace as _replace
 
-from repro.algebra.interpreter import ExecutionContext
+from repro.algebra.interpreter import ExecutionContext, compile_plan
 from repro.algebra.optimizer import create_cost_based_plan
 from repro.algebra.plan import (
     AdaptationParams,
@@ -725,7 +725,7 @@ class WSMED:
         started = kernel.now()
         outcome: dict = {"outcome": "error"}
         try:
-            rows = await executor.execute(plan)
+            rows = await executor.execute(compile_plan(plan))
             elapsed = kernel.now() - started
             outcome = {"rows": len(rows)}
         finally:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra.interpreter import ExecutionContext, collect_rows
+from repro.algebra.interpreter import ExecutionContext, compile_plan
 from repro.algebra.plan import ParamNode, PlanError
 from repro.runtime.simulated import SimKernel
 from repro.util.errors import ServiceFault
@@ -92,7 +92,7 @@ def test_param_node_outside_plan_function_rejected(world) -> None:
     broker = world.registry.bind(kernel)
     ctx = ExecutionContext(kernel=kernel, broker=broker, functions=world.functions)
     with pytest.raises(PlanError, match="param node"):
-        kernel.run(collect_rows(ParamNode(schema=("x",)), ctx))
+        kernel.run(compile_plan(ParamNode(schema=("x",))).rows(ctx))
 
 
 def test_deterministic_execution(world) -> None:

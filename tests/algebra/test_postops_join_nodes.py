@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra.expressions import ColExpr
-from repro.algebra.interpreter import ExecutionContext, collect_rows
+from repro.algebra.interpreter import ExecutionContext, compile_plan
 from repro.algebra.plan import (
     DistinctNode,
     JoinNode,
@@ -43,7 +43,7 @@ def run(node, functions):
         registry.register(function)
     kernel = SimKernel()
     ctx = ExecutionContext(kernel=kernel, broker=None, functions=registry)
-    return kernel.run(collect_rows(node, ctx))
+    return kernel.run(compile_plan(node).rows(ctx))
 
 
 def test_distinct_preserves_first_occurrence_order() -> None:

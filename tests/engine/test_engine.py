@@ -1,5 +1,7 @@
 """Resident-engine behaviour: cold equivalence, warm reuse, invalidation."""
 
+import gc
+import sys
 from collections import Counter
 
 import pytest
@@ -60,6 +62,27 @@ def test_closed_engine_refuses_queries() -> None:
     with pytest.raises(ReproError, match="closed"):
         engine.sql(QUERY1_SQL, options=PARALLEL)
     engine.close()  # idempotent
+
+
+def test_unclosed_engine_is_garbage_collected_quietly(monkeypatch) -> None:
+    """Dropping an engine with warm nested pools closes its child
+    coroutines from the garbage collector; none may try to await."""
+    engine = fresh_engine()
+    engine.sql(QUERY1_SQL, options=PARALLEL)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    del engine
+    gc.collect()
+    assert [hook.exc_value for hook in unraisable] == []
+
+
+def test_close_still_waits_for_every_child() -> None:
+    engine = fresh_engine()
+    engine.sql(QUERY1_SQL, options=PARALLEL)
+    trace = engine.sql(QUERY1_SQL, options=PARALLEL).trace
+    engine.close()
+    # Every process of the warm tree (5 + 20) exited through its pool's close.
+    assert len(trace.events("process_exit")) == 25
 
 
 # -- cold equivalence ------------------------------------------------------------

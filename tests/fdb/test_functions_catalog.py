@@ -39,6 +39,16 @@ def test_duplicate_registration_rejected_but_replace_allowed() -> None:
     registry.replace(sample_function())  # re-import is fine
 
 
+def test_version_moves_on_every_definition_change_only() -> None:
+    registry = FunctionRegistry()
+    start = registry.version
+    registry.register(sample_function())
+    registry.resolve("GetAllStates")
+    assert registry.version == start + 1
+    registry.replace(sample_function())
+    assert registry.version == start + 2
+
+
 def test_unknown_function_error_lists_known() -> None:
     registry = FunctionRegistry()
     registry.register(sample_function())

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algebra.central import create_central_plan
-from repro.algebra.interpreter import ExecutionContext, collect_rows
+from repro.algebra.interpreter import ExecutionContext, compile_plan
 from repro.calculus.generator import generate_calculus
 from repro.fdb.functions import FunctionRegistry, helping_function
 from repro.fdb.types import CHARSTRING, TupleType
@@ -80,7 +80,7 @@ class World:
         ctx = ExecutionContext(
             kernel=kernel, broker=broker, functions=self.functions
         )
-        rows = kernel.run(collect_rows(plan, ctx))
+        rows = kernel.run(compile_plan(plan).rows(ctx))
         return rows, kernel, broker
 
 

@@ -202,3 +202,48 @@ def test_default_kernels_untouched_by_placement_hook(wsmed) -> None:
         ).elapsed
     )
     assert not hasattr(result, "placement")
+
+
+
+def test_function_registry_ships_once_until_a_definition_changes(monkeypatch) -> None:
+    """``Placement.attach`` re-serializes the registry only when its
+    mutation counter moved; a replaced definition ships again, and a
+    respawned worker gets the latest registration replayed."""
+    import repro.runtime.workers as workers
+    from repro.fdb.functions import helping_function
+    from repro.fdb.types import CHARSTRING, TupleType
+    from repro.runtime.wire import RegisterFunctions
+
+    serialized = []
+    serialize = workers.serialize_functions
+    monkeypatch.setattr(
+        workers, "serialize_functions", lambda registry: serialized.append(1) or serialize(registry)
+    )
+    system = WSMED(profile="fast")
+    system.import_all()
+    options = QueryOptions(mode="parallel", fanouts=[5, 4], on_error="retry")
+    with ProcessKernel(workers=1) as kernel:
+        engine = QueryEngine(system, kernel=kernel)
+        try:
+            reference = engine.sql(QUERY1_SQL, options=options).as_bag()
+            for _ in range(3):
+                engine.sql(QUERY1_SQL, options=options)
+            assert len(serialized) == 1
+            system.register_helping_function(
+                helping_function("shout", [("s", CHARSTRING)], TupleType((("t", CHARSTRING),)), str.upper)
+            )
+            engine.sql(QUERY1_SQL, options=options)
+            assert len(serialized) == 2
+            registered = [
+                e for e in kernel.worker_pool._registrations if isinstance(e, RegisterFunctions)
+            ]
+            assert len(registered) == 1 and b"shout" in registered[0].payload
+            os.kill(kernel.worker_pool.pids()[0], signal.SIGKILL)
+            time.sleep(0.5)  # the next run's loop sees EOF and respawns
+            after = engine.sql(QUERY1_SQL, options=options)
+            respawned = kernel.worker_pool.respawned_workers
+        finally:
+            engine.close()
+    assert respawned >= 1
+    assert after.as_bag() == reference
+    assert len(serialized) == 2  # the respawn replayed the stored envelope

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.algebra.interpreter import ExecutionContext
+from repro.algebra.interpreter import ExecutionContext, compile_plan
 from repro.algebra.plan import AdaptationParams
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.executor import ParallelExecutor
@@ -33,5 +33,5 @@ def run_parallel(
     broker = world.registry.bind(kernel, fault_rate=fault_rate)
     ctx = ExecutionContext(kernel=kernel, broker=broker, functions=world.functions)
     executor = ParallelExecutor(ctx, costs)
-    rows = kernel.run(executor.execute(plan))
+    rows = kernel.run(executor.execute(compile_plan(plan)))
     return rows, kernel, broker, ctx
