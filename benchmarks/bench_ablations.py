@@ -10,11 +10,20 @@
    round-robin baseline deals tuples out in fixed rotation, so a child
    stuck behind a slow call accumulates a queue; first-finished must be
    at least as fast.
-3. **Streaming vs materialized levels (WSQ/DSQ).**  The paper contrasts
+3. **Parameter shipping cost.**  Dispatch is serial at each parent, so
+   the per-tuple shipping cost stretches execution directly.
+4. **Streaming vs materialized levels (WSQ/DSQ).**  The paper contrasts
    WSMED's "non-blocking multi-level parallel plans ... without any
    materialization" with WSQ/DSQ's asynchronous *materialized* dependent
    joins (Sec. VI).  The level-synchronous baseline runs each dependency
    level with the same parallelism but a global barrier between levels.
+5. **Pipelined dispatch depth (prefetch).**  The paper's FF_APPLYP ships
+   the next parameter tuple only after an end-of-call (depth 1).  Allowing
+   a child several outstanding tuples hides the parent's shipping latency
+   but commits tuples to children earlier, losing first-finished
+   placement quality.  With the calibrated profile the message costs are
+   small relative to the service times, so depth 1 is (mildly) best —
+   consistent with the paper's protocol choice.
 """
 
 from repro import ProcessCosts, QueryOptions, WSMED
@@ -22,6 +31,7 @@ from repro.algebra.interpreter import ExecutionContext
 from repro.parallel.baseline import run_level_synchronous
 from repro.runtime.simulated import SimKernel
 
+from benchmarks import harness
 from benchmarks.harness import (
     QUERY1_SQL,
     QUERY2_SQL,
@@ -31,78 +41,16 @@ from benchmarks.harness import (
     wsmed,
 )
 
-
-def _uncontended_grid():
-    return fanout_grid(QUERY1_SQL, profile="uncontended", max_fanout=6)
-
-
-def test_contention_creates_interior_optimum(benchmark) -> None:
-    cells = benchmark.pedantic(_uncontended_grid, rounds=1, iterations=1)
-    print()
-    print(format_grid(cells, "Ablation — Query1 grid without contention"))
-    best = min(cells, key=cells.get)
-    best_n = best[0] + best[0] * best[1]
-    # Without contention, bigger is simply better: the optimum sits in the
-    # top decile of tree sizes instead of at an interior cell.
-    sizes = sorted({fo1 + fo1 * fo2 for fo1, fo2 in cells})
-    assert best_n >= sizes[int(0.8 * (len(sizes) - 1))]
-    # And the achievable speed-up is far beyond the contended 4.3x.
-    assert cells[(1, 1)] / cells[best] > 6.0
+NAME = None
+BEST_Q1 = QueryOptions(mode="parallel", fanouts=[5, 4])
+SHIP_PARAMS = (0.01, 0.2, 1.0)
+PREFETCH_DEPTHS = (1, 2, 4, 8)
 
 
-def _dispatch_times():
-    ff = WSMED(profile="paper", process_costs=ProcessCosts(dispatch="first_finished"))
-    ff.import_all()
-    rr = WSMED(profile="paper", process_costs=ProcessCosts(dispatch="round_robin"))
-    rr.import_all()
-    fanouts = [5, 4]
-    ff_result = ff.sql(
-        QUERY1_SQL,
-        options=QueryOptions(mode="parallel", fanouts=fanouts),
-    )
-    rr_result = rr.sql(
-        QUERY1_SQL,
-        options=QueryOptions(mode="parallel", fanouts=fanouts),
-    )
-    return ff_result, rr_result
-
-
-def test_first_finished_beats_round_robin(benchmark) -> None:
-    ff_result, rr_result = benchmark.pedantic(_dispatch_times, rounds=1, iterations=1)
-    print()
-    print(
-        f"Ablation — dispatch policy at {{5,4}}: "
-        f"first-finished {ff_result.elapsed:.1f} s, "
-        f"round-robin {rr_result.elapsed:.1f} s"
-    )
-    assert ff_result.as_bag() == rr_result.as_bag()
-    # Identical work, worse placement: round-robin can only be slower.
-    assert rr_result.elapsed >= ff_result.elapsed * 0.999
-
-
-def _ship_cost_sweep():
-    times = {}
-    for ship_param in (0.01, 0.2, 1.0):
-        system = WSMED(
-            profile="paper", process_costs=ProcessCosts(ship_param=ship_param)
-        )
-        system.import_all()
-        times[ship_param] = system.sql(
-            QUERY1_SQL,
-            options=QueryOptions(mode="parallel", fanouts=[5, 4]),
-        ).elapsed
-    return times
-
-
-def test_param_shipping_cost_matters(benchmark) -> None:
-    times = benchmark.pedantic(_ship_cost_sweep, rounds=1, iterations=1)
-    print()
-    print("Ablation — per-parameter shipping cost at {5,4}:")
-    for cost, elapsed in times.items():
-        print(f"  ship_param={cost:<5} -> {elapsed:.1f} s")
-    # Dispatch is serial at each parent, so shipping cost directly
-    # stretches execution; 1 s per tuple adds >= ~50 s at the coordinator.
-    assert times[1.0] > times[0.01] + 40
+def _query1(**costs):
+    system = WSMED(profile="paper", process_costs=ProcessCosts(**costs))
+    system.import_all()
+    return system.sql(QUERY1_SQL, options=BEST_Q1)
 
 
 def _level_synchronous(sql: str, workers: list[int]) -> tuple[float, list[tuple]]:
@@ -115,7 +63,7 @@ def _level_synchronous(sql: str, workers: list[int]) -> tuple[float, list[tuple]
     return kernel.now(), rows
 
 
-def _streaming_vs_materialized():
+def _streaming_vs_materialized() -> dict:
     comparisons = {}
     for name, sql, workers, fanouts in (
         ("Query1", QUERY1_SQL, [5, 20], (5, 4)),
@@ -131,33 +79,76 @@ def _streaming_vs_materialized():
     return comparisons
 
 
-def test_streaming_beats_materialized_levels(benchmark) -> None:
-    comparisons = benchmark.pedantic(
-        _streaming_vs_materialized, rounds=1, iterations=1
+def run(smoke: bool = False) -> dict:
+    prefetch = {depth: _query1(prefetch=depth) for depth in PREFETCH_DEPTHS}
+    return {
+        "uncontended": fanout_grid(QUERY1_SQL, profile="uncontended", max_fanout=6),
+        "first_finished": _query1(dispatch="first_finished"),
+        "round_robin": _query1(dispatch="round_robin"),
+        "shipping": {cost: _query1(ship_param=cost).elapsed for cost in SHIP_PARAMS},
+        "streaming": _streaming_vs_materialized(),
+        "prefetch": {depth: (r.elapsed, len(r)) for depth, r in prefetch.items()},
+    }
+
+
+def report(payload: dict) -> None:
+    print(format_grid(payload["uncontended"], "Ablation — Query1 grid without contention"))
+    print(
+        f"Ablation — dispatch policy at {{5,4}}: "
+        f"first-finished {payload['first_finished'].elapsed:.1f} s, "
+        f"round-robin {payload['round_robin'].elapsed:.1f} s"
     )
-    print()
+    print("Ablation — per-parameter shipping cost at {5,4}:")
+    for cost, elapsed in payload["shipping"].items():
+        print(f"  ship_param={cost:<5} -> {elapsed:.1f} s")
     print("Ablation — streaming (WSMED) vs materialized levels (WSQ/DSQ style):")
-    for name, row in comparisons.items():
+    for name, row in payload["streaming"].items():
         print(
             f"  {name}: materialized {row['materialized']:7.1f} s, "
             f"streaming {row['streaming']:7.1f} s "
             f"({row['materialized'] / row['streaming']:.2f}x)"
         )
-    for row in comparisons.values():
+    print("Ablation — dispatch pipelining depth at {5,4} (Query1):")
+    for depth, (elapsed, rows) in payload["prefetch"].items():
+        print(f"  prefetch={depth}: {elapsed:7.1f} s ({rows} rows)")
+
+
+def check(payload: dict) -> None:
+    cells = payload["uncontended"]
+    best = min(cells, key=cells.get)
+    # Without contention, bigger is simply better: the optimum sits in the
+    # top decile of tree sizes instead of at an interior cell.
+    sizes = sorted({fo1 + fo1 * fo2 for fo1, fo2 in cells})
+    assert best[0] + best[0] * best[1] >= sizes[int(0.8 * (len(sizes) - 1))]
+    # And the achievable speed-up is far beyond the contended 4.3x.
+    assert cells[(1, 1)] / cells[best] > 6.0
+
+    ff, rr = payload["first_finished"], payload["round_robin"]
+    assert ff.as_bag() == rr.as_bag()
+    # Identical work, worse placement: round-robin can only be slower.
+    assert rr.elapsed >= ff.elapsed * 0.999
+
+    # 1 s per tuple adds >= ~50 s at the coordinator.
+    shipping = payload["shipping"]
+    assert shipping[1.0] > shipping[0.01] + 40
+
+    for row in payload["streaming"].values():
         assert row["rows_match"]
         # Overlapping the levels in time is what the process tree buys:
         # the same per-level parallelism with barriers is clearly slower.
         assert row["materialized"] > 1.2 * row["streaming"]
 
+    times = payload["prefetch"]
+    assert all(rows == 360 for _, rows in times.values())
+    base = times[1][0]
+    # Depth 1 (the paper's protocol) is within a few percent of the best
+    # depth, and deep pipelines never help much at these message costs.
+    best_depth = min(elapsed for elapsed, _ in times.values())
+    assert base <= best_depth * 1.05
+    assert max(elapsed for elapsed, _ in times.values()) < base * 1.25
 
-def main() -> None:
-    print(format_grid(_uncontended_grid(), "Query1 grid without contention"))
-    ff_result, rr_result = _dispatch_times()
-    print(f"first-finished: {ff_result.elapsed:.1f} s, round-robin: {rr_result.elapsed:.1f} s")
-    for name, row in _streaming_vs_materialized().items():
-        print(f"{name}: materialized {row['materialized']:.1f} s vs "
-              f"streaming {row['streaming']:.1f} s")
 
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
     main()

@@ -10,12 +10,14 @@ reconstructed from the execution trace.
 
 from repro import AdaptationParams, QueryOptions
 
+from benchmarks import harness
 from benchmarks.harness import QUERY1_SQL, wsmed
 
+NAME = None
 TRACE_KINDS = ("init_stage", "add_stage", "drop_stage", "adapt_stop")
 
 
-def _run():
+def run(smoke: bool = False) -> dict:
     result = wsmed().sql(
         QUERY1_SQL,
         options=QueryOptions(
@@ -24,24 +26,20 @@ def _run():
         ),
     )
     events = [e for e in result.trace if e.kind in TRACE_KINDS]
-    return result, events
+    return {"rows": len(result), "events": events}
 
 
-def _format(events):
-    lines = ["Adaptation timeline (Figs 18-20)"]
-    for event in events:
+def report(payload: dict) -> None:
+    print("Adaptation timeline (Figs 18-20)")
+    for event in payload["events"]:
         details = ", ".join(
             f"{key}={value}" for key, value in sorted(event.data.items())
         )
-        lines.append(f"  t={event.time:8.2f}  {event.kind:<11} {details}")
-    return "\n".join(lines)
+        print(f"  t={event.time:8.2f}  {event.kind:<11} {details}")
 
 
-def test_adaptation_trace(benchmark) -> None:
-    result, events = benchmark.pedantic(_run, rounds=1, iterations=1)
-    print()
-    print(_format(events))
-
+def check(payload: dict) -> None:
+    events = payload["events"]
     kinds = [event.kind for event in events]
     # Fig 18: every pool starts with an init stage building a binary tree.
     assert kinds[0] == "init_stage"
@@ -58,13 +56,10 @@ def test_adaptation_trace(benchmark) -> None:
     # Fig 20 / stop: every adapting pool eventually drops or stops.
     assert any(e.kind in ("drop_stage", "adapt_stop") for e in events)
     # The query still returns the right answer while adapting.
-    assert len(result) == 360
+    assert payload["rows"] == 360
 
 
-def main() -> None:
-    _, events = _run()
-    print(_format(events))
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
     main()

@@ -1,21 +1,19 @@
 """Micro-batched messaging: batch size x fanout on a cheap-call workload.
 
-The per-tuple protocol (Sec. III.A) pays ``message_latency`` three times
-per call (parameter down, result up, end-of-call up) plus the per-row
-shipping CPU — for wide fan-outs over cheap calls that messaging, not the
-web services, dominates the client.  This bench runs exactly that regime:
-``GetPlacesInside`` on the uncontended profile (no server queueing, so the
-client side is the bottleneck) with elevated messaging costs, and sweeps
+The per-tuple protocol (Sec. III.A) pays ``message_latency`` for every
+parameter going down and every result row going up (a call's end-of-call
+rides its last row), plus the per-row shipping CPU — for wide fan-outs
+over cheap calls that messaging, not the web services, dominates the
+client.  This bench runs exactly that regime: ``GetPlacesInside`` on the
+uncontended profile (no server queueing, so the client side is the
+bottleneck) with elevated messaging costs, and sweeps
 ``ProcessCosts.batch_size`` against the fanout.  Measured claims:
 
 * batching cuts uplink+downlink messages by well over 30% (a batch of k
-  replaces ~3k messages with 2),
+  replaces one message per tuple and row with one per batch),
 * completion time drops measurably versus the per-tuple protocol, and
 * ``batch_adaptive`` lands within ~10% of the best fixed batch size
   without being told the right size.
-
-Results are also written to ``BENCH_batching.json`` (repository root)
-via :func:`benchmarks.report.save_bench_json`.
 """
 
 from __future__ import annotations
@@ -25,6 +23,10 @@ from dataclasses import replace
 from repro import ProcessCosts, QueryOptions, WSMED
 from repro.fdb.functions import helping_function
 from repro.fdb.types import CHARSTRING, TupleType
+
+from benchmarks import harness
+
+NAME = "batching"
 
 SQL = """
 Select gp.ToPlace, gp.ToState
@@ -38,8 +40,8 @@ BATCH_SIZES = (1, 2, 4, 8, 16)
 
 # Messaging-heavy cost point: transit 20 ms per message, cheap per-row
 # CPU.  One GetPlacesInside call occupies a child ~83 ms on the
-# uncontended profile, so per-tuple messaging (~3 transits/call) is a
-# large fraction of useful work — the regime batching is for.
+# uncontended profile, so per-tuple messaging is a large fraction of
+# useful work — the regime batching is for.
 COSTS = ProcessCosts(
     message_latency=0.02,
     ship_param=0.002,
@@ -88,23 +90,37 @@ def _run(system: WSMED, fanout: int, batch) -> dict:
     }
 
 
-def _sweep() -> list[dict]:
+def run(smoke: bool = False) -> dict:
     system = _system()
-    runs = []
-    for fanout in FANOUTS:
-        for batch in (*BATCH_SIZES, "adaptive"):
-            runs.append(_run(system, fanout, batch))
-    return runs
+    runs = [
+        _run(system, fanout, batch)
+        for fanout in FANOUTS
+        for batch in (*BATCH_SIZES, "adaptive")
+    ]
+    return {
+        "workload": {
+            "sql": "GetPlacesInside per zip (dependent join)",
+            "tuples": TUPLES,
+            "profile": "uncontended",
+            "message_latency": COSTS.message_latency,
+            "ship_param": COSTS.ship_param,
+            "result_tuple": COSTS.result_tuple,
+        },
+        "runs": [
+            {key: value for key, value in run.items() if key != "bag"}
+            for run in runs
+        ],
+        "_bags": [run["bag"] for run in runs],
+    }
 
 
-def _report(runs: list[dict]) -> None:
-    print()
+def report(payload: dict) -> None:
     print(
         f"Micro-batching, {TUPLES} GetPlacesInside calls "
         "(uncontended profile, 20 ms message transit):"
     )
     for fanout in FANOUTS:
-        rows = [run for run in runs if run["fanout"] == fanout]
+        rows = [run for run in payload["runs"] if run["fanout"] == fanout]
         base = next(run for run in rows if run["batch"] == 1)
         print(f"  fanout {fanout}:")
         for run in rows:
@@ -122,39 +138,11 @@ def _report(runs: list[dict]) -> None:
             )
 
 
-def _emit_json(runs: list[dict]) -> None:
-    from benchmarks.report import save_bench_json
-
-    save_bench_json(
-        "batching",
-        {
-            "workload": {
-                "sql": "GetPlacesInside per zip (dependent join)",
-                "tuples": TUPLES,
-                "profile": "uncontended",
-                "message_latency": COSTS.message_latency,
-                "ship_param": COSTS.ship_param,
-                "result_tuple": COSTS.result_tuple,
-            },
-            "runs": [
-                {key: value for key, value in run.items() if key != "bag"}
-                for run in runs
-            ],
-        },
-    )
-
-
-def test_batching_sweep(benchmark) -> None:
-    runs = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    _report(runs)
-    _emit_json(runs)
-
+def check(payload: dict) -> None:
     # Batching never changes what the query computes.
-    baseline = runs[0]["bag"]
-    assert all(run["bag"] == baseline for run in runs)
-
+    assert all(bag == payload["_bags"][0] for bag in payload["_bags"])
     for fanout in FANOUTS:
-        rows = [run for run in runs if run["fanout"] == fanout]
+        rows = [run for run in payload["runs"] if run["fanout"] == fanout]
         base = next(run for run in rows if run["batch"] == 1)
         fixed = [run for run in rows if run["batch"] not in (1, "adaptive")]
         adaptive = next(run for run in rows if run["batch"] == "adaptive")
@@ -172,11 +160,7 @@ def test_batching_sweep(benchmark) -> None:
         assert adaptive["elapsed"] <= 1.10 * best["elapsed"]
 
 
-def main() -> None:
-    runs = _sweep()
-    _report(runs)
-    _emit_json(runs)
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
     main()

@@ -20,6 +20,10 @@ from repro import CacheConfig, ProcessCosts, QueryOptions, WSMED
 from repro.fdb.functions import helping_function
 from repro.fdb.types import CHARSTRING, TupleType
 
+from benchmarks import harness
+
+NAME = "call_cache"
+
 SKEW_SQL = """
 Select gp.ToPlace, gp.ToState
 From   skewed_zips sz, GetPlacesInside gp
@@ -61,11 +65,11 @@ def _system(dispatch: str) -> WSMED:
     return system
 
 
-def _sweep():
+def run(smoke: bool = False) -> dict:
     ff = _system("first_finished")
     affinity = _system("hash_affinity")
     cache = CacheConfig(enabled=True)
-    return {
+    results = {
         "central off": ff.sql(SKEW_SQL),
         "central on": ff.sql(SKEW_SQL, options=QueryOptions(cache=cache)),
         "parallel ff off": ff.sql(
@@ -81,83 +85,61 @@ def _sweep():
             options=QueryOptions(mode="parallel", fanouts=FANOUTS, cache=cache),
         ),
     }
+    return {
+        "workload": {
+            "sql": "GetPlacesInside per zip (skewed keys)",
+            "tuples": 392,
+            "distinct_keys": HOT_KEYS + COLD_KEYS,
+            "fanouts": FANOUTS,
+        },
+        "runs": [
+            {
+                "label": label,
+                "elapsed": result.elapsed,
+                "total_calls": result.total_calls,
+                "hit_rate": (
+                    result.cache_stats.hit_rate if result.cache_stats else None
+                ),
+            }
+            for label, result in results.items()
+        ],
+        "_bags": [result.as_bag() for result in results.values()],
+    }
 
 
-def _report(results) -> None:
-    print()
+def report(payload: dict) -> None:
     print("Call cache on a skewed stream (392 tuples, 40 distinct keys):")
-    for label, result in results.items():
+    for run in payload["runs"]:
         hit_rate = (
-            f"{result.cache_stats.hit_rate:5.0%} hit rate"
-            if result.cache_stats
+            f"{run['hit_rate']:5.0%} hit rate"
+            if run["hit_rate"] is not None
             else "   cache off"
         )
         print(
-            f"  {label:21s}: {result.elapsed:7.1f} s, "
-            f"{result.total_calls:3d} calls, {hit_rate}"
+            f"  {run['label']:21s}: {run['elapsed']:7.1f} s, "
+            f"{run['total_calls']:3d} calls, {hit_rate}"
         )
 
 
-def _emit_json(results) -> None:
-    from benchmarks.report import save_bench_json
-
-    save_bench_json(
-        "call_cache",
-        {
-            "workload": {
-                "sql": "GetPlacesInside per zip (skewed keys)",
-                "tuples": 392,
-                "distinct_keys": HOT_KEYS + COLD_KEYS,
-                "fanouts": FANOUTS,
-            },
-            "runs": [
-                {
-                    "label": label,
-                    "elapsed": result.elapsed,
-                    "total_calls": result.total_calls,
-                    "hit_rate": (
-                        result.cache_stats.hit_rate if result.cache_stats else None
-                    ),
-                }
-                for label, result in results.items()
-            ],
-        },
-    )
-
-
-def test_call_cache_skewed_keys(benchmark) -> None:
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    _report(results)
-    _emit_json(results)
-
-    baseline = results["central off"].as_bag()
-    assert all(result.as_bag() == baseline for result in results.values())
-
+def check(payload: dict) -> None:
+    assert all(bag == payload["_bags"][0] for bag in payload["_bags"])
+    runs = {run["label"]: run for run in payload["runs"]}
     # Memoization removes >= 25% of broker calls and shortens the makespan.
     for off, on in (
         ("central off", "central on"),
         ("parallel ff off", "parallel ff on"),
         ("parallel ff off", "parallel affinity on"),
     ):
-        assert results[on].total_calls <= 0.75 * results[off].total_calls
-        assert results[on].elapsed < results[off].elapsed
+        assert runs[on]["total_calls"] <= 0.75 * runs[off]["total_calls"]
+        assert runs[on]["elapsed"] < runs[off]["elapsed"]
 
     # Affinity routing concentrates repeats on the owning child's cache.
-    assert (
-        results["parallel affinity on"].cache_stats.hit_rate
-        > results["parallel ff on"].cache_stats.hit_rate
-    )
-    assert (
-        results["parallel affinity on"].total_calls
-        < results["parallel ff on"].total_calls
-    )
+    affinity, ff = runs["parallel affinity on"], runs["parallel ff on"]
+    assert affinity["hit_rate"] > ff["hit_rate"]
+    assert affinity["total_calls"] < ff["total_calls"]
 
 
-def main() -> None:
-    results = _sweep()
-    _report(results)
-    _emit_json(results)
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
     main()

@@ -21,19 +21,16 @@ Two sections, both deterministic model seconds (``fast`` profile, Query1,
   the safe level online.  The claim the JSON asserts: the controller
   holds batch p50 inflation under the threshold while the over-admitted
   static baseline blows through it — on identical row bags.
-
-Usage::
-
-    python -m benchmarks.bench_capacity [--smoke]
 """
 
 from __future__ import annotations
 
-import argparse
-
 from repro import QUERY1_SQL, AdmissionConfig, QueryEngine, WSMED, QueryOptions
 from repro.util.stats import quantile
 
+from benchmarks import harness
+
+NAME = "capacity"
 QUERY_OPTIONS = QueryOptions(mode="parallel", fanouts=[5, 4])
 SWEEP_LEVELS = (1, 2, 4, 8, 16)
 SMOKE_LEVELS = (1, 4, 16)
@@ -136,7 +133,7 @@ def run(smoke: bool = False) -> dict:
     }
 
 
-def _report(payload: dict) -> None:
+def report(payload: dict) -> None:
     sweep = payload["sweep"]
     print(
         f"capacity sweep (baseline p50 "
@@ -165,13 +162,7 @@ def _report(payload: dict) -> None:
     )
 
 
-def _emit_json(payload: dict) -> None:
-    from benchmarks.report import save_bench_json
-
-    save_bench_json("capacity", payload)
-
-
-def _check(payload: dict) -> None:
+def check(payload: dict) -> None:
     sweep = payload["sweep"]
     # The sweep must actually show the knee: the deepest level over-
     # admits past the threshold, so a static max_concurrency there is
@@ -184,25 +175,7 @@ def _check(payload: dict) -> None:
     assert versus["adaptive_shed"] == 0, "no deadlines configured, no shedding"
 
 
-def test_admission_capacity(benchmark) -> None:
-    payload = benchmark.pedantic(run, rounds=1, iterations=1)
-    _report(payload)
-    _emit_json(payload)
-    _check(payload)
-
-
-def main(smoke: bool = False) -> None:
-    payload = run(smoke=smoke)
-    _report(payload)
-    _emit_json(payload)
-    _check(payload)
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fewer sweep levels (CI: verifies the claims, minimal runtime)",
-    )
-    main(smoke=parser.parse_args().smoke)
+    main()

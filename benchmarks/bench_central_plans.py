@@ -8,42 +8,36 @@ Paper claims regenerated here:
   244.8 s (Sec. V).
 """
 
+from benchmarks import harness
 from benchmarks.harness import (
     PAPER,
     QUERY1_SQL,
     QUERY2_SQL,
-    Comparison,
-    report,
+    comparisons,
     run_central,
 )
 
-
-def _comparisons():
-    query1 = run_central(QUERY1_SQL)
-    query2 = run_central(QUERY2_SQL)
-    return query1, query2, [
-        Comparison("central", "Query1 time (s)", PAPER["query1_central"],
-                   round(query1.elapsed, 1)),
-        Comparison("central", "Query1 web service calls", PAPER["query1_calls"],
-                   query1.total_calls),
-        Comparison("central", "Query1 result rows", PAPER["query1_rows"],
-                   len(query1)),
-        Comparison("central", "Query2 time (s)", PAPER["query2_central"],
-                   round(query2.elapsed, 1)),
-        Comparison("central", "Query2 web service calls", PAPER["query2_calls"],
-                   query2.total_calls),
-        Comparison("central", "Query2 answer", "<CO, 80840>",
-                   str(query2.rows)),
-    ]
+NAME = None
 
 
-def test_central_plans(benchmark) -> None:
-    query1, query2, comparisons = benchmark.pedantic(
-        _comparisons, rounds=1, iterations=1
-    )
-    print()
-    print(report(comparisons))
+def run(smoke: bool = False) -> dict:
+    return {"query1": run_central(QUERY1_SQL), "query2": run_central(QUERY2_SQL)}
 
+
+def report(payload: dict) -> None:
+    query1, query2 = payload["query1"], payload["query2"]
+    print(comparisons("central", [
+        ("Query1 time (s)", PAPER["query1_central"], round(query1.elapsed, 1)),
+        ("Query1 web service calls", PAPER["query1_calls"], query1.total_calls),
+        ("Query1 result rows", PAPER["query1_rows"], len(query1)),
+        ("Query2 time (s)", PAPER["query2_central"], round(query2.elapsed, 1)),
+        ("Query2 web service calls", PAPER["query2_calls"], query2.total_calls),
+        ("Query2 answer", "<CO, 80840>", str(query2.rows)),
+    ]))
+
+
+def check(payload: dict) -> None:
+    query1, query2 = payload["query1"], payload["query2"]
     assert query2.rows == [("CO", "80840")]
     assert query2.total_calls == 5001
     assert query1.total_calls == 311
@@ -53,10 +47,7 @@ def test_central_plans(benchmark) -> None:
     assert abs(query2.elapsed - PAPER["query2_central"]) < 0.05 * PAPER["query2_central"]
 
 
-def main() -> None:
-    _, _, comparisons = _comparisons()
-    print(report(comparisons))
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
     main()

@@ -12,26 +12,17 @@ what it buys on Query1 (two dependent-join levels, fanouts 5x4):
   many rows it lost;
 * with injected child crashes, dead children are respawned and the result
   is still complete.
-
-Results are also written to
-``BENCH_fault_tolerance.json`` (repository root) via
-:func:`benchmarks.report.save_bench_json`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro import FaultInjection, ProcessCosts, QueryOptions, WSMED
+from repro import QUERY1_SQL, FaultInjection, ProcessCosts, QueryOptions, WSMED
 
-SQL = """
-Select gl.placename, gl.state
-From   GetAllStates gs, GetPlacesWithin gp, GetPlaceList gl
-Where  gs.State = gp.state and gp.distance = 15.0
-  and  gp.placeTypeToFind = 'City' and gp.place = 'Atlanta'
-  and  gl.placeName = gp.ToCity + ', ' + gp.ToState
-  and  gl.MaxItems = 100 and gl.imagePresence = 'true'
-"""
+from benchmarks import harness
+
+NAME = "fault_tolerance"
 
 FANOUTS = [5, 4]
 FAILURE_RATES = (0.0, 0.05, 0.1, 0.2)
@@ -43,16 +34,10 @@ MAX_REDELIVERIES = 8
 COSTS = ProcessCosts().scaled(0.01)
 
 
-def _system() -> WSMED:
-    system = WSMED(profile="fast", process_costs=COSTS)
-    system.import_all()
-    return system
-
-
 def _run(system: WSMED, label: str, *, on_error=None, faults=None) -> dict:
     costs = replace(COSTS, max_redeliveries=MAX_REDELIVERIES)
     result = system.sql(
-        SQL,
+        QUERY1_SQL,
         options=QueryOptions(
             mode="parallel",
             fanouts=FANOUTS,
@@ -80,8 +65,9 @@ def _run(system: WSMED, label: str, *, on_error=None, faults=None) -> dict:
     }
 
 
-def _sweep() -> list[dict]:
-    system = _system()
+def run(smoke: bool = False) -> dict:
+    system = WSMED(profile="fast", process_costs=COSTS)
+    system.import_all()
     runs = [_run(system, "clean")]
     for rate in FAILURE_RATES[1:]:
         runs.append(
@@ -108,21 +94,35 @@ def _sweep() -> list[dict]:
             faults=FaultInjection(crash_probability=CRASH_RATE),
         )
     )
-    return runs
-
-
-def _report(runs: list[dict]) -> None:
     base = runs[0]
-    print()
+    return {
+        "workload": {
+            "sql": "Query1 (states -> places -> place lists)",
+            "fanouts": FANOUTS,
+            "profile": "fast",
+            "max_redeliveries": MAX_REDELIVERIES,
+        },
+        "runs": [
+            {
+                **{k: v for k, v in run.items() if k != "bag"},
+                "complete": run["bag"] == base["bag"],
+                "overhead": run["elapsed"] / base["elapsed"] - 1.0,
+            }
+            for run in runs
+        ],
+    }
+
+
+def report(payload: dict) -> None:
+    runs = payload["runs"]
     print(f"Query1 fault tolerance, fanouts {FANOUTS} (fast profile):")
     for run in runs:
-        overhead = run["elapsed"] / base["elapsed"] - 1.0
-        complete = "complete" if run["bag"] == base["bag"] else (
-            f"{run['rows']}/{base['rows']} rows"
+        complete = (
+            "complete" if run["complete"] else f"{run['rows']}/{runs[0]['rows']} rows"
         )
         print(
             f"  {run['label']:22s}: {run['elapsed']:6.2f} s "
-            f"({overhead:+6.1%}), {complete}; "
+            f"({run['overhead']:+6.1%}), {complete}; "
             f"{run['failed_calls']:3d} failed, "
             f"{run['redeliveries']:3d} redelivered, "
             f"{run['skipped_rows']:2d} skipped, "
@@ -130,36 +130,8 @@ def _report(runs: list[dict]) -> None:
         )
 
 
-def _emit_json(runs: list[dict]) -> None:
-    from benchmarks.report import save_bench_json
-
-    base = runs[0]
-    save_bench_json(
-        "fault_tolerance",
-        {
-            "workload": {
-                "sql": "Query1 (states -> places -> place lists)",
-                "fanouts": FANOUTS,
-                "profile": "fast",
-                "max_redeliveries": MAX_REDELIVERIES,
-            },
-            "runs": [
-                {
-                    **{k: v for k, v in run.items() if k != "bag"},
-                    "complete": run["bag"] == base["bag"],
-                    "overhead": run["elapsed"] / base["elapsed"] - 1.0,
-                }
-                for run in runs
-            ],
-        },
-    )
-
-
-def test_fault_tolerance_sweep(benchmark) -> None:
-    runs = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    _report(runs)
-    _emit_json(runs)
-
+def check(payload: dict) -> None:
+    runs = payload["runs"]
     base = runs[0]
     retry_runs = [run for run in runs if run["on_error"] == "retry"]
     skip_run = next(run for run in runs if run["on_error"] == "skip")
@@ -167,7 +139,7 @@ def test_fault_tolerance_sweep(benchmark) -> None:
 
     # Retry recovers the complete, duplicate-free result at every rate.
     for run in retry_runs:
-        assert run["bag"] == base["bag"], run["label"]
+        assert run["complete"], run["label"]
     # Failures actually happened at the nonzero rates (the sweep is live).
     for run in retry_runs:
         if run["call_failure_probability"] >= 0.05 or run["crash_probability"]:
@@ -180,11 +152,7 @@ def test_fault_tolerance_sweep(benchmark) -> None:
     assert crash_run["respawns"] >= 1
 
 
-def main() -> None:
-    runs = _sweep()
-    _report(runs)
-    _emit_json(runs)
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
     main()

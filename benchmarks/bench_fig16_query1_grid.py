@@ -6,41 +6,24 @@ finds the lowest execution-time region at 50-60 s with the best tree
 against a central plan of 244.8 s (speed-up 4.3).
 """
 
-from benchmarks.harness import (
-    PAPER,
-    QUERY1_SQL,
-    Comparison,
-    fanout_grid,
-    format_grid,
-    near_balanced,
-    report,
-    run_central,
-)
+from benchmarks import harness
+from benchmarks.harness import QUERY1_SQL, fanout_grid, near_balanced, run_central
+
+NAME = None
 
 
-def _grid():
-    return fanout_grid(QUERY1_SQL)
+def run(smoke: bool = False) -> dict:
+    return {"cells": fanout_grid(QUERY1_SQL), "central": run_central(QUERY1_SQL).elapsed}
 
 
-def test_fig16_query1_grid(benchmark) -> None:
-    cells = benchmark.pedantic(_grid, rounds=1, iterations=1)
-    central = run_central(QUERY1_SQL).elapsed
+def report(payload: dict) -> None:
+    harness.grid_report(payload, "Fig 16", "Query1")
+
+
+def check(payload: dict) -> None:
+    cells, central = payload["cells"], payload["central"]
     best = min(cells, key=cells.get)
     best_time = cells[best]
-    print()
-    print(format_grid(cells, "Fig 16 — Query1 execution time (model s)"))
-    print(report([
-        Comparison("fig16", "central time (s)", PAPER["query1_central"],
-                   round(central, 1)),
-        Comparison("fig16", "best time (s)", PAPER["query1_best"],
-                   round(best_time, 1)),
-        Comparison("fig16", "best fanout vector",
-                   str(PAPER["query1_best_fanouts"]), str(best)),
-        Comparison("fig16", "speed-up over central", PAPER["query1_speedup"],
-                   round(central / best_time, 2)),
-    ]))
-
-    # Shape assertions mirroring the paper's findings.
     assert 45.0 < best_time < 75.0  # lowest region 50-60 s
     assert near_balanced(best)  # "close to, but not exactly, balanced"
     assert 3.3 < central / best_time < 5.5  # speed-up ~4.3
@@ -54,11 +37,7 @@ def test_fig16_query1_grid(benchmark) -> None:
     assert cells[(1, 1)] > 0.9 * central
 
 
-def main() -> None:
-    cells = _grid()
-    print(format_grid(cells, "Fig 16 — Query1 execution time (model s)"))
-    print(f"central: {run_central(QUERY1_SQL).elapsed:.1f} s")
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
     main()

@@ -6,40 +6,24 @@ of nearly 2 over the central plan's 2412.95 s; the low region is
 degrading under concurrent load.
 """
 
-from benchmarks.harness import (
-    PAPER,
-    QUERY2_SQL,
-    Comparison,
-    fanout_grid,
-    format_grid,
-    near_balanced,
-    report,
-    run_central,
-)
+from benchmarks import harness
+from benchmarks.harness import QUERY2_SQL, fanout_grid, near_balanced, run_central
+
+NAME = None
 
 
-def _grid():
-    return fanout_grid(QUERY2_SQL)
+def run(smoke: bool = False) -> dict:
+    return {"cells": fanout_grid(QUERY2_SQL), "central": run_central(QUERY2_SQL).elapsed}
 
 
-def test_fig17_query2_grid(benchmark) -> None:
-    cells = benchmark.pedantic(_grid, rounds=1, iterations=1)
-    central = run_central(QUERY2_SQL).elapsed
+def report(payload: dict) -> None:
+    harness.grid_report(payload, "Fig 17", "Query2")
+
+
+def check(payload: dict) -> None:
+    cells, central = payload["cells"], payload["central"]
     best = min(cells, key=cells.get)
     best_time = cells[best]
-    print()
-    print(format_grid(cells, "Fig 17 — Query2 execution time (model s)"))
-    print(report([
-        Comparison("fig17", "central time (s)", PAPER["query2_central"],
-                   round(central, 1)),
-        Comparison("fig17", "best time (s)", PAPER["query2_best"],
-                   round(best_time, 1)),
-        Comparison("fig17", "best fanout vector",
-                   str(PAPER["query2_best_fanouts"]), str(best)),
-        Comparison("fig17", "speed-up over central", PAPER["query2_speedup"],
-                   round(central / best_time, 2)),
-    ]))
-
     assert 1100.0 < best_time < 1400.0  # paper's low region 1200-1400 s
     assert near_balanced(best, slack=1)  # {4,3}
     assert 1.7 < central / best_time < 2.3  # "speed up of nearly 2"
@@ -48,11 +32,7 @@ def test_fig17_query2_grid(benchmark) -> None:
     assert cells[largest] > 1.02 * best_time
 
 
-def main() -> None:
-    cells = _grid()
-    print(format_grid(cells, "Fig 17 — Query2 execution time (model s)"))
-    print(f"central: {run_central(QUERY2_SQL).elapsed:.1f} s")
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
     main()

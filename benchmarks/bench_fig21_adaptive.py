@@ -7,32 +7,33 @@ of the best manually specified tree, with the drop stage making
 insignificant changes.
 """
 
+from benchmarks import harness
 from benchmarks.harness import (
     PAPER,
     QUERY1_SQL,
     QUERY2_SQL,
-    Comparison,
-    report,
+    comparisons,
     run_adaptive,
     run_parallel,
 )
 
+NAME = None
 P_VALUES = (1, 2, 3, 4)
+QUERIES = (("Query1", QUERY1_SQL, "query1"), ("Query2", QUERY2_SQL, "query2"))
 
 
-def _sweep(sql: str, best_manual: float):
+def _sweep(sql: str, best_manual: float) -> list[dict]:
     rows = []
     for p in P_VALUES:
         for drop_stage in (False, True):
             result = run_adaptive(sql, p, drop_stage)
-            fanouts = [round(f, 1) for f in result.tree.average_fanouts()]
             rows.append(
                 {
                     "p": p,
                     "drop": drop_stage,
                     "time": result.elapsed,
                     "ratio": best_manual / result.elapsed,
-                    "fanouts": fanouts,
+                    "fanouts": [round(f, 1) for f in result.tree.average_fanouts()],
                     "spawned": result.tree.processes_spawned,
                     "dropped": result.tree.processes_dropped,
                 }
@@ -40,68 +41,57 @@ def _sweep(sql: str, best_manual: float):
     return rows
 
 
-def _format(rows, title):
-    lines = [title, f"{'p':>3} {'drop':>5} {'time(s)':>9} {'ratio':>6} "
-                    f"{'avg fanouts':>14} {'spawned':>8} {'dropped':>8}"]
-    for row in rows:
-        lines.append(
-            f"{row['p']:>3} {'on' if row['drop'] else 'off':>5} "
-            f"{row['time']:>9.1f} {row['ratio']:>6.2f} "
-            f"{str(row['fanouts']):>14} {row['spawned']:>8} {row['dropped']:>8}"
-        )
-    return "\n".join(lines)
+def run(smoke: bool = False) -> dict:
+    payload = {}
+    for query, sql, key in QUERIES:
+        best = run_parallel(sql, PAPER[f"{key}_best_fanouts"]).elapsed
+        payload[query] = {"best_manual": best, "rows": _sweep(sql, best)}
+    return payload
 
 
-def _run_both():
-    best_q1 = run_parallel(QUERY1_SQL, PAPER["query1_best_fanouts"]).elapsed
-    best_q2 = run_parallel(QUERY2_SQL, PAPER["query2_best_fanouts"]).elapsed
-    return (
-        best_q1,
-        best_q2,
-        _sweep(QUERY1_SQL, best_q1),
-        _sweep(QUERY2_SQL, best_q2),
-    )
+def _p2(payload: dict, query: str) -> dict:
+    return next(r for r in payload[query]["rows"] if r["p"] == 2 and not r["drop"])
 
 
-def test_fig21_adaptive(benchmark) -> None:
-    best_q1, best_q2, rows_q1, rows_q2 = benchmark.pedantic(
-        _run_both, rounds=1, iterations=1
-    )
-    print()
-    print(_format(rows_q1, f"Fig 21a — Query1 AFF_APPLYP (best manual {best_q1:.1f} s)"))
-    print(_format(rows_q2, f"Fig 21b — Query2 AFF_APPLYP (best manual {best_q2:.1f} s)"))
-    q1_p2 = next(r for r in rows_q1 if r["p"] == 2 and not r["drop"])
-    q2_p2 = next(r for r in rows_q2 if r["p"] == 2 and not r["drop"])
-    print(report([
-        Comparison("fig21", "Query1 ratio to best manual (p=2, no drop)",
-                   PAPER["aff_best_ratio_query1"], round(q1_p2["ratio"], 2)),
-        Comparison("fig21", "Query2 ratio to best manual (p=2, no drop)",
-                   PAPER["aff_best_ratio_query2"], round(q2_p2["ratio"], 2)),
+def report(payload: dict) -> None:
+    for (query, _, _), panel in zip(QUERIES, "ab"):
+        best = payload[query]["best_manual"]
+        print(f"Fig 21{panel} — {query} AFF_APPLYP (best manual {best:.1f} s)")
+        print(f"{'p':>3} {'drop':>5} {'time(s)':>9} {'ratio':>6} "
+              f"{'avg fanouts':>14} {'spawned':>8} {'dropped':>8}")
+        for row in payload[query]["rows"]:
+            print(
+                f"{row['p']:>3} {'on' if row['drop'] else 'off':>5} "
+                f"{row['time']:>9.1f} {row['ratio']:>6.2f} "
+                f"{str(row['fanouts']):>14} {row['spawned']:>8} {row['dropped']:>8}"
+            )
+    print(comparisons("fig21", [
+        (f"{query} ratio to best manual (p=2, no drop)",
+         PAPER[f"aff_best_ratio_{key}"], round(_p2(payload, query)["ratio"], 2))
+        for query, _, key in QUERIES
     ]))
 
-    # The paper's conclusions as shape assertions:
+
+def check(payload: dict) -> None:
+    rows = [payload[query]["rows"] for query, _, _ in QUERIES]
     # 1. Every adaptive configuration lands near the best manual tree.
-    assert all(row["ratio"] > 0.70 for row in rows_q1 + rows_q2)
+    assert all(row["ratio"] > 0.70 for row in rows[0] + rows[1])
     # 2. p=2 without drop stage is close to the best manual tree
     #    (paper: 80% for Query1, 96% for Query2).
-    assert q1_p2["ratio"] > 0.75
-    assert q2_p2["ratio"] > 0.90
+    assert _p2(payload, "Query1")["ratio"] > 0.75
+    assert _p2(payload, "Query2")["ratio"] > 0.90
     # 3. Dropping processes makes insignificant changes (< 15%).
     for p in P_VALUES:
-        for rows in (rows_q1, rows_q2):
-            with_drop = next(r for r in rows if r["p"] == p and r["drop"])
-            without = next(r for r in rows if r["p"] == p and not r["drop"])
+        for query_rows in rows:
+            with_drop = next(r for r in query_rows if r["p"] == p and r["drop"])
+            without = next(r for r in query_rows if r["p"] == p and not r["drop"])
             assert abs(with_drop["time"] - without["time"]) < 0.15 * without["time"]
     # 4. The adaptation actually grew the tree beyond the initial binary
     #    shape (average level-one fanout above init fanout 2).
-    assert all(max(row["fanouts"]) > 2.0 for row in rows_q1 + rows_q2)
+    assert all(max(row["fanouts"]) > 2.0 for row in rows[0] + rows[1])
 
 
-def main() -> None:
-    best_q1, best_q2, rows_q1, rows_q2 = _run_both()
-    print(_format(rows_q1, f"Fig 21a — Query1 (best manual {best_q1:.1f} s)"))
-    print(_format(rows_q2, f"Fig 21b — Query2 (best manual {best_q2:.1f} s)"))
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
     main()

@@ -24,15 +24,11 @@ digest and holds its thread for a fixed work interval.  Measured rows:
 Checked claim (full mode): at 4 workers the wall-clock speedup over the
 asyncio baseline is >= 2x, and every kernel returns the identical bag of
 rows.
-
-Usage::
-
-    python -m benchmarks.bench_mp_scaling [--smoke]
 """
 
 from __future__ import annotations
 
-import argparse
+import functools
 import hashlib
 import http.client
 import json
@@ -48,9 +44,11 @@ from repro import (
     QueryOptions,
 )
 from repro.runtime.multiprocess import ProcessKernel
-from repro.services.latency import EndpointProfile
-from repro.services.registry import ServiceCosts
 
+from benchmarks import harness
+from benchmarks.worlds import HASH_SERVICE
+
+NAME = "mp_scaling"
 WORKER_COUNTS = (1, 2, 4, 8)
 FANOUT = [8]
 TIME_SCALE = 0.0005  # model seconds are negligible; blocking work dominates
@@ -63,61 +61,24 @@ From   GetAllStates gs, HashState hs
 Where  hs.state = gs.State
 """
 
-HASH_WSDL = """\
-<definitions name="HashService" targetNamespace="urn:bench:hash">
-  <types>
-    <schema>
-      <element name="HashState">
-        <complexType><sequence>
-          <element name="state" type="xsd:string"/>
-        </sequence></complexType>
-      </element>
-      <element name="HashStateResponse">
-        <complexType><sequence>
-          <element name="HashStateResult">
-            <complexType><sequence>
-              <element name="Digests" maxOccurs="unbounded">
-                <complexType><sequence>
-                  <element name="digest" type="xsd:string"/>
-                </sequence></complexType>
-              </element>
-            </sequence></complexType>
-          </element>
-        </sequence></complexType>
-      </element>
-    </schema>
-  </types>
-  <portType name="HashSoap">
-    <operation name="HashState">
-      <input element="HashState"/>
-      <output element="HashStateResponse"/>
-    </operation>
-  </portType>
-  <service name="HashService">
-    <port name="HashSoap"/>
-  </service>
-</definitions>
-"""
-
 
 class HashProvider:
-    """A synchronous provider: every call holds the calling thread.
+    """:data:`~benchmarks.worlds.HASH_SERVICE`, answered synchronously:
+    every call holds the calling thread.
 
     Module-level class so the instance pickles into the workers
     (``local_services=True``).  The deterministic PBKDF2 digest makes
     row-identity across kernels checkable.
     """
 
-    uri = "http://sim.example.com/hash.wsdl"
-    work_seconds = WORK_SECONDS
-    iterations = PBKDF2_ITERATIONS
+    uri = HASH_SERVICE.uri
 
-    def __init__(self, geodata) -> None:
-        self.work_seconds = type(self).work_seconds
-        self.iterations = type(self).iterations
+    def __init__(self, geodata, *, work_seconds: float, iterations: int) -> None:
+        self.work_seconds = work_seconds
+        self.iterations = iterations
 
     def wsdl_text(self) -> str:
-        return HASH_WSDL
+        return HASH_SERVICE.wsdl_text()
 
     def invoke(self, operation: str, arguments: list) -> dict:
         (state_name,) = arguments
@@ -128,25 +89,14 @@ class HashProvider:
         return {"HashStateResult": {"Digests": [{"digest": digest}]}}
 
 
-def build_wsmed() -> WSMED:
+def build_wsmed(work_seconds: float, iterations: int) -> WSMED:
+    provider = functools.partial(
+        HashProvider, work_seconds=work_seconds, iterations=iterations
+    )
     registry = build_registry(
         "fast",
-        extra_providers=(HashProvider,),
-        extra_costs={
-            "HashService": ServiceCosts(
-                capacity=64,
-                operations={
-                    "HashState": EndpointProfile(
-                        rtt=0.01,
-                        setup=0.0,
-                        service_time=0.01,
-                        jitter=0.0,
-                        overload_penalty=0.0,
-                        overload_quadratic=0.0,
-                    )
-                },
-            )
-        },
+        extra_providers=(provider,),
+        extra_costs={HASH_SERVICE.name: HASH_SERVICE.costs()},
     )
     wsmed = WSMED(registry, profile="fast")
     wsmed.import_all()
@@ -162,20 +112,24 @@ def _timed_query(wsmed: WSMED, kernel) -> tuple[float, object]:
     return time.perf_counter() - started, result
 
 
+def _row(kernel: str, workers: int, wall: float, result) -> dict:
+    return {
+        "kernel": kernel,
+        "workers": workers,
+        "wall_s": wall,
+        "rows": len(result.rows),
+        "calls": result.total_calls,
+        "bag": sorted(result.rows),
+    }
+
+
 def measure_asyncio(wsmed: WSMED) -> dict:
     """The serial baseline: blocking calls stall the single event loop."""
     walls = []
     for _ in range(2):  # first round doubles as warm-up; keep the best
         wall, result = _timed_query(wsmed, AsyncioKernel(time_scale=TIME_SCALE))
         walls.append(wall)
-    return {
-        "kernel": "asyncio",
-        "workers": 0,
-        "wall_s": min(walls),
-        "rows": len(result.rows),
-        "calls": result.total_calls,
-        "bag": sorted(result.rows),
-    }
+    return _row("asyncio", 0, min(walls), result)
 
 
 def measure_process(wsmed: WSMED, workers: int) -> dict:
@@ -186,14 +140,7 @@ def measure_process(wsmed: WSMED, workers: int) -> dict:
         # is the steady state a resident deployment serves.
         _timed_query(wsmed, kernel)
         wall, result = _timed_query(wsmed, kernel)
-    return {
-        "kernel": "process",
-        "workers": workers,
-        "wall_s": wall,
-        "rows": len(result.rows),
-        "calls": result.total_calls,
-        "bag": sorted(result.rows),
-    }
+    return _row("process", workers, wall, result)
 
 
 def measure_http() -> dict:
@@ -257,29 +204,21 @@ def measure_http() -> dict:
 
 
 def run(smoke: bool = False) -> dict:
-    if smoke:
-        HashProvider.work_seconds = 0.005
-        HashProvider.iterations = 2_000
+    work_seconds, iterations = (0.005, 2_000) if smoke else (WORK_SECONDS, PBKDF2_ITERATIONS)
     counts = (1, 2) if smoke else WORKER_COUNTS
-    wsmed = build_wsmed()
+    wsmed = build_wsmed(work_seconds, iterations)
     rows = [measure_asyncio(wsmed)]
     rows.extend(measure_process(wsmed, workers) for workers in counts)
 
-    baseline = rows[0]
-    for row in rows[1:]:
-        assert row["bag"] == baseline["bag"], (
-            f"{row['kernel']} x{row['workers']} rows differ from baseline"
-        )
-    bags_match = True
+    bags = [row.pop("bag") for row in rows]
     for row in rows:
-        row.pop("bag")
-        row["speedup_vs_asyncio"] = baseline["wall_s"] / row["wall_s"]
+        row["speedup_vs_asyncio"] = rows[0]["wall_s"] / row["wall_s"]
 
     return {
         "workload": {
             "sql": "GetAllStates -> HashState (50 synchronous calls)",
-            "work_seconds_per_call": HashProvider.work_seconds,
-            "pbkdf2_iterations": HashProvider.iterations,
+            "work_seconds_per_call": work_seconds,
+            "pbkdf2_iterations": iterations,
             "fanout": FANOUT,
             "time_scale": TIME_SCALE,
             "local_services": True,
@@ -287,13 +226,13 @@ def run(smoke: bool = False) -> dict:
             "HashState in-process, so the coordinator's call recorder "
             "only sees the central GetAllStates call",
         },
-        "rows_identical_across_kernels": bags_match,
+        "rows_identical_across_kernels": all(bag == bags[0] for bag in bags),
         "kernels": rows,
         "http_front_end": measure_http(),
     }
 
 
-def _report(payload: dict) -> None:
+def report(payload: dict) -> None:
     for row in payload["kernels"]:
         label = (
             f"{row['kernel']} x{row['workers']} workers"
@@ -314,42 +253,16 @@ def _report(payload: dict) -> None:
     )
 
 
-def _emit_json(payload: dict) -> None:
-    from benchmarks.report import save_bench_json
-
-    save_bench_json("mp_scaling", payload)
-
-
-def _check(payload: dict, smoke: bool) -> None:
+def check(payload: dict) -> None:
     assert payload["rows_identical_across_kernels"]
     assert payload["http_front_end"]["rows_per_request"] == 360
-    if smoke:
-        return
-    at_four = next(
-        row for row in payload["kernels"] if row["workers"] == 4
-    )
-    assert at_four["speedup_vs_asyncio"] >= 2.0, at_four
+    # Full runs only: the smoke run stops at two workers.
+    for row in payload["kernels"]:
+        if row["workers"] == 4:
+            assert row["speedup_vs_asyncio"] >= 2.0, row
 
 
-def test_mp_scaling_smoke(benchmark) -> None:
-    payload = benchmark.pedantic(run, kwargs={"smoke": True}, rounds=1, iterations=1)
-    _report(payload)
-    _emit_json(payload)
-    _check(payload, smoke=True)
-
-
-def main(smoke: bool = False) -> None:
-    payload = run(smoke=smoke)
-    _report(payload)
-    _emit_json(payload)
-    _check(payload, smoke=smoke)
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smaller work units and fewer worker counts (CI)",
-    )
-    main(smoke=parser.parse_args().smoke)
+    main()

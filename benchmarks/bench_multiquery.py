@@ -9,7 +9,7 @@ because every Atlanta cluster sits well inside both radii); *disjoint*
 clients run unrelated queries (one town per client).
 
 With sharing off, broker calls grow linearly with clients on every
-workload.  With ``ShareConfig(enabled=True)`` the shared call cache and
+workload.  With ``QueryEngine(share=True)`` the shared call cache and
 cross-query single-flight collapse the overlapping workload to
 (approximately) the 1-client call count no matter how many clients pile
 on, halve-or-better the partial workload, and leave the disjoint
@@ -17,27 +17,23 @@ workload untouched — that last one is the no-regression guard.
 
 All measurements are *cold*: a fresh engine per cell, no warm-up rounds,
 so ``broker_calls`` measures real broker work rather than a replay from
-warm per-process caches (the blind spot ``bench_throughput`` had).
-
-Usage::
-
-    python -m benchmarks.bench_multiquery [--smoke]
+warm per-process caches.
 """
 
 from __future__ import annotations
-
-import argparse
 
 from repro import (
     QUERY1_SQL,
     CacheConfig,
     ProcessCosts,
     QueryEngine,
-    ShareConfig,
     WSMED,
     QueryOptions,
 )
 
+from benchmarks import harness
+
+NAME = "multiquery"
 QUERY_OPTIONS = QueryOptions(mode="parallel", fanouts=[5, 4])
 COSTS = ProcessCosts(dispatch="hash_affinity", prefetch=16).scaled(0.01)
 CLIENT_COUNTS = (1, 4, 8, 16)
@@ -96,7 +92,7 @@ def measure(workload: str, clients: int, sharing: bool) -> dict:
     engine = QueryEngine(
         wsmed,
         max_concurrency=max(CLIENT_COUNTS),
-        share=ShareConfig(enabled=True) if sharing else None,
+        share=sharing,
     )
     batch = workload_batch(workload, clients)
     started = engine.kernel.now()
@@ -171,7 +167,7 @@ def _cell(cells: list[dict], workload: str, clients: int, sharing: bool) -> dict
     raise KeyError((workload, clients, sharing))
 
 
-def _report(payload: dict) -> None:
+def report(payload: dict) -> None:
     for cell in payload["cells"]:
         tier = (
             f"shared {cell['shared_cache_hits']} hits"
@@ -192,16 +188,13 @@ def _report(payload: dict) -> None:
         print(f"call growth ({workload}, sharing on): {shape}")
 
 
-def _emit_json(payload: dict) -> None:
-    from benchmarks.report import save_bench_json
-
-    save_bench_json("multiquery", payload)
-
-
-def _check(payload: dict) -> None:
+def check(payload: dict) -> None:
     cells = payload["cells"]
     counts = payload["client_counts"]
     most = counts[-1]
+
+    # Every cell is cold: its queries made real broker calls.
+    assert all(cell["broker_calls"] >= cell["clients"] for cell in cells)
 
     # Fully-overlapping clients dedup to (roughly) one client's calls:
     # sub-linear by a wide margin, and the paper-of-record criterion at
@@ -225,25 +218,7 @@ def _check(payload: dict) -> None:
         assert on < off, (off, on)
 
 
-def test_multiquery_sharing(benchmark) -> None:
-    payload = benchmark.pedantic(run, kwargs=dict(smoke=True), rounds=1, iterations=1)
-    _report(payload)
-    _emit_json(payload)
-    _check(payload)
-
-
-def main(smoke: bool = False) -> None:
-    payload = run(smoke=smoke)
-    _report(payload)
-    _emit_json(payload)
-    _check(payload)
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fewer cells (CI: verifies the dedup guarantees, minimal runtime)",
-    )
-    main(smoke=parser.parse_args().smoke)
+    main()

@@ -1,7 +1,7 @@
 """Cost-based optimizer: adversarial orderings, rewrites, drift recovery.
 
-Three sections, all deterministic model seconds over the synthetic
-optimizer world of :mod:`benchmarks.optimizer_world`:
+Three sections, all deterministic model seconds over the optimizer
+scenarios of :mod:`benchmarks.worlds`:
 
 * **adversarial** — ``ADVERSARIAL_SQL`` names the expensive audit before
   the selective probe.  The heuristic (query-order) plan audits all 12
@@ -20,17 +20,15 @@ optimizer world of :mod:`benchmarks.optimizer_world`:
   resident engine runs the query twice: live call statistics expose the
   drift after the first execution, the plan cache entry is re-optimized,
   and the warm run matches the well-declared plan's call count.
-
-Usage::
-
-    python -m benchmarks.bench_optimizer [--smoke]
 """
 
 from __future__ import annotations
 
-import argparse
+from repro import QueryEngine, QueryOptions
+from repro.util.errors import BindingError
 
-from benchmarks.optimizer_world import (
+from benchmarks import harness
+from benchmarks.worlds import (
     ADVERSARIAL_SQL,
     REWRITE_DIRECT_SQL,
     REWRITE_SQL,
@@ -38,9 +36,8 @@ from benchmarks.optimizer_world import (
     expected_adversarial_rows,
     expected_rewrite_rows,
 )
-from repro import QueryEngine, QueryOptions
-from repro.util.errors import BindingError
 
+NAME = "optimizer"
 DRIFT_RUNS = 4
 SMOKE_DRIFT_RUNS = 2
 
@@ -126,7 +123,7 @@ def measure_drift(runs: int) -> dict:
 def run(smoke: bool = False) -> dict:
     return {
         "workload": {
-            "world": "benchmarks.optimizer_world",
+            "world": "benchmarks.worlds",
             "profile": "fast",
             "mode": "central",
             "regions": 12,
@@ -139,7 +136,7 @@ def run(smoke: bool = False) -> dict:
     }
 
 
-def _report(payload: dict) -> None:
+def report(payload: dict) -> None:
     adversarial = payload["adversarial"]
     print(
         f"adversarial ordering: heuristic "
@@ -167,13 +164,7 @@ def _report(payload: dict) -> None:
     )
 
 
-def _emit_json(payload: dict) -> None:
-    from benchmarks.report import save_bench_json
-
-    save_bench_json("optimizer", payload)
-
-
-def _check(payload: dict) -> None:
+def check(payload: dict) -> None:
     adversarial = payload["adversarial"]
     # The headline claim: on the adversarial ordering the cost plan
     # beats the heuristic plan in both calls and model time, without
@@ -198,25 +189,7 @@ def _check(payload: dict) -> None:
     assert drift["rows_correct"], drift
 
 
-def test_optimizer(benchmark) -> None:
-    payload = benchmark.pedantic(run, rounds=1, iterations=1)
-    _report(payload)
-    _emit_json(payload)
-    _check(payload)
-
-
-def main(smoke: bool = False) -> None:
-    payload = run(smoke=smoke)
-    _report(payload)
-    _emit_json(payload)
-    _check(payload)
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fewer drift runs (CI: verifies the claims, minimal runtime)",
-    )
-    main(smoke=parser.parse_args().smoke)
+    main()

@@ -12,12 +12,14 @@ Expected shape: a small threshold keeps adding children aggressively
 
 from repro import AdaptationParams, QueryOptions
 
+from benchmarks import harness
 from benchmarks.harness import PAPER, QUERY1_SQL, run_parallel, wsmed
 
+NAME = None
 THRESHOLDS = (0.05, 0.15, 0.25, 0.40, 0.60)
 
 
-def _sweep():
+def run(smoke: bool = False) -> dict:
     rows = []
     for threshold in THRESHOLDS:
         result = wsmed().sql(
@@ -35,20 +37,24 @@ def _sweep():
                 "fanouts": [round(f, 1) for f in result.tree.average_fanouts()],
             }
         )
-    return rows
+    best = run_parallel(QUERY1_SQL, PAPER["query1_best_fanouts"]).elapsed
+    return {"best_manual": best, "rows": rows}
 
 
-def test_threshold_sweep(benchmark) -> None:
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    best_manual = run_parallel(QUERY1_SQL, PAPER["query1_best_fanouts"]).elapsed
-    print()
-    print(f"Threshold sweep — Query1, p=2, no drop (best manual {best_manual:.1f} s)")
-    for row in rows:
+def report(payload: dict) -> None:
+    print(
+        f"Threshold sweep — Query1, p=2, no drop "
+        f"(best manual {payload['best_manual']:.1f} s)"
+    )
+    for row in payload["rows"]:
         print(
             f"  threshold={row['threshold']:<5} time={row['time']:7.1f} s  "
             f"spawned={row['spawned']:>3}  avg fanouts={row['fanouts']}"
         )
 
+
+def check(payload: dict) -> None:
+    rows = payload["rows"]
     by_threshold = {row["threshold"]: row for row in rows}
     # Lower thresholds keep expanding longer: tree sizes decrease (weakly)
     # as the threshold grows.
@@ -56,16 +62,13 @@ def test_threshold_sweep(benchmark) -> None:
     assert all(a >= b for a, b in zip(spawned, spawned[1:]))
     # The paper's 25% choice stays within a reasonable factor of the best
     # manual tree.
-    assert by_threshold[0.25]["time"] < 1.5 * best_manual
+    assert by_threshold[0.25]["time"] < 1.5 * payload["best_manual"]
     # Every threshold still produces a correct, finished run far faster
     # than the central plan.
     assert all(row["time"] < 150.0 for row in rows)
 
 
-def main() -> None:
-    for row in _sweep():
-        print(row)
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
     main()

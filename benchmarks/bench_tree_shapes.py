@@ -6,11 +6,10 @@ vector {fo1, 0}: both OWFs fused into one level-one plan function), an
 concludes the best plan is "an almost balanced bushy tree".
 """
 
-from benchmarks.harness import (
-    QUERY1_SQL,
-    QUERY2_SQL,
-    run_parallel,
-)
+from benchmarks import harness
+from benchmarks.harness import QUERY1_SQL, QUERY2_SQL, run_parallel
+
+NAME = None
 
 # Shape candidates at comparable process budgets (N ~= 20-30).
 SHAPES = {
@@ -24,28 +23,22 @@ SHAPES = {
 }
 
 
-def _run(sql: str):
-    return {name: run_parallel(sql, fanouts).elapsed for name, fanouts in SHAPES.items()}
+def run(smoke: bool = False) -> dict:
+    return {
+        query: {name: run_parallel(sql, fanouts).elapsed for name, fanouts in SHAPES.items()}
+        for query, sql in (("Query1", QUERY1_SQL), ("Query2", QUERY2_SQL))
+    }
 
 
-def _format(times, title):
-    lines = [title]
-    for name, value in sorted(times.items(), key=lambda item: item[1]):
-        lines.append(f"  {name:<20} {value:8.1f} s")
-    return "\n".join(lines)
+def report(payload: dict) -> None:
+    for query, times in payload.items():
+        print(f"Tree shapes — {query}")
+        for name, value in sorted(times.items(), key=lambda item: item[1]):
+            print(f"  {name:<20} {value:8.1f} s")
 
 
-def _run_both():
-    return _run(QUERY1_SQL), _run(QUERY2_SQL)
-
-
-def test_tree_shapes(benchmark) -> None:
-    times_q1, times_q2 = benchmark.pedantic(_run_both, rounds=1, iterations=1)
-    print()
-    print(_format(times_q1, "Tree shapes — Query1"))
-    print(_format(times_q2, "Tree shapes — Query2"))
-
-    for times in (times_q1, times_q2):
+def check(payload: dict) -> None:
+    for times in payload.values():
         best_bushy = min(
             value for name, value in times.items() if "flat" not in name
         )
@@ -59,11 +52,7 @@ def test_tree_shapes(benchmark) -> None:
         assert times["unbalanced {2,10}"] > best_bushy
 
 
-def main() -> None:
-    times_q1, times_q2 = _run_both()
-    print(_format(times_q1, "Tree shapes — Query1"))
-    print(_format(times_q2, "Tree shapes — Query2"))
-
+test_bench, main = harness.entry_points(__name__)
 
 if __name__ == "__main__":
     main()

@@ -1,15 +1,34 @@
-"""Shared benchmark infrastructure.
+"""Shared benchmark infrastructure: paper reference values, runners, entry points.
 
-Everything runs under the *paper* cost profile on the simulated kernel, so
-"seconds" below are model seconds comparable to the paper's wall-clock
-measurements, while the benchmarks themselves finish in wall milliseconds
-to minutes.
+Everything runs on the simulated kernel, so "seconds" below are model
+seconds comparable to the paper's wall-clock measurements, while the
+benchmarks themselves finish in wall milliseconds to minutes.
+
+A bench module declares ``NAME`` (its ``BENCH_<NAME>.json`` record, or
+``None``), ``run(smoke)`` returning a payload, ``report(payload)`` printing
+it and ``check(payload)`` asserting its claims, then ends with::
+
+    test_bench, main = harness.entry_points(__name__)
+
+    if __name__ == "__main__":
+        main()
+
+so ``python -m benchmarks.<bench> [--smoke]``, ``pytest benchmarks/<bench>.py``
+and ``python -m benchmarks.report`` all report and check the same claims.
+Only a full run writes the record; a smoke run (and the pytest test, which
+runs smoke) checks the claims and writes nothing, so the tracked records
+stay full runs.  Payload keys starting with ``_`` (row bags, results) are
+for ``check`` and stay out of the record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import argparse
+import json
+import os
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 from repro import WSMED, AdaptationParams, QueryResult, QueryOptions
 from repro import QUERY1_SQL, QUERY2_SQL  # noqa: F401  (re-exported for benches)
@@ -103,26 +122,79 @@ def format_grid(cells: dict[tuple[int, int], float], title: str) -> str:
     return "\n".join(lines)
 
 
-@dataclass
-class Comparison:
-    """One paper-vs-measured line of EXPERIMENTS.md."""
-
-    experiment: str
-    metric: str
-    paper: float | str
-    measured: float | str
-
-    def line(self) -> str:
-        return (
-            f"{self.experiment:<12} {self.metric:<38} "
-            f"paper={self.paper!s:<12} measured={self.measured!s}"
-        )
+def grid_report(payload: dict, figure: str, query: str) -> None:
+    """Print a Fig 16/17 payload (``cells``, ``central``) against the paper."""
+    cells, central = payload["cells"], payload["central"]
+    best = min(cells, key=cells.get)
+    experiment, key = figure.lower().replace(" ", ""), query.lower()
+    print(format_grid(cells, f"{figure} — {query} execution time (model s)"))
+    print(comparisons(experiment, [
+        ("central time (s)", PAPER[f"{key}_central"], round(central, 1)),
+        ("best time (s)", PAPER[f"{key}_best"], round(cells[best], 1)),
+        ("best fanout vector", str(PAPER[f"{key}_best_fanouts"]), str(best)),
+        ("speed-up over central", PAPER[f"{key}_speedup"], round(central / cells[best], 2)),
+    ]))
 
 
-def report(comparisons: list[Comparison]) -> str:
-    return "\n".join(comparison.line() for comparison in comparisons)
+def comparisons(experiment: str, rows) -> str:
+    """Paper-vs-measured lines of EXPERIMENTS.md, one per ``(metric, paper, measured)``."""
+    return "\n".join(
+        f"{experiment:<12} {metric:<38} paper={paper!s:<12} measured={measured!s}"
+        for metric, paper, measured in rows
+    )
 
 
 def near_balanced(cell: tuple[int, int], slack: int = 2) -> bool:
     """The paper's observation: the optimum is close to a balanced tree."""
     return abs(cell[0] - cell[1]) <= slack
+
+
+# -- entry points --------------------------------------------------------------------
+
+
+def save_bench_json(name: str, payload: dict) -> Path:
+    """Write one bench's machine-readable results and return the path.
+
+    Results land in ``BENCH_<name>.json`` at the repository root — the
+    one tracked copy, so the perf trajectory can be diffed across PRs —
+    or under ``$BENCH_RESULTS_DIR`` (tests, scratch runs).
+    """
+    override = os.environ.get("BENCH_RESULTS_DIR")
+    directory = Path(override) if override else Path(__file__).parent.parent
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"BENCH_{name}.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def finish(bench, payload, smoke: bool) -> None:
+    """Report a bench's payload, record a full run, then check its claims."""
+    bench.report(payload)
+    if bench.NAME is not None and not smoke:
+        record = {key: value for key, value in payload.items() if not key.startswith("_")}
+        save_bench_json(bench.NAME, record)
+    bench.check(payload)
+
+
+def entry_points(module_name: str):
+    """The pytest test and the ``main`` of the bench module ``module_name``."""
+    bench = sys.modules[module_name]
+
+    def test_bench(benchmark) -> None:
+        payload = benchmark.pedantic(
+            bench.run, kwargs={"smoke": True}, rounds=1, iterations=1
+        )
+        print()
+        finish(bench, payload, smoke=True)
+
+    def main(argv: list[str] | None = None) -> None:
+        parser = argparse.ArgumentParser(description=bench.__doc__.splitlines()[0])
+        parser.add_argument(
+            "--smoke",
+            action="store_true",
+            help="the CI size: the same claims checked on a smaller run, no record written",
+        )
+        smoke = parser.parse_args(argv).smoke
+        finish(bench, bench.run(smoke=smoke), smoke)
+
+    return test_bench, main

@@ -38,7 +38,6 @@ from repro.engine import (
     EngineClosed,
     EngineStats,
     QueryEngine,
-    ShareConfig,
     SharedStats,
 )
 from repro.obs import (
@@ -123,7 +122,6 @@ __all__ = [
     "AdmissionRejected",
     "EngineClosed",
     "EngineStats",
-    "ShareConfig",
     "SharedStats",
     "TraceRecorder",
     "SpanStore",

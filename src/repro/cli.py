@@ -35,7 +35,7 @@ from dataclasses import replace
 from typing import IO
 
 from repro.cache import CacheConfig
-from repro.engine import QueryEngine, ShareConfig
+from repro.engine import QueryEngine
 from repro.obs import TraceRecorder
 from repro.parallel.faults import FaultInjection
 from repro.runtime.base import Kernel
@@ -584,7 +584,7 @@ def serve_main(argv: list[str], out: IO[str]) -> int:
         engine = QueryEngine(
             wsmed,
             kernel=kernel,
-            share=ShareConfig(enabled=True) if arguments.share else None,
+            share=arguments.share,
             admission=admission,
         )
         server = QueryServer(
@@ -645,7 +645,7 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
         engine = QueryEngine(
             wsmed,
             kernel=kernel,
-            share=ShareConfig(enabled=True) if arguments.share else None,
+            share=arguments.share,
         )
     shell = Shell(
         wsmed,

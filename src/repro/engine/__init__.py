@@ -18,7 +18,6 @@ from repro.engine.pools import PoolRegistry, PoolRegistryStats, pool_fingerprint
 from repro.engine.shared import (
     SHARED_HIT,
     SHARED_WAIT,
-    ShareConfig,
     SharedCallCache,
     SharedStats,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "PoolRegistry",
     "PoolRegistryStats",
     "QueryEngine",
-    "ShareConfig",
     "SharedCallCache",
     "SharedStats",
     "plan_dependencies",

@@ -43,10 +43,10 @@ from dataclasses import replace as _replace
 
 from repro.algebra.plan import INIT_FANOUT, AdaptationParams
 from repro.cache import CacheConfig, CacheStats, CallCache
+from repro.engine import shared
 from repro.engine.admission import AdmissionConfig, AdmissionController
 from repro.engine.plan_cache import CompiledPlan, PlanCache, plan_dependencies
 from repro.engine.pools import PoolRegistry
-from repro.engine.shared import ShareConfig, SharedCallCache
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.base import Kernel
 from repro.runtime.simulated import SimKernel
@@ -92,8 +92,8 @@ class EngineStats:
     pools_closed: int
     idle_pools: int
     resident_processes: int
-    # Multi-query sharing (all zero unless the engine was built with an
-    # enabled ShareConfig; see repro.engine.shared).
+    # Multi-query sharing (all zero unless the engine was built with
+    # share=True; see repro.engine.shared).
     sharing: bool
     shared_cache_hits: int
     shared_cache_misses: int
@@ -165,7 +165,7 @@ class EngineStats:
     def share_report(self) -> str:
         """The multi-query sharing section (CLI ``\\stats share``)."""
         if not self.sharing:
-            return "sharing: off (construct the engine with share=ShareConfig(enabled=True))"
+            return "sharing: off (construct the engine with share=True)"
         lookups = (
             self.shared_cache_hits
             + self.shared_cache_waits
@@ -215,7 +215,7 @@ class QueryEngine:
         *,
         kernel: Kernel | None = None,
         max_concurrency: int = 8,
-        share: ShareConfig | None = None,
+        share: bool = False,
         admission: str | AdmissionConfig = "static",
     ) -> None:
         if max_concurrency < 1:
@@ -236,16 +236,10 @@ class QueryEngine:
         self.pool_registry = PoolRegistry(MAX_IDLE_POOLS)
         # Multi-query sharing tiers (repro.engine.shared): one shared
         # call cache + single-flight + batching object for the engine's
-        # lifetime, and (optionally) shared pool leases.  `None` — the
-        # default — keeps every query's call path seed-identical.
-        self.share = share if share is not None and share.enabled else None
-        self.shared = (
-            SharedCallCache(self.kernel, self.share)
-            if self.share is not None
-            else None
-        )
-        if self.share is not None and self.share.pools:
-            self.pool_registry.share_pools = True
+        # lifetime, and shared pool leases.  Off — the default — keeps
+        # every query's call path seed-identical.
+        self.shared = shared.SharedCallCache(self.kernel) if share else None
+        self.pool_registry.share_pools = share and shared.POOLS
         # Live per-operation statistics for the cost-based optimizer's
         # feedback loop: operation -> [calls, rows, total seconds],
         # aggregated from every query's CallRecorder.  The same numbers

@@ -242,7 +242,7 @@ class PoolRegistry:
         grab the freed tree or cold-start against the new definition.
         """
         pool.harvest_messages()
-        key = getattr(pool, "registry_key", None)
+        key = pool.registry_key
         if key is None:
             return
         bucket = self._leased.get(key)
@@ -253,7 +253,7 @@ class PoolRegistry:
         try:
             if pool._closed:
                 return
-            if getattr(pool, "registry_condemned", False):
+            if pool.registry_condemned:
                 self._doomed.append(pool)
                 return
             self.stats.released += 1
@@ -295,7 +295,7 @@ class PoolRegistry:
             bucket = self._free[key]
             kept = []
             for pool in bucket:
-                if wanted in getattr(pool, "registry_deps", frozenset()):
+                if wanted in pool.registry_deps:
                     self._doomed.append(pool)
                     self._idle -= 1
                     self.stats.condemned += 1
@@ -308,9 +308,7 @@ class PoolRegistry:
                 del self._free[key]
         for bucket in self._leased.values():
             for pool in bucket:
-                if wanted in getattr(pool, "registry_deps", frozenset()) and not getattr(
-                    pool, "registry_condemned", False
-                ):
+                if wanted in pool.registry_deps and not pool.registry_condemned:
                     pool.registry_condemned = True
                     self.stats.condemned += 1
                     count += 1

@@ -30,7 +30,7 @@ This module is the first two of the engine's three sharing tiers:
 (The third sharing tier — concurrent leases of warm child-process trees —
 lives in :mod:`repro.engine.pools`.)
 
-Everything here is off by default; with no :class:`ShareConfig` the
+Everything here is off by default; with ``QueryEngine(share=False)`` the
 engine's call path is bit-for-bit identical to the seed.
 """
 
@@ -58,27 +58,15 @@ MAX_ENTRIES = 4096
 #: parent-to-child messages inside one query.
 BATCH_LINGER = 0.002
 BATCH_MAX = 16
-
-
-@dataclass(frozen=True)
-class ShareConfig:
-    """Tuning of the engine's multi-query sharing tiers.
-
-    ``enabled``       master switch; the default ``False`` keeps every
-                      query's call path bit-for-bit seed-identical.
-    ``cache``         the shared result memo *and* cross-query
-                      single-flight (dedup rides on the in-flight table).
-    ``batching``      coalesce same-endpoint misses from concurrent
-                      queries into one ``call_many`` transport trip
-                      (see :data:`BATCH_LINGER` / :data:`BATCH_MAX`).
-    ``pools``         let overlapping queries wait for a busy warm pool
-                      (concurrent lease) instead of cold-cloning the tree.
-    """
-
-    enabled: bool = False
-    cache: bool = True
-    batching: bool = True
-    pools: bool = True
+#: The tiers a sharing engine runs; a test that isolates one patches the
+#: others off.  ``CACHE``: the shared result memo *and* cross-query
+#: single-flight (dedup rides on the in-flight table).  ``BATCHING``:
+#: same-endpoint misses coalesce into one ``call_many`` trip.  ``POOLS``:
+#: overlapping queries wait for a busy warm pool (concurrent lease)
+#: instead of cold-cloning the tree.
+CACHE = True
+BATCHING = True
+POOLS = True
 
 
 @dataclass
@@ -154,9 +142,8 @@ class SharedCallCache:
     by the caller, never by the shared tier.
     """
 
-    def __init__(self, kernel: Kernel, config: ShareConfig) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        self.config = config
         self.stats = SharedStats()
         self._memo = MemoStore(kernel, MAX_ENTRIES, None)
         self._pending: dict[tuple[str, str], _PendingBatch] = {}
@@ -198,7 +185,7 @@ class SharedCallCache:
             )
             return value, MISS, coalesced
 
-        if not self.config.cache:
+        if not CACHE:
             self.stats.misses += 1
             value, coalesced = await self._dispatch(
                 broker, uri, service, operation, arguments,
@@ -259,7 +246,7 @@ class SharedCallCache:
         obs_span: int,
     ) -> tuple[Any, bool]:
         """One real round trip, possibly coalesced with concurrent ones."""
-        if not self.config.batching:
+        if not BATCHING:
             value = await broker.call(
                 uri, service, operation, arguments,
                 recorder=recorder, obs=obs, obs_span=obs_span,

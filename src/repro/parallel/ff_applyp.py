@@ -146,6 +146,12 @@ class ChildPool:
         # Stamped onto every downlink message so child-side call spans can
         # link back across the process boundary; -1 = tracing off.
         self._inv_span = -1
+        # Stamped by repro.engine.pools.PoolRegistry.register when a
+        # resident engine keeps this tree warm: its fingerprint, the
+        # functions it applies, and whether a replaced one doomed it.
+        self.registry_key: int | None = None
+        self.registry_deps: frozenset[str] = frozenset()
+        self.registry_condemned = False
 
     def event(self, kind: str, **data) -> None:
         """Record one trace event of this pool (``process`` and

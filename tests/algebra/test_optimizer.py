@@ -9,7 +9,7 @@ optimizer report explain consumes.
 
 import pytest
 
-from benchmarks.optimizer_world import (
+from benchmarks.worlds import (
     ADVERSARIAL_SQL,
     build_optimizer_world,
     expected_adversarial_rows,

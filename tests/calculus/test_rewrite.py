@@ -2,7 +2,7 @@
 
 import pytest
 
-from benchmarks.optimizer_world import (
+from benchmarks.worlds import (
     REWRITE_SQL,
     build_optimizer_world,
 )

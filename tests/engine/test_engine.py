@@ -10,6 +10,7 @@ from repro import (
     QUERY1_SQL,
     AsyncioKernel,
     CacheConfig,
+    ProcessCosts,
     QueryEngine,
     SimKernel,
     WSMED,
@@ -268,6 +269,48 @@ def test_admission_respects_max_concurrency() -> None:
     # Serialized queries reuse the single warm tree back to back.
     assert engine.stats().warm_leases == 2
     engine.close()
+
+
+def affinity_engine(**kwargs) -> QueryEngine:
+    """Call cache on and strict cache-affinity routing: ``prefetch=16``
+    never saturates the affinity target, so warm hit rates are exact."""
+    wsmed = WSMED(
+        profile="fast",
+        process_costs=ProcessCosts(dispatch="hash_affinity", prefetch=16).scaled(0.01),
+        cache=CacheConfig(enabled=True),
+    )
+    wsmed.import_all()
+    return QueryEngine(wsmed, **kwargs)
+
+
+def test_fully_warm_query_is_five_times_faster_with_the_cold_rows() -> None:
+    engine = affinity_engine()
+    cold = engine.sql(QUERY1_SQL, options=PARALLEL)
+    engine.sql(QUERY1_SQL, options=PARALLEL)  # fills every child's cache
+    warm = engine.sql(QUERY1_SQL, options=PARALLEL)
+    engine.close()
+
+    assert sorted(warm.rows) == sorted(cold.rows)
+    assert (cold.total_calls, warm.total_calls) == (311, 0)
+    assert cold.elapsed >= 5 * warm.elapsed
+
+
+def test_sixteen_warm_clients_reach_three_times_one_clients_throughput() -> None:
+    """All-hit warm queries never contend on the capacity-limited services."""
+
+    def queries_per_model_second(clients: int) -> float:
+        engine = affinity_engine(max_concurrency=16)
+        batch = [QUERY1_SQL] * clients
+        for _ in range(2):  # one resident tree per client, caches filled
+            engine.sql_many(batch, options=PARALLEL)
+        started = engine.kernel.now()
+        results = engine.sql_many(batch, options=PARALLEL)
+        makespan = engine.kernel.now() - started
+        engine.close()
+        assert all(len(result.rows) == 360 for result in results)
+        return clients / makespan
+
+    assert queries_per_model_second(16) >= 3 * queries_per_model_second(1)
 
 
 def test_sql_many_accepts_per_query_overrides() -> None:

@@ -11,12 +11,12 @@ the probe's true selectivity and replans probe-first.
 
 import pytest
 
-from benchmarks.optimizer_world import (
+from benchmarks.worlds import (
     ADVERSARIAL_SQL,
-    ProbeProvider,
+    PROBE as ProbeProvider,
     build_optimizer_world,
     expected_adversarial_rows,
-    _profile,
+    endpoint as _profile,
 )
 from repro import QueryEngine, QueryOptions
 from repro.services.registry import ServiceCosts

@@ -4,8 +4,8 @@ from repro import (
     QUERY1_SQL,
     AsyncioKernel,
     QueryEngine,
-    ShareConfig,
 )
+from repro.engine import shared
 from repro.wsmed.options import QueryOptions
 
 from tests.engine.test_engine import fresh_wsmed, trace_multiset
@@ -13,21 +13,18 @@ from tests.engine.test_engine import fresh_wsmed, trace_multiset
 PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 
 
-def sharing_engine(wsmed=None, **share_kwargs) -> QueryEngine:
-    return QueryEngine(
-        wsmed or fresh_wsmed(),
-        share=ShareConfig(enabled=True, **share_kwargs),
-    )
+def sharing_engine(wsmed=None) -> QueryEngine:
+    return QueryEngine(wsmed or fresh_wsmed(), share=True)
 
 
 # -- configuration ------------------------------------------------------------------
 
 
 def test_disabled_share_config_is_seed_identical() -> None:
-    """``ShareConfig(enabled=False)`` must leave no trace of the tier."""
+    """``share=False`` must leave no trace of the tier."""
     seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
-    engine = QueryEngine(fresh_wsmed(), share=ShareConfig())
+    engine = QueryEngine(fresh_wsmed(), share=False)
     assert engine.shared is None
     assert not engine.pool_registry.share_pools
     result = engine.sql(QUERY1_SQL, options=PARALLEL)
@@ -66,11 +63,12 @@ def test_overlapping_queries_match_independent_runs() -> None:
     assert stats.coalesced_batches > 0
 
 
-def test_single_flight_without_pool_sharing() -> None:
+def test_single_flight_without_pool_sharing(monkeypatch) -> None:
     """With pools off, queries overlap in time and dedup via waits."""
     seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
-    engine = sharing_engine(pools=False)
+    monkeypatch.setattr(shared, "POOLS", False)
+    engine = sharing_engine()
     results = engine.sql_many([QUERY1_SQL] * 4, options=PARALLEL)
     broker_calls = engine.broker.total_calls()
     stats = engine.stats()
@@ -95,7 +93,7 @@ def test_asyncio_kernel_sharing_parity() -> None:
     engine = QueryEngine(
         fresh_wsmed(),
         kernel=AsyncioKernel(resident=True, time_scale=0.0005),
-        share=ShareConfig(enabled=True),
+        share=True,
     )
     results = engine.sql_many([QUERY1_SQL] * 3, options=PARALLEL)
     broker_calls = engine.broker.total_calls()
@@ -110,7 +108,7 @@ def test_asyncio_kernel_sharing_parity() -> None:
 # -- fault isolation ------------------------------------------------------------
 
 
-def test_failed_shared_call_does_not_poison_waiters() -> None:
+def test_failed_shared_call_does_not_poison_waiters(monkeypatch) -> None:
     """A leader's fault must not become its waiters' result.
 
     Pools off so the four queries genuinely overlap: their identical
@@ -122,7 +120,8 @@ def test_failed_shared_call_does_not_poison_waiters() -> None:
     """
     seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
-    engine = sharing_engine(pools=False)
+    monkeypatch.setattr(shared, "POOLS", False)
+    engine = sharing_engine()
     engine.broker.fault_rate = 0.05  # deterministic: seeded broker RNG
     results = engine.sql_many([QUERY1_SQL] * 4, options=PARALLEL.replace(retries=3))
     stats = engine.stats()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from benchmarks.optimizer_world import (
+from benchmarks.worlds import (
     ADVERSARIAL_SQL,
     REWRITE_DIRECT_SQL,
     REWRITE_SQL,

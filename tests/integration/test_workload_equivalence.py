@@ -21,7 +21,6 @@ from repro import (
     CacheConfig,
     QueryEngine,
     QueryOptions,
-    ShareConfig,
 )
 
 _SETTINGS = dict(
@@ -160,9 +159,7 @@ def test_asyncio_kernel_matches_reference(spec, construct) -> None:
 @settings(max_examples=6, deadline=None)
 def test_sharing_engine_matches_reference(spec, share) -> None:
     world = build_world(spec)
-    engine = QueryEngine(
-        world.build(), share=ShareConfig(enabled=True) if share else None
-    )
+    engine = QueryEngine(world.build(), share=share)
     try:
         chain = engine.sql(world.chain_sql(0))
         aggregate = engine.sql(world.aggregate_sql(0))

@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks.worlds import WorldSpec, build_world
 from repro import QUERY1_SQL, AsyncioKernel, QueryEngine, QueryOptions, SimKernel, WSMED
-from repro.engine.shared import ShareConfig
+from repro.engine import shared
 from repro.parallel.costs import ProcessCosts
 from repro.runtime.multiprocess import ProcessKernel
 
@@ -93,10 +93,6 @@ KERNELS = {
     "process": lambda: ProcessKernel(workers=2),
 }
 
-# Structural pool fingerprints only (no shared call cache, no batching):
-# Query1 with and without its LIMIT then lease the *same* process tree.
-ONE_TREE = ShareConfig(enabled=True, cache=False, batching=False, pools=True)
-
 
 def _paper_wsmed() -> WSMED:
     wsmed = WSMED(profile="fast")
@@ -110,7 +106,7 @@ def query1_bag():
     return Counter(_paper_wsmed().sql(QUERY1_SQL, options=options).rows)
 
 
-def _limit_full_limit(kernel_name: str, share, **cost_knobs):
+def _limit_full_limit(kernel_name: str, share: bool, **cost_knobs):
     """LIMIT query, full query, LIMIT query on one resident engine."""
     costs = ProcessCosts(**cost_knobs).scaled(0.01) if cost_knobs else None
     options = QueryOptions(mode="parallel", fanouts=[5, 4], process_costs=costs)
@@ -129,7 +125,7 @@ def _limit_full_limit(kernel_name: str, share, **cost_knobs):
 def test_limit_then_full_then_limit_on_one_engine(kernel_name, query1_bag) -> None:
     """Each query text keeps its own tree: the full query is exact to the
     call, and the second LIMIT runs on the tree the first one abandoned."""
-    (first, full, again), stats = _limit_full_limit(kernel_name, None)
+    (first, full, again), stats = _limit_full_limit(kernel_name, False)
     assert Counter(full.rows) == query1_bag
     assert full.total_calls == 311
     assert stats.warm_leases == 1
@@ -152,14 +148,16 @@ def test_limit_then_full_then_limit_on_one_engine(kernel_name, query1_bag) -> No
     ids=lambda value: value if isinstance(value, str) else "-".join(value) or "seed",
 )
 def test_full_query_on_the_tree_a_limit_abandoned(
-    kernel_name, cost_knobs, query1_bag
+    kernel_name, cost_knobs, query1_bag, monkeypatch
 ) -> None:
     """All three queries lease one tree.  The full query starts while the
     children still run (and answer) calls the LIMIT walked away from —
     abandoned batches included — and must return the exact bag."""
-    (first, full, again), stats = _limit_full_limit(
-        kernel_name, ONE_TREE, **cost_knobs
-    )
+    # Structural pool fingerprints only (no shared call cache, no
+    # batching): Query1 with and without its LIMIT lease the same tree.
+    monkeypatch.setattr(shared, "CACHE", False)
+    monkeypatch.setattr(shared, "BATCHING", False)
+    (first, full, again), stats = _limit_full_limit(kernel_name, True, **cost_knobs)
     assert stats.warm_leases == 2
     assert Counter(full.rows) == query1_bag
     # The abandoned calls finish inside the children during this query.

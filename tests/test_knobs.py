@@ -22,7 +22,6 @@ from repro import (
     ProcessKernel,
     QueryEngine,
     QueryOptions,
-    ShareConfig,
     SimKernel,
     WSMED,
 )
@@ -36,7 +35,6 @@ CONFIG_DATACLASSES = (
     QueryOptions,
     ProcessCosts,
     AdmissionConfig,
-    ShareConfig,
     CacheConfig,
     AdaptationParams,
     FaultInjection,
@@ -50,9 +48,9 @@ CONSTRUCTORS = (
     SimKernel,
     Shell,
 )
-#: 105 before PR 16.  Raising this needs a row in docs/KNOBS.md naming
-#: the caller outside tests/ that sets the new input and what it moves.
-SETTABLE_INPUTS = 67
+#: Raising this needs a row in docs/KNOBS.md naming the caller outside
+#: tests/ that sets the new input and what it moves.
+SETTABLE_INPUTS = 63
 
 
 def settable_inputs() -> set[str]:

@@ -8,7 +8,7 @@ for rewritten queries — why the original binding pattern was unfittable.
 
 import pytest
 
-from benchmarks.optimizer_world import (
+from benchmarks.worlds import (
     ADVERSARIAL_SQL,
     REWRITE_SQL,
     build_optimizer_world,
