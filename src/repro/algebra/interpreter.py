@@ -23,7 +23,7 @@ from itertools import islice
 from typing import Any, AsyncIterator, Awaitable, Callable, NamedTuple, Optional
 
 from repro.algebra.expressions import ColExpr, compile_expr
-from repro.cache import CacheConfig, CallCache
+from repro.cache import MISS, CallCache
 from repro.algebra.plan import (
     AFFApplyNode,
     AggregateNode,
@@ -42,11 +42,10 @@ from repro.algebra.plan import (
     UnionNode,
 )
 from repro.fdb.functions import FunctionKind, FunctionRegistry
-from repro.obs.spans import NULL_RECORDER, NullRecorder
+from repro.obs.run import QueryRun
 from repro.runtime.base import Kernel
-from repro.services.broker import CallRecorder, ServiceBroker
+from repro.services.broker import ServiceBroker
 from repro.util.errors import PlanError
-from repro.util.trace import TraceLog
 
 _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
     "=": operator.eq,
@@ -60,18 +59,17 @@ _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
 
 @dataclass
 class ExecutionContext:
-    """Everything a plan needs to run under one kernel."""
+    """Everything one query process needs to run plans under one kernel.
+
+    Per-query state — trace, counters, retry policy, shared tier, span
+    recorder — lives in ``run``, which every process of the query holds
+    by reference; the other fields belong to this process.
+    """
 
     kernel: Kernel
     broker: ServiceBroker
     functions: FunctionRegistry
     acquire_pool: Optional[Callable[[PlanNode, "ExecutionContext"], Awaitable[Any]]] = None
-    trace: TraceLog = field(default_factory=TraceLog)
-    # Transient-fault policy for web-service calls: a retriable
-    # ServiceFault is retried up to `retries` times, sleeping
-    # `retry_backoff` model seconds between attempts.
-    retries: int = 0
-    retry_backoff: float = 0.5
     # Name of the query process this context belongs to (q0 = coordinator);
     # child processes run under a derived context with their own name.
     process_name: str = "q0"
@@ -87,28 +85,10 @@ class ExecutionContext:
     # processes get their own empty cache — the paper's children are
     # separate processes with no shared memory.
     cache: Optional[CallCache] = None
-    # Every cache created for this query (coordinator + children), shared
-    # across derived contexts so the coordinator can aggregate counters.
-    cache_registry: list = field(default_factory=list)
-    # Per-query statistics sink mirrored by the broker; None leaves the
-    # broker's own (global) counters as the only record, which is the
-    # one-query-per-broker seed behaviour.
-    call_recorder: Optional[CallRecorder] = None
-    # Engine-scoped multi-query sharing tier
-    # (repro.engine.shared.SharedCallCache); None — the default and the
-    # only value outside a sharing-enabled QueryEngine — keeps the
-    # transport path bit-for-bit seed-identical.  Typed loosely because
-    # the engine layer sits above this module.  Propagates to child
-    # processes via `for_process` (dataclasses.replace).
-    shared: Optional[object] = None
-    # Shared mutable counter for unique process names across the query.
-    _name_counter: list = field(default_factory=lambda: [0])
-    # Span recorder (repro.obs).  NULL_RECORDER is a shared no-op whose
-    # `enabled` flag gates every instrumentation site, keeping the traced-off
-    # execution fingerprint identical to the seed.  `obs_span` is the id of
-    # the span enclosing whatever this context is currently executing (the
-    # query root on the coordinator, the per-call span inside a child).
-    obs: NullRecorder = NULL_RECORDER
+    run: QueryRun = field(default_factory=QueryRun)
+    # Id of the span enclosing whatever this process is currently
+    # executing (the query root on the coordinator, the per-call span
+    # inside a child); -1 when untraced.
     obs_span: int = -1
     # Remote-placement hook (repro.parallel.placement.Placement), set by
     # a kernel that shards child processes across OS workers.  None — the
@@ -117,24 +97,41 @@ class ExecutionContext:
     # because the placement layer sits above this module.
     placement: Optional[object] = None
 
-    def next_process_name(self) -> str:
-        self._name_counter[0] += 1
-        return f"q{self._name_counter[0]}"
-
-    def install_cache(self, config: CacheConfig | None) -> None:
-        """Attach a call cache to this process (no-op when disabled)."""
-        if config is None or not config.enabled:
-            return
-        self.cache = CallCache(self.kernel, config, name=self.process_name)
-        self.cache_registry.append(self.cache)
-
     def for_process(self, name: str) -> "ExecutionContext":
-        """A context for a child process: shared world, private pools."""
-        ctx = replace(self, process_name=name, pools={})
-        if self.cache is not None:
-            ctx.cache = self.cache.clone_for(name)
-            self.cache_registry.append(ctx.cache)
-        return ctx
+        """A context for a child process: same run, private pools and cache."""
+        cache = None if self.cache is None else CallCache(self.kernel, self.cache.config)
+        return replace(self, process_name=name, pools={}, cache=cache)
+
+
+async def round_trip(
+    ctx: ExecutionContext,
+    uri: str,
+    service: str,
+    operation: str,
+    arguments: list,
+    obs_span: int = -1,
+) -> tuple[Any, str]:
+    """One web-service call past the process's own cache: through the
+    run's shared tier when it has one, else straight to the broker.
+
+    Returns ``(value, outcome)``: :data:`~repro.cache.MISS` for a real
+    round trip, or the shared tier's ``shared_hit`` / ``shared_wait``.
+    The shared tier counts those (and ``coalesced`` round trips) into the
+    run's :class:`~repro.cache.CacheStats`; the broker records the call
+    into the run's :class:`~repro.services.broker.CallRecorder`.
+    """
+    run = ctx.run
+    obs = run.obs if run.obs.enabled else None
+    if run.shared is None:
+        value = await ctx.broker.call(
+            uri, service, operation, arguments,
+            recorder=run.call_recorder, obs=obs, obs_span=obs_span,
+        )
+        return value, MISS
+    return await run.shared.call(
+        ctx.broker, uri, service, operation, arguments,
+        recorder=run.call_recorder, stats=run.cache_stats, obs=obs, obs_span=obs_span,
+    )
 
 
 class PullChain(NamedTuple):

@@ -12,7 +12,6 @@ from repro.cache.call_cache import (
     CacheStats,
     CallCache,
     MemoStore,
-    aggregate_stats,
     stable_hash,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "CacheStats",
     "CallCache",
     "MemoStore",
-    "aggregate_stats",
     "stable_hash",
 ]

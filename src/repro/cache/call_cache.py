@@ -74,7 +74,7 @@ class CacheConfig:
 
 @dataclass
 class CacheStats:
-    """Counters of one cache (or an aggregate over per-process caches).
+    """A query's call-cache counters, over every process of the query.
 
     ``hits``        lookups answered from a memoized result.
     ``misses``      lookups that went to the broker (includes uncacheable
@@ -126,18 +126,6 @@ class CacheStats:
         if self.lookups == 0:
             return 0.0
         return self.calls_avoided / self.lookups
-
-    def merge(self, other: "CacheStats") -> None:
-        """Fold another cache's counters into this one."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.collapsed += other.collapsed
-        self.evictions += other.evictions
-        self.expirations += other.expirations
-        self.failures += other.failures
-        self.shared_hits += other.shared_hits
-        self.shared_waits += other.shared_waits
-        self.coalesced += other.coalesced
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -241,81 +229,58 @@ class CallCache:
     """Per-process memo of web-service call results with single-flight.
 
     One instance belongs to exactly one query process; children created by
-    ``FF_APPLYP``/``AFF_APPLYP`` get their own via
-    :meth:`~repro.algebra.interpreter.ExecutionContext.for_process`.
+    ``FF_APPLYP``/``AFF_APPLYP`` get their own, empty one via
+    :meth:`~repro.algebra.interpreter.ExecutionContext.for_process`.  The
+    counters are not the cache's own: each call bumps the
+    :class:`CacheStats` of the query it serves.
     """
 
-    def __init__(
-        self, kernel: Kernel, config: CacheConfig, *, name: str = "q0"
-    ) -> None:
+    def __init__(self, kernel: Kernel, config: CacheConfig) -> None:
         self.kernel = kernel
         self.config = config
-        self.name = name
-        self.stats = CacheStats()
         self._memo = MemoStore(kernel, config.max_entries, config.ttl)
 
     def __len__(self) -> int:
         return len(self._memo.entries)
 
-    def clone_for(self, name: str) -> "CallCache":
-        """A fresh, empty cache for a child process (no shared memory)."""
-        return CallCache(self.kernel, self.config, name=name)
-
     async def call(
-        self, key: Hashable, invoke: Callable[[], Awaitable[Any]]
+        self,
+        key: Hashable,
+        invoke: Callable[[], Awaitable[Any]],
+        stats: CacheStats | None = None,
     ) -> tuple[Any, str]:
         """Return ``(result, outcome)`` for the call identified by ``key``.
 
         ``invoke`` is a zero-argument callable producing the broker
         round-trip coroutine; it is awaited only on a miss, and only by
         the leader of a single-flight group.  ``outcome`` is one of
-        :data:`HIT`, :data:`MISS`, :data:`COLLAPSED`.  A fault raised by
-        the leader propagates to the leader and every collapsed waiter;
-        nothing is memoized, so retries reach the broker again.
+        :data:`HIT`, :data:`MISS`, :data:`COLLAPSED`, counted into
+        ``stats`` (the query run's counters; uncounted when omitted).  A
+        fault raised by the leader propagates to the leader and every
+        collapsed waiter; nothing is memoized, so retries reach the broker
+        again.
         """
+        if stats is None:
+            stats = CacheStats()
         try:
             hash(key)
         except TypeError:
             # Unhashable argument (never produced by the OWF path, but the
             # cache is public API): pass through without memoizing.
-            self.stats.misses += 1
+            stats.misses += 1
             return await invoke(), MISS
 
-        entry = self._memo.lookup(key, self.stats)
+        entry = self._memo.lookup(key, stats)
         if entry is not None:
-            self.stats.hits += 1
+            stats.hits += 1
             return entry.value, HIT
 
         flight = self._memo.in_flight.get(key)
         if flight is not None:
-            self.stats.collapsed += 1
+            stats.collapsed += 1
             await flight.done.wait()
             if flight.error is not None:
                 raise flight.error
             return flight.value, COLLAPSED
 
-        return await self._memo.lead(key, invoke, self.stats), MISS
-
-
-def aggregate_stats(caches: list[CallCache], trace=None) -> CacheStats:
-    """Fold the per-process counters of a query's caches into one report.
-
-    With a ``trace`` (a :class:`~repro.util.trace.TraceLog`), the
-    query's use of the engine-level shared tier is folded in too: the
-    shared tier is engine-scoped, so per-query attribution comes from
-    the ``shared_hit``/``shared_wait`` trace events (and the
-    ``coalesced`` marker on ``service_call`` events) this query's
-    processes recorded — counters the per-process caches cannot see.
-    """
-    total = CacheStats()
-    for cache in caches:
-        total.merge(cache.stats)
-    if trace is not None:
-        for event in trace:
-            if event.kind == "shared_hit":
-                total.shared_hits += 1
-            elif event.kind == "shared_wait":
-                total.shared_waits += 1
-            elif event.kind == "service_call" and event.data.get("coalesced"):
-                total.coalesced += 1
-    return total
+        return await self._memo.lead(key, invoke, stats), MISS

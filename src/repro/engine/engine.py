@@ -25,10 +25,10 @@ parts resident:
 * **concurrent admission** — :meth:`sql_many` multiplexes N queries on
   the one kernel behind the one
   :class:`~repro.engine.admission.AdmissionController`; per-query
-  isolation comes from the fresh :class:`~repro.util.trace.TraceLog`
-  and :class:`~repro.services.broker.CallRecorder` ``run_plan`` gives
-  every query plus per-query cache counters, so concurrent
-  :class:`QueryResult`s never share statistics.
+  isolation comes from the fresh :class:`~repro.obs.run.QueryRun`
+  ``run_plan`` gives every query (trace, call recorder, cache and
+  message counters), so concurrent :class:`QueryResult`s never share
+  statistics.
 
 A cold first query at concurrency 1 replays the one-shot timeline
 exactly — same rows, same trace events, same message counts; the only
@@ -38,11 +38,12 @@ at the end of the query (so ``elapsed`` excludes teardown).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from dataclasses import replace as _replace
 
 from repro.algebra.plan import INIT_FANOUT, AdaptationParams
-from repro.cache import CacheConfig, CacheStats, CallCache
+from repro.cache import CacheConfig, CallCache
 from repro.engine import shared
 from repro.engine.admission import AdmissionConfig, AdmissionController
 from repro.engine.plan_cache import CompiledPlan, PlanCache, plan_dependencies
@@ -270,11 +271,11 @@ class QueryEngine:
             metrics=self.metrics,
         )
         self._kernel_generation = self.kernel.generation
-        # One process-name counter for the engine's lifetime: the first
+        # One process-number counter for the engine's lifetime: the first
         # query numbers its children q1..qN exactly like the seed, and
         # every later (or concurrent) query continues the sequence, so
         # names are unique across the whole engine.
-        self._name_counter = [0]
+        self._process_numbers = itertools.count(1)
         # Warm coordinator-side caches, pooled per config: a query leases
         # one for its q0 process and returns it at the end, so repeated
         # queries keep coordinator-level memoized calls too (children
@@ -479,7 +480,7 @@ class QueryEngine:
                 coordinator_cache=leased_cache,
                 pool_registry=self.pool_registry,
                 shared=self.shared,
-                name_counter=self._name_counter,
+                names=self._process_numbers,
             )
         finally:
             if leased_cache is not None:
@@ -565,19 +566,15 @@ class QueryEngine:
     def _lease_coordinator_cache(
         self, config: CacheConfig | None
     ) -> CallCache | None:
-        """A warm (or fresh) coordinator cache for one query, counters at 0.
+        """A warm (or fresh) coordinator cache for one query.
 
         Pooled per config so concurrent queries never share one cache
-        object — sharing would let one query reset another's counters.
+        object (and so never one single-flight group).
         """
         if config is None:
             return None
         bucket = self._coordinator_caches.setdefault(config, [])
-        if not bucket:
-            return CallCache(self.kernel, config)
-        cache = bucket.pop()
-        cache.stats = CacheStats()
-        return cache
+        return bucket.pop() if bucket else CallCache(self.kernel, config)
 
     # -- introspection ----------------------------------------------------------------
 

@@ -241,7 +241,6 @@ class PoolRegistry:
         the fingerprint are woken either way: they re-check and either
         grab the freed tree or cold-start against the new definition.
         """
-        pool.harvest_messages()
         key = pool.registry_key
         if key is None:
             return

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.cache import MISS, MemoStore
+from repro.cache import MISS, CacheStats, MemoStore
 from repro.runtime.base import Kernel
 from repro.services.broker import BatchRequest, CallRecorder, ServiceBroker
 
@@ -138,8 +138,8 @@ class SharedCallCache:
     One instance belongs to one :class:`~repro.engine.QueryEngine`; all
     queries (and all their child processes) route broker round trips
     through :meth:`call`.  Per-query attribution is preserved because
-    each call carries its own recorder/span and trace events are written
-    by the caller, never by the shared tier.
+    each call carries its own recorder, counters and span, and trace
+    events are written by the caller, never by the shared tier.
     """
 
     def __init__(self, kernel: Kernel) -> None:
@@ -163,35 +163,29 @@ class SharedCallCache:
         arguments: list[Any],
         *,
         recorder: CallRecorder | None = None,
+        stats: CacheStats,
         obs=None,
         obs_span: int = -1,
-    ) -> tuple[Any, str, bool]:
+    ) -> tuple[Any, str]:
         """Route one web-service call through the sharing tiers.
 
-        Returns ``(value, outcome, coalesced)`` where ``outcome`` is one
-        of :data:`SHARED_HIT`, :data:`SHARED_WAIT` or
-        :data:`~repro.cache.MISS` (a real round trip) and ``coalesced``
-        says whether that round trip rode a cross-query batch.
+        Returns ``(value, outcome)`` where ``outcome`` is one of
+        :data:`SHARED_HIT`, :data:`SHARED_WAIT` or :data:`~repro.cache.MISS`
+        (a real round trip).  The calling query's ``stats`` count the
+        hits, the waits and the round trips that rode a cross-query batch.
         """
         key = (uri, service, operation, tuple(arguments))
         try:
             hash(key)
         except TypeError:
-            # Unhashable argument: dispatch without memoizing or dedup.
+            key = None  # unhashable argument: dispatch without memoizing or dedup
+        if key is None or not CACHE:
             self.stats.misses += 1
-            value, coalesced = await self._dispatch(
+            value = await self._dispatch(
                 broker, uri, service, operation, arguments,
-                recorder=recorder, obs=obs, obs_span=obs_span,
+                recorder=recorder, stats=stats, obs=obs, obs_span=obs_span,
             )
-            return value, MISS, coalesced
-
-        if not CACHE:
-            self.stats.misses += 1
-            value, coalesced = await self._dispatch(
-                broker, uri, service, operation, arguments,
-                recorder=recorder, obs=obs, obs_span=obs_span,
-            )
-            return value, MISS, coalesced
+            return value, MISS
 
         waited = False
         while True:
@@ -201,9 +195,11 @@ class SharedCallCache:
                     # Parked on a flight whose leader succeeded and
                     # memoized before this waiter re-checked.
                     self.stats.waits += 1
-                    return entry.value, SHARED_WAIT, False
+                    stats.shared_waits += 1
+                    return entry.value, SHARED_WAIT
                 self.stats.hits += 1
-                return entry.value, SHARED_HIT, False
+                stats.shared_hits += 1
+                return entry.value, SHARED_HIT
 
             flight = self._memo.in_flight.get(key)
             if flight is None:
@@ -212,24 +208,20 @@ class SharedCallCache:
             await flight.done.wait()
             if flight.error is None:
                 self.stats.waits += 1
-                return flight.value, SHARED_WAIT, False
+                stats.shared_waits += 1
+                return flight.value, SHARED_WAIT
             # The leader's call failed.  That fault belongs to the query
             # that issued it — inheriting it here would poison an
             # innocent query — so loop and retry (possibly as the new
             # leader).
 
-        coalesced = False
-
-        async def invoke() -> Any:
-            nonlocal coalesced
-            value, coalesced = await self._dispatch(
+        def invoke():
+            return self._dispatch(
                 broker, uri, service, operation, arguments,
-                recorder=recorder, obs=obs, obs_span=obs_span,
+                recorder=recorder, stats=stats, obs=obs, obs_span=obs_span,
             )
-            return value
 
-        value = await self._memo.lead(key, invoke, self.stats)
-        return value, MISS, coalesced
+        return await self._memo.lead(key, invoke, self.stats), MISS
 
     # -- cross-query batching ------------------------------------------------------
 
@@ -242,16 +234,16 @@ class SharedCallCache:
         arguments: list[Any],
         *,
         recorder: CallRecorder | None,
+        stats: CacheStats,
         obs,
         obs_span: int,
-    ) -> tuple[Any, bool]:
+    ) -> Any:
         """One real round trip, possibly coalesced with concurrent ones."""
         if not BATCHING:
-            value = await broker.call(
+            return await broker.call(
                 uri, service, operation, arguments,
                 recorder=recorder, obs=obs, obs_span=obs_span,
             )
-            return value, False
 
         request = BatchRequest(
             arguments=arguments, recorder=recorder, obs=obs, obs_span=obs_span,
@@ -275,7 +267,9 @@ class SharedCallCache:
         await request.done.wait()
         if request.error is not None:
             raise request.error
-        return request.value, request.coalesced
+        if request.coalesced:
+            stats.coalesced += 1
+        return request.value
 
     async def _linger_flush(
         self,

@@ -1,7 +1,10 @@
 """Span-based tracing and metrics for the query stack.
 
-The subsystem has four layers:
+The subsystem has five layers:
 
+- :mod:`repro.obs.run` -- ``QueryRun``, the per-query object every process
+  of a query counts into (trace, call recorder, cache and message counters,
+  span recorder), shared by reference and drained across OS workers.
 - :mod:`repro.obs.spans` -- the recorder API.  ``TraceRecorder`` collects
   :class:`Span` records into a :class:`SpanStore`; ``NULL_RECORDER`` is the
   shared no-op default so instrumentation sites cost one attribute check

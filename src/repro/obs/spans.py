@@ -4,7 +4,8 @@ A span is a named interval with a parent, a category and free-form
 attributes.  Spans from every process of a query-process tree land in one
 :class:`SpanStore`; cross-process edges (coordinator invocation -> child
 call) are ordinary parent links because the recorder is shared through the
-``ExecutionContext`` rather than serialized across a real network.
+query's :class:`~repro.obs.run.QueryRun` (an OS worker records into its own,
+from a disjoint id range, and ships the finished spans back).
 
 Two clocks coexist.  Execution-side spans pass ``at=kernel.now()`` so their
 timestamps live on the kernel's (possibly virtual) clock; compile-phase
@@ -117,9 +118,9 @@ class TraceRecorder(NullRecorder):
 
     enabled = True
 
-    def __init__(self) -> None:
+    def __init__(self, first_id: int = 0) -> None:
         self.store: SpanStore = SpanStore()
-        self._next_id = 0
+        self._next_id = first_id
         self._epoch = time.perf_counter()
 
     def _now(self) -> float:
@@ -157,6 +158,18 @@ class TraceRecorder(NullRecorder):
         span.end = self._now() if at is None else at
         if attrs:
             span.attrs.update(attrs)
+
+    def take_finished(self) -> list[Span]:
+        """Remove the finished spans from the store and return them (how
+        an OS worker ships its spans to the coordinator as they finish)."""
+        finished = [span for span in self.store if span.finished]
+        if finished:
+            still_open = SpanStore()
+            for span in self.store:
+                if not span.finished:
+                    still_open.add(span)
+            self.store = still_open
+        return finished
 
     def instant(
         self,

@@ -55,7 +55,7 @@ class AFFPool(ChildPool):
         into the span store, so traces show *why* the tree changed shape
         next to *when* it did."""
         self.event(kind, **attrs)
-        obs = self.ctx.obs
+        obs = self.ctx.run.obs
         if obs.enabled:
             obs.instant(
                 kind,

@@ -32,12 +32,10 @@ the seed protocol, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import ceil
 from typing import TYPE_CHECKING
 
 from repro.parallel.messages import EndOfCall, ParamBatch, ParamTuple
-from repro.util.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.parallel.ff_applyp import ChildPool, _Child
@@ -49,79 +47,6 @@ _ADAPTIVE_MAX = 32
 _TARGET_OVERHEAD = 0.05
 # EWMA smoothing for observed per-call service times.
 _EWMA_ALPHA = 0.4
-
-
-@dataclass
-class MessageCounters:
-    """Data-path message counts of one operator pool.
-
-    Downlink counts are incremented when the parent sends, uplink counts
-    when the parent receives, so both kernels account identically.
-    """
-
-    param_tuples: int = 0  # ParamTuple messages sent
-    param_batches: int = 0  # ParamBatch messages sent
-    batched_params: int = 0  # rows carried inside ParamBatches
-    result_tuples: int = 0  # ResultTuple messages received
-    result_batches: int = 0  # ResultBatch messages received
-    batched_results: int = 0  # rows carried inside ResultBatches
-    end_of_calls: int = 0  # stand-alone EndOfCall messages received
-    flushes: dict[str, int] = field(default_factory=dict)  # trigger -> count
-
-    @property
-    def downlink_messages(self) -> int:
-        return self.param_tuples + self.param_batches
-
-    @property
-    def uplink_messages(self) -> int:
-        return self.result_tuples + self.result_batches + self.end_of_calls
-
-    @property
-    def total_messages(self) -> int:
-        return self.downlink_messages + self.uplink_messages
-
-    def any(self) -> bool:
-        return self.total_messages > 0
-
-    def as_dict(self) -> dict:
-        counts = {name: getattr(self, name) for name in _COUNT_FIELDS}
-        return {**counts, "flushes": dict(self.flushes)}
-
-    def reset(self) -> None:
-        """Zero every counter (a resident pool starts each query at 0)."""
-        for name in _COUNT_FIELDS:
-            setattr(self, name, 0)
-        self.flushes.clear()
-
-    def add(self, counts: dict) -> None:
-        """Fold in one :meth:`as_dict`-shaped record."""
-        for name in _COUNT_FIELDS:
-            setattr(self, name, getattr(self, name) + counts.get(name, 0))
-        for trigger, count in counts.get("flushes", {}).items():
-            self.flushes[trigger] = self.flushes.get(trigger, 0) + count
-
-
-_COUNT_FIELDS = (
-    "param_tuples",
-    "param_batches",
-    "batched_params",
-    "result_tuples",
-    "result_batches",
-    "batched_results",
-    "end_of_calls",
-)
-
-
-class MessageStats(MessageCounters):
-    """Query-wide aggregate over every operator pool (all processes)."""
-
-
-def message_stats_from_trace(trace: TraceLog) -> MessageStats:
-    """Aggregate the per-pool ``pool_messages`` trace events."""
-    stats = MessageStats()
-    for event in trace.events("pool_messages"):
-        stats.add(event.data)
-    return stats
 
 
 class BatchController:
@@ -142,7 +67,6 @@ class BatchController:
         # Disabled means strict seed behavior: one ParamTuple per row, no
         # buffering, no timers, no flush bookkeeping.
         self.enabled = self.base_size > 1 or self.adaptive or self.linger > 0
-        self.counters = MessageCounters()
         self._buffers: dict[str, list[tuple]] = {}
         self._sizes: dict[str, int] = {}
         self._service_ewma: dict[str, float] = {}
@@ -245,9 +169,11 @@ class BatchController:
             child.endpoints.downlink.send(
                 ParamBatch(seq_start, tuple(buffer), span=pool._inv_span)
             )
-            self.counters.param_batches += 1
-            self.counters.batched_params += len(buffer)
-        self.counters.flushes[trigger] = self.counters.flushes.get(trigger, 0) + 1
+            stats = pool.ctx.run.message_stats
+            stats.param_batches += 1
+            stats.batched_params += len(buffer)
+        flushes = self.pool.ctx.run.message_stats.flushes
+        flushes[trigger] = flushes.get(trigger, 0) + 1
         self.pool.event("batch_flush", child=name, size=len(buffer), trigger=trigger)
 
     def flush_all(self, trigger: str) -> None:
@@ -289,7 +215,7 @@ class BatchController:
         child.endpoints.downlink.send(
             ParamTuple(pool._seq, row, span=pool._inv_span)
         )
-        self.counters.param_tuples += 1
+        pool.ctx.run.message_stats.param_tuples += 1
 
     # -- linger timers -----------------------------------------------------------
 

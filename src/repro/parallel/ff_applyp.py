@@ -43,7 +43,7 @@ from typing import AsyncIterator
 
 from repro.algebra.interpreter import ExecutionContext
 from repro.algebra.plan import PlanFunction
-from repro.cache import CacheStats, stable_hash
+from repro.cache import stable_hash
 from repro.parallel.batching import BatchController
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.messages import (
@@ -88,8 +88,8 @@ class _Child:
     # for telling current messages from stale ones.
     inflight: dict[int, tuple] = field(default_factory=dict)
     # The derived context the child process runs under.  ``child_main``
-    # holds the same object, so mutating its fields (trace, recorder)
-    # re-homes a warm child into a new query — see :meth:`ChildPool.rebind`.
+    # holds the same object, so pointing its ``run`` at a new query
+    # re-homes a warm child — see :meth:`ChildPool.rebind`.
     ctx: ExecutionContext | None = None
 
 
@@ -156,7 +156,7 @@ class ChildPool:
     def event(self, kind: str, **data) -> None:
         """Record one trace event of this pool (``process`` and
         ``plan_function`` first, then ``data`` in the order given)."""
-        self.ctx.trace.record(
+        self.ctx.run.trace.record(
             self.ctx.kernel.now(),
             kind,
             process=self.ctx.process_name,
@@ -181,7 +181,7 @@ class ChildPool:
         kernel = self.ctx.kernel
         placement = self.ctx.placement
         for _ in range(count):
-            name = self.ctx.next_process_name()
+            name = self.ctx.run.next_process_name()
             if placement is not None:
                 endpoints, handle = placement.spawn_child(self, name)
                 child_ctx = None
@@ -219,7 +219,7 @@ class ChildPool:
         child.endpoints.downlink.send(
             ShipPlanFunction(self._plan_function_dict, span=self._inv_span)
         )
-        self.ctx.trace.record(
+        self.ctx.run.trace.record(
             self.ctx.kernel.now(),
             "spawn",
             parent=self.ctx.process_name,
@@ -502,7 +502,7 @@ class ChildPool:
         their parent, which is what links the span tree across the
         process boundary.
         """
-        obs = self.ctx.obs
+        obs = self.ctx.run.obs
         if obs.enabled:
             self._inv_span = obs.start(
                 f"invoke:{self.plan_function.name}",
@@ -539,7 +539,7 @@ class ChildPool:
                 if type(message) is ResultTuple:
                     row = self._accept_row(message)
                     if row is not None:
-                        self.batcher.counters.result_tuples += 1
+                        self.ctx.run.message_stats.result_tuples += 1
                         yield row
                     if message.end_of_call is not None:
                         await self._resolve_call(inv, message.end_of_call)
@@ -640,7 +640,7 @@ class ChildPool:
 
     async def _on_end_of_call(self, inv: _Invocation, message: EndOfCall):
         if await self._resolve_call(inv, message):
-            self.batcher.counters.end_of_calls += 1
+            self.ctx.run.message_stats.end_of_calls += 1
 
     async def _replay_batch(
         self, inv: _Invocation, message: ResultBatch
@@ -650,8 +650,9 @@ class ChildPool:
         order — through the same per-row and per-call steps."""
         if self._find_child(message.child) is None:
             return  # whole batch stale (child evicted)
-        self.batcher.counters.result_batches += 1
-        self.batcher.counters.batched_results += len(message.rows)
+        stats = self.ctx.run.message_stats
+        stats.result_batches += 1
+        stats.batched_results += len(message.rows)
         cursor = 0
         for end_of_call in message.end_of_calls:
             for row in message.rows[cursor : cursor + end_of_call.rows]:
@@ -729,60 +730,22 @@ class ChildPool:
         A pool leased from the engine's registry still holds the child
         processes of the query that built it.  ``child_main`` keeps a
         reference to the *same* context object the pool derived at spawn
-        time, so pointing that object's per-query fields (trace, call
-        recorder, cache registry, retry policy) at the new query's values
-        is all it takes for the children's future work to be attributed
-        to the new query.  Warm child caches keep their entries — that is
-        the point of reuse — but get fresh counters so hit rates are
-        per-query.
+        time, so pointing that object at the new query's run is all it
+        takes for the children's future work to be counted in the new
+        query.  Warm child caches keep their entries — that is the point
+        of reuse — and count into the new run.
         """
         self.ctx = ctx
         for child in self.children:
-            self._rebind_child(child)
+            if child.ctx is None:  # remote: re-homed by the placement below
+                continue
+            child.ctx.run = ctx.run
+            child.ctx.obs_span = ctx.obs_span
+            for pool in child.ctx.pools.values():
+                pool.rebind(child.ctx)
         if ctx.placement is not None:
-            # Remote children (ctx is None here) are re-homed inside
-            # their workers: new retry policy, fresh cache counters,
-            # fresh span recorder.
             ctx.placement.rebind_pool(self)
         self.on_rebind()
-
-    def _rebind_child(self, child: _Child) -> None:
-        child_ctx = child.ctx
-        if child_ctx is None:  # pool predates warm reuse; nothing to re-home
-            return
-        child_ctx.trace = self.ctx.trace
-        child_ctx.call_recorder = self.ctx.call_recorder
-        child_ctx.retries = self.ctx.retries
-        child_ctx.retry_backoff = self.ctx.retry_backoff
-        child_ctx.cache_registry = self.ctx.cache_registry
-        child_ctx._name_counter = self.ctx._name_counter
-        child_ctx.obs = self.ctx.obs
-        child_ctx.obs_span = self.ctx.obs_span
-        child_ctx.shared = self.ctx.shared
-        if child_ctx.cache is not None:
-            child_ctx.cache.stats = CacheStats()
-            self.ctx.cache_registry.append(child_ctx.cache)
-        for pool in child_ctx.pools.values():
-            pool.rebind(child_ctx)
-
-    def harvest_messages(self) -> None:
-        """Record and zero the subtree's message counters for this query.
-
-        A one-query pool reports its counters once, at :meth:`close`; a
-        resident pool instead reports at release time so each query's
-        ``pool_messages`` trace events carry only that query's traffic.
-        """
-        self._report_messages()
-        self.batcher.counters.reset()
-        for child in self.children:
-            if child.ctx is None:
-                continue
-            for pool in child.ctx.pools.values():
-                pool.harvest_messages()
-
-    def _report_messages(self) -> None:
-        if self.batcher.counters.any():
-            self.event("pool_messages", **self.batcher.counters.as_dict())
 
     # -- hooks overridden by the adaptive pool -----------------------------------------
 
@@ -825,7 +788,6 @@ class ChildPool:
         self._idle.clear()
         self._by_name.clear()
         self._detached.clear()
-        self._report_messages()
 
 
 class FFPool(ChildPool):

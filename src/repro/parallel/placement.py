@@ -18,16 +18,17 @@ of the kernel's OS workers:
   channel, so the single uplink ``message_latency`` is applied exactly
   once, parent-side (the worker applies the downlink latency).
 * Worker-side web-service calls arrive as ``BrokerRequest`` envelopes
-  and are served against the *coordinator's* broker — through the
-  engine's shared tier when one is attached — so capacity semaphores,
-  call statistics, multi-query sharing and fault accounting all stay
-  centralized.  (A worker-side ``service_call`` trace event is still
-  recorded by the child for a call the shared tier answered, so the
-  event count can exceed real round trips under sharing; the counters
-  in :class:`~repro.cache.CacheStats` stay exact.)
-* Child-side trace events, spans and cache counters stream back and are
-  folded into the owning query's trace/span store/cache registry, so
-  reports and exports look the same as with in-process children.
+  and are served by :func:`~repro.algebra.interpreter.round_trip` for
+  the owning query — the coordinator's broker, through the engine's
+  shared tier when one is attached — so capacity semaphores, call
+  statistics, multi-query sharing and fault accounting all stay
+  centralized.  The reply carries the outcome, so the child records a
+  call the shared tier answered as ``shared_hit``/``shared_wait``.
+* A child counts into a worker-local run whose trace rows, finished
+  spans and counter deltas ride its call-ending ``FromChild`` (and its
+  ``ChildExited``); :meth:`~repro.obs.run.QueryRun.absorb` folds them
+  into the owning query's run, so reports and exports look the same as
+  with in-process children.
 
 A worker death (pipe EOF, missed heartbeats) fails the worker's children
 over: their handles resolve with an error, the pools' death watchers
@@ -39,23 +40,21 @@ children — on the surviving workers — while the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.cache import MISS, CacheStats, stable_hash
+from repro.algebra.interpreter import round_trip
+from repro.cache import stable_hash
 from repro.runtime.base import Channel, Kernel, ProcessHandle
 from repro.runtime.wire import (
     BrokerRequest,
     BrokerResponse,
-    CacheSnapshot,
     CancelChild,
     ChildExited,
     FromChild,
     RebindChild,
     SpawnChild,
-    SpanBatch,
     ToChild,
-    TraceEvents,
 )
 from repro.runtime.workers import WorkerHandle, WorkerPool
 from repro.util.errors import KernelError, ReproError, ServiceFault
@@ -65,25 +64,6 @@ from repro.util.errors import KernelError, ReproError, ServiceFault
 #: and from every other child's, so folding the shipped spans into one
 #: store never collides.
 SPAN_BLOCK = 1_000_000
-
-
-class _CacheMirror:
-    """Parent-side stand-in for a worker-local child cache.
-
-    Registered in the query's ``cache_registry`` so
-    :func:`repro.cache.aggregate_stats` folds the remote child's counters
-    (streamed back as ``CacheSnapshot`` envelopes) into the query report
-    exactly like an in-process child's cache.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.stats = CacheStats()
-
-    def apply(self, counters: tuple) -> None:
-        for field_name, value in counters:
-            if hasattr(self.stats, field_name):
-                setattr(self.stats, field_name, value)
 
 
 @dataclass(eq=False)
@@ -96,7 +76,6 @@ class _Binding:
     pool: Any  # the owning repro.parallel.ff_applyp.ChildPool
     span_base: int
     handle: "RemoteChildHandle" = None  # set right after construction
-    mirror: Optional[_CacheMirror] = None
     active: bool = True
 
 
@@ -172,7 +151,6 @@ class Placement:
         self._functions_shipped: Any = None
         self._functions_source: tuple[Any, int] | None = None
         self._services_source: Any = None
-        self.worker_errors: list[tuple[int, str]] = []
 
     # -- registration ------------------------------------------------------
 
@@ -233,7 +211,6 @@ class Placement:
         ctx = child_pool.ctx
         child_id = next(self._child_ids)
         worker = self._pick_worker(child_pool.plan_function.name)
-        cache = ctx.cache
         binding = _Binding(
             child_id=child_id,
             name=name,
@@ -242,9 +219,6 @@ class Placement:
             span_base=child_id * SPAN_BLOCK,
         )
         binding.handle = RemoteChildHandle(self, binding)
-        if cache is not None:
-            binding.mirror = _CacheMirror(name)
-            ctx.cache_registry.append(binding.mirror)
         self._bindings[child_id] = binding
         self.pool.send(
             worker,
@@ -252,10 +226,10 @@ class Placement:
                 child_id=child_id,
                 name=name,
                 costs=child_pool.costs,
-                cache_config=None if cache is None else cache.config,
-                retries=ctx.retries,
-                retry_backoff=ctx.retry_backoff,
-                tracing=ctx.obs.enabled,
+                cache_config=None if ctx.cache is None else ctx.cache.config,
+                retries=ctx.run.retries,
+                retry_backoff=ctx.run.retry_backoff,
+                tracing=ctx.run.obs.enabled,
                 span_base=binding.span_base,
             ),
         )
@@ -271,21 +245,20 @@ class Placement:
             self.pool.send(binding.worker, CancelChild(binding.child_id))
 
     def rebind_pool(self, child_pool) -> None:
-        """Remote half of ``ChildPool.rebind``: re-home warm children."""
-        ctx = child_pool.ctx
+        """Remote half of ``ChildPool.rebind``: re-home warm children.
+        Their telemetry needs no re-homing: it lands in whichever run
+        owns the pool when it arrives."""
+        run = child_pool.ctx.run
         for binding in self._bindings.values():
             if binding.pool is not child_pool or not binding.active:
                 continue
-            if binding.mirror is not None:
-                binding.mirror.stats = CacheStats()
-                ctx.cache_registry.append(binding.mirror)
             self.pool.send(
                 binding.worker,
                 RebindChild(
                     child_id=binding.child_id,
-                    retries=ctx.retries,
-                    retry_backoff=ctx.retry_backoff,
-                    tracing=ctx.obs.enabled,
+                    retries=run.retries,
+                    retry_backoff=run.retry_backoff,
+                    tracing=run.obs.enabled,
                     span_base=binding.span_base,
                 ),
             )
@@ -296,6 +269,8 @@ class Placement:
         if isinstance(message, FromChild):
             binding = self._bindings.get(message.child_id)
             if binding is not None:
+                if message.run is not None:
+                    binding.pool.ctx.run.absorb(message.run)
                 binding.pool.inbox.send(message.payload)
         elif isinstance(message, BrokerRequest):
             self.kernel.spawn(
@@ -306,41 +281,9 @@ class Placement:
             binding = self._bindings.pop(message.child_id, None)
             if binding is not None:
                 binding.active = False
+                if message.run is not None:
+                    binding.pool.ctx.run.absorb(message.run)
                 binding.handle._resolve(message.error)
-        elif isinstance(message, TraceEvents):
-            self._fold_trace(message)
-        elif isinstance(message, SpanBatch):
-            self._fold_spans(message)
-        elif isinstance(message, CacheSnapshot):
-            binding = self._bindings.get(message.child_id)
-            if binding is not None and binding.mirror is not None:
-                binding.mirror.apply(message.counters)
-
-    def _fold_trace(self, message: TraceEvents) -> None:
-        binding = self._bindings.get(message.child_id)
-        if binding is None:
-            if message.child_id == -1:
-                for _, _, data in message.events:
-                    payload = dict(data)
-                    self.worker_errors.append(
-                        (payload.get("worker", -1), payload.get("error", ""))
-                    )
-            return
-        trace = binding.pool.ctx.trace
-        for time_stamp, kind, data in message.events:
-            trace.record(time_stamp, kind, **dict(data))
-
-    def _fold_spans(self, message: SpanBatch) -> None:
-        import pickle
-
-        binding = self._bindings.get(message.child_id)
-        if binding is None:
-            return
-        recorder = binding.pool.ctx.obs
-        if not recorder.enabled or recorder.store is None:
-            return
-        for span in pickle.loads(message.payload):
-            recorder.store.add(span)
 
     async def _serve_broker(self, worker: WorkerHandle, request: BrokerRequest) -> None:
         binding = self._bindings.get(request.child_id)
@@ -349,41 +292,15 @@ class Placement:
                 raise ReproError(
                     f"broker request from unknown child {request.child_id}"
                 )
-            ctx = binding.pool.ctx
-            arguments = list(request.arguments)
-            obs = ctx.obs if ctx.obs.enabled else None
-            if ctx.shared is not None:
-                value, outcome, _coalesced = await ctx.shared.call(
-                    ctx.broker,
-                    request.uri,
-                    request.service,
-                    request.operation,
-                    arguments,
-                    recorder=ctx.call_recorder,
-                    obs=obs,
-                    obs_span=request.obs_span,
-                )
-                if outcome != MISS:
-                    # Attribution for aggregate_stats: the shared tier is
-                    # engine-scoped, so per-query shared_hit/shared_wait
-                    # counts come from trace events.
-                    ctx.trace.record(
-                        self.kernel.now(),
-                        outcome,
-                        process=binding.name,
-                        operation=request.operation,
-                    )
-            else:
-                value = await ctx.broker.call(
-                    request.uri,
-                    request.service,
-                    request.operation,
-                    arguments,
-                    recorder=ctx.call_recorder,
-                    obs=obs,
-                    obs_span=request.obs_span,
-                )
-            reply = BrokerResponse(request.request_id, payload=value)
+            value, outcome = await round_trip(
+                binding.pool.ctx,
+                request.uri,
+                request.service,
+                request.operation,
+                list(request.arguments),
+                request.obs_span,
+            )
+            reply = BrokerResponse(request.request_id, payload=value, outcome=outcome)
         except ServiceFault as fault:
             reply = BrokerResponse(
                 request.request_id,

@@ -101,13 +101,13 @@ class _CallRunner:
     def _begin_span(self, seq: int, parent_span: int, started: float) -> int:
         """Open the per-call span and make it the context's enclosing span
         so the web-service spans of the call (and any nested operator's
-        invocation spans) nest under it.  ``ctx.obs`` is read per call,
-        not captured: a warm pool leased into a new query re-homes the
-        recorder via ``ChildPool.rebind()``."""
+        invocation spans) nest under it.  ``ctx.run`` is read per call,
+        not captured: a warm pool leased into a new query re-homes it
+        via ``ChildPool.rebind()``."""
         ctx = self.ctx
-        if not ctx.obs.enabled:
+        if not ctx.run.obs.enabled:
             return -1
-        span = ctx.obs.start(
+        span = ctx.run.obs.start(
             f"call#{seq}",
             category="call",
             parent=parent_span,
@@ -123,7 +123,7 @@ class _CallRunner:
         if span == -1:
             return
         self.ctx.obs_span = self._enclosing
-        self.ctx.obs.finish(span, at=self.ctx.kernel.now(), rows=rows, **error)
+        self.ctx.run.obs.finish(span, at=self.ctx.kernel.now(), rows=rows, **error)
 
     async def call(self, seq: int, param_row: tuple, parent_span: int, deliver, hold):
         """Run the plan function for one parameter tuple.
@@ -257,15 +257,15 @@ async def child_main(
         return
     plan_function, body = _install(first.plan_function)
     await kernel.sleep(costs.install)
-    ctx.trace.record(
+    ctx.run.trace.record(
         kernel.now(),
         "install",
         process=endpoints.name,
         plan_function=plan_function.name,
     )
 
-    if ctx.obs.enabled:
-        ctx.obs.instant(
+    if ctx.run.obs.enabled:
+        ctx.run.obs.instant(
             "install",
             category="event",
             parent=first.span,
@@ -293,7 +293,7 @@ async def child_main(
     finally:
         for pool in list(ctx.pools.values()):
             await pool.close()
-        ctx.trace.record(
+        ctx.run.trace.record(
             kernel.now(),
             "process_exit",
             process=endpoints.name,

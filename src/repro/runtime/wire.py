@@ -6,7 +6,10 @@ processes in real OS processes.  The *query protocol* (``ShipPlanFunction``,
 unchanged; this module defines the transport envelopes that carry it over
 one pickle-framed duplex pipe per worker, plus the control messages of the
 worker runtime itself (clock anchoring, code registration, spawn/rebind,
-heartbeats, broker proxying, trace/span/cache-stat forwarding).
+heartbeats, broker proxying).  A child's telemetry — trace rows, finished
+spans, cache and message counter deltas — has no envelope of its own: it
+rides the child's call-ending ``FromChild`` and its ``ChildExited`` as one
+``run`` field (:meth:`repro.obs.run.QueryRun.drain`).
 
 Every envelope is a frozen dataclass whose fields are plain picklable
 values — the round-trip tests in ``tests/parallel/test_transport.py`` lock
@@ -19,8 +22,7 @@ Parent -> worker:
     :class:`BrokerResponse`, :class:`ShutdownWorker`.
 Worker -> parent:
     :class:`WorkerReady`, :class:`FromChild`, :class:`ChildExited`,
-    :class:`BrokerRequest`, :class:`TraceEvents`, :class:`SpanBatch`,
-    :class:`CacheSnapshot`, :class:`Pong`.
+    :class:`BrokerRequest`, :class:`Pong`.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class SpawnChild:
     retry_backoff: float = 0.5
     # Observability: when the parent query is traced, the worker records
     # child-side spans with ids starting at span_base (disjoint from the
-    # parent recorder's id space) and ships them back in SpanBatch.
+    # parent recorder's id space) and ships them back as they finish.
     tracing: bool = False
     span_base: int = 0
 
@@ -131,11 +133,14 @@ class BrokerResponse:
     ``error`` is set; ``error`` is ``(kind, message, retriable)`` where
     kind is ``"fault"`` (re-raised as :class:`ServiceFault`) or the
     original exception's class name (re-raised as :class:`ReproError`).
+    ``outcome`` says who answered: ``"miss"`` for a real round trip, or
+    the coordinator's shared tier (``"shared_hit"`` / ``"shared_wait"``).
     """
 
     request_id: int
     payload: Any = None
     error: Optional[tuple[str, str, bool]] = None
+    outcome: str = "miss"
 
 
 @dataclass(frozen=True)
@@ -155,10 +160,13 @@ class WorkerReady:
 @dataclass(frozen=True)
 class FromChild:
     """One query-protocol uplink message (ResultTuple, ResultBatch,
-    EndOfCall, CallFailed, ChildError) from a child in this worker."""
+    EndOfCall, CallFailed, ChildError) from a child in this worker.
+    ``run`` is what the child's run counted since its last call-ending
+    message, on a message that ends a call (else None)."""
 
     child_id: int
     payload: Any
+    run: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -167,20 +175,22 @@ class ChildExited:
 
     ``error`` is None for an orderly exit (Shutdown received), otherwise
     the crash description — the parent resolves the child's handle
-    accordingly and the pool's death watcher takes over.
+    accordingly and the pool's death watcher takes over.  ``run`` carries
+    the child's last undelivered telemetry, as on :class:`FromChild`.
     """
 
     child_id: int
     error: Optional[str] = None
+    run: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
 class BrokerRequest:
     """A web-service call forwarded to the parent's central broker.
 
-    Sent by the worker-side :class:`~repro.parallel.placement.BrokerProxy`
-    so capacity semaphores, call statistics, caching tiers and fault
-    accounting all stay in the coordinator process.  ``obs_span`` is the
+    Sent by the worker-side broker proxy so capacity semaphores, call
+    statistics, caching tiers and fault accounting all stay in the
+    coordinator process.  ``obs_span`` is the
     worker-side web-service span id the parent's broker sub-spans (queue
     wait, serve) should link under; -1 when tracing is off.
     """
@@ -192,30 +202,6 @@ class BrokerRequest:
     operation: str
     arguments: tuple
     obs_span: int = -1
-
-
-@dataclass(frozen=True)
-class TraceEvents:
-    """Child-side trace events, forwarded as ``(time, kind, data)`` rows."""
-
-    child_id: int
-    events: tuple
-
-
-@dataclass(frozen=True)
-class SpanBatch:
-    """Finished child-side spans (pickled list of repro.obs Span)."""
-
-    child_id: int
-    payload: bytes
-
-
-@dataclass(frozen=True)
-class CacheSnapshot:
-    """Counters of a child's worker-local call cache (plain numbers)."""
-
-    child_id: int
-    counters: tuple  # ((field, value), ...)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ Two halves live here:
   :func:`~repro.parallel.process.child_main` coroutine per child.  Web
   service calls go through a :class:`_BrokerProxy` back to the parent
   (central accounting) unless the registry itself was shipped
-  (``local_services`` — CPU-bound workloads).  Trace events, finished
-  spans and cache counters are streamed back as they happen.
+  (``local_services`` — CPU-bound workloads).  Each child, with the
+  nested children it spawns here, counts into a worker-local
+  :class:`~repro.obs.run.QueryRun`, drained onto its call-ending messages.
 
 * :class:`WorkerPool` — the parent-side manager: spawns/forks the worker
   processes, reads each worker's socket on the parent's event loop,
@@ -40,7 +41,7 @@ import threading
 import time
 from typing import Any, Callable, Optional
 
-from repro.cache import CacheStats
+from repro.cache import CallCache
 from repro.parallel.messages import ResultTuple
 from repro.parallel.process import ChildEndpoints, child_main
 from repro.runtime import base
@@ -49,7 +50,6 @@ from repro.runtime.wire import (
     AnchorClock,
     BrokerRequest,
     BrokerResponse,
-    CacheSnapshot,
     CancelChild,
     ChildExited,
     FromChild,
@@ -60,14 +60,12 @@ from repro.runtime.wire import (
     RegisterServices,
     ShutdownWorker,
     SpawnChild,
-    SpanBatch,
     ToChild,
-    TraceEvents,
     WorkerReady,
 )
+from repro.obs.run import QueryRun
 from repro.obs.spans import NULL_RECORDER, TraceRecorder
 from repro.util.errors import KernelError, ReproError, ServiceFault
-from repro.util.trace import TraceLog
 
 #: Wall seconds between worker pings; a worker missing HEARTBEAT_MISSES
 #: consecutive pings is declared hung, killed and respawned.
@@ -164,59 +162,14 @@ class _UnshippedFunction:
 # -- worker-side runtime ------------------------------------------------------
 
 
-class _WorkerRecorder(TraceRecorder):
-    """Child-side span recorder with a disjoint id space.
-
-    Ids start at ``span_base`` so folding the spans into the parent
-    query's store can never collide with parent-allocated ids, while
-    parent links carried on downlink messages (``ParamTuple.span``...)
-    stay valid verbatim.
-    """
-
-    def __init__(self, span_base: int) -> None:
-        super().__init__()
-        self._next_id = span_base
-        self._shipped: set[int] = set()
-
-    def drain(self) -> list:
-        """Finished spans not yet shipped to the parent."""
-        out = [
-            span
-            for span in self.store
-            if span.finished and span.id not in self._shipped
-        ]
-        for span in out:
-            self._shipped.add(span.id)
-        return out
-
-
-class _ForwardingTrace(TraceLog):
-    """Trace log whose events stream straight back to the parent.
-
-    Nothing is kept locally — a warm worker would otherwise accumulate
-    every query's events forever; the parent folds the forwarded rows
-    into the owning query's real :class:`TraceLog`.
-    """
-
-    def __init__(self, runtime: "_WorkerRuntime", child_id: int) -> None:
-        super().__init__()
-        self._runtime = runtime
-        self._child_id = child_id
-
-    def record(self, time: float, kind: str, **data: Any) -> None:
-        self._runtime.send(
-            TraceEvents(self._child_id, ((time, kind, tuple(data.items())),))
-        )
-
-
 class _UplinkForwarder(base.Channel):
     """Child-side uplink: forwards protocol messages over the pipe.
 
     The parent delivers them into the pool's real inbox channel, which is
     where the (single) uplink ``message_latency`` is applied — the same
-    one application a local child gets.  Piggybacks pending spans (and,
-    on a message that ends a call, changed cache counters) so per-call
-    telemetry arrives no later than the message it describes.
+    one application a local child gets.  A message that ends a call
+    carries the drained run, so the call's telemetry arrives no later
+    than the call's end.
     """
 
     def __init__(self, runtime: "_WorkerRuntime", slot: "_ChildSlot") -> None:
@@ -224,10 +177,10 @@ class _UplinkForwarder(base.Channel):
         self._slot = slot
 
     def send(self, message: Any) -> None:
-        self._slot.flush(
-            counters=type(message) is not ResultTuple or message.end_of_call is not None
-        )
-        self._runtime.send(FromChild(self._slot.child_id, message))
+        slot = self._slot
+        ends_call = type(message) is not ResultTuple or message.end_of_call is not None
+        run = slot.ctx.run.drain() if ends_call else None
+        self._runtime.send(FromChild(slot.child_id, message, run))
 
     async def recv(self) -> Any:
         raise KernelError("worker uplink proxy is send-only")
@@ -237,12 +190,15 @@ class _UplinkForwarder(base.Channel):
 
 
 class _BrokerProxy:
-    """Duck-typed ``ServiceBroker.call`` that defers to the parent.
+    """The shared tier of a worker child: its calls go to the coordinator.
 
-    Keeps capacity semaphores, per-query statistics, caching/sharing
-    tiers and fault accounting centralized in the coordinator.  The
-    worker-side retry loop (``ctx.retries``) still works: faults come
-    back typed, with their ``retriable`` flag intact.
+    The coordinator makes the round trip for the child's query — through
+    its own shared tier when it has one — so capacity semaphores, call
+    statistics, cache counters and fault accounting stay central.  The
+    reply's outcome comes back, so the child records ``shared_hit`` /
+    ``shared_wait`` exactly like an in-process child; the counting was
+    done where the call was served.  Faults come back typed, with their
+    ``retriable`` flag intact, for the child's retry loop.
     """
 
     def __init__(self, runtime: "_WorkerRuntime", child_id: int) -> None:
@@ -251,15 +207,17 @@ class _BrokerProxy:
 
     async def call(
         self,
+        broker,
         uri: str,
         service: str,
         operation: str,
         arguments: list,
         *,
         recorder=None,
+        stats=None,
         obs=None,
         obs_span: int = -1,
-    ):
+    ) -> tuple[Any, str]:
         runtime = self._runtime
         request_id = next(runtime.request_ids)
         future = asyncio.get_running_loop().create_future()
@@ -281,7 +239,7 @@ class _BrokerProxy:
             if kind == "fault":
                 raise ServiceFault(message, retriable=retriable)
             raise ReproError(message)
-        return reply.payload
+        return reply.payload, reply.outcome
 
 
 class _ChildSlot:
@@ -291,76 +249,58 @@ class _ChildSlot:
         from repro.algebra.interpreter import ExecutionContext
         from repro.parallel.executor import ParallelExecutor
 
-        self.runtime = runtime
         self.child_id = spec.child_id
         self.costs = spec.costs
-        self._last_cache_counters: Optional[tuple] = None
+        self.exit_reason = "cancelled"  # reported if the task is cancelled
+        kernel = runtime.kernel
         broker = runtime.local_broker
-        if broker is None:
-            broker = _BrokerProxy(runtime, spec.child_id)
         self.ctx = ExecutionContext(
-            kernel=runtime.kernel,
+            kernel=kernel,
             broker=broker,
             functions=runtime.functions,
-            trace=_ForwardingTrace(runtime, spec.child_id),
-            retries=spec.retries,
-            retry_backoff=spec.retry_backoff,
             process_name=spec.name,
-            # Worker-local (display-only) name space for nested children,
-            # offset far from the coordinator's counter so names stay
-            # unique across the whole distributed tree.
-            _name_counter=[(spec.child_id + 1) * 100_000],
+            cache=None if spec.cache_config is None else CallCache(kernel, spec.cache_config),
+            run=QueryRun(
+                shared=_BrokerProxy(runtime, spec.child_id) if broker is None else None,
+                # Worker-local (display-only) name space for nested
+                # children, offset far from the coordinator's counter so
+                # names stay unique across the whole distributed tree.
+                names=itertools.count((spec.child_id + 1) * 100_000 + 1),
+            ),
         )
-        if spec.tracing:
-            self.ctx.obs = _WorkerRecorder(spec.span_base)
-        self.ctx.install_cache(spec.cache_config)
+        self._set_policy(spec)
         # Nested FF/AFF operators inside the shipped plan function run
         # worker-locally under this executor.
         ParallelExecutor(self.ctx, spec.costs)
         self.endpoints = ChildEndpoints(
             name=spec.name,
-            downlink=runtime.kernel.channel(
+            downlink=kernel.channel(
                 f"{spec.name}/downlink", latency=spec.costs.message_latency
             ),
             uplink=_UplinkForwarder(runtime, self),
         )
         self.handle: Optional[base.ProcessHandle] = None
 
-    def flush(self, *, counters: bool = True) -> None:
-        """Ship finished spans (and changed cache counters) to the parent."""
-        recorder = self.ctx.obs
-        if isinstance(recorder, _WorkerRecorder):
-            spans = recorder.drain()
-            if spans:
-                self.runtime.send(
-                    SpanBatch(self.child_id, pickle.dumps(spans))
-                )
-        cache = self.ctx.cache
-        if counters and cache is not None:
-            counters = tuple(
-                sorted(
-                    (name, value)
-                    for name, value in vars(cache.stats).items()
-                    if isinstance(value, (int, float)) and not isinstance(value, bool)
-                )
-            )
-            if counters != self._last_cache_counters:
-                self._last_cache_counters = counters
-                self.runtime.send(CacheSnapshot(self.child_id, counters))
+    def _set_policy(self, spec: SpawnChild | RebindChild) -> None:
+        run = self.ctx.run
+        run.retries = spec.retries
+        run.retry_backoff = spec.retry_backoff
+        run.obs = TraceRecorder(first_id=spec.span_base) if spec.tracing else NULL_RECORDER
 
     def rebind(self, spec: RebindChild) -> None:
-        """Re-home this warm child into a new query (remote rebind half)."""
-        self.ctx.retries = spec.retries
-        self.ctx.retry_backoff = spec.retry_backoff
-        self.ctx.obs = (
-            _WorkerRecorder(spec.span_base) if spec.tracing else NULL_RECORDER
-        )
+        """Re-home this warm child into a new query (remote rebind half):
+        the new query's retry policy and, when it is traced, a fresh span
+        recorder.  Counters need nothing: the run is drained per call."""
+        self._set_policy(spec)
         self.ctx.obs_span = -1
-        if self.ctx.cache is not None:
-            self.ctx.cache.stats = CacheStats()
-            self._last_cache_counters = None
         for pool in self.ctx.pools.values():
             pool.rebind(self.ctx)
+
+    def end(self, reason: str) -> None:
+        """Stop the child; its ``ChildExited`` reports ``reason``."""
+        self.exit_reason = reason
+        if self.handle is not None:
+            self.handle.cancel()
 
 
 class _WorkerRuntime:
@@ -466,9 +406,21 @@ class _WorkerRuntime:
         for message in envelopes:
             try:
                 self._handle(message)
-            except Exception as error:  # noqa: BLE001 - a worker must not die silently
-                data = (("worker", self.worker_id), ("error", str(error)))
-                self.send(TraceEvents(-1, ((self.kernel.now(), "worker_error", data),)))
+            except Exception as error:  # noqa: BLE001 - one envelope must not kill the worker
+                text = f"{type(error).__name__}: {error}"
+                slot = (
+                    self.children.get(message.child_id)
+                    if isinstance(message, (ToChild, RebindChild, CancelChild))
+                    else None
+                )
+                if slot is not None:
+                    # The child cannot go on in a known state: end it, and
+                    # the pool's death path respawns it.
+                    slot.end(text)
+                else:
+                    self._loop.call_exception_handler(
+                        {"message": f"worker {self.worker_id}: {text}", "exception": error}
+                    )
 
     # -- envelope handlers -------------------------------------------------
 
@@ -489,8 +441,8 @@ class _WorkerRuntime:
                 slot.rebind(message)
         elif isinstance(message, CancelChild):
             slot = self.children.get(message.child_id)
-            if slot is not None and slot.handle is not None:
-                slot.handle.cancel()
+            if slot is not None:
+                slot.end("cancelled")
         elif isinstance(message, Ping):
             self.send(Pong(message.seq, self.worker_id))
         elif isinstance(message, RegisterFunctions):
@@ -544,14 +496,13 @@ class _WorkerRuntime:
         try:
             await child_main(slot.ctx, slot.costs, slot.endpoints)
         except asyncio.CancelledError:
-            error = "cancelled"
+            error = slot.exit_reason
         except BaseException as exc:  # noqa: BLE001 - ship the crash upward
             text = str(exc)
             error = f"{type(exc).__name__}: {text}" if text else type(exc).__name__
         finally:
             self.children.pop(slot.child_id, None)
-            slot.flush()
-            self.send(ChildExited(slot.child_id, error))
+            self.send(ChildExited(slot.child_id, error, slot.ctx.run.drain()))
 
 
 def worker_entry(conn, worker_id: int) -> None:

@@ -34,6 +34,10 @@ class TraceLog:
     def record(self, time: float, kind: str, **data: Any) -> None:
         self._events.append(TraceEvent(time, kind, data))
 
+    def extend(self, events: list[TraceEvent]) -> None:
+        """Append events recorded elsewhere (another process's log)."""
+        self._events.extend(events)
+
     def __len__(self) -> int:
         return len(self._events)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.interpreter import ExecutionContext
+from repro.algebra.interpreter import ExecutionContext, round_trip
 from repro.cache import MISS
 from repro.fdb.functions import FunctionDef, FunctionKind, Parameter
 from repro.fdb.types import AtomicType, BOOLEAN, REAL, TupleType
@@ -127,6 +127,7 @@ class OperationWrapper:
         fault propagates.
         """
         coerced = self.coerce_arguments(arguments)
+        run = ctx.run
         attempt = 0
         while True:
             started = ctx.kernel.now()
@@ -135,11 +136,11 @@ class OperationWrapper:
                 break
             except ServiceFault as fault:
                 attempt += 1
-                if not fault.retriable or attempt > ctx.retries:
+                if not fault.retriable or attempt > run.retries:
                     # The fault survived the call-level retries; what
                     # happens next is the pool's on_error decision, so
                     # leave a marker the fault report can pick up.
-                    ctx.trace.record(
+                    run.trace.record(
                         ctx.kernel.now(),
                         "call_fault",
                         process=ctx.process_name,
@@ -149,14 +150,14 @@ class OperationWrapper:
                         error=str(fault),
                     )
                     raise
-                ctx.trace.record(
+                run.trace.record(
                     ctx.kernel.now(),
                     "retry",
                     process=ctx.process_name,
                     operation=self.name,
                     attempt=attempt,
                 )
-                await ctx.kernel.sleep(ctx.retry_backoff)
+                await ctx.kernel.sleep(run.retry_backoff)
         rows: list[tuple] = []
         for response in out:  # `out` is a Sequence (Fig 2 line 15)
             self._flatten(response, 0, (), rows)
@@ -168,13 +169,12 @@ class OperationWrapper:
         A cache hit (or a collapse onto an in-flight identical call) skips
         the broker entirely and is recorded as a ``cache_hit`` /
         ``cache_collapse`` trace event instead of a ``service_call``, so
-        traces distinguish real round trips from avoided ones.  Under a
-        sharing engine (``ctx.shared``), a per-process miss consults the
-        engine's shared tier next; a call it serves is recorded as
-        ``shared_hit``/``shared_wait``, and a real round trip that rode a
-        cross-query batch carries ``coalesced=True``.
+        traces distinguish real round trips from avoided ones.  A call the
+        shared tier answered is recorded by its outcome, ``shared_hit`` or
+        ``shared_wait`` (see :func:`~repro.algebra.interpreter.round_trip`).
         """
-        obs = ctx.obs
+        run = ctx.run
+        obs = run.obs
         ws_span = -1
         if obs.enabled:
             ws_span = obs.start(
@@ -186,87 +186,49 @@ class OperationWrapper:
                 operation=self.name,
                 service=self.document.service_name,
             )
-        shared = ctx.shared
-        shared_cell: list = []
+        document = self.document
 
-        if shared is None:
-            def transport():
-                return ctx.broker.call(
-                    self.document.uri,
-                    self.document.service_name,
-                    self.name,
-                    coerced,
-                    recorder=ctx.call_recorder,
-                    obs=obs if obs.enabled else None,
-                    obs_span=ws_span,
-                )
-        else:
-            async def transport():
-                value, shared_outcome, coalesced = await shared.call(
-                    ctx.broker,
-                    self.document.uri,
-                    self.document.service_name,
-                    self.name,
-                    coerced,
-                    recorder=ctx.call_recorder,
-                    obs=obs if obs.enabled else None,
-                    obs_span=ws_span,
-                )
-                shared_cell.append((shared_outcome, coalesced))
-                return value
+        def transport():
+            return round_trip(
+                ctx, document.uri, document.service_name, self.name, coerced, ws_span
+            )
 
         try:
             if ctx.cache is None:
-                out = await transport()
-                outcome = MISS
+                out, outcome = await transport()
+                cached = MISS
             else:
-                out, outcome = await ctx.cache.call(
-                    (
-                        self.document.uri,
-                        self.document.service_name,
-                        self.name,
-                        tuple(coerced),
-                    ),
+                # The memo keeps the round trip's outcome beside its value;
+                # only a MISS (this process's own trip) reads it.
+                (out, outcome), cached = await ctx.cache.call(
+                    (document.uri, document.service_name, self.name, tuple(coerced)),
                     transport,
+                    run.cache_stats,
                 )
         except BaseException as error:
             if ws_span != -1:
                 obs.finish(ws_span, at=ctx.kernel.now(), error=str(error))
             raise
-        shared_outcome, coalesced = shared_cell[-1] if shared_cell else (None, False)
-        if outcome != MISS:
+        kind = outcome
+        if cached != MISS:
             # Served by this process's own cache; the shared tier was
             # never consulted (HIT) or is attributed to the leader only
-            # (COLLAPSED), so nothing shared to record here.
-            if ws_span != -1:
-                obs.finish(ws_span, at=ctx.kernel.now(), outcome=str(outcome))
-            ctx.trace.record(
+            # (COLLAPSED).
+            outcome, kind = cached, f"cache_{cached}"
+        if ws_span != -1:
+            obs.finish(ws_span, at=ctx.kernel.now(), outcome=outcome)
+        if outcome == MISS:
+            run.trace.record(
                 ctx.kernel.now(),
-                f"cache_{outcome}",
-                process=ctx.process_name,
-                operation=self.name,
-            )
-        elif shared_outcome is not None and shared_outcome != MISS:
-            # The engine's shared tier answered: no broker round trip.
-            if ws_span != -1:
-                obs.finish(ws_span, at=ctx.kernel.now(), outcome=shared_outcome)
-            ctx.trace.record(
-                ctx.kernel.now(),
-                shared_outcome,
-                process=ctx.process_name,
-                operation=self.name,
-            )
-        else:
-            if ws_span != -1:
-                obs.finish(ws_span, at=ctx.kernel.now(), outcome=str(outcome))
-            data = dict(
+                "service_call",
                 process=ctx.process_name,
                 operation=self.name,
                 duration=ctx.kernel.now() - started,
             )
-            if coalesced:
-                data["coalesced"] = True
-            ctx.trace.record(ctx.kernel.now(), "service_call", **data)
+        else:
+            run.trace.record(
+                ctx.kernel.now(), kind, process=ctx.process_name, operation=self.name
+            )
         return out
 
     def _flatten(

@@ -8,7 +8,7 @@ built by :meth:`QueryResult.metrics`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
 from repro.cache import CacheStats
@@ -16,8 +16,8 @@ from repro.fdb.values import Bag
 from repro.obs.critical_path import CriticalPathReport, analyze_critical_path
 from repro.obs.export import to_chrome_trace, write_chrome_trace
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.run import MessageStats
 from repro.obs.spans import SpanStore
-from repro.parallel.batching import MessageStats
 from repro.parallel.faults import FaultStats
 from repro.parallel.tree import TreeStats
 from repro.services.broker import CallStats
@@ -98,7 +98,7 @@ class QueryResult:
                 for name, stats in sorted(self.call_stats.items())
             },
             "cache": self.cache_stats.as_dict() if self.cache_stats else None,
-            "messages": self.message_stats.as_dict(),
+            "messages": asdict(self.message_stats),
             "faults": self.fault_stats.as_dict(),
             "tree": {
                 "processes_spawned": self.tree.processes_spawned,
@@ -302,7 +302,7 @@ class QueryResult:
         return line
 
     def _render_batch(self, registry: MetricsRegistry) -> str:
-        if not self.message_stats.any():
+        if not self.message_stats.total_messages:
             return "batching: no inter-process messages (central plan?)"
         parts = [
             f"messages: {int(registry.value('messages.total'))} "

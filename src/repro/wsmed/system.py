@@ -47,14 +47,14 @@ from repro.algebra.plan import (
     SortNode,
     UnionNode,
 )
-from repro.cache import CacheConfig, CallCache, aggregate_stats
+from repro.cache import CacheConfig, CallCache
 from repro.calculus.expressions import CalculusQuery
 from repro.calculus.generator import generate_calculus
 from repro.calculus.rewrite import rewrite_unfittable
 from repro.fdb.catalog import Catalog
-from repro.parallel.batching import message_stats_from_trace
 from repro.fdb.functions import FunctionDef, FunctionRegistry, helping_function
 from repro.fdb.types import CHARSTRING, TupleType
+from repro.obs.run import QueryRun
 from repro.obs.spans import NULL_RECORDER
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.executor import ParallelExecutor
@@ -62,7 +62,7 @@ from repro.parallel.faults import fault_stats_from_trace
 from repro.parallel.parallelizer import parallelize
 from repro.parallel.tree import tree_stats_from_trace
 from repro.runtime.simulated import SimKernel
-from repro.services.broker import CallRecorder, ServiceBroker
+from repro.services.broker import ServiceBroker
 from repro.services.registry import ServiceRegistry, build_registry
 from repro.sql.ast import FuncCall, Star
 from repro.sql.parser import parse_query
@@ -659,13 +659,14 @@ class WSMED:
         coordinator_cache: CallCache | None = None,
         pool_registry=None,
         shared=None,
-        name_counter: list | None = None,
+        names=None,
     ) -> QueryResult:
         """Run a compiled ``plan`` on ``broker.kernel``; the one execution
         path behind :meth:`sql` and :class:`~repro.engine.QueryEngine`.
 
-        Builds the coordinator's :class:`ExecutionContext` (per-query
-        trace and :class:`~repro.services.broker.CallRecorder`), attaches
+        Builds the coordinator's :class:`ExecutionContext` around a fresh
+        :class:`~repro.obs.run.QueryRun` — the trace, call recorder and
+        counters every process of the query reports into — attaches
         the kernel's placement, opens the ``query:`` span, executes, and
         assembles the :class:`QueryResult`.  What differs between the
         callers arrives as arguments: the one-shot path passes a fresh
@@ -673,7 +674,8 @@ class WSMED:
         and closed in the executor's ``finally``; the engine passes its
         resident broker, a leased ``coordinator_cache``, its
         ``pool_registry`` (warm trees are released, not closed), its
-        ``shared`` tier and its engine-wide process ``name_counter``.
+        ``shared`` tier and its engine-wide process-number counter
+        ``names``.
 
         A coroutine because the realtime kernel's clock is only readable
         from within its event loop.
@@ -686,18 +688,16 @@ class WSMED:
             costs = _replace(costs, on_error=opts.on_error)
         if opts.faults is not None:
             costs = _replace(costs, faults=opts.faults)
+        run = QueryRun(retries=opts.retries, shared=shared)
+        if names is not None:
+            run.names = names
         ctx = ExecutionContext(
             kernel=kernel,
             broker=broker,
             functions=self.functions,
-            retries=opts.retries,
-            call_recorder=CallRecorder(),
-            shared=shared,
-            _name_counter=name_counter if name_counter is not None else [0],
+            cache=coordinator_cache,
+            run=run,
         )
-        if coordinator_cache is not None:
-            ctx.cache = coordinator_cache
-            ctx.cache_registry.append(coordinator_cache)
         kernel.attach_placement(
             ctx,
             functions=self.functions,
@@ -715,7 +715,7 @@ class WSMED:
                 at=kernel.now(),
                 mode=mode,
             )
-            ctx.obs = recorder
+            run.obs = recorder
             ctx.obs_span = query_span
             # Concurrent traced queries are last-writer-wins on the
             # kernel-level hook: task spans attach to whichever traced
@@ -733,7 +733,7 @@ class WSMED:
                 if kernel.obs is recorder:
                     kernel.obs = None
                 recorder.finish(query_span, at=kernel.now(), **outcome)
-        calls = ctx.call_recorder
+        calls = run.call_recorder
         return QueryResult(
             columns=plan.schema,
             rows=rows,
@@ -741,18 +741,15 @@ class WSMED:
             mode=mode,
             total_calls=calls.total_calls(),
             call_stats=calls.all_stats(),
-            trace=ctx.trace,
-            tree=tree_stats_from_trace(ctx.trace),
+            trace=run.trace,
+            tree=tree_stats_from_trace(run.trace),
             plan_text=render_plan(plan),
             cache_stats=(
-                aggregate_stats(
-                    ctx.cache_registry,
-                    trace=ctx.trace if shared is not None else None,
-                )
-                if ctx.cache_registry or shared is not None
+                run.cache_stats
+                if coordinator_cache is not None or shared is not None
                 else None
             ),
-            message_stats=message_stats_from_trace(ctx.trace),
-            fault_stats=fault_stats_from_trace(ctx.trace),
+            message_stats=run.message_stats,
+            fault_stats=fault_stats_from_trace(run.trace),
             spans=recorder.store if recorder.enabled else None,
         )

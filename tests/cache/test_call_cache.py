@@ -16,9 +16,9 @@ from repro.cache import (
     CacheConfig,
     CacheStats,
     CallCache,
-    aggregate_stats,
     stable_hash,
 )
+from repro.obs.run import MessageStats, QueryRun
 from repro.runtime.realtime import AsyncioKernel
 from repro.runtime.simulated import SimKernel
 from repro.util.errors import PlanError, ServiceFault
@@ -70,12 +70,13 @@ def test_config_disabled_by_default() -> None:
 
 def test_hit_after_miss(kernel) -> None:
     cache = CallCache(kernel, CacheConfig(enabled=True))
+    stats = CacheStats()
     invoke = Invoker(kernel)
 
     async def main():
-        first = await cache.call(("op", ("a",)), invoke)
-        second = await cache.call(("op", ("a",)), invoke)
-        third = await cache.call(("op", ("b",)), invoke)
+        first = await cache.call(("op", ("a",)), invoke, stats)
+        second = await cache.call(("op", ("a",)), invoke, stats)
+        third = await cache.call(("op", ("b",)), invoke, stats)
         return first, second, third
 
     first, second, third = kernel.run(main())
@@ -83,25 +84,26 @@ def test_hit_after_miss(kernel) -> None:
     assert second == ("result-1", HIT)
     assert third == ("result-2", MISS)
     assert invoke.calls == 2
-    assert cache.stats.hits == 1
-    assert cache.stats.misses == 2
-    assert cache.stats.lookups == 3
-    assert cache.stats.calls_avoided == 1
-    assert cache.stats.hit_rate == pytest.approx(1 / 3)
+    assert stats.hits == 1
+    assert stats.misses == 2
+    assert stats.lookups == 3
+    assert stats.calls_avoided == 1
+    assert stats.hit_rate == pytest.approx(1 / 3)
 
 
 def test_unhashable_key_bypasses_cache(kernel) -> None:
     cache = CallCache(kernel, CacheConfig(enabled=True))
+    stats = CacheStats()
     invoke = Invoker(kernel)
 
     async def main():
         for _ in range(2):
-            await cache.call(("op", (["unhashable"],)), invoke)
+            await cache.call(("op", (["unhashable"],)), invoke, stats)
 
     kernel.run(main())
     assert invoke.calls == 2
     assert len(cache) == 0
-    assert cache.stats.misses == 2
+    assert stats.misses == 2
 
 
 # -- LRU eviction ------------------------------------------------------------
@@ -109,22 +111,23 @@ def test_unhashable_key_bypasses_cache(kernel) -> None:
 
 def test_lru_evicts_least_recently_used(kernel) -> None:
     cache = CallCache(kernel, CacheConfig(enabled=True, max_entries=2))
+    stats = CacheStats()
     invoke = Invoker(kernel)
 
     async def main():
-        await cache.call("a", invoke)
-        await cache.call("b", invoke)
-        await cache.call("a", invoke)  # refresh a: b is now the LRU entry
-        await cache.call("c", invoke)  # evicts b
-        _, a_outcome = await cache.call("a", invoke)
-        _, b_outcome = await cache.call("b", invoke)
+        await cache.call("a", invoke, stats)
+        await cache.call("b", invoke, stats)
+        await cache.call("a", invoke, stats)  # refresh a: b is now the LRU entry
+        await cache.call("c", invoke, stats)  # evicts b
+        _, a_outcome = await cache.call("a", invoke, stats)
+        _, b_outcome = await cache.call("b", invoke, stats)
         return a_outcome, b_outcome
 
     a_outcome, b_outcome = kernel.run(main())
     assert a_outcome == HIT
     assert b_outcome == MISS
     assert len(cache) == 2
-    assert cache.stats.evictions == 2  # c pushed out b, then b pushed out c
+    assert stats.evictions == 2  # c pushed out b, then b pushed out c
 
 
 # -- TTL on the model clock ---------------------------------------------------
@@ -133,21 +136,22 @@ def test_lru_evicts_least_recently_used(kernel) -> None:
 def test_ttl_expires_on_model_clock() -> None:
     kernel = SimKernel()
     cache = CallCache(kernel, CacheConfig(enabled=True, ttl=10.0))
+    stats = CacheStats()
     invoke = Invoker(kernel)
 
     async def main():
-        await cache.call("k", invoke)
+        await cache.call("k", invoke, stats)
         await kernel.sleep(5.0)
-        _, fresh = await cache.call("k", invoke)
+        _, fresh = await cache.call("k", invoke, stats)
         await kernel.sleep(6.0)  # 11 model seconds after the store
-        _, stale = await cache.call("k", invoke)
+        _, stale = await cache.call("k", invoke, stats)
         return fresh, stale
 
     fresh, stale = kernel.run(main())
     assert fresh == HIT
     assert stale == MISS
     assert invoke.calls == 2
-    assert cache.stats.expirations == 1
+    assert stats.expirations == 1
 
 
 def test_ttl_under_realtime_kernel() -> None:
@@ -172,10 +176,11 @@ def test_ttl_under_realtime_kernel() -> None:
 
 def test_concurrent_identical_calls_collapse(kernel) -> None:
     cache = CallCache(kernel, CacheConfig(enabled=True))
+    stats = CacheStats()
     invoke = Invoker(kernel, delay=1.0)
 
     async def one():
-        return await cache.call("hot", invoke)
+        return await cache.call("hot", invoke, stats)
 
     async def main():
         return await kernel.gather(*[one() for _ in range(5)])
@@ -186,18 +191,19 @@ def test_concurrent_identical_calls_collapse(kernel) -> None:
     assert values == {"result-1"}
     outcomes = sorted(outcome for _, outcome in results)
     assert outcomes == [COLLAPSED] * 4 + [MISS]
-    assert cache.stats.collapsed == 4
-    assert cache.stats.misses == 1
+    assert stats.collapsed == 4
+    assert stats.misses == 1
 
 
 def test_fault_during_collapsed_call_reaches_all_waiters(kernel) -> None:
     fault = ServiceFault("boom", retriable=True)
     cache = CallCache(kernel, CacheConfig(enabled=True))
+    stats = CacheStats()
     invoke = Invoker(kernel, delay=1.0, error=fault)
 
     async def one():
         try:
-            await cache.call("hot", invoke)
+            await cache.call("hot", invoke, stats)
         except ServiceFault as error:
             return str(error)
         return None
@@ -208,14 +214,14 @@ def test_fault_during_collapsed_call_reaches_all_waiters(kernel) -> None:
     errors = kernel.run(main())
     assert errors == ["boom"] * 3
     assert invoke.calls == 1  # one broker round trip, three failures seen
-    assert cache.stats.failures == 1
-    assert cache.stats.collapsed == 2
+    assert stats.failures == 1
+    assert stats.collapsed == 2
 
     # Failures are not memoized: the next call goes back to the broker.
     invoke.error = None
 
     async def retry():
-        return await cache.call("hot", invoke)
+        return await cache.call("hot", invoke, stats)
 
     value, outcome = kernel.run(retry())
     assert outcome == MISS
@@ -226,28 +232,10 @@ def test_fault_during_collapsed_call_reaches_all_waiters(kernel) -> None:
 # -- stats plumbing ----------------------------------------------------------
 
 
-def test_aggregate_stats_merges_clones() -> None:
-    kernel = SimKernel()
-    parent = CallCache(kernel, CacheConfig(enabled=True), name="q0")
-    child = parent.clone_for("q1")
-    invoke = Invoker(kernel)
-
-    async def main():
-        await parent.call("k", invoke)
-        await parent.call("k", invoke)
-        await child.call("k", invoke)  # per-process cache: its own miss
-
-    kernel.run(main())
-    assert invoke.calls == 2
-    merged = aggregate_stats([parent, child])
-    assert merged.hits == 1
-    assert merged.misses == 2
-    assert merged.as_dict()["hits"] == 1
-
-
 def test_cache_stats_merge_and_rates() -> None:
-    stats = CacheStats(hits=3, misses=1)
-    stats.merge(CacheStats(hits=1, misses=1, collapsed=2, evictions=4))
+    run = QueryRun(cache_stats=CacheStats(hits=3, misses=1))
+    run.absorb(([], [], CacheStats(hits=1, misses=1, collapsed=2, evictions=4), MessageStats()))
+    stats = run.cache_stats
     assert stats.hits == 4
     assert stats.misses == 2
     assert stats.collapsed == 2

@@ -68,7 +68,9 @@ def test_one_shot_query1_kernel_events_and_messages(options, max_events) -> None
 def test_process_wire_envelopes_and_frames_per_query(monkeypatch) -> None:
     """The ``process_wire`` configuration: every envelope crosses the pipe
     inside a frame — one per coordinator loop tick or worker burst — counted
-    on the coordinator's side of the pipe, both directions."""
+    on the coordinator's side of the pipe, both directions.  A child's
+    telemetry rides its call-ending messages, so none of these is a trace
+    event of its own."""
     import repro.runtime.workers as workers
 
     traffic = {"envelopes": 0, "frames": 0}
@@ -99,5 +101,5 @@ def test_process_wire_envelopes_and_frames_per_query(monkeypatch) -> None:
         engine.close()
     envelopes = (after["envelopes"] - before["envelopes"]) / queries
     frames = (after["frames"] - before["frames"]) / queries
-    assert envelopes <= 1_420
+    assert envelopes <= 1_100
     assert frames <= envelopes / 2

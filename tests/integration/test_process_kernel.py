@@ -8,6 +8,7 @@ only a process fleet has: warm workers across engine queries, and
 surviving a SIGKILLed worker mid-query.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -16,6 +17,9 @@ import time
 import pytest
 
 from repro import QUERY1_SQL, QUERY2_SQL, CacheConfig, QueryEngine, WSMED, QueryOptions
+from repro.engine import shared
+from repro.obs import TraceRecorder, validate_spans
+from repro.parallel.placement import SPAN_BLOCK
 from repro.runtime.multiprocess import ProcessKernel
 
 
@@ -130,6 +134,84 @@ def test_engine_keeps_worker_processes_warm(wsmed) -> None:
     assert pids_after_second == pids_after_first
     assert stats.warm_leases >= 1
     assert second.tree.processes_spawned == 0
+
+
+def test_worker_spans_reach_the_traced_query(wsmed) -> None:
+    """The spans worker children record — their per-call spans and the
+    web-service spans of every call, nested pools included — ride their
+    call-ending messages into ``result.spans``: as many as the SimKernel
+    records, every one finished and linked.  (Across the pipe the two
+    clocks differ by scheduling jitter, so nesting in time is not checked.)"""
+    options = QueryOptions(mode="parallel", fanouts=[5, 4])
+    sim = wsmed.sql(QUERY1_SQL, options=options.replace(obs=TraceRecorder()))
+    with ProcessKernel(workers=1) as kernel:
+        result = wsmed.sql(
+            QUERY1_SQL, options=options.replace(obs=TraceRecorder(), kernel=kernel)
+        )
+    for category in ("ws", "call", "invoke", "queue", "server"):
+        assert len(result.spans.by_category(category)) == len(sim.spans.by_category(category))
+    assert min(span.id for span in result.spans.by_category("call")) >= SPAN_BLOCK
+    assert {span.process for span in result.spans.by_category("ws")} - {"q0"}
+    broken = [
+        problem
+        for problem in validate_spans(result.spans)
+        if "closes after" not in problem and "starts before" not in problem
+    ]
+    assert broken == []
+
+
+def test_shared_tier_answers_are_attributed_in_worker_children(monkeypatch) -> None:
+    """On a sharing engine, a worker child's call the coordinator's shared
+    tier answered is a ``shared_hit``, not a ``service_call``, and a round
+    trip that rode a cross-query batch counts as ``coalesced``."""
+    monkeypatch.setattr(shared, "BATCH_LINGER", 0.05)
+    system = WSMED(profile="fast")
+    system.import_all()
+    options = QueryOptions(mode="parallel", fanouts=[5, 4])
+    with ProcessKernel(workers=1) as kernel:
+        engine = QueryEngine(system, kernel=kernel, share=True)
+        try:
+            cold = engine.sql(QUERY1_SQL, options=options)
+            warm = engine.sql(QUERY1_SQL, options=options)
+        finally:
+            engine.close()
+    assert cold.total_calls == 311 and cold.cache_stats.coalesced > 0
+    assert warm.total_calls == 0
+    assert warm.trace.count("service_call") == 0
+    assert warm.trace.count("shared_hit") == warm.cache_stats.shared_hits == 311
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched class reaches the workers by fork",
+)
+def test_child_that_fails_to_rebind_is_respawned(monkeypatch) -> None:
+    """A worker that cannot re-home a warm child into the new query ends
+    it instead of letting it serve under the previous query's policy; the
+    pool's death path respawns it and the query returns the exact rows."""
+    from repro.runtime.workers import _ChildSlot
+
+    rebind = _ChildSlot.rebind
+
+    def rebind_failing_once(slot, spec) -> None:
+        if slot.child_id == 1:
+            raise RuntimeError("rebind failed")
+        rebind(slot, spec)
+
+    monkeypatch.setattr(_ChildSlot, "rebind", rebind_failing_once)  # before the fork
+    system = WSMED(profile="fast")
+    system.import_all()
+    options = QueryOptions(mode="parallel", fanouts=[5, 4], on_error="retry")
+    with ProcessKernel(workers=1) as kernel:
+        engine = QueryEngine(system, kernel=kernel)
+        try:
+            cold = engine.sql(QUERY1_SQL, options=options)
+            warm = engine.sql(QUERY1_SQL, options=options)
+        finally:
+            engine.close()
+    assert warm.as_bag() == cold.as_bag()
+    assert warm.fault_stats.respawns == 1
+    assert warm.tree.processes_spawned == 5  # the replacement and its 4 children
 
 
 def test_killed_worker_is_respawned_and_query_completes(wsmed) -> None:

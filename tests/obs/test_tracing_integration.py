@@ -150,7 +150,7 @@ def test_tracing_does_not_change_the_execution(wsmed) -> None:
     assert traced.rows == plain.rows
     assert traced.elapsed == plain.elapsed
     assert traced.total_calls == plain.total_calls
-    assert traced.message_stats.as_dict() == plain.message_stats.as_dict()
+    assert traced.message_stats == plain.message_stats
     assert sorted(map(str, traced.trace)) == sorted(map(str, plain.trace))
 
 

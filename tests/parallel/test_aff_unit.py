@@ -112,7 +112,7 @@ def test_aff_pool_init_stage_is_binary() -> None:
     # it, so by completion the pool grew from 2 to 2+p.
     children = kernel.run(main())
     assert children == 5
-    init = ctx.trace.events("init_stage")
+    init = ctx.run.trace.events("init_stage")
     assert init and init[0].data["children"] == 2
 
 
@@ -125,7 +125,7 @@ def test_aff_monitoring_cycle_counts_end_of_calls() -> None:
         await pool.close()
 
     kernel.run(main())
-    cycles = ctx.trace.events("cycle")
+    cycles = ctx.run.trace.events("cycle")
     assert cycles
     # Each cycle records the child count at its boundary and a positive
     # per-tuple time.
@@ -150,7 +150,7 @@ def test_aff_max_fanout_stops_add_stages() -> None:
 
     children = kernel.run(main())
     assert children <= 4
-    stops = ctx.trace.events("adapt_stop")
+    stops = ctx.run.trace.events("adapt_stop")
     assert any("maximum fanout" in event.data["reason"] for event in stops)
 
 

@@ -18,7 +18,6 @@ from repro.fdb.functions import FunctionRegistry, helping_function
 from repro.fdb.types import INTEGER, TupleType
 from repro.fdb.values import Bag
 from repro.parallel.aff_applyp import AFFPool
-from repro.parallel.batching import message_stats_from_trace
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.ff_applyp import FFPool
 from repro.parallel.messages import EndOfCall
@@ -112,8 +111,8 @@ def test_defaults_send_no_batch_messages(world) -> None:
     assert Bag(rows) == Bag(central)
     assert broker.total_calls() == central_broker.total_calls()
     # The per-tuple protocol, bit for bit: no batch messages, no flushes.
-    assert not ctx.trace.events("batch_flush")
-    stats = message_stats_from_trace(ctx.trace)
+    assert not ctx.run.trace.events("batch_flush")
+    stats = ctx.run.message_stats
     assert stats.param_batches == 0
     assert stats.result_batches == 0
     assert stats.param_tuples > 0  # per-tuple traffic is still accounted
@@ -126,9 +125,9 @@ def test_batch_size_one_is_identical_to_defaults(world) -> None:
     )
     assert rows_a == rows_b  # same rows in the same order
     assert kernel_a.now() == pytest.approx(kernel_b.now())
-    stats_a = message_stats_from_trace(ctx_a.trace)
-    stats_b = message_stats_from_trace(ctx_b.trace)
-    assert stats_a.as_dict() == stats_b.as_dict()
+    stats_a = ctx_a.run.message_stats
+    stats_b = ctx_b.run.message_stats
+    assert stats_a == stats_b
 
 
 # -- batched execution preserves results --------------------------------------------
@@ -141,7 +140,7 @@ def test_batched_ff_preserves_rows_and_calls(world) -> None:
     )
     assert Bag(rows) == Bag(central)
     assert broker.total_calls() == central_broker.total_calls()
-    stats = message_stats_from_trace(ctx.trace)
+    stats = ctx.run.message_stats
     assert stats.param_batches > 0
     assert stats.batched_results > 0
 
@@ -151,8 +150,8 @@ def test_batching_reduces_messages(world) -> None:
     _, _, _, ctx = run_parallel(
         world, QUERY2_SQL, fanouts=[4, 3], costs=batch_costs(batch_size=8)
     )
-    base = message_stats_from_trace(base_ctx.trace)
-    batched = message_stats_from_trace(ctx.trace)
+    base = base_ctx.run.message_stats
+    batched = ctx.run.message_stats
     assert batched.total_messages < 0.7 * base.total_messages
     # Row conservation: every parameter tuple travels exactly once.
     assert (
@@ -213,7 +212,7 @@ def test_adaptive_batching_on_aff_preserves_rows(world) -> None:
     )
     assert Bag(rows) == Bag(central)
     # Cycle monitoring keeps running under batched end-of-call delivery.
-    assert ctx.trace.events("cycle")
+    assert ctx.run.trace.events("cycle")
 
 
 def test_adaptive_batching_with_drop_stage(world) -> None:
@@ -237,7 +236,7 @@ def test_size_trigger_flushes_full_batches() -> None:
     pool, ctx = make_pool(kernel, ProcessCosts(batch_size=3).scaled(0.001), fanout=1)
     out = drive(kernel, pool, [(i,) for i in range(9)])
     assert sorted(out) == [(i, i) for i in range(9)]
-    flushes = ctx.trace.events("batch_flush")
+    flushes = ctx.run.trace.events("batch_flush")
     assert [event.data["trigger"] for event in flushes] == ["size", "size", "size"]
     assert all(event.data["size"] == 3 for event in flushes)
 
@@ -247,7 +246,7 @@ def test_stream_end_flushes_partial_batch() -> None:
     pool, ctx = make_pool(kernel, ProcessCosts(batch_size=4).scaled(0.001), fanout=1)
     out = drive(kernel, pool, [(i,) for i in range(6)])
     assert sorted(out) == [(i, i) for i in range(6)]
-    triggers = [event.data["trigger"] for event in ctx.trace.events("batch_flush")]
+    triggers = [event.data["trigger"] for event in ctx.run.trace.events("batch_flush")]
     assert triggers == ["size", "stream_end"]
 
 
@@ -274,11 +273,11 @@ def test_linger_trigger_flushes_stalled_batch() -> None:
 
     out = kernel.run(main())
     assert sorted(out) == [(1, 1), (2, 2), (3, 3)]
-    triggers = [event.data["trigger"] for event in ctx.trace.events("batch_flush")]
+    triggers = [event.data["trigger"] for event in ctx.run.trace.events("batch_flush")]
     assert "linger" in triggers
     linger_flush = next(
         event
-        for event in ctx.trace.events("batch_flush")
+        for event in ctx.run.trace.events("batch_flush")
         if event.data["trigger"] == "linger"
     )
     assert linger_flush.data["size"] == 2
@@ -362,7 +361,7 @@ def test_end_of_call_carries_service_time() -> None:
     # Every call occupies the child for its per-row result CPU.
     assert all(value > 0 for value in observed)
     # The cycle monitoring surfaces the mean per-call occupancy.
-    cycles = ctx.trace.events("cycle")
+    cycles = ctx.run.trace.events("cycle")
     assert cycles and all(
         cycle.data["mean_service_time"] > 0 for cycle in cycles
     )

@@ -15,9 +15,13 @@ import pytest
 
 from repro import QUERY1_SQL, QUERY2_SQL, QueryOptions, WSMED
 from repro.algebra.plan import PlanFunction
+from repro.cache import CacheStats
 from repro.fdb.types import BOOLEAN, CHARSTRING, INTEGER, REAL, AtomicType
+from repro.obs.run import MessageStats
+from repro.obs.spans import Span
 from repro.parallel import messages
 from repro.runtime import wire
+from repro.util.trace import TraceEvent
 
 
 def roundtrip(value):
@@ -43,6 +47,14 @@ QUERY_MESSAGES = [
     messages.InputFailed(message="upstream failed", epoch=1),
 ]
 
+#: A worker run's drain: trace rows, finished spans, counter deltas.
+RUN_DELTA = (
+    [TraceEvent(1.5, "service_call", {"process": "q7", "operation": "GetPlaceList"})],
+    [Span(id=3_000_001, name="call#4", category="call", process="q7", start=1.0, end=1.5)],
+    CacheStats(hits=4, misses=2),
+    MessageStats(param_tuples=3, flushes={"size": 1}),
+)
+
 WIRE_ENVELOPES = [
     wire.AnchorClock(model_now=12.5, time_scale=0.001),
     wire.RegisterFunctions(payload=b"\x80\x04]", stubs=("getallstates",)),
@@ -61,13 +73,13 @@ WIRE_ENVELOPES = [
     wire.ToChild(child_id=3, payload=messages.ParamTuple(seq=0, row=("GA",))),
     wire.CancelChild(child_id=3),
     wire.Ping(seq=41),
-    wire.BrokerResponse(request_id=17, payload=("rows",), error=None),
+    wire.BrokerResponse(request_id=17, payload=("rows",), error=None, outcome="shared_hit"),
     wire.BrokerResponse(request_id=18, payload=None, error=("fault", "down", True)),
     wire.ShutdownWorker(reason="kernel shutdown"),
     wire.WorkerReady(worker_id=1, pid=4242),
-    wire.FromChild(child_id=3, payload=messages.ResultTuple(child="q7", row=(1,))),
+    wire.FromChild(child_id=3, payload=END, run=RUN_DELTA),
     wire.ChildExited(child_id=3, error=None),
-    wire.ChildExited(child_id=4, error="ValueError: bad row"),
+    wire.ChildExited(child_id=4, error="ValueError: bad row", run=RUN_DELTA),
     wire.BrokerRequest(
         request_id=17,
         child_id=3,
@@ -77,9 +89,6 @@ WIRE_ENVELOPES = [
         arguments=("Decatur, GA", 100, "true"),
         obs_span=3_000_017,
     ),
-    wire.TraceEvents(child_id=3, events=((1.5, "service_call", (("calls", 1),)),)),
-    wire.SpanBatch(child_id=3, payload=b"\x80\x04]."),
-    wire.CacheSnapshot(child_id=3, counters=(("hits", 4), ("misses", 2))),
     wire.Pong(seq=41, worker_id=1),
 ]
 

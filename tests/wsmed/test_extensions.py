@@ -248,12 +248,13 @@ def test_exhausted_retries_leave_a_call_fault_marker(wsmed) -> None:
     raised fault (the facade's trace is unreachable when ``sql`` raises).
     """
     from repro.algebra.interpreter import ExecutionContext
+    from repro.obs.run import QueryRun
     from repro.runtime.simulated import SimKernel
 
     kernel = SimKernel()
     broker = wsmed.registry.bind(kernel, fault_rate=0.999)
     ctx = ExecutionContext(
-        kernel=kernel, broker=broker, functions=wsmed.functions, retries=2
+        kernel=kernel, broker=broker, functions=wsmed.functions, run=QueryRun(retries=2)
     )
     wrapper = wsmed.functions.resolve("GetAllStates").implementation
 
@@ -262,12 +263,12 @@ def test_exhausted_retries_leave_a_call_fault_marker(wsmed) -> None:
             await wrapper.call(ctx, [])
 
     kernel.run(main())
-    markers = ctx.trace.events("call_fault")
+    markers = ctx.run.trace.events("call_fault")
     assert len(markers) == 1
     data = markers[0].data
     assert data["operation"] == "GetAllStates"
     # attempts = the initial call plus every recorded retry.
-    assert data["attempts"] == 1 + ctx.trace.count("retry")
+    assert data["attempts"] == 1 + ctx.run.trace.count("retry")
     assert "error" in data
     assert "retriable" in data
 
