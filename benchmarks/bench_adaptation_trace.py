@@ -4,11 +4,11 @@ The paper illustrates the operator's life cycle: the init stage builds a
 binary tree (Fig 18), after the first monitoring cycle each non-leaf
 process adds p children (Fig 19), and with the drop stage enabled a
 process that observes a slowdown drops a child and its subtree (Fig 20).
-This bench replays a drop-enabled run and prints the decision timeline
-reconstructed from the execution trace.
+This bench replays a drop-enabled run, traced, and prints the decision
+timeline from its event log.
 """
 
-from repro import AdaptationParams, QueryOptions
+from repro import AdaptationParams, QueryOptions, TraceRecorder
 
 from benchmarks import harness
 from benchmarks.harness import QUERY1_SQL, wsmed
@@ -23,6 +23,7 @@ def run(smoke: bool = False) -> dict:
         options=QueryOptions(
             mode="adaptive",
             adaptation=AdaptationParams(p=1, drop_stage=True, max_fanout=10),
+            obs=TraceRecorder(),
         ),
     )
     events = [e for e in result.trace if e.kind in TRACE_KINDS]

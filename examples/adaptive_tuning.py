@@ -5,7 +5,7 @@ non-leaf process decided locally, and compares the result to manual trees
 — no fanout vector had to be chosen.
 """
 
-from repro import QUERY1_SQL, AdaptationParams, WSMED, QueryOptions
+from repro import QUERY1_SQL, AdaptationParams, WSMED, QueryOptions, TraceRecorder
 
 
 def main() -> None:
@@ -18,6 +18,7 @@ def main() -> None:
             mode="adaptive",
             adaptation=AdaptationParams(p=2, threshold=0.25, drop_stage=False),
             name="Query1",
+            obs=TraceRecorder(),  # records the decision events read below
         ),
     )
     print("adaptive run:")

@@ -51,7 +51,8 @@ from repro.obs import (
 )
 from repro.fdb.functions import AccessPath
 from repro.parallel.costs import ProcessCosts
-from repro.parallel.faults import FaultInjection, FaultStats
+from repro.obs.run import FaultStats
+from repro.parallel.faults import FaultInjection
 from repro.parallel.tree import FanoutVector
 from repro.runtime.realtime import AsyncioKernel
 from repro.runtime.simulated import SimKernel

@@ -99,9 +99,13 @@ class Shell:
         self.engine = engine
         self.max_rows = 20
         self.last_result: QueryResult | None = None
-        # When set, every query runs traced and its span tree is written
-        # to this path as a Chrome trace-event file (open in Perfetto).
+        # When set, every query's span tree is written to this path as a
+        # Chrome trace-event file (open in Perfetto).
         self.trace_out = trace_out
+        # Shell statements run traced, so \tree, \util, \gantt and
+        # \stats critical_path always have the events and spans they
+        # read; a one-shot query traces only when its flags need it.
+        self.trace = True
 
     def write(self, text: str) -> None:
         print(text, file=self.out)
@@ -119,7 +123,7 @@ class Shell:
 
     def run_sql(self, sql: str) -> None:
         options = self.options
-        if self.trace_out is not None:
+        if self.trace or self.trace_out is not None:
             options = options.replace(obs=TraceRecorder())
         runner = self.engine.sql if self.engine is not None else self.wsmed.sql
         result = runner(sql, options=options)
@@ -239,11 +243,6 @@ class Shell:
             )
         if self.last_result is None:
             raise ReproError("no query has been executed yet")
-        if section == "critical_path" and self.last_result.spans is None:
-            raise ReproError(
-                "the last query was not traced; rerun with --trace-out FILE "
-                "to record spans"
-            )
         self.write(
             self.last_result.report(sections=section if section else None)
         )
@@ -264,30 +263,20 @@ class Shell:
             raise ReproError(r"usage: \cache on [TTL] | off (counters: \stats cache)")
 
     def _batch_command(self, argument: str) -> None:
-        """``\\batch N | adaptive | linger T | off``: micro-batching."""
-        word, _, rest = argument.partition(" ")
-        word = word.strip().lower()
+        """``\\batch N | adaptive | off``: micro-batching."""
+        word = argument.partition(" ")[0].lower()
         if word == "off":
             self._set(process_costs=None)
             self.write("batch = off (per-tuple protocol)")
         elif word == "adaptive":
             self.set_batch(batch_adaptive=True)
             self.write("batch = adaptive")
-        elif word == "linger":
-            try:
-                linger = float(rest)
-            except ValueError:
-                raise ReproError(
-                    r"usage: \batch linger T (model seconds)"
-                ) from None
-            self.set_batch(batch_linger=linger)
-            self.write(f"batch linger = {linger:g} model s")
         else:
             try:
                 size = int(word)
             except ValueError:
                 raise ReproError(
-                    r"usage: \batch N | adaptive | linger T | off "
+                    r"usage: \batch N | adaptive | off "
                     r"(counters: \stats batch)"
                 ) from None
             self.set_batch(batch_size=size)
@@ -367,12 +356,11 @@ meta commands:
   \\retries N        retry retriable service faults N times per call
   \\stats            all statistics sections of the last execution
   \\stats SECTION    one section: calls | tree | cache | batch | faults
-                    | critical_path (traced runs) | engine | share
+                    | critical_path | engine | share
   \\cache on [TTL]   memoize web-service calls (optional TTL, model s)
   \\cache off        disable the call cache
   \\batch N          coalesce N parameter/result tuples per message
   \\batch adaptive   adapt the batch size per child at run time
-  \\batch linger T   flush partial batches after T model seconds
   \\batch off        back to the per-tuple protocol
   \\faults P         failure policy: fail | retry | skip
   \\faults inject F [C]  inject per-call failures (prob F) / crashes (C)
@@ -663,6 +651,7 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
         engine=engine,
         trace_out=arguments.trace_out,
     )
+    shell.trace = arguments.query is None or arguments.tree
     if arguments.batch:
         if arguments.batch.strip().lower() == "adaptive":
             shell.set_batch(batch_adaptive=True)

@@ -26,9 +26,9 @@ parts resident:
   the one kernel behind the one
   :class:`~repro.engine.admission.AdmissionController`; per-query
   isolation comes from the fresh :class:`~repro.obs.run.QueryRun`
-  ``run_plan`` gives every query (trace, call recorder, cache and
-  message counters), so concurrent :class:`QueryResult`s never share
-  statistics.
+  ``run_plan`` gives every query (call recorder and counters, plus the
+  query's own recorder when it is traced), so concurrent
+  :class:`QueryResult`s never share statistics, events or spans.
 
 A cold first query at concurrency 1 replays the one-shot timeline
 exactly — same rows, same trace events, same message counts; the only
@@ -633,9 +633,9 @@ class QueryEngine:
 
         Idempotent.  ``run_until_completion`` semantics mean no query is
         in flight when this can run, so "draining" is simply closing the
-        idle trees; their ``process_exit`` trace events land in the
-        trace of the last query each tree served, exactly where the
-        seed's per-query teardown would have put them.
+        idle trees; their ``process_exit`` events land in the event log
+        of the last query each tree served when that query was traced,
+        exactly where the seed's per-query teardown would have put them.
         """
         if self._closed:
             return

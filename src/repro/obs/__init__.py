@@ -3,15 +3,16 @@
 The subsystem has five layers:
 
 - :mod:`repro.obs.run` -- ``QueryRun``, the per-query object every process
-  of a query counts into (trace, call recorder, cache and message counters,
-  span recorder), shared by reference and drained across OS workers.
+  of a query counts into (call recorder; cache, message, tree and fault
+  counters; span recorder), shared by reference and drained across OS
+  workers.
 - :mod:`repro.obs.spans` -- the recorder API.  ``TraceRecorder`` collects
-  :class:`Span` records into a :class:`SpanStore`; ``NULL_RECORDER`` is the
-  shared no-op default so instrumentation sites cost one attribute check
-  when tracing is off.
+  :class:`Span` records into a :class:`SpanStore` and the query's events
+  into its ``events`` log; ``NULL_RECORDER`` is the shared no-op default so
+  instrumentation sites cost one attribute check when tracing is off.
 - :mod:`repro.obs.metrics` -- ``MetricsRegistry`` with counters, gauges and
-  histograms keyed by name + labels.  ``QueryResult.metrics()`` populates one
-  from a finished query and the ``report()`` sections render from it.
+  histograms keyed by name + labels (the resident engine's and admission
+  controller's metrics).
 - :mod:`repro.obs.critical_path` -- walks a finished span tree and reports
   the longest dependent chain per query-process tree level (the paper's
   "slowest service dominates" analysis).

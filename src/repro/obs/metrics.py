@@ -1,10 +1,7 @@
 """Metrics registry: counters, gauges and histograms keyed by name + labels.
 
-This subsumes the per-feature counter bundles that used to live only in
-``CacheStats`` / ``MessageStats`` / ``FaultStats``: a finished query's
-``QueryResult.metrics()`` loads all of them into one registry, and the
-``report()`` sections render from it so every number in the human-readable
-reports is also available programmatically under a stable metric name.
+The resident engine and its admission controller keep their live
+statistics in one (``QueryEngine.metrics``).
 """
 
 from __future__ import annotations

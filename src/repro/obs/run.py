@@ -1,8 +1,9 @@
 """One query's run: the object every process of the query reports into.
 
 A :class:`QueryRun` holds what is per query rather than per process — the
-trace, the call recorder, the cache and message counters, the retry
-policy, the shared tier, the span recorder and the process-name counter.
+call recorder, the cache, message, tree and fault counters, the retry
+policy, the shared tier, the span recorder (which alone records events,
+and only when the query is traced) and the process-name counter.
 Every :class:`~repro.algebra.interpreter.ExecutionContext` of the query
 holds the same run by reference, and every process counts into it where
 the event happens, so re-homing a warm child into a new query is one
@@ -12,7 +13,8 @@ A child inside an OS worker counts into a worker-local run instead.
 :meth:`QueryRun.drain` takes what it counted since the last drain as one
 picklable value, which rides the child's next call-ending message (and its
 exit report) to the coordinator, where :meth:`QueryRun.absorb` folds it
-into the owning query's run.
+into the owning query's run.  Every counter is a plain sum, so the deltas
+add exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Iterator, Optional
 from repro.cache import CacheStats
 from repro.obs.spans import NULL_RECORDER, NullRecorder
 from repro.services.broker import CallRecorder
-from repro.util.trace import TraceLog
 
 
 @dataclass
@@ -58,15 +59,91 @@ class MessageStats:
 
 
 @dataclass
+class TreeStats:
+    """What one execution's process tree looked like, counted where the
+    pools spawn (``spawn``) and adapt (``add_stage``, ``drop_stage``)."""
+
+    processes_spawned: int = 0
+    processes_dropped: int = 0
+    add_stages: int = 0
+    drop_stages: int = 0
+    # Children alive per (parent process, plan function): spawns minus
+    # drops.  A drop of a child spawned by an earlier query (a warm AFF
+    # pool) counts -1 here, so worker deltas add like every other counter.
+    alive: dict[tuple[str, str], int] = field(default_factory=dict)
+
+    def spawned(self, parent: str, plan_function: str) -> None:
+        self.processes_spawned += 1
+        key = (parent, plan_function)
+        self.alive[key] = self.alive.get(key, 0) + 1
+
+    def dropped(self, parent: str, plan_function: str) -> None:
+        self.processes_dropped += 1
+        self.drop_stages += 1
+        key = (parent, plan_function)
+        self.alive[key] = self.alive.get(key, 0) - 1
+
+    @property
+    def pools_by_level(self) -> dict[str, int]:
+        """Plan function name -> number of pools applying it."""
+        pools: dict[str, int] = {}
+        for _, plan_function in self.alive:
+            pools[plan_function] = pools.get(plan_function, 0) + 1
+        return pools
+
+    @property
+    def fanout_by_level(self) -> dict[str, float]:
+        """Plan function name -> average final fanout of its pools."""
+        children: dict[str, int] = {}
+        for (_, plan_function), count in self.alive.items():
+            children[plan_function] = children.get(plan_function, 0) + count
+        pools = self.pools_by_level
+        return {name: total / pools[name] for name, total in children.items()}
+
+    def average_fanouts(self) -> list[float]:
+        """Average fanout per level, outermost plan function first."""
+        fanouts = self.fanout_by_level
+        return [fanouts[name] for name in sorted(fanouts)]
+
+
+@dataclass
+class FaultStats:
+    """Query-wide failure accounting, counted where the pools report
+    ``call_failed``, ``redeliver``, ``respawn`` and ``breaker_open``.
+
+    ``failed_calls``   per-call failures reported by children (including
+                       rows lost to a child death, which are written off
+                       the same way),
+    ``redeliveries``   failed rows re-dispatched under ``on_error="retry"``,
+    ``skipped_rows``   failed rows dropped under ``on_error="skip"``,
+    ``respawns``       replacement children started for dead ones,
+    ``breaker_trips``  pools whose failure rate escalated to a hard error.
+    """
+
+    failed_calls: int = 0
+    redeliveries: int = 0
+    skipped_rows: int = 0
+    respawns: int = 0
+    breaker_trips: int = 0
+
+    def any(self) -> bool:
+        return any(vars(self).values())
+
+    def as_dict(self) -> dict:
+        return dict(vars(self))
+
+
+@dataclass
 class QueryRun:
     """Everything one query's processes report into (see module docs)."""
 
-    trace: TraceLog = field(default_factory=TraceLog)
     # Per-query statistics sink mirrored by the broker, so queries sharing
     # one broker see only their own calls.
     call_recorder: CallRecorder = field(default_factory=CallRecorder)
     cache_stats: CacheStats = field(default_factory=CacheStats)
     message_stats: MessageStats = field(default_factory=MessageStats)
+    tree: TreeStats = field(default_factory=TreeStats)
+    fault_stats: FaultStats = field(default_factory=FaultStats)
     # Transient-fault policy for web-service calls: a retriable
     # ServiceFault is retried up to `retries` times, sleeping
     # `retry_backoff` model seconds between attempts.
@@ -77,8 +154,9 @@ class QueryRun:
     # None calls the broker directly (the seed path).  Typed loosely
     # because both live above this module.
     shared: Optional[object] = None
-    # Span recorder.  NULL_RECORDER is a shared no-op whose `enabled` flag
-    # gates every instrumentation site, so an untraced run is the seed's.
+    # Span and event recorder.  NULL_RECORDER is a shared no-op whose
+    # `enabled` flag gates every instrumentation site, so an untraced run
+    # records nothing and computes exactly what a traced one does.
     obs: NullRecorder = NULL_RECORDER
     # Process numbers; a resident engine passes one counter to all its
     # queries, so names stay unique across the engine.
@@ -88,24 +166,25 @@ class QueryRun:
         return f"q{next(self.names)}"
 
     def drain(self) -> tuple | None:
-        """Take the trace rows, finished spans and counter deltas recorded
-        since the last drain; None when there are none."""
-        spans = self.obs.take_finished() if self.obs.enabled else []
-        cache_stats, message_stats = _take(self.cache_stats), _take(self.message_stats)
-        if not (len(self.trace) or spans or cache_stats or message_stats):
-            return None
-        events, self.trace = list(self.trace), TraceLog()
-        return events, spans, cache_stats, message_stats
+        """Take the counter deltas, and on a traced run the events and
+        finished spans, recorded since the last drain; None when there
+        are none."""
+        recorded = self.obs.take() if self.obs.enabled else ([], [])
+        delta = recorded + tuple(_take(counter) for counter in self._counters())
+        return delta if any(delta) else None
 
     def absorb(self, delta: tuple) -> None:
         """Fold a :meth:`drain` of another run into this one."""
-        events, spans, cache_stats, message_stats = delta
-        self.trace.extend(events)
+        events, spans, *counters = delta
         if self.obs.enabled:
+            self.obs.events.extend(events)
             for span in spans:
                 self.obs.store.add(span)
-        _add(self.cache_stats, cache_stats)
-        _add(self.message_stats, message_stats)
+        for into, counter in zip(self._counters(), counters):
+            _add(into, counter)
+
+    def _counters(self) -> tuple:
+        return self.cache_stats, self.message_stats, self.tree, self.fault_stats
 
 
 def _take(counters):

@@ -1,4 +1,5 @@
-"""Span recorder: the core tracing primitive.
+"""Span recorder: the core tracing primitive, and the one object that
+records a query's events.
 
 A span is a named interval with a parent, a category and free-form
 attributes.  Spans from every process of a query-process tree land in one
@@ -13,10 +14,16 @@ spans omit ``at`` and fall back to a wall clock anchored at recorder
 creation.  The exporters keep the two groups in separate Chrome "processes"
 so mixed clocks never overlap visually.
 
+Beside its spans a live recorder keeps the query's event log
+(``recorder.events``, a :class:`~repro.util.trace.TraceLog`): spawn, drop
+and adaptation decisions, service calls and cache hits, fault reports.
+The process-tree, utilization and gantt views and the Figs 18-20 bench
+read it; the statistics on a query result are counters and do not.
+
 ``NULL_RECORDER`` is the default everywhere.  Its ``enabled`` flag is
 ``False`` and every method is a no-op returning ``-1``, so instrumentation
-costs a truthiness check per site and the seed execution fingerprint is
-bit-for-bit unchanged when tracing is off.
+costs a truthiness check per site, an untraced query builds no event, and
+the seed execution fingerprint is bit-for-bit unchanged when tracing is off.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator
+
+from repro.util.trace import TraceLog
 
 
 @dataclass
@@ -94,6 +103,10 @@ class NullRecorder:
 
     enabled = False
     store: SpanStore | None = None
+    events: TraceLog | None = None
+
+    def event(self, time: float, kind: str, **data: Any) -> None:
+        return None
 
     def start(self, name: str, **kwargs: Any) -> int:
         return -1
@@ -109,7 +122,8 @@ NULL_RECORDER = NullRecorder()
 
 
 class TraceRecorder(NullRecorder):
-    """Live recorder collecting spans into a :class:`SpanStore`.
+    """Live recorder collecting spans into a :class:`SpanStore` and events
+    into a :class:`~repro.util.trace.TraceLog`.
 
     ``at`` timestamps are caller-supplied (kernel clock); when omitted the
     recorder falls back to wall time relative to its creation so that
@@ -120,6 +134,7 @@ class TraceRecorder(NullRecorder):
 
     def __init__(self, first_id: int = 0) -> None:
         self.store: SpanStore = SpanStore()
+        self.events: TraceLog = TraceLog()
         self._next_id = first_id
         self._epoch = time.perf_counter()
 
@@ -159,9 +174,14 @@ class TraceRecorder(NullRecorder):
         if attrs:
             span.attrs.update(attrs)
 
-    def take_finished(self) -> list[Span]:
-        """Remove the finished spans from the store and return them (how
-        an OS worker ships its spans to the coordinator as they finish)."""
+    def event(self, time: float, kind: str, **data: Any) -> None:
+        """Record one event of the query at ``time`` (kernel clock)."""
+        self.events.record(time, kind, **data)
+
+    def take(self) -> tuple[list, list[Span]]:
+        """Remove the events and the finished spans recorded so far and
+        return them (how an OS worker ships them to the coordinator)."""
+        events, self.events = list(self.events), TraceLog()
         finished = [span for span in self.store if span.finished]
         if finished:
             still_open = SpanStore()
@@ -169,7 +189,7 @@ class TraceRecorder(NullRecorder):
                 if not span.finished:
                     still_open.add(span)
             self.store = still_open
-        return finished
+        return events, finished
 
     def instant(
         self,

@@ -16,19 +16,15 @@ This subpackage implements the paper's contribution:
   binary init stage, monitoring cycles, add and drop stages (Sec. V.A);
 * :mod:`repro.parallel.executor` — wires the parallel handler into the
   plan interpreter and owns pool shutdown;
-* :mod:`repro.parallel.tree` — fanout vectors and process-tree statistics.
+* :mod:`repro.parallel.tree` — fanout vectors.
 """
 
 from repro.parallel.baseline import run_level_synchronous
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.executor import ParallelExecutor
-from repro.parallel.faults import (
-    FaultInjection,
-    FaultStats,
-    fault_stats_from_trace,
-)
+from repro.parallel.faults import FaultInjection
 from repro.parallel.parallelizer import parallelize, split_sections
-from repro.parallel.tree import FanoutVector, TreeStats, tree_stats_from_trace
+from repro.parallel.tree import FanoutVector
 from repro.parallel.visualize import (
     build_process_tree,
     peak_concurrency,
@@ -42,13 +38,9 @@ __all__ = [
     "ProcessCosts",
     "ParallelExecutor",
     "FaultInjection",
-    "FaultStats",
-    "fault_stats_from_trace",
     "parallelize",
     "split_sections",
     "FanoutVector",
-    "TreeStats",
-    "tree_stats_from_trace",
     "build_process_tree",
     "peak_concurrency",
     "process_utilization",

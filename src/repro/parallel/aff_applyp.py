@@ -13,9 +13,10 @@ adaptation in every non-leaf query process:
    stops adaptation or runs a *drop stage* removing one child and its
    subtree, and a small change stops adaptation.
 
-All decisions are recorded in the shared trace (kinds ``init_stage``,
-``cycle``, ``add_stage``, ``drop_stage``, ``adapt_stop``) so tests and the
-Figs 18-20 bench can replay the dynamics.
+On a traced run all decisions are recorded as events (kinds
+``init_stage``, ``cycle``, ``add_stage``, ``drop_stage``, ``adapt_stop``)
+so tests and the Figs 18-20 bench can replay the dynamics; the add and
+drop stages are also counted in the run's tree statistics.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ class AFFPool(ChildPool):
         self._start_cycle(0.0)
 
     def _decision(self, kind: str, **attrs) -> None:
-        """Record an adaptation decision as a trace event and mirror it
-        into the span store, so traces show *why* the tree changed shape
-        next to *when* it did."""
-        self.event(kind, **attrs)
+        """Record an adaptation decision as an event and mirror it into
+        the span store, so traces show *why* the tree changed shape next
+        to *when* it did."""
         obs = self.ctx.run.obs
         if obs.enabled:
+            self.event(kind, **attrs)
             obs.instant(
                 kind,
                 category="adapt",
@@ -176,6 +177,7 @@ class AFFPool(ChildPool):
             self._stop("maximum fanout reached")
             return
         await self.spawn_children(to_add, adaptive=True)
+        self.ctx.run.tree.add_stages += 1
         self._decision("add_stage", added=to_add, children=len(self.children))
 
     async def _drop_stage(self) -> None:
@@ -196,7 +198,7 @@ class AFFPool(ChildPool):
             # Its remaining in-flight calls are still current and must be
             # allowed to resolve; keep the slot findable until they do.
             self._detached[victim.endpoints.name] = victim
-        self.total_dropped += 1
+        self.ctx.run.tree.dropped(self.ctx.process_name, self.plan_function.name)
         # The child finishes any in-flight call (its downlink is FIFO),
         # then reads the shutdown and tears down its own subtree.
         victim.endpoints.downlink.send(Shutdown("dropped by adaptation"))

@@ -4,12 +4,12 @@ The paper's ``FF_APPLYP`` protocol ships one message per parameter tuple
 and one per result tuple (Sec. III.A), so for wide fan-outs over cheap
 calls the client-side messaging — not the web services — dominates (the
 same client-overhead regime that produces the interior optima of Figs
-16/17).  The :class:`BatchController` coalesces tuples per child with a
-Nagle-style policy and flushes a :class:`~repro.parallel.messages.ParamBatch`
-when
+16/17).  The :class:`BatchController` coalesces tuples per child and
+flushes a :class:`~repro.parallel.messages.ParamBatch` when
 
 * ``batch_size`` rows have accumulated for the child (*size* trigger),
-* a ``batch_linger`` deadline on the kernel clock expires (*linger*), or
+* an adaptive shrink leaves the child's buffer over-full (*adaptive*),
+* the child is dropped by adaptation (*drop_stage*), or
 * the parameter stream ends (*stream_end*), so nothing is ever stranded.
 
 Costs are amortized honestly: a batch pays ``message_latency`` once (one
@@ -25,7 +25,7 @@ calls therefore get large batches while a straggler child degenerates to
 batch 1, keeping first-finished placement adaptive exactly where it
 matters.
 
-With ``batch_size=1``, no linger and adaptation off the controller is
+With ``batch_size=1`` and adaptation off the controller is
 pass-through: it sends the same per-tuple messages in the same order as
 the seed protocol, bit for bit.
 """
@@ -62,18 +62,13 @@ class BatchController:
         self.pool = pool
         costs = pool.costs
         self.base_size = costs.batch_size
-        self.linger = costs.batch_linger
         self.adaptive = costs.batch_adaptive
         # Disabled means strict seed behavior: one ParamTuple per row, no
-        # buffering, no timers, no flush bookkeeping.
-        self.enabled = self.base_size > 1 or self.adaptive or self.linger > 0
+        # buffering, no flush bookkeeping.
+        self.enabled = self.base_size > 1 or self.adaptive
         self._buffers: dict[str, list[tuple]] = {}
         self._sizes: dict[str, int] = {}
         self._service_ewma: dict[str, float] = {}
-        # Linger timers: a monotone token per child invalidates stale
-        # timer wakeups; handles are kept so close() can cancel them.
-        self._timer_tokens: dict[str, int] = {}
-        self._timer_handles: dict[str, object] = {}
 
     # -- sizing ------------------------------------------------------------------
 
@@ -145,14 +140,11 @@ class BatchController:
         buffer.append(row)
         if len(buffer) >= self.target_size(name):
             self.flush(child, "size")
-        elif self.linger > 0 and len(buffer) == 1:
-            self._arm_timer(child)
 
     def flush(self, child: "_Child", trigger: str) -> None:
         """Send whatever is buffered for ``child`` as one message."""
         name = child.endpoints.name
         buffer = self._buffers.pop(name, None)
-        self._disarm_timer(name)
         if not buffer:
             return
         if len(buffer) == 1:
@@ -197,16 +189,12 @@ class BatchController:
         Used when a child is evicted (death, error): its buffered rows
         were never shipped, so the pool re-owns them for redelivery.
         """
-        rows = self._buffers.pop(child_name, [])
-        self._disarm_timer(child_name)
-        return rows
+        return self._buffers.pop(child_name, [])
 
     def discard(self) -> None:
-        """Drop buffered rows and timers (abandoned query; mirrors how the
-        per-tuple protocol abandons its pending queue on early close)."""
+        """Drop buffered rows (abandoned query; mirrors how the per-tuple
+        protocol abandons its pending queue on early close)."""
         self._buffers.clear()
-        for name in list(self._timer_handles):
-            self._disarm_timer(name)
 
     def _send_single(self, child: "_Child", row: tuple) -> None:
         pool = self.pool
@@ -216,27 +204,3 @@ class BatchController:
             ParamTuple(pool._seq, row, span=pool._inv_span)
         )
         pool.ctx.run.message_stats.param_tuples += 1
-
-    # -- linger timers -----------------------------------------------------------
-
-    def _arm_timer(self, child: "_Child") -> None:
-        name = child.endpoints.name
-        token = self._timer_tokens.get(name, 0) + 1
-        self._timer_tokens[name] = token
-        kernel = self.pool.ctx.kernel
-        self._timer_handles[name] = kernel.spawn(
-            self._expire(child, token),
-            name=f"{self.pool.ctx.process_name}-linger-{name}",
-        )
-
-    def _disarm_timer(self, name: str) -> None:
-        self._timer_tokens[name] = self._timer_tokens.get(name, 0) + 1
-        handle = self._timer_handles.pop(name, None)
-        if handle is not None and not handle.done:
-            handle.cancel()
-
-    async def _expire(self, child: "_Child", token: int) -> None:
-        await self.pool.ctx.kernel.sleep(self.linger)
-        name = child.endpoints.name
-        if self._timer_tokens.get(name) == token and self._buffers.get(name):
-            self.flush(child, "linger")

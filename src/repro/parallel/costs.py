@@ -50,10 +50,6 @@ class ProcessCosts:
                        amortize ``message_latency`` over the batch while
                        still paying ``ship_param``/``result_tuple`` per
                        row.
-    ``batch_linger``   Nagle-style deadline in model seconds: a partial
-                       batch flushes at most this long after its first
-                       tuple was buffered.  0 disables the timer (partial
-                       batches then flush on stream end).
     ``batch_adaptive`` when True, the per-child batch size is adjusted at
                        run time from observed per-call service time vs.
                        ``message_latency``: cheap calls get large batches,
@@ -86,7 +82,6 @@ class ProcessCosts:
     dispatch: str = "first_finished"
     prefetch: int = 1
     batch_size: int = 1
-    batch_linger: float = 0.0
     batch_adaptive: bool = False
     on_error: str = "fail"
     max_redeliveries: int = 2
@@ -109,10 +104,6 @@ class ProcessCosts:
             raise PlanError(f"prefetch depth must be >= 1, got {self.prefetch}")
         if self.batch_size < 1:
             raise PlanError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.batch_linger < 0:
-            raise PlanError(
-                f"batch linger must be non-negative, got {self.batch_linger}"
-            )
         if self.on_error not in ("fail", "retry", "skip"):
             raise PlanError(
                 f"unknown on_error policy {self.on_error!r}; "
@@ -137,5 +128,4 @@ class ProcessCosts:
             ship_param=self.ship_param * factor,
             result_tuple=self.result_tuple * factor,
             message_latency=self.message_latency * factor,
-            batch_linger=self.batch_linger * factor,
         )

@@ -1,4 +1,4 @@
-"""Fault tolerance of query-process trees: policies, injection, accounting.
+"""Fault tolerance of query-process trees: policies and injection.
 
 The paper assumes query processes and their web-service calls never die;
 a production mediator cannot.  This module holds the pieces of the
@@ -10,11 +10,10 @@ runtime itself:
   probability), seeded per child so every run replays identically;
 * :class:`InjectedCrash` — the exception that simulates a query process
   dying abruptly (deliberately *not* a :class:`~repro.util.errors.ReproError`,
-  so the child's per-call error handling cannot catch it);
-* :class:`FaultStats` and :func:`fault_stats_from_trace` — query-wide
-  aggregation of the ``call_failed`` / ``redeliver`` / ``respawn`` /
-  ``breaker_open`` trace events the pools emit.
+  so the child's per-call error handling cannot catch it).
 
+The query-wide accounting is :class:`~repro.obs.run.FaultStats`, counted
+by the pools where they fail, redeliver, respawn and trip the breaker.
 The policy itself (``on_error`` = ``fail`` | ``retry`` | ``skip``) lives
 on :class:`~repro.parallel.costs.ProcessCosts`; the handling lives in
 :class:`~repro.parallel.ff_applyp.ChildPool`.
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 
 from repro.util.errors import PlanError, ReproError
 from repro.util.rng import derive_rng
-from repro.util.trace import TraceLog
 
 
 class InjectedCrash(Exception):
@@ -98,54 +96,3 @@ class FaultInjector:
             and self._rng.random() < self._injection.call_failure_probability
         ):
             raise ReproError(f"injected call failure in {self._name}")
-
-
-@dataclass
-class FaultStats:
-    """Query-wide failure accounting, aggregated over every operator pool.
-
-    ``failed_calls``   per-call failures reported by children (including
-                       rows lost to a child death, which are written off
-                       the same way),
-    ``redeliveries``   failed rows re-dispatched under ``on_error="retry"``,
-    ``skipped_rows``   failed rows dropped under ``on_error="skip"``,
-    ``respawns``       replacement children started for dead ones,
-    ``breaker_trips``  pools whose failure rate escalated to a hard error.
-    """
-
-    failed_calls: int = 0
-    redeliveries: int = 0
-    skipped_rows: int = 0
-    respawns: int = 0
-    breaker_trips: int = 0
-
-    def any(self) -> bool:
-        return (
-            self.failed_calls > 0
-            or self.redeliveries > 0
-            or self.skipped_rows > 0
-            or self.respawns > 0
-            or self.breaker_trips > 0
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "failed_calls": self.failed_calls,
-            "redeliveries": self.redeliveries,
-            "skipped_rows": self.skipped_rows,
-            "respawns": self.respawns,
-            "breaker_trips": self.breaker_trips,
-        }
-
-
-def fault_stats_from_trace(trace: TraceLog) -> FaultStats:
-    """Aggregate the pools' fault-tolerance trace events."""
-    stats = FaultStats()
-    for event in trace.events("call_failed"):
-        stats.failed_calls += 1
-        if event.data.get("policy") == "skip":
-            stats.skipped_rows += 1
-    stats.redeliveries = trace.count("redeliver")
-    stats.respawns = trace.count("respawn")
-    stats.breaker_trips = trace.count("breaker_open")
-    return stats

@@ -136,11 +136,6 @@ class ChildPool:
         self._rotation = 0  # next child index under round-robin dispatch
         self._closed = False
         self._epoch = 0  # invocation counter; stamps pump messages
-        self.total_spawned = 0
-        self.total_dropped = 0
-        self.total_respawns = 0
-        self.failed_calls = 0
-        self.skipped_rows = 0
         self.batcher = BatchController(self)
         # Observability (repro.obs): id of the current invocation's span.
         # Stamped onto every downlink message so child-side call spans can
@@ -154,9 +149,9 @@ class ChildPool:
         self.registry_condemned = False
 
     def event(self, kind: str, **data) -> None:
-        """Record one trace event of this pool (``process`` and
+        """Record one event of this pool on a traced run (``process`` and
         ``plan_function`` first, then ``data`` in the order given)."""
-        self.ctx.run.trace.record(
+        self.ctx.run.obs.event(
             self.ctx.kernel.now(),
             kind,
             process=self.ctx.process_name,
@@ -195,7 +190,6 @@ class ChildPool:
             )
             self.children.append(child)
             self._by_name[name] = child
-            self.total_spawned += 1
             kernel.spawn(self._watch_child(name, handle), name=f"{name}-watch")
             await kernel.sleep(self.costs.ship_function)
             self._ship_function(child)
@@ -219,10 +213,12 @@ class ChildPool:
         child.endpoints.downlink.send(
             ShipPlanFunction(self._plan_function_dict, span=self._inv_span)
         )
-        self.ctx.run.trace.record(
+        run, parent = self.ctx.run, self.ctx.process_name
+        run.tree.spawned(parent, self.plan_function.name)
+        run.obs.event(
             self.ctx.kernel.now(),
             "spawn",
-            parent=self.ctx.process_name,
+            parent=parent,
             process=child.endpoints.name,
             plan_function=self.plan_function.name,
             adaptive=child.added_by_adaptation,
@@ -389,7 +385,10 @@ class ChildPool:
         circuit breaker.
         """
         policy = self.costs.on_error
-        self.failed_calls += 1
+        faults = self.ctx.run.fault_stats
+        faults.failed_calls += 1
+        if policy == "skip":
+            faults.skipped_rows += 1
         inv.failed += 1
         self.event("call_failed", child=child, seq=seq, policy=policy, error=error)
         if policy == "fail":
@@ -399,6 +398,7 @@ class ChildPool:
             resolved >= BREAKER_MIN_CALLS
             and inv.failed / resolved > BREAKER_THRESHOLD
         ):
+            faults.breaker_trips += 1
             self.event("breaker_open", failed=inv.failed, resolved=resolved)
             raise ReproError(
                 f"circuit breaker open for {self.plan_function.name}: "
@@ -413,9 +413,9 @@ class ChildPool:
                     f"parameter row {row!r} failed {attempt} times "
                     f"(max_redeliveries={self.costs.max_redeliveries}): {error}"
                 )
+            faults.redeliveries += 1
             self.event("redeliver", row=key, attempt=attempt, failed_child=child)
             return "retry"
-        self.skipped_rows += 1
         return "skip"
 
     async def _settle_owed(
@@ -441,7 +441,7 @@ class ChildPool:
     async def _respawn(self, died: str, reason: str, lost_rows: int) -> None:
         """Replace a dead child (re-shipping the plan function)."""
         await self.spawn_children(1)
-        self.total_respawns += 1
+        self.ctx.run.fault_stats.respawns += 1
         self.event(
             "respawn",
             died=died,

@@ -257,14 +257,13 @@ async def child_main(
         return
     plan_function, body = _install(first.plan_function)
     await kernel.sleep(costs.install)
-    ctx.run.trace.record(
-        kernel.now(),
-        "install",
-        process=endpoints.name,
-        plan_function=plan_function.name,
-    )
-
     if ctx.run.obs.enabled:
+        ctx.run.obs.event(
+            kernel.now(),
+            "install",
+            process=endpoints.name,
+            plan_function=plan_function.name,
+        )
         ctx.run.obs.instant(
             "install",
             category="event",
@@ -293,7 +292,7 @@ async def child_main(
     finally:
         for pool in list(ctx.pools.values()):
             await pool.close()
-        ctx.run.trace.record(
+        ctx.run.obs.event(
             kernel.now(),
             "process_exit",
             process=endpoints.name,

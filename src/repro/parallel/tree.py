@@ -1,19 +1,17 @@
-"""Process-tree descriptions and statistics.
+"""Process-tree descriptions.
 
 :class:`FanoutVector` captures the paper's notation ``{fo1, fo2}`` with the
-process-count formula of Sec. V (``N = fo1 + fo1*fo2`` for two levels), and
-:func:`tree_stats_from_trace` reconstructs what tree an execution actually
-built — average fanouts per level, add/drop stage counts — from the shared
-trace log, which is how the ``AFF_APPLYP`` benchmarks report the average
-fanouts of Fig 21.
+process-count formula of Sec. V (``N = fo1 + fo1*fo2`` for two levels).
+What tree an execution actually built — average fanouts per level, add/drop
+stage counts, the average fanouts of Fig 21 — is counted as it is built,
+in :class:`~repro.obs.run.TreeStats`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.errors import PlanError
-from repro.util.trace import TraceLog
 
 
 @dataclass(frozen=True)
@@ -56,46 +54,3 @@ class FanoutVector:
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(f) for f in self.fanouts) + "}"
-
-
-@dataclass
-class TreeStats:
-    """What one execution's process tree looked like."""
-
-    processes_spawned: int = 0
-    processes_dropped: int = 0
-    add_stages: int = 0
-    drop_stages: int = 0
-    # plan function name -> (number of pools, average final fanout)
-    fanout_by_level: dict[str, float] = field(default_factory=dict)
-    pools_by_level: dict[str, int] = field(default_factory=dict)
-
-    def average_fanouts(self) -> list[float]:
-        """Average fanout per level, outermost plan function first."""
-        return [self.fanout_by_level[name] for name in sorted(self.fanout_by_level)]
-
-
-def tree_stats_from_trace(trace: TraceLog) -> TreeStats:
-    """Reconstruct tree statistics from the execution trace."""
-    stats = TreeStats()
-    # children alive per (parent process, plan function)
-    alive: dict[tuple[str, str], int] = {}
-    for event in trace:
-        if event.kind == "spawn":
-            stats.processes_spawned += 1
-            key = (event.data["parent"], event.data["plan_function"])
-            alive[key] = alive.get(key, 0) + 1
-        elif event.kind == "drop_stage":
-            stats.processes_dropped += 1
-            stats.drop_stages += 1
-            key = (event.data["process"], event.data["plan_function"])
-            alive[key] = alive.get(key, 1) - 1
-        elif event.kind == "add_stage":
-            stats.add_stages += 1
-    by_level: dict[str, list[int]] = {}
-    for (_, plan_function), count in alive.items():
-        by_level.setdefault(plan_function, []).append(count)
-    for plan_function, counts in by_level.items():
-        stats.pools_by_level[plan_function] = len(counts)
-        stats.fanout_by_level[plan_function] = sum(counts) / len(counts)
-    return stats

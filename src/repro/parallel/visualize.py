@@ -1,9 +1,9 @@
-"""Process-tree and timeline views of an execution trace.
+"""Process-tree and timeline views of an execution's event log.
 
-The trace every run records (spawn / install / process_exit /
-service_call / adaptation events) is enough to reconstruct what the
-process tree of Fig 4 actually looked like and what each process spent
-its time on.  These renderers power ``QueryResult.process_tree()``, the
+The events a traced run records (spawn / install / process_exit /
+service_call / adaptation) are enough to reconstruct what the process
+tree of Fig 4 actually looked like and what each process spent its time
+on.  These renderers power ``QueryResult.process_tree()``, the
 CLI's ``\\tree`` command and the utilization benchmarks.
 """
 

@@ -87,12 +87,6 @@ class ProcessHandle(ABC):
 class Kernel(ABC):
     """Factory and scheduler for the primitives above."""
 
-    # Span recorder (repro.obs) for kernel-level scheduling spans: each
-    # spawned task gets a `task` span covering its lifetime.  None (the
-    # default) disables the instrumentation entirely; WSMED.sql sets it for
-    # the duration of a traced run.
-    obs = None
-
     # Bumped by every ``shutdown`` that actually tears state down.  Kernel
     # primitives (semaphores, events, channels) die with the world they
     # were created in; holders that cache one across a shutdown — e.g. the

@@ -137,27 +137,6 @@ class AsyncioKernel(base.Kernel):
         self._spawned += 1
         task_name = name or f"task-{self._spawned}"
         task = asyncio.get_running_loop().create_task(coro, name=task_name)
-        obs = self.obs
-        if obs is not None and obs.enabled:
-            # The recorder is captured in the callback (not read from
-            # self.obs at completion) so spans of tasks that outlive a
-            # traced run still close against the recorder that opened them.
-            span = obs.start(
-                f"task:{task_name}",
-                category="kernel",
-                process="kernel",
-                at=self.now(),
-            )
-
-            def _close(done_task: asyncio.Task, *, _obs=obs, _span=span) -> None:
-                failed = done_task.cancelled() or done_task.exception() is not None
-                _obs.finish(
-                    _span,
-                    at=self.now(),
-                    outcome="error" if failed else "ok",
-                )
-
-            task.add_done_callback(_close)
         return _AsyncHandle(task, task_name)
 
     def run(self, coro: Coroutine) -> Any:

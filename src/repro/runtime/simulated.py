@@ -81,11 +81,6 @@ class SimTask(base.ProcessHandle):
         # Incremented whenever the task is rescheduled so that stale wakeup
         # callbacks (e.g. a sleep that was cancelled) become no-ops.
         self._wake_token = 0
-        # Scheduling span (repro.obs): the recorder reference is stored on
-        # the task so that finishing the span stays safe after the kernel's
-        # `obs` has been reset (resident kernels park tasks across runs).
-        self._obs = None
-        self._span = -1
         self._parked_on: _Request | None = None  # described only in a deadlock
 
     @property
@@ -129,13 +124,6 @@ class SimTask(base.ProcessHandle):
         self._error = error
         self._cancelled = isinstance(error, CancelledError)
         kernel = self._kernel
-        if self._span != -1:
-            self._obs.finish(
-                self._span,
-                at=kernel.now(),
-                outcome="error" if error is not None else "ok",
-            )
-            self._span = -1
         joiners, self._joiners = self._joiners, []
         for joiner in joiners:
             kernel._schedule(kernel.now(), lambda j=joiner: kernel._step(j))
@@ -323,15 +311,6 @@ class SimKernel(base.Kernel):
 
     def spawn(self, coro: Coroutine, name: str = "") -> SimTask:
         task = SimTask(self, coro, name or f"task-{len(self._tasks)}")
-        obs = self.obs
-        if obs is not None and obs.enabled:
-            task._obs = obs
-            task._span = obs.start(
-                f"task:{task.name}",
-                category="kernel",
-                process="kernel",
-                at=self._now,
-            )
         self._tasks.append(task)
         self._schedule(self._now, lambda: self._step(task))
         return task

@@ -1,7 +1,8 @@
-"""Structured trace log.
+"""Structured event log.
 
-The adaptive operator and the process tree record their decisions (spawn,
-add stage, drop stage, monitoring-cycle measurements) as trace events.  The
+On a traced run the adaptive operator and the process tree record their
+decisions (spawn, add stage, drop stage, monitoring-cycle measurements) as
+events in the query recorder's log (``TraceRecorder.events``).  The
 benchmark for Figs 18-20 and the adaptation tests read these back, so the
 log is structured data rather than text.
 """

@@ -140,7 +140,7 @@ class OperationWrapper:
                     # The fault survived the call-level retries; what
                     # happens next is the pool's on_error decision, so
                     # leave a marker the fault report can pick up.
-                    run.trace.record(
+                    run.obs.event(
                         ctx.kernel.now(),
                         "call_fault",
                         process=ctx.process_name,
@@ -150,7 +150,7 @@ class OperationWrapper:
                         error=str(fault),
                     )
                     raise
-                run.trace.record(
+                run.obs.event(
                     ctx.kernel.now(),
                     "retry",
                     process=ctx.process_name,
@@ -167,10 +167,10 @@ class OperationWrapper:
         """One ``cwo`` transport round trip, memoized when a cache is on.
 
         A cache hit (or a collapse onto an in-flight identical call) skips
-        the broker entirely and is recorded as a ``cache_hit`` /
-        ``cache_collapse`` trace event instead of a ``service_call``, so
-        traces distinguish real round trips from avoided ones.  A call the
-        shared tier answered is recorded by its outcome, ``shared_hit`` or
+        the broker entirely; a traced run records it as a ``cache_hit`` /
+        ``cache_collapse`` event instead of a ``service_call``, so traces
+        distinguish real round trips from avoided ones.  A call the shared
+        tier answered is recorded by its outcome, ``shared_hit`` or
         ``shared_wait`` (see :func:`~repro.algebra.interpreter.round_trip`).
         """
         run = ctx.run
@@ -209,16 +209,17 @@ class OperationWrapper:
             if ws_span != -1:
                 obs.finish(ws_span, at=ctx.kernel.now(), error=str(error))
             raise
+        if not obs.enabled:
+            return out
         kind = outcome
         if cached != MISS:
             # Served by this process's own cache; the shared tier was
             # never consulted (HIT) or is attributed to the leader only
             # (COLLAPSED).
             outcome, kind = cached, f"cache_{cached}"
-        if ws_span != -1:
-            obs.finish(ws_span, at=ctx.kernel.now(), outcome=outcome)
+        obs.finish(ws_span, at=ctx.kernel.now(), outcome=outcome)
         if outcome == MISS:
-            run.trace.record(
+            obs.event(
                 ctx.kernel.now(),
                 "service_call",
                 process=ctx.process_name,
@@ -226,9 +227,7 @@ class OperationWrapper:
                 duration=ctx.kernel.now() - started,
             )
         else:
-            run.trace.record(
-                ctx.kernel.now(), kind, process=ctx.process_name, operation=self.name
-            )
+            obs.event(ctx.kernel.now(), kind, process=ctx.process_name, operation=self.name)
         return out
 
     def _flatten(

@@ -2,8 +2,7 @@
 
 The statistics surface is the :meth:`QueryResult.report` method: it renders
 named sections ("calls", "tree", "cache", "batch", "faults",
-"critical_path"), every number coming from the :class:`MetricsRegistry`
-built by :meth:`QueryResult.metrics`.
+"critical_path") straight from the result's counters.
 """
 
 from __future__ import annotations
@@ -15,12 +14,10 @@ from repro.cache import CacheStats
 from repro.fdb.values import Bag
 from repro.obs.critical_path import CriticalPathReport, analyze_critical_path
 from repro.obs.export import to_chrome_trace, write_chrome_trace
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.run import MessageStats
+from repro.obs.run import FaultStats, MessageStats, TreeStats
 from repro.obs.spans import SpanStore
-from repro.parallel.faults import FaultStats
-from repro.parallel.tree import TreeStats
 from repro.services.broker import CallStats
+from repro.util.errors import ReproError
 from repro.util.trace import TraceLog
 
 #: Section names accepted by :meth:`QueryResult.report`, in display order.
@@ -41,7 +38,9 @@ class QueryResult:
     mode: str
     total_calls: int
     call_stats: dict[str, CallStats] = field(default_factory=dict)
-    trace: TraceLog = field(default_factory=TraceLog)
+    # Event log of a traced run (``obs=TraceRecorder()``); None when the
+    # query ran untraced.
+    trace: TraceLog | None = None
     tree: TreeStats = field(default_factory=TreeStats)
     plan_text: str = ""
     # Aggregated web-service call-cache counters across all query
@@ -110,21 +109,28 @@ class QueryResult:
         }
         return json.dumps(payload, indent=2)
 
+    def _events(self) -> TraceLog:
+        if self.trace is None:
+            raise ReproError(
+                "the query was not traced; run it with "
+                "QueryOptions(obs=TraceRecorder()) to record its events"
+            )
+        return self.trace
+
     def process_tree(self) -> str:
         """ASCII rendering of the process tree this execution built."""
         from repro.parallel.visualize import render_process_tree
 
-        return render_process_tree(self.trace)
+        return render_process_tree(self._events())
 
     def utilization(self, top: int = 12) -> str:
         """Text report of the busiest query processes."""
         from repro.parallel.visualize import render_utilization
 
-        return render_utilization(self.trace, top=top)
+        return render_utilization(self._events(), top=top)
 
     def summary(self) -> str:
         """One-paragraph execution report for interactive use."""
-        registry = self.metrics()
         lines = [
             f"{len(self.rows)} rows in {self.elapsed:.2f} model seconds "
             f"({self.mode} mode, {self.total_calls} web service calls)",
@@ -137,104 +143,23 @@ class QueryResult:
                 f"queue {stats.queue_wait.mean:.3f}s"
             )
         if self.tree.processes_spawned:
-            lines.append("  " + self._render_tree(registry))
+            lines.append("  " + self._render_tree())
         if self.cache_stats is not None:
-            lines.append("  " + self._render_cache(registry))
+            lines.append("  " + self._render_cache())
         if self.message_stats.param_batches or self.message_stats.result_batches:
-            lines.append("  " + self._render_batch(registry))
+            lines.append("  " + self._render_batch())
         if self.fault_stats.any():
-            lines.append("  " + self._render_faults(registry))
+            lines.append("  " + self._render_faults())
         return "\n".join(lines)
-
-    # -- the metrics registry ---------------------------------------------------
-
-    def metrics(self) -> MetricsRegistry:
-        """Load every execution statistic into one :class:`MetricsRegistry`.
-
-        This is the programmatic twin of :meth:`report`: the same numbers
-        the rendered sections show, under stable metric names
-        (``ws.calls{operation=...}``, ``cache.hits``, ``faults.respawns``,
-        ``span.ws.duration`` ...).
-        """
-        registry = MetricsRegistry()
-        registry.gauge("query.rows").set(len(self.rows))
-        registry.gauge("query.elapsed").set(self.elapsed)
-        registry.gauge("query.total_calls").set(self.total_calls)
-
-        for operation, stats in self.call_stats.items():
-            labels = {"operation": operation}
-            registry.counter("ws.calls", labels).inc(stats.calls)
-            registry.counter("ws.rows", labels).inc(stats.rows)
-            registry.counter("ws.bytes", labels).inc(stats.bytes_transferred)
-            registry.counter("ws.faults", labels).inc(stats.faults)
-            registry.counter("ws.timeouts", labels).inc(stats.timeouts)
-            registry.gauge("ws.mean_total_time", labels).set(stats.total_time.mean)
-            registry.gauge("ws.mean_queue_wait", labels).set(stats.queue_wait.mean)
-            registry.gauge("ws.mean_server_time", labels).set(stats.server_time.mean)
-
-        tree = self.tree
-        registry.counter("tree.processes_spawned").inc(tree.processes_spawned)
-        registry.counter("tree.processes_dropped").inc(tree.processes_dropped)
-        registry.counter("tree.add_stages").inc(tree.add_stages)
-        registry.counter("tree.drop_stages").inc(tree.drop_stages)
-        for level, fanout in enumerate(tree.average_fanouts()):
-            registry.gauge("tree.average_fanout", {"level": str(level)}).set(fanout)
-
-        registry.gauge("cache.enabled").set(0.0 if self.cache_stats is None else 1.0)
-        if self.cache_stats is not None:
-            cache = self.cache_stats
-            registry.counter("cache.hits").inc(cache.hits)
-            registry.counter("cache.misses").inc(cache.misses)
-            registry.counter("cache.collapsed").inc(cache.collapsed)
-            registry.counter("cache.evictions").inc(cache.evictions)
-            registry.counter("cache.expirations").inc(cache.expirations)
-            registry.counter("cache.calls_avoided").inc(cache.calls_avoided)
-            registry.gauge("cache.hit_rate").set(cache.hit_rate)
-            # Engine-level sharing tier, attributed to this query (the
-            # per-process counters above never include these, so the
-            # numbers add without double counting).
-            registry.counter("cache.shared_hits").inc(cache.shared_hits)
-            registry.counter("cache.shared_waits").inc(cache.shared_waits)
-            registry.counter("cache.coalesced_calls").inc(cache.coalesced)
-
-        messages = self.message_stats
-        registry.counter("messages.total").inc(messages.total_messages)
-        registry.counter("messages.down").inc(messages.downlink_messages)
-        registry.counter("messages.up").inc(messages.uplink_messages)
-        registry.counter("batch.param_batches").inc(messages.param_batches)
-        registry.counter("batch.batched_params").inc(messages.batched_params)
-        registry.counter("batch.param_tuples").inc(messages.param_tuples)
-        registry.counter("batch.result_batches").inc(messages.result_batches)
-        registry.counter("batch.batched_results").inc(messages.batched_results)
-        registry.counter("batch.result_tuples").inc(messages.result_tuples)
-        for trigger, count in messages.flushes.items():
-            registry.counter("batch.flushes", {"trigger": trigger}).inc(count)
-
-        faults = self.fault_stats
-        registry.counter("faults.failed_calls").inc(faults.failed_calls)
-        registry.counter("faults.redeliveries").inc(faults.redeliveries)
-        registry.counter("faults.skipped_rows").inc(faults.skipped_rows)
-        registry.counter("faults.respawns").inc(faults.respawns)
-        registry.counter("faults.breaker_trips").inc(faults.breaker_trips)
-
-        if self.spans is not None:
-            for span in self.spans:
-                if span.instant or span.end is None:
-                    continue
-                registry.histogram(
-                    "span.duration", {"category": span.category}
-                ).observe(span.duration)
-        return registry
 
     # -- the report surface ------------------------------------------------------
 
     def report(self, sections: list[str] | tuple[str, ...] | str | None = None) -> str:
-        """Render named statistics sections from the metrics registry.
+        """Render named statistics sections from the result's counters.
 
         ``sections`` picks which to show (any of ``REPORT_SECTIONS``); the
         default shows every section the execution produced data for.
         """
-        registry = self.metrics()
         if sections is None:
             chosen = ["calls", "tree", "cache", "batch", "faults"]
             if self.spans is not None:
@@ -251,90 +176,86 @@ class QueryResult:
                 raise ValueError(
                     f"unknown report section {section!r}; known sections: {known}"
                 )
-            lines.append(renderer(self, registry))
+            lines.append(renderer(self))
         return "\n".join(lines)
 
-    def _render_calls(self, registry: MetricsRegistry) -> str:
+    def _render_calls(self) -> str:
         lines = [
-            f"calls: {int(registry.value('query.total_calls'))} web service "
-            f"calls in {registry.value('query.elapsed'):.2f} model seconds "
-            f"({self.mode} mode)"
+            f"calls: {self.total_calls} web service calls in "
+            f"{self.elapsed:.2f} model seconds ({self.mode} mode)"
         ]
         for operation in sorted(self.call_stats):
-            labels = {"operation": operation}
+            stats = self.call_stats[operation]
             lines.append(
-                f"  {operation}: {int(registry.value('ws.calls', labels))} calls, "
-                f"mean {registry.value('ws.mean_total_time', labels):.3f}s, "
-                f"queue {registry.value('ws.mean_queue_wait', labels):.3f}s"
+                f"  {operation}: {stats.calls} calls, "
+                f"mean {stats.total_time.mean:.3f}s, "
+                f"queue {stats.queue_wait.mean:.3f}s"
             )
         return "\n".join(lines)
 
-    def _render_tree(self, registry: MetricsRegistry) -> str:
-        if not registry.value("tree.processes_spawned"):
+    def _render_tree(self) -> str:
+        tree = self.tree
+        if not tree.processes_spawned:
             return "process tree: no child processes (central plan?)"
         return (
-            f"process tree: {int(registry.value('tree.processes_spawned'))} spawned, "
-            f"{int(registry.value('tree.processes_dropped'))} dropped, "
-            f"avg fanouts {['%.1f' % f for f in self.tree.average_fanouts()]}"
+            f"process tree: {tree.processes_spawned} spawned, "
+            f"{tree.processes_dropped} dropped, "
+            f"avg fanouts {['%.1f' % f for f in tree.average_fanouts()]}"
         )
 
-    def _render_cache(self, registry: MetricsRegistry) -> str:
-        if not registry.value("cache.enabled"):
+    def _render_cache(self) -> str:
+        cache = self.cache_stats
+        if cache is None:
             return "call cache: off"
         line = (
-            f"call cache: {int(registry.value('cache.hits'))} hits, "
-            f"{int(registry.value('cache.misses'))} misses, "
-            f"{int(registry.value('cache.collapsed'))} collapsed, "
-            f"{int(registry.value('cache.evictions'))} evicted, "
-            f"{int(registry.value('cache.expirations'))} expired "
-            f"({registry.value('cache.hit_rate'):.0%} hit rate, "
-            f"{int(registry.value('cache.calls_avoided'))} calls avoided)"
+            f"call cache: {cache.hits} hits, {cache.misses} misses, "
+            f"{cache.collapsed} collapsed, {cache.evictions} evicted, "
+            f"{cache.expirations} expired ({cache.hit_rate:.0%} hit rate, "
+            f"{cache.calls_avoided} calls avoided)"
         )
-        shared_hits = int(registry.value("cache.shared_hits"))
-        shared_waits = int(registry.value("cache.shared_waits"))
-        coalesced = int(registry.value("cache.coalesced_calls"))
-        if shared_hits or shared_waits or coalesced:
+        if cache.shared_hits or cache.shared_waits or cache.coalesced:
             line += (
-                f"\nshared tier: {shared_hits} shared hits, "
-                f"{shared_waits} single-flight waits, "
-                f"{coalesced} calls coalesced into cross-query batches"
+                f"\nshared tier: {cache.shared_hits} shared hits, "
+                f"{cache.shared_waits} single-flight waits, "
+                f"{cache.coalesced} calls coalesced into cross-query batches"
             )
         return line
 
-    def _render_batch(self, registry: MetricsRegistry) -> str:
-        if not self.message_stats.total_messages:
+    def _render_batch(self) -> str:
+        messages = self.message_stats
+        if not messages.total_messages:
             return "batching: no inter-process messages (central plan?)"
         parts = [
-            f"messages: {int(registry.value('messages.total'))} "
-            f"({int(registry.value('messages.down'))} down, "
-            f"{int(registry.value('messages.up'))} up)",
-            f"param batches: {int(registry.value('batch.param_batches'))} "
-            f"carrying {int(registry.value('batch.batched_params'))} tuples "
-            f"(+{int(registry.value('batch.param_tuples'))} singles)",
-            f"result batches: {int(registry.value('batch.result_batches'))} "
-            f"carrying {int(registry.value('batch.batched_results'))} rows "
-            f"(+{int(registry.value('batch.result_tuples'))} singles)",
+            f"messages: {messages.total_messages} "
+            f"({messages.downlink_messages} down, {messages.uplink_messages} up)",
+            f"param batches: {messages.param_batches} "
+            f"carrying {messages.batched_params} tuples "
+            f"(+{messages.param_tuples} singles)",
+            f"result batches: {messages.result_batches} "
+            f"carrying {messages.batched_results} rows "
+            f"(+{messages.result_tuples} singles)",
         ]
-        if self.message_stats.flushes:
+        if messages.flushes:
             triggers = ", ".join(
-                f"{trigger}={int(registry.value('batch.flushes', {'trigger': trigger}))}"
-                for trigger in sorted(self.message_stats.flushes)
+                f"{trigger}={messages.flushes[trigger]}"
+                for trigger in sorted(messages.flushes)
             )
             parts.append(f"flushes: {triggers}")
         return "; ".join(parts)
 
-    def _render_faults(self, registry: MetricsRegistry) -> str:
-        if not self.fault_stats.any():
+    def _render_faults(self) -> str:
+        faults = self.fault_stats
+        if not faults.any():
             return "faults: none"
         return (
-            f"faults: {int(registry.value('faults.failed_calls'))} failed calls, "
-            f"{int(registry.value('faults.redeliveries'))} redelivered, "
-            f"{int(registry.value('faults.skipped_rows'))} skipped, "
-            f"{int(registry.value('faults.respawns'))} children respawned, "
-            f"{int(registry.value('faults.breaker_trips'))} breaker trips"
+            f"faults: {faults.failed_calls} failed calls, "
+            f"{faults.redeliveries} redelivered, "
+            f"{faults.skipped_rows} skipped, "
+            f"{faults.respawns} children respawned, "
+            f"{faults.breaker_trips} breaker trips"
         )
 
-    def _render_critical_path(self, registry: MetricsRegistry) -> str:
+    def _render_critical_path(self) -> str:
         return self.critical_path().render()
 
     _SECTION_RENDERERS = {

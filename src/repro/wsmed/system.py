@@ -58,9 +58,7 @@ from repro.obs.run import QueryRun
 from repro.obs.spans import NULL_RECORDER
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.executor import ParallelExecutor
-from repro.parallel.faults import fault_stats_from_trace
 from repro.parallel.parallelizer import parallelize
-from repro.parallel.tree import tree_stats_from_trace
 from repro.runtime.simulated import SimKernel
 from repro.services.broker import ServiceBroker
 from repro.services.registry import ServiceRegistry, build_registry
@@ -618,12 +616,14 @@ class WSMED:
         ``on_error`` / ``faults`` are shortcuts that override the pool
         failure policy and fault-injection knobs of the effective
         process costs (see :class:`~repro.parallel.costs.ProcessCosts`).
-        ``obs`` (a :class:`repro.obs.TraceRecorder`) turns on span
-        tracing: compile phases, operator invocations, per-call and
-        web-service spans land in its store, which the returned result
-        exposes as ``QueryResult.spans`` (see ``critical_path()`` and
-        ``chrome_trace()``).  The default no-op recorder leaves the
-        execution byte-for-byte identical to an untraced run.
+        ``obs`` (a :class:`repro.obs.TraceRecorder`) turns on tracing:
+        compile phases, operator invocations, per-call and web-service
+        spans land in its store, which the returned result exposes as
+        ``QueryResult.spans`` (see ``critical_path()`` and
+        ``chrome_trace()``), and the query's events in its log, exposed as
+        ``QueryResult.trace`` (see ``process_tree()``).  The default no-op
+        recorder records neither and computes exactly what a traced run
+        does.
         ``optimize="cost"`` plans with the cost-based optimizer (and
         access-path rewriting) instead of the default greedy heuristic;
         ``observed`` overlays measured per-function (call cost, fanout)
@@ -665,8 +665,8 @@ class WSMED:
         path behind :meth:`sql` and :class:`~repro.engine.QueryEngine`.
 
         Builds the coordinator's :class:`ExecutionContext` around a fresh
-        :class:`~repro.obs.run.QueryRun` — the trace, call recorder and
-        counters every process of the query reports into — attaches
+        :class:`~repro.obs.run.QueryRun` — the call recorder and counters
+        every process of the query reports into — attaches
         the kernel's placement, opens the ``query:`` span, executes, and
         assembles the :class:`QueryResult`.  What differs between the
         callers arrives as arguments: the one-shot path passes a fresh
@@ -717,11 +717,6 @@ class WSMED:
             )
             run.obs = recorder
             ctx.obs_span = query_span
-            # Concurrent traced queries are last-writer-wins on the
-            # kernel-level hook: task spans attach to whichever traced
-            # query spawned most recently.  Trace one query at a time for
-            # an unambiguous kernel timeline.
-            kernel.obs = recorder
         started = kernel.now()
         outcome: dict = {"outcome": "error"}
         try:
@@ -730,8 +725,6 @@ class WSMED:
             outcome = {"rows": len(rows)}
         finally:
             if recorder.enabled:
-                if kernel.obs is recorder:
-                    kernel.obs = None
                 recorder.finish(query_span, at=kernel.now(), **outcome)
         calls = run.call_recorder
         return QueryResult(
@@ -741,8 +734,8 @@ class WSMED:
             mode=mode,
             total_calls=calls.total_calls(),
             call_stats=calls.all_stats(),
-            trace=run.trace,
-            tree=tree_stats_from_trace(run.trace),
+            trace=recorder.events,
+            tree=run.tree,
             plan_text=render_plan(plan),
             cache_stats=(
                 run.cache_stats
@@ -750,6 +743,6 @@ class WSMED:
                 else None
             ),
             message_stats=run.message_stats,
-            fault_stats=fault_stats_from_trace(run.trace),
+            fault_stats=run.fault_stats,
             spans=recorder.store if recorder.enabled else None,
         )

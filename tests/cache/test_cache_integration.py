@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import QueryOptions
+from repro import QueryOptions, TraceRecorder
 from repro.cache import CacheConfig
 from repro.fdb.functions import helping_function
 from repro.fdb.types import CHARSTRING, TupleType
@@ -87,7 +87,10 @@ def test_cache_cuts_calls_and_time_in_central_mode(wsmed) -> None:
 
 
 def test_cache_hits_show_up_in_trace(wsmed) -> None:
-    on = wsmed.sql(SKEW_SQL, options=QueryOptions(cache=CacheConfig(enabled=True)))
+    on = wsmed.sql(
+        SKEW_SQL,
+        options=QueryOptions(cache=CacheConfig(enabled=True), obs=TraceRecorder()),
+    )
     assert on.trace.count("cache_hit") == on.cache_stats.hits
     assert on.trace.count("service_call") == on.total_calls
 

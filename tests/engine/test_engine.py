@@ -13,12 +13,18 @@ from repro import (
     ProcessCosts,
     QueryEngine,
     SimKernel,
+    TraceRecorder,
     WSMED,
     QueryOptions,
 )
 from repro.util.errors import ReproError
 
 PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
+
+
+def traced(options: QueryOptions = PARALLEL) -> QueryOptions:
+    """``options`` with a fresh recorder, so the result carries its events."""
+    return options.replace(obs=TraceRecorder())
 
 
 def fresh_wsmed() -> WSMED:
@@ -80,7 +86,7 @@ def test_unclosed_engine_is_garbage_collected_quietly(monkeypatch) -> None:
 def test_close_still_waits_for_every_child() -> None:
     engine = fresh_engine()
     engine.sql(QUERY1_SQL, options=PARALLEL)
-    trace = engine.sql(QUERY1_SQL, options=PARALLEL).trace
+    trace = engine.sql(QUERY1_SQL, options=traced()).trace
     engine.close()
     # Every process of the warm tree (5 + 20) exited through its pool's close.
     assert len(trace.events("process_exit")) == 25
@@ -105,10 +111,10 @@ def test_cold_query_is_bit_for_bit_identical_to_wsmed(options) -> None:
     planner, static admission) engine state must not show in any
     statistic.  (This is the parity the CI workflow used to re-check in
     two inline scripts.)"""
-    seed = fresh_wsmed().sql(QUERY1_SQL, options=options)
+    seed = fresh_wsmed().sql(QUERY1_SQL, options=traced(options))
 
     engine = fresh_engine()
-    cold = engine.sql(QUERY1_SQL, options=options)
+    cold = engine.sql(QUERY1_SQL, options=traced(options))
     engine.close()  # parks process_exit events in the query's trace
 
     assert cold.rows == seed.rows
@@ -127,8 +133,8 @@ def test_cold_query_is_bit_for_bit_identical_to_wsmed(options) -> None:
 
 def test_warm_query_spawns_nothing_and_reuses_the_tree() -> None:
     engine = fresh_engine()
-    cold = engine.sql(QUERY1_SQL, options=PARALLEL)
-    warm = engine.sql(QUERY1_SQL, options=PARALLEL)
+    cold = engine.sql(QUERY1_SQL, options=traced())
+    warm = engine.sql(QUERY1_SQL, options=traced())
 
     assert cold.trace.count("spawn") == 25  # 5 + 5*4 processes
     assert warm.trace.count("spawn") == 0
@@ -191,7 +197,7 @@ def test_wsdl_reimport_evicts_plans_and_cold_starts_pools() -> None:
     assert stats.warm_leases == 0  # the warm tree was condemned, not reused
     assert stats.cold_starts == 2
     assert stats.pools_condemned >= 1
-    assert again.trace.count("spawn") == 25
+    assert again.tree.processes_spawned == 25
     assert sorted(again.rows) == sorted(first.rows)
     engine.close()
 
@@ -230,7 +236,7 @@ def test_max_idle_pools_zero_disables_reuse(monkeypatch) -> None:
     stats = engine.stats()
     assert stats.warm_leases == 0
     assert stats.pools_trimmed == 2
-    assert warm_attempt.trace.count("spawn") == 25
+    assert warm_attempt.tree.processes_spawned == 25
     engine.close()
 
 
@@ -245,7 +251,7 @@ def test_concurrent_queries_have_partitioned_results() -> None:
         options=PARALLEL.replace(cache=config),
     )
 
-    assert first.trace is not second.trace
+    assert first.tree is not second.tree
     assert sorted(first.rows) == sorted(second.rows)
     # Call statistics are per query and sum to the broker's global count.
     assert first.total_calls == second.total_calls == 311
@@ -253,8 +259,8 @@ def test_concurrent_queries_have_partitioned_results() -> None:
     # Cache counters are per query too: both trees start cold (each query
     # leases its own tree), so neither sees the other's hits.
     assert first.cache_stats.misses == second.cache_stats.misses
-    # Each trace holds exactly one tree's worth of activity.
-    assert first.trace.count("spawn") == second.trace.count("spawn") == 25
+    # Each query counts exactly one tree's worth of activity.
+    assert first.tree.processes_spawned == second.tree.processes_spawned == 25
     stats = engine.stats()
     assert stats.peak_concurrency == 2
     assert stats.cold_starts == 2 and stats.warm_leases == 0
@@ -342,5 +348,5 @@ def test_asyncio_resident_kernel_parity() -> None:
 
     assert sorted(cold.rows) == sorted(expected.rows)
     assert sorted(warm.rows) == sorted(expected.rows)
-    assert warm.trace.count("spawn") == 0
+    assert warm.tree.processes_spawned == 0
     assert engine.stats().warm_leases == 1

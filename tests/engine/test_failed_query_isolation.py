@@ -52,4 +52,4 @@ def test_stale_child_errors_do_not_fail_the_next_query(make_kernel) -> None:
     # replaced, not reported as failures of the query that found them.
     assert stats.warm_leases == 2
     assert second.fault_stats.failed_calls == third.fault_stats.failed_calls == 0
-    assert second.trace.count("respawn") + third.trace.count("respawn") == 3
+    assert second.fault_stats.respawns + third.fault_stats.respawns == 3

@@ -8,7 +8,7 @@ from repro import (
 from repro.engine import shared
 from repro.wsmed.options import QueryOptions
 
-from tests.engine.test_engine import fresh_wsmed, trace_multiset
+from tests.engine.test_engine import fresh_wsmed, trace_multiset, traced
 
 PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 
@@ -22,12 +22,12 @@ def sharing_engine(wsmed=None) -> QueryEngine:
 
 def test_disabled_share_config_is_seed_identical() -> None:
     """``share=False`` must leave no trace of the tier."""
-    seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
+    seed = fresh_wsmed().sql(QUERY1_SQL, options=traced(PARALLEL))
 
     engine = QueryEngine(fresh_wsmed(), share=False)
     assert engine.shared is None
     assert not engine.pool_registry.share_pools
-    result = engine.sql(QUERY1_SQL, options=PARALLEL)
+    result = engine.sql(QUERY1_SQL, options=traced(PARALLEL))
     engine.close()
 
     assert result.rows == seed.rows
@@ -180,5 +180,5 @@ def test_replace_mid_query_condemns_shared_trees() -> None:
     # A fresh query recompiles and cold-starts — nothing stale is reused.
     after = engine.sql(QUERY1_SQL, options=PARALLEL)
     assert sorted(after.rows) == sorted(seed.rows)
-    assert after.trace.count("spawn") == 25
+    assert after.tree.processes_spawned == 25
     engine.close()

@@ -20,6 +20,7 @@ from repro import (
     ProcessKernel,
     QueryEngine,
     QueryOptions,
+    TraceRecorder,
     WSMED,
 )
 
@@ -52,7 +53,10 @@ def _statistics(result) -> dict:
 
 def _cold_then_warm(engine: QueryEngine) -> list[dict]:
     try:
-        return [_statistics(engine.sql(QUERY1_SQL, options=Q1_PARALLEL)) for _ in range(2)]
+        return [
+            _statistics(engine.sql(QUERY1_SQL, options=Q1_PARALLEL.replace(obs=TraceRecorder())))
+            for _ in range(2)
+        ]
     finally:
         engine.close()
 

@@ -172,7 +172,7 @@ def test_shared_tier_answers_are_attributed_in_worker_children(monkeypatch) -> N
         engine = QueryEngine(system, kernel=kernel, share=True)
         try:
             cold = engine.sql(QUERY1_SQL, options=options)
-            warm = engine.sql(QUERY1_SQL, options=options)
+            warm = engine.sql(QUERY1_SQL, options=options.replace(obs=TraceRecorder()))
         finally:
             engine.close()
     assert cold.total_calls == 311 and cold.cache_stats.coalesced > 0

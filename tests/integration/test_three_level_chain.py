@@ -8,7 +8,7 @@ the parallel plan has three FF_APPLYP levels (a process tree of depth 3).
 
 import pytest
 
-from repro import WSMED, AdaptationParams, GeoConfig, build_registry, QueryOptions
+from repro import WSMED, AdaptationParams, GeoConfig, build_registry, QueryOptions, TraceRecorder
 
 THREE_LEVEL_SQL = """
 SELECT gl.placename, gl.population
@@ -84,6 +84,7 @@ def test_adaptive_three_levels(wsmed, central) -> None:
         options=QueryOptions(
             mode="adaptive",
             adaptation=AdaptationParams(p=1, max_fanout=4),
+            obs=TraceRecorder(),
         ),
     )
     assert result.as_bag() == central.as_bag()

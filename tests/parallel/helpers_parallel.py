@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from repro.algebra.interpreter import ExecutionContext, compile_plan
 from repro.algebra.plan import AdaptationParams
+from repro.obs.run import QueryRun
+from repro.obs.spans import TraceRecorder
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.executor import ParallelExecutor
 from repro.parallel.parallelizer import parallelize
@@ -24,14 +26,20 @@ def run_parallel(
     fault_rate: float = 0.0,
     name: str = "Query",
 ):
-    """Parallelize and execute; returns (rows, kernel, broker, ctx)."""
+    """Parallelize and execute, traced; returns (rows, kernel, broker, ctx).
+    The run's events are in ``ctx.run.obs.events``."""
     central = world.central_plan(sql, name)
     plan = parallelize(
         central, world.functions, fanouts=fanouts, adaptation=adaptation
     )
     kernel = SimKernel()
     broker = world.registry.bind(kernel, fault_rate=fault_rate)
-    ctx = ExecutionContext(kernel=kernel, broker=broker, functions=world.functions)
+    ctx = ExecutionContext(
+        kernel=kernel,
+        broker=broker,
+        functions=world.functions,
+        run=QueryRun(obs=TraceRecorder()),
+    )
     executor = ParallelExecutor(ctx, costs)
     rows = kernel.run(executor.execute(compile_plan(plan)))
     return rows, kernel, broker, ctx

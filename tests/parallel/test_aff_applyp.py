@@ -4,7 +4,6 @@ import pytest
 
 from repro.algebra.plan import AdaptationParams
 from repro.fdb.values import Bag
-from repro.parallel.tree import tree_stats_from_trace
 
 from tests.helpers import QUERY1_SQL, QUERY2_SQL, make_world
 from tests.parallel.helpers_parallel import run_parallel
@@ -31,22 +30,22 @@ def test_adaptive_answer_is_correct(world, adaptive_run) -> None:
 
 def test_init_stage_builds_binary_tree(adaptive_run) -> None:
     _, _, _, ctx = adaptive_run
-    init_events = ctx.run.trace.events("init_stage")
+    init_events = ctx.run.obs.events.events("init_stage")
     assert init_events
     assert all(event.data["children"] == 2 for event in init_events)
     # The coordinator's init stage happens before any add stage.
-    first_add = ctx.run.trace.events("add_stage")[0]
+    first_add = ctx.run.obs.events.events("add_stage")[0]
     assert init_events[0].time <= first_add.time
 
 
 def test_add_stage_follows_first_monitoring_cycle(adaptive_run) -> None:
     _, _, _, ctx = adaptive_run
     coordinator_cycles = [
-        event for event in ctx.run.trace.events("cycle")
+        event for event in ctx.run.obs.events.events("cycle")
         if event.data["process"] == "q0"
     ]
     coordinator_adds = [
-        event for event in ctx.run.trace.events("add_stage")
+        event for event in ctx.run.obs.events.events("add_stage")
         if event.data["process"] == "q0"
     ]
     assert coordinator_cycles and coordinator_adds
@@ -59,14 +58,14 @@ def test_monitoring_cycle_definition(adaptive_run) -> None:
     # A cycle completes when end-of-call messages equal the child count, so
     # each recorded cycle processed at least that many calls.
     _, _, _, ctx = adaptive_run
-    for event in ctx.run.trace.events("cycle"):
+    for event in ctx.run.obs.events.events("cycle"):
         assert event.data["children"] >= 2
         assert event.data["time_per_tuple"] > 0
 
 
 def test_nested_aff_pools_adapt_locally(adaptive_run) -> None:
     _, _, _, ctx = adaptive_run
-    cycle_processes = {e.data["process"] for e in ctx.run.trace.events("cycle")}
+    cycle_processes = {e.data["process"] for e in ctx.run.obs.events.events("cycle")}
     # Level-one processes run their own monitoring, not just q0.
     assert len(cycle_processes) > 1
     assert "q0" in cycle_processes
@@ -74,7 +73,7 @@ def test_nested_aff_pools_adapt_locally(adaptive_run) -> None:
 
 def test_adaptation_stops(adaptive_run) -> None:
     _, _, _, ctx = adaptive_run
-    stops = ctx.run.trace.events("adapt_stop")
+    stops = ctx.run.obs.events.events("adapt_stop")
     assert stops  # at least the coordinator reached a stable tree
 
 
@@ -94,10 +93,10 @@ def test_drop_stage_drops_children(world) -> None:
         adaptation=AdaptationParams(p=4, drop_stage=True, max_fanout=12),
     )
     assert rows == [("CO", "80840")]
-    stats = tree_stats_from_trace(ctx.run.trace)
+    stats = ctx.run.tree
     # With aggressive adds, at least one pool should observe a slowdown
     # and drop; if none did, the trace must show adaptation stopped.
-    assert stats.drop_stages > 0 or ctx.run.trace.count("adapt_stop") > 0
+    assert stats.drop_stages > 0 or ctx.run.obs.events.count("adapt_stop") > 0
 
 
 def test_dropped_children_exit(world) -> None:
@@ -106,7 +105,7 @@ def test_dropped_children_exit(world) -> None:
         QUERY1_SQL,
         adaptation=AdaptationParams(p=4, drop_stage=True, max_fanout=10),
     )
-    assert ctx.run.trace.count("process_exit") == ctx.run.trace.count("spawn")
+    assert ctx.run.obs.events.count("process_exit") == ctx.run.obs.events.count("spawn")
 
 
 def test_max_fanout_bounds_tree(world) -> None:
@@ -115,13 +114,13 @@ def test_max_fanout_bounds_tree(world) -> None:
         QUERY1_SQL,
         adaptation=AdaptationParams(p=8, threshold=0.01, max_fanout=6),
     )
-    for event in ctx.run.trace.events("add_stage"):
+    for event in ctx.run.obs.events.events("add_stage"):
         assert event.data["children"] <= 6
 
 
 def test_average_fanouts_reported(world, adaptive_run) -> None:
     _, _, _, ctx = adaptive_run
-    stats = tree_stats_from_trace(ctx.run.trace)
+    stats = ctx.run.tree
     assert set(stats.fanout_by_level) == {"PF1", "PF2"}
     assert stats.fanout_by_level["PF1"] >= 2.0
     assert stats.pools_by_level["PF2"] >= 2
@@ -132,6 +131,6 @@ def test_adaptation_deterministic(world) -> None:
     first = run_parallel(world, QUERY2_SQL, adaptation=params)
     second = run_parallel(world, QUERY2_SQL, adaptation=params)
     assert first[1].now() == second[1].now()
-    assert tree_stats_from_trace(first[3].run.trace).processes_spawned == (
-        tree_stats_from_trace(second[3].run.trace).processes_spawned
+    assert first[3].run.tree.processes_spawned == (
+        second[3].run.tree.processes_spawned
     )

@@ -12,6 +12,8 @@ from repro.algebra.interpreter import ExecutionContext
 from repro.algebra.plan import AdaptationParams, ApplyNode, ParamNode, PlanFunction
 from repro.fdb.functions import FunctionDef, FunctionKind
 from repro.fdb.types import INTEGER, TupleType
+from repro.obs.run import QueryRun
+from repro.obs.spans import TraceRecorder
 from repro.parallel.aff_applyp import AFFPool
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.ff_applyp import FFPool
@@ -23,7 +25,12 @@ COSTS = ProcessCosts().scaled(0.001)
 def make_pool(kernel, pool_class, *, pool_args=(), params=None, out_width=1):
     """An operator pool over a trivial plan function echoing its input."""
     functions_registry = _registry()
-    ctx = ExecutionContext(kernel=kernel, broker=None, functions=functions_registry)
+    ctx = ExecutionContext(
+        kernel=kernel,
+        broker=None,
+        functions=functions_registry,
+        run=QueryRun(obs=TraceRecorder()),
+    )
     body = ApplyNode(
         child=ParamNode(schema=("x",)),
         function="echo",
@@ -88,7 +95,7 @@ def test_ff_pool_reuse_across_invocations() -> None:
     async def main():
         first = await feed(pool, [(1,), (2,)])
         second = await feed(pool, [(3,)])
-        spawned = pool.total_spawned
+        spawned = pool.ctx.run.tree.processes_spawned
         await pool.close()
         return first, second, spawned
 
@@ -112,7 +119,7 @@ def test_aff_pool_init_stage_is_binary() -> None:
     # it, so by completion the pool grew from 2 to 2+p.
     children = kernel.run(main())
     assert children == 5
-    init = ctx.run.trace.events("init_stage")
+    init = ctx.run.obs.events.events("init_stage")
     assert init and init[0].data["children"] == 2
 
 
@@ -125,7 +132,7 @@ def test_aff_monitoring_cycle_counts_end_of_calls() -> None:
         await pool.close()
 
     kernel.run(main())
-    cycles = ctx.run.trace.events("cycle")
+    cycles = ctx.run.obs.events.events("cycle")
     assert cycles
     # Each cycle records the child count at its boundary and a positive
     # per-tuple time.
@@ -150,7 +157,7 @@ def test_aff_max_fanout_stops_add_stages() -> None:
 
     children = kernel.run(main())
     assert children <= 4
-    stops = ctx.run.trace.events("adapt_stop")
+    stops = ctx.run.obs.events.events("adapt_stop")
     assert any("maximum fanout" in event.data["reason"] for event in stops)
 
 

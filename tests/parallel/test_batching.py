@@ -6,8 +6,6 @@ precisely; integration tests run the paper queries through the full stack
 with batching enabled and compare against the central plan.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro import QueryOptions
@@ -17,6 +15,8 @@ from repro.algebra.plan import AdaptationParams, ApplyNode, ParamNode, PlanFunct
 from repro.fdb.functions import FunctionRegistry, helping_function
 from repro.fdb.types import INTEGER, TupleType
 from repro.fdb.values import Bag
+from repro.obs.run import QueryRun
+from repro.obs.spans import TraceRecorder
 from repro.parallel.aff_applyp import AFFPool
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.ff_applyp import FFPool
@@ -55,7 +55,9 @@ def _registry() -> FunctionRegistry:
 
 
 def make_pool(kernel, costs, *, fanout=2, pool_class=FFPool, params=None):
-    ctx = ExecutionContext(kernel=kernel, broker=None, functions=_registry())
+    ctx = ExecutionContext(
+        kernel=kernel, broker=None, functions=_registry(), run=QueryRun(obs=TraceRecorder())
+    )
     body = ApplyNode(
         child=ParamNode(schema=("x",)),
         function="ident",
@@ -95,11 +97,7 @@ def test_batch_knob_validation() -> None:
     assert ProcessCosts().batch_size == 1
     with pytest.raises(PlanError, match="batch size"):
         ProcessCosts(batch_size=0)
-    with pytest.raises(PlanError, match="batch linger"):
-        ProcessCosts(batch_linger=-0.1)
-    scaled = ProcessCosts(batch_size=4, batch_linger=0.2).scaled(0.5)
-    assert scaled.batch_size == 4  # a count, not a duration
-    assert scaled.batch_linger == pytest.approx(0.1)
+    assert ProcessCosts(batch_size=4).scaled(0.5).batch_size == 4  # a count
 
 
 # -- seed equivalence at defaults ---------------------------------------------------
@@ -111,7 +109,7 @@ def test_defaults_send_no_batch_messages(world) -> None:
     assert Bag(rows) == Bag(central)
     assert broker.total_calls() == central_broker.total_calls()
     # The per-tuple protocol, bit for bit: no batch messages, no flushes.
-    assert not ctx.run.trace.events("batch_flush")
+    assert not ctx.run.obs.events.events("batch_flush")
     stats = ctx.run.message_stats
     assert stats.param_batches == 0
     assert stats.result_batches == 0
@@ -212,7 +210,7 @@ def test_adaptive_batching_on_aff_preserves_rows(world) -> None:
     )
     assert Bag(rows) == Bag(central)
     # Cycle monitoring keeps running under batched end-of-call delivery.
-    assert ctx.run.trace.events("cycle")
+    assert ctx.run.obs.events.events("cycle")
 
 
 def test_adaptive_batching_with_drop_stage(world) -> None:
@@ -236,7 +234,7 @@ def test_size_trigger_flushes_full_batches() -> None:
     pool, ctx = make_pool(kernel, ProcessCosts(batch_size=3).scaled(0.001), fanout=1)
     out = drive(kernel, pool, [(i,) for i in range(9)])
     assert sorted(out) == [(i, i) for i in range(9)]
-    flushes = ctx.run.trace.events("batch_flush")
+    flushes = ctx.run.obs.events.events("batch_flush")
     assert [event.data["trigger"] for event in flushes] == ["size", "size", "size"]
     assert all(event.data["size"] == 3 for event in flushes)
 
@@ -246,42 +244,8 @@ def test_stream_end_flushes_partial_batch() -> None:
     pool, ctx = make_pool(kernel, ProcessCosts(batch_size=4).scaled(0.001), fanout=1)
     out = drive(kernel, pool, [(i,) for i in range(6)])
     assert sorted(out) == [(i, i) for i in range(6)]
-    triggers = [event.data["trigger"] for event in ctx.run.trace.events("batch_flush")]
+    triggers = [event.data["trigger"] for event in ctx.run.obs.events.events("batch_flush")]
     assert triggers == ["size", "stream_end"]
-
-
-def test_linger_trigger_flushes_stalled_batch() -> None:
-    kernel = SimKernel()
-    # Near-zero base costs so the linger deadline dominates the timeline.
-    costs = replace(
-        ProcessCosts().scaled(0.0001), batch_size=8, batch_linger=0.05
-    )
-    pool, ctx = make_pool(kernel, costs, fanout=1)
-
-    async def slow_source():
-        yield (1,)
-        yield (2,)
-        await kernel.sleep(1.0)  # far beyond the linger deadline
-        yield (3,)
-
-    async def main():
-        out = []
-        async for row in pool.run(slow_source()):
-            out.append(row)
-        await pool.close()
-        return out
-
-    out = kernel.run(main())
-    assert sorted(out) == [(1, 1), (2, 2), (3, 3)]
-    triggers = [event.data["trigger"] for event in ctx.run.trace.events("batch_flush")]
-    assert "linger" in triggers
-    linger_flush = next(
-        event
-        for event in ctx.run.trace.events("batch_flush")
-        if event.data["trigger"] == "linger"
-    )
-    assert linger_flush.data["size"] == 2
-    assert linger_flush.time == pytest.approx(0.05, abs=0.01)
 
 
 # -- adaptive sizing ---------------------------------------------------------------
@@ -361,7 +325,7 @@ def test_end_of_call_carries_service_time() -> None:
     # Every call occupies the child for its per-row result CPU.
     assert all(value > 0 for value in observed)
     # The cycle monitoring surfaces the mean per-call occupancy.
-    cycles = ctx.run.trace.events("cycle")
+    cycles = ctx.run.obs.events.events("cycle")
     assert cycles and all(
         cycle.data["mean_service_time"] > 0 for cycle in cycles
     )

@@ -18,8 +18,10 @@ from repro.algebra.plan import AdaptationParams, ApplyNode, ParamNode, PlanFunct
 from repro.fdb.functions import FunctionRegistry, helping_function
 from repro.fdb.types import INTEGER, TupleType
 from repro.fdb.values import Bag
+from repro.obs.run import QueryRun
+from repro.obs.spans import TraceRecorder
 from repro.parallel.costs import ProcessCosts
-from repro.parallel.faults import FaultInjection, FaultStats, fault_stats_from_trace
+from repro.parallel.faults import FaultInjection
 from repro.parallel.ff_applyp import FFPool, _Child
 from repro.runtime.realtime import AsyncioKernel
 from repro.runtime.simulated import SimKernel
@@ -63,7 +65,9 @@ def make_pool(kernel, costs, implementation, *, fanout=2, pool_class=FFPool, par
             documentation="Per-test behavior (flaky, leaky, or plain).",
         )
     )
-    ctx = ExecutionContext(kernel=kernel, broker=None, functions=registry)
+    ctx = ExecutionContext(
+        kernel=kernel, broker=None, functions=registry, run=QueryRun(obs=TraceRecorder())
+    )
     body = ApplyNode(
         child=ParamNode(schema=("x",)),
         function="probe",
@@ -167,15 +171,15 @@ def test_retry_redelivers_failed_row(make_kernel) -> None:
     out = drive(kernel, pool, [(x,) for x in range(1, 7)])
     # Complete and duplicate-free despite the failure.
     assert sorted(out) == expected(range(1, 7))
-    assert pool.failed_calls == 1
-    failures = ctx.run.trace.events("call_failed")
+    assert ctx.run.fault_stats.failed_calls == 1
+    failures = ctx.run.obs.events.events("call_failed")
     assert len(failures) == 1
     assert failures[0].data["policy"] == "retry"
-    redelivers = ctx.run.trace.events("redeliver")
+    redelivers = ctx.run.obs.events.events("redeliver")
     assert len(redelivers) == 1
     assert redelivers[0].data["attempt"] == 1
     assert redelivers[0].data["row"] == repr((3,))
-    stats = fault_stats_from_trace(ctx.run.trace)
+    stats = ctx.run.fault_stats
     assert stats.failed_calls == 1
     assert stats.redeliveries == 1
     assert stats.skipped_rows == 0
@@ -189,8 +193,8 @@ def test_retry_budget_exhausted_fails_the_query() -> None:
     with pytest.raises(ReproError, match="max_redeliveries=2"):
         drive(kernel, pool, [(x,) for x in range(1, 7)])
     # Initial delivery + 2 redeliveries, each failing.
-    assert ctx.run.trace.count("call_failed") == 3
-    assert ctx.run.trace.count("redeliver") == 2
+    assert ctx.run.obs.events.count("call_failed") == 3
+    assert ctx.run.obs.events.count("redeliver") == 2
 
 
 @pytest.mark.parametrize("make_kernel", KERNELS)
@@ -199,9 +203,9 @@ def test_skip_drops_failed_row_and_counts_it(make_kernel) -> None:
     pool, ctx = make_pool(kernel, fault_costs(on_error="skip"), flaky({3: 99}))
     out = drive(kernel, pool, [(x,) for x in range(1, 7)])
     assert sorted(out) == expected([1, 2, 4, 5, 6])
-    assert pool.skipped_rows == 1
-    assert ctx.run.trace.count("redeliver") == 0
-    stats = fault_stats_from_trace(ctx.run.trace)
+    assert ctx.run.fault_stats.skipped_rows == 1
+    assert ctx.run.obs.events.count("redeliver") == 0
+    stats = ctx.run.fault_stats
     assert stats.failed_calls == 1
     assert stats.skipped_rows == 1
 
@@ -214,7 +218,7 @@ def test_fail_policy_aborts_without_fault_events() -> None:
     # The seed protocol: the child error becomes the query error directly,
     # with none of the fault-tolerance machinery in the trace.
     for kind in ("call_failed", "redeliver", "respawn", "breaker_open"):
-        assert ctx.run.trace.count(kind) == 0
+        assert ctx.run.obs.events.count(kind) == 0
 
 
 def test_breaker_escalates_a_mostly_dead_pool(monkeypatch) -> None:
@@ -224,11 +228,11 @@ def test_breaker_escalates_a_mostly_dead_pool(monkeypatch) -> None:
     pool, ctx = make_pool(kernel, costs, flaky({x: 99 for x in range(20)}))
     with pytest.raises(ReproError, match="circuit breaker open"):
         drive(kernel, pool, [(x,) for x in range(20)])
-    trips = ctx.run.trace.events("breaker_open")
+    trips = ctx.run.obs.events.events("breaker_open")
     assert len(trips) == 1
     assert trips[0].data["failed"] == 5
     assert trips[0].data["resolved"] == 5
-    assert fault_stats_from_trace(ctx.run.trace).breaker_trips == 1
+    assert ctx.run.fault_stats.breaker_trips == 1
 
 
 # -- satellite regressions ----------------------------------------------------------
@@ -313,14 +317,14 @@ def test_cancelled_child_is_respawned() -> None:
         pool.children[0].handle.cancel()
         await kernel.sleep(1.0)  # let the death watcher report
         second = await feed(pool, [(3,), (4,), (5,)])
-        assert pool.total_respawns == 1
+        assert ctx.run.fault_stats.respawns == 1
         assert len(pool.children) == 2
         await pool.close()
         return first + second
 
     out = kernel.run(main())
     assert sorted(out) == expected([1, 2, 3, 4, 5])
-    respawns = ctx.run.trace.events("respawn")
+    respawns = ctx.run.obs.events.events("respawn")
     assert len(respawns) == 1
     assert respawns[0].data["lost_rows"] == 0
     assert "Cancelled" in respawns[0].data["reason"]
@@ -381,7 +385,7 @@ def test_mid_batch_error_of_an_abandoned_invocation_is_not_replayed() -> None:
     first, out = kernel.run(main())
     assert first == (1, 10)
     assert sorted(out) == [(7, 70), (7, 71), (8, 80), (8, 81)]
-    assert pool.total_respawns == 1
+    assert ctx.run.fault_stats.respawns == 1
 
 
 def _source(rows):
@@ -401,8 +405,8 @@ def test_batched_retry_recovers_without_duplicates(make_kernel) -> None:
     # A failed call inside a batch ships no rows; only the redelivery's
     # rows arrive, so nothing is duplicated.
     assert sorted(out) == expected(range(1, 7))
-    assert ctx.run.trace.count("call_failed") == 1
-    assert ctx.run.trace.count("redeliver") == 1
+    assert ctx.run.obs.events.count("call_failed") == 1
+    assert ctx.run.obs.events.count("redeliver") == 1
 
 
 # -- fault injection through the full query stack -----------------------------------
@@ -418,11 +422,11 @@ def test_injected_failures_with_retry_recover_the_full_result(world, clean_q1) -
     rows, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4], costs=costs)
     # Complete and duplicate-free despite a 15% injected failure rate.
     assert Bag(rows) == Bag(clean_q1)
-    assert ctx.run.trace.count("call_failed") > 0
-    assert ctx.run.trace.count("redeliver") > 0
-    stats = fault_stats_from_trace(ctx.run.trace)
-    assert stats.failed_calls == ctx.run.trace.count("call_failed")
-    assert stats.redeliveries == ctx.run.trace.count("redeliver")
+    assert ctx.run.obs.events.count("call_failed") > 0
+    assert ctx.run.obs.events.count("redeliver") > 0
+    stats = ctx.run.fault_stats
+    assert stats.failed_calls == ctx.run.obs.events.count("call_failed")
+    assert stats.redeliveries == ctx.run.obs.events.count("redeliver")
 
 
 def test_injected_failures_with_skip_drop_rows(world, clean_q1) -> None:
@@ -436,7 +440,7 @@ def test_injected_failures_with_skip_drop_rows(world, clean_q1) -> None:
     assert not Counter(rows) - Counter(clean_q1)
     # ...but skipped calls lost some.
     assert len(rows) < len(clean_q1)
-    stats = fault_stats_from_trace(ctx.run.trace)
+    stats = ctx.run.fault_stats
     assert stats.skipped_rows > 0
     assert stats.redeliveries == 0
 
@@ -450,16 +454,16 @@ def test_injected_crash_respawns_and_recovers(world, clean_q1) -> None:
     )
     rows, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4], costs=costs)
     assert Bag(rows) == Bag(clean_q1)
-    assert ctx.run.trace.count("respawn") >= 1
-    stats = fault_stats_from_trace(ctx.run.trace)
-    assert stats.respawns == ctx.run.trace.count("respawn")
+    assert ctx.run.obs.events.count("respawn") >= 1
+    stats = ctx.run.fault_stats
+    assert stats.respawns == ctx.run.obs.events.count("respawn")
 
 
 def test_default_run_emits_no_fault_events(world) -> None:
     """Defaults reproduce the seed protocol: no fault machinery visible."""
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4])
     for kind in ("call_failed", "redeliver", "respawn", "breaker_open", "call_fault"):
-        assert ctx.run.trace.count(kind) == 0
+        assert ctx.run.obs.events.count(kind) == 0
 
 
 # -- adaptive pool: failed calls count toward cycles, separately --------------------
@@ -470,7 +474,7 @@ def test_adaptive_cycles_count_failed_calls(world, clean_q1) -> None:
         world, QUERY1_SQL, adaptation=AdaptationParams()
     )
     assert all(
-        "failed" not in event.data for event in clean_ctx.run.trace.events("cycle")
+        "failed" not in event.data for event in clean_ctx.run.obs.events.events("cycle")
     )
     costs = replace(
         FAST_COSTS,
@@ -482,5 +486,5 @@ def test_adaptive_cycles_count_failed_calls(world, clean_q1) -> None:
         world, QUERY1_SQL, adaptation=AdaptationParams(), costs=costs
     )
     assert Bag(rows) == Bag(clean_rows)
-    cycles = ctx.run.trace.events("cycle")
+    cycles = ctx.run.obs.events.events("cycle")
     assert any(event.data.get("failed", 0) > 0 for event in cycles)

@@ -54,13 +54,13 @@ def test_more_workers_help_until_capacity(world) -> None:
 def test_process_count_matches_formula(world) -> None:
     # N = fo1 + fo1*fo2 (Sec. V).
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4])
-    spawns = ctx.run.trace.events("spawn")
+    spawns = ctx.run.obs.events.events("spawn")
     assert len(spawns) == 5 + 5 * 4
 
 
 def test_children_receive_plan_function_once(world) -> None:
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[3, 2])
-    installs = ctx.run.trace.events("install")
+    installs = ctx.run.obs.events.events("install")
     assert len(installs) == 3 + 3 * 2
     processes = [event.data["process"] for event in installs]
     assert len(set(processes)) == len(processes)
@@ -68,18 +68,18 @@ def test_children_receive_plan_function_once(world) -> None:
 
 def test_all_processes_exit_after_query(world) -> None:
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[3, 3])
-    assert ctx.run.trace.count("process_exit") == ctx.run.trace.count("spawn")
+    assert ctx.run.obs.events.count("process_exit") == ctx.run.obs.events.count("spawn")
 
 
 def test_level_one_processes_handle_disjoint_param_sets(world) -> None:
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[4, 2])
-    exits = ctx.run.trace.events("process_exit")
+    exits = ctx.run.obs.events.events("process_exit")
     level1 = [
         event for event in exits
         if any(
             spawn.data["process"] == event.data["process"]
             and spawn.data["plan_function"] == "PF1"
-            for spawn in ctx.run.trace.events("spawn")
+            for spawn in ctx.run.obs.events.events("spawn")
         )
     ]
     total_level1_calls = sum(event.data["calls"] for event in level1)
@@ -107,7 +107,7 @@ def test_fanout_larger_than_param_count_is_safe(world) -> None:
     )
     rows, _, _, ctx = run_parallel(world, sql, fanouts=[8])
     assert len(rows) == 1
-    assert ctx.run.trace.count("spawn") == 8
+    assert ctx.run.obs.events.count("spawn") == 8
 
 
 def test_injected_fault_propagates_and_shuts_down(world) -> None:

@@ -51,7 +51,7 @@ def test_gantt_process_cap() -> None:
 def test_gantt_on_real_run() -> None:
     world = make_world()
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[3, 2])
-    text = render_gantt(ctx.run.trace, width=60)
+    text = render_gantt(ctx.run.obs.events, width=60)
     # Coordinator + 3 + 6 processes each made at least one call.
     assert len([l for l in text.splitlines() if "|" in l]) == 10
     assert "#" in text

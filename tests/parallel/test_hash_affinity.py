@@ -59,7 +59,7 @@ def test_hash_affinity_makes_no_extra_calls(world) -> None:
         world, QUERY1_SQL, fanouts=[4, 3], costs=affinity_costs()
     )
     assert affinity_broker.total_calls() == ff_broker.total_calls()
-    assert affinity_ctx.run.trace.count("process_exit") == affinity_ctx.run.trace.count(
+    assert affinity_ctx.run.obs.events.count("process_exit") == affinity_ctx.run.obs.events.count(
         "spawn"
     )
 

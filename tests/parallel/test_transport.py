@@ -17,7 +17,7 @@ from repro import QUERY1_SQL, QUERY2_SQL, QueryOptions, WSMED
 from repro.algebra.plan import PlanFunction
 from repro.cache import CacheStats
 from repro.fdb.types import BOOLEAN, CHARSTRING, INTEGER, REAL, AtomicType
-from repro.obs.run import MessageStats
+from repro.obs.run import FaultStats, MessageStats, TreeStats
 from repro.obs.spans import Span
 from repro.parallel import messages
 from repro.runtime import wire
@@ -47,12 +47,14 @@ QUERY_MESSAGES = [
     messages.InputFailed(message="upstream failed", epoch=1),
 ]
 
-#: A worker run's drain: trace rows, finished spans, counter deltas.
+#: A traced worker run's drain: events, finished spans, counter deltas.
 RUN_DELTA = (
     [TraceEvent(1.5, "service_call", {"process": "q7", "operation": "GetPlaceList"})],
     [Span(id=3_000_001, name="call#4", category="call", process="q7", start=1.0, end=1.5)],
     CacheStats(hits=4, misses=2),
     MessageStats(param_tuples=3, flushes={"size": 1}),
+    TreeStats(processes_spawned=2, alive={("q7", "PF2"): 2}),
+    FaultStats(respawns=1),
 )
 
 WIRE_ENVELOPES = [

@@ -1,12 +1,14 @@
-"""Tests for fanout vectors and tree statistics."""
+"""Tests for fanout vectors and the tree-statistics oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.tree import FanoutVector, tree_stats_from_trace
+from repro.parallel.tree import FanoutVector
 from repro.util.errors import PlanError
 from repro.util.trace import TraceLog
+
+from tests.stats_oracle import tree_stats_from_trace
 
 
 def test_total_processes_two_levels() -> None:

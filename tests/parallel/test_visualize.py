@@ -19,7 +19,7 @@ from tests.parallel.helpers_parallel import run_parallel
 def query1_trace():
     world = make_world()
     _, kernel, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[3, 2])
-    return ctx.run.trace, kernel.now()
+    return ctx.run.obs.events, kernel.now()
 
 
 def test_tree_reconstruction_matches_fanouts(query1_trace) -> None:

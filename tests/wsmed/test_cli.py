@@ -349,10 +349,26 @@ def test_shell_stats_before_query_errors(wsmed) -> None:
     assert "no query has been executed yet" in output
 
 
-def test_shell_stats_critical_path_requires_tracing(wsmed) -> None:
-    script = f"{QUERY1_ONELINE};\n\\stats critical_path\n\\quit\n"
+def test_shell_traces_every_statement(wsmed) -> None:
+    """Shell statements run traced, so the event and span views always
+    work, without --trace-out."""
+    script = f"{QUERY1_ONELINE};\n\\stats critical_path\n\\tree\n\\quit\n"
     output = run_shell(wsmed, script, options=PARALLEL)
-    assert "was not traced" in output
+    assert "bottleneck: GetPlaceList at level 2" in output
+    assert "q0 (coordinator)" in output
+    assert "error:" not in output
+
+
+def test_one_shot_query_traces_only_when_asked(wsmed) -> None:
+    code, output = run_cli(
+        ["--query", QUERY1_ONELINE, "--profile", "fast", "--mode", "parallel",
+         "--fanouts", "5,4", "--tree"]
+    )
+    assert code == 0 and "q0 (coordinator)" in output
+    shell = Shell(wsmed, io.StringIO())
+    shell.trace = False  # what a one-shot query without --tree runs with
+    shell.run_sql(QUERY1_ONELINE)
+    assert shell.last_result.trace is None and shell.last_result.spans is None
 
 
 def test_cli_stats_flag_prints_report() -> None:

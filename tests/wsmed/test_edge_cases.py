@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import QueryOptions, WSMED
+from repro import QueryOptions, TraceRecorder, WSMED
 from repro.calculus.expressions import Const
 from repro.cli import format_table
 from repro.wsmed.results import QueryResult
@@ -57,6 +57,7 @@ def test_parallel_query_with_empty_level_one_output(wsmed) -> None:
         options=QueryOptions(
             mode="parallel",
             fanouts=[3, 2],
+            obs=TraceRecorder(),
         ),
     )
     assert result.rows == []

@@ -4,7 +4,7 @@ future work), and transient-fault retries."""
 
 import pytest
 
-from repro import QueryOptions, WSMED
+from repro import QueryOptions, TraceRecorder, WSMED
 from repro.util.errors import BindingError, CalculusError, ReproError, ServiceFault
 
 BUSHY_SQL = """
@@ -200,7 +200,9 @@ def test_retries_rescue_transient_faults(wsmed) -> None:
     with pytest.raises(ServiceFault):
         wsmed.sql(sql, options=QueryOptions(fault_rate=0.7))
     # ...with retries it survives, and the trace shows the attempts.
-    result = wsmed.sql(sql, options=QueryOptions(fault_rate=0.7, retries=25))
+    result = wsmed.sql(
+        sql, options=QueryOptions(fault_rate=0.7, retries=25, obs=TraceRecorder())
+    )
     assert result.rows == [("Ohio",)]
     assert result.trace.count("retry") >= 1
 
@@ -221,7 +223,9 @@ def test_retry_in_parallel_child(wsmed) -> None:
     )
     result = wsmed.sql(
         sql,
-        options=QueryOptions(mode="parallel", fanouts=[4], fault_rate=0.05, retries=30),
+        options=QueryOptions(
+            mode="parallel", fanouts=[4], fault_rate=0.05, retries=30, obs=TraceRecorder()
+        ),
     )
     assert len(result) == 260
     retry_processes = {
@@ -233,7 +237,9 @@ def test_retry_in_parallel_child(wsmed) -> None:
 def test_retry_trace_events_number_the_attempts(wsmed) -> None:
     """Each ``retry`` event carries the operation and a 1-based attempt."""
     sql = "SELECT gs.Name FROM GetAllStates gs WHERE gs.State = 'Ohio'"
-    result = wsmed.sql(sql, options=QueryOptions(fault_rate=0.7, retries=25))
+    result = wsmed.sql(
+        sql, options=QueryOptions(fault_rate=0.7, retries=25, obs=TraceRecorder())
+    )
     retries = result.trace.events("retry")
     assert retries  # the 0.7 fault rate guarantees at least one
     attempts = [event.data["attempt"] for event in retries]
@@ -249,12 +255,16 @@ def test_exhausted_retries_leave_a_call_fault_marker(wsmed) -> None:
     """
     from repro.algebra.interpreter import ExecutionContext
     from repro.obs.run import QueryRun
+    from repro.obs.spans import TraceRecorder
     from repro.runtime.simulated import SimKernel
 
     kernel = SimKernel()
     broker = wsmed.registry.bind(kernel, fault_rate=0.999)
     ctx = ExecutionContext(
-        kernel=kernel, broker=broker, functions=wsmed.functions, run=QueryRun(retries=2)
+        kernel=kernel,
+        broker=broker,
+        functions=wsmed.functions,
+        run=QueryRun(retries=2, obs=TraceRecorder()),
     )
     wrapper = wsmed.functions.resolve("GetAllStates").implementation
 
@@ -263,12 +273,12 @@ def test_exhausted_retries_leave_a_call_fault_marker(wsmed) -> None:
             await wrapper.call(ctx, [])
 
     kernel.run(main())
-    markers = ctx.run.trace.events("call_fault")
+    markers = ctx.run.obs.events.events("call_fault")
     assert len(markers) == 1
     data = markers[0].data
     assert data["operation"] == "GetAllStates"
     # attempts = the initial call plus every recorded retry.
-    assert data["attempts"] == 1 + ctx.run.trace.count("retry")
+    assert data["attempts"] == 1 + ctx.run.obs.events.count("retry")
     assert "error" in data
     assert "retriable" in data
 

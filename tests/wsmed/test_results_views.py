@@ -1,9 +1,12 @@
 """Tests for QueryResult helpers and view rendering."""
 
+import pytest
+
 from repro.fdb.functions import FunctionDef, FunctionKind, Parameter
 from repro.fdb.types import CHARSTRING, REAL, TupleType
-from repro.parallel.tree import TreeStats
+from repro.obs.run import TreeStats
 from repro.services.broker import CallStats
+from repro.util.errors import ReproError
 from repro.wsmed.results import QueryResult
 from repro.wsmed.views import render_view, view_columns
 
@@ -40,13 +43,21 @@ def test_calls_helper_defaults_to_zero() -> None:
 
 
 def test_summary_includes_stats_and_tree() -> None:
-    tree = TreeStats(processes_spawned=25, processes_dropped=2)
-    tree.fanout_by_level["PF1"] = 5.0
+    tree = TreeStats(processes_spawned=25, processes_dropped=2, alive={("q0", "PF1"): 5})
     result = make_result(call_stats={"Op": CallStats(calls=3)}, tree=tree)
     summary = result.summary()
     assert "2 rows in 12.50 model seconds" in summary
     assert "Op: 3 calls" in summary
     assert "25 spawned, 2 dropped" in summary
+
+
+def test_event_views_need_a_traced_run() -> None:
+    result = make_result()
+    assert result.trace is None
+    with pytest.raises(ReproError, match="TraceRecorder"):
+        result.process_tree()
+    with pytest.raises(ReproError, match="not traced"):
+        result.utilization()
 
 
 def test_to_json_structure() -> None:
