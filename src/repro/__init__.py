@@ -42,7 +42,6 @@ from repro.engine import (
 )
 from repro.obs import (
     CriticalPathReport,
-    MetricsRegistry,
     SpanStore,
     TraceRecorder,
     analyze_critical_path,
@@ -53,7 +52,6 @@ from repro.fdb.functions import AccessPath
 from repro.parallel.costs import ProcessCosts
 from repro.obs.run import FaultStats
 from repro.parallel.faults import FaultInjection
-from repro.parallel.tree import FanoutVector
 from repro.runtime.realtime import AsyncioKernel
 from repro.runtime.simulated import SimKernel
 from repro.services.geodata import GeoConfig, GeoDatabase
@@ -105,7 +103,6 @@ __all__ = [
     "ProcessCosts",
     "FaultInjection",
     "FaultStats",
-    "FanoutVector",
     "AsyncioKernel",
     "ProcessKernel",
     "SimKernel",
@@ -126,7 +123,6 @@ __all__ = [
     "SharedStats",
     "TraceRecorder",
     "SpanStore",
-    "MetricsRegistry",
     "CriticalPathReport",
     "analyze_critical_path",
     "to_chrome_trace",

@@ -79,19 +79,6 @@ class OptimizerReport:
     estimate: PlanEstimate | None = None
     heuristic_estimate: PlanEstimate | None = None
 
-    @property
-    def estimated_cost(self) -> float:
-        return sum(c.estimated_cost for c in self.components)
-
-    @property
-    def heuristic_cost(self) -> float | None:
-        total = 0.0
-        for choice in self.components:
-            if choice.heuristic_cost is None:
-                return None
-            total += choice.heuristic_cost
-        return total
-
     def describe(self) -> str:
         lines = []
         for index, choice in enumerate(self.components):

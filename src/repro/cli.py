@@ -176,7 +176,10 @@ class Shell:
         elif command == "faults":
             self._faults_command(argument)
         elif command == "rows":
-            self.max_rows = int(argument)
+            rows = int(argument)
+            if rows < 0:
+                raise ReproError(f"rows must be >= 0, got {rows}")
+            self.max_rows = rows
             self.write(f"rows = {self.max_rows}")
         elif command == "explain":
             self.explain(argument.rstrip(";"))
@@ -529,7 +532,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MS",
         help="default deadline in model milliseconds for requests that "
-        'carry no "deadline_ms" of their own (applied under --admission '
+        'carry no "deadline_ms" of their own (needs --admission '
         "adaptive); a query the measured service rate cannot finish in "
         "time is shed with HTTP 429 + Retry-After",
     )
@@ -555,7 +558,10 @@ def serve_main(argv: list[str], out: IO[str]) -> int:
 
     from repro.serve import QueryServer
 
-    arguments = build_serve_parser().parse_args(argv)
+    parser = build_serve_parser()
+    arguments = parser.parse_args(argv)
+    if arguments.deadline_ms is not None and arguments.admission != "adaptive":
+        parser.error("--deadline-ms needs --admission adaptive")
     kernel = _build_kernel(arguments.kernel, arguments.workers)
     wsmed = WSMED(profile=arguments.profile)
     wsmed.import_all()
@@ -624,9 +630,17 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     if argv[:1] == ["serve"]:
         return serve_main(argv[1:], out)
     arguments = build_argument_parser().parse_args(argv)
+    # Malformed option values raise here, before a kernel exists.
+    options = QueryOptions(
+        mode=arguments.mode,
+        fanouts=_parse_fanouts(arguments.fanouts) if arguments.fanouts else None,
+        retries=arguments.retries,
+        cache=CacheConfig(enabled=True) if arguments.cache else None,
+        on_error=arguments.on_error,
+        optimize=arguments.optimize,
+    )
     wsmed = WSMED(profile=arguments.profile)
     wsmed.import_all()
-    fanouts = _parse_fanouts(arguments.fanouts) if arguments.fanouts else None
     kernel = _build_kernel(arguments.kernel, arguments.workers)
     engine = None
     if arguments.engine or arguments.share:
@@ -638,16 +652,8 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     shell = Shell(
         wsmed,
         out,
-        options=QueryOptions(
-            mode=arguments.mode,
-            fanouts=fanouts,
-            retries=arguments.retries,
-            cache=CacheConfig(enabled=True) if arguments.cache else None,
-            on_error=arguments.on_error,
-            optimize=arguments.optimize,
-            # The engine owns its kernel; one-shot queries are handed it.
-            kernel=kernel if engine is None else None,
-        ),
+        # The engine owns its kernel; one-shot queries are handed it.
+        options=options.replace(kernel=kernel if engine is None else None),
         engine=engine,
         trace_out=arguments.trace_out,
     )

@@ -39,17 +39,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
 
-from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import ReproError
 from repro.util.stats import quantile
-
-#: Metric names the controller maintains in the engine's registry
-#: (``QueryEngine.metrics``).
-LATENCY_METRIC = "admission.latency"  # histogram, labelled {"level": N}
-ADMITTED_METRIC = "admission.admitted"  # counter, labelled {"tenant": name}
-SHED_METRIC = "admission.shed"  # counter, labelled {"tenant": name}
 
 # The control law's constants.  No caller sets any of them (docs/KNOBS.md);
 # a test that needs another value patches the constant.
@@ -135,9 +127,6 @@ class AdmissionStats:
     fanout_cap: int  # 0 = uncapped
     tenants: dict[str, dict[str, float]] = field(default_factory=dict)
 
-    def as_dict(self) -> dict[str, Any]:
-        return dict(self.__dict__)
-
 
 class CapacityController:
     """Online capacity probe: the offline p50-inflation sweep, closed-loop.
@@ -146,10 +135,10 @@ class CapacityController:
     the controller is :attr:`pinned` and :class:`AdmissionController`
     never feeds it.  Otherwise completed queries are observed at the
     concurrency *level* they were admitted at (how many queries were in
-    flight, including themselves).  Each level's latest :data:`WINDOW`
-    latencies sit in one :class:`Histogram` of ``metrics``, so the
-    measured sweep is inspectable exactly like the offline table in
-    SNIPPETS.md (:meth:`sweep_table`).  The control law:
+    flight, including themselves).  Each level keeps a ring of its latest
+    :data:`WINDOW` latencies, so the measured sweep is inspectable exactly
+    like the offline table in SNIPPETS.md (:meth:`sweep_table`).  The
+    control law:
 
     * the baseline is the p50 of level-1 (solo) samples;
     * every :data:`PROBE_QUERIES` completions at the current limit,
@@ -162,13 +151,11 @@ class CapacityController:
       (hysteresis, so a borderline level cannot make the limit flap).
     """
 
-    def __init__(
-        self, threshold: float, floor: int, ceiling: int, metrics: MetricsRegistry
-    ) -> None:
+    def __init__(self, threshold: float, floor: int, ceiling: int) -> None:
         self.threshold = threshold
         self.floor = floor
         self.ceiling = ceiling
-        self.metrics = metrics
+        self._latencies: dict[int, list[float]] = {}  # level -> ring
         self.limit = floor
         self.raises = 0
         self.backoffs = 0
@@ -185,14 +172,11 @@ class CapacityController:
     # -- measurements ------------------------------------------------------------
 
     def _samples(self, level: int) -> list[float]:
-        """The level's ring, or ``[]`` — reading never registers a metric."""
-        histogram = self.metrics.get(LATENCY_METRIC, {"level": str(level)})
-        return histogram.samples if histogram is not None else []
+        """The level's ring, or ``[]`` — reading never adds a ring."""
+        return self._latencies.get(level, [])
 
     def observe(self, level: int, latency: float) -> None:
-        samples = self.metrics.histogram(
-            LATENCY_METRIC, {"level": str(level)}
-        ).samples
+        samples = self._latencies.setdefault(level, [])
         samples.append(latency)
         del samples[:-WINDOW]  # a ring: decisions read current rates only
         if level == self.limit:
@@ -327,17 +311,14 @@ class AdmissionController:
         *,
         ceiling: int,
         broker=None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.kernel = kernel
         self.config = config if config is not None else AdmissionConfig()
         self.broker = broker
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.capacity = CapacityController(
             self.config.threshold,
             ceiling if config is None else MIN_CONCURRENCY,
             ceiling,
-            self.metrics,
         )
         self._tenants: dict[str, _TenantState] = {}
         self._queue: list[_Waiter] = []
@@ -365,15 +346,13 @@ class AdmissionController:
     def _forget_idle_tenants(self) -> None:
         """Drop every tenant that carries no state worth keeping: nothing
         queued or active, and a finish tag virtual time has passed (so a
-        fresh entry would be tagged identically).  Its two labelled
-        counters go with it — tenant names arrive from ``POST /sql``
-        clients, and the registry must not grow with them."""
+        fresh entry would be tagged identically).  Its counters go with it
+        — tenant names arrive from ``POST /sql`` clients, and the table
+        must not grow with them."""
         for name, state in list(self._tenants.items()):
             if state.queued or state.active or state.finish > self._vtime:
                 continue
             del self._tenants[name]
-            self.metrics.discard(ADMITTED_METRIC, {"tenant": name})
-            self.metrics.discard(SHED_METRIC, {"tenant": name})
 
     # -- admission ---------------------------------------------------------------
 
@@ -399,7 +378,6 @@ class AdmissionController:
     def _shed(self, tenant: _TenantState, message: str, retry_after: float):
         tenant.rejected += 1
         self.shed += 1
-        self.metrics.counter(SHED_METRIC, {"tenant": tenant.name}).inc()
         return AdmissionRejected(
             message, retry_after=retry_after, tenant=tenant.name
         )
@@ -424,7 +402,6 @@ class AdmissionController:
         tenant.admitted += 1
         self.admitted += 1
         self.admission_log.append(tenant.name)
-        self.metrics.counter(ADMITTED_METRIC, {"tenant": tenant.name}).inc()
         return Ticket(tenant=tenant.name, level=self._active)
 
     async def admit(

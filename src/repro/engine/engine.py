@@ -48,7 +48,6 @@ from repro.engine import shared
 from repro.engine.admission import AdmissionConfig, AdmissionController
 from repro.engine.plan_cache import CompiledPlan, PlanCache, plan_dependencies
 from repro.engine.pools import PoolRegistry
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime.base import Kernel
 from repro.runtime.simulated import SimKernel
 from repro.util.errors import ReproError
@@ -243,11 +242,9 @@ class QueryEngine:
         self.pool_registry.share_pools = share and shared.POOLS
         # Live per-operation statistics for the cost-based optimizer's
         # feedback loop: operation -> [calls, rows, total seconds],
-        # aggregated from every query's CallRecorder.  The same numbers
-        # are published on `metrics`, next to the admission controller's.
+        # aggregated from every query's CallRecorder.
         self._observed_totals: dict[str, list[float]] = {}
         self._reoptimizations = 0
-        self.metrics = MetricsRegistry()
         # One admission path.  "static" (the default) pins the
         # controller's limit at max_concurrency — the seed semaphore's
         # schedule; "adaptive" (or an AdmissionConfig) lets it probe for
@@ -268,7 +265,6 @@ class QueryEngine:
             admission_config,
             ceiling=max_concurrency,
             broker=self.broker,
-            metrics=self.metrics,
         )
         self._kernel_generation = self.kernel.generation
         # One process-number counter for the engine's lifetime: the first
@@ -495,7 +491,6 @@ class QueryEngine:
                 key, self._compile_entry(sql_text, opts.replace(obs=None))
             )
             self._reoptimizations += 1
-            self.metrics.counter("engine.reoptimizations").inc()
         return result
 
     def _compile_entry(self, sql_text: str, opts: QueryOptions) -> CompiledPlan:
@@ -516,7 +511,7 @@ class QueryEngine:
 
     def _absorb_observations(self, stats) -> None:
         """Fold one query's per-operation CallStats into the running
-        totals (and the engine's MetricsRegistry)."""
+        totals."""
         for operation, call_stats in stats.items():
             if not call_stats.calls:
                 continue
@@ -526,12 +521,6 @@ class QueryEngine:
             totals[0] += call_stats.calls
             totals[1] += call_stats.rows
             totals[2] += call_stats.total_time.total
-            labels = {"operation": operation}
-            self.metrics.counter("engine.calls", labels).inc(call_stats.calls)
-            self.metrics.counter("engine.rows", labels).inc(call_stats.rows)
-            self.metrics.counter("engine.call_seconds", labels).inc(
-                call_stats.total_time.total
-            )
 
     def observed_stats(self) -> dict[str, tuple[float, float]]:
         """Measured per-operation ``(mean call seconds, mean fanout)``."""

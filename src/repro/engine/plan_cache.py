@@ -107,14 +107,6 @@ class PlanCacheStats:
     evictions: int = 0  # entries dropped by the LRU bound
     invalidations: int = 0  # entries evicted because a dependency changed
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
-
 
 class PlanCache:
     """LRU cache of :class:`CompiledPlan` keyed by query fingerprint."""
@@ -191,6 +183,3 @@ class PlanCache:
             del self._entries[key]
         self.stats.invalidations += len(stale)
         return len(stale)
-
-    def clear(self) -> None:
-        self._entries.clear()

@@ -85,19 +85,6 @@ class PoolRegistryStats:
     shared_leases: int = 0  # warm leases satisfied after such a wait
     discarded: int = 0  # pools forgotten without shutdown (kernel already dead)
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "cold_starts": self.cold_starts,
-            "warm_leases": self.warm_leases,
-            "released": self.released,
-            "condemned": self.condemned,
-            "trimmed": self.trimmed,
-            "closed": self.closed,
-            "lease_waits": self.lease_waits,
-            "shared_leases": self.shared_leases,
-            "discarded": self.discarded,
-        }
-
 
 class PoolRegistry:
     """Free lists of idle warm pools, with LRU bounds and invalidation.

@@ -96,31 +96,6 @@ class SharedStats:
     batches: int = 0
     batched_calls: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses + self.waits
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served without a new round trip."""
-        if self.lookups == 0:
-            return 0.0
-        return (self.hits + self.waits) / self.lookups
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "waits": self.waits,
-            "failures": self.failures,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "invalidations": self.invalidations,
-            "batches": self.batches,
-            "batched_calls": self.batched_calls,
-            "hit_rate": self.hit_rate,
-        }
-
 
 class _PendingBatch:
     """Calls waiting to coalesce for one ``(uri, operation)``."""

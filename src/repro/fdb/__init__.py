@@ -9,7 +9,7 @@ paper relies on:
   which is what the ``cwo`` built-in materializes web-service results into
   (Fig 2 of the paper navigates exactly these),
 * typed function signatures with binding patterns,
-* main-memory tables with hash indexes, used for the WSMED local database
+* main-memory tables, used for the WSMED local database
   that stores imported WSDL metadata (Sec. III).
 """
 
@@ -25,7 +25,6 @@ from repro.fdb.types import (
     SequenceType,
     TupleType,
     TypeError_,
-    infer_type,
 )
 from repro.fdb.storage import Table
 from repro.fdb.functions import FunctionDef, FunctionKind, FunctionRegistry, Parameter
@@ -46,7 +45,6 @@ __all__ = [
     "SequenceType",
     "TupleType",
     "TypeError_",
-    "infer_type",
     "Table",
     "FunctionDef",
     "FunctionKind",

@@ -2,8 +2,9 @@
 
 When a WSDL document is imported, its metadata is stored in these
 main-memory tables (Sec. III: "The web service metadata in a WSDL document
-is first imported and stored in the WSMED local database").  The OWF
-generator and the planner read the catalog rather than re-parsing WSDL.
+is first imported and stored in the WSMED local database").  Queries read
+the tables as the ``ws_services``, ``ws_operations``, ``ws_parameters``
+and ``ws_result_columns`` views.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class Catalog:
                 ("type", CHARSTRING),
             ],
         )
-        self.operations.create_index("owf")
-        self.parameters.create_index("owf")
-        self.result_columns.create_index("owf")
 
     def record_service(self, uri: str, service: str, port: str) -> None:
         self.services.insert((uri, service, port))
@@ -72,22 +70,3 @@ class Catalog:
             self.parameters.insert((owf, position, name, type_name))
         for position, (name, type_name) in enumerate(result_columns):
             self.result_columns.insert((owf, position, name, type_name))
-
-    def owf_names(self) -> list[str]:
-        return [row[3] for row in self.operations.scan()]
-
-    def operation_of(self, owf: str) -> tuple[str, str, str]:
-        """Return (wsdl uri, service name, operation name) for an OWF."""
-        rows = self.operations.lookup("owf", owf)
-        if not rows:
-            raise KeyError(f"no imported operation for OWF {owf!r}")
-        uri, service, operation, _ = rows[0]
-        return uri, service, operation
-
-    def parameters_of(self, owf: str) -> list[tuple[str, str]]:
-        rows = sorted(self.parameters.lookup("owf", owf), key=lambda r: r[1])
-        return [(name, type_name) for _, _, name, type_name in rows]
-
-    def result_columns_of(self, owf: str) -> list[tuple[str, str]]:
-        rows = sorted(self.result_columns.lookup("owf", owf), key=lambda r: r[1])
-        return [(name, type_name) for _, _, name, type_name in rows]

@@ -46,9 +46,6 @@ class AccessPath:
     alternative: str
     mapping: tuple[tuple[str, str], ...]  # (function column, alternative column)
 
-    def mapped(self) -> dict[str, str]:
-        return dict(self.mapping)
-
     def __str__(self) -> str:
         renames = ", ".join(f"{a}->{b}" for a, b in self.mapping)
         return f"{self.function} == {self.alternative} ({renames})"
@@ -92,10 +89,6 @@ class FunctionDef:
     implementation: Any
     returns_stream: bool = True
     documentation: str = ""
-
-    @property
-    def arity(self) -> int:
-        return len(self.parameters)
 
     def signature(self) -> str:
         """Signature with binding-pattern annotations, paper style."""

@@ -1,61 +1,41 @@
-"""Main-memory tables with hash indexes.
+"""Main-memory tables.
 
 Used for the WSMED local database: imported WSDL metadata (services,
-operations, parameters) is stored here, and the query planner consults it
-to resolve OWF signatures.  The implementation is a straightforward
-row-store; queries over web services never touch disk in WSMED either.
+operations, parameters) is stored here, and queries read it through the
+catalog views.  The implementation is a straightforward row-store;
+queries over web services never touch disk in WSMED either.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.fdb.types import TupleType
 from repro.util.errors import ReproError
 
 
 class StorageError(ReproError):
-    """Raised on schema violations: wrong arity, unknown column, etc."""
+    """Raised on schema violations: wrong arity or a mistyped value."""
 
 
 class Table:
     """A named, schema-checked, main-memory row store.
 
-    Rows are plain tuples in column order.  ``create_index`` builds a hash
-    index over one column; ``lookup`` uses it when present and falls back
-    to a scan otherwise, so callers never need to care.
+    Rows are plain tuples in column order.
     """
 
     def __init__(self, name: str, row_type: TupleType) -> None:
         self.name = name
         self.row_type = row_type
-        self._columns = row_type.column_names()
-        self._positions = {column: i for i, column in enumerate(self._columns)}
         self._rows: list[tuple] = []
-        self._indexes: dict[str, dict[Any, list[int]]] = {}
-
-    # -- schema ---------------------------------------------------------------
-
-    @property
-    def columns(self) -> list[str]:
-        return list(self._columns)
-
-    def position(self, column: str) -> int:
-        try:
-            return self._positions[column]
-        except KeyError:
-            raise StorageError(
-                f"table {self.name!r} has no column {column!r}; "
-                f"columns: {', '.join(self._columns)}"
-            ) from None
 
     # -- updates ----------------------------------------------------------------
 
     def insert(self, row: Iterable[Any]) -> None:
         stored = tuple(row)
-        if len(stored) != len(self._columns):
+        if len(stored) != len(self.row_type.columns):
             raise StorageError(
-                f"table {self.name!r} expects {len(self._columns)} columns, "
+                f"table {self.name!r} expects {len(self.row_type.columns)} columns, "
                 f"got {len(stored)}"
             )
         for (column, atom), value in zip(self.row_type.columns, stored):
@@ -64,19 +44,7 @@ class Table:
                     f"column {column!r} of table {self.name!r} expects {atom}, "
                     f"got {value!r}"
                 )
-        position = len(self._rows)
         self._rows.append(stored)
-        for column, index in self._indexes.items():
-            index.setdefault(stored[self.position(column)], []).append(position)
-
-    def insert_many(self, rows: Iterable[Iterable[Any]]) -> None:
-        for row in rows:
-            self.insert(row)
-
-    def clear(self) -> None:
-        self._rows.clear()
-        for index in self._indexes.values():
-            index.clear()
 
     # -- reads -------------------------------------------------------------------
 
@@ -85,24 +53,3 @@ class Table:
 
     def scan(self) -> Iterator[tuple]:
         return iter(self._rows)
-
-    def create_index(self, column: str) -> None:
-        position = self.position(column)
-        index: dict[Any, list[int]] = {}
-        for row_number, row in enumerate(self._rows):
-            index.setdefault(row[position], []).append(row_number)
-        self._indexes[column] = index
-
-    def lookup(self, column: str, value: Any) -> list[tuple]:
-        """All rows whose ``column`` equals ``value``."""
-        if column in self._indexes:
-            return [self._rows[i] for i in self._indexes[column].get(value, [])]
-        position = self.position(column)
-        return [row for row in self._rows if row[position] == value]
-
-    def select(self, predicate: Callable[[tuple], bool]) -> list[tuple]:
-        return [row for row in self._rows if predicate(row)]
-
-    def project(self, columns: list[str]) -> list[tuple]:
-        positions = [self.position(column) for column in columns]
-        return [tuple(row[p] for p in positions) for row in self._rows]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.fdb.values import Record, Sequence
 from repro.util.errors import ReproError
 
 
@@ -62,28 +61,11 @@ def _restore_atomic(name: str) -> AtomicType:
     return AtomicType(name)
 
 
-def atomic(name: str) -> AtomicType:
-    """Look up an atomic type by name (case-insensitive)."""
-    try:
-        return _ATOMS[name.capitalize() if name.islower() else name]
-    except KeyError:
-        raise TypeError_(f"unknown atomic type {name!r}") from None
-
-
 @dataclass(frozen=True)
 class RecordType:
     """A record with named, typed fields (order preserved for display)."""
 
     fields: tuple[tuple[str, "ValueType"], ...]
-
-    def field_type(self, name: str) -> "ValueType":
-        for fname, ftype in self.fields:
-            if fname == name:
-                return ftype
-        raise TypeError_(f"record type has no field {name!r}")
-
-    def field_names(self) -> list[str]:
-        return [name for name, _ in self.fields]
 
     def __str__(self) -> str:
         inner = ", ".join(f"{name}: {ftype}" for name, ftype in self.fields)
@@ -119,12 +101,6 @@ class TupleType:
     def column_names(self) -> list[str]:
         return [name for name, _ in self.columns]
 
-    def column_type(self, name: str) -> AtomicType:
-        for cname, ctype in self.columns:
-            if cname == name:
-                return ctype
-        raise TypeError_(f"tuple type has no column {name!r}")
-
     def __str__(self) -> str:
         inner = ", ".join(f"{atom} {name}" for name, atom in self.columns)
         return f"<{inner}>"
@@ -132,27 +108,3 @@ class TupleType:
 
 ValueType = AtomicType | RecordType | SequenceType | BagType | TupleType
 
-
-def infer_type(value: Any) -> ValueType:
-    """Infer the database type of a runtime value.
-
-    Collections infer their element type from the first element; empty
-    collections infer ``Charstring`` elements, which is the least surprising
-    default for web-service payloads.
-    """
-    if isinstance(value, bool):
-        return BOOLEAN
-    if isinstance(value, str):
-        return CHARSTRING
-    if isinstance(value, int):
-        return INTEGER
-    if isinstance(value, float):
-        return REAL
-    if isinstance(value, Record):
-        return RecordType(
-            tuple((name, infer_type(item)) for name, item in value.items())
-        )
-    if isinstance(value, Sequence):
-        first = next(iter(value), None)
-        return SequenceType(CHARSTRING if first is None else infer_type(first))
-    raise TypeError_(f"cannot infer database type of {value!r}")

@@ -43,9 +43,6 @@ class Record:
     def attributes(self) -> list[str]:
         return list(self._attrs)
 
-    def items(self) -> Iterable[tuple[str, Any]]:
-        return self._attrs.items()
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Record) and self._attrs == other._attrs
 

@@ -1,6 +1,6 @@
-"""Span-based tracing and metrics for the query stack.
+"""Span-based tracing for the query stack.
 
-The subsystem has five layers:
+The subsystem has four layers:
 
 - :mod:`repro.obs.run` -- ``QueryRun``, the per-query object every process
   of a query counts into (call recorder; cache, message, tree and fault
@@ -10,20 +10,16 @@ The subsystem has five layers:
   :class:`Span` records into a :class:`SpanStore` and the query's events
   into its ``events`` log; ``NULL_RECORDER`` is the shared no-op default so
   instrumentation sites cost one attribute check when tracing is off.
-- :mod:`repro.obs.metrics` -- ``MetricsRegistry`` with counters, gauges and
-  histograms keyed by name + labels (the resident engine's and admission
-  controller's metrics).
 - :mod:`repro.obs.critical_path` -- walks a finished span tree and reports
   the longest dependent chain per query-process tree level (the paper's
   "slowest service dominates" analysis).
-- :mod:`repro.obs.export` / :mod:`repro.obs.validate` -- JSON and Chrome
-  trace-event exporters plus structural well-formedness checks (also used
+- :mod:`repro.obs.export` / :mod:`repro.obs.validate` -- the Chrome
+  trace-event exporter plus structural well-formedness checks (also used
   by CI on a real exported trace).
 """
 
 from repro.obs.critical_path import CriticalPathReport, LevelSummary, analyze_critical_path
-from repro.obs.export import spans_to_json, to_chrome_trace, write_chrome_trace
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.export import to_chrome_trace, write_chrome_trace
 from repro.obs.spans import (
     NULL_RECORDER,
     NullRecorder,
@@ -35,18 +31,13 @@ from repro.obs.validate import validate_chrome_trace, validate_spans
 
 __all__ = [
     "NULL_RECORDER",
-    "Counter",
     "CriticalPathReport",
-    "Gauge",
-    "Histogram",
     "LevelSummary",
-    "MetricsRegistry",
     "NullRecorder",
     "Span",
     "SpanStore",
     "TraceRecorder",
     "analyze_critical_path",
-    "spans_to_json",
     "to_chrome_trace",
     "validate_chrome_trace",
     "validate_spans",

@@ -1,7 +1,7 @@
-"""Exporters: plain JSON and Chrome trace-event format.
+"""Exporter: Chrome trace-event format.
 
-The Chrome trace-event output follows the JSON-object flavour of the
-`Trace Event Format`_ understood by Perfetto and ``chrome://tracing``:
+The output follows the JSON-object flavour of the `Trace Event Format`_
+understood by Perfetto and ``chrome://tracing``:
 
 - every finished span becomes an ``"X"`` (complete) event with ``ts``/``dur``
   in microseconds;
@@ -40,27 +40,6 @@ def _pid(span: Span) -> int:
 
 def _us(seconds: float) -> int:
     return round(seconds * 1_000_000)
-
-
-def spans_to_json(store: SpanStore) -> dict[str, Any]:
-    """Lossless JSON dump of the span store."""
-    spans = []
-    for span in store:
-        entry: dict[str, Any] = {
-            "id": span.id,
-            "parent": span.parent,
-            "name": span.name,
-            "category": span.category,
-            "process": span.process,
-            "start": span.start,
-            "end": span.end,
-        }
-        if span.instant:
-            entry["instant"] = True
-        if span.attrs:
-            entry["attrs"] = span.attrs
-        spans.append(entry)
-    return {"spans": spans}
 
 
 def to_chrome_trace(store: SpanStore) -> dict[str, Any]:

@@ -129,9 +129,6 @@ class FaultStats:
     def any(self) -> bool:
         return any(vars(self).values())
 
-    def as_dict(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass
 class QueryRun:

@@ -15,8 +15,7 @@ This subpackage implements the paper's contribution:
 * :mod:`repro.parallel.aff_applyp` — the adaptive ``AFF_APPLYP`` runtime:
   binary init stage, monitoring cycles, add and drop stages (Sec. V.A);
 * :mod:`repro.parallel.executor` — wires the parallel handler into the
-  plan interpreter and owns pool shutdown;
-* :mod:`repro.parallel.tree` — fanout vectors.
+  plan interpreter and owns pool shutdown.
 """
 
 from repro.parallel.baseline import run_level_synchronous
@@ -24,10 +23,8 @@ from repro.parallel.costs import ProcessCosts
 from repro.parallel.executor import ParallelExecutor
 from repro.parallel.faults import FaultInjection
 from repro.parallel.parallelizer import parallelize, split_sections
-from repro.parallel.tree import FanoutVector
 from repro.parallel.visualize import (
     build_process_tree,
-    peak_concurrency,
     process_utilization,
     render_process_tree,
     render_utilization,
@@ -40,9 +37,7 @@ __all__ = [
     "FaultInjection",
     "parallelize",
     "split_sections",
-    "FanoutVector",
     "build_process_tree",
-    "peak_concurrency",
     "process_utilization",
     "render_process_tree",
     "render_utilization",

@@ -135,23 +135,6 @@ def process_utilization(
     return report
 
 
-def peak_concurrency(trace: TraceLog, operation: str | None = None) -> int:
-    """Maximum number of overlapping service calls (optionally one op)."""
-    points: list[tuple[float, int]] = []
-    for event in trace.events("service_call"):
-        if operation is not None and event.data["operation"] != operation:
-            continue
-        start = event.time - event.data["duration"]
-        points.append((start, 1))
-        points.append((event.time, -1))
-    points.sort()
-    peak = current = 0
-    for _, delta in points:
-        current += delta
-        peak = max(peak, current)
-    return peak
-
-
 def render_gantt(
     trace: TraceLog,
     *,

@@ -87,10 +87,6 @@ class SimTask(base.ProcessHandle):
     def done(self) -> bool:
         return self._done
 
-    @property
-    def error(self) -> BaseException | None:
-        return self._error
-
     def result(self) -> Any:
         """Result of a finished task; raises its error if it failed."""
         if not self._done:

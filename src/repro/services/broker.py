@@ -163,12 +163,6 @@ class ServiceBroker:
             document, provider, capacity, profiles
         )
 
-    def endpoint_document(self, uri: str) -> WsdlDocument:
-        return self._endpoint(uri).document
-
-    def documents(self) -> list[WsdlDocument]:
-        return [endpoint.document for endpoint in self._endpoints.values()]
-
     def _endpoint(self, uri: str) -> _Endpoint:
         try:
             return self._endpoints[uri]
@@ -185,9 +179,6 @@ class ServiceBroker:
 
     def total_calls(self) -> int:
         return sum(stat.calls for stat in self._stats.values())
-
-    def all_stats(self) -> dict[str, CallStats]:
-        return dict(self._stats)
 
     def contention(self) -> dict[str, dict[str, float]]:
         """Measured queue pressure per called operation.

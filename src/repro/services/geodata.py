@@ -272,9 +272,6 @@ class GeoDatabase:
                 return state
         raise KeyError(f"unknown state {name!r}")
 
-    def places_in_state(self, state: str) -> list[Place]:
-        return list(self._places_by_state.get(state, []))
-
     def places_within(
         self, place_prefix: str, state: str, distance_km: float, place_type: str
     ) -> list[tuple[Place, float]]:
@@ -355,18 +352,3 @@ class GeoDatabase:
             (place, haversine_km(origin[0], origin[1], place.lat, place.lon))
             for place in places
         ]
-
-    # -- dataset statistics (used by tests and DESIGN verification) ------------
-
-    def total_places(self) -> int:
-        return len(self._places)
-
-    def total_zipcodes(self) -> int:
-        return sum(len(codes) for codes in self._zips_by_state.values())
-
-    def expected_query1_level2_calls(self, distance_km: float = 15.0) -> int:
-        """How many GetPlaceList calls Query1 issues with this dataset."""
-        return sum(
-            len(self.places_within("Atlanta", state, distance_km, "City"))
-            for state in self.atlanta_states
-        )

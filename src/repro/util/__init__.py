@@ -17,7 +17,7 @@ from repro.util.errors import (
     WsdlError,
 )
 from repro.util.rng import derive_rng, stable_hash
-from repro.util.stats import RunningStat, Welford, quantile
+from repro.util.stats import RunningStat, quantile
 from repro.util.trace import TraceLog, TraceEvent
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "derive_rng",
     "stable_hash",
     "RunningStat",
-    "Welford",
     "quantile",
     "TraceLog",
     "TraceEvent",

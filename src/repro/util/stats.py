@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -33,39 +33,6 @@ class RunningStat:
         if self.count == 0:
             return 0.0
         return self.total / self.count
-
-    def merge(self, other: "RunningStat") -> None:
-        """Fold another stat into this one (used to aggregate per-child stats)."""
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
-
-@dataclass
-class Welford:
-    """Numerically stable streaming mean/variance (Welford's algorithm)."""
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance; 0.0 with fewer than two samples."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
 
 
 def quantile(samples: list[float], q: float) -> float:

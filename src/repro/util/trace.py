@@ -51,12 +51,3 @@ class TraceLog:
             return list(self._events)
         return [event for event in self._events if event.kind == kind]
 
-    def count(self, kind: str) -> int:
-        return sum(1 for event in self._events if event.kind == kind)
-
-    def last(self, kind: str) -> TraceEvent:
-        """Most recent event of ``kind``; raises ``KeyError`` when absent."""
-        for event in reversed(self._events):
-            if event.kind == kind:
-                return event
-        raise KeyError(f"no trace event of kind {kind!r}")

@@ -78,9 +78,28 @@ class QueryOptions:
     tenant: str = "default"
     deadline_ms: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        # These arrive from POST /sql JSON and shell arguments: reject a
+        # bad value here, as a PlanError, before any query runs.
+        if self.fanouts is not None and not (
+            isinstance(self.fanouts, (list, tuple))
+            and all(_is_count(fanout) for fanout in self.fanouts)
+        ):
+            raise PlanError(
+                f"fanouts must be a list of integers >= 0, got {self.fanouts!r}"
+            )
+        if not _is_count(self.retries):
+            raise PlanError(f"retries must be an integer >= 0, got {self.retries!r}")
+        if not isinstance(self.name, str):
+            raise PlanError(f"name must be a string, got {self.name!r}")
+
     def replace(self, **overrides) -> "QueryOptions":
         """A copy with the given fields changed (field names validated)."""
         return replace(self, **overrides)
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 #: Fields only the one-shot WSMED.sql surface honors.

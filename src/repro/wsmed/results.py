@@ -7,7 +7,7 @@ named sections ("calls", "tree", "cache", "batch", "faults",
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.cache import CacheStats
@@ -76,39 +76,6 @@ class QueryResult:
         stats = self.call_stats.get(operation)
         return stats.calls if stats else 0
 
-    def to_json(self) -> str:
-        """Serialize the result and its statistics for external tooling."""
-        import json
-
-        payload = {
-            "columns": list(self.columns),
-            "rows": [list(row) for row in self.rows],
-            "elapsed_model_seconds": self.elapsed,
-            "mode": self.mode,
-            "total_calls": self.total_calls,
-            "operations": {
-                name: {
-                    "calls": stats.calls,
-                    "rows": stats.rows,
-                    "bytes": stats.bytes_transferred,
-                    "mean_total_time": stats.total_time.mean,
-                    "mean_queue_wait": stats.queue_wait.mean,
-                }
-                for name, stats in sorted(self.call_stats.items())
-            },
-            "cache": self.cache_stats.as_dict() if self.cache_stats else None,
-            "messages": asdict(self.message_stats),
-            "faults": self.fault_stats.as_dict(),
-            "tree": {
-                "processes_spawned": self.tree.processes_spawned,
-                "processes_dropped": self.tree.processes_dropped,
-                "add_stages": self.tree.add_stages,
-                "drop_stages": self.tree.drop_stages,
-                "average_fanouts": self.tree.average_fanouts(),
-            },
-        }
-        return json.dumps(payload, indent=2)
-
     def _events(self) -> TraceLog:
         if self.trace is None:
             raise ReproError(
@@ -134,14 +101,8 @@ class QueryResult:
         lines = [
             f"{len(self.rows)} rows in {self.elapsed:.2f} model seconds "
             f"({self.mode} mode, {self.total_calls} web service calls)",
+            *self._operation_lines(),
         ]
-        for operation in sorted(self.call_stats):
-            stats = self.call_stats[operation]
-            lines.append(
-                f"  {operation}: {stats.calls} calls, "
-                f"mean {stats.total_time.mean:.3f}s, "
-                f"queue {stats.queue_wait.mean:.3f}s"
-            )
         if self.tree.processes_spawned:
             lines.append("  " + self._render_tree())
         if self.cache_stats is not None:
@@ -179,19 +140,23 @@ class QueryResult:
             lines.append(renderer(self))
         return "\n".join(lines)
 
-    def _render_calls(self) -> str:
-        lines = [
-            f"calls: {self.total_calls} web service calls in "
-            f"{self.elapsed:.2f} model seconds ({self.mode} mode)"
+    def _operation_lines(self) -> list[str]:
+        """One indented line per called operation, sorted by name."""
+        return [
+            f"  {operation}: {stats.calls} calls, "
+            f"mean {stats.total_time.mean:.3f}s, "
+            f"queue {stats.queue_wait.mean:.3f}s"
+            for operation, stats in sorted(self.call_stats.items())
         ]
-        for operation in sorted(self.call_stats):
-            stats = self.call_stats[operation]
-            lines.append(
-                f"  {operation}: {stats.calls} calls, "
-                f"mean {stats.total_time.mean:.3f}s, "
-                f"queue {stats.queue_wait.mean:.3f}s"
-            )
-        return "\n".join(lines)
+
+    def _render_calls(self) -> str:
+        return "\n".join(
+            [
+                f"calls: {self.total_calls} web service calls in "
+                f"{self.elapsed:.2f} model seconds ({self.mode} mode)",
+                *self._operation_lines(),
+            ]
+        )
 
     def _render_tree(self) -> str:
         tree = self.tree

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra.cost import CostModel, estimate_plan
+from repro.algebra.cost import CostModel, NodeEstimate, estimate_nodes, estimate_plan
 from repro.algebra.explain import render_plan
 
 from tests.helpers import QUERY1_SQL, QUERY2_SQL, make_world
@@ -41,6 +41,20 @@ def test_estimate_defaults_are_finite(world) -> None:
     estimate = estimate_plan(plan, world.functions)
     assert estimate.total_calls > 0
     assert estimate.sequential_time > 0
+
+
+def test_estimate_of_grouped_and_global_aggregates(world) -> None:
+    model = CostModel(fanouts={"GetAllStates": 50})
+    grouped = world.central_plan(
+        "SELECT gs.State, count(*) AS n FROM GetAllStates gs GROUP BY gs.State"
+    )
+    total = world.central_plan("SELECT count(*) AS n FROM GetAllStates gs")
+    # A GROUP BY keeps GROUP_REDUCTION of its input; a global aggregate one row.
+    assert estimate_plan(grouped, world.functions, model).output_cardinality == 5
+    assert estimate_plan(total, world.functions, model).output_cardinality == 1
+    assert estimate_nodes(grouped, world.functions, model)[id(grouped)] == (
+        NodeEstimate(50, 5)
+    )
 
 
 def test_render_plan_shows_operators_and_schemas(world) -> None:

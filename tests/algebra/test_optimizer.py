@@ -109,6 +109,22 @@ def test_bushy_join_repairs_disconnected_query_order(world) -> None:
     )
 
 
+def test_left_deep_join_past_join_dp_limit(world, monkeypatch) -> None:
+    # Past JOIN_DP_LIMIT chains the walk joins the next *connected* chain,
+    # so the disconnected query order is still repaired.
+    monkeypatch.setattr(optimizer, "JOIN_DP_LIMIT", 2)
+    _plan, report = _cost_plan(world, DISCONNECTED_SQL)
+    assert report.join_strategy == "left-deep"
+    assert report.join_shape.count("⋈") == 2
+    rows = world.sql(
+        DISCONNECTED_SQL,
+        options=QueryOptions(mode="central", optimize="cost"),
+    ).rows
+    assert sorted(tuple(row) for row in rows) == sorted(
+        (f"R{i:02d}",) for i in range(12)
+    )
+
+
 def test_adversarial_rows_match_heuristic(world) -> None:
     cost = world.sql(
         ADVERSARIAL_SQL,

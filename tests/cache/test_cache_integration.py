@@ -91,8 +91,8 @@ def test_cache_hits_show_up_in_trace(wsmed) -> None:
         SKEW_SQL,
         options=QueryOptions(cache=CacheConfig(enabled=True), obs=TraceRecorder()),
     )
-    assert on.trace.count("cache_hit") == on.cache_stats.hits
-    assert on.trace.count("service_call") == on.total_calls
+    assert len(on.trace.events("cache_hit")) == on.cache_stats.hits
+    assert len(on.trace.events("service_call")) == on.total_calls
 
 
 def test_system_wide_cache_config_applies() -> None:

@@ -9,7 +9,8 @@ from benchmarks.worlds import (
 from repro.calculus.expressions import FunctionPredicate
 from repro.calculus.generator import generate_calculus
 from repro.calculus.rewrite import rewrite_unfittable
-from repro.fdb.functions import FunctionError
+from repro.fdb.functions import FunctionError, FunctionRegistry, helping_function
+from repro.fdb.types import CHARSTRING, TupleType
 from repro.sql.parser import parse_query
 from repro.util.errors import BindingError
 
@@ -98,6 +99,37 @@ def test_rewrite_replaces_call_and_clears_unbound(world) -> None:
     ]
     assert "CodeOf" in functions
     assert "NameOf" not in functions
+
+
+def test_rewrite_names_an_unmapped_alternative_column_afresh() -> None:
+    # The alternative returns a column the mapping does not mention; the
+    # rewritten call binds it to a fresh variable that clashes with nothing.
+    functions = FunctionRegistry()
+    for function in (
+        helping_function("Items", [], TupleType((("item", CHARSTRING),)), list),
+        helping_function(
+            "NameOf", [("code", CHARSTRING)], TupleType((("name", CHARSTRING),)), list
+        ),
+        helping_function(
+            "CodeOf",
+            [("name", CHARSTRING)],
+            TupleType((("code", CHARSTRING), ("kind", CHARSTRING))),
+            list,
+        ),
+    ):
+        functions.register(function)
+    functions.declare_access_path("NameOf", "CodeOf", {"code": "code", "name": "name"})
+    sql = "SELECT li.item, no.code FROM Items li, NameOf no WHERE no.name = li.item"
+    calculus = generate_calculus(
+        parse_query(sql), functions, "Query", allow_unbound=True
+    )
+    rewritten, _ = rewrite_unfittable(calculus, functions)
+    (call,) = [
+        p for p in rewritten.predicates
+        if isinstance(p, FunctionPredicate) and p.function == "CodeOf"
+    ]
+    assert [v.name for v in call.outputs] == ["no_code", "no_kind"]
+    assert rewritten.unbound == ()
 
 
 def test_rewrite_is_noop_without_placeholders(world) -> None:

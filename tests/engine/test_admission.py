@@ -25,7 +25,6 @@ from repro import (
 )
 from repro.engine import admission
 from repro.engine.admission import AdmissionController, CapacityController
-from repro.obs.metrics import MetricsRegistry
 from repro.parallel.faults import FaultInjection
 from repro.util.errors import ReproError
 
@@ -82,9 +81,7 @@ def test_max_concurrency_is_fixed_at_construction() -> None:
 
 
 def _controller() -> CapacityController:
-    return CapacityController(
-        1.5, admission.MIN_CONCURRENCY, 8, MetricsRegistry()
-    )
+    return CapacityController(1.5, admission.MIN_CONCURRENCY, 8)
 
 
 def _window(controller: CapacityController, level: int, latency: float) -> None:
@@ -147,7 +144,7 @@ def test_pinned_controller_takes_no_samples_and_never_moves() -> None:
     assert stats.admission_limit == 2
     assert stats.admission_raises == stats.admission_backoffs == 0
     assert stats.admission_baseline_p50 == 0.0
-    assert admission.LATENCY_METRIC not in engine.metrics.names()
+    assert engine.admission.capacity.sweep_table() == []
     engine.close()
 
 
@@ -402,20 +399,19 @@ def test_fairness_and_shedding_survive_fault_injection(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_admission_metrics_land_in_the_engine_registry(policy) -> None:
-    """Regression: the controller was built without ``metrics=`` and
-    counted into a private registry nobody could read."""
+def test_admission_counts_each_tenant_under_both_policies(policy) -> None:
+    """Admitted and shed queries are counted per tenant, and the engine's
+    statistics report the sheds, whichever policy admits them."""
     engine = fresh_engine(admission=policy, max_concurrency=2)
-    assert engine.admission.metrics is engine.metrics
     engine.sql_many([QUERY1_SQL] * 3, options=PARALLEL)
-    labels = {"tenant": "default"}
-    assert engine.metrics.value(admission.ADMITTED_METRIC, labels) == 3
     engine.sql(QUERY1_SQL, options=PARALLEL.replace(tenant="other"))
-    assert engine.metrics.value(admission.ADMITTED_METRIC, labels) == 3
-    assert engine.metrics.value(admission.ADMITTED_METRIC, {"tenant": "other"}) == 1
     with pytest.raises(AdmissionRejected):
         engine.sql(QUERY1_SQL, options=PARALLEL.replace(deadline_ms=1.0))
-    assert engine.metrics.value(admission.SHED_METRIC, labels) == 1
+    tenants = engine.admission.stats().tenants
+    assert tenants["default"]["admitted"] == 3
+    assert tenants["default"]["rejected"] == 1
+    assert tenants["other"]["admitted"] == 1
+    assert engine.stats().admission_shed == 1
     engine.close()
 
 
@@ -424,14 +420,9 @@ def test_admission_metrics_land_in_the_engine_registry(policy) -> None:
 
 def test_state_stays_bounded_over_many_distinct_tenants() -> None:
     """Tenant names come from ``POST /sql`` clients: 10,000 of them must
-    not grow the tenant table, the metrics registry or the latency
-    samples (at the parent each one left a ``_TenantState``, two counters
-    and a histogram sample behind, forever)."""
+    not grow the tenant table or the latency rings."""
     kernel = SimKernel(resident=True)
-    metrics = MetricsRegistry()
-    controller = AdmissionController(
-        kernel, AdmissionConfig(), ceiling=4, metrics=metrics
-    )
+    controller = AdmissionController(kernel, AdmissionConfig(), ceiling=4)
 
     async def scenario() -> None:
         for index in range(10_000):
@@ -448,14 +439,9 @@ def test_state_stays_bounded_over_many_distinct_tenants() -> None:
     assert controller.admitted + controller.shed == 10_000
     assert controller.shed > 0
     assert len(controller._tenants) <= admission.MAX_TENANTS
-    # Two labelled counters per remembered tenant + one ring per level.
-    assert len(metrics) <= 2 * admission.MAX_TENANTS + controller.capacity.ceiling
-    samples = [
-        len(metric.samples)
-        for metric in metrics
-        if metric.name == admission.LATENCY_METRIC
-    ]
-    assert samples and max(samples) <= admission.WINDOW
+    rings = controller.capacity.sweep_table()
+    assert 0 < len(rings) <= controller.capacity.ceiling
+    assert max(ring["samples"] for ring in rings) <= admission.WINDOW
     kernel.shutdown()
 
 

@@ -19,6 +19,8 @@ from repro import (
 )
 from repro.util.errors import ReproError
 
+from tests.helpers import wsdl_uri
+
 PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 
 
@@ -136,9 +138,9 @@ def test_warm_query_spawns_nothing_and_reuses_the_tree() -> None:
     cold = engine.sql(QUERY1_SQL, options=traced())
     warm = engine.sql(QUERY1_SQL, options=traced())
 
-    assert cold.trace.count("spawn") == 25  # 5 + 5*4 processes
-    assert warm.trace.count("spawn") == 0
-    assert warm.trace.count("install") == 0
+    assert len(cold.trace.events("spawn")) == 25  # 5 + 5*4 processes
+    assert len(warm.trace.events("spawn")) == 0
+    assert len(warm.trace.events("install")) == 0
     assert sorted(warm.rows) == sorted(cold.rows)
     assert warm.total_calls == cold.total_calls
     assert warm.elapsed < cold.elapsed
@@ -186,7 +188,7 @@ def test_wsdl_reimport_evicts_plans_and_cold_starts_pools() -> None:
     engine = QueryEngine(wsmed)
     first = engine.sql(QUERY1_SQL, options=PARALLEL)
 
-    uri, _, _ = wsmed.catalog.operation_of("GetPlacesWithin")
+    uri = wsdl_uri(wsmed, "GetPlacesWithin")
     wsmed.import_wsdl(uri)  # replaces the OWF definitions
 
     assert engine.stats().plan_cache_entries == 0

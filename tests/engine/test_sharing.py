@@ -9,6 +9,7 @@ from repro.engine import shared
 from repro.wsmed.options import QueryOptions
 
 from tests.engine.test_engine import fresh_wsmed, trace_multiset, traced
+from tests.helpers import wsdl_uri
 
 PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 
@@ -156,7 +157,7 @@ def test_replace_mid_query_condemns_shared_trees() -> None:
 
     async def replace_mid_flight():
         await kernel.sleep(0.3)
-        uri, _, _ = wsmed.catalog.operation_of("GetPlacesWithin")
+        uri = wsdl_uri(wsmed, "GetPlacesWithin")
         wsmed.import_wsdl(uri)
 
     async def scenario():

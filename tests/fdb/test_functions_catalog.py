@@ -97,22 +97,17 @@ def test_catalog_roundtrip() -> None:
         parameters=[],
         result_columns=[("state", "Charstring"), ("name", "Charstring")],
     )
-    assert catalog.owf_names() == ["GetAllStates"]
-    assert catalog.operation_of("GetAllStates") == (
-        "http://x/y.wsdl",
-        "GeoPlaces",
-        "GetAllStates",
-    )
-    assert catalog.parameters_of("GetAllStates") == []
-    assert catalog.result_columns_of("GetAllStates") == [
-        ("state", "Charstring"),
-        ("name", "Charstring"),
+    assert list(catalog.services.scan()) == [
+        ("http://x/y.wsdl", "GeoPlaces", "GeoPlacesSoap")
     ]
-
-
-def test_catalog_unknown_owf_raises() -> None:
-    with pytest.raises(KeyError):
-        Catalog().operation_of("Nope")
+    assert list(catalog.operations.scan()) == [
+        ("http://x/y.wsdl", "GeoPlaces", "GetAllStates", "GetAllStates")
+    ]
+    assert list(catalog.parameters.scan()) == []
+    assert list(catalog.result_columns.scan()) == [
+        ("GetAllStates", 0, "state", "Charstring"),
+        ("GetAllStates", 1, "name", "Charstring"),
+    ]
 
 
 def test_catalog_parameter_order_preserved() -> None:
@@ -130,5 +125,7 @@ def test_catalog_parameter_order_preserved() -> None:
         ],
         result_columns=[("ToCity", "Charstring")],
     )
-    names = [name for name, _ in catalog.parameters_of("GetPlacesWithin")]
-    assert names == ["place", "state", "distance", "placeTypeToFind"]
+    rows = sorted(catalog.parameters.scan(), key=lambda row: row[1])
+    assert [name for _, _, name, _ in rows] == [
+        "place", "state", "distance", "placeTypeToFind"
+    ]

@@ -39,52 +39,3 @@ def test_none_values_allowed() -> None:
     table = make_table()
     table.insert(("Atlanta", "GA", None))
     assert list(table.scan()) == [("Atlanta", "GA", None)]
-
-
-def test_lookup_without_index_scans() -> None:
-    table = make_table()
-    table.insert(("Atlanta", "GA", 1))
-    table.insert(("Atlanta", "TX", 2))
-    table.insert(("Austin", "TX", 3))
-    assert len(table.lookup("name", "Atlanta")) == 2
-    assert table.lookup("state", "TX")[1] == ("Austin", "TX", 3)
-
-
-def test_lookup_with_index_matches_scan() -> None:
-    table = make_table()
-    rows = [("A", "GA", 1), ("B", "TX", 2), ("A", "TX", 3)]
-    table.insert_many(rows)
-    without_index = table.lookup("name", "A")
-    table.create_index("name")
-    assert table.lookup("name", "A") == without_index
-
-
-def test_index_maintained_after_insert() -> None:
-    table = make_table()
-    table.create_index("state")
-    table.insert(("Atlanta", "GA", 1))
-    table.insert(("Macon", "GA", 2))
-    assert len(table.lookup("state", "GA")) == 2
-
-
-def test_unknown_column_raises() -> None:
-    table = make_table()
-    with pytest.raises(StorageError, match="country"):
-        table.lookup("country", "US")
-
-
-def test_select_and_project() -> None:
-    table = make_table()
-    table.insert_many([("A", "GA", 10), ("B", "TX", 20), ("C", "GA", 30)])
-    big = table.select(lambda row: row[2] > 15)
-    assert [row[0] for row in big] == ["B", "C"]
-    assert table.project(["state"]) == [("GA",), ("TX",), ("GA",)]
-
-
-def test_clear_empties_rows_and_indexes() -> None:
-    table = make_table()
-    table.create_index("name")
-    table.insert(("A", "GA", 1))
-    table.clear()
-    assert len(table) == 0
-    assert table.lookup("name", "A") == []

@@ -1,4 +1,6 @@
-"""Tests for type descriptors and inference."""
+"""Tests for type descriptors."""
+
+import pickle
 
 import pytest
 
@@ -12,10 +14,8 @@ from repro.fdb.types import (
     SequenceType,
     TupleType,
     TypeError_,
-    atomic,
-    infer_type,
+    _restore_atomic,
 )
-from repro.fdb.values import Record, Sequence
 
 
 def test_atomic_accepts() -> None:
@@ -32,26 +32,24 @@ def test_atomic_accepts() -> None:
 
 
 def test_atomic_lookup_by_name() -> None:
-    assert atomic("Charstring") is CHARSTRING
-    assert atomic("Real") is REAL
+    # Unpickling (a plan shipped to a worker) looks atoms up by name, so
+    # identity checks like `atom is REAL` survive the round trip.
+    assert pickle.loads(pickle.dumps(REAL)) is REAL
+    assert _restore_atomic("Charstring") is CHARSTRING
     with pytest.raises(TypeError_):
-        atomic("Decimal")
+        _restore_atomic("Decimal").accepts("x")
 
 
 def test_record_type_field_access() -> None:
     rtype = RecordType((("Name", CHARSTRING), ("Lat", REAL)))
-    assert rtype.field_type("Lat") is REAL
-    assert rtype.field_names() == ["Name", "Lat"]
-    with pytest.raises(TypeError_):
-        rtype.field_type("Lon")
+    assert dict(rtype.fields)["Lat"] is REAL
+    assert [name for name, _ in rtype.fields] == ["Name", "Lat"]
+    assert str(rtype) == "Record<Name: Charstring, Lat: Real>"
 
 
 def test_tuple_type_columns() -> None:
     ttype = TupleType((("state", CHARSTRING), ("zip", CHARSTRING)))
     assert ttype.column_names() == ["state", "zip"]
-    assert ttype.column_type("zip") is CHARSTRING
-    with pytest.raises(TypeError_):
-        ttype.column_type("city")
 
 
 def test_display_forms() -> None:
@@ -59,25 +57,3 @@ def test_display_forms() -> None:
     assert str(SequenceType(REAL)) == "Sequence of Real"
     assert "Charstring name" in str(TupleType((("name", CHARSTRING),)))
 
-
-def test_infer_type_atoms() -> None:
-    assert infer_type("x") is CHARSTRING
-    assert infer_type(2) is INTEGER
-    assert infer_type(2.0) is REAL
-    assert infer_type(True) is BOOLEAN
-
-
-def test_infer_type_nested() -> None:
-    value = Record({"a": Sequence(["x", "y"])})
-    inferred = infer_type(value)
-    assert isinstance(inferred, RecordType)
-    assert inferred.field_type("a") == SequenceType(CHARSTRING)
-
-
-def test_infer_type_empty_sequence_defaults_to_charstring() -> None:
-    assert infer_type(Sequence([])) == SequenceType(CHARSTRING)
-
-
-def test_infer_type_rejects_unknown() -> None:
-    with pytest.raises(TypeError_):
-        infer_type(object())

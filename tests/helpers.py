@@ -50,6 +50,12 @@ def getzipcode_function():
     )
 
 
+def wsdl_uri(wsmed, owf: str) -> str:
+    """The WSDL document ``owf`` was imported from, read off the catalog."""
+    (uri,) = {row[0] for row in wsmed.catalog.operations.scan() if row[3] == owf}
+    return uri
+
+
 def build_functions(registry: ServiceRegistry) -> FunctionRegistry:
     functions = FunctionRegistry()
     for document in registry.documents.values():

@@ -177,8 +177,8 @@ def test_shared_tier_answers_are_attributed_in_worker_children(monkeypatch) -> N
             engine.close()
     assert cold.total_calls == 311 and cold.cache_stats.coalesced > 0
     assert warm.total_calls == 0
-    assert warm.trace.count("service_call") == 0
-    assert warm.trace.count("shared_hit") == warm.cache_stats.shared_hits == 311
+    assert len(warm.trace.events("service_call")) == 0
+    assert len(warm.trace.events("shared_hit")) == warm.cache_stats.shared_hits == 311
 
 
 @pytest.mark.skipif(

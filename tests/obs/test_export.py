@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 from repro import QUERY1_SQL, QueryOptions, TraceRecorder, WSMED
-from repro.obs import spans_to_json, to_chrome_trace, write_chrome_trace
+from repro.obs import to_chrome_trace, write_chrome_trace
 from repro.obs.validate import validate_chrome_trace
 
 GOLDEN = Path(__file__).parent / "golden_chrome_trace.json"
@@ -81,9 +81,3 @@ def test_real_query_export_is_well_formed(tmp_path) -> None:
     result.write_trace(str(tmp_path / "q1.json"))
     assert (tmp_path / "q1.json").exists()
 
-
-def test_spans_to_json_lists_every_span() -> None:
-    store = _golden_store()
-    payload = spans_to_json(store)
-    assert len(payload["spans"]) == len(store)
-    assert {span["name"] for span in payload["spans"]} >= {"query:Q", "call#1"}

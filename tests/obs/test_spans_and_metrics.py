@@ -1,10 +1,9 @@
-"""Unit tests for the observability primitives: spans, metrics, validation."""
+"""Unit tests for the observability primitives: spans and validation."""
 
 import pytest
 
 from repro.obs import (
     NULL_RECORDER,
-    MetricsRegistry,
     Span,
     SpanStore,
     TraceRecorder,
@@ -101,43 +100,3 @@ def test_validator_catches_child_escaping_parent() -> None:
         )
     )
     assert any("closes after parent" in p for p in validate_spans(store))
-
-
-# -- metrics ------------------------------------------------------------------
-
-
-def test_counter_gauge_histogram_roundtrip() -> None:
-    registry = MetricsRegistry()
-    registry.counter("calls", {"operation": "GetPlaceList"}).inc(3)
-    registry.counter("calls", {"operation": "GetPlaceList"}).inc(2)
-    registry.gauge("hit_rate").set(0.25)
-    histogram = registry.histogram("latency")
-    for value in (1.0, 2.0, 3.0, 4.0):
-        histogram.observe(value)
-    assert registry.value("calls", {"operation": "GetPlaceList"}) == 5
-    assert registry.value("hit_rate") == pytest.approx(0.25)
-    assert histogram.count == 4
-    assert histogram.mean == pytest.approx(2.5)
-    assert registry.value("missing") == 0.0
-
-
-def test_metric_kind_mismatch_is_an_error() -> None:
-    registry = MetricsRegistry()
-    registry.counter("x")
-    with pytest.raises(TypeError):
-        registry.gauge("x")
-
-
-def test_counter_rejects_negative_increment() -> None:
-    registry = MetricsRegistry()
-    with pytest.raises(ValueError):
-        registry.counter("x").inc(-1)
-
-
-def test_labels_distinguish_series() -> None:
-    registry = MetricsRegistry()
-    registry.counter("ws.calls", {"operation": "A"}).inc(1)
-    registry.counter("ws.calls", {"operation": "B"}).inc(2)
-    assert registry.value("ws.calls", {"operation": "A"}) == 1
-    assert registry.value("ws.calls", {"operation": "B"}) == 2
-    assert "ws.calls" in registry.names()

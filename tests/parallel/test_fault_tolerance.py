@@ -193,8 +193,8 @@ def test_retry_budget_exhausted_fails_the_query() -> None:
     with pytest.raises(ReproError, match="max_redeliveries=2"):
         drive(kernel, pool, [(x,) for x in range(1, 7)])
     # Initial delivery + 2 redeliveries, each failing.
-    assert ctx.run.obs.events.count("call_failed") == 3
-    assert ctx.run.obs.events.count("redeliver") == 2
+    assert len(ctx.run.obs.events.events("call_failed")) == 3
+    assert len(ctx.run.obs.events.events("redeliver")) == 2
 
 
 @pytest.mark.parametrize("make_kernel", KERNELS)
@@ -204,7 +204,7 @@ def test_skip_drops_failed_row_and_counts_it(make_kernel) -> None:
     out = drive(kernel, pool, [(x,) for x in range(1, 7)])
     assert sorted(out) == expected([1, 2, 4, 5, 6])
     assert ctx.run.fault_stats.skipped_rows == 1
-    assert ctx.run.obs.events.count("redeliver") == 0
+    assert len(ctx.run.obs.events.events("redeliver")) == 0
     stats = ctx.run.fault_stats
     assert stats.failed_calls == 1
     assert stats.skipped_rows == 1
@@ -218,7 +218,7 @@ def test_fail_policy_aborts_without_fault_events() -> None:
     # The seed protocol: the child error becomes the query error directly,
     # with none of the fault-tolerance machinery in the trace.
     for kind in ("call_failed", "redeliver", "respawn", "breaker_open"):
-        assert ctx.run.obs.events.count(kind) == 0
+        assert len(ctx.run.obs.events.events(kind)) == 0
 
 
 def test_breaker_escalates_a_mostly_dead_pool(monkeypatch) -> None:
@@ -405,8 +405,8 @@ def test_batched_retry_recovers_without_duplicates(make_kernel) -> None:
     # A failed call inside a batch ships no rows; only the redelivery's
     # rows arrive, so nothing is duplicated.
     assert sorted(out) == expected(range(1, 7))
-    assert ctx.run.obs.events.count("call_failed") == 1
-    assert ctx.run.obs.events.count("redeliver") == 1
+    assert len(ctx.run.obs.events.events("call_failed")) == 1
+    assert len(ctx.run.obs.events.events("redeliver")) == 1
 
 
 # -- fault injection through the full query stack -----------------------------------
@@ -422,11 +422,11 @@ def test_injected_failures_with_retry_recover_the_full_result(world, clean_q1) -
     rows, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4], costs=costs)
     # Complete and duplicate-free despite a 15% injected failure rate.
     assert Bag(rows) == Bag(clean_q1)
-    assert ctx.run.obs.events.count("call_failed") > 0
-    assert ctx.run.obs.events.count("redeliver") > 0
+    assert len(ctx.run.obs.events.events("call_failed")) > 0
+    assert len(ctx.run.obs.events.events("redeliver")) > 0
     stats = ctx.run.fault_stats
-    assert stats.failed_calls == ctx.run.obs.events.count("call_failed")
-    assert stats.redeliveries == ctx.run.obs.events.count("redeliver")
+    assert stats.failed_calls == len(ctx.run.obs.events.events("call_failed"))
+    assert stats.redeliveries == len(ctx.run.obs.events.events("redeliver"))
 
 
 def test_injected_failures_with_skip_drop_rows(world, clean_q1) -> None:
@@ -454,16 +454,16 @@ def test_injected_crash_respawns_and_recovers(world, clean_q1) -> None:
     )
     rows, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4], costs=costs)
     assert Bag(rows) == Bag(clean_q1)
-    assert ctx.run.obs.events.count("respawn") >= 1
+    assert len(ctx.run.obs.events.events("respawn")) >= 1
     stats = ctx.run.fault_stats
-    assert stats.respawns == ctx.run.obs.events.count("respawn")
+    assert stats.respawns == len(ctx.run.obs.events.events("respawn"))
 
 
 def test_default_run_emits_no_fault_events(world) -> None:
     """Defaults reproduce the seed protocol: no fault machinery visible."""
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4])
     for kind in ("call_failed", "redeliver", "respawn", "breaker_open", "call_fault"):
-        assert ctx.run.obs.events.count(kind) == 0
+        assert len(ctx.run.obs.events.events(kind)) == 0
 
 
 # -- adaptive pool: failed calls count toward cycles, separately --------------------

@@ -68,7 +68,7 @@ def test_children_receive_plan_function_once(world) -> None:
 
 def test_all_processes_exit_after_query(world) -> None:
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[3, 3])
-    assert ctx.run.obs.events.count("process_exit") == ctx.run.obs.events.count("spawn")
+    assert len(ctx.run.obs.events.events("process_exit")) == len(ctx.run.obs.events.events("spawn"))
 
 
 def test_level_one_processes_handle_disjoint_param_sets(world) -> None:
@@ -107,7 +107,7 @@ def test_fanout_larger_than_param_count_is_safe(world) -> None:
     )
     rows, _, _, ctx = run_parallel(world, sql, fanouts=[8])
     assert len(rows) == 1
-    assert ctx.run.obs.events.count("spawn") == 8
+    assert len(ctx.run.obs.events.events("spawn")) == 8
 
 
 def test_injected_fault_propagates_and_shuts_down(world) -> None:

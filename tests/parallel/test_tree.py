@@ -1,60 +1,68 @@
-"""Tests for fanout vectors and the tree-statistics oracle."""
+"""Tests for process-tree shapes and the tree-statistics oracle.
+
+A manual tree ``{fo1, fo2, ...}`` spawns ``N = fo1 + fo1*fo2 + ...``
+query processes (paper Sec. V); a trailing 0 fuses its level into the
+previous one (flat tree, Fig 14).  The counts below are what real runs
+spawn.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.tree import FanoutVector
+from repro import QUERY1_SQL, WSMED, QueryOptions, build_registry
 from repro.util.errors import PlanError
 from repro.util.trace import TraceLog
 
+from tests.integration.test_three_level_chain import SMALL_GEO, THREE_LEVEL_SQL
 from tests.stats_oracle import tree_stats_from_trace
 
 
-def test_total_processes_two_levels() -> None:
+@pytest.fixture(scope="module")
+def wsmed() -> WSMED:
+    system = WSMED(profile="fast")
+    system.import_all()
+    return system
+
+
+def spawned(system: WSMED, sql: str, fanouts: list[int]) -> int:
+    options = QueryOptions(mode="parallel", fanouts=fanouts)
+    return system.sql(sql, options=options).tree.processes_spawned
+
+
+def test_total_processes_two_levels(wsmed) -> None:
     # N = fo1 + fo1*fo2 (paper Sec. V).
-    assert FanoutVector((5, 4)).total_processes() == 25
-    assert FanoutVector((4, 3)).total_processes() == 16
-    assert FanoutVector((2, 3)).total_processes() == 8
+    assert spawned(wsmed, QUERY1_SQL, [5, 4]) == 25
+    assert spawned(wsmed, QUERY1_SQL, [4, 3]) == 16
+    assert spawned(wsmed, QUERY1_SQL, [2, 3]) == 8
 
 
-def test_total_processes_flat_and_deep() -> None:
-    assert FanoutVector((6, 0)).total_processes() == 6
-    assert FanoutVector((2, 2, 2)).total_processes() == 2 + 4 + 8
+def test_total_processes_flat_and_deep(wsmed) -> None:
+    assert spawned(wsmed, QUERY1_SQL, [6, 0]) == 6
+    # Three levels over one state: the level-one pool has a single child.
+    deep = WSMED(build_registry("fast", geo_config=SMALL_GEO))
+    deep.import_all()
+    assert spawned(deep, THREE_LEVEL_SQL, [1, 2, 2]) == 1 + 2 + 4
 
 
-def test_shape_predicates() -> None:
-    assert FanoutVector((5, 0)).is_flat()
-    assert not FanoutVector((5, 4)).is_flat()
-    assert FanoutVector((4, 4)).is_balanced()
-    assert not FanoutVector((5, 4)).is_balanced()
-
-
-def test_str_form() -> None:
-    assert str(FanoutVector((5, 4))) == "{5, 4}"
-
-
-def test_validation() -> None:
+def test_validation(wsmed) -> None:
     with pytest.raises(PlanError):
-        FanoutVector(())
+        wsmed.plan(QUERY1_SQL, options=QueryOptions(mode="parallel", fanouts=[]))
     with pytest.raises(PlanError):
-        FanoutVector((0, 2))
+        wsmed.plan(QUERY1_SQL, options=QueryOptions(mode="parallel", fanouts=[0, 2]))
     with pytest.raises(PlanError):
-        FanoutVector((2, -1))
+        QueryOptions(mode="parallel", fanouts=[2, -1])
 
 
-@given(
-    fanouts=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4)
-)
-@settings(max_examples=50)
-def test_total_processes_matches_direct_computation(fanouts) -> None:
-    vector = FanoutVector(tuple(fanouts))
+@given(fo1=st.integers(min_value=1, max_value=7), fo2=st.integers(min_value=1, max_value=7))
+@settings(max_examples=15, deadline=None)
+def test_total_processes_matches_direct_computation(wsmed, fo1, fo2) -> None:
     total = 0
     layer = 1
-    for fanout in fanouts:
+    for fanout in (fo1, fo2):
         layer *= fanout
         total += layer
-    assert vector.total_processes() == total
+    assert spawned(wsmed, QUERY1_SQL, [fo1, fo2]) == total
 
 
 def test_tree_stats_from_trace() -> None:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.parallel.visualize import (
     build_process_tree,
-    peak_concurrency,
     process_utilization,
     render_process_tree,
     render_utilization,
@@ -13,6 +12,23 @@ from repro.util.trace import TraceLog
 
 from tests.helpers import QUERY1_SQL, make_world
 from tests.parallel.helpers_parallel import run_parallel
+
+
+def peak_concurrency(trace: TraceLog, operation: str | None = None) -> int:
+    """Maximum number of overlapping service calls (optionally one op)."""
+    points: list[tuple[float, int]] = []
+    for event in trace.events("service_call"):
+        if operation is not None and event.data["operation"] != operation:
+            continue
+        start = event.time - event.data["duration"]
+        points.append((start, 1))
+        points.append((event.time, -1))
+    points.sort()
+    peak = current = 0
+    for _, delta in points:
+        current += delta
+        peak = max(peak, current)
+    return peak
 
 
 @pytest.fixture(scope="module")

@@ -117,3 +117,27 @@ def test_validation_applies_to_nested_fields_too() -> None:
                 server, "POST", "/sql", {"sql": "Select 1", "options": options}
             )
             assert response.status == 400, options
+
+
+def test_malformed_option_values_are_a_400_before_the_query_runs() -> None:
+    seen = {}
+    with running_server(_capture_engine(seen)) as server:
+        for options, field in (
+            ({"fanouts": "54"}, "fanouts"),
+            ({"fanouts": [2.5, 2]}, "fanouts"),
+            ({"fanouts": [True, 2]}, "fanouts"),
+            ({"fanouts": [2, -1]}, "fanouts"),
+            ({"retries": "x"}, "retries"),
+            ({"retries": -3}, "retries"),
+            ({"retries": True}, "retries"),
+            ({"name": 5}, "name"),
+        ):
+            response, payload = request(
+                server,
+                "POST",
+                "/sql",
+                {"sql": "Select 1", "trace": True, "options": options},
+            )
+            assert response.status == 400, (options, payload)
+            assert field in json.loads(payload)["error"], payload
+    assert not seen

@@ -42,8 +42,8 @@ def fault_stats_from_trace(trace: TraceLog) -> FaultStats:
     failed = trace.events("call_failed")
     return FaultStats(
         failed_calls=len(failed),
-        redeliveries=trace.count("redeliver"),
+        redeliveries=len(trace.events("redeliver")),
         skipped_rows=sum(1 for event in failed if event.data.get("policy") == "skip"),
-        respawns=trace.count("respawn"),
-        breaker_trips=trace.count("breaker_open"),
+        respawns=len(trace.events("respawn")),
+        breaker_trips=len(trace.events("breaker_open")),
     )

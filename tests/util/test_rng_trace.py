@@ -1,6 +1,5 @@
 """Tests for seeded RNG derivation and the structured trace log."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,13 +44,7 @@ def test_trace_log_record_and_filter() -> None:
     log.record(3.0, "spawn", process="q2")
     assert len(log) == 3
     assert [event.data["process"] for event in log.events("spawn")] == ["q1", "q2"]
-    assert log.count("add_stage") == 1
-    assert log.last("spawn").data["process"] == "q2"
-
-
-def test_trace_log_last_missing_kind_raises() -> None:
-    with pytest.raises(KeyError):
-        TraceLog().last("nothing")
+    assert len(log.events("add_stage")) == 1
 
 
 def test_trace_events_without_filter_returns_copy() -> None:

@@ -1,13 +1,12 @@
 """Tests for the statistics helpers."""
 
 import math
-import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.stats import RunningStat, Welford, quantile
+from repro.util.stats import RunningStat, quantile
 
 floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -25,40 +24,6 @@ def test_running_stat_tracks_aggregates() -> None:
     assert stat.mean == pytest.approx(5.0)
     assert stat.minimum == 2.0
     assert stat.maximum == 9.0
-
-
-def test_running_stat_merge() -> None:
-    left, right = RunningStat(), RunningStat()
-    for value in [1.0, 2.0]:
-        left.add(value)
-    for value in [10.0, 20.0]:
-        right.add(value)
-    left.merge(right)
-    assert left.count == 4
-    assert left.mean == pytest.approx(8.25)
-    assert left.minimum == 1.0
-    assert left.maximum == 20.0
-
-
-@given(samples=st.lists(floats, min_size=1, max_size=100))
-@settings(max_examples=50)
-def test_welford_matches_statistics_module(samples) -> None:
-    welford = Welford()
-    for sample in samples:
-        welford.add(sample)
-    assert welford.count == len(samples)
-    assert welford.mean == pytest.approx(statistics.fmean(samples), abs=1e-6)
-    if len(samples) >= 2:
-        assert welford.variance == pytest.approx(
-            statistics.variance(samples), rel=1e-6, abs=1e-6
-        )
-
-
-def test_welford_single_sample_variance_zero() -> None:
-    welford = Welford()
-    welford.add(3.0)
-    assert welford.variance == 0.0
-    assert welford.stddev == 0.0
 
 
 def test_quantile_basics() -> None:

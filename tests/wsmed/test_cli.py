@@ -424,3 +424,25 @@ def test_shell_help_mentions_stats(wsmed) -> None:
     output = run_shell(wsmed, "\\help\n\\quit\n")
     assert "\\stats SECTION" in output
     assert "alias for" not in output
+
+
+def test_shell_rejects_malformed_settings(wsmed) -> None:
+    output = run_shell(
+        wsmed,
+        "\\retries -1\n\\fanouts 5,-1\n\\rows -1\n\\rows 0\n\\quit\n",
+    )
+    assert "error: retries must be an integer >= 0, got -1" in output
+    assert "error: fanouts must be a list of integers >= 0, got [5, -1]" in output
+    assert "error: rows must be >= 0, got -1" in output
+    assert "rows = 0" in output
+
+
+def test_serve_deadline_needs_adaptive_admission(capsys, monkeypatch) -> None:
+    def no_server(*args):
+        raise AssertionError("serve got past argument checking")
+
+    monkeypatch.setattr("repro.cli._build_kernel", no_server)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--port", "0", "--deadline-ms", "500"])
+    assert exit_info.value.code == 2
+    assert "--deadline-ms needs --admission adaptive" in capsys.readouterr().err

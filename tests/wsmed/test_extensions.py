@@ -204,7 +204,7 @@ def test_retries_rescue_transient_faults(wsmed) -> None:
         sql, options=QueryOptions(fault_rate=0.7, retries=25, obs=TraceRecorder())
     )
     assert result.rows == [("Ohio",)]
-    assert result.trace.count("retry") >= 1
+    assert len(result.trace.events("retry")) >= 1
 
 
 def test_retries_exhausted_still_fail(wsmed) -> None:
@@ -278,7 +278,7 @@ def test_exhausted_retries_leave_a_call_fault_marker(wsmed) -> None:
     data = markers[0].data
     assert data["operation"] == "GetAllStates"
     # attempts = the initial call plus every recorded retry.
-    assert data["attempts"] == 1 + ctx.run.obs.events.count("retry")
+    assert data["attempts"] == 1 + len(ctx.run.obs.events.events("retry"))
     assert "error" in data
     assert "retriable" in data
 
@@ -310,8 +310,3 @@ def test_fault_stats_surface_on_the_query_result(wsmed) -> None:
     assert result.fault_stats.redeliveries > 0
     assert "failed calls" in result.report(sections="faults")
     assert "faults:" in result.summary()
-
-    import json
-
-    payload = json.loads(result.to_json())
-    assert payload["faults"] == result.fault_stats.as_dict()

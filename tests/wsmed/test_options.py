@@ -122,6 +122,32 @@ def test_field_sets_cover_distinct_fields() -> None:
     assert ENGINE_ONLY <= field_names
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"fanouts": "54"},
+        {"fanouts": [2.5, 2]},
+        {"fanouts": [True, 2]},
+        {"fanouts": [5, -1]},
+        {"retries": "x"},
+        {"retries": -3},
+        {"retries": False},
+        {"name": 5},
+    ],
+)
+def test_malformed_field_values_are_plan_errors(fields) -> None:
+    (name,) = fields
+    with pytest.raises(PlanError, match=name):
+        QueryOptions(**fields)
+    with pytest.raises(PlanError, match=name):
+        QueryOptions().replace(**fields)
+
+
+def test_well_formed_field_values_are_accepted() -> None:
+    options = QueryOptions(fanouts=[5, 0], retries=3, name="Q")
+    assert (options.fanouts, options.retries, options.name) == ([5, 0], 3, "Q")
+
+
 def test_options_replace_validates_names() -> None:
     options = QueryOptions()
     assert options.replace(retries=2).retries == 2

@@ -60,18 +60,6 @@ def test_event_views_need_a_traced_run() -> None:
         result.utilization()
 
 
-def test_to_json_structure() -> None:
-    import json
-
-    result = make_result(call_stats={"Op": CallStats(calls=3, rows=9)})
-    data = json.loads(result.to_json())
-    assert data["columns"] == ["city", "state"]
-    assert data["rows"] == [["Atlanta", "GA"], ["Austin", "TX"]]
-    assert data["operations"]["Op"]["calls"] == 3
-    assert data["tree"]["processes_spawned"] == 0
-    assert data["mode"] == "parallel"
-
-
 def sample_function() -> FunctionDef:
     return FunctionDef(
         name="GetPlacesWithin",

@@ -32,11 +32,15 @@ def test_import_generates_all_owfs(wsmed) -> None:
 
 
 def test_catalog_records_metadata(wsmed) -> None:
-    assert len(wsmed.catalog.owf_names()) == 5
-    uri, service, operation = wsmed.catalog.operation_of("GetPlacesInside")
-    assert service == "Zipcodes"
-    assert operation == "GetPlacesInside"
-    assert wsmed.catalog.parameters_of("GetPlacesInside") == [("zip", "Charstring")]
+    operations = wsmed.sql(
+        "SELECT o.owf, o.service, o.operation FROM ws_operations o"
+    ).rows
+    assert len(operations) == 5
+    assert ("GetPlacesInside", "Zipcodes", "GetPlacesInside") in operations
+    parameters = wsmed.sql(
+        "SELECT p.name, p.type FROM ws_parameters p WHERE p.owf = 'GetPlacesInside'"
+    ).rows
+    assert parameters == [("zip", "Charstring")]
 
 
 def test_getzipcode_registered_by_default(wsmed) -> None:
