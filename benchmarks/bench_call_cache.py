@@ -8,10 +8,10 @@ claims:
 
 * memoization cuts broker calls by well over 25% and shortens the
   makespan, in both central and parallel mode, and
-* ``hash_affinity`` dispatch routes repeated keys to the same child, so
-  the per-process caches see a far higher hit rate than under
-  first-finished placement (children are separate processes — there is no
-  shared cache to fall back on).
+* every cached run makes exactly one broker call per distinct key: the
+  query's one memo answers a repeat in whichever child it lands, so the
+  dispatch policy (``first_finished`` or ``hash_affinity``) does not
+  change the call count.
 """
 
 from __future__ import annotations
@@ -133,10 +133,11 @@ def check(payload: dict) -> None:
         assert runs[on]["total_calls"] <= 0.75 * runs[off]["total_calls"]
         assert runs[on]["elapsed"] < runs[off]["elapsed"]
 
-    # Affinity routing concentrates repeats on the owning child's cache.
-    affinity, ff = runs["parallel affinity on"], runs["parallel ff on"]
-    assert affinity["hit_rate"] > ff["hit_rate"]
-    assert affinity["total_calls"] < ff["total_calls"]
+    # One memo per query: each distinct key costs exactly one call.
+    distinct = payload["workload"]["distinct_keys"]
+    for run in payload["runs"]:
+        if run["hit_rate"] is not None:
+            assert run["total_calls"] == distinct, run
 
 
 test_bench, main = harness.entry_points(__name__)

@@ -8,23 +8,24 @@ calls differ, the big level-2 ``GetPlaceList`` fan-out is identical
 because every Atlanta cluster sits well inside both radii); *disjoint*
 clients run unrelated queries (one town per client).
 
-With sharing off, broker calls grow linearly with clients on every
-workload.  With ``QueryEngine(share=True)`` the shared call cache and
-cross-query single-flight collapse the overlapping workload to
-(approximately) the 1-client call count no matter how many clients pile
-on, halve-or-better the partial workload, and leave the disjoint
-workload untouched — that last one is the no-regression guard.
+With sharing off — ``QueryEngine(share=False)`` and the cache off, so
+no call result is reused across queries — broker calls grow linearly with
+clients on every workload.  With ``QueryEngine(share=True)`` every query
+memoizes in the engine's one call memo, whose results and single-flight
+collapse the overlapping workload to (approximately) the 1-client call
+count no matter how many clients pile on, halve-or-better the partial
+workload, and leave the disjoint workload untouched — that last one is
+the no-regression guard.
 
 All measurements are *cold*: a fresh engine per cell, no warm-up rounds,
 so ``broker_calls`` measures real broker work rather than a replay from
-warm per-process caches.
+a warm memo.
 """
 
 from __future__ import annotations
 
 from repro import (
     QUERY1_SQL,
-    CacheConfig,
     ProcessCosts,
     QueryEngine,
     WSMED,
@@ -42,9 +43,9 @@ WORKLOADS = ("overlapping", "partial", "disjoint")
 SMOKE_WORKLOADS = ("overlapping", "disjoint")
 
 #: Allowed overshoot over the 1-client call count for fully-overlapping
-#: clients under sharing.  Concurrent queries can race past the shared
-#: memo before the first leader stores its result; each race costs at
-#: most one duplicate round trip.
+#: clients under sharing.  Concurrent queries can race past the memo
+#: before the first leader stores its result; each race costs at most one
+#: duplicate round trip.
 DEDUP_EPSILON = 16
 
 # One anchor town per disjoint client.  Every stem exists as a City in
@@ -85,9 +86,7 @@ def workload_batch(name: str, clients: int) -> list[str]:
 
 def measure(workload: str, clients: int, sharing: bool) -> dict:
     """One cold cell: ``clients`` concurrent queries on a fresh engine."""
-    wsmed = WSMED(
-        profile="fast", process_costs=COSTS, cache=CacheConfig(enabled=True)
-    )
+    wsmed = WSMED(profile="fast", process_costs=COSTS)
     wsmed.import_all()
     engine = QueryEngine(
         wsmed,
@@ -111,8 +110,8 @@ def measure(workload: str, clients: int, sharing: bool) -> dict:
         "broker_calls": broker_calls,
         "makespan_model_s": makespan,
         "rows": sum(len(r.rows) for r in results),
-        "shared_cache_hits": stats.shared_cache_hits,
-        "shared_cache_waits": stats.shared_cache_waits,
+        "memo_hits": sum(r.cache_stats.hits for r in results if r.cache_stats),
+        "memo_waits": sum(r.cache_stats.collapsed for r in results if r.cache_stats),
         "coalesced_batches": stats.coalesced_batches,
         "batched_calls": stats.batched_calls,
         "pool_lease_waits": stats.pool_lease_waits,
@@ -147,7 +146,7 @@ def run(smoke: bool = False) -> dict:
             "fanouts": [5, 4],
             "dispatch": "hash_affinity",
             "prefetch": 16,
-            "cache": True,
+            "cache": "the memo, on a sharing engine only",
             "cold": True,
         },
         "client_counts": list(counts),
@@ -170,8 +169,8 @@ def _cell(cells: list[dict], workload: str, clients: int, sharing: bool) -> dict
 def report(payload: dict) -> None:
     for cell in payload["cells"]:
         tier = (
-            f"shared {cell['shared_cache_hits']} hits"
-            f" + {cell['shared_cache_waits']} waits, "
+            f"memo {cell['memo_hits']} hits"
+            f" + {cell['memo_waits']} waits, "
             f"{cell['batched_calls']} calls in "
             f"{cell['coalesced_batches']} batches, "
             f"{cell['shared_pool_leases']} shared leases"

@@ -38,7 +38,6 @@ from repro.engine import (
     EngineClosed,
     EngineStats,
     QueryEngine,
-    SharedStats,
 )
 from repro.obs import (
     CriticalPathReport,
@@ -120,7 +119,6 @@ __all__ = [
     "AdmissionRejected",
     "EngineClosed",
     "EngineStats",
-    "SharedStats",
     "TraceRecorder",
     "SpanStore",
     "CriticalPathReport",

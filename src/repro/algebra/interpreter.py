@@ -23,7 +23,7 @@ from itertools import islice
 from typing import Any, AsyncIterator, Awaitable, Callable, NamedTuple, Optional
 
 from repro.algebra.expressions import ColExpr, compile_expr
-from repro.cache import MISS, CallCache
+from repro.cache import MISS
 from repro.algebra.plan import (
     AFFApplyNode,
     AggregateNode,
@@ -61,7 +61,7 @@ _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
 class ExecutionContext:
     """Everything one query process needs to run plans under one kernel.
 
-    Per-query state — trace, counters, retry policy, shared tier, span
+    Per-query state — trace, counters, retry policy, call memo, span
     recorder — lives in ``run``, which every process of the query holds
     by reference; the other fields belong to this process.
     """
@@ -80,11 +80,6 @@ class ExecutionContext:
     # plan-function invocations (Sec. III: children receive their plan
     # function once, before execution).
     pools: dict = field(default_factory=dict)
-    # Per-process web-service call cache (repro.cache); None disables
-    # memoization and reproduces the uncached call path exactly.  Child
-    # processes get their own empty cache — the paper's children are
-    # separate processes with no shared memory.
-    cache: Optional[CallCache] = None
     run: QueryRun = field(default_factory=QueryRun)
     # Id of the span enclosing whatever this process is currently
     # executing (the query root on the coordinator, the per-call span
@@ -98,9 +93,8 @@ class ExecutionContext:
     placement: Optional[object] = None
 
     def for_process(self, name: str) -> "ExecutionContext":
-        """A context for a child process: same run, private pools and cache."""
-        cache = None if self.cache is None else CallCache(self.kernel, self.cache.config)
-        return replace(self, process_name=name, pools={}, cache=cache)
+        """A context for a child process: same run, private pools."""
+        return replace(self, process_name=name, pools={})
 
 
 async def round_trip(
@@ -111,24 +105,41 @@ async def round_trip(
     arguments: list,
     obs_span: int = -1,
 ) -> tuple[Any, str]:
-    """One web-service call past the process's own cache: through the
-    run's shared tier when it has one, else straight to the broker.
+    """One web-service call as it leaves the query tree.
 
-    Returns ``(value, outcome)``: :data:`~repro.cache.MISS` for a real
-    round trip, or the shared tier's ``shared_hit`` / ``shared_wait``.
-    The shared tier counts those (and ``coalesced`` round trips) into the
-    run's :class:`~repro.cache.CacheStats`; the broker records the call
-    into the run's :class:`~repro.services.broker.CallRecorder`.
+    Returns ``(value, outcome)``, the outcome one of
+    :data:`~repro.cache.HIT`, :data:`~repro.cache.MISS` (a real round
+    trip) or :data:`~repro.cache.COLLAPSED`.  Inside an OS worker without
+    services of its own, the call goes to the coordinator (``run.remote``),
+    whose round trip answers it and sends the outcome back.  Anywhere else
+    the address space's memo answers it when the query memoizes
+    (``run.memo``); a miss is dispatched through the engine's cross-query
+    batcher when there is one, else straight to the broker, which records
+    the call into the run's :class:`~repro.services.broker.CallRecorder`.
     """
     run = ctx.run
+    if run.remote is not None:
+        return await run.remote.call(uri, service, operation, arguments, obs_span)
+    if run.memo is None:
+        return await _dispatch(ctx, uri, service, operation, arguments, obs_span), MISS
+    return await run.memo.call(
+        (uri, service, operation, tuple(arguments)),
+        partial(_dispatch, ctx, uri, service, operation, arguments, obs_span),
+        run.cache_stats,
+        run.ttl,
+    )
+
+
+def _dispatch(ctx, uri, service, operation, arguments, obs_span):
+    """The round-trip coroutine of one call the memo did not answer."""
+    run = ctx.run
     obs = run.obs if run.obs.enabled else None
-    if run.shared is None:
-        value = await ctx.broker.call(
+    if run.batcher is None:
+        return ctx.broker.call(
             uri, service, operation, arguments,
             recorder=run.call_recorder, obs=obs, obs_span=obs_span,
         )
-        return value, MISS
-    return await run.shared.call(
+    return run.batcher.call(
         ctx.broker, uri, service, operation, arguments,
         recorder=run.call_recorder, stats=run.cache_stats, obs=obs, obs_span=obs_span,
     )

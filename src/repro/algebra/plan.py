@@ -39,6 +39,10 @@ from repro.util.errors import PlanError
 INIT_FANOUT = 2
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AdaptationParams:
     """Tuning of ``AFF_APPLYP`` (paper Sec. V.A).
@@ -56,10 +60,17 @@ class AdaptationParams:
     max_fanout: int = 16
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise PlanError(f"adaptation p must be >= 1, got {self.p}")
-        if not 0.0 < self.threshold < 1.0:
+        if not _is_int(self.p) or self.p < 1:
+            raise PlanError(f"adaptation p must be an integer >= 1, got {self.p!r}")
+        if not (isinstance(self.threshold, (int, float)) and 0.0 < self.threshold < 1.0):
             raise PlanError("adaptation threshold must be in (0, 1)")
+        if not isinstance(self.drop_stage, bool):
+            raise PlanError(f"adaptation drop_stage must be a bool, got {self.drop_stage!r}")
+        if not _is_int(self.max_fanout) or self.max_fanout < INIT_FANOUT:
+            raise PlanError(
+                f"adaptation max_fanout must be an integer >= {INIT_FANOUT}, "
+                f"got {self.max_fanout!r}"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -1,4 +1,4 @@
-"""Call-result caching for web-service calls.
+"""Call-result memoization for web-service calls.
 
 See :mod:`repro.cache.call_cache` for the design notes; the public
 surface is re-exported here.
@@ -10,10 +10,13 @@ from repro.cache.call_cache import (
     MISS,
     CacheConfig,
     CacheStats,
-    CallCache,
-    MemoStore,
+    CallMemo,
     stable_hash,
 )
+
+#: The name the repo benchmark's cache probe (``benchmarks/e2e/probes.py``)
+#: imports; it times ``CallMemo.call`` hits.
+CallCache = CallMemo
 
 __all__ = [
     "COLLAPSED",
@@ -21,7 +24,6 @@ __all__ = [
     "MISS",
     "CacheConfig",
     "CacheStats",
-    "CallCache",
-    "MemoStore",
+    "CallMemo",
     "stable_hash",
 ]

@@ -260,7 +260,8 @@ class Shell:
             suffix = f" (ttl {ttl:g} model s)" if ttl is not None else ""
             self.write(f"cache = on{suffix}")
         elif word == "off":
-            self._set(cache=None)
+            # Explicit, so a sharing engine's memoize-by-default yields too.
+            self._set(cache=CacheConfig(enabled=False))
             self.write("cache = off")
         else:
             raise ReproError(r"usage: \cache on [TTL] | off (counters: \stats cache)")
@@ -425,8 +426,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
         "--share",
         action="store_true",
         help="share work across concurrent queries on the resident engine "
-        "(shared call cache, cross-query single-flight/batching, shared "
-        "pools); implies --engine",
+        "(memoized calls by default, cross-query batching, shared pools); "
+        "implies --engine",
     )
     parser.add_argument("--explain", action="store_true", help="explain, don't run")
     parser.add_argument("--tree", action="store_true", help="print the process tree")

@@ -15,22 +15,16 @@ from repro.engine.plan_cache import (
     plan_dependencies,
 )
 from repro.engine.pools import PoolRegistry, PoolRegistryStats, pool_fingerprint
-from repro.engine.shared import (
-    SHARED_HIT,
-    SHARED_WAIT,
-    SharedCallCache,
-    SharedStats,
-)
+from repro.engine.shared import CrossQueryBatcher
 
 __all__ = [
-    "SHARED_HIT",
-    "SHARED_WAIT",
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionRejected",
     "AdmissionStats",
     "CapacityController",
     "CompiledPlan",
+    "CrossQueryBatcher",
     "EngineClosed",
     "EngineStats",
     "PlanCache",
@@ -38,8 +32,6 @@ __all__ = [
     "PoolRegistry",
     "PoolRegistryStats",
     "QueryEngine",
-    "SharedCallCache",
-    "SharedStats",
     "plan_dependencies",
     "pool_fingerprint",
 ]

@@ -20,8 +20,11 @@ parts resident:
 * **warm child-pool reuse** — coordinator-level operator pools are
   leased from / released to a :class:`~repro.engine.pools.PoolRegistry`
   instead of being spawned and shut down per query, so a warm query
-  ships zero plan functions and spawns zero processes (and its children
-  keep their call caches);
+  ships zero plan functions and spawns zero processes;
+* **one call memo** — a :class:`~repro.cache.CallMemo` for the engine's
+  lifetime, which every query that memoizes shares (every process of it,
+  and every concurrent query), dropped on a kernel generation change and
+  per operation when a definition is replaced;
 * **concurrent admission** — :meth:`sql_many` multiplexes N queries on
   the one kernel behind the one
   :class:`~repro.engine.admission.AdmissionController`; per-query
@@ -43,14 +46,14 @@ from dataclasses import dataclass
 from dataclasses import replace as _replace
 
 from repro.algebra.plan import INIT_FANOUT, AdaptationParams
-from repro.cache import CacheConfig, CallCache
+from repro.cache import CacheConfig, CallMemo
 from repro.engine import shared
 from repro.engine.admission import AdmissionConfig, AdmissionController
 from repro.engine.plan_cache import CompiledPlan, PlanCache, plan_dependencies
 from repro.engine.pools import PoolRegistry
 from repro.runtime.base import Kernel
 from repro.runtime.simulated import SimKernel
-from repro.util.errors import ReproError
+from repro.util.errors import PlanError, ReproError
 from repro.wsmed.options import ONE_SHOT_ONLY, QueryOptions, resolve_options
 from repro.wsmed.results import QueryResult
 from repro.wsmed.system import WSMED, ExecutionMode
@@ -92,15 +95,11 @@ class EngineStats:
     pools_closed: int
     idle_pools: int
     resident_processes: int
+    # Results held by the engine's call memo.
+    memo_entries: int
     # Multi-query sharing (all zero unless the engine was built with
     # share=True; see repro.engine.shared).
     sharing: bool
-    shared_cache_hits: int
-    shared_cache_misses: int
-    shared_cache_waits: int
-    shared_cache_failures: int
-    shared_cache_entries: int
-    shared_cache_invalidations: int
     coalesced_batches: int
     batched_calls: int
     pool_lease_waits: int
@@ -166,23 +165,8 @@ class EngineStats:
         """The multi-query sharing section (CLI ``\\stats share``)."""
         if not self.sharing:
             return "sharing: off (construct the engine with share=True)"
-        lookups = (
-            self.shared_cache_hits
-            + self.shared_cache_waits
-            + self.shared_cache_misses
-        )
-        rate = (
-            (self.shared_cache_hits + self.shared_cache_waits) / lookups
-            if lookups
-            else 0.0
-        )
         lines = [
-            f"shared cache: {self.shared_cache_hits} hits, "
-            f"{self.shared_cache_waits} single-flight waits, "
-            f"{self.shared_cache_misses} misses ({rate:.0%} hit rate, "
-            f"{self.shared_cache_entries} entries, "
-            f"{self.shared_cache_failures} failed leaders, "
-            f"{self.shared_cache_invalidations} invalidated)",
+            f"call memo: {self.memo_entries} entries",
             f"cross-query batching: {self.coalesced_batches} coalesced "
             f"batches carrying {self.batched_calls} calls",
             f"shared pools: {self.shared_pool_leases} concurrent leases "
@@ -234,11 +218,16 @@ class QueryEngine:
         self.broker = wsmed.registry.bind(self.kernel, seed=wsmed.seed)
         self.plan_cache = PlanCache(PLAN_CACHE_SIZE)
         self.pool_registry = PoolRegistry(MAX_IDLE_POOLS)
-        # Multi-query sharing tiers (repro.engine.shared): one shared
-        # call cache + single-flight + batching object for the engine's
-        # lifetime, and shared pool leases.  Off — the default — keeps
-        # every query's call path seed-identical.
-        self.shared = shared.SharedCallCache(self.kernel) if share else None
+        # The one call memo of the engine's address space.  Its LRU bound
+        # is the system cache config's (the default config's when unset);
+        # a query that memoizes may set its own ttl, not its own bound.
+        self._memo_config = wsmed.cache_config or CacheConfig()
+        self.memo = CallMemo(self.kernel, self._memo_config)
+        # Multi-query sharing tiers (repro.engine.shared): cross-query
+        # batching and shared pool leases, and memoization by default.
+        # Off — the default — keeps every query's call path seed-identical.
+        self.share = share
+        self.batcher = shared.CrossQueryBatcher(self.kernel) if share else None
         self.pool_registry.share_pools = share and shared.POOLS
         # Live per-operation statistics for the cost-based optimizer's
         # feedback loop: operation -> [calls, rows, total seconds],
@@ -272,11 +261,6 @@ class QueryEngine:
         # every later (or concurrent) query continues the sequence, so
         # names are unique across the whole engine.
         self._process_numbers = itertools.count(1)
-        # Warm coordinator-side caches, pooled per config: a query leases
-        # one for its q0 process and returns it at the end, so repeated
-        # queries keep coordinator-level memoized calls too (children
-        # keep theirs via pool reuse).
-        self._coordinator_caches: dict[CacheConfig, list[CallCache]] = {}
         self._queries = 0
         self._active = 0
         self._peak_active = 0
@@ -291,19 +275,18 @@ class QueryEngine:
     # -- invalidation ------------------------------------------------------------
 
     def _on_function_replaced(self, name: str) -> None:
-        """A definition changed: stale plans, pools and shared results go.
+        """A definition changed: stale plans, pools and memoized results go.
 
         Fires synchronously from ``import_wsdl`` /
         ``register_helping_function`` — possibly *mid-query* under
         concurrent admission: leased pools are flagged and doomed at
         release (the running query finishes on its consistent tree), and
-        memoized shared results of the replaced operation are dropped so
-        no later call observes the old provider.
+        memoized results of the replaced operation are dropped so no
+        later call observes the old provider.
         """
         self.plan_cache.invalidate(name)
         self.pool_registry.condemn(name)
-        if self.shared is not None:
-            self.shared.invalidate_operation(name)
+        self.memo.invalidate_operation(name)
         # A replaced endpoint may have a different performance profile;
         # observations of the old one must not steer the optimizer.
         for operation in list(self._observed_totals):
@@ -352,6 +335,21 @@ class QueryEngine:
         return resolve_options(
             options, where="QueryEngine", rejected=self._REJECTED_OPTIONS
         )
+
+    def _memo_options(self, opts: QueryOptions) -> QueryOptions:
+        """``opts`` with this engine's cache rules applied: on a sharing
+        engine a query that does not set ``cache`` memoizes, and no query
+        sets the bound of the engine's memo."""
+        cache = opts.cache
+        if cache is None:
+            if self.share and self.wsmed.cache_config_for(opts) is None:
+                return opts.replace(cache=_replace(self._memo_config, enabled=True))
+        elif cache.enabled and cache.max_entries != self.memo.max_entries:
+            raise PlanError(
+                f"cache max_entries is the engine's ({self.memo.max_entries}), "
+                f"not per query; got {cache.max_entries}"
+            )
+        return opts
 
     def sql_many(
         self,
@@ -407,8 +405,8 @@ class QueryEngine:
         trees, broker queues — and invalidates primitives created in the
         old run.  An engine reused on the same (restarted) kernel must
         therefore cold-start: forget warm pools (their processes are
-        dead), coordinator caches (their single-flight events are dead),
-        and the admission queue (its waiters' events are dead).
+        dead), the call memo (its single-flight events are dead), and the
+        admission queue (its waiters' events are dead).
         """
         generation = self.kernel.generation
         if generation == self._kernel_generation:
@@ -416,13 +414,14 @@ class QueryEngine:
         self._kernel_generation = generation
         self.admission.reset()
         self.pool_registry.discard_all()
-        self._coordinator_caches.clear()
+        self.memo = CallMemo(self.kernel, self._memo_config)
 
     async def _admitted(
         self, sql_text: str, opts: QueryOptions
     ) -> QueryResult:
         if self._closed:
             raise EngineClosed("QueryEngine is closed")
+        opts = self._memo_options(opts)
         self._check_generation()
         ticket = await self.admission.admit(
             opts.tenant, deadline_ms=opts.deadline_ms
@@ -440,8 +439,8 @@ class QueryEngine:
         self, sql_text: str, opts: QueryOptions
     ) -> QueryResult:
         """Engine work around the shared :meth:`WSMED.run_plan`: plan
-        cache, resident broker/pools/sharing tier, a leased coordinator
-        cache, then observation feedback and re-optimization."""
+        cache, resident broker/memo/pools/batcher, then observation
+        feedback and re-optimization."""
         await self.pool_registry.drain()
         if ExecutionMode.of(opts.mode) is ExecutionMode.ADAPTIVE:
             # Normalize before fingerprinting: None and the default
@@ -466,21 +465,15 @@ class QueryEngine:
         if compiled is None:
             compiled = self._compile_entry(sql_text, opts)
             self.plan_cache.put(key, compiled)
-        config = self.wsmed.cache_config_for(opts)
-        leased_cache = self._lease_coordinator_cache(config)
-        try:
-            result = await self.wsmed.run_plan(
-                compiled.plan,
-                opts,
-                self.broker,
-                coordinator_cache=leased_cache,
-                pool_registry=self.pool_registry,
-                shared=self.shared,
-                names=self._process_numbers,
-            )
-        finally:
-            if leased_cache is not None:
-                self._coordinator_caches[config].append(leased_cache)
+        result = await self.wsmed.run_plan(
+            compiled.plan,
+            opts,
+            self.broker,
+            memo=self.memo,
+            pool_registry=self.pool_registry,
+            batcher=self.batcher,
+            names=self._process_numbers,
+        )
         self._queries += 1
         self._absorb_observations(result.call_stats)
         if self._drifted(compiled):
@@ -552,25 +545,12 @@ class QueryEngine:
                     return True
         return False
 
-    def _lease_coordinator_cache(
-        self, config: CacheConfig | None
-    ) -> CallCache | None:
-        """A warm (or fresh) coordinator cache for one query.
-
-        Pooled per config so concurrent queries never share one cache
-        object (and so never one single-flight group).
-        """
-        if config is None:
-            return None
-        bucket = self._coordinator_caches.setdefault(config, [])
-        return bucket.pop() if bucket else CallCache(self.kernel, config)
-
     # -- introspection ----------------------------------------------------------------
 
     def stats(self) -> EngineStats:
         plan_stats = self.plan_cache.stats
         pool_stats = self.pool_registry.stats
-        shared_stats = self.shared.stats if self.shared is not None else None
+        batcher = self.batcher
         admission_stats = self.admission.stats()
         return EngineStats(
             queries=self._queries,
@@ -589,17 +569,10 @@ class QueryEngine:
             pools_closed=pool_stats.closed,
             idle_pools=self.pool_registry.idle_pools(),
             resident_processes=self.pool_registry.resident_processes(),
-            sharing=self.shared is not None,
-            shared_cache_hits=shared_stats.hits if shared_stats else 0,
-            shared_cache_misses=shared_stats.misses if shared_stats else 0,
-            shared_cache_waits=shared_stats.waits if shared_stats else 0,
-            shared_cache_failures=shared_stats.failures if shared_stats else 0,
-            shared_cache_entries=len(self.shared) if self.shared else 0,
-            shared_cache_invalidations=(
-                shared_stats.invalidations if shared_stats else 0
-            ),
-            coalesced_batches=shared_stats.batches if shared_stats else 0,
-            batched_calls=shared_stats.batched_calls if shared_stats else 0,
+            memo_entries=len(self.memo),
+            sharing=self.share,
+            coalesced_batches=batcher.batches if batcher else 0,
+            batched_calls=batcher.batched_calls if batcher else 0,
             pool_lease_waits=pool_stats.lease_waits,
             shared_pool_leases=pool_stats.shared_leases,
             reoptimizations=self._reoptimizations,
@@ -618,7 +591,8 @@ class QueryEngine:
     # -- shutdown ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down every warm pool, then the resident kernel.
+        """Shut down every warm pool, then the resident kernel, and drop
+        the memoized results.
 
         Idempotent.  ``run_until_completion`` semantics mean no query is
         in flight when this can run, so "draining" is simply closing the
@@ -631,6 +605,7 @@ class QueryEngine:
         self._closed = True
         self.kernel.run(self.pool_registry.close_all())
         self.kernel.shutdown()
+        self.memo.entries.clear()
 
     @property
     def closed(self) -> bool:

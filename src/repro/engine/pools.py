@@ -16,8 +16,10 @@ transparent:
   *same compiled plan object*, i.e. after a plan-cache hit; a replaced
   definition recompiles, gets fresh node ids, and cold-starts),
 * the operator shape (FF fanout / AFF adaptation parameters),
-* the process cost model and the cache configuration the tree's child
-  caches were built with.
+* the process cost model.
+
+The cache configuration is not part of it: children hold no memo of
+their own, so one tree serves queries with any cache setting.
 
 Explicit invalidation complements the fingerprint: when a function
 definition is replaced, :meth:`PoolRegistry.condemn` moves every idle
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 from repro.algebra.interpreter import ExecutionContext
 from repro.algebra.plan import FFApplyNode, PlanNode
-from repro.cache import CacheConfig, stable_hash
+from repro.cache import stable_hash
 from repro.engine.plan_cache import plan_dependencies, structural_form
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.ff_applyp import ChildPool
@@ -43,7 +45,6 @@ from repro.parallel.ff_applyp import ChildPool
 def pool_fingerprint(
     node: PlanNode,
     costs: ProcessCosts,
-    cache_config: CacheConfig | None,
     *,
     structural: bool = False,
 ) -> int:
@@ -68,7 +69,6 @@ def pool_fingerprint(
             shape,
             json.dumps(serialized, sort_keys=True),
             repr(costs),
-            repr(cache_config),
         )
     )
 
@@ -123,12 +123,8 @@ class PoolRegistry:
 
     # -- executor protocol -------------------------------------------------------
 
-    def _fingerprint(
-        self, node: PlanNode, costs: ProcessCosts, cache_config: CacheConfig | None
-    ) -> int:
-        return pool_fingerprint(
-            node, costs, cache_config, structural=self.share_pools
-        )
+    def _fingerprint(self, node: PlanNode, costs: ProcessCosts) -> int:
+        return pool_fingerprint(node, costs, structural=self.share_pools)
 
     def _pop_free(self, key: int, ctx: ExecutionContext) -> ChildPool | None:
         bucket = self._free.get(key)
@@ -147,8 +143,7 @@ class PoolRegistry:
         self, node: PlanNode, costs: ProcessCosts, ctx: ExecutionContext
     ) -> ChildPool | None:
         """A warm pool matching ``node`` under ``ctx``, or None."""
-        cache_config = ctx.cache.config if ctx.cache is not None else None
-        return self._pop_free(self._fingerprint(node, costs, cache_config), ctx)
+        return self._pop_free(self._fingerprint(node, costs), ctx)
 
     async def lease_or_wait(
         self,
@@ -170,8 +165,7 @@ class PoolRegistry:
         identical plan order anyway — the common-subplan case this
         serves).
         """
-        cache_config = ctx.cache.config if ctx.cache is not None else None
-        key = self._fingerprint(node, costs, cache_config)
+        key = self._fingerprint(node, costs)
         waited = False
         while True:
             pool = self._pop_free(key, ctx)
@@ -207,8 +201,7 @@ class PoolRegistry:
         replaced definition: the pool is flagged immediately so it serves
         only its own query and is doomed at release.
         """
-        cache_config = pool.ctx.cache.config if pool.ctx.cache is not None else None
-        pool.registry_key = self._fingerprint(node, costs, cache_config)
+        pool.registry_key = self._fingerprint(node, costs)
         pool.registry_deps = plan_dependencies(node.plan_function.body)
         pool.registry_condemned = epoch is not None and any(
             self._condemned_at.get(dep, 0) > epoch for dep in pool.registry_deps

@@ -2,8 +2,9 @@
 
 A :class:`QueryRun` holds what is per query rather than per process — the
 call recorder, the cache, message, tree and fault counters, the retry
-policy, the shared tier, the span recorder (which alone records events,
-and only when the query is traced) and the process-name counter.
+policy, the call memo and dispatch path, the span recorder (which alone
+records events, and only when the query is traced) and the process-name
+counter.
 Every :class:`~repro.algebra.interpreter.ExecutionContext` of the query
 holds the same run by reference, and every process counts into it where
 the event happens, so re-homing a warm child into a new query is one
@@ -23,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.cache import CacheStats
+from repro.cache import CacheStats, CallMemo
 from repro.obs.spans import NULL_RECORDER, NullRecorder
 from repro.services.broker import CallRecorder
 
@@ -146,11 +147,17 @@ class QueryRun:
     # `retry_backoff` model seconds between attempts.
     retries: int = 0
     retry_backoff: float = 0.5
-    # The tier between a process's call cache and the broker: the engine's
-    # SharedCallCache, or inside an OS worker the proxy to the coordinator.
-    # None calls the broker directly (the seed path).  Typed loosely
-    # because both live above this module.
-    shared: Optional[object] = None
+    # Where round_trip sends this query's calls (repro.algebra.interpreter).
+    # `memo`: its address space's CallMemo when the query memoizes, storing
+    # entries for `ttl` model seconds.  `batcher`: the engine's cross-query
+    # batcher a miss is dispatched through.  `remote`: inside an OS worker
+    # without services of its own, the proxy to the coordinator, which
+    # answers every call.  None everywhere is the seed path: straight to
+    # the broker.  Typed loosely because these live above this module.
+    memo: Optional[CallMemo] = None
+    ttl: Optional[float] = None
+    batcher: Optional[object] = None
+    remote: Optional[object] = None
     # Span and event recorder.  NULL_RECORDER is a shared no-op whose
     # `enabled` flag gates every instrumentation site, so an untraced run
     # records nothing and computes exactly what a traced one does.

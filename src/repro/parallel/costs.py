@@ -33,10 +33,10 @@ class ProcessCosts:
                        child progress; the ablation baseline), or
                        ``hash_affinity`` (tuples are routed to a child by a
                        stable hash of the parameter tuple so repeated keys
-                       land on the same child — which is what makes that
-                       child's per-process call cache accumulate hits —
-                       falling back to first-finished placement while the
-                       affinity target is saturated).
+                       land on the same child, falling back to
+                       first-finished placement while the affinity target
+                       is saturated; the query's one call memo answers
+                       repeats under any policy).
     ``prefetch``       how many parameter tuples a child may have
                        outstanding.  1 is the paper's protocol (next tuple
                        only after end-of-call); larger values pipeline the

@@ -303,10 +303,10 @@ class ChildPool:
             self._dispatch_now(child, row)
             return
         if self.costs.dispatch == "hash_affinity" and self.children:
-            # Cache-affinity placement: route the tuple to the child its
-            # key hashes to, so identical keys hit that child's local
-            # call cache.  A saturated target falls back to the policies
-            # below — first-finished placement beats a growing queue.
+            # Affinity placement: route the tuple to the child its key
+            # hashes to, so identical keys land on one child.  A
+            # saturated target falls back to the policies below —
+            # first-finished placement beats a growing queue.
             target = self._affinity_target(row)
             if target.outstanding < self.batcher.capacity(target):
                 # Test membership first: a failed deque.remove builds its
@@ -732,8 +732,7 @@ class ChildPool:
         reference to the *same* context object the pool derived at spawn
         time, so pointing that object at the new query's run is all it
         takes for the children's future work to be counted in the new
-        query.  Warm child caches keep their entries — that is the point
-        of reuse — and count into the new run.
+        query, and to follow its cache setting.
         """
         self.ctx = ctx
         for child in self.children:

@@ -19,11 +19,12 @@ of the kernel's OS workers:
   once, parent-side (the worker applies the downlink latency).
 * Worker-side web-service calls arrive as ``BrokerRequest`` envelopes
   and are served by :func:`~repro.algebra.interpreter.round_trip` for
-  the owning query — the coordinator's broker, through the engine's
-  shared tier when one is attached — so capacity semaphores, call
-  statistics, multi-query sharing and fault accounting all stay
-  centralized.  The reply carries the outcome, so the child records a
-  call the shared tier answered as ``shared_hit``/``shared_wait``.
+  the owning query — the coordinator's memo when the query memoizes,
+  then its broker (through the engine's cross-query batcher when one is
+  attached) — so capacity semaphores, call statistics, memoization,
+  multi-query sharing and fault accounting all stay centralized.  The
+  reply carries the outcome, so the child records a call the memo
+  answered as a ``cache_hit``/``cache_collapsed``, not a ``service_call``.
 * A child counts into a worker-local run whose trace rows, finished
   spans and counter deltas ride its call-ending ``FromChild`` (and its
   ``ChildExited``); :meth:`~repro.obs.run.QueryRun.absorb` folds them
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.algebra.interpreter import round_trip
-from repro.cache import stable_hash
+from repro.cache import CacheConfig, stable_hash
 from repro.runtime.base import Channel, Kernel, ProcessHandle
 from repro.runtime.wire import (
     BrokerRequest,
@@ -137,6 +138,12 @@ class RemoteDownlink(Channel):
         return 0
 
 
+def _cache_config(run) -> CacheConfig | None:
+    """What a ``local_services`` worker child needs of the query's cache
+    setting: whether it memoizes (in the worker's memo), and the ttl."""
+    return None if run.memo is None else CacheConfig(enabled=True, ttl=run.ttl)
+
+
 class Placement:
     """Maps pool children onto the worker fleet and routes their traffic."""
 
@@ -226,7 +233,7 @@ class Placement:
                 child_id=child_id,
                 name=name,
                 costs=child_pool.costs,
-                cache_config=None if ctx.cache is None else ctx.cache.config,
+                cache_config=_cache_config(ctx.run),
                 retries=ctx.run.retries,
                 retry_backoff=ctx.run.retry_backoff,
                 tracing=ctx.run.obs.enabled,
@@ -256,6 +263,7 @@ class Placement:
                 binding.worker,
                 RebindChild(
                     child_id=binding.child_id,
+                    cache_config=_cache_config(run),
                     retries=run.retries,
                     retry_backoff=run.retry_backoff,
                     tracing=run.obs.enabled,

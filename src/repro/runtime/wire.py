@@ -83,6 +83,8 @@ class SpawnChild:
     child_id: int
     name: str
     costs: Any  # ProcessCosts (frozen dataclass, picklable)
+    # Whether the query memoizes, and its ttl; only a local_services
+    # worker reads it (every other worker's calls go to the coordinator).
     cache_config: Any  # CacheConfig | None
     retries: int = 0
     retry_backoff: float = 0.5
@@ -96,10 +98,11 @@ class SpawnChild:
 @dataclass(frozen=True)
 class RebindChild:
     """Re-home a warm child into a new query (the remote half of
-    ``ChildPool.rebind``): new retry policy, fresh cache counters, and a
-    fresh span recorder when the new query is traced."""
+    ``ChildPool.rebind``): the new query's cache setting and retry policy,
+    and a fresh span recorder when the new query is traced."""
 
     child_id: int
+    cache_config: Any = None  # CacheConfig | None, as in SpawnChild
     retries: int = 0
     retry_backoff: float = 0.5
     tracing: bool = False
@@ -134,7 +137,7 @@ class BrokerResponse:
     kind is ``"fault"`` (re-raised as :class:`ServiceFault`) or the
     original exception's class name (re-raised as :class:`ReproError`).
     ``outcome`` says who answered: ``"miss"`` for a real round trip, or
-    the coordinator's shared tier (``"shared_hit"`` / ``"shared_wait"``).
+    the coordinator's memo (``"hit"`` / ``"collapsed"``).
     """
 
     request_id: int

@@ -41,7 +41,7 @@ import threading
 import time
 from typing import Any, Callable, Optional
 
-from repro.cache import CallCache
+from repro.cache import CacheConfig, CallMemo
 from repro.parallel.messages import ResultTuple
 from repro.parallel.process import ChildEndpoints, child_main
 from repro.runtime import base
@@ -190,15 +190,15 @@ class _UplinkForwarder(base.Channel):
 
 
 class _BrokerProxy:
-    """The shared tier of a worker child: its calls go to the coordinator.
+    """A worker child's ``run.remote``: its calls go to the coordinator.
 
-    The coordinator makes the round trip for the child's query — through
-    its own shared tier when it has one — so capacity semaphores, call
-    statistics, cache counters and fault accounting stay central.  The
-    reply's outcome comes back, so the child records ``shared_hit`` /
-    ``shared_wait`` exactly like an in-process child; the counting was
-    done where the call was served.  Faults come back typed, with their
-    ``retriable`` flag intact, for the child's retry loop.
+    The coordinator makes the round trip for the child's query — answered
+    by its memo when the query memoizes — so capacity semaphores, call
+    statistics, memoization, cache counters and fault accounting stay
+    central.  The reply's outcome comes back, so the child records a memo
+    hit exactly like an in-process child; the counting was done where the
+    call was served.  Faults come back typed, with their ``retriable``
+    flag intact, for the child's retry loop.
     """
 
     def __init__(self, runtime: "_WorkerRuntime", child_id: int) -> None:
@@ -206,17 +206,7 @@ class _BrokerProxy:
         self._child_id = child_id
 
     async def call(
-        self,
-        broker,
-        uri: str,
-        service: str,
-        operation: str,
-        arguments: list,
-        *,
-        recorder=None,
-        stats=None,
-        obs=None,
-        obs_span: int = -1,
+        self, uri: str, service: str, operation: str, arguments: list, obs_span: int
     ) -> tuple[Any, str]:
         runtime = self._runtime
         request_id = next(runtime.request_ids)
@@ -230,7 +220,7 @@ class _BrokerProxy:
                 service,
                 operation,
                 tuple(arguments),
-                obs_span=obs_span if obs is not None else -1,
+                obs_span=obs_span,
             )
         )
         reply: BrokerResponse = await future
@@ -249,6 +239,7 @@ class _ChildSlot:
         from repro.algebra.interpreter import ExecutionContext
         from repro.parallel.executor import ParallelExecutor
 
+        self._runtime = runtime
         self.child_id = spec.child_id
         self.costs = spec.costs
         self.exit_reason = "cancelled"  # reported if the task is cancelled
@@ -259,9 +250,8 @@ class _ChildSlot:
             broker=broker,
             functions=runtime.functions,
             process_name=spec.name,
-            cache=None if spec.cache_config is None else CallCache(kernel, spec.cache_config),
             run=QueryRun(
-                shared=_BrokerProxy(runtime, spec.child_id) if broker is None else None,
+                remote=_BrokerProxy(runtime, spec.child_id) if broker is None else None,
                 # Worker-local (display-only) name space for nested
                 # children, offset far from the coordinator's counter so
                 # names stay unique across the whole distributed tree.
@@ -283,14 +273,19 @@ class _ChildSlot:
 
     def _set_policy(self, spec: SpawnChild | RebindChild) -> None:
         run = self.ctx.run
+        if run.remote is None:  # local services: calls run here
+            cache = spec.cache_config
+            run.memo = self._runtime.memo if cache is not None else None
+            run.ttl = cache.ttl if cache is not None else None
         run.retries = spec.retries
         run.retry_backoff = spec.retry_backoff
         run.obs = TraceRecorder(first_id=spec.span_base) if spec.tracing else NULL_RECORDER
 
     def rebind(self, spec: RebindChild) -> None:
         """Re-home this warm child into a new query (remote rebind half):
-        the new query's retry policy and, when it is traced, a fresh span
-        recorder.  Counters need nothing: the run is drained per call."""
+        the new query's cache setting and retry policy and, when it is
+        traced, a fresh span recorder.  Counters need nothing: the run is
+        drained per call."""
         self._set_policy(spec)
         self.ctx.obs_span = -1
         for pool in self.ctx.pools.values():
@@ -313,6 +308,9 @@ class _WorkerRuntime:
         self.kernel: Optional[AsyncioKernel] = None
         self.functions = None  # FunctionRegistry, set by RegisterFunctions
         self.local_broker = None  # set by RegisterServices
+        # The memo of a local_services worker, whose children make their
+        # calls here; rebuilt whenever definitions or services arrive.
+        self.memo: Optional[CallMemo] = None
         self.children: dict[int, _ChildSlot] = {}
         self.broker_futures: dict[int, asyncio.Future] = {}
         self.request_ids = itertools.count()
@@ -452,6 +450,7 @@ class _WorkerRuntime:
             self.local_broker = registry.bind(
                 self.kernel, seed=message.seed, fault_rate=message.fault_rate
             )
+            self.memo = CallMemo(self.kernel, CacheConfig())
         elif isinstance(message, ShutdownWorker):
             self._stop.set()
 
@@ -474,6 +473,7 @@ class _WorkerRuntime:
                 )
             )
         self.functions = registry
+        self.memo = CallMemo(self.kernel, CacheConfig())
         # Children spawned before a re-registration keep their old
         # registry snapshot — same semantics as a pool condemned and
         # respawned by the engine on function replacement.

@@ -13,7 +13,7 @@ Protocol (all bodies JSON, all responses either JSON or NDJSON):
            "adaptation": {...},        -- AdaptationParams fields
            "retries": 0,
            "on_error": "retry",
-           "cache": true,              -- or {"max_entries": N, "ttl": T}
+           "cache": true,              -- false, or {"max_entries": N, "ttl": T}
            "name": "Query",
            "optimize": "cost",         -- heuristic | cost (planner level)
            "tenant": "analytics",      -- fair-queue admission identity
@@ -438,7 +438,9 @@ class QueryServer:
                 fields["cache"] = CacheConfig(enabled=True, **cache)
             except (TypeError, ReproError) as error:
                 raise _HttpError(400, f"bad cache config: {error}")
-        elif cache in (False, None):
+        elif cache is False:
+            fields["cache"] = CacheConfig(enabled=False)
+        elif cache is None:
             fields.pop("cache", None)
         else:
             raise _HttpError(400, f"bad cache field: {cache!r}")

@@ -19,6 +19,7 @@ statistics knobs rejected by the one-shot :meth:`WSMED.sql` path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -92,6 +93,12 @@ class QueryOptions:
             raise PlanError(f"retries must be an integer >= 0, got {self.retries!r}")
         if not isinstance(self.name, str):
             raise PlanError(f"name must be a string, got {self.name!r}")
+        if self.deadline_ms is not None and not (
+            _is_number(self.deadline_ms) and math.isfinite(self.deadline_ms)
+        ):
+            raise PlanError(
+                f"deadline_ms must be a finite number, got {self.deadline_ms!r}"
+            )
 
     def replace(self, **overrides) -> "QueryOptions":
         """A copy with the given fields changed (field names validated)."""
@@ -100,6 +107,10 @@ class QueryOptions:
 
 def _is_count(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 #: Fields only the one-shot WSMED.sql surface honors.

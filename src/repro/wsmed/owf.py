@@ -164,17 +164,15 @@ class OperationWrapper:
         return rows
 
     async def _invoke(self, ctx: ExecutionContext, coerced: list, started: float):
-        """One ``cwo`` transport round trip, memoized when a cache is on.
+        """One ``cwo`` transport round trip through
+        :func:`~repro.algebra.interpreter.round_trip`.
 
-        A cache hit (or a collapse onto an in-flight identical call) skips
+        A memo hit (or a collapse onto an in-flight identical call) skips
         the broker entirely; a traced run records it as a ``cache_hit`` /
-        ``cache_collapse`` event instead of a ``service_call``, so traces
-        distinguish real round trips from avoided ones.  A call the shared
-        tier answered is recorded by its outcome, ``shared_hit`` or
-        ``shared_wait`` (see :func:`~repro.algebra.interpreter.round_trip`).
+        ``cache_collapsed`` event instead of a ``service_call``, so traces
+        distinguish real round trips from avoided ones.
         """
-        run = ctx.run
-        obs = run.obs
+        obs = ctx.run.obs
         ws_span = -1
         if obs.enabled:
             ws_span = obs.start(
@@ -187,36 +185,16 @@ class OperationWrapper:
                 service=self.document.service_name,
             )
         document = self.document
-
-        def transport():
-            return round_trip(
+        try:
+            out, outcome = await round_trip(
                 ctx, document.uri, document.service_name, self.name, coerced, ws_span
             )
-
-        try:
-            if ctx.cache is None:
-                out, outcome = await transport()
-                cached = MISS
-            else:
-                # The memo keeps the round trip's outcome beside its value;
-                # only a MISS (this process's own trip) reads it.
-                (out, outcome), cached = await ctx.cache.call(
-                    (document.uri, document.service_name, self.name, tuple(coerced)),
-                    transport,
-                    run.cache_stats,
-                )
         except BaseException as error:
             if ws_span != -1:
                 obs.finish(ws_span, at=ctx.kernel.now(), error=str(error))
             raise
         if not obs.enabled:
             return out
-        kind = outcome
-        if cached != MISS:
-            # Served by this process's own cache; the shared tier was
-            # never consulted (HIT) or is attributed to the leader only
-            # (COLLAPSED).
-            outcome, kind = cached, f"cache_{cached}"
         obs.finish(ws_span, at=ctx.kernel.now(), outcome=outcome)
         if outcome == MISS:
             obs.event(
@@ -227,7 +205,12 @@ class OperationWrapper:
                 duration=ctx.kernel.now() - started,
             )
         else:
-            obs.event(ctx.kernel.now(), kind, process=ctx.process_name, operation=self.name)
+            obs.event(
+                ctx.kernel.now(),
+                f"cache_{outcome}",
+                process=ctx.process_name,
+                operation=self.name,
+            )
         return out
 
     def _flatten(

@@ -43,8 +43,8 @@ class QueryResult:
     trace: TraceLog | None = None
     tree: TreeStats = field(default_factory=TreeStats)
     plan_text: str = ""
-    # Aggregated web-service call-cache counters across all query
-    # processes; None when the query ran without a cache.
+    # The query's call-memo counters across all its processes; None when
+    # the query neither memoized nor ran on a sharing engine.
     cache_stats: CacheStats | None = None
     # Data-path message counts aggregated over every operator pool in the
     # query (per-tuple and batched, both directions).  Central-mode runs
@@ -178,12 +178,8 @@ class QueryResult:
             f"{cache.expirations} expired ({cache.hit_rate:.0%} hit rate, "
             f"{cache.calls_avoided} calls avoided)"
         )
-        if cache.shared_hits or cache.shared_waits or cache.coalesced:
-            line += (
-                f"\nshared tier: {cache.shared_hits} shared hits, "
-                f"{cache.shared_waits} single-flight waits, "
-                f"{cache.coalesced} calls coalesced into cross-query batches"
-            )
+        if cache.coalesced:
+            line += f"\ncross-query batching: {cache.coalesced} calls coalesced"
         return line
 
     def _render_batch(self) -> str:

@@ -47,7 +47,7 @@ from repro.algebra.plan import (
     SortNode,
     UnionNode,
 )
-from repro.cache import CacheConfig, CallCache
+from repro.cache import CacheConfig, CallMemo
 from repro.calculus.expressions import CalculusQuery
 from repro.calculus.generator import generate_calculus
 from repro.calculus.rewrite import rewrite_unfittable
@@ -610,7 +610,8 @@ class WSMED:
         with real concurrency.  ``retries`` retries retriable service
         faults per call before giving up.  ``cache`` overrides the
         system-wide :class:`~repro.cache.CacheConfig` for this query;
-        when enabled, every query process memoizes its web-service calls.
+        when enabled, the query's processes share one memo of their
+        web-service calls.
         ``process_costs`` overrides the system-wide cost model for this
         query (e.g. to enable micro-batching via ``batch_size``).
         ``on_error`` / ``faults`` are shortcuts that override the pool
@@ -635,15 +636,7 @@ class WSMED:
         broker = self.registry.bind(
             kernel, seed=self.seed, fault_rate=opts.fault_rate
         )
-        config = self.cache_config_for(opts)
-        return kernel.run(
-            self.run_plan(
-                plan,
-                opts,
-                broker,
-                coordinator_cache=CallCache(kernel, config) if config else None,
-            )
-        )
+        return kernel.run(self.run_plan(plan, opts, broker))
 
     def cache_config_for(self, opts: QueryOptions) -> CacheConfig | None:
         """The query's effective call-cache config; None when disabled."""
@@ -656,9 +649,9 @@ class WSMED:
         opts: QueryOptions,
         broker: ServiceBroker,
         *,
-        coordinator_cache: CallCache | None = None,
+        memo: CallMemo | None = None,
         pool_registry=None,
-        shared=None,
+        batcher=None,
         names=None,
     ) -> QueryResult:
         """Run a compiled ``plan`` on ``broker.kernel``; the one execution
@@ -670,12 +663,14 @@ class WSMED:
         the kernel's placement, opens the ``query:`` span, executes, and
         assembles the :class:`QueryResult`.  What differs between the
         callers arrives as arguments: the one-shot path passes a fresh
-        broker and cache and nothing else, so pools are built per query
-        and closed in the executor's ``finally``; the engine passes its
-        resident broker, a leased ``coordinator_cache``, its
-        ``pool_registry`` (warm trees are released, not closed), its
-        ``shared`` tier and its engine-wide process-number counter
-        ``names``.
+        broker and nothing else, so a query that memoizes builds its own
+        :class:`~repro.cache.CallMemo` and pools are built per query and
+        closed in the executor's ``finally``; the engine passes its
+        resident broker, its ``memo``, its ``pool_registry`` (warm trees
+        are released, not closed), its cross-query ``batcher`` and its
+        engine-wide process-number counter ``names``.  The query uses the
+        memo iff its effective :class:`~repro.cache.CacheConfig` is
+        enabled.
 
         A coroutine because the realtime kernel's clock is only readable
         from within its event loop.
@@ -688,14 +683,17 @@ class WSMED:
             costs = _replace(costs, on_error=opts.on_error)
         if opts.faults is not None:
             costs = _replace(costs, faults=opts.faults)
-        run = QueryRun(retries=opts.retries, shared=shared)
+        run = QueryRun(retries=opts.retries, batcher=batcher)
+        config = self.cache_config_for(opts)
+        if config is not None:
+            run.memo = memo if memo is not None else CallMemo(kernel, config)
+            run.ttl = config.ttl
         if names is not None:
             run.names = names
         ctx = ExecutionContext(
             kernel=kernel,
             broker=broker,
             functions=self.functions,
-            cache=coordinator_cache,
             run=run,
         )
         kernel.attach_placement(
@@ -738,9 +736,7 @@ class WSMED:
             tree=run.tree,
             plan_text=render_plan(plan),
             cache_stats=(
-                run.cache_stats
-                if coordinator_cache is not None or shared is not None
-                else None
+                run.cache_stats if run.memo is not None or batcher is not None else None
             ),
             message_stats=run.message_stats,
             fault_stats=run.fault_stats,

@@ -2,10 +2,9 @@
 
 The paper's example queries have mostly distinct call keys, so these
 tests register a *skewed* helping function — many repetitions of a few
-zip codes — which is the workload where memoization pays: central mode
-avoids repeat calls outright, and in parallel mode ``hash_affinity``
-dispatch keeps equal keys on the same child so its per-process cache
-accumulates hits.
+zip codes — which is the workload where memoization pays: the query's one
+memo answers every repeat, in central mode and across the children of a
+parallel tree alike.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ def test_system_wide_cache_config_applies() -> None:
     assert result.cache_stats.hits > 0
 
 
-# -- parallel mode: per-process caches and dispatch affinity ------------------
+# -- parallel mode: one memo for every child -----------------------------------
 
 
 def run_parallel_hit_rate(dispatch: str):
@@ -120,17 +119,17 @@ def run_parallel_hit_rate(dispatch: str):
     return result
 
 
-def test_hash_affinity_beats_first_finished_hit_rate(wsmed) -> None:
+def test_parallel_cache_dedups_across_children_under_any_dispatch(wsmed) -> None:
     baseline = wsmed.sql(SKEW_SQL)  # central, cache off: ground truth rows
-    affinity = run_parallel_hit_rate("hash_affinity")
-    first_finished = run_parallel_hit_rate("first_finished")
-    assert affinity.as_bag() == baseline.as_bag()
-    assert first_finished.as_bag() == baseline.as_bag()
-    # Equal keys always land on the same child under hash affinity, so
-    # the per-process caches see every repeat; first-finished scatters
-    # repeats across children, each of which must miss once per key.
-    assert affinity.cache_stats.hit_rate > first_finished.cache_stats.hit_rate
-    assert affinity.total_calls < first_finished.total_calls
+    for dispatch in ("hash_affinity", "first_finished"):
+        result = run_parallel_hit_rate(dispatch)
+        assert result.as_bag() == baseline.as_bag()
+        # The children share the query's memo, so wherever a repeat lands
+        # it is answered there: one broker call per distinct key.
+        assert result.total_calls == DISTINCT_ZIPS
+        stats = result.cache_stats
+        assert stats.misses == DISTINCT_ZIPS
+        assert stats.calls_avoided == DISTINCT_ZIPS * (REPEATS - 1)
 
 
 def test_parallel_cache_cuts_broker_calls_at_least_a_quarter(wsmed) -> None:

@@ -1,6 +1,6 @@
-"""Unit tests for the web-service call cache.
+"""Unit tests for the web-service call memo.
 
-Every behavioral test runs under both kernels: the cache keys TTLs and
+Every behavioral test runs under both kernels: the memo keys TTLs and
 single-flight parking off kernel primitives only, so it must behave the
 same under virtual time and under ``asyncio``.
 """
@@ -15,7 +15,7 @@ from repro.cache import (
     MISS,
     CacheConfig,
     CacheStats,
-    CallCache,
+    CallMemo,
     stable_hash,
 )
 from repro.obs.run import MessageStats, QueryRun
@@ -59,6 +59,9 @@ def test_config_rejects_bad_bounds() -> None:
         CacheConfig(ttl=0.0)
     with pytest.raises(PlanError):
         CacheConfig(ttl=-1.0)
+    for ttl in (float("nan"), float("inf")):
+        with pytest.raises(PlanError):
+            CacheConfig(ttl=ttl)
 
 
 def test_config_disabled_by_default() -> None:
@@ -69,7 +72,7 @@ def test_config_disabled_by_default() -> None:
 
 
 def test_hit_after_miss(kernel) -> None:
-    cache = CallCache(kernel, CacheConfig(enabled=True))
+    cache = CallMemo(kernel, CacheConfig(enabled=True))
     stats = CacheStats()
     invoke = Invoker(kernel)
 
@@ -92,7 +95,7 @@ def test_hit_after_miss(kernel) -> None:
 
 
 def test_unhashable_key_bypasses_cache(kernel) -> None:
-    cache = CallCache(kernel, CacheConfig(enabled=True))
+    cache = CallMemo(kernel, CacheConfig(enabled=True))
     stats = CacheStats()
     invoke = Invoker(kernel)
 
@@ -110,7 +113,7 @@ def test_unhashable_key_bypasses_cache(kernel) -> None:
 
 
 def test_lru_evicts_least_recently_used(kernel) -> None:
-    cache = CallCache(kernel, CacheConfig(enabled=True, max_entries=2))
+    cache = CallMemo(kernel, CacheConfig(enabled=True, max_entries=2))
     stats = CacheStats()
     invoke = Invoker(kernel)
 
@@ -135,16 +138,16 @@ def test_lru_evicts_least_recently_used(kernel) -> None:
 
 def test_ttl_expires_on_model_clock() -> None:
     kernel = SimKernel()
-    cache = CallCache(kernel, CacheConfig(enabled=True, ttl=10.0))
+    cache = CallMemo(kernel, CacheConfig(enabled=True))
     stats = CacheStats()
     invoke = Invoker(kernel)
 
     async def main():
-        await cache.call("k", invoke, stats)
+        await cache.call("k", invoke, stats, ttl=10.0)
         await kernel.sleep(5.0)
-        _, fresh = await cache.call("k", invoke, stats)
+        _, fresh = await cache.call("k", invoke, stats, ttl=10.0)
         await kernel.sleep(6.0)  # 11 model seconds after the store
-        _, stale = await cache.call("k", invoke, stats)
+        _, stale = await cache.call("k", invoke, stats, ttl=10.0)
         return fresh, stale
 
     fresh, stale = kernel.run(main())
@@ -158,24 +161,41 @@ def test_ttl_under_realtime_kernel() -> None:
     # Same schedule, real concurrency: TTLs are model seconds, so at
     # scale 0.001 an 11-model-second wait still expires a 10s TTL.
     kernel = AsyncioKernel(time_scale=0.001)
-    cache = CallCache(kernel, CacheConfig(enabled=True, ttl=10.0))
+    cache = CallMemo(kernel, CacheConfig(enabled=True))
     invoke = Invoker(kernel)
 
     async def main():
-        await cache.call("k", invoke)
+        await cache.call("k", invoke, ttl=10.0)
         await kernel.sleep(11.0)
-        _, outcome = await cache.call("k", invoke)
+        _, outcome = await cache.call("k", invoke, ttl=10.0)
         return outcome
 
     assert kernel.run(main()) == MISS
     assert invoke.calls == 2
 
 
+def test_ttl_is_per_entry() -> None:
+    """One memo serves queries with different ttls: each entry keeps the
+    lifetime of the query that stored it."""
+    kernel = SimKernel()
+    cache = CallMemo(kernel, CacheConfig(enabled=True))
+    invoke = Invoker(kernel)
+
+    async def main():
+        await cache.call("short", invoke, ttl=1.0)
+        await cache.call("long", invoke, ttl=100.0)
+        await cache.call("forever", invoke)
+        await kernel.sleep(50.0)
+        return [(await cache.call(key, invoke))[1] for key in ("short", "long", "forever")]
+
+    assert kernel.run(main()) == [MISS, HIT, HIT]
+
+
 # -- single-flight collapsing -------------------------------------------------
 
 
 def test_concurrent_identical_calls_collapse(kernel) -> None:
-    cache = CallCache(kernel, CacheConfig(enabled=True))
+    cache = CallMemo(kernel, CacheConfig(enabled=True))
     stats = CacheStats()
     invoke = Invoker(kernel, delay=1.0)
 
@@ -195,38 +215,50 @@ def test_concurrent_identical_calls_collapse(kernel) -> None:
     assert stats.misses == 1
 
 
-def test_fault_during_collapsed_call_reaches_all_waiters(kernel) -> None:
+def test_failed_leader_does_not_poison_waiters(kernel) -> None:
+    """A leader's fault is its own: every waiter wakes, re-checks, and one
+    of them leads the call again; the rest collapse onto that one."""
     fault = ServiceFault("boom", retriable=True)
-    cache = CallCache(kernel, CacheConfig(enabled=True))
+    cache = CallMemo(kernel, CacheConfig(enabled=True))
     stats = CacheStats()
     invoke = Invoker(kernel, delay=1.0, error=fault)
 
     async def one():
         try:
-            await cache.call("hot", invoke, stats)
+            return await cache.call("hot", invoke, stats)
         except ServiceFault as error:
+            invoke.error = None  # the broker recovers after one fault
             return str(error)
-        return None
 
     async def main():
         return await kernel.gather(*[one() for _ in range(3)])
 
-    errors = kernel.run(main())
-    assert errors == ["boom"] * 3
-    assert invoke.calls == 1  # one broker round trip, three failures seen
-    assert stats.failures == 1
-    assert stats.collapsed == 2
-
-    # Failures are not memoized: the next call goes back to the broker.
-    invoke.error = None
-
-    async def retry():
-        return await cache.call("hot", invoke, stats)
-
-    value, outcome = kernel.run(retry())
-    assert outcome == MISS
+    results = kernel.run(main())
+    assert results[0] == "boom"  # only the first leader saw the fault
+    assert sorted(results[1:]) == [("result-2", COLLAPSED), ("result-2", MISS)]
     assert invoke.calls == 2
-    assert value == "result-2"
+    assert stats.failures == 1
+    assert stats.misses == 2  # the failed leader, then the new one
+    assert stats.collapsed == 1
+
+    # Failures are not memoized; the second leader's result is.
+    value, outcome = kernel.run(cache.call("hot", invoke, stats))
+    assert (value, outcome) == ("result-2", HIT)
+    assert invoke.calls == 2
+
+
+def test_invalidate_operation_drops_only_that_operation(kernel) -> None:
+    cache = CallMemo(kernel, CacheConfig(enabled=True))
+    invoke = Invoker(kernel)
+
+    async def main():
+        for operation in ("GetAllStates", "GetPlaceList", "GetPlaceList"):
+            await cache.call(("uri", "Geo", operation, (len(cache),)), invoke)
+
+    kernel.run(main())
+    assert len(cache) == 3
+    assert cache.invalidate_operation("getplacelist") == 2
+    assert [key[2] for key in cache.entries] == ["GetAllStates"]
 
 
 # -- stats plumbing ----------------------------------------------------------

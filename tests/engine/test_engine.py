@@ -17,7 +17,7 @@ from repro import (
     WSMED,
     QueryOptions,
 )
-from repro.util.errors import ReproError
+from repro.util.errors import PlanError, ReproError
 
 from tests.helpers import wsdl_uri
 
@@ -156,7 +156,7 @@ def test_warm_query_spawns_nothing_and_reuses_the_tree() -> None:
     assert engine.stats().resident_processes == 0
 
 
-def test_warm_query_keeps_child_call_caches() -> None:
+def test_warm_query_answers_from_the_engine_memo() -> None:
     engine = fresh_engine()
     config = CacheConfig(enabled=True)
     cold = engine.sql(QUERY1_SQL, options=PARALLEL.replace(cache=config))
@@ -164,11 +164,11 @@ def test_warm_query_keeps_child_call_caches() -> None:
     engine.close()
 
     assert cold.cache_stats.hits == 0
-    # Every repeated call in the warm query hits a child's resident cache,
-    # and per-query counters start at zero (no bleed from the cold query).
-    assert warm.cache_stats.hits > 0
-    assert warm.cache_stats.misses < cold.cache_stats.misses
-    assert warm.total_calls < cold.total_calls
+    # Every call of the warm query hits the engine's memo, and per-query
+    # counters start at zero (no bleed from the cold query).
+    assert warm.cache_stats.hits == cold.cache_stats.misses == 311
+    assert warm.cache_stats.misses == 0
+    assert warm.total_calls == 0
 
 
 def test_warm_message_counters_are_per_query() -> None:
@@ -202,6 +202,57 @@ def test_wsdl_reimport_evicts_plans_and_cold_starts_pools() -> None:
     assert again.tree.processes_spawned == 25
     assert sorted(again.rows) == sorted(first.rows)
     engine.close()
+
+
+@pytest.mark.parametrize("share", [False, True], ids=["private", "share"])
+def test_wsdl_reimport_drops_the_memoized_results_of_its_operations(share) -> None:
+    """The engine's memo forgets what a re-imported WSDL's operations
+    answered (GetAllStates and GetPlacesWithin share one document), and
+    keeps the rest: the next Query1 calls only those operations again."""
+    wsmed = fresh_wsmed()
+    engine = QueryEngine(wsmed, share=share)
+    cached = PARALLEL.replace(cache=CacheConfig(enabled=True))
+    first = engine.sql(QUERY1_SQL, options=cached)
+    wsmed.import_wsdl(wsdl_uri(wsmed, "GetAllStates"))
+    again = engine.sql(QUERY1_SQL, options=cached)
+    engine.close()
+
+    assert first.total_calls == 311
+    assert {name: stats.calls for name, stats in again.call_stats.items()} == {
+        "GetAllStates": 1,
+        "GetPlacesWithin": 50,
+    }
+    assert again.total_calls == 51
+    assert again.cache_stats.hits == 260
+    assert sorted(again.rows) == sorted(first.rows)
+
+
+def test_queries_with_distinct_ttls_lease_one_warm_tree() -> None:
+    """The cache setting is not part of a tree's identity: a client that
+    picks a new ``ttl`` per query reuses the warm tree every time."""
+    engine = fresh_engine()
+    for ttl in range(1, 41):
+        cache = CacheConfig(enabled=True, ttl=ttl)
+        engine.sql(QUERY1_SQL, options=PARALLEL.replace(cache=cache))
+    stats = engine.stats()
+    engine.close()
+    assert stats.warm_leases >= 39
+    assert stats.cold_starts == 1
+
+
+def test_a_query_cannot_set_the_bound_of_the_engine_memo() -> None:
+    engine = fresh_engine()
+    try:
+        with pytest.raises(PlanError, match="max_entries"):
+            cache = CacheConfig(enabled=True, max_entries=7)
+            engine.sql(QUERY1_SQL, options=QueryOptions(cache=cache))
+        # The engine's own bound, or a cache turned off, is fine.
+        result = engine.sql(
+            QUERY1_SQL, options=QueryOptions(cache=CacheConfig(enabled=False, max_entries=7))
+        )
+    finally:
+        engine.close()
+    assert result.total_calls == 311 and result.cache_stats is None
 
 
 def test_helping_function_replace_only_hits_dependents() -> None:
@@ -255,12 +306,13 @@ def test_concurrent_queries_have_partitioned_results() -> None:
 
     assert first.tree is not second.tree
     assert sorted(first.rows) == sorted(second.rows)
-    # Call statistics are per query and sum to the broker's global count.
-    assert first.total_calls == second.total_calls == 311
-    assert engine.broker.total_calls() == first.total_calls + second.total_calls
-    # Cache counters are per query too: both trees start cold (each query
-    # leases its own tree), so neither sees the other's hits.
-    assert first.cache_stats.misses == second.cache_stats.misses
+    # Call statistics are per query and sum to the broker's global count:
+    # the engine's one memo makes each distinct call once for both.
+    assert engine.broker.total_calls() == first.total_calls + second.total_calls == 311
+    # Cache counters are per query too: each query looked up every call,
+    # and only the one that made a call counts its miss.
+    assert first.cache_stats.lookups == second.cache_stats.lookups == 311
+    assert first.cache_stats.misses + second.cache_stats.misses == 311
     # Each query counts exactly one tree's worth of activity.
     assert first.tree.processes_spawned == second.tree.processes_spawned == 25
     stats = engine.stats()
@@ -280,8 +332,8 @@ def test_admission_respects_max_concurrency() -> None:
 
 
 def affinity_engine(**kwargs) -> QueryEngine:
-    """Call cache on and strict cache-affinity routing: ``prefetch=16``
-    never saturates the affinity target, so warm hit rates are exact."""
+    """The ``engine_warm`` configuration: call cache on, and strict
+    affinity routing (``prefetch=16`` never saturates the target)."""
     wsmed = WSMED(
         profile="fast",
         process_costs=ProcessCosts(dispatch="hash_affinity", prefetch=16).scaled(0.01),
@@ -294,7 +346,7 @@ def affinity_engine(**kwargs) -> QueryEngine:
 def test_fully_warm_query_is_five_times_faster_with_the_cold_rows() -> None:
     engine = affinity_engine()
     cold = engine.sql(QUERY1_SQL, options=PARALLEL)
-    engine.sql(QUERY1_SQL, options=PARALLEL)  # fills every child's cache
+    engine.sql(QUERY1_SQL, options=PARALLEL)  # warm: the memo answers every call
     warm = engine.sql(QUERY1_SQL, options=PARALLEL)
     engine.close()
 
@@ -309,7 +361,7 @@ def test_sixteen_warm_clients_reach_three_times_one_clients_throughput() -> None
     def queries_per_model_second(clients: int) -> float:
         engine = affinity_engine(max_concurrency=16)
         batch = [QUERY1_SQL] * clients
-        for _ in range(2):  # one resident tree per client, caches filled
+        for _ in range(2):  # one resident tree per client, memo filled
             engine.sql_many(batch, options=PARALLEL)
         started = engine.kernel.now()
         results = engine.sql_many(batch, options=PARALLEL)

@@ -1,4 +1,8 @@
-"""Cross-query sharing: equivalence, fault isolation, mid-query invalidation."""
+"""Cross-query sharing: equivalence, fault isolation, mid-query invalidation.
+
+A sharing engine memoizes by default, so concurrent queries dedup through
+the engine's one call memo; batching and shared pools ride on top.
+"""
 
 from repro import (
     QUERY1_SQL,
@@ -26,7 +30,7 @@ def test_disabled_share_config_is_seed_identical() -> None:
     seed = fresh_wsmed().sql(QUERY1_SQL, options=traced(PARALLEL))
 
     engine = QueryEngine(fresh_wsmed(), share=False)
-    assert engine.shared is None
+    assert engine.batcher is None
     assert not engine.pool_registry.share_pools
     result = engine.sql(QUERY1_SQL, options=traced(PARALLEL))
     engine.close()
@@ -54,12 +58,11 @@ def test_overlapping_queries_match_independent_runs() -> None:
     for result in results:
         assert sorted(result.rows) == sorted(seed.rows)
         assert result.columns == seed.columns
-    # The whole batch cost (about) one query's worth of broker work:
-    # overlapping trees are leased serially, so followers replay the
-    # first query's per-process caches and shared memo.
-    assert broker_calls <= seed.total_calls + 16
+    # The whole batch cost one query's worth of broker work: overlapping
+    # trees are leased serially, and followers replay the engine's memo.
+    assert broker_calls == seed.total_calls
+    assert sum(result.cache_stats.calls_avoided for result in results) == 3 * 311
     assert stats.sharing
-    assert stats.shared_cache_hits + stats.shared_cache_waits > 0
     assert stats.shared_pool_leases > 0
     assert stats.coalesced_batches > 0
 
@@ -77,15 +80,14 @@ def test_single_flight_without_pool_sharing(monkeypatch) -> None:
 
     for result in results:
         assert sorted(result.rows) == sorted(seed.rows)
-    assert broker_calls <= seed.total_calls + 16
-    assert stats.shared_cache_waits > 0  # truly concurrent single-flight
+    assert broker_calls == seed.total_calls
+    assert sum(r.cache_stats.collapsed for r in results) > 0  # truly concurrent
     assert stats.shared_pool_leases == 0
-    # Per-query attribution adds up without double counting: every
-    # shared hit/wait was a per-process miss the shared tier absorbed.
-    attributed = sum(
-        r.cache_stats.shared_hits + r.cache_stats.shared_waits for r in results
-    )
-    assert attributed == stats.shared_cache_hits + stats.shared_cache_waits
+    # Per-query attribution adds up without double counting: every round
+    # trip is one query's miss, every other lookup another's hit or wait.
+    assert sum(r.cache_stats.misses for r in results) == broker_calls
+    assert sum(r.total_calls for r in results) == broker_calls
+    assert all(r.cache_stats.lookups == 311 for r in results)
 
 
 def test_asyncio_kernel_sharing_parity() -> None:
@@ -114,10 +116,9 @@ def test_failed_shared_call_does_not_poison_waiters(monkeypatch) -> None:
 
     Pools off so the four queries genuinely overlap: their identical
     calls collapse into single-flight groups whose leaders sometimes
-    draw a broker-level :class:`ServiceFault`.  Waiters retry instead of
-    inheriting the fault (unlike the per-process cache, whose collapsed
-    waiters share their leader's outcome by design), so with per-call
-    retries every query completes with the full result.
+    draw a broker-level :class:`ServiceFault`.  Waiters re-check instead
+    of inheriting the fault, so with per-call retries every query
+    completes with the full result.
     """
     seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
@@ -125,11 +126,10 @@ def test_failed_shared_call_does_not_poison_waiters(monkeypatch) -> None:
     engine = sharing_engine()
     engine.broker.fault_rate = 0.05  # deterministic: seeded broker RNG
     results = engine.sql_many([QUERY1_SQL] * 4, options=PARALLEL.replace(retries=3))
-    stats = engine.stats()
     engine.close()
 
-    assert stats.shared_cache_failures > 0  # leaders did fail...
-    assert stats.shared_cache_waits > 0  # ...while others were parked
+    assert sum(r.cache_stats.failures for r in results) > 0  # leaders did fail...
+    assert sum(r.cache_stats.collapsed for r in results) > 0  # ...while others waited
     for result in results:  # ...yet everyone got the right answer
         assert sorted(result.rows) == sorted(seed.rows)
 
@@ -143,7 +143,7 @@ def test_replace_mid_query_condemns_shared_trees() -> None:
     Two overlapping queries share one warm tree (the second waits for
     the lease).  Mid-flight, the WSDL of ``GetPlacesWithin`` is
     re-imported — the replace listener fires, condemning the leased
-    pool and dropping the operation's shared-cache entries.  Both
+    pool and dropping the operation's memoized results.  Both
     in-flight queries finish on the trees they started with; afterwards
     nothing stale is leasable, and that includes the second query's
     tree, which was *compiled* before the replacement but *built* after
@@ -155,10 +155,15 @@ def test_replace_mid_query_condemns_shared_trees() -> None:
     kernel = engine.kernel
     seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
+    def memoized(operation: str) -> int:
+        return sum(1 for key in engine.memo.entries if key[2] == operation)
+
     async def replace_mid_flight():
         await kernel.sleep(0.3)
         uri = wsdl_uri(wsmed, "GetPlacesWithin")
+        held = memoized("GetPlacesWithin")
         wsmed.import_wsdl(uri)
+        return held, memoized("GetPlacesWithin")
 
     async def scenario():
         return await kernel.gather(
@@ -167,13 +172,13 @@ def test_replace_mid_query_condemns_shared_trees() -> None:
             engine._admitted(QUERY1_SQL, PARALLEL),
         )
 
-    _, first, second = kernel.run(scenario())
+    (held, kept), first, second = kernel.run(scenario())
     stats = engine.stats()
 
     assert sorted(first.rows) == sorted(seed.rows)
     assert sorted(second.rows) == sorted(seed.rows)
     assert stats.pools_condemned >= 2  # the leased tree + the stale build
-    assert stats.shared_cache_invalidations > 0
+    assert held > 0 and kept == 0  # the replacement dropped the results
     # Neither tree survived into the free lists: the replacement doomed
     # the leased one at release and the epoch guard doomed the other.
     assert stats.idle_pools == 0

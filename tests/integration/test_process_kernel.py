@@ -95,20 +95,34 @@ def test_adaptive_mode_on_process_kernel(wsmed) -> None:
 
 
 def test_call_cache_counters_cross_the_pipe(wsmed) -> None:
-    """Child-side caches live in the workers; their counters must still
-    aggregate in the coordinator's CacheStats."""
+    """Worker children hold no memo: their calls cross the pipe to the
+    coordinator's, which counts every lookup of the query, as the
+    SimKernel's memo does."""
+    options = QueryOptions(mode="parallel", fanouts=[3, 2], cache=CacheConfig(enabled=True))
+    sim = wsmed.sql(QUERY2_SQL, options=options)
     with ProcessKernel(workers=2) as kernel:
-        result = wsmed.sql(
-            QUERY2_SQL,
-            options=QueryOptions(
-                mode="parallel",
-                fanouts=[3, 2],
-                cache=CacheConfig(enabled=True),
-                kernel=kernel,
-            ),
-        )
+        result = wsmed.sql(QUERY2_SQL, options=options.replace(kernel=kernel))
     assert result.cache_stats is not None
-    assert result.cache_stats.misses > 0
+    assert result.cache_stats.misses == result.total_calls == sim.total_calls
+    assert result.cache_stats.lookups == sim.cache_stats.lookups
+
+
+def test_local_services_workers_memoize_in_their_own_memo(wsmed) -> None:
+    """A ``local_services`` worker executes calls itself, so it holds the
+    memo of its address space: a warm cached Query1's children are
+    answered there, the coordinator's GetAllStates by the engine's memo,
+    and every counter reaches the query's CacheStats."""
+    options = QueryOptions(mode="parallel", fanouts=[5, 4], cache=CacheConfig(enabled=True))
+    with ProcessKernel(workers=1, local_services=True) as kernel:
+        engine = QueryEngine(wsmed, kernel=kernel)
+        try:
+            cold = engine.sql(QUERY1_SQL, options=options)
+            warm = engine.sql(QUERY1_SQL, options=options)
+        finally:
+            engine.close()
+    assert cold.cache_stats.misses == 311
+    assert (warm.cache_stats.hits, warm.cache_stats.misses) == (311, 0)
+    assert warm.as_bag() == cold.as_bag()
 
 
 def test_engine_keeps_worker_processes_warm(wsmed) -> None:
@@ -160,10 +174,10 @@ def test_worker_spans_reach_the_traced_query(wsmed) -> None:
     assert broken == []
 
 
-def test_shared_tier_answers_are_attributed_in_worker_children(monkeypatch) -> None:
-    """On a sharing engine, a worker child's call the coordinator's shared
-    tier answered is a ``shared_hit``, not a ``service_call``, and a round
-    trip that rode a cross-query batch counts as ``coalesced``."""
+def test_memo_answers_are_attributed_in_worker_children(monkeypatch) -> None:
+    """On a sharing engine, a worker child's call the coordinator's memo
+    answered is a ``cache_hit``, not a ``service_call``, and a round trip
+    that rode a cross-query batch counts as ``coalesced``."""
     monkeypatch.setattr(shared, "BATCH_LINGER", 0.05)
     system = WSMED(profile="fast")
     system.import_all()
@@ -178,7 +192,7 @@ def test_shared_tier_answers_are_attributed_in_worker_children(monkeypatch) -> N
     assert cold.total_calls == 311 and cold.cache_stats.coalesced > 0
     assert warm.total_calls == 0
     assert len(warm.trace.events("service_call")) == 0
-    assert len(warm.trace.events("shared_hit")) == warm.cache_stats.shared_hits == 311
+    assert len(warm.trace.events("cache_hit")) == warm.cache_stats.hits == 311
 
 
 @pytest.mark.skipif(

@@ -154,7 +154,7 @@ def test_untraced_warm_engine_query_builds_no_event(monkeypatch) -> None:
     options = QueryOptions(mode="parallel", fanouts=[5, 4])
     engine = QueryEngine(_engine_warm_system())
     try:
-        for _ in range(2):  # the second fills every child's cache
+        for _ in range(2):  # warm trees, and the memo holds every call
             engine.sql(QUERY1_SQL, options=options)
         built.clear()
         warm = engine.sql(QUERY1_SQL, options=options)

@@ -14,7 +14,15 @@ from collections import Counter
 import pytest
 
 from benchmarks.worlds import WorldSpec, build_world
-from repro import QUERY1_SQL, AsyncioKernel, QueryEngine, QueryOptions, SimKernel, WSMED
+from repro import (
+    QUERY1_SQL,
+    AsyncioKernel,
+    CacheConfig,
+    QueryEngine,
+    QueryOptions,
+    SimKernel,
+    WSMED,
+)
 from repro.engine import shared
 from repro.parallel.costs import ProcessCosts
 from repro.runtime.multiprocess import ProcessKernel
@@ -106,10 +114,12 @@ def query1_bag():
     return Counter(_paper_wsmed().sql(QUERY1_SQL, options=options).rows)
 
 
-def _limit_full_limit(kernel_name: str, share: bool, **cost_knobs):
+def _limit_full_limit(kernel_name: str, share: bool, cache=None, **cost_knobs):
     """LIMIT query, full query, LIMIT query on one resident engine."""
     costs = ProcessCosts(**cost_knobs).scaled(0.01) if cost_knobs else None
-    options = QueryOptions(mode="parallel", fanouts=[5, 4], process_costs=costs)
+    options = QueryOptions(
+        mode="parallel", fanouts=[5, 4], process_costs=costs, cache=cache
+    )
     engine = QueryEngine(_paper_wsmed(), kernel=KERNELS[kernel_name](), share=share)
     try:
         results = [
@@ -153,11 +163,12 @@ def test_full_query_on_the_tree_a_limit_abandoned(
     """All three queries lease one tree.  The full query starts while the
     children still run (and answer) calls the LIMIT walked away from —
     abandoned batches included — and must return the exact bag."""
-    # Structural pool fingerprints only (no shared call cache, no
-    # batching): Query1 with and without its LIMIT lease the same tree.
-    monkeypatch.setattr(shared, "CACHE", False)
+    # Structural pool fingerprints only (cache off, no batching): Query1
+    # with and without its LIMIT lease the same tree.
     monkeypatch.setattr(shared, "BATCHING", False)
-    (first, full, again), stats = _limit_full_limit(kernel_name, True, **cost_knobs)
+    (first, full, again), stats = _limit_full_limit(
+        kernel_name, True, cache=CacheConfig(enabled=False), **cost_knobs
+    )
     assert stats.warm_leases == 2
     assert Counter(full.rows) == query1_bag
     # The abandoned calls finish inside the children during this query.

@@ -15,7 +15,7 @@ import pytest
 
 from repro import QUERY1_SQL, QUERY2_SQL, QueryOptions, WSMED
 from repro.algebra.plan import PlanFunction
-from repro.cache import CacheStats
+from repro.cache import CacheConfig, CacheStats
 from repro.fdb.types import BOOLEAN, CHARSTRING, INTEGER, REAL, AtomicType
 from repro.obs.run import FaultStats, MessageStats, TreeStats
 from repro.obs.spans import Span
@@ -71,11 +71,17 @@ WIRE_ENVELOPES = [
         tracing=True,
         span_base=3_000_000,
     ),
-    wire.RebindChild(child_id=3, retries=1, tracing=False, span_base=0),
+    wire.RebindChild(
+        child_id=3,
+        cache_config=CacheConfig(enabled=True, ttl=30.0),
+        retries=1,
+        tracing=False,
+        span_base=0,
+    ),
     wire.ToChild(child_id=3, payload=messages.ParamTuple(seq=0, row=("GA",))),
     wire.CancelChild(child_id=3),
     wire.Ping(seq=41),
-    wire.BrokerResponse(request_id=17, payload=("rows",), error=None, outcome="shared_hit"),
+    wire.BrokerResponse(request_id=17, payload=("rows",), error=None, outcome="hit"),
     wire.BrokerResponse(request_id=18, payload=None, error=("fault", "down", True)),
     wire.ShutdownWorker(reason="kernel shutdown"),
     wire.WorkerReady(worker_id=1, pid=4242),

@@ -1,8 +1,11 @@
 """The POST /sql schema: option fields live in the nested "options" only."""
 
 import json
+import threading
+from contextlib import contextmanager
 
-from repro import QueryOptions
+from repro import QUERY1_SQL, AsyncioKernel, CacheConfig, QueryEngine, QueryOptions, WSMED
+from repro.serve import QueryServer
 
 from tests.serve.test_serve_hardening import (
     StubEngine,
@@ -131,6 +134,12 @@ def test_malformed_option_values_are_a_400_before_the_query_runs() -> None:
             ({"retries": -3}, "retries"),
             ({"retries": True}, "retries"),
             ({"name": 5}, "name"),
+            ({"deadline_ms": float("nan")}, "deadline_ms"),
+            ({"adaptation": {"max_fanout": 1}}, "max_fanout"),
+            ({"adaptation": {"max_fanout": 2.5}}, "max_fanout"),
+            ({"adaptation": {"p": 1.5}}, "p must be"),
+            ({"adaptation": {"drop_stage": "no"}}, "drop_stage"),
+            ({"cache": {"ttl": float("nan")}}, "ttl"),
         ):
             response, payload = request(
                 server,
@@ -141,3 +150,48 @@ def test_malformed_option_values_are_a_400_before_the_query_runs() -> None:
             assert response.status == 400, (options, payload)
             assert field in json.loads(payload)["error"], payload
     assert not seen
+
+
+@contextmanager
+def cached_engine_server():
+    """A real engine whose system cache config is on, behind the server."""
+    kernel = AsyncioKernel(resident=True)
+    wsmed = WSMED(profile="fast", cache=CacheConfig(enabled=True))
+    wsmed.import_all()
+    engine = QueryEngine(wsmed, kernel=kernel)
+    server = QueryServer(engine, port=0)
+    ready = threading.Event()
+
+    async def main() -> None:
+        await server.start()
+        ready.set()
+        await server.run()
+
+    thread = threading.Thread(target=lambda: kernel.run(main()), daemon=True)
+    thread.start()
+    assert ready.wait(10), "server did not start"
+    try:
+        yield server
+    finally:
+        server.stop()
+        thread.join(10)
+        engine.close()
+        kernel.shutdown()
+
+
+def test_cache_false_turns_a_cache_enabled_engine_off_for_that_request() -> None:
+    """``"cache": false`` is an explicit off, not "unset": after a cached
+    request fills the engine's memo, it still makes every call."""
+    options = {"mode": "parallel", "fanouts": [5, 4]}
+    with cached_engine_server() as server:
+        trailers = []
+        for cache in ({}, {"cache": False}):
+            response, payload = request(
+                server, "POST", "/sql", {"sql": QUERY1_SQL, "options": {**options, **cache}}
+            )
+            assert response.status == 200, payload
+            trailers.append(json.loads(payload.strip().split("\n")[-1]))
+    cached, uncached = trailers
+    assert cached["total_calls"] == 311 and "cache" in cached
+    assert uncached["total_calls"] == 311
+    assert "cache" not in uncached

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import Shell, format_table, main
+from repro.engine import QueryEngine
 from repro.util.errors import ReproError
 from repro.wsmed.options import QueryOptions
 from repro.wsmed.results import QueryResult
@@ -213,6 +214,25 @@ def test_shell_cache_toggle_and_report(wsmed) -> None:
     assert "cache = on" in output
     assert "call cache: 0 hits, 1 misses" in output
     assert "cache = off" in output
+
+
+def test_shell_cache_off_opts_out_of_a_sharing_engines_memo(wsmed) -> None:
+    """On ``--share`` a statement memoizes unless the cache is turned off:
+    ``\\cache off`` is an explicit off, so a repeat calls the service."""
+    engine = QueryEngine(wsmed, share=True)
+    try:
+        output = run_shell(
+            wsmed,
+            "SELECT gs.Name FROM GetAllStates gs LIMIT 3;\n"
+            "\\cache off\n"
+            "SELECT gs.Name FROM GetAllStates gs LIMIT 3;\n"
+            "\\stats calls\n"
+            "\\quit\n",
+            engine=engine,
+        )
+    finally:
+        engine.close()
+    assert "calls: 1 web service calls" in output
 
 
 def test_shell_cache_on_with_ttl(wsmed) -> None:

@@ -6,6 +6,8 @@ import pytest
 
 from repro import (
     QUERY1_SQL,
+    AdaptationParams,
+    CacheConfig,
     QueryEngine,
     QueryOptions,
     WSMED,
@@ -133,6 +135,9 @@ def test_field_sets_cover_distinct_fields() -> None:
         {"retries": -3},
         {"retries": False},
         {"name": 5},
+        {"deadline_ms": float("nan")},
+        {"deadline_ms": float("inf")},
+        {"deadline_ms": "soon"},
     ],
 )
 def test_malformed_field_values_are_plan_errors(fields) -> None:
@@ -141,6 +146,30 @@ def test_malformed_field_values_are_plan_errors(fields) -> None:
         QueryOptions(**fields)
     with pytest.raises(PlanError, match=name):
         QueryOptions().replace(**fields)
+
+
+@pytest.mark.parametrize(
+    "config, fields",
+    [
+        (AdaptationParams, {"max_fanout": -3}),
+        (AdaptationParams, {"max_fanout": 0}),
+        (AdaptationParams, {"max_fanout": 1}),
+        (AdaptationParams, {"max_fanout": True}),
+        (AdaptationParams, {"max_fanout": 2.5}),
+        (AdaptationParams, {"max_fanout": "x"}),
+        (AdaptationParams, {"p": 1.5}),
+        (AdaptationParams, {"drop_stage": "no"}),
+        (CacheConfig, {"ttl": float("nan")}),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else repr(value),
+)
+def test_malformed_tuning_values_are_plan_errors(config, fields) -> None:
+    """Values that would run silently (a fanout below the initial tree's,
+    a truthy string, a ttl that never expires) or crash later as a
+    TypeError are refused where they are built."""
+    (name,) = fields
+    with pytest.raises(PlanError, match=name):
+        config(**fields)
 
 
 def test_well_formed_field_values_are_accepted() -> None:

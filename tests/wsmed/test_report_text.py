@@ -1,7 +1,7 @@
 """``QueryResult.report()`` and ``summary()`` render the result's counters
 directly.  Their text is pinned byte for byte for Query1 under the manual
 and adaptive trees, a cached and batched run, a fault-injection run, a
-drop-stage run and a warm query answered by a sharing engine's shared tier.
+drop-stage run and a warm query answered by a sharing engine's call memo.
 """
 
 import pytest
@@ -116,13 +116,11 @@ EXPECTED = {
     "shared_warm": (
         "calls: 0 web service calls in 0.01 model seconds (parallel mode)\n"
         "process tree: no child processes (central plan?)\n"
-        "call cache: 0 hits, 0 misses, 0 collapsed, 0 evicted, 0 expired (0% hit rate, 311 calls avoided)\n"
-        "shared tier: 311 shared hits, 0 single-flight waits, 0 calls coalesced into cross-query batches\n"
+        "call cache: 311 hits, 0 misses, 0 collapsed, 0 evicted, 0 expired (100% hit rate, 311 calls avoided)\n"
         "messages: 1080 (310 down, 770 up); param batches: 0 carrying 0 tuples (+310 singles); result batches: 0 carrying 0 rows (+720 singles)\n"
         "faults: none",
         "360 rows in 0.01 model seconds (parallel mode, 0 web service calls)\n"
-        "  call cache: 0 hits, 0 misses, 0 collapsed, 0 evicted, 0 expired (0% hit rate, 311 calls avoided)\n"
-        "shared tier: 311 shared hits, 0 single-flight waits, 0 calls coalesced into cross-query batches",
+        "  call cache: 311 hits, 0 misses, 0 collapsed, 0 evicted, 0 expired (100% hit rate, 311 calls avoided)",
     ),
 }
 
