@@ -57,7 +57,7 @@ from repro.services.geodata import GeoConfig, GeoDatabase
 from repro.services.registry import ServiceRegistry, build_registry
 from repro.util.errors import ReproError, SqlError
 from repro.wsmed.options import QueryOptions
-from repro.wsmed.results import QueryResult
+from repro.wsmed.results import QueryResult, QueryStream
 from repro.wsmed.system import WSMED, ExecutionMode
 
 __version__ = "1.0.0"
@@ -114,6 +114,7 @@ __all__ = [
     "SqlError",
     "QueryOptions",
     "QueryResult",
+    "QueryStream",
     "QueryEngine",
     "AdmissionConfig",
     "AdmissionRejected",

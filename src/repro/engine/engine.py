@@ -31,7 +31,12 @@ parts resident:
   isolation comes from the fresh :class:`~repro.obs.run.QueryRun`
   ``run_plan`` gives every query (call recorder and counters, plus the
   query's own recorder when it is traced), so concurrent
-  :class:`QueryResult`s never share statistics, events or spans.
+  :class:`QueryResult`s never share statistics, events or spans;
+* **rows as they come** — :meth:`QueryEngine.stream` is every query's
+  execution: a :class:`~repro.wsmed.results.QueryStream` whose chunks
+  leave the engine while the query runs (the HTTP front end writes them
+  to the socket); :meth:`sql`, :meth:`sql_async` and :meth:`sql_many`
+  collect it.
 
 A cold first query at concurrency 1 replays the one-shot timeline
 exactly — same rows, same trace events, same message counts; the only
@@ -42,6 +47,7 @@ at the end of the query (so ``elapsed`` excludes teardown).
 from __future__ import annotations
 
 import itertools
+from contextlib import aclosing
 from dataclasses import dataclass
 from dataclasses import replace as _replace
 
@@ -55,7 +61,7 @@ from repro.runtime.base import Kernel
 from repro.runtime.simulated import SimKernel
 from repro.util.errors import PlanError, ReproError
 from repro.wsmed.options import ONE_SHOT_ONLY, QueryOptions, resolve_options
-from repro.wsmed.results import QueryResult
+from repro.wsmed.results import QueryResult, QueryStream
 from repro.wsmed.system import WSMED, ExecutionMode
 
 
@@ -327,9 +333,29 @@ class QueryEngine:
         self, sql_text: str, *, options: QueryOptions | None = None
     ) -> QueryResult:
         """Coroutine form of :meth:`sql` for callers already running
-        *inside* the resident kernel (e.g. the HTTP front end in
-        :mod:`repro.serve`, whose accept loop owns ``kernel.run``)."""
-        return await self._admitted(sql_text, self._resolve(options))
+        *inside* the resident kernel: :meth:`stream`, collected."""
+        return await self.stream(sql_text, options=options).collect()
+
+    def stream(
+        self, sql_text: str, *, options: QueryOptions | None = None
+    ) -> QueryStream:
+        """One query as a :class:`~repro.wsmed.results.QueryStream`, for
+        callers inside the resident kernel (the HTTP front end in
+        :mod:`repro.serve`, whose accept loop owns ``kernel.run``).
+
+        Takes the options of :meth:`sql`.  Pulling the first chunk admits
+        the query and fetches or compiles its plan — an
+        :class:`~repro.engine.admission.AdmissionRejected`,
+        :class:`EngineClosed` or compile error is raised there, before any
+        row — and sets ``columns``; each chunk then comes as the
+        coordinator produces it.  After the last one the stream's
+        ``result`` is set and the engine folds the query's observations
+        into its cost model (re-optimizing a drifted plan).  However the
+        stream ends — exhausted, failed, or closed with ``aclose()`` —
+        the query's warm pools go back to the registry and its admission
+        ticket is released.
+        """
+        return QueryStream(self._run, sql_text, self._resolve(options))
 
     def _resolve(self, options: QueryOptions | None) -> QueryOptions:
         return resolve_options(
@@ -379,14 +405,14 @@ class QueryEngine:
         coros = []
         for query in queries:
             if isinstance(query, str):
-                coros.append(self._admitted(query, base))
+                sql_text, per_query = query, base
             else:
                 sql_text, overrides = query
                 if isinstance(overrides, QueryOptions):
                     per_query = overrides
                 else:
                     per_query = base.replace(**overrides)
-                coros.append(self._admitted(sql_text, per_query))
+            coros.append(QueryStream(self._run, sql_text, per_query).collect())
         if return_exceptions:
             coros = [self._shielded(coro) for coro in coros]
         return self.kernel.run(self.kernel.gather(*coros))
@@ -416,9 +442,11 @@ class QueryEngine:
         self.pool_registry.discard_all()
         self.memo = CallMemo(self.kernel, self._memo_config)
 
-    async def _admitted(
-        self, sql_text: str, opts: QueryOptions
-    ) -> QueryResult:
+    async def _run(self, stream: QueryStream, sql_text: str, opts: QueryOptions):
+        """The body of every engine query's stream: admission, plan cache
+        and the resident broker/memo/pools/batcher around the shared
+        :meth:`WSMED.run_plan`, then observation feedback and
+        re-optimization."""
         if self._closed:
             raise EngineClosed("QueryEngine is closed")
         opts = self._memo_options(opts)
@@ -430,61 +458,61 @@ class QueryEngine:
         self._peak_active = max(self._peak_active, self._active)
         started = self.kernel.now()
         try:
-            return await self._execute(sql_text, opts)
+            await self.pool_registry.drain()
+            opts = self._capped(opts)
+            key = PlanCache.fingerprint(
+                sql_text, opts.mode, opts.fanouts, opts.adaptation, opts.name,
+                opts.optimize,
+            )
+            compiled = self.plan_cache.get(key)
+            if compiled is None:
+                compiled = self._compile_entry(sql_text, opts)
+                self.plan_cache.put(key, compiled)
+            inner = self.wsmed.run_plan(
+                compiled.plan,
+                opts,
+                self.broker,
+                memo=self.memo,
+                pool_registry=self.pool_registry,
+                batcher=self.batcher,
+                names=self._process_numbers,
+            )
+            stream.columns = compiled.plan.schema
+            async with aclosing(inner):
+                async for chunk in inner:
+                    yield chunk
+            stream.result = inner.result
+            self._queries += 1
+            self._absorb_observations(inner.result.call_stats)
+            if self._drifted(compiled):
+                # Replacing the entry recompiles the plan with fresh node
+                # ids, so its warm pools cold-start once — the same trade
+                # the condemn/invalidation machinery already makes.
+                self.plan_cache.put(
+                    key, self._compile_entry(sql_text, opts.replace(obs=None))
+                )
+                self._reoptimizations += 1
         finally:
             self._active -= 1
             self.admission.release(ticket, self.kernel.now() - started)
 
-    async def _execute(
-        self, sql_text: str, opts: QueryOptions
-    ) -> QueryResult:
-        """Engine work around the shared :meth:`WSMED.run_plan`: plan
-        cache, resident broker/memo/pools/batcher, then observation
-        feedback and re-optimization."""
-        await self.pool_registry.drain()
-        if ExecutionMode.of(opts.mode) is ExecutionMode.ADAPTIVE:
-            # Normalize before fingerprinting: None and the default
-            # params compile to the same plan and must share an entry.
-            adaptation = opts.adaptation or AdaptationParams()
-            # AFF fanout cap from measured broker queue contention: a
-            # saturated endpoint only queues deeper under wider fanout,
-            # so clamp the adaptation ceiling.  AdaptationParams is part
-            # of the plan-cache fingerprint, so capped and uncapped
-            # compilations never share an entry.
-            cap = self.admission.fanout_cap()
-            if cap is not None and adaptation.max_fanout > cap:
-                adaptation = _replace(
-                    adaptation, max_fanout=max(cap, INIT_FANOUT)
-                )
-            opts = opts.replace(adaptation=adaptation)
-        key = PlanCache.fingerprint(
-            sql_text, opts.mode, opts.fanouts, opts.adaptation, opts.name,
-            opts.optimize,
-        )
-        compiled = self.plan_cache.get(key)
-        if compiled is None:
-            compiled = self._compile_entry(sql_text, opts)
-            self.plan_cache.put(key, compiled)
-        result = await self.wsmed.run_plan(
-            compiled.plan,
-            opts,
-            self.broker,
-            memo=self.memo,
-            pool_registry=self.pool_registry,
-            batcher=self.batcher,
-            names=self._process_numbers,
-        )
-        self._queries += 1
-        self._absorb_observations(result.call_stats)
-        if self._drifted(compiled):
-            # Replacing the entry recompiles the plan with fresh node
-            # ids, so its warm pools cold-start once — the same trade the
-            # condemn/invalidation machinery already makes.
-            self.plan_cache.put(
-                key, self._compile_entry(sql_text, opts.replace(obs=None))
-            )
-            self._reoptimizations += 1
-        return result
+    def _capped(self, opts: QueryOptions) -> QueryOptions:
+        """``opts`` with an adaptive query's adaptation params normalized
+        and capped by admission's measured broker contention."""
+        if ExecutionMode.of(opts.mode) is not ExecutionMode.ADAPTIVE:
+            return opts
+        # Normalize before fingerprinting: None and the default params
+        # compile to the same plan and must share an entry.
+        adaptation = opts.adaptation or AdaptationParams()
+        # AFF fanout cap from measured broker queue contention: a
+        # saturated endpoint only queues deeper under wider fanout, so
+        # clamp the adaptation ceiling.  AdaptationParams is part of the
+        # plan-cache fingerprint, so capped and uncapped compilations
+        # never share an entry.
+        cap = self.admission.fanout_cap()
+        if cap is not None and adaptation.max_fanout > cap:
+            adaptation = _replace(adaptation, max_fanout=max(cap, INIT_FANOUT))
+        return opts.replace(adaptation=adaptation)
 
     def _compile_entry(self, sql_text: str, opts: QueryOptions) -> CompiledPlan:
         """Compile through :meth:`WSMED._compile`, costing with the

@@ -4,11 +4,14 @@ The executor installs ``acquire_pool`` on the execution context: when the
 interpreter reaches an ``FF_APPLYP``/``AFF_APPLYP`` node it asks for the
 node's (per-process, persistent) pool and streams the node's input
 through it.  The executor also guarantees teardown: after the
-coordinator's plan finishes — successfully or not — every pool in the tree
-receives shutdown and the executor waits for all query processes to exit.
+coordinator's plan stops — its rows ended, it failed, or its consumer
+closed the row stream — every pool in the tree receives shutdown and the
+executor waits for all query processes to exit.
 """
 
 from __future__ import annotations
+
+from typing import AsyncIterator
 
 from repro.algebra.interpreter import ExecutionContext, PullChain
 from repro.algebra.plan import AFFApplyNode, FFApplyNode, PlanNode
@@ -87,17 +90,25 @@ class ParallelExecutor:
         ctx.pools[node.node_id] = pool
         return pool
 
-    async def execute(self, plan: PullChain) -> list[tuple]:
-        """Run the compiled ``plan`` to completion in the coordinator and
-        return its rows.
+    async def execute(self, plan: PullChain) -> AsyncIterator[list[tuple]]:
+        """Run the compiled ``plan`` in the coordinator and yield its rows
+        chunk by chunk, each as soon as the chain produced it.
 
-        Pool shutdown runs in a ``finally`` so that failed queries do not
-        leak query processes into the kernel (which would deadlock the
-        simulated run loop).
+        Pool shutdown runs in a ``finally`` — when the rows end, when the
+        plan fails, or when the consumer closes this generator — so that
+        no query leaks query processes into the kernel (which would
+        deadlock the simulated run loop).
         """
+        chunks = plan.chunks(self.ctx, None)
         try:
-            rows = await plan.rows(self.ctx)
+            async for chunk in chunks:
+                rows = list(chunk)
+                if rows:
+                    yield rows
         finally:
+            # A consumer that stopped early closes the chain too, so its
+            # pool invocations stop before their pools are released.
+            await chunks.aclose()
             for pool in list(self.ctx.pools.values()):
                 if self.pool_registry is not None and not pool._closed:
                     # Resident mode: hand the warm tree back instead of
@@ -109,4 +120,3 @@ class ParallelExecutor:
                 else:
                     await pool.close()
             self._held_keys.clear()
-        return rows

@@ -27,6 +27,8 @@ Protocol (all bodies JSON, all responses either JSON or NDJSON):
     ``Retry-After`` header (the controller's wait estimate, whole
     seconds).
 
+    ``"trace"`` must be a JSON boolean when present.
+
     Response is ``application/x-ndjson`` streamed as chunked transfer
     encoding: one header line carrying the column names, one line per
     result row, and one trailer line with the execution statistics (and,
@@ -36,6 +38,20 @@ Protocol (all bodies JSON, all responses either JSON or NDJSON):
         ["Decatur", "GA"]
         ...
         {"rows": 360, "elapsed": 48.3, "total_calls": 311, ...}
+
+    The handler consumes the engine's row stream
+    (:meth:`repro.engine.QueryEngine.stream`) itself.  Nothing is sent
+    until the first row exists, so a query that fails before it — shed
+    (429), engine closed (503), bad SQL (400), anything else (500) — is
+    answered with its status code.  The status line, the column header
+    and the first row then leave in one write while the query still
+    runs; later rows go out :data:`FLUSH_ROWS` at a time, and the last
+    write carries the trailer and the terminating chunk.  A query that
+    fails after its first row ends the body with an error trailer,
+    ``{"error": ..., "rows_sent": N}``.  A client that disconnects is
+    noticed at the next flush: the server closes the row stream, which
+    stops the query's pool invocations and returns its admission ticket.
+    Every response carries ``Connection: close``.
 
 ``GET /stats``
     The engine's resident-state snapshot
@@ -70,6 +86,18 @@ from repro.wsmed.options import QueryOptions
 
 _MAX_BODY = 4 * 1024 * 1024
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]+")
+
+
+#: Rows the ``POST /sql`` writer coalesces into one socket write (and
+#: drain) after the first row, which leaves on its own.
+FLUSH_ROWS = 100
+
+_RESPONSE_HEAD = (
+    b"HTTP/1.1 200 OK\r\n"
+    b"Content-Type: application/x-ndjson\r\n"
+    b"Transfer-Encoding: chunked\r\n"
+    b"Connection: close\r\n\r\n"
+)
 
 
 def _chunk(data: bytes) -> bytes:
@@ -296,38 +324,41 @@ class QueryServer:
             options = QueryOptions(**option_kwargs)
         except TypeError as error:
             raise _HttpError(400, f"bad query options: {error}")
-        result = await self.engine.sql_async(sql_text, options=options)
+        stream = self.engine.stream(sql_text, options=options)
+        chunks = aiter(stream)
+        # Admission, compilation and the wait for the first row: whatever
+        # fails here gets its own status code, since no byte is sent yet.
+        first = await anext(chunks, None)
+        line = self._line
+        buffer = [_RESPONSE_HEAD, _chunk(line({"columns": list(stream.columns)}))]
+        sent = flushed = 0
 
-        trace_file = None
-        if recorder is not None and result.spans is not None:
-            os.makedirs(self.trace_dir, exist_ok=True)
-            stem = _SAFE_NAME.sub("-", option_kwargs.get("name", "query")) or "query"
-            trace_file = os.path.join(
-                self.trace_dir, f"{stem}-{next(self._trace_ids)}.trace.json"
-            )
-            write_chrome_trace(result.spans, trace_file)
+        async def flush() -> None:
+            nonlocal flushed
+            writer.write(b"".join(buffer))
+            buffer.clear()
+            flushed = sent
+            await writer.drain()
 
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Transfer-Encoding: chunked\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        writer.write(_chunk(self._line({"columns": list(result.columns)})))
-        await writer.drain()
-        # Past this point the 200 header is on the wire: any failure —
-        # including cancellation when the kernel shuts down mid-stream —
-        # must still end the body with a well-formed error trailer and
-        # the terminating chunk, never a severed stream.
-        sent = 0
+        # From here on the answer is a 200 (its header leaves with the
+        # first row): any failure — including cancellation when the
+        # kernel shuts down mid-stream — must still end the body with a
+        # well-formed error trailer and the terminating chunk, never a
+        # severed stream.
         error_trailer: str | None = None
         interrupted: BaseException | None = None
         try:
-            for index, row in enumerate(result.rows):
-                writer.write(_chunk(self._line(list(row))))
-                sent = index + 1
-                if index % 100 == 99:
-                    await writer.drain()
+            if first is not None:
+                # The status line, the columns and the first row leave
+                # together; later rows in writes of FLUSH_ROWS.
+                buffer += [_chunk(line(list(row))) for row in first]
+                sent = len(first)
+                await flush()
+                async for chunk in chunks:
+                    buffer += [_chunk(line(list(row))) for row in chunk]
+                    sent += len(chunk)
+                    if sent - flushed >= FLUSH_ROWS:
+                        await flush()
         except (ConnectionError, asyncio.IncompleteReadError):
             raise  # client is gone; there is nobody to finish the body for
         except BaseException as error:  # noqa: BLE001 - trailer then re-raise
@@ -337,28 +368,37 @@ class QueryServer:
                 else f"{type(error).__name__}: {error}"
             )
             interrupted = error
+        finally:
+            # A disconnected client or a failed write leaves the query
+            # mid-stream: closing the stream stops it and releases its
+            # pools and admission ticket.
+            await stream.aclose()
         if error_trailer is not None:
-            trailer: dict[str, Any] = {
-                "error": error_trailer,
-                "rows_sent": sent,
-                "rows": len(result.rows),
-            }
+            trailer: dict[str, Any] = {"error": error_trailer, "rows_sent": sent}
         else:
+            result = stream.result
             trailer = {
-                "rows": len(result.rows),
+                "rows": sent,
                 "elapsed": result.elapsed,
                 "total_calls": result.total_calls,
                 "mode": result.mode,
             }
             if result.cache_stats is not None:
                 trailer["cache"] = result.cache_stats.as_dict()
-            if trace_file is not None:
-                trailer["trace_file"] = trace_file
-        writer.write(_chunk(self._line(trailer)))
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+            if recorder is not None and result.spans is not None:
+                trailer["trace_file"] = self._write_trace(result.spans, option_kwargs)
+        buffer += [_chunk(line(trailer)), b"0\r\n\r\n"]
+        await flush()
         if isinstance(interrupted, asyncio.CancelledError):
             raise interrupted
+
+    def _write_trace(self, spans, option_kwargs: dict) -> str:
+        """Export a traced request's spans; the file's path."""
+        os.makedirs(self.trace_dir, exist_ok=True)
+        stem = _SAFE_NAME.sub("-", option_kwargs.get("name", "query")) or "query"
+        path = os.path.join(self.trace_dir, f"{stem}-{next(self._trace_ids)}.trace.json")
+        write_chrome_trace(spans, path)
+        return path
 
     @staticmethod
     def _line(payload: Any) -> bytes:
@@ -447,7 +487,10 @@ class QueryServer:
         for name in ("tenant", "deadline_ms"):
             if fields.get(name) is None:
                 fields.pop(name, None)
-        return request["sql"], bool(request.get("trace", False)), fields
+        trace = request.get("trace", False)
+        if not isinstance(trace, bool):
+            raise _HttpError(400, f'"trace" must be a JSON boolean: {trace!r}')
+        return request["sql"], trace, fields
 
     async def _send_json(
         self,

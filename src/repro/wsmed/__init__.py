@@ -7,7 +7,7 @@ with a central, manually-fanned-out parallel, or adaptive execution plan.
 """
 
 from repro.wsmed.owf import OperationWrapper, generate_owf
-from repro.wsmed.results import QueryResult
+from repro.wsmed.results import QueryResult, QueryStream
 from repro.wsmed.system import WSMED, ExecutionMode
 from repro.wsmed.views import render_view, view_columns
 
@@ -15,6 +15,7 @@ __all__ = [
     "OperationWrapper",
     "generate_owf",
     "QueryResult",
+    "QueryStream",
     "WSMED",
     "ExecutionMode",
     "render_view",

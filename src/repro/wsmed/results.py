@@ -241,3 +241,43 @@ class QueryResult:
     def write_trace(self, path: str) -> None:
         """Write :meth:`chrome_trace` to ``path`` (open it in Perfetto)."""
         write_chrome_trace(self.spans if self.spans is not None else SpanStore(), path)
+
+
+class QueryStream:
+    """One running query's rows, chunk by chunk: the one way a query runs.
+
+    ``async for chunk in stream`` yields non-empty lists of row tuples as
+    the plan's pull chain produces them — under an ``FF_APPLYP``
+    coordinator, one row the moment a child delivers it.  ``columns`` is
+    set before the first chunk is yielded (on an engine: after admission
+    and compilation); ``result`` once the last one has been: the query's
+    :class:`QueryResult`, built after its teardown, with ``rows`` left
+    for the consumer (:meth:`collect` fills it in).
+
+    ``aclose()`` abandons the query where it stands: every pool
+    invocation stops through its ``GeneratorExit`` path, and the
+    teardown that follows the last chunk — pools released or closed,
+    the admission ticket returned — runs all the same.
+
+    ``body(stream, *args)`` is the async generator that runs the query
+    and sets ``columns``/``result`` on the stream it is handed.
+    """
+
+    __slots__ = ("columns", "result", "_chunks")
+
+    def __init__(self, body, *args) -> None:
+        self.columns: tuple[str, ...] | None = None
+        self.result: QueryResult | None = None
+        self._chunks = body(self, *args)
+
+    def __aiter__(self):
+        return self._chunks
+
+    async def aclose(self) -> None:
+        await self._chunks.aclose()
+
+    async def collect(self) -> QueryResult:
+        """Run the query to its end; the result with every row."""
+        rows = [row async for chunk in self._chunks for row in chunk]
+        self.result.rows = rows
+        return self.result

@@ -26,6 +26,7 @@ Execution modes (Sec. V of the paper):
 from __future__ import annotations
 
 import enum
+from contextlib import aclosing
 
 from repro.algebra.central import create_central_plan
 from repro.algebra.cost import (
@@ -67,7 +68,7 @@ from repro.sql.parser import parse_query
 from repro.util.errors import BindingError, CalculusError, PlanError
 from repro.wsmed.options import ENGINE_ONLY, QueryOptions, resolve_options
 from repro.wsmed.owf import generate_owf
-from repro.wsmed.results import QueryResult
+from repro.wsmed.results import QueryResult, QueryStream
 from repro.wsmed.views import render_view
 
 
@@ -636,14 +637,14 @@ class WSMED:
         broker = self.registry.bind(
             kernel, seed=self.seed, fault_rate=opts.fault_rate
         )
-        return kernel.run(self.run_plan(plan, opts, broker))
+        return kernel.run(self.run_plan(plan, opts, broker).collect())
 
     def cache_config_for(self, opts: QueryOptions) -> CacheConfig | None:
         """The query's effective call-cache config; None when disabled."""
         config = opts.cache if opts.cache is not None else self.cache_config
         return config if config is not None and config.enabled else None
 
-    async def run_plan(
+    def run_plan(
         self,
         plan: PlanNode,
         opts: QueryOptions,
@@ -653,15 +654,18 @@ class WSMED:
         pool_registry=None,
         batcher=None,
         names=None,
-    ) -> QueryResult:
-        """Run a compiled ``plan`` on ``broker.kernel``; the one execution
-        path behind :meth:`sql` and :class:`~repro.engine.QueryEngine`.
+    ) -> QueryStream:
+        """Run a compiled ``plan`` on ``broker.kernel`` as a
+        :class:`~repro.wsmed.results.QueryStream`; the one execution path
+        behind :meth:`sql` and :class:`~repro.engine.QueryEngine`.
 
         Builds the coordinator's :class:`ExecutionContext` around a fresh
         :class:`~repro.obs.run.QueryRun` — the call recorder and counters
         every process of the query reports into — attaches
-        the kernel's placement, opens the ``query:`` span, executes, and
-        assembles the :class:`QueryResult`.  What differs between the
+        the kernel's placement, opens the ``query:`` span, yields the
+        executor's row chunks as they come, and assembles the
+        :class:`QueryResult` once the executor has torn down (so
+        ``elapsed`` includes the teardown).  What differs between the
         callers arrives as arguments: the one-shot path passes a fresh
         broker and nothing else, so a query that memoizes builds its own
         :class:`~repro.cache.CallMemo` and pools are built per query and
@@ -672,9 +676,17 @@ class WSMED:
         memo iff its effective :class:`~repro.cache.CacheConfig` is
         enabled.
 
-        A coroutine because the realtime kernel's clock is only readable
-        from within its event loop.
+        Nothing runs until the stream is iterated, inside the kernel: the
+        realtime kernel's clock is only readable from within its event
+        loop.
         """
+        return QueryStream(
+            self._run_plan, plan, opts, broker, memo, pool_registry, batcher, names
+        )
+
+    async def _run_plan(
+        self, stream, plan, opts, broker, memo, pool_registry, batcher, names
+    ):
         kernel = broker.kernel
         mode = ExecutionMode.of(opts.mode).value
         recorder = opts.obs if opts.obs is not None else NULL_RECORDER
@@ -715,19 +727,24 @@ class WSMED:
             )
             run.obs = recorder
             ctx.obs_span = query_span
+        stream.columns = plan.schema
         started = kernel.now()
         outcome: dict = {"outcome": "error"}
+        count = 0
         try:
-            rows = await executor.execute(compile_plan(plan))
+            async with aclosing(executor.execute(compile_plan(plan))) as chunks:
+                async for chunk in chunks:
+                    count += len(chunk)
+                    yield chunk
             elapsed = kernel.now() - started
-            outcome = {"rows": len(rows)}
+            outcome = {"rows": count}
         finally:
             if recorder.enabled:
                 recorder.finish(query_span, at=kernel.now(), **outcome)
         calls = run.call_recorder
-        return QueryResult(
+        stream.result = QueryResult(
             columns=plan.schema,
-            rows=rows,
+            rows=[],
             elapsed=elapsed,
             mode=mode,
             total_calls=calls.total_calls(),

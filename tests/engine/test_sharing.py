@@ -168,8 +168,8 @@ def test_replace_mid_query_condemns_shared_trees() -> None:
     async def scenario():
         return await kernel.gather(
             replace_mid_flight(),
-            engine._admitted(QUERY1_SQL, PARALLEL),
-            engine._admitted(QUERY1_SQL, PARALLEL),
+            engine.sql_async(QUERY1_SQL, options=PARALLEL),
+            engine.sql_async(QUERY1_SQL, options=PARALLEL),
         )
 
     (held, kept), first, second = kernel.run(scenario())

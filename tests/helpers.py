@@ -20,6 +20,11 @@ from repro.services.registry import ServiceRegistry, build_registry
 from repro.sql.parser import parse_query
 from repro.wsmed.owf import generate_owf
 
+async def collect_chunks(chunks) -> list[tuple]:
+    """Every row of a stream of row chunks (``ParallelExecutor.execute``)."""
+    return [row async for chunk in chunks for row in chunk]
+
+
 QUERY1_SQL = """
 Select gl.placename, gl.state
 From   GetAllStates gs, GetPlacesWithin gp, GetPlaceList gl

@@ -35,7 +35,7 @@ from repro.parallel.placement import Placement
 from repro.util import trace as trace_module
 from repro.util.errors import ReproError
 
-from tests.helpers import make_world
+from tests.helpers import collect_chunks, make_world
 from tests.stats_oracle import fault_stats_from_trace, tree_stats_from_trace
 
 QUERIES = {
@@ -115,7 +115,7 @@ def _run_until_the_breaker_trips(recorder) -> QueryRun:
         kernel=kernel, broker=world.registry.bind(kernel), functions=world.functions, run=run
     )
     with pytest.raises(ReproError, match="circuit breaker open"):
-        kernel.run(ParallelExecutor(ctx, costs).execute(compile_plan(plan)))
+        kernel.run(collect_chunks(ParallelExecutor(ctx, costs).execute(compile_plan(plan))))
     return run
 
 

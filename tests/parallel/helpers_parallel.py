@@ -11,7 +11,7 @@ from repro.parallel.executor import ParallelExecutor
 from repro.parallel.parallelizer import parallelize
 from repro.runtime.simulated import SimKernel
 
-from tests.helpers import World
+from tests.helpers import World, collect_chunks
 
 FAST_COSTS = ProcessCosts().scaled(0.01)
 
@@ -41,5 +41,5 @@ def run_parallel(
         run=QueryRun(obs=TraceRecorder()),
     )
     executor = ParallelExecutor(ctx, costs)
-    rows = kernel.run(executor.execute(compile_plan(plan)))
+    rows = kernel.run(collect_chunks(executor.execute(compile_plan(plan))))
     return rows, kernel, broker, ctx

@@ -2,7 +2,9 @@
 well-formed stream termination when a query dies mid-NDJSON-stream.
 
 A stub engine keeps these deterministic — no real kernel, no timing: the
-server only needs ``sql_async`` / ``stats`` / ``closed`` from it.
+server only needs ``stream`` / ``stats`` / ``closed`` from it, and the
+stub's ``stream`` is a real :class:`~repro.wsmed.results.QueryStream`
+over a body the test writes.
 """
 
 import asyncio
@@ -17,18 +19,15 @@ import pytest
 
 from repro.engine import AdmissionRejected, EngineClosed
 from repro.serve import QueryServer
+from repro.wsmed.results import QueryStream
 
 
 class StubResult:
-    columns = ("a",)
     mode = "central"
     elapsed = 0.25
     total_calls = 0
     cache_stats = None
     spans = None
-
-    def __init__(self, rows):
-        self.rows = rows
 
 
 class StubStats:
@@ -39,18 +38,41 @@ class StubStats:
 
 
 class StubEngine:
-    """Engine facade whose behavior per request is a plain callable."""
+    """Engine facade whose row stream per request is ``body(stream,
+    sql_text, options)``, an async generator of row chunks."""
 
     closed = False
 
-    def __init__(self, behavior):
-        self._behavior = behavior
+    def __init__(self, body):
+        self._body = body
 
     def stats(self):
         return StubStats()
 
-    async def sql_async(self, sql_text, **kwargs):
-        return await self._behavior(sql_text, **kwargs)
+    def stream(self, sql_text, *, options=None):
+        return QueryStream(self._body, sql_text, options)
+
+
+def serving(chunks):
+    """A stream body that yields ``chunks`` of ``("a",)`` rows, then ends."""
+
+    async def body(stream, sql_text, options):
+        stream.columns = ("a",)
+        for chunk in chunks:
+            yield chunk
+        stream.result = StubResult()
+
+    return body
+
+
+def failing(error):
+    """A stream body that raises ``error`` before its first row."""
+
+    async def body(stream, sql_text, options):
+        raise error
+        yield  # unreachable: makes ``body`` an async generator
+
+    return body
 
 
 @contextmanager
@@ -77,8 +99,7 @@ def running_server(engine):
         assert not thread.is_alive()
 
 
-async def _ok(sql_text, **kwargs):
-    return StubResult([[1], [2], [3]])
+_ok = serving([[(1,)], [(2,)], [(3,)]])
 
 
 def raw_exchange(port: int, data: bytes) -> bytes:
@@ -160,9 +181,10 @@ def test_bad_tenant_and_deadline_fields_are_400s() -> None:
 def test_tenant_and_deadline_are_forwarded_to_the_engine() -> None:
     seen = {}
 
-    async def capture(sql_text, **kwargs):
-        seen.update(kwargs)
-        return StubResult([])
+    async def capture(stream, sql_text, options):
+        seen["options"] = options
+        async for chunk in serving([])(stream, sql_text, options):
+            yield chunk
 
     with running_server(StubEngine(capture)) as server:
         response, _ = request(
@@ -183,11 +205,9 @@ def test_tenant_and_deadline_are_forwarded_to_the_engine() -> None:
 
 
 def test_shed_query_maps_to_429_with_retry_after() -> None:
-    async def shed(sql_text, **kwargs):
-        raise AdmissionRejected(
-            "deadline 100ms cannot be met", retry_after=2.4, tenant="t"
-        )
-
+    shed = failing(
+        AdmissionRejected("deadline 100ms cannot be met", retry_after=2.4, tenant="t")
+    )
     with running_server(StubEngine(shed)) as server:
         response, payload = request(server, "POST", "/sql", {"sql": "Select 1"})
     assert response.status == 429
@@ -198,9 +218,7 @@ def test_shed_query_maps_to_429_with_retry_after() -> None:
 
 
 def test_engine_closed_maps_to_503() -> None:
-    async def closed(sql_text, **kwargs):
-        raise EngineClosed("QueryEngine is closed")
-
+    closed = failing(EngineClosed("QueryEngine is closed"))
     with running_server(StubEngine(closed)) as server:
         response, payload = request(server, "POST", "/sql", {"sql": "Select 1"})
     assert response.status == 503
@@ -210,22 +228,14 @@ def test_engine_closed_maps_to_503() -> None:
 # -- shutdown-vs-in-flight (satellite: no severed NDJSON bodies) -----------------
 
 
-class ExplodingRows:
-    """Looks like a row list; dies after two rows (a query killed by a
-    kernel shutdown mid-stream behaves exactly like this to the writer)."""
-
-    def __len__(self):
-        return 5
-
-    def __iter__(self):
-        yield [1]
-        yield [2]
-        raise RuntimeError("kernel shut down mid-stream")
-
-
 def test_mid_stream_failure_ends_with_error_trailer_and_final_chunk() -> None:
-    async def explode(sql_text, **kwargs):
-        return StubResult(ExplodingRows())
+    # Dies after two rows: a query killed by a kernel shutdown mid-stream
+    # looks exactly like this to the writer.
+    async def explode(stream, sql_text, options):
+        stream.columns = ("a",)
+        yield [(1,)]
+        yield [(2,)]
+        raise RuntimeError("kernel shut down mid-stream")
 
     with running_server(StubEngine(explode)) as server:
         # http.client decodes chunked bodies and raises IncompleteRead on
@@ -245,9 +255,12 @@ def test_mid_stream_failure_ends_with_error_trailer_and_final_chunk() -> None:
 def test_stop_during_inflight_query_still_delivers_full_body() -> None:
     release = asyncio.Event()
 
-    async def slow(sql_text, **kwargs):
+    async def slow(stream, sql_text, options):
         await release.wait()
-        return StubResult([[i] for i in range(250)])
+        async for chunk in serving([[(i,) for i in range(250)]])(
+            stream, sql_text, options
+        ):
+            yield chunk
 
     engine = StubEngine(slow)
     with running_server(engine) as server:

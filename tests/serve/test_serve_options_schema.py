@@ -9,16 +9,17 @@ from repro.serve import QueryServer
 
 from tests.serve.test_serve_hardening import (
     StubEngine,
-    StubResult,
     request,
     running_server,
+    serving,
 )
 
 
 def _capture_engine(seen):
-    async def capture(sql_text, **kwargs):
-        seen.update(kwargs)
-        return StubResult([])
+    async def capture(stream, sql_text, options):
+        seen["options"] = options
+        async for chunk in serving([])(stream, sql_text, options):
+            yield chunk
 
     return StubEngine(capture)
 
@@ -150,6 +151,27 @@ def test_malformed_option_values_are_a_400_before_the_query_runs() -> None:
             assert response.status == 400, (options, payload)
             assert field in json.loads(payload)["error"], payload
     assert not seen
+
+
+def test_trace_must_be_a_json_boolean() -> None:
+    """Any non-empty string used to switch tracing on (``"false"`` too),
+    writing a trace file on the server; only a JSON boolean or no field
+    is a request."""
+    seen = {}
+    with running_server(_capture_engine(seen)) as server:
+        for trace in ("false", "true", "", 0, 1, None, [], {}):
+            response, payload = request(
+                server, "POST", "/sql", {"sql": "Select 1", "trace": trace}
+            )
+            assert response.status == 400, (trace, payload)
+            assert '"trace" must be a JSON boolean' in json.loads(payload)["error"]
+        assert not seen
+        for trace, traced in ((False, False), (True, True)):
+            response, payload = request(
+                server, "POST", "/sql", {"sql": "Select 1", "trace": trace}
+            )
+            assert response.status == 200, payload
+            assert (seen.pop("options").obs is not None) is traced
 
 
 @contextmanager
