@@ -5,7 +5,7 @@ binary tree (Fig 18), after the first monitoring cycle each non-leaf
 process adds p children (Fig 19), and with the drop stage enabled a
 process that observes a slowdown drops a child and its subtree (Fig 20).
 This bench replays a drop-enabled run, traced, and prints the decision
-timeline from its event log.
+timeline from its ``adapt`` instants.
 """
 
 from repro import AdaptationParams, QueryOptions, TraceRecorder
@@ -26,36 +26,34 @@ def run(smoke: bool = False) -> dict:
             obs=TraceRecorder(),
         ),
     )
-    events = [e for e in result.trace if e.kind in TRACE_KINDS]
-    return {"rows": len(result), "events": events}
+    decisions = [s for s in result.spans.by_category("adapt") if s.name in TRACE_KINDS]
+    return {"rows": len(result), "decisions": decisions}
 
 
 def report(payload: dict) -> None:
     print("Adaptation timeline (Figs 18-20)")
-    for event in payload["events"]:
-        details = ", ".join(
-            f"{key}={value}" for key, value in sorted(event.data.items())
-        )
-        print(f"  t={event.time:8.2f}  {event.kind:<11} {details}")
+    for span in payload["decisions"]:
+        fields = {"process": span.process, **span.attrs}
+        details = ", ".join(f"{key}={value}" for key, value in sorted(fields.items()))
+        print(f"  t={span.start:8.2f}  {span.name:<11} {details}")
 
 
 def check(payload: dict) -> None:
-    events = payload["events"]
-    kinds = [event.kind for event in events]
+    decisions = payload["decisions"]
     # Fig 18: every pool starts with an init stage building a binary tree.
-    assert kinds[0] == "init_stage"
-    init_events = [e for e in events if e.kind == "init_stage"]
-    assert all(e.data["children"] == 2 for e in init_events)
+    assert decisions[0].name == "init_stage"
+    inits = [s for s in decisions if s.name == "init_stage"]
+    assert all(s.attrs["children"] == 2 for s in inits)
     # Fig 19: add stages follow (p=1 -> one child per stage).
-    add_events = [e for e in events if e.kind == "add_stage"]
-    assert add_events
-    assert all(e.data["added"] == 1 for e in add_events)
+    adds = [s for s in decisions if s.name == "add_stage"]
+    assert adds
+    assert all(s.attrs["added"] == 1 for s in adds)
     # The coordinator's first add stage comes after its init stage.
-    q0_init = next(e for e in init_events if e.data["process"] == "q0")
-    q0_adds = [e for e in add_events if e.data["process"] == "q0"]
-    assert not q0_adds or q0_adds[0].time >= q0_init.time
+    q0_init = next(s for s in inits if s.process == "q0")
+    q0_adds = [s for s in adds if s.process == "q0"]
+    assert not q0_adds or q0_adds[0].start >= q0_init.start
     # Fig 20 / stop: every adapting pool eventually drops or stops.
-    assert any(e.kind in ("drop_stage", "adapt_stop") for e in events)
+    assert any(s.name in ("drop_stage", "adapt_stop") for s in decisions)
     # The query still returns the right answer while adapting.
     assert payload["rows"] == 360
 

@@ -18,7 +18,7 @@ def main() -> None:
             mode="adaptive",
             adaptation=AdaptationParams(p=2, threshold=0.25, drop_stage=False),
             name="Query1",
-            obs=TraceRecorder(),  # records the decision events read below
+            obs=TraceRecorder(),  # records the decision instants read below
         ),
     )
     print("adaptive run:")
@@ -26,19 +26,18 @@ def main() -> None:
     print()
 
     print("adaptation decisions (cf. paper Figs 18-19):")
-    for event in adaptive.trace:
-        if event.kind in ("init_stage", "add_stage", "drop_stage", "adapt_stop"):
-            details = ", ".join(
-                f"{key}={value}" for key, value in sorted(event.data.items())
-            )
-            print(f"  t={event.time:8.2f}  {event.kind:<11} {details}")
+    for span in adaptive.spans.by_category("adapt"):
+        if span.name != "cycle":
+            fields = {"process": span.process, **span.attrs}
+            details = ", ".join(f"{key}={value}" for key, value in sorted(fields.items()))
+            print(f"  t={span.start:8.2f}  {span.name:<11} {details}")
     print()
 
     print("monitoring cycles of the coordinator (avg time per tuple):")
-    for event in adaptive.trace.events("cycle"):
-        if event.data["process"] == "q0":
-            print(f"  t={event.time:8.2f}  children={event.data['children']}  "
-                  f"t_i={event.data['time_per_tuple']:.3f} s/tuple")
+    for span in adaptive.spans.find("cycle"):
+        if span.process == "q0":
+            print(f"  t={span.start:8.2f}  children={span.attrs['children']}  "
+                  f"t_i={span.attrs['time_per_tuple']:.3f} s/tuple")
     print()
 
     # How close did adaptation get to hand-tuned trees?

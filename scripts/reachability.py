@@ -3,7 +3,7 @@
 Lists every function and method defined under ``src/repro`` that the
 shipped entry points never run, with whether the tests run it::
 
-    PYTHONPATH=src python scripts/reachability.py [--json FILE]
+    PYTHONPATH=src python scripts/reachability.py [--json FILE] [--check FILE]
 
 Two recordings are taken, each in a fresh interpreter with a stdlib
 ``sys.setprofile``/``threading.setprofile`` hook that notes every code
@@ -24,9 +24,9 @@ object entered:
   - the interactive shell, fed a script that uses every meta command;
   - ``python -m repro serve`` on both of its kernels, answering what
     ``scripts/serve_smoke.sh`` sends plus the endpoints' error paths;
-  - CI's observability smoke: a traced Fig-3 query whose spans are
-    checked and whose exported trace, like every trace the server wrote,
-    passes ``python -m repro.obs.validate``.
+  - CI's observability smoke: a traced Fig-3 query and a fault-injected
+    Query1 whose spans are checked and whose exported traces, like every
+    trace the server wrote, pass ``python -m repro.obs.validate``.
 
 ``ProcessKernel`` workers are forked from the recording interpreter; each
 records its own calls and hands them back when it exits normally.
@@ -36,6 +36,14 @@ Functions are found with :mod:`ast` (``def`` and ``async def`` at any
 depth, not lambdas); a line count spans the decorators to the last line.
 The report ends with the ``test-only`` and ``unreached`` rows: function,
 lines, and what reached it.
+
+``--check FILE`` is a ratchet: it exits 1 when a test-only or unreached
+function is not in the baseline FILE (rows as ``--json`` writes them,
+matched by module and qualified name).  The committed baseline is
+``scripts/reachability_baseline.json``; a change either shrinks it or
+adds its new entry there on purpose::
+
+    PYTHONPATH=src python scripts/reachability.py --check scripts/reachability_baseline.json
 """
 
 from __future__ import annotations
@@ -438,10 +446,10 @@ def run_serve(scratch: str, *extra: str) -> None:
 
 
 def run_trace_checks(scratch: str) -> None:
-    """CI's observability smoke: a traced Fig-3 query whose spans, report
-    and exported trace are checked, plus ``python -m repro.obs.validate``
-    on every trace ``repro serve`` wrote."""
-    from repro import QUERY2_SQL, WSMED, QueryOptions, TraceRecorder
+    """CI's observability smoke: a traced Fig-3 query and a fault-injected
+    Query1 whose spans, reports and exported traces are checked, plus
+    ``python -m repro.obs.validate`` on every trace ``repro serve`` wrote."""
+    from repro import QUERY1_SQL, QUERY2_SQL, WSMED, FaultInjection, QueryOptions, TraceRecorder
     from repro.obs import validate
 
     wsmed = WSMED(profile="paper")
@@ -457,7 +465,18 @@ def run_trace_checks(scratch: str) -> None:
     result.report(sections=["calls", "critical_path"])
     path = os.path.join(scratch, "TRACE_query2.json")
     result.write_trace(path)
-    for trace in [path, *Path(scratch, "traces").glob("*.json")]:
+    faulty = wsmed.sql(
+        QUERY1_SQL,
+        options=QueryOptions(
+            mode="parallel", fanouts=[5, 4], on_error="retry",
+            faults=FaultInjection(0.1, 0.02), obs=TraceRecorder(),
+        ),
+    )
+    validate.validate_spans(faulty.spans)
+    faulty.report(sections=["faults"])
+    faults_path = os.path.join(scratch, "TRACE_query1_faults.json")
+    faulty.write_trace(faults_path)
+    for trace in [path, faults_path, *Path(scratch, "traces").glob("*.json")]:
         if validate.main([str(trace)]) != 0:
             raise RuntimeError(f"invalid trace {trace}")
 
@@ -532,6 +551,8 @@ def report(functions: dict, tests: set, entries: set) -> list[dict]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", metavar="FILE", help="also write the rows as JSON")
+    parser.add_argument("--check", metavar="FILE",
+                        help="fail on a row that the baseline FILE does not list")
     parser.add_argument("--record", nargs=2, metavar=("WHICH", "DIR"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -550,6 +571,12 @@ def main(argv: list[str] | None = None) -> int:
     rows = report(functions, *reached("tests", "entries"))
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=1) + "\n")
+    if args.check:
+        known = {(row["module"], row["name"]) for row in json.loads(Path(args.check).read_text())}
+        new = [row for row in rows if (row["module"], row["name"]) not in known]
+        for row in new:
+            print(f"not in {args.check}: {row['module']}:{row['name']} ({row['reached_by']})")
+        return 1 if new else 0
     return 0
 
 

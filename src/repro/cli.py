@@ -103,7 +103,7 @@ class Shell:
         # Chrome trace-event file (open in Perfetto).
         self.trace_out = trace_out
         # Shell statements run traced, so \tree, \util, \gantt and
-        # \stats critical_path always have the events and spans they
+        # \stats critical_path always have the spans they
         # read; a one-shot query traces only when its flags need it.
         self.trace = True
 
@@ -200,7 +200,7 @@ class Shell:
                 raise ReproError("no query has been executed yet")
             from repro.parallel.visualize import render_gantt
 
-            self.write(render_gantt(self.last_result.trace))
+            self.write(render_gantt(self.last_result.spans))
         else:
             raise ReproError(f"unknown command \\{command}; try \\help")
         return True

@@ -31,7 +31,7 @@ parts resident:
   isolation comes from the fresh :class:`~repro.obs.run.QueryRun`
   ``run_plan`` gives every query (call recorder and counters, plus the
   query's own recorder when it is traced), so concurrent
-  :class:`QueryResult`s never share statistics, events or spans;
+  :class:`QueryResult`s never share statistics or spans;
 * **rows as they come** — :meth:`QueryEngine.stream` is every query's
   execution: a :class:`~repro.wsmed.results.QueryStream` whose chunks
   leave the engine while the query runs (the HTTP front end writes them
@@ -39,7 +39,7 @@ parts resident:
   collect it.
 
 A cold first query at concurrency 1 replays the one-shot timeline
-exactly — same rows, same trace events, same message counts; the only
+exactly — same rows, same trace instants, same message counts; the only
 difference is that process shutdown happens at :meth:`close` instead of
 at the end of the query (so ``elapsed`` excludes teardown).
 """
@@ -624,7 +624,7 @@ class QueryEngine:
 
         Idempotent.  ``run_until_completion`` semantics mean no query is
         in flight when this can run, so "draining" is simply closing the
-        idle trees; their ``process_exit`` events land in the event log
+        idle trees; their ``process_exit`` instants land in the span store
         of the last query each tree served when that query was traced,
         exactly where the seed's per-query teardown would have put them.
         """

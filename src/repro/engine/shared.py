@@ -52,7 +52,7 @@ class CrossQueryBatcher:
     :func:`~repro.algebra.interpreter.round_trip` dispatches every call the
     memo did not answer through :meth:`call`.  Per-query attribution is
     preserved because each call carries its own recorder, counters and
-    span, and trace events are written by the caller.  ``batches`` and
+    span.  ``batches`` and
     ``batched_calls`` count, over the engine's lifetime, the coalesced
     flushes (of >= 2 calls) and the calls they carried.
     """

@@ -7,9 +7,10 @@ The subsystem has four layers:
   counters; span recorder), shared by reference and drained across OS
   workers.
 - :mod:`repro.obs.spans` -- the recorder API.  ``TraceRecorder`` collects
-  :class:`Span` records into a :class:`SpanStore` and the query's events
-  into its ``events`` log; ``NULL_RECORDER`` is the shared no-op default so
-  instrumentation sites cost one attribute check when tracing is off.
+  :class:`Span` records (intervals and instants) into a :class:`SpanStore`,
+  a traced query's one trace store; ``NULL_RECORDER`` is the shared no-op
+  default so instrumentation sites cost one attribute check when tracing
+  is off.
 - :mod:`repro.obs.critical_path` -- walks a finished span tree and reports
   the longest dependent chain per query-process tree level (the paper's
   "slowest service dominates" analysis).

@@ -158,7 +158,7 @@ class QueryRun:
     ttl: Optional[float] = None
     batcher: Optional[object] = None
     remote: Optional[object] = None
-    # Span and event recorder.  NULL_RECORDER is a shared no-op whose
+    # Span recorder.  NULL_RECORDER is a shared no-op whose
     # `enabled` flag gates every instrumentation site, so an untraced run
     # records nothing and computes exactly what a traced one does.
     obs: NullRecorder = NULL_RECORDER
@@ -170,18 +170,16 @@ class QueryRun:
         return f"q{next(self.names)}"
 
     def drain(self) -> tuple | None:
-        """Take the counter deltas, and on a traced run the events and
-        finished spans, recorded since the last drain; None when there
-        are none."""
-        recorded = self.obs.take() if self.obs.enabled else ([], [])
-        delta = recorded + tuple(_take(counter) for counter in self._counters())
+        """Take the counter deltas, and on a traced run the finished
+        spans, recorded since the last drain; None when there are none."""
+        spans = self.obs.take() if self.obs.enabled else []
+        delta = (spans, *(_take(counter) for counter in self._counters()))
         return delta if any(delta) else None
 
     def absorb(self, delta: tuple) -> None:
         """Fold a :meth:`drain` of another run into this one."""
-        events, spans, *counters = delta
+        spans, *counters = delta
         if self.obs.enabled:
-            self.obs.events.extend(events)
             for span in spans:
                 self.obs.store.add(span)
         for into, counter in zip(self._counters(), counters):

@@ -1,5 +1,5 @@
-"""Span recorder: the core tracing primitive, and the one object that
-records a query's events.
+"""Span recorder: the core tracing primitive, and a traced query's one
+trace store.
 
 A span is a named interval with a parent, a category and free-form
 attributes.  Spans from every process of a query-process tree land in one
@@ -14,15 +14,19 @@ spans omit ``at`` and fall back to a wall clock anchored at recorder
 creation.  The exporters keep the two groups in separate Chrome "processes"
 so mixed clocks never overlap visually.
 
-Beside its spans a live recorder keeps the query's event log
-(``recorder.events``, a :class:`~repro.util.trace.TraceLog`): spawn, drop
-and adaptation decisions, service calls and cache hits, fault reports.
-The process-tree, utilization and gantt views and the Figs 18-20 bench
-read it; the statistics on a query result are counters and do not.
+What happens at a point in time is an instant in the same store: a pool
+records ``spawn``, its fault reports (``call_failed``, ``redeliver``,
+``respawn``, ``breaker_open``) and ``batch_flush``, an adaptive pool its
+decisions (category ``adapt``), a child ``install`` and ``process_exit``,
+an OWF ``retry`` and ``call_fault``.  A web-service call is a ``ws`` span
+whose ``outcome`` tells a broker round trip from a memo hit.  The
+process-tree, utilization and gantt views (:mod:`repro.parallel.visualize`)
+and the Figs 18-20 bench derive what they show from these; the statistics
+on a query result are counters and do not.
 
 ``NULL_RECORDER`` is the default everywhere.  Its ``enabled`` flag is
 ``False`` and every method is a no-op returning ``-1``, so instrumentation
-costs a truthiness check per site, an untraced query builds no event, and
+costs a truthiness check per site, an untraced query builds no span, and
 the seed execution fingerprint is bit-for-bit unchanged when tracing is off.
 """
 
@@ -31,8 +35,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator
-
-from repro.util.trace import TraceLog
 
 
 @dataclass
@@ -103,10 +105,6 @@ class NullRecorder:
 
     enabled = False
     store: SpanStore | None = None
-    events: TraceLog | None = None
-
-    def event(self, time: float, kind: str, **data: Any) -> None:
-        return None
 
     def start(self, name: str, **kwargs: Any) -> int:
         return -1
@@ -122,8 +120,7 @@ NULL_RECORDER = NullRecorder()
 
 
 class TraceRecorder(NullRecorder):
-    """Live recorder collecting spans into a :class:`SpanStore` and events
-    into a :class:`~repro.util.trace.TraceLog`.
+    """Live recorder collecting spans and instants into a :class:`SpanStore`.
 
     ``at`` timestamps are caller-supplied (kernel clock); when omitted the
     recorder falls back to wall time relative to its creation so that
@@ -134,7 +131,6 @@ class TraceRecorder(NullRecorder):
 
     def __init__(self, first_id: int = 0) -> None:
         self.store: SpanStore = SpanStore()
-        self.events: TraceLog = TraceLog()
         self._next_id = first_id
         self._epoch = time.perf_counter()
 
@@ -161,7 +157,7 @@ class TraceRecorder(NullRecorder):
                 process=process,
                 parent=parent,
                 start=self._now() if at is None else at,
-                attrs=dict(attrs) if attrs else {},
+                attrs=attrs,
             )
         )
         return span_id
@@ -174,14 +170,9 @@ class TraceRecorder(NullRecorder):
         if attrs:
             span.attrs.update(attrs)
 
-    def event(self, time: float, kind: str, **data: Any) -> None:
-        """Record one event of the query at ``time`` (kernel clock)."""
-        self.events.record(time, kind, **data)
-
-    def take(self) -> tuple[list, list[Span]]:
-        """Remove the events and the finished spans recorded so far and
-        return them (how an OS worker ships them to the coordinator)."""
-        events, self.events = list(self.events), TraceLog()
+    def take(self) -> list[Span]:
+        """Remove the finished spans recorded so far and return them (how
+        an OS worker ships them to the coordinator)."""
         finished = [span for span in self.store if span.finished]
         if finished:
             still_open = SpanStore()
@@ -189,32 +180,11 @@ class TraceRecorder(NullRecorder):
                 if not span.finished:
                     still_open.add(span)
             self.store = still_open
-        return events, finished
+        return finished
 
-    def instant(
-        self,
-        name: str,
-        *,
-        category: str = "event",
-        parent: int = -1,
-        process: str = "",
-        at: float | None = None,
-        **attrs: Any,
-    ) -> int:
-        span_id = self._next_id
-        self._next_id += 1
-        stamp = self._now() if at is None else at
-        self.store.add(
-            Span(
-                id=span_id,
-                name=name,
-                category=category,
-                process=process,
-                parent=parent,
-                start=stamp,
-                end=stamp,
-                instant=True,
-                attrs=dict(attrs) if attrs else {},
-            )
-        )
-        return span_id
+    def instant(self, name: str, *, category: str = "event", **kwargs: Any) -> int:
+        """Record a point in time: a span that ends where it starts
+        (``kwargs`` as for :meth:`start`)."""
+        span = self.store.get(self.start(name, category=category, **kwargs))
+        span.end, span.instant = span.start, True
+        return span.id

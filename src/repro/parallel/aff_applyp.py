@@ -13,7 +13,7 @@ adaptation in every non-leaf query process:
    stops adaptation or runs a *drop stage* removing one child and its
    subtree, and a small change stops adaptation.
 
-On a traced run all decisions are recorded as events (kinds
+On a traced run all decisions are recorded as ``adapt`` instants (names
 ``init_stage``, ``cycle``, ``add_stage``, ``drop_stage``, ``adapt_stop``)
 so tests and the Figs 18-20 bench can replay the dynamics; the add and
 drop stages are also counted in the run's tree statistics.
@@ -51,29 +51,12 @@ class AFFPool(ChildPool):
         self._previous_time_per_tuple: float | None = None
         self._start_cycle(0.0)
 
-    def _decision(self, kind: str, **attrs) -> None:
-        """Record an adaptation decision as an event and mirror it into
-        the span store, so traces show *why* the tree changed shape next
-        to *when* it did."""
-        obs = self.ctx.run.obs
-        if obs.enabled:
-            self.event(kind, **attrs)
-            obs.instant(
-                kind,
-                category="adapt",
-                parent=self._inv_span,
-                process=self.ctx.process_name,
-                at=self.ctx.kernel.now(),
-                plan_function=self.plan_function.name,
-                **attrs,
-            )
-
     # -- lifecycle hooks --------------------------------------------------------
 
     async def on_first_use(self) -> None:
         await self.spawn_children(INIT_FANOUT)
         self._cycle_started_at = self.ctx.kernel.now()
-        self._decision("init_stage", children=len(self.children))
+        self.event("init_stage", category="adapt", children=len(self.children))
 
     def _start_cycle(self, now: float) -> None:
         self._cycle_started_at = now
@@ -129,8 +112,9 @@ class AFFPool(ChildPool):
         # Mean child-side occupancy per call — distinguishes slow calls
         # (high mean_service_time) from large results (high tuples).
         mean_service_time = self._service_in_cycle / calls if calls else 0.0
-        self._decision(
+        self.event(
             "cycle",
+            category="adapt",
             children=len(self.children),
             tuples=tuples,
             time_per_tuple=time_per_tuple,
@@ -164,7 +148,9 @@ class AFFPool(ChildPool):
 
     def _stop(self, reason: str) -> None:
         self._adapting = False
-        self._decision("adapt_stop", children=len(self.children), reason=reason)
+        self.event(
+            "adapt_stop", category="adapt", children=len(self.children), reason=reason
+        )
 
     async def _add_stage(self) -> None:
         self._stages += 1
@@ -178,7 +164,9 @@ class AFFPool(ChildPool):
             return
         await self.spawn_children(to_add, adaptive=True)
         self.ctx.run.tree.add_stages += 1
-        self._decision("add_stage", added=to_add, children=len(self.children))
+        self.event(
+            "add_stage", category="adapt", added=to_add, children=len(self.children)
+        )
 
     async def _drop_stage(self) -> None:
         self._stages += 1
@@ -202,6 +190,9 @@ class AFFPool(ChildPool):
         # The child finishes any in-flight call (its downlink is FIFO),
         # then reads the shutdown and tears down its own subtree.
         victim.endpoints.downlink.send(Shutdown("dropped by adaptation"))
-        self._decision(
-            "drop_stage", dropped=victim.endpoints.name, children=len(self.children)
+        self.event(
+            "drop_stage",
+            category="adapt",
+            dropped=victim.endpoints.name,
+            children=len(self.children),
         )

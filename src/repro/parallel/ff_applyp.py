@@ -148,16 +148,21 @@ class ChildPool:
         self.registry_deps: frozenset[str] = frozenset()
         self.registry_condemned = False
 
-    def event(self, kind: str, **data) -> None:
-        """Record one event of this pool on a traced run (``process`` and
-        ``plan_function`` first, then ``data`` in the order given)."""
-        self.ctx.run.obs.event(
-            self.ctx.kernel.now(),
-            kind,
-            process=self.ctx.process_name,
-            plan_function=self.plan_function.name,
-            **data,
-        )
+    def event(self, kind: str, *, category: str = "event", **attrs) -> None:
+        """Record an instant of this pool on a traced run, under the
+        current invocation's span (``plan_function`` first, then ``attrs``
+        in the order given)."""
+        obs = self.ctx.run.obs
+        if obs.enabled:
+            obs.instant(
+                kind,
+                category=category,
+                parent=self._inv_span,
+                process=self.ctx.process_name,
+                at=self.ctx.kernel.now(),
+                plan_function=self.plan_function.name,
+                **attrs,
+            )
 
     # -- child lifecycle ---------------------------------------------------------
 
@@ -213,15 +218,9 @@ class ChildPool:
         child.endpoints.downlink.send(
             ShipPlanFunction(self._plan_function_dict, span=self._inv_span)
         )
-        run, parent = self.ctx.run, self.ctx.process_name
-        run.tree.spawned(parent, self.plan_function.name)
-        run.obs.event(
-            self.ctx.kernel.now(),
-            "spawn",
-            parent=parent,
-            process=child.endpoints.name,
-            plan_function=self.plan_function.name,
-            adaptive=child.added_by_adaptation,
+        self.ctx.run.tree.spawned(self.ctx.process_name, self.plan_function.name)
+        self.event(
+            "spawn", child=child.endpoints.name, adaptive=child.added_by_adaptation
         )
         self._make_idle(child)
 

@@ -55,8 +55,6 @@ class ChildEndpoints:
     name: str
     downlink: Channel  # parent -> this child
     uplink: Channel  # this child -> parent (shared inbox)
-    calls_handled: int = 0
-    rows_emitted: int = 0
 
 
 _installed: dict[int, tuple[dict, PlanFunction, PullChain]] = {}
@@ -158,12 +156,10 @@ class _CallRunner:
                     rows += 1
                     (hold if following is None and self.body.single else deliver)(row)
                     row = following
-        except ReproError as error:
+        except Exception as error:  # a crash too: its span still closes
             self._end_span(span, rows, error=str(error))
             raise
         self._end_span(span, rows)
-        self.endpoints.calls_handled += 1
-        self.endpoints.rows_emitted += rows
         return EndOfCall(
             self.endpoints.name, seq, rows, service_time=kernel.now() - started
         )
@@ -258,12 +254,6 @@ async def child_main(
     plan_function, body = _install(first.plan_function)
     await kernel.sleep(costs.install)
     if ctx.run.obs.enabled:
-        ctx.run.obs.event(
-            kernel.now(),
-            "install",
-            process=endpoints.name,
-            plan_function=plan_function.name,
-        )
         ctx.run.obs.instant(
             "install",
             category="event",
@@ -292,10 +282,5 @@ async def child_main(
     finally:
         for pool in list(ctx.pools.values()):
             await pool.close()
-        ctx.run.obs.event(
-            kernel.now(),
-            "process_exit",
-            process=endpoints.name,
-            calls=endpoints.calls_handled,
-            rows=endpoints.rows_emitted,
-        )
+        if ctx.run.obs.enabled:
+            ctx.run.obs.instant("process_exit", process=endpoints.name, at=kernel.now())

@@ -1,4 +1,4 @@
-"""Shared utilities: error hierarchy, seeded RNG, running statistics, tracing.
+"""Shared utilities: error hierarchy, seeded RNG, running statistics.
 
 These helpers are deliberately dependency-free so every other subpackage can
 use them without import cycles.
@@ -18,7 +18,6 @@ from repro.util.errors import (
 )
 from repro.util.rng import derive_rng, stable_hash
 from repro.util.stats import RunningStat, quantile
-from repro.util.trace import TraceLog, TraceEvent
 
 __all__ = [
     "BindingError",
@@ -35,6 +34,4 @@ __all__ = [
     "stable_hash",
     "RunningStat",
     "quantile",
-    "TraceLog",
-    "TraceEvent",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algebra.interpreter import ExecutionContext, round_trip
-from repro.cache import MISS
 from repro.fdb.functions import FunctionDef, FunctionKind, Parameter
 from repro.fdb.types import AtomicType, BOOLEAN, REAL, TupleType
 from repro.fdb.values import Record
@@ -140,23 +139,27 @@ class OperationWrapper:
                     # The fault survived the call-level retries; what
                     # happens next is the pool's on_error decision, so
                     # leave a marker the fault report can pick up.
-                    run.obs.event(
-                        ctx.kernel.now(),
-                        "call_fault",
-                        process=ctx.process_name,
-                        operation=self.name,
-                        attempts=attempt,
-                        retriable=fault.retriable,
-                        error=str(fault),
-                    )
+                    if run.obs.enabled:
+                        run.obs.instant(
+                            "call_fault",
+                            parent=ctx.obs_span,
+                            process=ctx.process_name,
+                            at=ctx.kernel.now(),
+                            operation=self.name,
+                            attempts=attempt,
+                            retriable=fault.retriable,
+                            error=str(fault),
+                        )
                     raise
-                run.obs.event(
-                    ctx.kernel.now(),
-                    "retry",
-                    process=ctx.process_name,
-                    operation=self.name,
-                    attempt=attempt,
-                )
+                if run.obs.enabled:
+                    run.obs.instant(
+                        "retry",
+                        parent=ctx.obs_span,
+                        process=ctx.process_name,
+                        at=ctx.kernel.now(),
+                        operation=self.name,
+                        attempt=attempt,
+                    )
                 await ctx.kernel.sleep(run.retry_backoff)
         rows: list[tuple] = []
         for response in out:  # `out` is a Sequence (Fig 2 line 15)
@@ -168,9 +171,9 @@ class OperationWrapper:
         :func:`~repro.algebra.interpreter.round_trip`.
 
         A memo hit (or a collapse onto an in-flight identical call) skips
-        the broker entirely; a traced run records it as a ``cache_hit`` /
-        ``cache_collapsed`` event instead of a ``service_call``, so traces
-        distinguish real round trips from avoided ones.
+        the broker entirely; on a traced run the call's ``ws`` span says
+        which in its ``outcome`` (``miss``, ``hit`` or ``collapsed``), so
+        traces distinguish real round trips from avoided ones.
         """
         obs = ctx.run.obs
         ws_span = -1
@@ -193,24 +196,8 @@ class OperationWrapper:
             if ws_span != -1:
                 obs.finish(ws_span, at=ctx.kernel.now(), error=str(error))
             raise
-        if not obs.enabled:
-            return out
-        obs.finish(ws_span, at=ctx.kernel.now(), outcome=outcome)
-        if outcome == MISS:
-            obs.event(
-                ctx.kernel.now(),
-                "service_call",
-                process=ctx.process_name,
-                operation=self.name,
-                duration=ctx.kernel.now() - started,
-            )
-        else:
-            obs.event(
-                ctx.kernel.now(),
-                f"cache_{outcome}",
-                process=ctx.process_name,
-                operation=self.name,
-            )
+        if ws_span != -1:
+            obs.finish(ws_span, at=ctx.kernel.now(), outcome=outcome)
         return out
 
     def _flatten(

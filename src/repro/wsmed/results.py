@@ -18,7 +18,6 @@ from repro.obs.run import FaultStats, MessageStats, TreeStats
 from repro.obs.spans import SpanStore
 from repro.services.broker import CallStats
 from repro.util.errors import ReproError
-from repro.util.trace import TraceLog
 
 #: Section names accepted by :meth:`QueryResult.report`, in display order.
 REPORT_SECTIONS = ("calls", "tree", "cache", "batch", "faults", "critical_path")
@@ -38,9 +37,6 @@ class QueryResult:
     mode: str
     total_calls: int
     call_stats: dict[str, CallStats] = field(default_factory=dict)
-    # Event log of a traced run (``obs=TraceRecorder()``); None when the
-    # query ran untraced.
-    trace: TraceLog | None = None
     tree: TreeStats = field(default_factory=TreeStats)
     plan_text: str = ""
     # The query's call-memo counters across all its processes; None when
@@ -76,25 +72,25 @@ class QueryResult:
         stats = self.call_stats.get(operation)
         return stats.calls if stats else 0
 
-    def _events(self) -> TraceLog:
-        if self.trace is None:
+    def _spans(self) -> SpanStore:
+        if self.spans is None:
             raise ReproError(
                 "the query was not traced; run it with "
-                "QueryOptions(obs=TraceRecorder()) to record its events"
+                "QueryOptions(obs=TraceRecorder()) to record its spans"
             )
-        return self.trace
+        return self.spans
 
     def process_tree(self) -> str:
         """ASCII rendering of the process tree this execution built."""
         from repro.parallel.visualize import render_process_tree
 
-        return render_process_tree(self._events())
+        return render_process_tree(self._spans())
 
     def utilization(self, top: int = 12) -> str:
         """Text report of the busiest query processes."""
         from repro.parallel.visualize import render_utilization
 
-        return render_utilization(self._events(), top=top)
+        return render_utilization(self._spans(), top=top)
 
     def summary(self) -> str:
         """One-paragraph execution report for interactive use."""

@@ -620,12 +620,11 @@ class WSMED:
         process costs (see :class:`~repro.parallel.costs.ProcessCosts`).
         ``obs`` (a :class:`repro.obs.TraceRecorder`) turns on tracing:
         compile phases, operator invocations, per-call and web-service
-        spans land in its store, which the returned result exposes as
-        ``QueryResult.spans`` (see ``critical_path()`` and
-        ``chrome_trace()``), and the query's events in its log, exposed as
-        ``QueryResult.trace`` (see ``process_tree()``).  The default no-op
-        recorder records neither and computes exactly what a traced run
-        does.
+        spans and the pools' instants land in its store, which the
+        returned result exposes as ``QueryResult.spans`` (see
+        ``critical_path()``, ``chrome_trace()`` and ``process_tree()``).
+        The default no-op recorder records nothing and computes exactly
+        what a traced run does.
         ``optimize="cost"`` plans with the cost-based optimizer (and
         access-path rewriting) instead of the default greedy heuristic;
         ``observed`` overlays measured per-function (call cost, fanout)
@@ -749,7 +748,6 @@ class WSMED:
             mode=mode,
             total_calls=calls.total_calls(),
             call_stats=calls.all_stats(),
-            trace=recorder.events,
             tree=run.tree,
             plan_text=render_plan(plan),
             cache_stats=(

@@ -9,6 +9,8 @@ parallel tree alike.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro import QueryOptions, TraceRecorder
@@ -90,8 +92,9 @@ def test_cache_hits_show_up_in_trace(wsmed) -> None:
         SKEW_SQL,
         options=QueryOptions(cache=CacheConfig(enabled=True), obs=TraceRecorder()),
     )
-    assert len(on.trace.events("cache_hit")) == on.cache_stats.hits
-    assert len(on.trace.events("service_call")) == on.total_calls
+    outcomes = Counter(span.attrs["outcome"] for span in on.spans.by_category("ws"))
+    assert outcomes["hit"] == on.cache_stats.hits
+    assert outcomes["miss"] == on.total_calls
 
 
 def test_system_wide_cache_config_applies() -> None:

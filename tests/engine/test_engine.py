@@ -47,9 +47,14 @@ def _norm(value):
     return value
 
 
-def trace_multiset(trace) -> Counter:
-    """Order-insensitive view of a trace: multiset of (kind, payload)."""
-    return Counter((event.kind, _norm(event.data)) for event in trace)
+def trace_multiset(spans) -> Counter:
+    """Order-insensitive view of a trace: the multiset of (name, category,
+    process, start, attrs) over its instants and web-service spans."""
+    return Counter(
+        (span.name, span.category, span.process, span.start, _norm(span.attrs))
+        for span in spans
+        if span.instant or span.category == "ws"
+    )
 
 
 # -- construction ------------------------------------------------------------------
@@ -88,10 +93,10 @@ def test_unclosed_engine_is_garbage_collected_quietly(monkeypatch) -> None:
 def test_close_still_waits_for_every_child() -> None:
     engine = fresh_engine()
     engine.sql(QUERY1_SQL, options=PARALLEL)
-    trace = engine.sql(QUERY1_SQL, options=traced()).trace
+    spans = engine.sql(QUERY1_SQL, options=traced()).spans
     engine.close()
     # Every process of the warm tree (5 + 20) exited through its pool's close.
-    assert len(trace.events("process_exit")) == 25
+    assert len(spans.find("process_exit")) == 25
 
 
 # -- cold equivalence ------------------------------------------------------------
@@ -117,7 +122,7 @@ def test_cold_query_is_bit_for_bit_identical_to_wsmed(options) -> None:
 
     engine = fresh_engine()
     cold = engine.sql(QUERY1_SQL, options=traced(options))
-    engine.close()  # parks process_exit events in the query's trace
+    engine.close()  # parks process_exit instants in the query's trace
 
     assert cold.rows == seed.rows
     assert cold.columns == seed.columns
@@ -127,7 +132,7 @@ def test_cold_query_is_bit_for_bit_identical_to_wsmed(options) -> None:
     assert cold.message_stats == seed.message_stats
     assert cold.tree == seed.tree
     assert cold.cache_stats == seed.cache_stats
-    assert trace_multiset(cold.trace) == trace_multiset(seed.trace)
+    assert trace_multiset(cold.spans) == trace_multiset(seed.spans)
 
 
 # -- warm reuse ------------------------------------------------------------------
@@ -138,9 +143,9 @@ def test_warm_query_spawns_nothing_and_reuses_the_tree() -> None:
     cold = engine.sql(QUERY1_SQL, options=traced())
     warm = engine.sql(QUERY1_SQL, options=traced())
 
-    assert len(cold.trace.events("spawn")) == 25  # 5 + 5*4 processes
-    assert len(warm.trace.events("spawn")) == 0
-    assert len(warm.trace.events("install")) == 0
+    assert len(cold.spans.find("spawn")) == 25  # 5 + 5*4 processes
+    assert len(warm.spans.find("spawn")) == 0
+    assert len(warm.spans.find("install")) == 0
     assert sorted(warm.rows) == sorted(cold.rows)
     assert warm.total_calls == cold.total_calls
     assert warm.elapsed < cold.elapsed

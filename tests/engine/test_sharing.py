@@ -38,7 +38,7 @@ def test_disabled_share_config_is_seed_identical() -> None:
     assert result.rows == seed.rows
     assert result.total_calls == seed.total_calls
     assert result.cache_stats == seed.cache_stats
-    assert trace_multiset(result.trace) == trace_multiset(seed.trace)
+    assert trace_multiset(result.spans) == trace_multiset(seed.spans)
     assert not engine.stats().sharing
 
 

@@ -47,7 +47,7 @@ def _statistics(result) -> dict:
         "tree": result.tree,
         "fault_stats": result.fault_stats,
         "total_calls": result.total_calls,
-        "events": Counter(event.kind for event in result.trace),
+        "instants": Counter(span.name for span in result.spans if span.instant),
     }
 
 

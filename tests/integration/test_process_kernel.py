@@ -9,6 +9,7 @@ surviving a SIGKILLed worker mid-query.
 """
 
 import multiprocessing
+from collections import Counter
 import os
 import signal
 import threading
@@ -176,7 +177,7 @@ def test_worker_spans_reach_the_traced_query(wsmed) -> None:
 
 def test_memo_answers_are_attributed_in_worker_children(monkeypatch) -> None:
     """On a sharing engine, a worker child's call the coordinator's memo
-    answered is a ``cache_hit``, not a ``service_call``, and a round trip
+    answered is a ``ws`` span with outcome ``hit``, not ``miss``, and a round trip
     that rode a cross-query batch counts as ``coalesced``."""
     monkeypatch.setattr(shared, "BATCH_LINGER", 0.05)
     system = WSMED(profile="fast")
@@ -191,8 +192,9 @@ def test_memo_answers_are_attributed_in_worker_children(monkeypatch) -> None:
             engine.close()
     assert cold.total_calls == 311 and cold.cache_stats.coalesced > 0
     assert warm.total_calls == 0
-    assert len(warm.trace.events("service_call")) == 0
-    assert len(warm.trace.events("cache_hit")) == warm.cache_stats.hits == 311
+    outcomes = Counter(span.attrs["outcome"] for span in warm.spans.by_category("ws"))
+    assert outcomes["miss"] == 0
+    assert outcomes["hit"] == warm.cache_stats.hits == 311
 
 
 @pytest.mark.skipif(

@@ -1,13 +1,13 @@
-"""Tree and fault statistics are counters, checked against the event log.
+"""Tree and fault statistics are counters, checked against the trace.
 
 The pools count ``QueryResult.tree`` and ``fault_stats`` where they spawn,
 adapt, fail, redeliver, respawn and trip the breaker.  With a recorder
 attached, the counters must equal the derivations in
-:mod:`tests.stats_oracle` over the recorder's events, and an untraced run
+:mod:`tests.stats_oracle` over the recorder's instants, and an untraced run
 of the same query must count the same.  (Adaptation on a real-time kernel
 reacts to wall-clock timing, so there the untraced comparison is made for
-the manual trees only.)  An untraced query builds no event at all, and on
-``ProcessKernel`` its workers ship none.
+the manual trees only.)  An untraced query builds no span or instant at
+all, and on ``ProcessKernel`` its workers ship none.
 """
 
 import pytest
@@ -32,7 +32,7 @@ from repro.obs.run import QueryRun
 from repro.parallel.executor import ParallelExecutor
 from repro.parallel.parallelizer import parallelize
 from repro.parallel.placement import Placement
-from repro.util import trace as trace_module
+from repro.obs import spans as spans_module
 from repro.util.errors import ReproError
 
 from tests.helpers import collect_chunks, make_world
@@ -63,8 +63,8 @@ def wsmed():
 
 
 def _assert_counters_match_oracle(result) -> None:
-    assert result.tree == tree_stats_from_trace(result.trace)
-    assert result.fault_stats == fault_stats_from_trace(result.trace)
+    assert result.tree == tree_stats_from_trace(result.spans)
+    assert result.fault_stats == fault_stats_from_trace(result.spans)
 
 
 @pytest.mark.parametrize("kernel_name", KERNELS)
@@ -80,7 +80,7 @@ def test_tree_and_fault_counters_equal_the_oracle(wsmed, query, kernel_name) -> 
             kernel.shutdown()
     _assert_counters_match_oracle(traced)
     assert traced.tree.processes_spawned > 0
-    assert untraced.trace is None
+    assert untraced.spans is None
     if kernel_name == "sim" or options.mode == "parallel":
         assert untraced.tree == traced.tree
         assert untraced.fault_stats == traced.fault_stats
@@ -122,13 +122,13 @@ def _run_until_the_breaker_trips(recorder) -> QueryRun:
 def test_breaker_trip_counters_equal_the_oracle() -> None:
     traced = _run_until_the_breaker_trips(TraceRecorder())
     untraced = _run_until_the_breaker_trips(None)
-    assert traced.fault_stats == fault_stats_from_trace(traced.obs.events)
-    assert traced.tree == tree_stats_from_trace(traced.obs.events)
+    assert traced.fault_stats == fault_stats_from_trace(traced.obs.store)
+    assert traced.tree == tree_stats_from_trace(traced.obs.store)
     assert traced.fault_stats.breaker_trips == 1
     assert (untraced.tree, untraced.fault_stats) == (traced.tree, traced.fault_stats)
 
 
-# -- events only on demand ------------------------------------------------------------
+# -- spans only on demand -------------------------------------------------------------
 
 
 def _engine_warm_system() -> WSMED:
@@ -145,12 +145,12 @@ def _engine_warm_system() -> WSMED:
 def test_untraced_warm_engine_query_builds_no_event(monkeypatch) -> None:
     built = []
 
-    class CountedEvent(trace_module.TraceEvent):
+    class CountedSpan(spans_module.Span):
         def __init__(self, *args, **kwargs) -> None:
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(trace_module, "TraceEvent", CountedEvent)
+    monkeypatch.setattr(spans_module, "Span", CountedSpan)
     options = QueryOptions(mode="parallel", fanouts=[5, 4])
     engine = QueryEngine(_engine_warm_system())
     try:
@@ -162,7 +162,7 @@ def test_untraced_warm_engine_query_builds_no_event(monkeypatch) -> None:
         engine.close()
     assert warm.cache_stats.hits == 311 and warm.total_calls == 0
     assert len(built) == 0
-    assert warm.trace is None
+    assert warm.spans is None
 
 
 def test_untraced_worker_children_ship_no_events(monkeypatch) -> None:
@@ -186,6 +186,6 @@ def test_untraced_worker_children_ship_no_events(monkeypatch) -> None:
             engine.close()
     assert len(warm.rows) == 360
     assert deltas, "counter deltas still ride the call-ending messages"
-    events, spans = zip(*(delta[:2] for delta in deltas))
-    assert sum(map(len, events)) == 0 and not any(spans)
-    assert warm.trace is None
+    spans = [delta[0] for delta in deltas]
+    assert not any(spans)
+    assert warm.spans is None

@@ -90,7 +90,7 @@ def test_adaptive_three_levels(wsmed, central) -> None:
     assert result.as_bag() == central.as_bag()
     # Adaptation happened at more than one level of the tree.
     cycle_levels = {
-        event.data["plan_function"] for event in result.trace.events("cycle")
+        event.attrs["plan_function"] for event in result.spans.find("cycle")
     }
     assert len(cycle_levels) >= 2
 

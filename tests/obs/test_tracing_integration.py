@@ -153,7 +153,7 @@ def test_tracing_does_not_change_the_execution(wsmed) -> None:
     assert traced.message_stats == plain.message_stats
     assert traced.tree == plain.tree
     assert traced.fault_stats == plain.fault_stats
-    assert plain.trace is None and len(traced.trace) > 0
+    assert plain.spans is None and len(traced.spans) > 0
 
 
 def test_untraced_result_has_no_spans(wsmed) -> None:

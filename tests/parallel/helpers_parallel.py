@@ -27,7 +27,7 @@ def run_parallel(
     name: str = "Query",
 ):
     """Parallelize and execute, traced; returns (rows, kernel, broker, ctx).
-    The run's events are in ``ctx.run.obs.events``."""
+    The run's spans and instants are in ``ctx.run.obs.store``."""
     central = world.central_plan(sql, name)
     plan = parallelize(
         central, world.functions, fanouts=fanouts, adaptation=adaptation

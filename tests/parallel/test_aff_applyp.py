@@ -30,42 +30,42 @@ def test_adaptive_answer_is_correct(world, adaptive_run) -> None:
 
 def test_init_stage_builds_binary_tree(adaptive_run) -> None:
     _, _, _, ctx = adaptive_run
-    init_events = ctx.run.obs.events.events("init_stage")
+    init_events = ctx.run.obs.store.find("init_stage")
     assert init_events
-    assert all(event.data["children"] == 2 for event in init_events)
+    assert all(event.attrs["children"] == 2 for event in init_events)
     # The coordinator's init stage happens before any add stage.
-    first_add = ctx.run.obs.events.events("add_stage")[0]
-    assert init_events[0].time <= first_add.time
+    first_add = ctx.run.obs.store.find("add_stage")[0]
+    assert init_events[0].start <= first_add.start
 
 
 def test_add_stage_follows_first_monitoring_cycle(adaptive_run) -> None:
     _, _, _, ctx = adaptive_run
     coordinator_cycles = [
-        event for event in ctx.run.obs.events.events("cycle")
-        if event.data["process"] == "q0"
+        event for event in ctx.run.obs.store.find("cycle")
+        if event.process == "q0"
     ]
     coordinator_adds = [
-        event for event in ctx.run.obs.events.events("add_stage")
-        if event.data["process"] == "q0"
+        event for event in ctx.run.obs.store.find("add_stage")
+        if event.process == "q0"
     ]
     assert coordinator_cycles and coordinator_adds
-    assert coordinator_adds[0].time >= coordinator_cycles[0].time
+    assert coordinator_adds[0].start >= coordinator_cycles[0].start
     # Add stage adds exactly p children.
-    assert coordinator_adds[0].data["added"] == 2
+    assert coordinator_adds[0].attrs["added"] == 2
 
 
 def test_monitoring_cycle_definition(adaptive_run) -> None:
     # A cycle completes when end-of-call messages equal the child count, so
     # each recorded cycle processed at least that many calls.
     _, _, _, ctx = adaptive_run
-    for event in ctx.run.obs.events.events("cycle"):
-        assert event.data["children"] >= 2
-        assert event.data["time_per_tuple"] > 0
+    for event in ctx.run.obs.store.find("cycle"):
+        assert event.attrs["children"] >= 2
+        assert event.attrs["time_per_tuple"] > 0
 
 
 def test_nested_aff_pools_adapt_locally(adaptive_run) -> None:
     _, _, _, ctx = adaptive_run
-    cycle_processes = {e.data["process"] for e in ctx.run.obs.events.events("cycle")}
+    cycle_processes = {e.process for e in ctx.run.obs.store.find("cycle")}
     # Level-one processes run their own monitoring, not just q0.
     assert len(cycle_processes) > 1
     assert "q0" in cycle_processes
@@ -73,7 +73,7 @@ def test_nested_aff_pools_adapt_locally(adaptive_run) -> None:
 
 def test_adaptation_stops(adaptive_run) -> None:
     _, _, _, ctx = adaptive_run
-    stops = ctx.run.obs.events.events("adapt_stop")
+    stops = ctx.run.obs.store.find("adapt_stop")
     assert stops  # at least the coordinator reached a stable tree
 
 
@@ -96,7 +96,7 @@ def test_drop_stage_drops_children(world) -> None:
     stats = ctx.run.tree
     # With aggressive adds, at least one pool should observe a slowdown
     # and drop; if none did, the trace must show adaptation stopped.
-    assert stats.drop_stages > 0 or len(ctx.run.obs.events.events("adapt_stop")) > 0
+    assert stats.drop_stages > 0 or len(ctx.run.obs.store.find("adapt_stop")) > 0
 
 
 def test_dropped_children_exit(world) -> None:
@@ -105,7 +105,7 @@ def test_dropped_children_exit(world) -> None:
         QUERY1_SQL,
         adaptation=AdaptationParams(p=4, drop_stage=True, max_fanout=10),
     )
-    assert len(ctx.run.obs.events.events("process_exit")) == len(ctx.run.obs.events.events("spawn"))
+    assert len(ctx.run.obs.store.find("process_exit")) == len(ctx.run.obs.store.find("spawn"))
 
 
 def test_max_fanout_bounds_tree(world) -> None:
@@ -114,8 +114,8 @@ def test_max_fanout_bounds_tree(world) -> None:
         QUERY1_SQL,
         adaptation=AdaptationParams(p=8, threshold=0.01, max_fanout=6),
     )
-    for event in ctx.run.obs.events.events("add_stage"):
-        assert event.data["children"] <= 6
+    for event in ctx.run.obs.store.find("add_stage"):
+        assert event.attrs["children"] <= 6
 
 
 def test_average_fanouts_reported(world, adaptive_run) -> None:

@@ -119,8 +119,8 @@ def test_aff_pool_init_stage_is_binary() -> None:
     # it, so by completion the pool grew from 2 to 2+p.
     children = kernel.run(main())
     assert children == 5
-    init = ctx.run.obs.events.events("init_stage")
-    assert init and init[0].data["children"] == 2
+    init = ctx.run.obs.store.find("init_stage")
+    assert init and init[0].attrs["children"] == 2
 
 
 def test_aff_monitoring_cycle_counts_end_of_calls() -> None:
@@ -132,13 +132,13 @@ def test_aff_monitoring_cycle_counts_end_of_calls() -> None:
         await pool.close()
 
     kernel.run(main())
-    cycles = ctx.run.obs.events.events("cycle")
+    cycles = ctx.run.obs.store.find("cycle")
     assert cycles
     # Each cycle records the child count at its boundary and a positive
     # per-tuple time.
     for cycle in cycles:
-        assert cycle.data["children"] >= 2
-        assert cycle.data["time_per_tuple"] > 0
+        assert cycle.attrs["children"] >= 2
+        assert cycle.attrs["time_per_tuple"] > 0
     # Cumulative end-of-calls (12) bound the number of cycles.
     assert len(cycles) <= 6
 
@@ -157,8 +157,8 @@ def test_aff_max_fanout_stops_add_stages() -> None:
 
     children = kernel.run(main())
     assert children <= 4
-    stops = ctx.run.obs.events.events("adapt_stop")
-    assert any("maximum fanout" in event.data["reason"] for event in stops)
+    stops = ctx.run.obs.store.find("adapt_stop")
+    assert any("maximum fanout" in event.attrs["reason"] for event in stops)
 
 
 def test_aff_drop_stage_respects_init_floor() -> None:

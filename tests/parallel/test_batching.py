@@ -109,7 +109,7 @@ def test_defaults_send_no_batch_messages(world) -> None:
     assert Bag(rows) == Bag(central)
     assert broker.total_calls() == central_broker.total_calls()
     # The per-tuple protocol, bit for bit: no batch messages, no flushes.
-    assert not ctx.run.obs.events.events("batch_flush")
+    assert not ctx.run.obs.store.find("batch_flush")
     stats = ctx.run.message_stats
     assert stats.param_batches == 0
     assert stats.result_batches == 0
@@ -210,7 +210,7 @@ def test_adaptive_batching_on_aff_preserves_rows(world) -> None:
     )
     assert Bag(rows) == Bag(central)
     # Cycle monitoring keeps running under batched end-of-call delivery.
-    assert ctx.run.obs.events.events("cycle")
+    assert ctx.run.obs.store.find("cycle")
 
 
 def test_adaptive_batching_with_drop_stage(world) -> None:
@@ -234,9 +234,9 @@ def test_size_trigger_flushes_full_batches() -> None:
     pool, ctx = make_pool(kernel, ProcessCosts(batch_size=3).scaled(0.001), fanout=1)
     out = drive(kernel, pool, [(i,) for i in range(9)])
     assert sorted(out) == [(i, i) for i in range(9)]
-    flushes = ctx.run.obs.events.events("batch_flush")
-    assert [event.data["trigger"] for event in flushes] == ["size", "size", "size"]
-    assert all(event.data["size"] == 3 for event in flushes)
+    flushes = ctx.run.obs.store.find("batch_flush")
+    assert [event.attrs["trigger"] for event in flushes] == ["size", "size", "size"]
+    assert all(event.attrs["size"] == 3 for event in flushes)
 
 
 def test_stream_end_flushes_partial_batch() -> None:
@@ -244,7 +244,7 @@ def test_stream_end_flushes_partial_batch() -> None:
     pool, ctx = make_pool(kernel, ProcessCosts(batch_size=4).scaled(0.001), fanout=1)
     out = drive(kernel, pool, [(i,) for i in range(6)])
     assert sorted(out) == [(i, i) for i in range(6)]
-    triggers = [event.data["trigger"] for event in ctx.run.obs.events.events("batch_flush")]
+    triggers = [event.attrs["trigger"] for event in ctx.run.obs.store.find("batch_flush")]
     assert triggers == ["size", "stream_end"]
 
 
@@ -325,7 +325,7 @@ def test_end_of_call_carries_service_time() -> None:
     # Every call occupies the child for its per-row result CPU.
     assert all(value > 0 for value in observed)
     # The cycle monitoring surfaces the mean per-call occupancy.
-    cycles = ctx.run.obs.events.events("cycle")
+    cycles = ctx.run.obs.store.find("cycle")
     assert cycles and all(
-        cycle.data["mean_service_time"] > 0 for cycle in cycles
+        cycle.attrs["mean_service_time"] > 0 for cycle in cycles
     )

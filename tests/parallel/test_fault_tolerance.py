@@ -172,13 +172,13 @@ def test_retry_redelivers_failed_row(make_kernel) -> None:
     # Complete and duplicate-free despite the failure.
     assert sorted(out) == expected(range(1, 7))
     assert ctx.run.fault_stats.failed_calls == 1
-    failures = ctx.run.obs.events.events("call_failed")
+    failures = ctx.run.obs.store.find("call_failed")
     assert len(failures) == 1
-    assert failures[0].data["policy"] == "retry"
-    redelivers = ctx.run.obs.events.events("redeliver")
+    assert failures[0].attrs["policy"] == "retry"
+    redelivers = ctx.run.obs.store.find("redeliver")
     assert len(redelivers) == 1
-    assert redelivers[0].data["attempt"] == 1
-    assert redelivers[0].data["row"] == repr((3,))
+    assert redelivers[0].attrs["attempt"] == 1
+    assert redelivers[0].attrs["row"] == repr((3,))
     stats = ctx.run.fault_stats
     assert stats.failed_calls == 1
     assert stats.redeliveries == 1
@@ -193,8 +193,8 @@ def test_retry_budget_exhausted_fails_the_query() -> None:
     with pytest.raises(ReproError, match="max_redeliveries=2"):
         drive(kernel, pool, [(x,) for x in range(1, 7)])
     # Initial delivery + 2 redeliveries, each failing.
-    assert len(ctx.run.obs.events.events("call_failed")) == 3
-    assert len(ctx.run.obs.events.events("redeliver")) == 2
+    assert len(ctx.run.obs.store.find("call_failed")) == 3
+    assert len(ctx.run.obs.store.find("redeliver")) == 2
 
 
 @pytest.mark.parametrize("make_kernel", KERNELS)
@@ -204,7 +204,7 @@ def test_skip_drops_failed_row_and_counts_it(make_kernel) -> None:
     out = drive(kernel, pool, [(x,) for x in range(1, 7)])
     assert sorted(out) == expected([1, 2, 4, 5, 6])
     assert ctx.run.fault_stats.skipped_rows == 1
-    assert len(ctx.run.obs.events.events("redeliver")) == 0
+    assert len(ctx.run.obs.store.find("redeliver")) == 0
     stats = ctx.run.fault_stats
     assert stats.failed_calls == 1
     assert stats.skipped_rows == 1
@@ -218,7 +218,7 @@ def test_fail_policy_aborts_without_fault_events() -> None:
     # The seed protocol: the child error becomes the query error directly,
     # with none of the fault-tolerance machinery in the trace.
     for kind in ("call_failed", "redeliver", "respawn", "breaker_open"):
-        assert len(ctx.run.obs.events.events(kind)) == 0
+        assert len(ctx.run.obs.store.find(kind)) == 0
 
 
 def test_breaker_escalates_a_mostly_dead_pool(monkeypatch) -> None:
@@ -228,10 +228,10 @@ def test_breaker_escalates_a_mostly_dead_pool(monkeypatch) -> None:
     pool, ctx = make_pool(kernel, costs, flaky({x: 99 for x in range(20)}))
     with pytest.raises(ReproError, match="circuit breaker open"):
         drive(kernel, pool, [(x,) for x in range(20)])
-    trips = ctx.run.obs.events.events("breaker_open")
+    trips = ctx.run.obs.store.find("breaker_open")
     assert len(trips) == 1
-    assert trips[0].data["failed"] == 5
-    assert trips[0].data["resolved"] == 5
+    assert trips[0].attrs["failed"] == 5
+    assert trips[0].attrs["resolved"] == 5
     assert ctx.run.fault_stats.breaker_trips == 1
 
 
@@ -324,10 +324,10 @@ def test_cancelled_child_is_respawned() -> None:
 
     out = kernel.run(main())
     assert sorted(out) == expected([1, 2, 3, 4, 5])
-    respawns = ctx.run.obs.events.events("respawn")
+    respawns = ctx.run.obs.store.find("respawn")
     assert len(respawns) == 1
-    assert respawns[0].data["lost_rows"] == 0
-    assert "Cancelled" in respawns[0].data["reason"]
+    assert respawns[0].attrs["lost_rows"] == 0
+    assert "Cancelled" in respawns[0].attrs["reason"]
 
 
 # -- mid-batch errors: trailing rows replay, then the child error -------------------
@@ -405,8 +405,8 @@ def test_batched_retry_recovers_without_duplicates(make_kernel) -> None:
     # A failed call inside a batch ships no rows; only the redelivery's
     # rows arrive, so nothing is duplicated.
     assert sorted(out) == expected(range(1, 7))
-    assert len(ctx.run.obs.events.events("call_failed")) == 1
-    assert len(ctx.run.obs.events.events("redeliver")) == 1
+    assert len(ctx.run.obs.store.find("call_failed")) == 1
+    assert len(ctx.run.obs.store.find("redeliver")) == 1
 
 
 # -- fault injection through the full query stack -----------------------------------
@@ -422,11 +422,11 @@ def test_injected_failures_with_retry_recover_the_full_result(world, clean_q1) -
     rows, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4], costs=costs)
     # Complete and duplicate-free despite a 15% injected failure rate.
     assert Bag(rows) == Bag(clean_q1)
-    assert len(ctx.run.obs.events.events("call_failed")) > 0
-    assert len(ctx.run.obs.events.events("redeliver")) > 0
+    assert len(ctx.run.obs.store.find("call_failed")) > 0
+    assert len(ctx.run.obs.store.find("redeliver")) > 0
     stats = ctx.run.fault_stats
-    assert stats.failed_calls == len(ctx.run.obs.events.events("call_failed"))
-    assert stats.redeliveries == len(ctx.run.obs.events.events("redeliver"))
+    assert stats.failed_calls == len(ctx.run.obs.store.find("call_failed"))
+    assert stats.redeliveries == len(ctx.run.obs.store.find("redeliver"))
 
 
 def test_injected_failures_with_skip_drop_rows(world, clean_q1) -> None:
@@ -454,16 +454,16 @@ def test_injected_crash_respawns_and_recovers(world, clean_q1) -> None:
     )
     rows, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4], costs=costs)
     assert Bag(rows) == Bag(clean_q1)
-    assert len(ctx.run.obs.events.events("respawn")) >= 1
+    assert len(ctx.run.obs.store.find("respawn")) >= 1
     stats = ctx.run.fault_stats
-    assert stats.respawns == len(ctx.run.obs.events.events("respawn"))
+    assert stats.respawns == len(ctx.run.obs.store.find("respawn"))
 
 
 def test_default_run_emits_no_fault_events(world) -> None:
     """Defaults reproduce the seed protocol: no fault machinery visible."""
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4])
     for kind in ("call_failed", "redeliver", "respawn", "breaker_open", "call_fault"):
-        assert len(ctx.run.obs.events.events(kind)) == 0
+        assert len(ctx.run.obs.store.find(kind)) == 0
 
 
 # -- adaptive pool: failed calls count toward cycles, separately --------------------
@@ -474,7 +474,7 @@ def test_adaptive_cycles_count_failed_calls(world, clean_q1) -> None:
         world, QUERY1_SQL, adaptation=AdaptationParams()
     )
     assert all(
-        "failed" not in event.data for event in clean_ctx.run.obs.events.events("cycle")
+        "failed" not in event.attrs for event in clean_ctx.run.obs.store.find("cycle")
     )
     costs = replace(
         FAST_COSTS,
@@ -486,5 +486,5 @@ def test_adaptive_cycles_count_failed_calls(world, clean_q1) -> None:
         world, QUERY1_SQL, adaptation=AdaptationParams(), costs=costs
     )
     assert Bag(rows) == Bag(clean_rows)
-    cycles = ctx.run.obs.events.events("cycle")
-    assert any(event.data.get("failed", 0) > 0 for event in cycles)
+    cycles = ctx.run.obs.store.find("cycle")
+    assert any(event.attrs.get("failed", 0) > 0 for event in cycles)

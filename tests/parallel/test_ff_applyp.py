@@ -54,35 +54,33 @@ def test_more_workers_help_until_capacity(world) -> None:
 def test_process_count_matches_formula(world) -> None:
     # N = fo1 + fo1*fo2 (Sec. V).
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4])
-    spawns = ctx.run.obs.events.events("spawn")
+    spawns = ctx.run.obs.store.find("spawn")
     assert len(spawns) == 5 + 5 * 4
 
 
 def test_children_receive_plan_function_once(world) -> None:
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[3, 2])
-    installs = ctx.run.obs.events.events("install")
+    installs = ctx.run.obs.store.find("install")
     assert len(installs) == 3 + 3 * 2
-    processes = [event.data["process"] for event in installs]
+    processes = [event.process for event in installs]
     assert len(set(processes)) == len(processes)
 
 
 def test_all_processes_exit_after_query(world) -> None:
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[3, 3])
-    assert len(ctx.run.obs.events.events("process_exit")) == len(ctx.run.obs.events.events("spawn"))
+    assert len(ctx.run.obs.store.find("process_exit")) == len(ctx.run.obs.store.find("spawn"))
 
 
 def test_level_one_processes_handle_disjoint_param_sets(world) -> None:
     _, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[4, 2])
-    exits = ctx.run.obs.events.events("process_exit")
-    level1 = [
-        event for event in exits
-        if any(
-            spawn.data["process"] == event.data["process"]
-            and spawn.data["plan_function"] == "PF1"
-            for spawn in ctx.run.obs.events.events("spawn")
-        )
-    ]
-    total_level1_calls = sum(event.data["calls"] for event in level1)
+    level1 = {
+        spawn.attrs["child"]
+        for spawn in ctx.run.obs.store.find("spawn")
+        if spawn.attrs["plan_function"] == "PF1"
+    }
+    assert len(level1) == 4
+    calls = ctx.run.obs.store.by_category("call")
+    total_level1_calls = sum(1 for call in calls if call.process in level1)
     assert total_level1_calls == 50  # one call per state
 
 
@@ -107,7 +105,7 @@ def test_fanout_larger_than_param_count_is_safe(world) -> None:
     )
     rows, _, _, ctx = run_parallel(world, sql, fanouts=[8])
     assert len(rows) == 1
-    assert len(ctx.run.obs.events.events("spawn")) == 8
+    assert len(ctx.run.obs.store.find("spawn")) == 8
 
 
 def test_injected_fault_propagates_and_shuts_down(world) -> None:

@@ -59,8 +59,8 @@ def test_hash_affinity_makes_no_extra_calls(world) -> None:
         world, QUERY1_SQL, fanouts=[4, 3], costs=affinity_costs()
     )
     assert affinity_broker.total_calls() == ff_broker.total_calls()
-    events = affinity_ctx.run.obs.events
-    assert len(events.events("process_exit")) == len(events.events("spawn"))
+    spans = affinity_ctx.run.obs.store
+    assert len(spans.find("process_exit")) == len(spans.find("spawn"))
 
 
 def test_saturated_affinity_target_neither_drops_nor_duplicates() -> None:

@@ -48,7 +48,7 @@ def test_prefetch_keeps_children_loaded(world) -> None:
         world, QUERY1_SQL, fanouts=[4, 3], costs=fast_costs(prefetch=3)
     )
     assert broker.total_calls() == 311
-    assert len(ctx.run.obs.events.events("process_exit")) == len(ctx.run.obs.events.events("spawn"))
+    assert len(ctx.run.obs.store.find("process_exit")) == len(ctx.run.obs.store.find("spawn"))
 
 
 def test_prefetch_validation() -> None:

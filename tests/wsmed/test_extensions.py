@@ -204,7 +204,7 @@ def test_retries_rescue_transient_faults(wsmed) -> None:
         sql, options=QueryOptions(fault_rate=0.7, retries=25, obs=TraceRecorder())
     )
     assert result.rows == [("Ohio",)]
-    assert len(result.trace.events("retry")) >= 1
+    assert len(result.spans.find("retry")) >= 1
 
 
 def test_retries_exhausted_still_fail(wsmed) -> None:
@@ -228,9 +228,7 @@ def test_retry_in_parallel_child(wsmed) -> None:
         ),
     )
     assert len(result) == 260
-    retry_processes = {
-        event.data["process"] for event in result.trace.events("retry")
-    }
+    retry_processes = {event.process for event in result.spans.find("retry")}
     assert retry_processes  # at least one retry happened somewhere
 
 
@@ -240,11 +238,11 @@ def test_retry_trace_events_number_the_attempts(wsmed) -> None:
     result = wsmed.sql(
         sql, options=QueryOptions(fault_rate=0.7, retries=25, obs=TraceRecorder())
     )
-    retries = result.trace.events("retry")
+    retries = result.spans.find("retry")
     assert retries  # the 0.7 fault rate guarantees at least one
-    attempts = [event.data["attempt"] for event in retries]
+    attempts = [event.attrs["attempt"] for event in retries]
     assert attempts == list(range(1, len(retries) + 1))
-    assert all(event.data["operation"] == "GetAllStates" for event in retries)
+    assert all(event.attrs["operation"] == "GetAllStates" for event in retries)
 
 
 def test_exhausted_retries_leave_a_call_fault_marker(wsmed) -> None:
@@ -273,12 +271,12 @@ def test_exhausted_retries_leave_a_call_fault_marker(wsmed) -> None:
             await wrapper.call(ctx, [])
 
     kernel.run(main())
-    markers = ctx.run.obs.events.events("call_fault")
+    markers = ctx.run.obs.store.find("call_fault")
     assert len(markers) == 1
-    data = markers[0].data
+    data = markers[0].attrs
     assert data["operation"] == "GetAllStates"
     # attempts = the initial call plus every recorded retry.
-    assert data["attempts"] == 1 + len(ctx.run.obs.events.events("retry"))
+    assert data["attempts"] == 1 + len(ctx.run.obs.store.find("retry"))
     assert "error" in data
     assert "retriable" in data
 

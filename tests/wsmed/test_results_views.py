@@ -53,7 +53,7 @@ def test_summary_includes_stats_and_tree() -> None:
 
 def test_event_views_need_a_traced_run() -> None:
     result = make_result()
-    assert result.trace is None
+    assert result.spans is None
     with pytest.raises(ReproError, match="TraceRecorder"):
         result.process_tree()
     with pytest.raises(ReproError, match="not traced"):
