@@ -107,7 +107,8 @@ async def round_trip(
 ) -> tuple[Any, str]:
     """One web-service call as it leaves the query tree.
 
-    Returns ``(value, outcome)``, the outcome one of
+    Returns ``(rows, outcome)`` — the answer as the SOAP codec decoded it,
+    a tuple of row tuples — the outcome one of
     :data:`~repro.cache.HIT`, :data:`~repro.cache.MISS` (a real round
     trip) or :data:`~repro.cache.COLLAPSED`.  Inside an OS worker without
     services of its own, the call goes to the coordinator (``run.remote``),

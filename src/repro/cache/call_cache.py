@@ -132,7 +132,8 @@ class _Flight:
 
 
 class CallMemo:
-    """One address space's memo of web-service results, with single-flight.
+    """One address space's memo of web-service results (each call's rows,
+    an immutable tuple every caller shares), with single-flight.
 
     The LRU bound is the owner's ``config.max_entries``; the TTL is per
     entry, given by the query that stores it.  The counters are not the

@@ -4,16 +4,15 @@ WSMED extends a main-memory *functional* DBMS (Amos II) with web-service
 primitives.  This subpackage reproduces the parts of that substrate the
 paper relies on:
 
-* the value model — atomic values plus :class:`~repro.fdb.values.Record`,
-  :class:`~repro.fdb.values.Sequence` and :class:`~repro.fdb.values.Bag`,
-  which is what the ``cwo`` built-in materializes web-service results into
-  (Fig 2 of the paper navigates exactly these),
+* the value model — atomic values, rows of them and
+  :class:`~repro.fdb.values.Bag`, the result type of OWFs (``cwo``'s
+  answers are decoded straight into an OWF's rows),
 * typed function signatures with binding patterns,
 * main-memory tables, used for the WSMED local database
   that stores imported WSDL metadata (Sec. III).
 """
 
-from repro.fdb.values import Bag, Record, Sequence, value_repr
+from repro.fdb.values import Bag, value_repr
 from repro.fdb.types import (
     AtomicType,
     BagType,
@@ -32,8 +31,6 @@ from repro.fdb.catalog import Catalog
 
 __all__ = [
     "Bag",
-    "Record",
-    "Sequence",
     "value_repr",
     "AtomicType",
     "BagType",

@@ -274,13 +274,13 @@ class Placement:
     # -- message routing ---------------------------------------------------
 
     def _on_message(self, worker: WorkerHandle, message: Any) -> None:
-        if isinstance(message, FromChild):
+        if type(message) is FromChild:
             binding = self._bindings.get(message.child_id)
             if binding is not None:
                 if message.run is not None:
                     binding.pool.ctx.run.absorb(message.run)
                 binding.pool.inbox.send(message.payload)
-        elif isinstance(message, BrokerRequest):
+        elif type(message) is BrokerRequest:
             self.kernel.spawn(
                 self._serve_broker(worker, message),
                 name=f"broker-proxy-{message.request_id}",
@@ -300,7 +300,7 @@ class Placement:
                 raise ReproError(
                     f"broker request from unknown child {request.child_id}"
                 )
-            value, outcome = await round_trip(
+            rows, outcome = await round_trip(
                 binding.pool.ctx,
                 request.uri,
                 request.service,
@@ -308,7 +308,7 @@ class Placement:
                 list(request.arguments),
                 request.obs_span,
             )
-            reply = BrokerResponse(request.request_id, payload=value, outcome=outcome)
+            reply = BrokerResponse(request.request_id, payload=rows, outcome=outcome)
         except ServiceFault as fault:
             reply = BrokerResponse(
                 request.request_id,

@@ -120,6 +120,7 @@ class SimTask(base.ProcessHandle):
         self._error = error
         self._cancelled = isinstance(error, CancelledError)
         kernel = self._kernel
+        kernel._tasks.pop(self, None)
         joiners, self._joiners = self._joiners, []
         for joiner in joiners:
             kernel._schedule(kernel.now(), lambda j=joiner: kernel._step(j))
@@ -274,7 +275,11 @@ class SimKernel(base.Kernel):
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
-        self._tasks: list[SimTask] = []
+        # Unfinished tasks in spawn order (a task leaves as it finishes), so
+        # a resident kernel never walks the warm processes parked in it;
+        # ``_spawned`` numbers unnamed tasks.
+        self._tasks: dict[SimTask, None] = {}
+        self._spawned = 0
         self._events = 0
         # A resident kernel leaves parked tasks (warm child processes)
         # alive when ``run`` returns, so later ``run`` calls can resume
@@ -306,8 +311,9 @@ class SimKernel(base.Kernel):
         return SimEvent(self)
 
     def spawn(self, coro: Coroutine, name: str = "") -> SimTask:
-        task = SimTask(self, coro, name or f"task-{len(self._tasks)}")
-        self._tasks.append(task)
+        task = SimTask(self, coro, name or f"task-{self._spawned}")
+        self._spawned += 1
+        self._tasks[task] = None
         self._schedule(self._now, lambda: self._step(task))
         return task
 
@@ -332,12 +338,11 @@ class SimKernel(base.Kernel):
             waiting = ", ".join(
                 f"{task.name}<-{_PARKED_ON[type(task._parked_on)](task._parked_on)}"
                 for task in self._tasks
-                if not task.done
             )
             self._close_remaining()
             raise DeadlockError(f"no runnable tasks; parked: {waiting}")
         if self.resident:
-            self._prune_finished()
+            self._spawned = len(self._tasks)
         else:
             self._close_remaining()
         return main.result()
@@ -345,17 +350,13 @@ class SimKernel(base.Kernel):
     def shutdown(self) -> None:
         """Reap tasks a resident kernel kept parked between runs."""
         self._close_remaining()
-        self._tasks.clear()
+        self._spawned = 0
         self._heap.clear()
         self.generation += 1
 
-    def _prune_finished(self) -> None:
-        """Forget finished tasks so a resident kernel's lists stay bounded."""
-        self._tasks = [task for task in self._tasks if not task.done]
-
     def _close_remaining(self) -> None:
         """Close coroutines of tasks abandoned when the main task ended."""
-        for task in self._tasks:
+        for task in list(self._tasks):
             if not task.done:
                 try:
                     task._coro.close()

@@ -11,9 +11,17 @@ spans, cache and message counter deltas — has no envelope of its own: it
 rides the child's call-ending ``FromChild`` and its ``ChildExited`` as one
 ``run`` field (:meth:`repro.obs.run.QueryRun.drain`).
 
-Every envelope is a frozen dataclass whose fields are plain picklable
-values — the round-trip tests in ``tests/parallel/test_transport.py`` lock
-the wire format down.
+Every envelope's fields are plain picklable values.  The per-call ones —
+``ToChild``, ``FromChild``, ``BrokerRequest``, ``BrokerResponse`` — are
+named tuples, and a frame carries each as one flat tuple of plain values,
+its tag first (:func:`encode`): pickling them writes no class reference,
+and a ``ParamTuple``, ``ResultTuple`` or ``EndOfCall`` inside is flattened
+into the same tuple.  The reader rebuilds the envelope and the protocol
+message its handler consumes (:func:`decode`).  The rare envelopes — code
+shipping, spawn, rebind, heartbeats, exits — are frozen dataclasses and
+travel as pickled objects, as does a batch or failure message inside a
+``ToChild``/``FromChild``.  The round-trip tests in
+``tests/parallel/test_transport.py`` lock the wire format down.
 
 Parent -> worker:
     :class:`AnchorClock`, :class:`RegisterFunctions`,
@@ -28,7 +36,9 @@ Worker -> parent:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
+
+from repro.parallel import messages
 
 
 # -- parent -> worker ---------------------------------------------------------
@@ -109,8 +119,7 @@ class RebindChild:
     span_base: int = 0
 
 
-@dataclass(frozen=True)
-class ToChild:
+class ToChild(NamedTuple):
     """One query-protocol message for a child's downlink (ShipPlanFunction,
     ParamTuple, ParamBatch, ReadyToReceive, Shutdown)."""
 
@@ -128,11 +137,10 @@ class Ping:
     seq: int
 
 
-@dataclass(frozen=True)
-class BrokerResponse:
+class BrokerResponse(NamedTuple):
     """Answer to a :class:`BrokerRequest`.
 
-    Exactly one of ``payload`` (the decoded result value model) and
+    Exactly one of ``payload`` (the answer's rows, as decoded) and
     ``error`` is set; ``error`` is ``(kind, message, retriable)`` where
     kind is ``"fault"`` (re-raised as :class:`ServiceFault`) or the
     original exception's class name (re-raised as :class:`ReproError`).
@@ -160,8 +168,7 @@ class WorkerReady:
     pid: int
 
 
-@dataclass(frozen=True)
-class FromChild:
+class FromChild(NamedTuple):
     """One query-protocol uplink message (ResultTuple, ResultBatch,
     EndOfCall, CallFailed, ChildError) from a child in this worker.
     ``run`` is what the child's run counted since its last call-ending
@@ -187,8 +194,7 @@ class ChildExited:
     run: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class BrokerRequest:
+class BrokerRequest(NamedTuple):
     """A web-service call forwarded to the parent's central broker.
 
     Sent by the worker-side broker proxy so capacity semaphores, call
@@ -211,3 +217,84 @@ class BrokerRequest:
 class Pong:
     seq: int
     worker_id: int
+
+
+# -- the wire form of the per-call envelopes ----------------------------------
+
+#: Tags, the first field of a per-call envelope's tuple in a frame.  The
+#: first four carry an envelope's fields in order; the others flatten the
+#: per-call message into the tuple as well: a ``ParamTuple`` down, a
+#: ``ResultTuple`` (with or without the call's ``EndOfCall``) or an
+#: ``EndOfCall`` up.
+(
+    TO_CHILD, FROM_CHILD, BROKER_REQUEST, BROKER_RESPONSE,
+    PARAM, RESULT, RESULT_END, END,
+) = range(8)
+
+
+def _to_child(envelope: ToChild) -> tuple:
+    child_id, message = envelope
+    if type(message) is messages.ParamTuple:
+        return PARAM, child_id, message.seq, message.row, message.span
+    return TO_CHILD, child_id, message
+
+
+def _from_child(envelope: FromChild) -> tuple:
+    child_id, message, run = envelope
+    kind = type(message)
+    if kind is messages.ResultTuple:
+        end = message.end_of_call
+        if end is None:
+            return RESULT, child_id, message.child, message.row, message.seq, run
+        return (
+            RESULT_END, child_id, message.child, message.row, message.seq,
+            end.child, end.seq, end.rows, end.service_time, run,
+        )
+    if kind is messages.EndOfCall:
+        return (
+            END, child_id, message.child, message.seq, message.rows,
+            message.service_time, run,
+        )
+    return FROM_CHILD, child_id, message, run
+
+
+_ENCODERS = {
+    ToChild: _to_child,
+    FromChild: _from_child,
+    BrokerRequest: lambda envelope: (BROKER_REQUEST, *envelope),
+    BrokerResponse: lambda envelope: (BROKER_RESPONSE, *envelope),
+}
+
+_DECODERS = {
+    TO_CHILD: lambda t: ToChild(t[1], t[2]),
+    FROM_CHILD: lambda t: FromChild(t[1], t[2], t[3]),
+    BROKER_REQUEST: lambda t: BrokerRequest._make(t[1:]),
+    BROKER_RESPONSE: lambda t: BrokerResponse._make(t[1:]),
+    PARAM: lambda t: ToChild(t[1], messages.ParamTuple(t[2], t[3], t[4])),
+    RESULT: lambda t: FromChild(t[1], messages.ResultTuple(t[2], t[3], t[4]), t[5]),
+    RESULT_END: lambda t: FromChild(
+        t[1], messages.ResultTuple(t[2], t[3], t[4], messages.EndOfCall(*t[5:9])), t[9]
+    ),
+    END: lambda t: FromChild(t[1], messages.EndOfCall(*t[2:6]), t[6]),
+}
+
+
+def encode(envelopes: list) -> list:
+    """A frame's envelopes as they are pickled: each per-call one a plain
+    tuple, its tag first, so the pickle names no class for it."""
+    encoders = _ENCODERS
+    return [
+        encoder(envelope) if (encoder := encoders.get(type(envelope))) else envelope
+        for envelope in envelopes
+    ]
+
+
+def decode(items: list) -> list:
+    """An unpickled frame, in place: each tuple whose first field is a tag
+    becomes its envelope, holding the protocol message its handler
+    consumes; anything else stays as it came."""
+    decoders = _DECODERS
+    for index, item in enumerate(items):
+        if type(item) is tuple and (build := decoders.get(item[0])) is not None:
+            items[index] = build(item)
+    return items

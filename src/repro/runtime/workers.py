@@ -23,8 +23,11 @@ Two halves live here:
 
 Both sides write *frames* (a list of envelopes in send order, pickled behind
 its length): the coordinator one per worker and loop tick, a worker one per
-burst of ticks.  A worker reads on a thread, the coordinator on its loop
-without blocking, so every blocking write is always drained.
+burst of ticks.  In a frame the per-call envelopes are tag-first tuples of
+plain values (:func:`repro.runtime.wire.encode`), which the reader turns
+back into the envelope its handler consumes; the rare ones are pickled
+objects.  A worker reads on a thread, the coordinator on its loop without
+blocking, so every blocking write is always drained.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ from repro.runtime.wire import (
     SpawnChild,
     ToChild,
     WorkerReady,
+    decode,
+    encode,
 )
 from repro.obs.run import QueryRun
 from repro.obs.spans import NULL_RECORDER, TraceRecorder
@@ -79,7 +84,7 @@ _HEADER = struct.Struct("!I")  # a frame's length, then its pickled list
 
 
 def write_frame(conn: socket.socket, envelopes: list) -> None:
-    payload = pickle.dumps(envelopes, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = pickle.dumps(encode(envelopes), protocol=pickle.HIGHEST_PROTOCOL)
     conn.sendall(_HEADER.pack(len(payload)) + payload)
 
 
@@ -90,7 +95,7 @@ def read_frame(stream) -> list:
     payload = stream.read(max(size, 0))
     if len(payload) != size:
         raise EOFError("worker pipe closed")
-    return pickle.loads(payload)
+    return decode(pickle.loads(payload))
 
 
 def read_frames(conn: socket.socket, pending: bytearray) -> tuple[list, bool]:
@@ -110,7 +115,7 @@ def read_frames(conn: socket.socket, pending: bytearray) -> tuple[list, bool]:
         end = start + _HEADER.size + _HEADER.unpack_from(pending, start)[0]
         if end > len(pending):
             break
-        frames.append(pickle.loads(pending[start + _HEADER.size : end]))
+        frames.append(decode(pickle.loads(pending[start + _HEADER.size : end])))
         start = end
     del pending[:start]
     return frames, closed
@@ -423,11 +428,11 @@ class _WorkerRuntime:
     # -- envelope handlers -------------------------------------------------
 
     def _handle(self, message: Any) -> None:
-        if isinstance(message, ToChild):
+        if type(message) is ToChild:
             slot = self.children.get(message.child_id)
             if slot is not None:
                 slot.endpoints.downlink.send(message.payload)
-        elif isinstance(message, BrokerResponse):
+        elif type(message) is BrokerResponse:
             future = self.broker_futures.pop(message.request_id, None)
             if future is not None and not future.done():
                 future.set_result(message)

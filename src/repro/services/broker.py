@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.fdb.values import Sequence
 from repro.runtime.base import Kernel, Semaphore
 from repro.services import soap
 from repro.services.latency import EndpointProfile
@@ -224,8 +223,8 @@ class ServiceBroker:
         recorder: CallRecorder | None = None,
         obs=None,
         obs_span: int = -1,
-    ) -> Sequence:
-        """Invoke a web-service operation; returns the decoded value model.
+    ) -> tuple[tuple, ...]:
+        """Invoke a web-service operation; returns the answer's rows.
 
         This is the transport behind the ``cwo`` built-in of the paper's
         Fig 2 (line 14).  If the operation's profile declares a timeout,
@@ -276,7 +275,7 @@ class ServiceBroker:
         *,
         obs=None,
         obs_span: int = -1,
-    ) -> Sequence:
+    ) -> tuple[tuple, ...]:
         operation = wsdl_operation.name
         sinks = self._sinks(operation, recorder)
         kernel = self.kernel
@@ -299,9 +298,9 @@ class ServiceBroker:
     def _deliver(
         self, wsdl_operation, request_text: bytes, served: tuple[Any, int],
         sinks: list[CallStats], total_time: float,
-    ) -> Sequence:
+    ) -> tuple[tuple, ...]:
         """The tail of every served call: marshal the response, book the
-        call in every sink, hand the client side its decoded value."""
+        call in every sink, hand the client side its decoded rows."""
         payload, rows = served
         response_text = soap.encode_response(wsdl_operation, payload)
         for sink in sinks:

@@ -2,26 +2,27 @@
 
 Providers return plain Python data (dicts / lists / atoms).  The broker
 encodes that into a response XML document guided by the operation's WSDL
-output schema, and the client side (``cwo``) decodes the XML back into the
-functional DBMS value model (:class:`Record` / :class:`Sequence`) — the
-structures the paper's generated OWFs navigate in Fig 2.  Round-tripping
-through real XML text keeps the substrate honest: a schema mismatch fails
-the same way a real doc/literal endpoint would.
+output schema, and the client side (``cwo``) decodes the XML straight into
+the typed tuples the paper's generated OWF produces (Fig 2): the answer is
+flattened once, here, and travels, is memoized and is joined as rows.
+Round-tripping through real XML text keeps the substrate honest: a schema
+mismatch fails the same way a real doc/literal endpoint would.
 
-Like the OWF, the codec of a schema element is *derived once* from the
-WSDL (:class:`Codec`, cached as ``XsdElement.codec``): the per-call
-functions run closures over pre-rendered tags and never walk the schema.
+The codec of a schema element is *derived once* from the WSDL
+(:class:`Codec`, cached as ``XsdElement.codec``): the per-call functions
+run closures over pre-rendered tags and never walk the schema.  Its
+flattening is the only projection a decoded answer has, because each
+operation has one OWF, whose levels depend on the output element alone.
 """
 
 from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from functools import partial
-from typing import Any, Callable
+from functools import cached_property, partial
+from typing import Any, Callable, NamedTuple
 
-from repro.fdb.types import BOOLEAN, CHARSTRING, INTEGER, REAL
-from repro.fdb.values import Record, Sequence
+from repro.fdb.types import AtomicType, BOOLEAN, CHARSTRING, INTEGER, REAL
 from repro.services.wsdl import WsdlOperation, XsdElement
 from repro.util.errors import WsdlError
 
@@ -100,35 +101,87 @@ def _encoder(schema: XsdElement) -> Callable[[Any], str]:
     return encode
 
 
-def _decoder(schema: XsdElement) -> Callable[[ET.Element], Any]:
-    """Compile ``parsed node -> value`` of one instance of ``schema``.
+def _read(node: ET.Element, columns: list) -> list:
+    """The converted texts of ``node``'s atomic ``columns``, in order."""
+    values = []
+    for name, from_text in columns:
+        child = node.find(name)
+        if child is None:
+            raise WsdlError(f"response element {node.tag!r} is missing child {name!r}")
+        values.append(from_text(child.text or ""))
+    return values
 
-    ``find`` / ``findall`` match by tag in C, so a document's children may
-    come in any order and undeclared ones are skipped, as a lax stack does.
+
+def _flattening(schema: XsdElement) -> tuple[list, Callable[[ET.Element], list]]:
+    """Compile the OWF flattening of a complex ``schema`` (paper Fig 2):
+    ``(columns, decode)``, where ``decode(node)`` lists the node's rows.
+
+    Atomic children become columns; the one repeated or complex child is
+    descended into, so a row is one instance of the innermost repeated
+    element, and a repeated atomic child is a column of its own.  Children
+    are read in declared order, the order a walk of the whole document
+    checks them in.  ``find`` / ``findall`` match by tag in C, so a
+    document's children may come in any order and undeclared ones are
+    skipped, as a lax stack does.  More than one nested child would need a
+    cross product with no defined order, so it is refused — before any
+    document is read, as at import.
     """
-    if schema.is_atomic:
-        from_text = _FROM_TEXT.get(schema.atom, str)
-        return lambda node: from_text(node.text or "")
-    children = [
-        (child.name, child.repeated, _decoder(child))
-        for child in schema.complex.children
-    ]
+    if schema.complex is None:
+        raise WsdlError(f"element {schema.name!r} is atomic, cannot flatten")
+    head, tail, nested, columns = [], [], [], []
+    for child in schema.complex.children:
+        if child.is_atomic and not child.repeated:
+            (tail if nested else head).append((child.name, _FROM_TEXT.get(child.atom, str)))
+            columns.append((child.name, child.atom))
+        else:
+            nested.append(child)
+    if len(nested) > 1:
+        names = ", ".join(child.name for child in nested)
+        raise WsdlError(
+            f"result element {schema.name!r} has multiple nested collections "
+            f"({names}); WSMED flattening supports a single nested path"
+        )
+    child = nested[0] if nested else None
+    from_text = inner = None
+    if child is None:
+        name = repeated = None
+    elif child.is_atomic:  # a repeated atomic: one column named after it
+        name, repeated, from_text = child.name, True, _FROM_TEXT.get(child.atom, str)
+        columns.append((name, child.atom))
+    else:
+        name, repeated = child.name, child.repeated
+        below, inner = _flattening(child)
+        columns += below
 
-    def decode(node: ET.Element) -> Record:
-        attrs = {}
-        for name, repeated, decode_child in children:
-            if repeated:
-                attrs[name] = Sequence(map(decode_child, node.findall(name)))
-                continue
-            child_node = node.find(name)
-            if child_node is None:
-                raise WsdlError(
-                    f"response element {node.tag!r} is missing child {name!r}"
-                )
-            attrs[name] = decode_child(child_node)
-        return Record(attrs)
+    def rows(node: ET.Element) -> list:
+        values = _read(node, head)
+        if child is None:
+            return [tuple(values)]
+        if from_text is not None:
+            found = [(from_text(item.text or ""),) for item in node.findall(name)]
+        elif repeated:
+            found = [row for item in node.findall(name) for row in inner(item)]
+        else:
+            item = node.find(name)
+            if item is None:
+                raise WsdlError(f"response element {node.tag!r} is missing child {name!r}")
+            found = inner(item)
+        if tail:
+            values += _read(node, tail)
+        if not values:
+            return found
+        prefix = tuple(values)
+        return [prefix + row for row in found]
 
-    return decode
+    return columns, rows
+
+
+class Flattening(NamedTuple):
+    """An element's rows: its ``(name, atom)`` columns, and
+    ``decode(parsed node) -> tuple of rows``."""
+
+    columns: tuple[tuple[str, AtomicType], ...]
+    decode: Callable[[ET.Element], tuple]
 
 
 def _row_counter(schema: XsdElement) -> Callable[[Any], int] | None:
@@ -159,10 +212,17 @@ class Codec:
     """What one schema element's documents need, compiled from it once."""
 
     def __init__(self, schema: XsdElement) -> None:
+        self._schema = schema
         encode = _encoder(schema)
         self.encode = lambda data: encode(data).encode("utf-8", "xmlcharrefreplace")
-        self.decode = _decoder(schema)
         self.count_rows = _row_counter(schema) or (lambda payload: 1)
+
+    @cached_property
+    def flattening(self) -> Flattening:
+        """The element's rows, compiled on first use: a schema no OWF can
+        flatten is still one a provider's documents are encoded in."""
+        columns, decode = _flattening(self._schema)
+        return Flattening(tuple(columns), lambda node: tuple(decode(node)))
 
 
 def _parse(text: bytes) -> ET.Element:
@@ -189,25 +249,27 @@ def encode_request(operation: WsdlOperation, arguments: list[Any]) -> bytes:
 
 
 def decode_request(operation: WsdlOperation, text: bytes) -> list[Any]:
-    """Decode a request document back to positional arguments."""
-    record = operation.input_element.codec.decode(_parse(text))
-    return [record[name] for name in operation.parameter_names]
+    """Decode a request document back to positional arguments: the one
+    row of the flat input element."""
+    (row,) = operation.input_element.codec.flattening.decode(_parse(text))
+    return list(row)
 
 
-def decode_response(operation: WsdlOperation, text: bytes) -> Sequence:
-    """Decode response XML into the value model.
+def decode_response(operation: WsdlOperation, text: bytes) -> tuple[tuple, ...]:
+    """Decode response XML straight into its OWF's rows.
 
-    The result is a :class:`Sequence` holding the converted response
-    record, matching the paper's Fig 2 where the output of ``cwo`` is a
-    sequence the OWF iterates with the ``in`` operator.
+    The rows are what the OWF of Fig 2 makes of ``cwo``'s answer: one tuple
+    of typed atoms per instance of the innermost repeated element (one row
+    when nothing repeats), columns as in ``codec.flattening.columns``.
     """
+    element = operation.output_element
+    decode = element.codec.flattening.decode
     root = _parse(text)
-    if root.tag != operation.output_element.name:
+    if root.tag != element.name:
         raise WsdlError(
-            f"expected response element {operation.output_element.name!r}, "
-            f"got {root.tag!r}"
+            f"expected response element {element.name!r}, got {root.tag!r}"
         )
-    return Sequence([operation.output_element.codec.decode(root)])
+    return decode(root)
 
 
 def count_rows(schema: XsdElement, payload: Any) -> int:

@@ -76,12 +76,6 @@ class XsdComplex:
 
     children: tuple[XsdElement, ...] = field(default=())
 
-    def child(self, name: str) -> XsdElement:
-        for element in self.children:
-            if element.name == name:
-                return element
-        raise WsdlError(f"complex type has no child element {name!r}")
-
 
 @dataclass(frozen=True)
 class WsdlOperation:

@@ -4,105 +4,37 @@ For every operation of an imported WSDL document, WSMED generates an OWF
 that calls the operation through the ``cwo`` built-in and *flattens* the
 nested result structure into a stream of typed tuples (paper Fig 2).  The
 flattening program is derived mechanically from the operation's output
-schema: atomic elements along the path become columns, repeated elements
-become iteration levels.
+schema — atomic elements along the path become columns, repeated elements
+become iteration levels — and compiled into the SOAP codec
+(:attr:`repro.services.soap.Codec.flattening`), so an answer is decoded
+into its rows once and the OWF passes them on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.algebra.interpreter import ExecutionContext, round_trip
 from repro.fdb.functions import FunctionDef, FunctionKind, Parameter
-from repro.fdb.types import AtomicType, BOOLEAN, REAL, TupleType
-from repro.fdb.values import Record
-from repro.services.wsdl import WsdlDocument, WsdlOperation, XsdElement
+from repro.fdb.types import BOOLEAN, REAL, TupleType
+from repro.services.wsdl import WsdlDocument, WsdlOperation
 from repro.util.errors import ServiceFault, WsdlError
 
 
-@dataclass(frozen=True)
-class _Level:
-    """One flattening level: columns to read here, plus how to descend."""
-
-    atomic_columns: tuple[str, ...]
-    descend: str | None  # child element name to recurse into (None = leaf)
-    descend_repeated: bool
-
-
-def _build_levels(element: XsdElement, path: list[str]) -> list[_Level]:
-    """Derive the flattening levels under a complex ``element``.
-
-    At most one non-atomic child per level is supported — the shape of all
-    data providing services the paper uses (a single nested collection).
-    More than one would require a cross product with no defined order, so
-    it is rejected at import time.
-    """
-    if element.complex is None:
-        raise WsdlError(f"element {element.name!r} is atomic, cannot flatten")
-    atomics = []
-    complexes = []
-    for child in element.complex.children:
-        if child.is_atomic and not child.repeated:
-            atomics.append(child.name)
-        else:
-            complexes.append(child)
-    if len(complexes) > 1:
-        names = ", ".join(c.name for c in complexes)
-        raise WsdlError(
-            f"result element {element.name!r} has multiple nested collections "
-            f"({names}); WSMED flattening supports a single nested path"
-        )
-    if not complexes:
-        return [_Level(tuple(atomics), None, False)]
-    child = complexes[0]
-    if child.is_atomic:  # a repeated atomic: one column named after it
-        return [
-            _Level(tuple(atomics), child.name, True),
-            _Level((child.name,), None, False),
-        ]
-    return [
-        _Level(tuple(atomics), child.name, child.repeated)
-    ] + _build_levels(child, path + [child.name])
-
-
-def _column_atom(element: XsdElement, column: str) -> AtomicType:
-    for child in element.complex.children:
-        if child.name == column and child.is_atomic:
-            return child.atom
-    raise WsdlError(f"no atomic child {column!r} under {element.name!r}")
-
-
 class OperationWrapper:
-    """A generated OWF: typed signature plus the flattening program."""
+    """A generated OWF: typed signature and result columns; its rows are
+    decoded by the output element's codec."""
 
     def __init__(self, document: WsdlDocument, operation: WsdlOperation) -> None:
         self.document = document
         self.operation = operation
         self.name = operation.name
         self.parameters = operation.input_parameters()
-        self._levels = _build_levels(operation.output_element, [])
-        self.result_columns = self._derive_result_columns()
-
-    def _derive_result_columns(self) -> list[tuple[str, AtomicType]]:
-        columns: list[tuple[str, AtomicType]] = []
-        element = self.operation.output_element
-        for level in self._levels:
-            for column in level.atomic_columns:
-                columns.append((column, _column_atom(element, column)))
-            if level.descend is None:
-                break
-            child = element.complex.child(level.descend)
-            if child.is_atomic:
-                columns.append((level.descend, child.atom))
-                break
-            element = child
-        names = [name for name, _ in columns]
+        self.result_columns = list(operation.output_element.codec.flattening.columns)
+        names = [name for name, _ in self.result_columns]
         if len(set(name.lower() for name in names)) != len(names):
             raise WsdlError(
                 f"flattened result of {self.name!r} has colliding column "
                 f"names: {names}"
             )
-        return columns
 
     # -- runtime -------------------------------------------------------------
 
@@ -117,13 +49,14 @@ class OperationWrapper:
             coerced.append(value)
         return coerced
 
-    async def call(self, ctx: ExecutionContext, arguments: list) -> list[tuple]:
-        """Invoke the wrapped operation and flatten the result into rows.
+    async def call(self, ctx: ExecutionContext, arguments: list) -> tuple[tuple, ...]:
+        """Invoke the wrapped operation; returns its rows.
 
         This is the OWF body of Fig 2: ``cwo(uri, service, operation,
-        args)`` followed by record/sequence navigation.  Retriable service
-        faults are retried per the context's policy; the final attempt's
-        fault propagates.
+        args)``, whose answer the SOAP codec already decoded into the
+        flattened rows.  The tuple is immutable, so the memo and every
+        caller share one.  Retriable service faults are retried per the
+        context's policy; the final attempt's fault propagates.
         """
         coerced = self.coerce_arguments(arguments)
         run = ctx.run
@@ -131,8 +64,7 @@ class OperationWrapper:
         while True:
             started = ctx.kernel.now()
             try:
-                out = await self._invoke(ctx, coerced, started)
-                break
+                return await self._invoke(ctx, coerced, started)
             except ServiceFault as fault:
                 attempt += 1
                 if not fault.retriable or attempt > run.retries:
@@ -161,10 +93,6 @@ class OperationWrapper:
                         attempt=attempt,
                     )
                 await ctx.kernel.sleep(run.retry_backoff)
-        rows: list[tuple] = []
-        for response in out:  # `out` is a Sequence (Fig 2 line 15)
-            self._flatten(response, 0, (), rows)
-        return rows
 
     async def _invoke(self, ctx: ExecutionContext, coerced: list, started: float):
         """One ``cwo`` transport round trip through
@@ -199,31 +127,6 @@ class OperationWrapper:
         if ws_span != -1:
             obs.finish(ws_span, at=ctx.kernel.now(), outcome=outcome)
         return out
-
-    def _flatten(
-        self, value, level_index: int, prefix: tuple, rows: list[tuple]
-    ) -> None:
-        level = self._levels[level_index]
-        if not isinstance(value, Record):
-            # A repeated atomic leaf: the value itself is the column.
-            rows.append(prefix + (value,))
-            return
-        here = prefix + tuple([value[column] for column in level.atomic_columns])
-        if level.descend is None:
-            rows.append(here)
-            return
-        child_value = value[level.descend]
-        if level.descend_repeated:
-            for instance in child_value:
-                self._descend(instance, level_index + 1, here, rows)
-        else:
-            self._descend(child_value, level_index + 1, here, rows)
-
-    def _descend(self, value, level_index: int, prefix: tuple, rows: list[tuple]) -> None:
-        if level_index >= len(self._levels):
-            rows.append(prefix + (value,))
-            return
-        self._flatten(value, level_index, prefix, rows)
 
     # -- registration -----------------------------------------------------------
 

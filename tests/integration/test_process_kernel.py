@@ -15,13 +15,24 @@ import signal
 import threading
 import time
 
+from dataclasses import replace
+
 import pytest
 
-from repro import QUERY1_SQL, QUERY2_SQL, CacheConfig, QueryEngine, WSMED, QueryOptions
+from repro import (
+    QUERY1_SQL,
+    QUERY2_SQL,
+    CacheConfig,
+    FaultInjection,
+    QueryEngine,
+    WSMED,
+    QueryOptions,
+)
 from repro.engine import shared
 from repro.obs import TraceRecorder, validate_spans
 from repro.parallel.placement import SPAN_BLOCK
 from repro.runtime.multiprocess import ProcessKernel
+from tests.stats_oracle import fault_stats_from_trace, tree_stats_from_trace
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +117,69 @@ def test_call_cache_counters_cross_the_pipe(wsmed) -> None:
     assert result.cache_stats is not None
     assert result.cache_stats.misses == result.total_calls == sim.total_calls
     assert result.cache_stats.lookups == sim.cache_stats.lookups
+
+
+def _assert_counters_match_oracle(result) -> None:
+    assert result.tree == tree_stats_from_trace(result.spans)
+    assert result.fault_stats == fault_stats_from_trace(result.spans)
+
+
+#: The traffic the worker pipe frames besides memo answers: parameter and
+#: result batches, failed calls redelivered after crashes, and the per-call
+#: tuples of a plain traced query.
+WIRE_PATHS = {
+    "batched": {"batch_size": 4},
+    "retry-faults": {"on_error": "retry", "faults": FaultInjection(0.1, 0.02)},
+    "traced": {},
+}
+
+
+@pytest.mark.parametrize("path", WIRE_PATHS)
+def test_every_wire_path_returns_the_sim_rows_and_counts(wsmed, path) -> None:
+    fields = dict(WIRE_PATHS[path], mode="parallel", fanouts=[5, 4])
+    if "batch_size" in fields:
+        fields["process_costs"] = replace(wsmed.process_costs, batch_size=fields.pop("batch_size"))
+    options = QueryOptions(**fields)
+    sim = wsmed.sql(QUERY1_SQL, options=options.replace(obs=TraceRecorder()))
+    with ProcessKernel(workers=1) as kernel:
+        result = wsmed.sql(QUERY1_SQL, options=options.replace(kernel=kernel, obs=TraceRecorder()))
+    assert result.as_bag() == sim.as_bag()
+    _assert_counters_match_oracle(result)
+    for run in (sim, result):
+        outcomes = Counter(span.attrs["outcome"] for span in run.spans.by_category("ws"))
+        assert outcomes == {"miss": run.total_calls}
+    if path == "retry-faults":  # a crash mid-call repeats the call elsewhere
+        assert result.fault_stats.failed_calls > 0 and result.total_calls >= 311
+    else:
+        assert result.total_calls == sim.total_calls == 311
+
+
+def test_memo_answers_cross_the_pipe_as_rows(wsmed) -> None:
+    """Two concurrent memoizing queries on one engine: the second's calls
+    collapse onto the first's or hit the memo, and a worker child gets the
+    coordinator's memoized rows — the same rows the SimKernel's get."""
+    options = QueryOptions(mode="parallel", fanouts=[5, 4], cache=CacheConfig(enabled=True))
+
+    def both(kernel) -> list:
+        engine = QueryEngine(wsmed, kernel=kernel)
+        try:
+            return engine.sql_many(
+                [(QUERY1_SQL, options.replace(obs=TraceRecorder())) for _ in range(2)]
+            )
+        finally:
+            engine.close()
+
+    sim = both(None)
+    with ProcessKernel(workers=1) as kernel:
+        results = both(kernel)
+    outcomes = Counter()
+    for result, reference in zip(results, sim):
+        assert result.as_bag() == reference.as_bag()
+        _assert_counters_match_oracle(result)
+        outcomes.update(span.attrs["outcome"] for span in result.spans.by_category("ws"))
+    assert outcomes["miss"] == sum(result.total_calls for result in results) == 311
+    assert outcomes["hit"] + outcomes["collapsed"] == 311
+    assert outcomes["collapsed"] > 0
 
 
 def test_local_services_workers_memoize_in_their_own_memo(wsmed) -> None:

@@ -1,4 +1,4 @@
-"""Pickle round-trips for everything that crosses an OS pipe.
+"""Round-trips for everything that crosses an OS pipe.
 
 The multi-process kernel ships two protocol layers between the
 coordinator and its workers: the query protocol of ``FF_APPLYP``
@@ -6,10 +6,15 @@ coordinator and its workers: the query protocol of ``FF_APPLYP``
 and the transport envelopes (:mod:`repro.runtime.wire`).  These tests
 lock the wire format down: every message type must survive
 ``pickle.dumps``/``loads`` unchanged — including serialized plan
-functions, whose dict form is what makes code shipping real.
+functions, whose dict form is what makes code shipping real — and every
+envelope must survive a frame, ``write_frame`` to ``read_frames``.  In a
+frame the per-call envelopes are tag-first tuples of plain values: their
+pickle names no class at all.
 """
 
 import pickle
+import pickletools
+import socket
 
 import pytest
 
@@ -21,6 +26,7 @@ from repro.obs.run import FaultStats, MessageStats, TreeStats
 from repro.obs.spans import Span
 from repro.parallel import messages
 from repro.runtime import wire
+from repro.runtime.workers import read_frames, write_frame
 
 
 def roundtrip(value):
@@ -99,6 +105,90 @@ WIRE_ENVELOPES = [
 ]
 
 
+#: The per-call envelopes in every shape the frame codec flattens, and with
+#: the payloads it passes through as objects.
+PER_CALL_ENVELOPES = [
+    wire.ToChild(3, messages.ParamTuple(seq=5, row=("Atlanta", "Georgia", 15.0), span=9)),
+    wire.ToChild(3, messages.ParamBatch(seq_start=4, rows=(("a",), ("b",)))),
+    wire.ToChild(3, messages.ReadyToReceive()),
+    wire.FromChild(3, messages.ResultTuple(child="q7", row=("Decatur", "GA"), seq=5)),
+    wire.FromChild(
+        3, messages.ResultTuple(child="q7", row=("Decatur", "GA"), seq=7, end_of_call=END)
+    ),
+    wire.FromChild(3, END),
+    wire.FromChild(3, messages.CallFailed(child="q7", seq=2, row=("AL",), message="x")),
+    wire.FromChild(3, messages.ResultBatch(child="q2", rows=(), end_of_calls=(END,))),
+    wire.BrokerResponse(request_id=19, payload=(("Atlanta", "GA", 1.5, True),)),
+    wire.BrokerResponse(request_id=20, payload=(), outcome="collapsed"),
+]
+
+
+def frame_roundtrip(envelopes: list) -> list:
+    """``envelopes`` through one frame: write it, read it back."""
+    left, right = socket.socketpair()
+    try:
+        write_frame(left, envelopes)
+        frames, closed = read_frames(right, bytearray())
+    finally:
+        left.close()
+        right.close()
+    assert not closed and len(frames) == 1
+    return frames[0]
+
+
+def shape(value):
+    """``value`` with the type of everything in it: named tuples compare
+    equal to plain ones and across classes, ``1 == 1.0 == True``."""
+    if isinstance(value, tuple):
+        return type(value), [shape(item) for item in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return type(value), shape(tuple(vars(value).values()))
+    return type(value), value
+
+
+@pytest.mark.parametrize(
+    "envelope", WIRE_ENVELOPES + PER_CALL_ENVELOPES, ids=lambda e: type(e).__name__
+)
+def test_every_envelope_survives_a_frame(envelope) -> None:
+    (received,) = frame_roundtrip([envelope])
+    assert received == envelope
+    assert shape(received) == shape(envelope)
+
+
+def test_a_frame_keeps_its_envelopes_in_order() -> None:
+    envelopes = WIRE_ENVELOPES + PER_CALL_ENVELOPES
+    assert [shape(e) for e in frame_roundtrip(envelopes)] == [shape(e) for e in envelopes]
+
+
+def test_a_frame_of_per_call_envelopes_names_no_class() -> None:
+    """A call's traffic — parameters down, rows and its end up, the broker
+    round trip with the answer's rows — pickles as plain tuples: no class
+    reference, nothing rebuilt through a constructor call."""
+    frame = [
+        wire.ToChild(3, messages.ParamTuple(seq=5, row=("Atlanta", "Georgia", 15.0, "City"))),
+        wire.BrokerRequest(17, 3, "geo.wsdl", "GeoPlaces", "GetPlacesWithin",
+                           ("Atlanta", "Georgia", 15.0, "City"), obs_span=-1),
+        wire.BrokerResponse(17, payload=(("Decatur", "GA", 5.4), ("Marietta", "GA", 14.9))),
+        wire.FromChild(3, messages.ResultTuple(child="q7", row=("Decatur", "GA"), seq=5)),
+        wire.FromChild(
+            3, messages.ResultTuple(child="q7", row=("Marietta", "GA"), seq=5, end_of_call=END)
+        ),
+        wire.FromChild(3, END),
+    ]
+    left, right = socket.socketpair()
+    try:
+        write_frame(left, frame)
+        data = right.recv(1 << 16)
+    finally:
+        left.close()
+        right.close()
+    opcodes = {opcode.name for opcode, _, _ in pickletools.genops(data[4:])}
+    assert not opcodes & {
+        "GLOBAL", "STACK_GLOBAL", "INST", "OBJ", "NEWOBJ", "NEWOBJ_EX", "REDUCE", "BUILD",
+    }
+    assert frame_roundtrip(frame) == frame
+
+
 @pytest.mark.parametrize(
     "message", QUERY_MESSAGES, ids=lambda m: type(m).__name__
 )
@@ -117,10 +207,15 @@ def test_wire_module_exports_are_covered() -> None:
     """Adding an envelope without a round-trip test should fail here."""
     from dataclasses import is_dataclass
 
+    def envelope_class(value) -> bool:  # a frozen dataclass or a named tuple
+        return is_dataclass(value) or (
+            isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
+        )
+
     declared = {
         name
         for name, value in vars(wire).items()
-        if is_dataclass(value) and not name.startswith("_")
+        if envelope_class(value) and not name.startswith("_")
     }
     covered = {type(envelope).__name__ for envelope in WIRE_ENVELOPES}
     assert declared == covered

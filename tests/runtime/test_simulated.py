@@ -402,3 +402,61 @@ def test_determinism_identical_runs() -> None:
         return log
 
     assert build_and_run() == build_and_run()
+
+
+def test_a_resident_kernel_does_not_visit_its_parked_tasks(monkeypatch) -> None:
+    """A resident engine keeps its warm child processes parked in the
+    kernel between queries; a run must not walk them, at its end either."""
+    from repro.runtime.simulated import SimTask
+
+    kernel = SimKernel(resident=True)
+    gate = kernel.event()
+
+    async def parked() -> None:
+        await gate.wait()
+
+    async def park() -> None:
+        for index in range(1000):
+            kernel.spawn(parked(), name=f"warm-{index}")
+        await kernel.sleep(0)
+
+    kernel.run(park())
+    visits = []
+    done = SimTask.done
+    monkeypatch.setattr(
+        SimTask, "done", property(lambda task: visits.append(task.name) or done.fget(task))
+    )
+
+    async def trivial() -> int:
+        return 42
+
+    assert kernel.run(trivial()) == 42
+    assert not any(name.startswith("warm-") for name in visits)
+    monkeypatch.undo()
+
+    async def release() -> None:
+        gate.set()
+        await kernel.sleep(0)
+
+    kernel.run(release())
+    assert not kernel._tasks  # the released tasks finished and left
+
+
+def test_a_deadlock_names_the_parked_tasks_in_spawn_order() -> None:
+    kernel = SimKernel(resident=True)
+    never = kernel.event()
+
+    async def wait() -> None:
+        await never.wait()
+
+    async def nap() -> None:
+        await kernel.sleep(1.0)
+
+    async def main() -> None:
+        kernel.spawn(nap(), name="finishes")
+        for name in ("c", "a", "b"):
+            kernel.spawn(wait(), name=name)
+        await never.wait()
+
+    with pytest.raises(DeadlockError, match=r"parked: main<-event, c<-event, a<-event, b<-event$"):
+        kernel.run(main())

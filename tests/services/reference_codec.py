@@ -3,21 +3,106 @@
 This is the codec ``repro.services.soap`` had before it compiled one per
 schema element: build an ElementTree from the payload, ``ET.tostring`` it,
 ``ET.fromstring`` it back and walk the tree against the schema, re-testing
-``is_atomic`` / ``repeated`` on every node.  Slow and obviously right, it
-defines the wire bytes and the decoded values the compiled codec must
-reproduce (``test_soap_oracle.py``).  Test-only: nothing under ``src/``
-imports it.
+``is_atomic`` / ``repeated`` on every node.  A decoded answer is the
+functional DBMS value model (:class:`Record` / :class:`Sequence`, the
+structures Fig 2 of the paper navigates), which the generic flattening the
+OWFs used to run (:func:`flatten`, over levels derived from the output
+schema) turns into rows.  Slow and obviously right, it defines the wire
+bytes and the decoded rows the compiled codec must reproduce
+(``test_soap_oracle.py``).  Test-only: nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator
 
 from repro.fdb.types import AtomicType, BOOLEAN, INTEGER, REAL
-from repro.fdb.values import Record, Sequence
+from repro.fdb.values import value_repr
 from repro.services.wsdl import WsdlOperation, XsdElement
 from repro.util.errors import WsdlError
+
+
+# -- the value model a decoded answer used to be ------------------------------
+
+
+class Record:
+    """An attribute/value record.  ``record[attr]`` accesses an attribute.
+
+    Attribute names are case-sensitive, matching the generated OWFs which
+    use the exact element names from the WSDL.  Lookup of a missing
+    attribute raises ``KeyError`` with the available names, because a typo
+    in a flattening path should fail loudly.
+    """
+
+    __slots__ = ("_attrs",)
+
+    def __init__(self, attrs: dict[str, Any] | Iterable[tuple[str, Any]] = ()) -> None:
+        self._attrs = dict(attrs)
+
+    def __getitem__(self, name: str) -> Any:
+        try:
+            return self._attrs[name]
+        except KeyError:
+            available = ", ".join(sorted(self._attrs)) or "<empty>"
+            raise KeyError(
+                f"record has no attribute {name!r}; available: {available}"
+            ) from None
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._attrs
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return self._attrs.get(name, default)
+
+    def attributes(self) -> list[str]:
+        return list(self._attrs)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Record) and self._attrs == other._attrs
+
+    def __hash__(self) -> int:
+        return hash(tuple(sorted((k, _hashable(v)) for k, v in self._attrs.items())))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{k}: {value_repr(v)}" for k, v in self._attrs.items())
+        return f"{{{inner}}}"
+
+
+class Sequence:
+    """An ordered collection; ``for x in seq`` iterates its elements."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: Iterable[Any] = ()) -> None:
+        self._items = list(items)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index: int) -> Any:
+        return self._items[index]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and self._items == other._items
+
+    def __hash__(self) -> int:
+        return hash(tuple(_hashable(item) for item in self._items))
+
+    def __repr__(self) -> str:
+        return "[" + ", ".join(value_repr(item) for item in self._items) + "]"
+
+
+def _hashable(value: Any) -> Any:
+    if isinstance(value, (Record, Sequence)):
+        return hash(value)
+    if isinstance(value, list):
+        return tuple(_hashable(v) for v in value)
+    return value
 
 
 def _atom_to_text(atom: AtomicType, value: Any) -> str:
@@ -94,9 +179,16 @@ def encode_request(operation: WsdlOperation, arguments: list[Any]) -> bytes:
     return ET.tostring(holder[0], encoding="utf-8")
 
 
+def _parse(text: bytes) -> ET.Element:
+    try:
+        return ET.fromstring(text)
+    except ET.ParseError as error:
+        raise WsdlError(f"SOAP document is not well-formed XML: {error}") from error
+
+
 def decode_request(operation: WsdlOperation, text: bytes) -> list[Any]:
     """Decode a request document back to positional arguments."""
-    record = _element_to_value(ET.fromstring(text), operation.input_element)
+    record = _element_to_value(_parse(text), operation.input_element)
     return [record[name] for name, _ in operation.input_parameters()]
 
 
@@ -122,20 +214,100 @@ def _element_to_value(node: ET.Element, schema: XsdElement) -> Any:
     return Record(attrs)
 
 
-def decode_response(operation: WsdlOperation, text: bytes) -> Sequence:
+def decode_value(operation: WsdlOperation, text: bytes) -> Sequence:
     """Decode response XML into the value model.
 
     The result is a :class:`Sequence` holding the converted response
     record, matching the paper's Fig 2 where the output of ``cwo`` is a
     sequence the OWF iterates with the ``in`` operator.
     """
-    root = ET.fromstring(text)
+    root = _parse(text)
     if root.tag != operation.output_element.name:
         raise WsdlError(
             f"expected response element {operation.output_element.name!r}, "
             f"got {root.tag!r}"
         )
     return Sequence([_element_to_value(root, operation.output_element)])
+
+
+def decode_response(operation: WsdlOperation, text: bytes) -> tuple[tuple, ...]:
+    """Decode response XML into the rows of the operation's OWF: the value
+    model, flattened by levels derived from the output schema first — an
+    OWF refused a schema it cannot flatten at import, before any call."""
+    levels = build_levels(operation.output_element)
+    return flatten(levels, decode_value(operation, text))
+
+
+# -- the OWF flattening, as it walked the value model --------------------------
+
+
+@dataclass(frozen=True)
+class Level:
+    """One flattening level: columns to read here, plus how to descend."""
+
+    atomic_columns: tuple[str, ...]
+    descend: str | None  # child element name to recurse into (None = leaf)
+    descend_repeated: bool
+
+
+def build_levels(element: XsdElement) -> list[Level]:
+    """Derive the flattening levels under a complex ``element``.
+
+    At most one non-atomic child per level is supported — the shape of all
+    data providing services the paper uses (a single nested collection).
+    More than one would require a cross product with no defined order, so
+    it is rejected.
+    """
+    if element.complex is None:
+        raise WsdlError(f"element {element.name!r} is atomic, cannot flatten")
+    atomics = []
+    complexes = []
+    for child in element.complex.children:
+        if child.is_atomic and not child.repeated:
+            atomics.append(child.name)
+        else:
+            complexes.append(child)
+    if len(complexes) > 1:
+        names = ", ".join(c.name for c in complexes)
+        raise WsdlError(
+            f"result element {element.name!r} has multiple nested collections "
+            f"({names}); WSMED flattening supports a single nested path"
+        )
+    if not complexes:
+        return [Level(tuple(atomics), None, False)]
+    child = complexes[0]
+    if child.is_atomic:  # a repeated atomic: one column named after it
+        return [
+            Level(tuple(atomics), child.name, True),
+            Level((child.name,), None, False),
+        ]
+    return [Level(tuple(atomics), child.name, child.repeated)] + build_levels(child)
+
+
+def flatten(levels: list[Level], out: Sequence) -> tuple[tuple, ...]:
+    """The rows of a decoded answer (Fig 2: ``for response in out``)."""
+    rows: list[tuple] = []
+    for response in out:
+        _flatten(levels, response, 0, (), rows)
+    return tuple(rows)
+
+
+def _flatten(levels, value, level_index: int, prefix: tuple, rows: list[tuple]) -> None:
+    level = levels[level_index]
+    if not isinstance(value, Record):
+        # A repeated atomic leaf: the value itself is the column.
+        rows.append(prefix + (value,))
+        return
+    here = prefix + tuple([value[column] for column in level.atomic_columns])
+    if level.descend is None:
+        rows.append(here)
+        return
+    child_value = value[level.descend]
+    if level.descend_repeated:
+        for instance in child_value:
+            _flatten(levels, instance, level_index + 1, here, rows)
+    else:
+        _flatten(levels, child_value, level_index + 1, here, rows)
 
 
 def count_rows(schema: XsdElement, payload: Any) -> int:

@@ -29,7 +29,7 @@ def test_call_returns_decoded_values() -> None:
     _, _, results = run_calls(
         calls=[(GEOPLACES_URI, "GeoPlaces", "GetAllStates", [])]
     )
-    details = results[0][0]["GetAllStatesResult"]["GeoPlaceDetails"]
+    details = results[0]  # one row per GeoPlaceDetails of GetAllStatesResult
     assert len(details) == 50
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import WSMED, QueryOptions
-from repro.fdb.values import Record, Sequence
 from repro.services import soap
 from repro.services.geodata import GeoDatabase
 from repro.services.providers import (
@@ -62,18 +61,17 @@ def test_boolean_and_int_marshalling(world) -> None:
 
 
 def test_response_roundtrip_produces_value_model(world) -> None:
+    """The decoded answer is the OWF's rows: one typed tuple per
+    GeoPlaceDetails of GetAllStatesResult, in the schema's column order."""
     _, providers, documents = world
     operation = documents["GeoPlaces"].operation("GetAllStates")
     payload = providers["GeoPlaces"].invoke("GetAllStates", [])
     text = soap.encode_response(operation, payload)
-    value = soap.decode_response(operation, text)
-    assert isinstance(value, Sequence)
-    response = value[0]
-    assert isinstance(response, Record)
-    details = response["GetAllStatesResult"]["GeoPlaceDetails"]
-    assert isinstance(details, Sequence)
-    assert len(details) == 50
-    first = details[0]
+    rows = soap.decode_response(operation, text)
+    assert isinstance(rows, tuple) and all(type(row) is tuple for row in rows)
+    assert len(rows) == 50
+    columns = [name for name, _ in operation.output_element.codec.flattening.columns]
+    first = dict(zip(columns, rows[0]))
     assert first["State"] == "Alabama"
     assert isinstance(first["LatDegrees"], float)
 
@@ -83,8 +81,8 @@ def test_atomic_response_roundtrip(world) -> None:
     operation = documents["USZip"].operation("GetInfoByState")
     payload = providers["USZip"].invoke("GetInfoByState", ["Colorado"])
     text = soap.encode_response(operation, payload)
-    value = soap.decode_response(operation, text)
-    zip_string = value[0]["GetInfoByStateResult"]
+    (row,) = soap.decode_response(operation, text)
+    (zip_string,) = row  # GetInfoByStateResult
     assert isinstance(zip_string, str)
     assert "80840" in zip_string.split(",")
 
@@ -143,7 +141,7 @@ def test_carriage_return_survives_the_round_trip(world) -> None:
     assert text == b"<GetInfoByState><USState>a&#13;b&#13;\nc</USState></GetInfoByState>"
     assert soap.decode_request(operation, text) == ["a\rb\r\nc"]
     response = soap.encode_response(operation, {"GetInfoByStateResult": "\r"})
-    assert soap.decode_response(operation, response)[0]["GetInfoByStateResult"] == "\r"
+    assert soap.decode_response(operation, response) == (("\r",),)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """The compiled SOAP codec against the reference walkers it replaced.
 
 ``reference_codec`` is the generic ElementTree build / serialize / parse /
-walk that ``repro.services.soap`` used to run on every call.  The compiled
-codec must emit the same bytes, decode to the same values, count the same
-rows and refuse the same inputs with the same messages — on the paper's
-services, on a synthetic chain world and on generated nested schemas.
+walk that ``repro.services.soap`` used to run on every call, and the
+flattening the OWFs then ran over the decoded value model.  The compiled
+codec must emit the same bytes, decode to the same rows — value for value
+and type for type — count the same rows and refuse the same inputs with the
+same messages: on the paper's services, on a synthetic chain world, on
+Query1's calls and on generated nested schemas.
 """
 
 import copy
@@ -37,10 +39,18 @@ def outcome(function, *arguments):
         return "TypeError", None
 
 
+def typed(value):
+    """``value`` with the type of every atom and container beside it:
+    ``1 == 1.0 == True`` and ``(1,) == [1]`` would hide a wrong decoding."""
+    if isinstance(value, (tuple, list)):
+        return type(value), [typed(item) for item in value]
+    return type(value), value
+
+
 def assert_same(name: str, *arguments):
     """Both codecs agree on ``name(*arguments)``; returns the outcome."""
     compiled = outcome(getattr(soap, name), *arguments)
-    assert compiled == outcome(getattr(reference, name), *arguments)
+    assert typed(compiled) == typed(outcome(getattr(reference, name), *arguments))
     return compiled
 
 
@@ -49,9 +59,20 @@ def assert_call_identical(operation, arguments, payload) -> int:
     _, request = assert_same("encode_request", operation, arguments)
     _, response = assert_same("encode_response", operation, payload)
     assert assert_same("decode_request", operation, request) == ("ok", arguments)
-    assert assert_same("decode_response", operation, response)[0] == "ok"
+    kind, _ = assert_same("decode_response", operation, response)
+    assert kind == "ok" or not flattens(operation.output_element)
     assert_same("count_rows", operation.output_element, payload)
     return len(request) + len(response)
+
+
+def flattens(element: XsdElement) -> bool:
+    """Whether an OWF can flatten answers in ``element`` (else both codecs
+    refuse to decode them, with the same message)."""
+    try:
+        reference.build_levels(element)
+    except WsdlError:
+        return False
+    return True
 
 
 # -- generated schemas ---------------------------------------------------------
@@ -142,6 +163,43 @@ def calls(draw):
 @settings(max_examples=300, deadline=None)
 def test_generated_calls_are_byte_and_value_identical(call) -> None:
     assert_call_identical(*call)
+
+
+@st.composite
+def flattenable(draw, depth: int = 3, name: str | None = None):
+    """A complex element an OWF can flatten: atomic columns around at most
+    one nested child — a repeated atomic leaf, or a complex element (single
+    or repeated) of the same shape."""
+    child_names = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    nested = draw(st.none() | st.sampled_from(child_names))
+    children = []
+    for child in child_names:
+        if child != nested:
+            children.append(XsdElement(name=child, atom=draw(atoms)))
+        elif depth == 0 or draw(st.booleans()):
+            children.append(XsdElement(name=child, atom=draw(atoms), repeated=True))
+        else:
+            inner = draw(flattenable(depth - 1, child))
+            children.append(
+                XsdElement(name=child, complex=inner.complex, repeated=draw(st.booleans()))
+            )
+    return XsdElement(name=name or draw(names), complex=XsdComplex(tuple(children)))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_flattenable_answers_decode_to_the_reference_rows(data) -> None:
+    """Nested levels, repeated atomic leaves, empty and absent repeats:
+    the rows are the reference's, one per innermost repeated instance."""
+    output = data.draw(flattenable(name="Response"))
+    operation = WsdlOperation("Op", OPERATION.input_element, output)
+    payload = data.draw(payloads(output))
+    response = soap.encode_response(operation, payload)
+    kind, rows = assert_same("decode_response", operation, response)
+    assert kind == "ok" and type(rows) is tuple
+    assert len(rows) == soap.count_rows(output, payload)
+    assert [len(row) for row in rows] == [len(output.codec.flattening.columns)] * len(rows)
+    assert_same("decode_response", operation, _rearranged(response))
 
 
 def _rearranged(document: bytes) -> bytes:
@@ -297,6 +355,14 @@ def refusals(documents) -> list[tuple]:
          "expected response element 'GetInfoByStateResponse', got 'Other'"),
         ("decode_response", by_state, b"<GetInfoByStateResponse/>",
          "is missing child 'GetInfoByStateResult'"),
+        ("decode_response", by_state, b"<GetInfoByStateResponse><x>",
+         "SOAP document is not well-formed XML: no element found"),
+        ("decode_response", states,
+         b"<GetAllStatesResponse><GetAllStatesResult><GeoPlaceDetails><Name>x</Name>"
+         b"</GeoPlaceDetails></GetAllStatesResult></GetAllStatesResponse>",
+         "response element 'GeoPlaceDetails' is missing child 'Type'"),
+        ("decode_request", by_state, b"<GetInfoByState><USState>Oh</State>",
+         "SOAP document is not well-formed XML: mismatched tag"),
         ("decode_request", within, b"<GetPlacesWithin><place>x</place></GetPlacesWithin>",
          "response element 'GetPlacesWithin' is missing child 'state'"),
         ("decode_request", place_list,

@@ -67,14 +67,13 @@ OPERATION = WsdlOperation(
 def test_response_roundtrip_preserves_values(rows) -> None:
     payload = {"Row": rows}
     text = soap.encode_response(OPERATION, payload)
-    decoded = soap.decode_response(OPERATION, text)
-    decoded_rows = list(decoded[0]["Row"])
+    decoded_rows = soap.decode_response(OPERATION, text)
     assert len(decoded_rows) == len(rows)
-    for original, record in zip(rows, decoded_rows):
-        assert record["name"] == original["name"]
-        assert record["count"] == original["count"]
-        assert record["score"] == pytest.approx(original["score"], rel=1e-12)
-        assert record["flag"] == original["flag"]
+    for original, (name, count, score, flag) in zip(rows, decoded_rows):
+        assert name == original["name"]
+        assert count == original["count"]
+        assert score == pytest.approx(original["score"], rel=1e-12)
+        assert flag == original["flag"]
     assert soap.count_rows(OPERATION.output_element, payload) == len(rows)
 
 
