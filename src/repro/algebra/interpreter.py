@@ -6,7 +6,9 @@ spent; pure operators (map, filter, project) are free, matching the
 paper's cost assumption that web-service operations dominate.
 :func:`compile_plan` runs once per cached plan and per plan-function
 install: every node becomes an async generator of row chunks, with map,
-filter and project fused into the node below them.
+filter and project fused into the node below them; a chain over the plan
+function's parameter (a child's per-call body, such as Query1's PF2) is
+one coroutine that returns its one chunk.
 
 ``FF_APPLYP``/``AFF_APPLYP`` nodes run through the pool that
 :mod:`repro.parallel.executor` hands out via ``ctx.acquire_pool``; a
@@ -150,10 +152,14 @@ class PullChain(NamedTuple):
     """``chunks(ctx, param_row)`` streams one execution as chunks: the rows
     one await made available, a lazy iterable the consumer finishes before
     pulling again, so an error or a LIMIT stops on the row it would one row
-    at a time.  A ``single`` chain yields one chunk at most, then ends."""
+    at a time.  A ``single`` chain yields one chunk at most, then ends.
+    A chain over the plan function's parameter (a leaf, or one apply over
+    it) has ``first(ctx, param_row)``: an awaitable of that one chunk,
+    from which its ``chunks`` is derived."""
 
     chunks: Callable
     single: bool
+    first: Optional[Callable] = None
 
     async def rows(self, ctx: ExecutionContext, param_row: tuple | None = None) -> list:
         rows: list[tuple] = []
@@ -166,7 +172,7 @@ def compile_plan(node: PlanNode) -> PullChain:
     """``node`` as a :class:`PullChain`, compiled on its first use.  Only
     its structure is bound: functions are resolved once per execution."""
     if node._pull_chain is None:
-        node._pull_chain = PullChain(*_compile(node, _same))
+        node._pull_chain = _compile(node, _same)
     return node._pull_chain
 
 
@@ -174,50 +180,96 @@ def _same(rows):
     return rows
 
 
-def _compile(node: PlanNode, above: Callable) -> tuple[Callable, bool]:
-    """``(chunks, single)`` of ``node``, with ``above`` — the map, filter
-    and project steps over it, composed — applied to every chunk."""
-    if isinstance(node, (MapNode, FilterNode, ProjectNode)):
+def _fuse(node: PlanNode, above: Callable) -> tuple[PlanNode, Callable]:
+    """The first node at or below ``node`` that is no map, filter or
+    project, and ``above`` with their steps composed under it."""
+    while isinstance(node, (MapNode, FilterNode, ProjectNode)):
         step = _step(node)
-        return _compile(node.child, step if above is _same else lambda rows: above(step(rows)))
-    children = node.children()
-    child, single = _compile(children[0], _same) if len(children) == 1 else (None, True)
+        above = step if above is _same else (lambda rows, a=above, s=step: a(s(rows)))
+        node = node.child
+    return node, above
 
+
+def _single(first: Callable) -> PullChain:
+    """The chain whose one chunk ``first`` returns."""
+    return PullChain(partial(_first_chunk, first), True, first)
+
+
+async def _first_chunk(first: Callable, ctx, param_row):
+    yield await first(ctx, param_row)
+
+
+async def _ready(chunk):
+    """An awaitable of a chunk that is already there."""
+    return chunk
+
+
+async def _called(ctx, function, arguments, row, node: ApplyNode, above: Callable):
+    """The output chunk of an apply's input row whose OWF call must wait."""
+    out_rows = await function.implementation.call(ctx, arguments)
+    return above(_widen(row, out_rows, node, function.name))
+
+
+def _leaf(node: PlanNode, above: Callable, param_row: tuple | None):
+    """The one chunk of a singleton or parameter leaf."""
+    if isinstance(node, SingletonNode):
+        return above(((),))
+    if param_row is None:
+        raise PlanError("param node outside a plan-function call")
+    if len(param_row) != len(node.schema):
+        raise PlanError(
+            f"parameter tuple {param_row!r} does not match schema {node.schema}"
+        )
+    return above((tuple(param_row),))
+
+
+def _compile(node: PlanNode, above: Callable) -> PullChain:
+    """``node`` as a :class:`PullChain`, with ``above`` — the map, filter
+    and project steps over it, composed — applied to every chunk."""
+    node, above = _fuse(node, above)
     if isinstance(node, (SingletonNode, ParamNode)):
-        async def leaf(ctx, param_row):
-            if isinstance(node, SingletonNode):
-                yield above(((),))
-                return
-            if param_row is None:
-                raise PlanError("param node outside a plan-function call")
-            if len(param_row) != len(node.schema):
-                raise PlanError(
-                    f"parameter tuple {param_row!r} does not match schema {node.schema}"
-                )
-            yield above((tuple(param_row),))
-
-        return leaf, True
+        return _single(lambda ctx, param_row: _ready(_leaf(node, above, param_row)))
 
     if isinstance(node, ApplyNode):
         argument_fns = [compile_expr(a, node.child.schema) for a in node.arguments]
 
+        def step(ctx, function, row):
+            """An awaitable of one input row's output chunk: ready at once
+            — a helping function's rows, an OWF's memo hit — unless an OWF
+            call must be awaited."""
+            arguments = [fn(row) for fn in argument_fns]
+            if function.kind is FunctionKind.OWF:
+                out_rows = function.implementation.hit(ctx, arguments)
+                if out_rows is None:
+                    return _called(ctx, function, arguments, row, node, above)
+            else:
+                result = function.implementation(*arguments)
+                out_rows = result if function.returns_stream else [(result,)]
+            return _ready(above(_widen(row, out_rows, node, function.name)))
+
+        below, below_above = _fuse(node.child, _same)
+        if isinstance(below, (SingletonNode, ParamNode)):
+            # One call at most, over the (at most one) leaf row.
+            def first(ctx, param_row):
+                function = ctx.functions.resolve(node.function)
+                for row in _leaf(below, below_above, param_row):
+                    return step(ctx, function, row)
+                return _ready(())
+
+            return _single(first)
+
+        child = _compile(below, below_above)
+
         async def apply(ctx, param_row):
             function = ctx.functions.resolve(node.function)
-            async for chunk in child(ctx, param_row):
+            async for chunk in child.chunks(ctx, param_row):
                 for row in chunk:
-                    arguments = [fn(row) for fn in argument_fns]
-                    if function.kind is FunctionKind.OWF:
-                        out_rows = await function.implementation.call(ctx, arguments)
-                    else:
-                        result = function.implementation(*arguments)
-                        out_rows = result if function.returns_stream else [(result,)]
-                    yield above(_widen(row, out_rows, node, function.name))
+                    yield await step(ctx, function, row)
 
-        # One chunk per call: over a leaf, at most one row, one call.
-        below = node.child
-        while isinstance(below, (MapNode, FilterNode, ProjectNode)):
-            below = below.child
-        return apply, isinstance(below, (SingletonNode, ParamNode))
+        return PullChain(apply, False)
+
+    children = node.children()
+    child = _compile(children[0], _same) if len(children) == 1 else None
 
     if isinstance(node, (FFApplyNode, AFFApplyNode)):
         async def parallel(ctx, param_row):
@@ -227,25 +279,25 @@ def _compile(node: PlanNode, above: Callable) -> tuple[Callable, bool]:
                     "no parallel handler; use the parallel executor"
                 )
             pool = await ctx.acquire_pool(node, ctx)
-            async for row in pool.run(_rows(child, ctx, param_row)):
+            async for row in pool.run(_rows(child.chunks, ctx, param_row)):
                 yield above((row,))
 
-        return parallel, False
+        return PullChain(parallel, False)
 
     if isinstance(node, DistinctNode):
         async def distinct(ctx, param_row):
             seen: set[tuple] = set()
-            async for chunk in child(ctx, param_row):
+            async for chunk in child.chunks(ctx, param_row):
                 yield above(row for row in chunk if not (row in seen or seen.add(row)))
 
-        return distinct, single
+        return PullChain(distinct, child.single)
 
     if isinstance(node, LimitNode):
         async def limit(ctx, param_row):
             remaining = node.count
             if not remaining:
                 return
-            source = child(ctx, param_row)
+            source = child.chunks(ctx, param_row)
             try:
                 async for chunk in source:
                     rows = list(islice(chunk, remaining))  # never a row past it
@@ -258,19 +310,19 @@ def _compile(node: PlanNode, above: Callable) -> tuple[Callable, bool]:
                 # parallel operators cancel their input pumps.
                 await source.aclose()
 
-        return limit, False
+        return PullChain(limit, False)
 
     if isinstance(node, SortNode):
         keys = [(node.child.schema.index(c), ascending) for c, ascending in node.keys]
 
         async def sort(ctx, param_row):
-            rows = await PullChain(child, single).rows(ctx, param_row)
+            rows = await child.rows(ctx, param_row)
             # Stable multi-key sort: apply keys right-to-left.
             for position, ascending in reversed(keys):
                 rows.sort(key=operator.itemgetter(position), reverse=not ascending)
             yield above(rows)
 
-        return sort, True
+        return PullChain(sort, True)
 
     if isinstance(node, AggregateNode):
         # Streaming hash aggregation: one accumulator row per key, groups
@@ -281,7 +333,7 @@ def _compile(node: PlanNode, above: Callable) -> tuple[Callable, bool]:
 
         async def aggregate(ctx, param_row):
             groups: dict[tuple, list] = {}
-            async for chunk in child(ctx, param_row):
+            async for chunk in child.chunks(ctx, param_row):
                 for row in chunk:
                     values = [fn(row) for _, fn in item_fns]
                     key = tuple(values[i] for i in key_indexes)
@@ -301,7 +353,7 @@ def _compile(node: PlanNode, above: Callable) -> tuple[Callable, bool]:
                 for accumulators in groups.values()
             )
 
-        return aggregate, True
+        return PullChain(aggregate, True)
 
     if isinstance(node, UnionNode):
         # Disjunctive branches run concurrently — their service calls
@@ -318,7 +370,7 @@ def _compile(node: PlanNode, above: Callable) -> tuple[Callable, bool]:
             for task in tasks:
                 yield above(await task.join())
 
-        return union, False
+        return PullChain(union, False)
 
     if isinstance(node, JoinNode):
         # Evaluate both independent inputs concurrently — their service
@@ -339,7 +391,7 @@ def _compile(node: PlanNode, above: Callable) -> tuple[Callable, bool]:
                 row + match for row in left_rows for match in table.get(left_key(row), ())
             )
 
-        return join, True
+        return PullChain(join, True)
 
     raise PlanError(f"cannot interpret plan node {node!r}")
 

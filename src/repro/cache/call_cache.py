@@ -151,6 +151,22 @@ class CallMemo:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def lookup(self, key: Hashable, stats: CacheStats) -> tuple[Any, float | None] | None:
+        """The live entry ``(value, expires_at)`` of ``key`` — a hit — or
+        None, dropping an expired one; counted into ``stats``.  The one
+        hit check, synchronous: :meth:`call` takes its hits here too."""
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        expires_at = entry[1]
+        if expires_at is None or self.kernel.now() < expires_at:
+            self.entries.move_to_end(key)
+            stats.hits += 1
+            return entry
+        del self.entries[key]
+        stats.expirations += 1
+        return None
+
     async def call(
         self,
         key: Hashable,
@@ -179,17 +195,10 @@ class CallMemo:
             stats.misses += 1
             return await invoke(), MISS
 
-        entries = self.entries
         while True:
-            entry = entries.get(key)
+            entry = self.lookup(key, stats)
             if entry is not None:
-                value, expires_at = entry
-                if expires_at is None or self.kernel.now() < expires_at:
-                    entries.move_to_end(key)
-                    stats.hits += 1
-                    return value, HIT
-                del entries[key]
-                stats.expirations += 1
+                return entry[0], HIT
             flight = self.in_flight.get(key)
             if flight is None:
                 break  # no leader: become one
@@ -211,6 +220,7 @@ class CallMemo:
             raise
         else:
             flight.value = value
+            entries = self.entries
             entries[key] = (value, self.kernel.now() + ttl if ttl is not None else None)
             entries.move_to_end(key)
             while len(entries) > self.max_entries:

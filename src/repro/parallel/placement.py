@@ -134,9 +134,6 @@ class RemoteDownlink(Channel):
     async def recv(self) -> Any:
         raise KernelError("remote downlink is send-only on the coordinator")
 
-    def pending(self) -> int:
-        return 0
-
 
 def _cache_config(run) -> CacheConfig | None:
     """What a ``local_services`` worker child needs of the query's cache

@@ -123,25 +123,31 @@ class _CallRunner:
         self.ctx.obs_span = self._enclosing
         self.ctx.run.obs.finish(span, at=self.ctx.kernel.now(), rows=rows, **error)
 
-    async def call(self, seq: int, param_row: tuple, parent_span: int, deliver, hold):
-        """Run the plan function for one parameter tuple.
-
-        Every result row costs ``result_tuple`` and is passed to
-        ``deliver`` — which sends it now or buffers it; that choice is all
-        that differs between the protocol modes — except a ``single``
-        body's last row, passed to ``hold`` so it can travel with the
-        end-of-call.  Returns the call's :class:`EndOfCall`; a failed call
-        re-raises its ``ReproError``.
+    async def serve(self, seq: int, param_row: tuple, parent_span: int, batch=None) -> bool:
+        """Run the plan function for one parameter tuple and report it;
+        False when the process must exit.  One coroutine per call: its
+        rows, span and end-of-call end with it.  Every row costs
+        ``result_tuple``.  Failing fast, a lone ``ParamTuple``'s rows go up
+        as produced, a ``single`` body's last one with the end-of-call;
+        contained failures buffer them, so a failed call ships nothing
+        (redelivery stays exact).  A ``ParamBatch``'s calls leave rows,
+        end-of-calls and failure reports in ``batch`` instead.
         """
-        kernel = self.ctx.kernel
+        ctx, body = self.ctx, self.body
+        kernel = ctx.kernel
+        name, uplink = self.endpoints.name, self.endpoints.uplink
         cost = self.costs.result_tuple
+        streamed = batch is None and self.fail_fast
+        unsent: list[tuple] = []  # every row, or a streamed single body's last
         started = kernel.now()
         span = self._begin_span(seq, parent_span, started)
         rows = 0
         try:
             if self.injector is not None:
                 self.injector.before_call()
-            async for chunk in self.body.chunks(self.ctx, param_row):
+            chunks = None if body.first is not None else body.chunks(ctx, param_row)
+            chunk = await (body.first(ctx, param_row) if chunks is None else anext(chunks, None))
+            while chunk is not None:
                 # One row of look-ahead tells a single body's last row.
                 chunk = iter(chunk)
                 row = next(chunk, None)
@@ -150,43 +156,43 @@ class _CallRunner:
                         following = next(chunk, None)
                     except Exception:  # the row before a failing one goes first
                         await kernel.sleep(cost)
-                        deliver(row)
+                        if streamed:
+                            uplink.send(ResultTuple(name, row, seq))
+                        else:
+                            unsent.append(row)
                         raise
                     await kernel.sleep(cost)
                     rows += 1
-                    (hold if following is None and self.body.single else deliver)(row)
+                    if streamed and (following is not None or not body.single):
+                        uplink.send(ResultTuple(name, row, seq))
+                    else:
+                        unsent.append(row)
                     row = following
+                chunk = None if chunks is None else await anext(chunks, None)
+        except ReproError as error:
+            self._end_span(span, rows, error=str(error))
+            if self.fail_fast:
+                # Seed semantics: a batch's failing call still sends its
+                # partial rows — stamped with its seq, like any streamed
+                # row — then the error; then the process exits.
+                reports = [ResultTuple(name, row, seq) for row in unsent if batch is not None]
+                reports.append(ChildError(name, str(error), seq))
+            else:
+                reports = [CallFailed(name, seq, param_row, str(error))]
+            if batch is None:
+                for report in reports:
+                    uplink.send(report)
+            else:
+                batch[2].extend(reports)
+            return not self.fail_fast
         except Exception as error:  # a crash too: its span still closes
             self._end_span(span, rows, error=str(error))
             raise
         self._end_span(span, rows)
-        return EndOfCall(
-            self.endpoints.name, seq, rows, service_time=kernel.now() - started
-        )
-
-    async def serve_tuple(self, message: ParamTuple) -> bool:
-        """One per-tuple call; False when the process must exit.
-
-        Fail-fast streams rows up as they are produced.  Contained-failure
-        mode buffers them so a failed call ships nothing (redelivery stays
-        exact), reports the failure, and keeps serving.
-        """
-        name, uplink, seq = self.endpoints.name, self.endpoints.uplink, message.seq
-        unsent: list[tuple] = []
-
-        def send_now(row: tuple) -> None:
-            uplink.send(ResultTuple(name, row, seq))
-
-        deliver = send_now if self.fail_fast else unsent.append
-        try:
-            end_of_call = await self.call(
-                seq, message.row, message.span, deliver, unsent.append
-            )
-        except ReproError as error:
-            if self.fail_fast:
-                uplink.send(ChildError(name, str(error), seq))
-                return False
-            uplink.send(CallFailed(name, seq, message.row, str(error)))
+        end_of_call = EndOfCall(name, seq, rows, service_time=kernel.now() - started)
+        if batch is not None:
+            batch[0].extend(unsent)
+            batch[1].append(end_of_call)
             return True
         for row in unsent[:-1]:
             uplink.send(ResultTuple(name, row, seq))
@@ -199,35 +205,17 @@ class _CallRunner:
         The result rows are buffered and go back up in one ResultBatch
         (one message transit) with per-call EndOfCall metadata.
         """
-        name, uplink = self.endpoints.name, self.endpoints.uplink
-        batch_rows: list[tuple] = []
-        end_of_calls: list[EndOfCall] = []
-        after_batch: list = []  # failure reports, sent behind the batch
+        batch: tuple[list, list, list] = ([], [], [])  # rows, end-of-calls, failures
         serving = True
         for offset, param_row in enumerate(message.rows):
-            seq = message.seq_start + offset
-            call_rows: list[tuple] = []
-            try:
-                end_of_calls.append(
-                    await self.call(
-                        seq, param_row, message.span, call_rows.append, call_rows.append
-                    )
-                )
-            except ReproError as error:
-                if self.fail_fast:
-                    # Seed semantics: the failing call's partial rows still
-                    # go up — stamped with its seq, like any streamed row —
-                    # then the error, then exit.
-                    after_batch += [ResultTuple(name, row, seq) for row in call_rows]
-                    after_batch.append(ChildError(name, str(error), seq))
-                    serving = False
-                    break
-                after_batch.append(CallFailed(name, seq, param_row, str(error)))
-                continue
-            batch_rows.extend(call_rows)
+            serving = await self.serve(message.seq_start + offset, param_row, message.span, batch)
+            if not serving:
+                break
+        rows, end_of_calls, failures = batch
+        uplink = self.endpoints.uplink
         if end_of_calls:
-            uplink.send(ResultBatch(name, tuple(batch_rows), tuple(end_of_calls)))
-        for report in after_batch:
+            uplink.send(ResultBatch(self.endpoints.name, tuple(rows), tuple(end_of_calls)))
+        for report in failures:  # sent behind the batch
             uplink.send(report)
         return serving
 
@@ -271,7 +259,7 @@ async def child_main(
             if isinstance(message, Shutdown):
                 break
             if isinstance(message, ParamTuple):
-                serving = await runner.serve_tuple(message)
+                serving = await runner.serve(message.seq, message.row, message.span)
             elif isinstance(message, ParamBatch):
                 serving = await runner.serve_batch(message)
             # ReadyToReceive and friends need no child action

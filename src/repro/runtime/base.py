@@ -30,10 +30,6 @@ class Channel(ABC):
     async def recv(self) -> Any:
         """Suspend until the next message is deliverable and return it."""
 
-    @abstractmethod
-    def pending(self) -> int:
-        """Number of messages sent but not yet received (any delivery state)."""
-
 
 class Semaphore(ABC):
     """Counted semaphore with FIFO wakeup order."""
@@ -43,10 +39,6 @@ class Semaphore(ABC):
 
     @abstractmethod
     def release(self) -> None: ...
-
-    @abstractmethod
-    def available(self) -> int:
-        """Number of free slots right now."""
 
 
 class Event(ABC):
@@ -174,8 +166,9 @@ class Kernel(ABC):
         """Run ``coro`` with a deadline of ``timeout`` model seconds.
 
         Raises :class:`TimeoutError` (the builtin) and cancels the
-        coroutine if the deadline passes first.  Built on the kernel
-        primitives, so it works identically under both kernels.
+        coroutine if the deadline passes first, or if the caller is
+        cancelled while it runs.  Built on the kernel primitives, so it
+        works identically under both kernels.
         """
         done = self.event()
         task = self.spawn(coro, name="wait_for-body")
@@ -196,14 +189,13 @@ class Kernel(ABC):
         try:
             await done.wait()
         finally:
-            # Whichever helper lost the race must not outlive the call:
-            # a leaked sleeper would stay pinned for the full timeout on
-            # every timed call that finished early.
-            if not sleeper.done:
-                sleeper.cancel()
-            if not watcher.done:
-                watcher.cancel()
+            # Nothing the call started may outlive it: a leaked sleeper
+            # would stay pinned for the full timeout on every timed call
+            # that finished early, and a body left running after a timeout
+            # or a cancelled caller would keep its slots and book its work.
+            for helper in (sleeper, watcher, task):
+                if not helper.done:
+                    helper.cancel()
         if task.done:
             return await task.join()
-        task.cancel()
         raise TimeoutError(f"operation exceeded {timeout} model seconds")

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import asyncio
 import time
+import types
+from collections import deque
 from typing import Any, Coroutine
 
 from repro.runtime import base
@@ -21,64 +23,97 @@ from repro.util.errors import KernelError
 _CLOCK_RESOLUTION = time.get_clock_info("monotonic").resolution
 
 
+def _hand_over(futures: deque, value: Any) -> bool:
+    """Give ``value`` to the first live parked future; False if none."""
+    while futures:
+        future = futures.popleft()
+        if not future.done():
+            future.set_result(value)
+            return True
+    return False
+
+
 class _AsyncChannel(base.Channel):
+    """Deques of arrived messages and of parked receivers' futures.  A
+    receiver cancelled after it was handed a message puts it back at the
+    head.  Above the clock's resolution a latency is a ``call_later``
+    that lands the oldest message in transit, so order holds even when
+    two timers share a deadline."""
+
     def __init__(self, kernel: "AsyncioKernel", name: str, latency: float) -> None:
         self.name = name
         self.latency = latency
         self._kernel = kernel
-        self._queue: asyncio.Queue[Any] = asyncio.Queue()
-        self._in_flight = 0
+        self._messages: deque[Any] = deque()
+        self._receivers: deque[asyncio.Future] = deque()
+        self._in_transit: deque[Any] = deque()
 
     def send(self, message: Any) -> None:
         delay = self.latency * self._kernel.time_scale
         if delay <= _CLOCK_RESOLUTION:
-            self._queue.put_nowait(message)
-            return
-        self._in_flight += 1
-        asyncio.get_running_loop().call_later(delay, self._deliver, message)
+            if not _hand_over(self._receivers, message):
+                self._messages.append(message)
+        else:
+            self._in_transit.append(message)
+            asyncio.get_running_loop().call_later(delay, self._land)
 
-    def _deliver(self, message: Any) -> None:
-        self._in_flight -= 1
-        self._queue.put_nowait(message)
+    def _land(self) -> None:
+        message = self._in_transit.popleft()
+        if not _hand_over(self._receivers, message):
+            self._messages.append(message)
 
     async def recv(self) -> Any:
-        return await self._queue.get()
-
-    def pending(self) -> int:
-        return self._queue.qsize() + self._in_flight
+        if self._messages:
+            return self._messages.popleft()
+        receiver = asyncio.get_running_loop().create_future()
+        self._receivers.append(receiver)
+        try:
+            return await receiver
+        except asyncio.CancelledError:
+            if not receiver.cancelled():  # handed a message, then cancelled
+                message = receiver.result()
+                if not _hand_over(self._receivers, message):
+                    self._messages.appendleft(message)
+            raise
 
 
 class _AsyncSemaphore(base.Semaphore):
+    """A counter and the FIFO futures of parked acquirers: ``release``
+    hands its slot to the first live waiter, so nobody barges, and a
+    waiter granted a slot, then cancelled, passes it on."""
+
     def __init__(self, value: int) -> None:
         if value < 0:
             raise KernelError(f"semaphore value must be >= 0, got {value}")
         self._value = value
-        self._sem = asyncio.Semaphore(value)
+        self._waiters: deque[asyncio.Future] = deque()
 
     async def acquire(self) -> None:
-        await self._sem.acquire()
-        self._value -= 1
+        if self._value:  # a free slot: nobody waits
+            self._value -= 1
+            return
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiters.append(waiter)
+        try:
+            await waiter
+        except asyncio.CancelledError:
+            if not waiter.cancelled():  # granted, then cancelled
+                self.release()
+            raise
 
     def release(self) -> None:
-        self._value += 1
-        self._sem.release()
-
-    def available(self) -> int:
-        return self._value
+        if not _hand_over(self._waiters, None):
+            self._value += 1
 
 
-class _AsyncEvent(base.Event):
-    def __init__(self) -> None:
-        self._event = asyncio.Event()
+class _AsyncEvent(asyncio.Event, base.Event):
+    """``wait``, ``set`` and ``is_set`` are ``asyncio.Event``'s own."""
 
-    async def wait(self) -> None:
-        await self._event.wait()
 
-    def set(self) -> None:
-        self._event.set()
-
-    def is_set(self) -> bool:
-        return self._event.is_set()
+@types.coroutine
+def _bare_yield():
+    """One yield to the loop: ``asyncio.sleep(0)`` without its coroutine."""
+    yield
 
 
 class _AsyncHandle(base.ProcessHandle):
@@ -122,7 +157,7 @@ class AsyncioKernel(base.Kernel):
         if duration < 0:
             raise KernelError(f"cannot sleep a negative duration: {duration}")
         delay = duration * self.time_scale
-        return asyncio.sleep(delay if delay > _CLOCK_RESOLUTION else 0)
+        return asyncio.sleep(delay) if delay > _CLOCK_RESOLUTION else _bare_yield()
 
     def channel(self, name: str = "", latency: float = 0.0) -> _AsyncChannel:
         return _AsyncChannel(self, name, latency)

@@ -153,9 +153,6 @@ class SimChannel(base.Channel):
     def recv(self) -> _RecvRequest:
         return self._recv
 
-    def pending(self) -> int:
-        return len(self._queue)
-
     # -- internal -----------------------------------------------------------
 
     def _schedule_drain(self, at: float) -> None:
@@ -196,9 +193,6 @@ class SimSemaphore(base.Semaphore):
     def release(self) -> None:
         self._value += 1
         self._wake_next()
-
-    def available(self) -> int:
-        return self._value
 
     # -- internal -----------------------------------------------------------
 

@@ -190,9 +190,6 @@ class _UplinkForwarder(base.Channel):
     async def recv(self) -> Any:
         raise KernelError("worker uplink proxy is send-only")
 
-    def pending(self) -> int:
-        return 0
-
 
 class _BrokerProxy:
     """A worker child's ``run.remote``: its calls go to the coordinator.

@@ -13,6 +13,7 @@ into its rows once and the OWF passes them on.
 from __future__ import annotations
 
 from repro.algebra.interpreter import ExecutionContext, round_trip
+from repro.cache import HIT
 from repro.fdb.functions import FunctionDef, FunctionKind, Parameter
 from repro.fdb.types import BOOLEAN, REAL, TupleType
 from repro.services.wsdl import WsdlDocument, WsdlOperation
@@ -49,30 +50,54 @@ class OperationWrapper:
             coerced.append(value)
         return coerced
 
+    def hit(self, ctx: ExecutionContext, arguments: list) -> tuple[tuple, ...] | None:
+        """This call's memoized rows, or None: then await :meth:`call`
+        (which alone serves a worker child that proxies its calls).  A
+        traced hit leaves the ``ws`` span a hit in :meth:`call` would."""
+        run = ctx.run
+        if run.memo is None or run.remote is not None:
+            return None
+        document = self.document
+        key = (document.uri, document.service_name, self.name,
+               tuple(self.coerce_arguments(arguments)))
+        entry = run.memo.lookup(key, run.cache_stats)
+        if entry is not None and run.obs.enabled:
+            now = ctx.kernel.now()
+            run.obs.finish(self._ws_span(ctx, now), at=now, outcome=HIT)
+        return None if entry is None else entry[0]
+
     async def call(self, ctx: ExecutionContext, arguments: list) -> tuple[tuple, ...]:
         """Invoke the wrapped operation; returns its rows.
 
         This is the OWF body of Fig 2: ``cwo(uri, service, operation,
         args)``, whose answer the SOAP codec already decoded into the
         flattened rows.  The tuple is immutable, so the memo and every
-        caller share one.  Retriable service faults are retried per the
-        context's policy; the final attempt's fault propagates.
+        caller share one.  Each attempt is one ``round_trip``, whose
+        outcome (``miss``, ``hit`` or ``collapsed``) its traced ``ws`` span
+        records.  Retriable service faults are retried per the context's
+        policy; the final attempt's fault propagates.
         """
         coerced = self.coerce_arguments(arguments)
         run = ctx.run
+        obs = run.obs
+        document = self.document
         attempt = 0
         while True:
-            started = ctx.kernel.now()
+            ws_span = self._ws_span(ctx, ctx.kernel.now()) if obs.enabled else -1
             try:
-                return await self._invoke(ctx, coerced, started)
+                out, outcome = await round_trip(
+                    ctx, document.uri, document.service_name, self.name, coerced, ws_span
+                )
             except ServiceFault as fault:
+                if ws_span != -1:
+                    obs.finish(ws_span, at=ctx.kernel.now(), error=str(fault))
                 attempt += 1
                 if not fault.retriable or attempt > run.retries:
                     # The fault survived the call-level retries; what
                     # happens next is the pool's on_error decision, so
                     # leave a marker the fault report can pick up.
-                    if run.obs.enabled:
-                        run.obs.instant(
+                    if obs.enabled:
+                        obs.instant(
                             "call_fault",
                             parent=ctx.obs_span,
                             process=ctx.process_name,
@@ -83,8 +108,8 @@ class OperationWrapper:
                             error=str(fault),
                         )
                     raise
-                if run.obs.enabled:
-                    run.obs.instant(
+                if obs.enabled:
+                    obs.instant(
                         "retry",
                         parent=ctx.obs_span,
                         process=ctx.process_name,
@@ -93,40 +118,26 @@ class OperationWrapper:
                         attempt=attempt,
                     )
                 await ctx.kernel.sleep(run.retry_backoff)
-
-    async def _invoke(self, ctx: ExecutionContext, coerced: list, started: float):
-        """One ``cwo`` transport round trip through
-        :func:`~repro.algebra.interpreter.round_trip`.
-
-        A memo hit (or a collapse onto an in-flight identical call) skips
-        the broker entirely; on a traced run the call's ``ws`` span says
-        which in its ``outcome`` (``miss``, ``hit`` or ``collapsed``), so
-        traces distinguish real round trips from avoided ones.
-        """
-        obs = ctx.run.obs
-        ws_span = -1
-        if obs.enabled:
-            ws_span = obs.start(
-                self.name,
-                category="ws",
-                parent=ctx.obs_span,
-                process=ctx.process_name,
-                at=started,
-                operation=self.name,
-                service=self.document.service_name,
-            )
-        document = self.document
-        try:
-            out, outcome = await round_trip(
-                ctx, document.uri, document.service_name, self.name, coerced, ws_span
-            )
-        except BaseException as error:
+                continue
+            except BaseException as error:
+                if ws_span != -1:
+                    obs.finish(ws_span, at=ctx.kernel.now(), error=str(error))
+                raise
             if ws_span != -1:
-                obs.finish(ws_span, at=ctx.kernel.now(), error=str(error))
-            raise
-        if ws_span != -1:
-            obs.finish(ws_span, at=ctx.kernel.now(), outcome=outcome)
-        return out
+                obs.finish(ws_span, at=ctx.kernel.now(), outcome=outcome)
+            return out
+
+    def _ws_span(self, ctx: ExecutionContext, at: float) -> int:
+        """Open the ``ws`` span of one attempt of this call."""
+        return ctx.run.obs.start(
+            self.name,
+            category="ws",
+            parent=ctx.obs_span,
+            process=ctx.process_name,
+            at=at,
+            operation=self.name,
+            service=self.document.service_name,
+        )
 
     # -- registration -----------------------------------------------------------
 

@@ -141,21 +141,6 @@ def test_channel_multiple_receivers_each_get_one_message() -> None:
     assert received[0] == (0, "a")
 
 
-def test_channel_pending_counts_undelivered() -> None:
-    kernel = SimKernel()
-
-    async def main():
-        channel = kernel.channel("c", latency=5.0)
-        channel.send(1)
-        channel.send(2)
-        before = channel.pending()
-        await channel.recv()
-        after = channel.pending()
-        return before, after
-
-    assert kernel.run(main()) == (2, 1)
-
-
 def test_semaphore_limits_concurrency() -> None:
     kernel = SimKernel()
     semaphore = kernel.semaphore(2)

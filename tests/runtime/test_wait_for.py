@@ -108,3 +108,40 @@ def test_wait_for_nested_under_sim() -> None:
         return await kernel.wait_for(outer(), timeout=100.0)
 
     assert kernel.run(main()) == "inner"
+
+
+@pytest.mark.parametrize("make_kernel", [SimKernel, lambda: AsyncioKernel(time_scale=0.001)])
+def test_cancelling_the_caller_cancels_the_body(make_kernel) -> None:
+    """A caller cancelled mid-call takes its body down with it: a broker
+    call under a timeout must not keep its slot after its caller is gone."""
+    kernel = make_kernel()
+    seen = []
+
+    async def body():
+        try:
+            await kernel.sleep(50.0)
+        except asyncio.CancelledError:
+            seen.append("cancelled")
+            raise
+        seen.append("finished")
+
+    async def caller():
+        await kernel.wait_for(body(), timeout=1_000.0)
+
+    async def main():
+        handle = kernel.spawn(caller(), name="caller")
+        await kernel.sleep(10.0)
+        handle.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await handle.join()
+        await kernel.sleep(100.0)  # past the body's own end
+        if isinstance(kernel, SimKernel):
+            return [task.name for task in kernel._tasks if task.name != "main"]
+        return [
+            task.get_name()
+            for task in asyncio.all_tasks()
+            if not task.done() and task is not asyncio.current_task()
+        ]
+
+    assert kernel.run(main()) == []
+    assert seen == ["cancelled"]
