@@ -116,9 +116,8 @@ async def round_trip(
     services of its own, the call goes to the coordinator (``run.remote``),
     whose round trip answers it and sends the outcome back.  Anywhere else
     the address space's memo answers it when the query memoizes
-    (``run.memo``); a miss is dispatched through the engine's cross-query
-    batcher when there is one, else straight to the broker, which records
-    the call into the run's :class:`~repro.services.broker.CallRecorder`.
+    (``run.memo``); a miss goes straight to the broker, which records the
+    call into the run's :class:`~repro.services.broker.CallRecorder`.
     """
     run = ctx.run
     if run.remote is not None:
@@ -136,15 +135,9 @@ async def round_trip(
 def _dispatch(ctx, uri, service, operation, arguments, obs_span):
     """The round-trip coroutine of one call the memo did not answer."""
     run = ctx.run
-    obs = run.obs if run.obs.enabled else None
-    if run.batcher is None:
-        return ctx.broker.call(
-            uri, service, operation, arguments,
-            recorder=run.call_recorder, obs=obs, obs_span=obs_span,
-        )
-    return run.batcher.call(
-        ctx.broker, uri, service, operation, arguments,
-        recorder=run.call_recorder, stats=run.cache_stats, obs=obs, obs_span=obs_span,
+    return ctx.broker.call(
+        uri, service, operation, arguments, recorder=run.call_recorder,
+        obs=run.obs if run.obs.enabled else None, obs_span=obs_span,
     )
 
 

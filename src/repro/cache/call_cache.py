@@ -88,8 +88,6 @@ class CacheStats:
     ``evictions``   entries dropped by the LRU bound.
     ``expirations`` entries dropped because their TTL elapsed.
     ``failures``    leader calls that raised; their waiters re-checked.
-    ``coalesced``   real round trips that rode a cross-query batch
-                    (:mod:`repro.engine.shared`).
     """
 
     hits: int = 0
@@ -98,7 +96,6 @@ class CacheStats:
     evictions: int = 0
     expirations: int = 0
     failures: int = 0
-    coalesced: int = 0
 
     @property
     def lookups(self) -> int:

@@ -218,8 +218,8 @@ class Shell:
         """``\\stats share``: the engine's multi-query sharing counters."""
         if self.engine is None:
             self.write(
-                "sharing: off (start with --engine --share to dedup and "
-                "batch web-service calls across concurrent queries)"
+                "sharing: off (start with --engine --share to dedup "
+                "web-service calls across concurrent queries)"
             )
         else:
             self.write(self.engine.stats().share_report())
@@ -426,7 +426,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
         "--share",
         action="store_true",
         help="share work across concurrent queries on the resident engine "
-        "(memoized calls by default, cross-query batching, shared pools); "
+        "(memoized calls by default, shared pools); "
         "implies --engine",
     )
     parser.add_argument("--explain", action="store_true", help="explain, don't run")

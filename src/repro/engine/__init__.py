@@ -15,7 +15,6 @@ from repro.engine.plan_cache import (
     plan_dependencies,
 )
 from repro.engine.pools import PoolRegistry, PoolRegistryStats, pool_fingerprint
-from repro.engine.shared import CrossQueryBatcher
 
 __all__ = [
     "AdmissionConfig",
@@ -24,7 +23,6 @@ __all__ = [
     "AdmissionStats",
     "CapacityController",
     "CompiledPlan",
-    "CrossQueryBatcher",
     "EngineClosed",
     "EngineStats",
     "PlanCache",

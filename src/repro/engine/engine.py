@@ -53,7 +53,6 @@ from dataclasses import replace as _replace
 
 from repro.algebra.plan import INIT_FANOUT, AdaptationParams
 from repro.cache import CacheConfig, CallMemo
-from repro.engine import shared
 from repro.engine.admission import AdmissionConfig, AdmissionController
 from repro.engine.plan_cache import CompiledPlan, PlanCache, plan_dependencies
 from repro.engine.pools import PoolRegistry
@@ -103,11 +102,9 @@ class EngineStats:
     resident_processes: int
     # Results held by the engine's call memo.
     memo_entries: int
-    # Multi-query sharing (all zero unless the engine was built with
-    # share=True; see repro.engine.shared).
+    # Multi-query sharing (share=True): concurrent leases of warm pools,
+    # both counts zero unless the engine shares.
     sharing: bool
-    coalesced_batches: int
-    batched_calls: int
     pool_lease_waits: int
     shared_pool_leases: int
     # Admission (repro.engine.admission): "static" when the controller's
@@ -171,14 +168,11 @@ class EngineStats:
         """The multi-query sharing section (CLI ``\\stats share``)."""
         if not self.sharing:
             return "sharing: off (construct the engine with share=True)"
-        lines = [
-            f"call memo: {self.memo_entries} entries",
-            f"cross-query batching: {self.coalesced_batches} coalesced "
-            f"batches carrying {self.batched_calls} calls",
+        return (
+            f"call memo: {self.memo_entries} entries\n"
             f"shared pools: {self.shared_pool_leases} concurrent leases "
-            f"({self.pool_lease_waits} waits for a busy tree)",
-        ]
-        return "\n".join(lines)
+            f"({self.pool_lease_waits} waits for a busy tree)"
+        )
 
 
 class QueryEngine:
@@ -229,12 +223,11 @@ class QueryEngine:
         # a query that memoizes may set its own ttl, not its own bound.
         self._memo_config = wsmed.cache_config or CacheConfig()
         self.memo = CallMemo(self.kernel, self._memo_config)
-        # Multi-query sharing tiers (repro.engine.shared): cross-query
-        # batching and shared pool leases, and memoization by default.
-        # Off — the default — keeps every query's call path seed-identical.
+        # Multi-query sharing: memoization by default and shared pool
+        # leases.  Off — the default — keeps every query's call path
+        # seed-identical.
         self.share = share
-        self.batcher = shared.CrossQueryBatcher(self.kernel) if share else None
-        self.pool_registry.share_pools = share and shared.POOLS
+        self.pool_registry.share_pools = share
         # Live per-operation statistics for the cost-based optimizer's
         # feedback loop: operation -> [calls, rows, total seconds],
         # aggregated from every query's CallRecorder.
@@ -444,7 +437,7 @@ class QueryEngine:
 
     async def _run(self, stream: QueryStream, sql_text: str, opts: QueryOptions):
         """The body of every engine query's stream: admission, plan cache
-        and the resident broker/memo/pools/batcher around the shared
+        and the resident broker/memo/pools around the shared
         :meth:`WSMED.run_plan`, then observation feedback and
         re-optimization."""
         if self._closed:
@@ -474,7 +467,6 @@ class QueryEngine:
                 self.broker,
                 memo=self.memo,
                 pool_registry=self.pool_registry,
-                batcher=self.batcher,
                 names=self._process_numbers,
             )
             stream.columns = compiled.plan.schema
@@ -578,7 +570,6 @@ class QueryEngine:
     def stats(self) -> EngineStats:
         plan_stats = self.plan_cache.stats
         pool_stats = self.pool_registry.stats
-        batcher = self.batcher
         admission_stats = self.admission.stats()
         return EngineStats(
             queries=self._queries,
@@ -599,8 +590,6 @@ class QueryEngine:
             resident_processes=self.pool_registry.resident_processes(),
             memo_entries=len(self.memo),
             sharing=self.share,
-            coalesced_batches=batcher.batches if batcher else 0,
-            batched_calls=batcher.batched_calls if batcher else 0,
             pool_lease_waits=pool_stats.lease_waits,
             shared_pool_leases=pool_stats.shared_leases,
             reoptimizations=self._reoptimizations,

@@ -149,14 +149,12 @@ class QueryRun:
     retry_backoff: float = 0.5
     # Where round_trip sends this query's calls (repro.algebra.interpreter).
     # `memo`: its address space's CallMemo when the query memoizes, storing
-    # entries for `ttl` model seconds.  `batcher`: the engine's cross-query
-    # batcher a miss is dispatched through.  `remote`: inside an OS worker
+    # entries for `ttl` model seconds.  `remote`: inside an OS worker
     # without services of its own, the proxy to the coordinator, which
     # answers every call.  None everywhere is the seed path: straight to
-    # the broker.  Typed loosely because these live above this module.
+    # the broker.  `remote` is typed loosely: it lives above this module.
     memo: Optional[CallMemo] = None
     ttl: Optional[float] = None
-    batcher: Optional[object] = None
     remote: Optional[object] = None
     # Span recorder.  NULL_RECORDER is a shared no-op whose
     # `enabled` flag gates every instrumentation site, so an untraced run

@@ -20,8 +20,7 @@ of the kernel's OS workers:
 * Worker-side web-service calls arrive as ``BrokerRequest`` envelopes
   and are served by :func:`~repro.algebra.interpreter.round_trip` for
   the owning query — the coordinator's memo when the query memoizes,
-  then its broker (through the engine's cross-query batcher when one is
-  attached) — so capacity semaphores, call statistics, memoization,
+  then its broker — so capacity semaphores, call statistics, memoization,
   multi-query sharing and fault accounting all stay centralized.  The
   reply carries the outcome, so the child records a call the memo
   answered as a ``cache_hit``/``cache_collapsed``, not a ``service_call``.

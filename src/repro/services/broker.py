@@ -69,27 +69,6 @@ class CallRecorder:
         return dict(self._stats)
 
 
-@dataclass
-class BatchRequest:
-    """One sub-call of a coalesced :meth:`ServiceBroker.call_many`.
-
-    Each entry keeps its own recorder and observability span so a
-    multi-query engine can coalesce the *transport* while keeping every
-    query's statistics and traces disjoint.  ``done``/``value``/``error``
-    are the demultiplexing rendezvous filled in by the broker; ``done``
-    may be ``None`` when the caller gathers the batch synchronously.
-    """
-
-    arguments: list[Any]
-    recorder: CallRecorder | None = None
-    obs: Any = None
-    obs_span: int = -1
-    done: Any = None  # kernel Event, set once value/error is filled
-    value: Any = None
-    error: BaseException | None = None
-    coalesced: bool = False
-
-
 class _Endpoint:
     """One registered service host: provider + capacity + profiles."""
 
@@ -277,6 +256,7 @@ class ServiceBroker:
         obs_span: int = -1,
     ) -> tuple[tuple, ...]:
         operation = wsdl_operation.name
+        service = endpoint.document.service_name
         sinks = self._sinks(operation, recorder)
         kernel = self.kernel
         started = kernel.now()
@@ -284,53 +264,6 @@ class ServiceBroker:
         # Request: marshalling + set-up + half the round trip.
         request_text = soap.encode_request(wsdl_operation, arguments)
         await kernel.sleep(profile.setup + profile.rtt / 2.0)
-
-        served = await self._service_round(
-            endpoint, wsdl_operation, profile, request_text, sinks,
-            obs=obs, obs_span=obs_span,
-        )
-
-        await kernel.sleep(profile.rtt / 2.0)
-        return self._deliver(
-            wsdl_operation, request_text, served, sinks, kernel.now() - started
-        )
-
-    def _deliver(
-        self, wsdl_operation, request_text: bytes, served: tuple[Any, int],
-        sinks: list[CallStats], total_time: float,
-    ) -> tuple[tuple, ...]:
-        """The tail of every served call: marshal the response, book the
-        call in every sink, hand the client side its decoded rows."""
-        payload, rows = served
-        response_text = soap.encode_response(wsdl_operation, payload)
-        for sink in sinks:
-            sink.calls += 1
-            sink.rows += rows
-            sink.bytes_transferred += len(request_text) + len(response_text)
-            sink.total_time.add(total_time)
-        return soap.decode_response(wsdl_operation, response_text)
-
-    async def _service_round(
-        self,
-        endpoint: _Endpoint,
-        wsdl_operation,
-        profile,
-        request_text: bytes,
-        sinks: list[CallStats],
-        *,
-        obs=None,
-        obs_span: int = -1,
-    ) -> tuple[Any, int]:
-        """Queue for a server slot and hold it for the service time.
-
-        The slot-bounded middle of every call — shared by the per-call
-        path (:meth:`_perform`) and the coalesced path
-        (:meth:`call_many`), which pays the transport once around many
-        of these.  Returns ``(payload, rows)``.
-        """
-        operation = wsdl_operation.name
-        service = endpoint.document.service_name
-        kernel = self.kernel
 
         # Queue for a server slot (lazily bound to this kernel — and to
         # its current generation: a shutdown kills whatever run the old
@@ -405,84 +338,15 @@ class ServiceBroker:
                 # call mid-queue or mid-service.
                 obs.finish(queue_span, at=kernel.now())
                 obs.finish(server_span, at=kernel.now())
-        return payload, rows
 
-    async def call_many(
-        self,
-        uri: str,
-        service: str,
-        operation: str,
-        requests: list[BatchRequest],
-    ) -> list[BatchRequest]:
-        """Invoke one operation for many argument lists in one transport.
-
-        The coalesced form of :meth:`call` used by cross-query batching:
-        the batch pays ``setup + rtt`` *once* while every sub-call still
-        queues for its own server slot, pays its own server time, counts
-        as its own call in the broker's (and its query's) statistics and
-        fails independently — a fault or timeout lands in that entry's
-        ``error`` without disturbing its batch-mates.  Entries are filled
-        in place (``value``/``error``/``done``) and also returned.
-        """
-        endpoint = self._endpoint(uri)
-        document = endpoint.document
-        if document.service_name != service:
-            raise UnknownServiceError(
-                f"URI {uri!r} serves {document.service_name!r}, not {service!r}"
-            )
-        wsdl_operation = document.operation(operation)
-        profile = endpoint.profile_for(operation)
-        kernel = self.kernel
-        started = kernel.now()
-
-        request_texts = [
-            soap.encode_request(wsdl_operation, request.arguments)
-            for request in requests
-        ]
-        await kernel.sleep(profile.setup + profile.rtt / 2.0)
-
-        async def serve(request: BatchRequest, request_text: str):
-            sinks = self._sinks(operation, request.recorder)
-            round_trip = self._service_round(
-                endpoint, wsdl_operation, profile, request_text, sinks,
-                obs=request.obs, obs_span=request.obs_span,
-            )
-            try:
-                if profile.timeout is None:
-                    return await round_trip
-                return await kernel.wait_for(round_trip, profile.timeout)
-            except TimeoutError:
-                for sink in sinks:
-                    sink.timeouts += 1
-                raise ServiceFault(
-                    f"{service}.{operation} timed out after "
-                    f"{profile.timeout} model seconds",
-                    retriable=True,
-                ) from None
-
-        async def guarded(request: BatchRequest, request_text: str):
-            try:
-                return await serve(request, request_text), None
-            except BaseException as error:  # noqa: BLE001 - demuxed per entry
-                return None, error
-
-        outcomes = await kernel.gather(
-            *[
-                guarded(request, text)
-                for request, text in zip(requests, request_texts)
-            ]
-        )
-
+        # Response: half the round trip, then marshal the answer, book the
+        # call in every sink and hand the client side its decoded rows.
         await kernel.sleep(profile.rtt / 2.0)
         total_time = kernel.now() - started
-        for request, request_text, (served, error) in zip(
-            requests, request_texts, outcomes
-        ):
-            if error is not None:
-                request.error = error
-                continue
-            request.value = self._deliver(
-                wsdl_operation, request_text, served,
-                self._sinks(operation, request.recorder), total_time,
-            )
-        return requests
+        response_text = soap.encode_response(wsdl_operation, payload)
+        for sink in sinks:
+            sink.calls += 1
+            sink.rows += rows
+            sink.bytes_transferred += len(request_text) + len(response_text)
+            sink.total_time.add(total_time)
+        return soap.decode_response(wsdl_operation, response_text)

@@ -39,8 +39,8 @@ class QueryResult:
     call_stats: dict[str, CallStats] = field(default_factory=dict)
     tree: TreeStats = field(default_factory=TreeStats)
     plan_text: str = ""
-    # The query's call-memo counters across all its processes; None when
-    # the query neither memoized nor ran on a sharing engine.
+    # The query's call-memo counters across all its processes; None exactly
+    # when the query did not memoize.
     cache_stats: CacheStats | None = None
     # Data-path message counts aggregated over every operator pool in the
     # query (per-tuple and batched, both directions).  Central-mode runs
@@ -168,15 +168,12 @@ class QueryResult:
         cache = self.cache_stats
         if cache is None:
             return "call cache: off"
-        line = (
+        return (
             f"call cache: {cache.hits} hits, {cache.misses} misses, "
             f"{cache.collapsed} collapsed, {cache.evictions} evicted, "
             f"{cache.expirations} expired ({cache.hit_rate:.0%} hit rate, "
             f"{cache.calls_avoided} calls avoided)"
         )
-        if cache.coalesced:
-            line += f"\ncross-query batching: {cache.coalesced} calls coalesced"
-        return line
 
     def _render_batch(self) -> str:
         messages = self.message_stats

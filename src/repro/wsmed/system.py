@@ -651,7 +651,6 @@ class WSMED:
         *,
         memo: CallMemo | None = None,
         pool_registry=None,
-        batcher=None,
         names=None,
     ) -> QueryStream:
         """Run a compiled ``plan`` on ``broker.kernel`` as a
@@ -670,8 +669,8 @@ class WSMED:
         :class:`~repro.cache.CallMemo` and pools are built per query and
         closed in the executor's ``finally``; the engine passes its
         resident broker, its ``memo``, its ``pool_registry`` (warm trees
-        are released, not closed), its cross-query ``batcher`` and its
-        engine-wide process-number counter ``names``.  The query uses the
+        are released, not closed) and its engine-wide process-number
+        counter ``names``.  The query uses the
         memo iff its effective :class:`~repro.cache.CacheConfig` is
         enabled.
 
@@ -680,11 +679,11 @@ class WSMED:
         loop.
         """
         return QueryStream(
-            self._run_plan, plan, opts, broker, memo, pool_registry, batcher, names
+            self._run_plan, plan, opts, broker, memo, pool_registry, names
         )
 
     async def _run_plan(
-        self, stream, plan, opts, broker, memo, pool_registry, batcher, names
+        self, stream, plan, opts, broker, memo, pool_registry, names
     ):
         kernel = broker.kernel
         mode = ExecutionMode.of(opts.mode).value
@@ -694,7 +693,7 @@ class WSMED:
             costs = _replace(costs, on_error=opts.on_error)
         if opts.faults is not None:
             costs = _replace(costs, faults=opts.faults)
-        run = QueryRun(retries=opts.retries, batcher=batcher)
+        run = QueryRun(retries=opts.retries)
         config = self.cache_config_for(opts)
         if config is not None:
             run.memo = memo if memo is not None else CallMemo(kernel, config)
@@ -750,9 +749,7 @@ class WSMED:
             call_stats=calls.all_stats(),
             tree=run.tree,
             plan_text=render_plan(plan),
-            cache_stats=(
-                run.cache_stats if run.memo is not None or batcher is not None else None
-            ),
+            cache_stats=run.cache_stats if run.memo is not None else None,
             message_stats=run.message_stats,
             fault_stats=run.fault_stats,
             spans=recorder.store if recorder.enabled else None,

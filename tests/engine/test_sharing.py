@@ -1,15 +1,16 @@
 """Cross-query sharing: equivalence, fault isolation, mid-query invalidation.
 
 A sharing engine memoizes by default, so concurrent queries dedup through
-the engine's one call memo; batching and shared pools ride on top.
+the engine's one call memo; shared pools ride on top.  A call the memo
+does not answer goes straight to the broker, as on a non-sharing engine.
 """
 
 from repro import (
     QUERY1_SQL,
     AsyncioKernel,
+    CacheConfig,
     QueryEngine,
 )
-from repro.engine import shared
 from repro.wsmed.options import QueryOptions
 
 from tests.engine.test_engine import fresh_wsmed, trace_multiset, traced
@@ -30,7 +31,6 @@ def test_disabled_share_config_is_seed_identical() -> None:
     seed = fresh_wsmed().sql(QUERY1_SQL, options=traced(PARALLEL))
 
     engine = QueryEngine(fresh_wsmed(), share=False)
-    assert engine.batcher is None
     assert not engine.pool_registry.share_pools
     result = engine.sql(QUERY1_SQL, options=traced(PARALLEL))
     engine.close()
@@ -40,6 +40,39 @@ def test_disabled_share_config_is_seed_identical() -> None:
     assert result.cache_stats == seed.cache_stats
     assert trace_multiset(result.spans) == trace_multiset(seed.spans)
     assert not engine.stats().sharing
+
+
+def test_lone_query_costs_what_a_caching_engine_pays() -> None:
+    """Sharing adds nothing to a query that has nobody to share with: a
+    lone Query1 on a sharing engine takes the model time and makes the
+    broker calls of the same query on a non-sharing engine with its
+    cache on."""
+    lone = {}
+    for share, options in (
+        (True, PARALLEL),
+        (False, PARALLEL.replace(cache=CacheConfig(enabled=True))),
+    ):
+        engine = QueryEngine(fresh_wsmed(), share=share)
+        lone[share] = engine.sql(QUERY1_SQL, options=options)
+        engine.close()
+
+    assert lone[True].elapsed == lone[False].elapsed
+    assert lone[True].total_calls == lone[False].total_calls == 311
+    assert lone[True].cache_stats == lone[False].cache_stats
+
+
+def test_cache_stats_are_none_exactly_when_the_query_does_not_memoize() -> None:
+    engine = sharing_engine()
+    uncached = engine.sql(
+        QUERY1_SQL, options=PARALLEL.replace(cache=CacheConfig(enabled=False))
+    )
+    memoized = engine.sql(QUERY1_SQL, options=PARALLEL)
+    engine.close()
+
+    assert uncached.cache_stats is None
+    assert uncached.total_calls == 311
+    assert memoized.cache_stats is not None
+    assert "call cache: off" in uncached.report("cache")
 
 
 # -- result equivalence ------------------------------------------------------------
@@ -64,15 +97,14 @@ def test_overlapping_queries_match_independent_runs() -> None:
     assert sum(result.cache_stats.calls_avoided for result in results) == 3 * 311
     assert stats.sharing
     assert stats.shared_pool_leases > 0
-    assert stats.coalesced_batches > 0
 
 
-def test_single_flight_without_pool_sharing(monkeypatch) -> None:
+def test_single_flight_without_pool_sharing() -> None:
     """With pools off, queries overlap in time and dedup via waits."""
     seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
-    monkeypatch.setattr(shared, "POOLS", False)
     engine = sharing_engine()
+    engine.pool_registry.share_pools = False
     results = engine.sql_many([QUERY1_SQL] * 4, options=PARALLEL)
     broker_calls = engine.broker.total_calls()
     stats = engine.stats()
@@ -111,7 +143,7 @@ def test_asyncio_kernel_sharing_parity() -> None:
 # -- fault isolation ------------------------------------------------------------
 
 
-def test_failed_shared_call_does_not_poison_waiters(monkeypatch) -> None:
+def test_failed_shared_call_does_not_poison_waiters() -> None:
     """A leader's fault must not become its waiters' result.
 
     Pools off so the four queries genuinely overlap: their identical
@@ -122,8 +154,8 @@ def test_failed_shared_call_does_not_poison_waiters(monkeypatch) -> None:
     """
     seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
-    monkeypatch.setattr(shared, "POOLS", False)
     engine = sharing_engine()
+    engine.pool_registry.share_pools = False
     engine.broker.fault_rate = 0.05  # deterministic: seeded broker RNG
     results = engine.sql_many([QUERY1_SQL] * 4, options=PARALLEL.replace(retries=3))
     engine.close()

@@ -23,7 +23,6 @@ from repro import (
     SimKernel,
     WSMED,
 )
-from repro.engine import shared
 from repro.parallel.costs import ProcessCosts
 from repro.runtime.multiprocess import ProcessKernel
 
@@ -158,14 +157,13 @@ def test_limit_then_full_then_limit_on_one_engine(kernel_name, query1_bag) -> No
     ids=lambda value: value if isinstance(value, str) else "-".join(value) or "seed",
 )
 def test_full_query_on_the_tree_a_limit_abandoned(
-    kernel_name, cost_knobs, query1_bag, monkeypatch
+    kernel_name, cost_knobs, query1_bag
 ) -> None:
     """All three queries lease one tree.  The full query starts while the
     children still run (and answer) calls the LIMIT walked away from —
     abandoned batches included — and must return the exact bag."""
-    # Structural pool fingerprints only (cache off, no batching): Query1
-    # with and without its LIMIT lease the same tree.
-    monkeypatch.setattr(shared, "BATCHING", False)
+    # Structural pool fingerprints only (cache off): Query1 with and
+    # without its LIMIT lease the same tree.
     (first, full, again), stats = _limit_full_limit(
         kernel_name, True, cache=CacheConfig(enabled=False), **cost_knobs
     )
