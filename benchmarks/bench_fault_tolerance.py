@@ -1,8 +1,10 @@
 """Fault tolerance: result completeness and overhead under injected faults.
 
 The paper's protocol assumes children and their web-service calls never
-fail; the pool-level fault-tolerance layer (``ProcessCosts.on_error``)
-exists for when they do.  This bench quantifies what that layer costs and
+fail; the pool-level fault-tolerance layer (the query's ``on_error``
+policy, ``QueryOptions.on_error``) exists for when they do.  The faults
+are the query's own ``QueryOptions.faults``
+(:class:`~repro.parallel.faults.FaultInjection`).  This bench quantifies what that layer costs and
 what it buys on Query1 (two dependent-join levels, fanouts 5x4):
 
 * under ``retry``, a sweep of injected per-call failure rates must still
@@ -34,7 +36,7 @@ MAX_REDELIVERIES = 8
 COSTS = ProcessCosts().scaled(0.01)
 
 
-def _run(system: WSMED, label: str, *, on_error=None, faults=None) -> dict:
+def _run(system: WSMED, label: str, *, on_error="fail", faults=None) -> dict:
     costs = replace(COSTS, max_redeliveries=MAX_REDELIVERIES)
     result = system.sql(
         QUERY1_SQL,
@@ -49,7 +51,7 @@ def _run(system: WSMED, label: str, *, on_error=None, faults=None) -> dict:
     stats = result.fault_stats
     return {
         "label": label,
-        "on_error": on_error or "fail",
+        "on_error": on_error,
         "call_failure_probability": (
             faults.call_failure_probability if faults else 0.0
         ),

@@ -63,7 +63,7 @@ _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
 class ExecutionContext:
     """Everything one query process needs to run plans under one kernel.
 
-    Per-query state — trace, counters, retry policy, call memo, span
+    Per-query state — trace, counters, policies, call memo, span
     recorder — lives in ``run``, which every process of the query holds
     by reference; the other fields belong to this process.
     """
@@ -117,7 +117,8 @@ async def round_trip(
     whose round trip answers it and sends the outcome back.  Anywhere else
     the address space's memo answers it when the query memoizes
     (``run.memo``); a miss goes straight to the broker, which records the
-    call into the run's :class:`~repro.services.broker.CallRecorder`.
+    call into the run's :class:`~repro.services.broker.CallRecorder` and
+    fails it with the query's service fault probability (``run.faults``).
     """
     run = ctx.run
     if run.remote is not None:
@@ -138,6 +139,7 @@ def _dispatch(ctx, uri, service, operation, arguments, obs_span):
     return ctx.broker.call(
         uri, service, operation, arguments, recorder=run.call_recorder,
         obs=run.obs if run.obs.enabled else None, obs_span=obs_span,
+        fault_probability=run.faults.service_fault_probability if run.faults else 0.0,
     )
 
 

@@ -311,7 +311,7 @@ class Shell:
                 f"fault injection: call failure {failure:g}, crash {crash:g}"
             )
         elif word == "off":
-            self._set(on_error=None, faults=None)
+            self._set(on_error="fail", faults=None)
             self.write("faults = off (policy fail, no injection)")
         else:
             raise ReproError(
@@ -415,6 +415,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--on-error",
         choices=("fail", "retry", "skip"),
+        default="fail",
         help="pool policy for failed web-service calls (default: fail)",
     )
     parser.add_argument(

@@ -294,9 +294,9 @@ class QueryEngine:
 
     # -- query execution ------------------------------------------------------------
 
-    #: Options the resident engine rejects: it owns its kernel and broker
-    #: (``kernel``/``fault_rate``) and feeds measured statistics into the
-    #: cost model itself (``observed``).
+    #: Options the resident engine rejects: it owns its kernel
+    #: (``kernel``) and feeds measured statistics into the cost model
+    #: itself (``observed``).
     _REJECTED_OPTIONS = frozenset(ONE_SHOT_ONLY | {"observed"})
 
     def sql(
@@ -308,9 +308,8 @@ class QueryEngine:
         planning/execution fields of :meth:`WSMED.sql` (``mode``,
         ``fanouts``, ``adaptation``, ``retries``, ``cache``,
         ``process_costs``, ``on_error``, ``faults``, ``name``, ``obs``,
-        ``optimize``) — but not ``kernel`` / ``fault_rate`` (the engine
-        owns its kernel and broker) or ``observed`` (it feeds its own
-        statistics).
+        ``optimize``) — but not ``kernel`` (the engine owns its kernel) or
+        ``observed`` (it feeds its own statistics).
         Two admission fields ride along: ``tenant`` (fair-queue identity,
         default ``"default"``) and ``deadline_ms`` (model milliseconds;
         a query whose deadline the measured service rate cannot meet

@@ -1,10 +1,10 @@
 """One query's run: the object every process of the query reports into.
 
 A :class:`QueryRun` holds what is per query rather than per process — the
-call recorder, the cache, message, tree and fault counters, the retry
-policy, the call memo and dispatch path, the span recorder (which alone
-records events, and only when the query is traced) and the process-name
-counter.
+call recorder, the cache, message, tree and fault counters, the retry and
+failure policies, the injected faults, the call memo and dispatch path,
+the span recorder (which alone records events, and only when the query
+is traced) and the process-name counter.
 Every :class:`~repro.algebra.interpreter.ExecutionContext` of the query
 holds the same run by reference, and every process counts into it where
 the event happens, so re-homing a warm child into a new query is one
@@ -147,6 +147,10 @@ class QueryRun:
     # `retry_backoff` model seconds between attempts.
     retries: int = 0
     retry_backoff: float = 0.5
+    # QueryOptions.on_error and .faults (a FaultInjection, typed loosely:
+    # it lives above this module), read per call by pools and children.
+    on_error: str = "fail"
+    faults: Optional[object] = None
     # Where round_trip sends this query's calls (repro.algebra.interpreter).
     # `memo`: its address space's CallMemo when the query memoizes, storing
     # entries for `ttl` model seconds.  `remote`: inside an OS worker

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.parallel.faults import FaultInjection
 from repro.util.errors import PlanError
 
 
@@ -55,22 +54,9 @@ class ProcessCosts:
                        ``message_latency``: cheap calls get large batches,
                        straggler children fall back to batch 1 so
                        first-finished placement stays adaptive.
-    ``on_error``       per-call failure policy of an operator pool:
-                       ``fail`` (the paper's behavior and the default — the
-                       first failed call aborts the whole query tree),
-                       ``retry`` (the failed parameter row is redelivered
-                       to a surviving child up to ``max_redeliveries``
-                       times, then the query fails), or ``skip`` (the
-                       failed row is dropped and counted, the query
-                       continues).  Under ``retry``/``skip`` a child that
-                       dies is replaced by a freshly spawned one and its
-                       in-flight rows are written off per the same policy.
     ``max_redeliveries`` times one parameter row may be redelivered under
-                       ``on_error="retry"`` before its failure becomes a
-                       query error.
-    ``faults``         optional :class:`~repro.parallel.faults.FaultInjection`
-                       knobs (per-call failure / child crash probability)
-                       for the simulated runtime; None injects nothing.
+                       the query's ``on_error="retry"`` before its failure
+                       becomes a query error.
     """
 
     startup: float = 0.25
@@ -83,9 +69,7 @@ class ProcessCosts:
     prefetch: int = 1
     batch_size: int = 1
     batch_adaptive: bool = False
-    on_error: str = "fail"
     max_redeliveries: int = 2
-    faults: FaultInjection | None = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -104,11 +88,6 @@ class ProcessCosts:
             raise PlanError(f"prefetch depth must be >= 1, got {self.prefetch}")
         if self.batch_size < 1:
             raise PlanError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.on_error not in ("fail", "retry", "skip"):
-            raise PlanError(
-                f"unknown on_error policy {self.on_error!r}; "
-                "use fail, retry or skip"
-            )
         if self.max_redeliveries < 0:
             raise PlanError(
                 f"max_redeliveries must be >= 0, got {self.max_redeliveries}"

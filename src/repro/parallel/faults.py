@@ -5,18 +5,19 @@ a production mediator cannot.  This module holds the pieces of the
 pool-level fault-tolerance layer that are independent of the operator
 runtime itself:
 
-* :class:`FaultInjection` — deterministic process-level fault knobs for
-  the simulated runtime (per-call failure probability and per-call crash
-  probability), seeded per child so every run replays identically;
+* :class:`FaultInjection` — every fault a query injects on purpose:
+  per-call failure and crash probabilities of its query processes,
+  seeded per child so every run replays identically, and the probability
+  of a retriable service fault, drawn by the broker;
 * :class:`InjectedCrash` — the exception that simulates a query process
   dying abruptly (deliberately *not* a :class:`~repro.util.errors.ReproError`,
   so the child's per-call error handling cannot catch it).
 
 The query-wide accounting is :class:`~repro.obs.run.FaultStats`, counted
 by the pools where they fail, redeliver, respawn and trip the breaker.
-The policy itself (``on_error`` = ``fail`` | ``retry`` | ``skip``) lives
-on :class:`~repro.parallel.costs.ProcessCosts`; the handling lives in
-:class:`~repro.parallel.ff_applyp.ChildPool`.
+The policy itself (``on_error`` = ``fail`` | ``retry`` | ``skip``) and the
+injection ride the query's :class:`~repro.obs.run.QueryRun`; the handling
+lives in :class:`~repro.parallel.ff_applyp.ChildPool`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class InjectedCrash(Exception):
 
 @dataclass(frozen=True)
 class FaultInjection:
-    """Process-level fault knobs for the simulated runtime.
+    """The faults one query injects on purpose.
 
     ``call_failure_probability``  chance that any one plan-function call
                                   raises a (policy-visible) failure before
@@ -48,6 +49,9 @@ class FaultInjection:
     ``crash_probability``         chance that the child process dies
                                   abruptly when starting a call — models
                                   OOM kills, segfaults, machine loss.
+    ``service_fault_probability`` chance that the broker fails a call
+                                  with a retriable ``ServiceFault``
+                                  (drawn from the broker's stream).
     ``seed``                      root of the per-child random streams, so
                                   a run with the same seed injects the
                                   same faults at the same calls.
@@ -55,15 +59,21 @@ class FaultInjection:
 
     call_failure_probability: float = 0.0
     crash_probability: float = 0.0
+    service_fault_probability: float = 0.0
     seed: int = 2009
 
     def __post_init__(self) -> None:
-        for name in ("call_failure_probability", "crash_probability"):
+        for name in (
+            "call_failure_probability",
+            "crash_probability",
+            "service_fault_probability",
+        ):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise PlanError(f"fault injection {name} must be in [0, 1), got {value}")
 
     def active(self) -> bool:
+        """Whether query processes fail or crash (service faults aside)."""
         return self.call_failure_probability > 0.0 or self.crash_probability > 0.0
 
     def injector_for(self, process_name: str) -> "FaultInjector":

@@ -12,7 +12,7 @@ one event loop serves input arrival, results, and end-of-call messages
 without needing a select primitive.
 
 On top of the paper's protocol sits a pool-level fault-tolerance layer
-(``ProcessCosts.on_error``):
+(the query's ``ctx.run.on_error``):
 
 * every dispatched parameter row is tracked in the target child's
   ``inflight`` map (sequence number -> row) until its end-of-call;
@@ -383,8 +383,9 @@ class ChildPool:
         ``fail`` policy, an exhausted redelivery budget, or an open
         circuit breaker.
         """
-        policy = self.costs.on_error
-        faults = self.ctx.run.fault_stats
+        run = self.ctx.run
+        policy = run.on_error
+        faults = run.fault_stats
         faults.failed_calls += 1
         if policy == "skip":
             faults.skipped_rows += 1
@@ -683,7 +684,7 @@ class ChildPool:
         detached = message.child in self._detached
         owed = self._evict(message.child)
         died = "died" + (f": {message.reason}" if message.reason else "")
-        if owed and self.costs.on_error == "fail":
+        if owed and self.ctx.run.on_error == "fail":
             raise ReproError(f"query process {message.child} {died}")
         if not detached:
             await self._respawn(message.child, message.reason, len(owed))
@@ -731,7 +732,8 @@ class ChildPool:
         reference to the *same* context object the pool derived at spawn
         time, so pointing that object at the new query's run is all it
         takes for the children's future work to be counted in the new
-        query, and to follow its cache setting.
+        query, and to follow its cache setting, policies and injected
+        faults.
         """
         self.ctx = ctx
         for child in self.children:

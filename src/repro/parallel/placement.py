@@ -164,7 +164,6 @@ class Placement:
         functions=None,
         services=None,
         seed: int = 0,
-        fault_rate: float = 0.0,
     ) -> None:
         """Point an execution context at this placement and ship code.
 
@@ -190,9 +189,7 @@ class Placement:
                 self.pool.register(envelope)
         if services is not None and services is not self._services_source:
             self._services_source = services
-            self.pool.register(
-                serialize_services(services, seed=seed, fault_rate=fault_rate)
-            )
+            self.pool.register(serialize_services(services, seed=seed))
 
     # -- spawning ----------------------------------------------------------
 
@@ -232,6 +229,8 @@ class Placement:
                 cache_config=_cache_config(ctx.run),
                 retries=ctx.run.retries,
                 retry_backoff=ctx.run.retry_backoff,
+                on_error=ctx.run.on_error,
+                faults=ctx.run.faults,
                 tracing=ctx.run.obs.enabled,
                 span_base=binding.span_base,
             ),
@@ -262,6 +261,8 @@ class Placement:
                     cache_config=_cache_config(run),
                     retries=run.retries,
                     retry_backoff=run.retry_backoff,
+                    on_error=run.on_error,
+                    faults=run.faults,
                     tracing=run.obs.enabled,
                     span_base=binding.span_base,
                 ),

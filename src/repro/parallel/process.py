@@ -9,7 +9,7 @@ tuple when the compiled body is ``single``.  A ``Shutdown`` message ends
 the process, cascading to any children of nested operators via the
 executor's pools.
 
-Failure semantics follow ``ProcessCosts.on_error``:
+Failure semantics follow the query's ``on_error`` (``ctx.run.on_error``):
 
 * ``fail`` (the paper's behavior, the default): the first ``ReproError``
   of a call is reported as a :class:`ChildError` and the process exits —
@@ -21,9 +21,9 @@ Failure semantics follow ``ProcessCosts.on_error``:
   shipped after the call succeeded — a failed call therefore contributes
   no output, so re-running it cannot duplicate rows.
 
-``ProcessCosts.faults`` optionally injects deterministic per-call failures
-and process crashes (see :mod:`repro.parallel.faults`); a crash escapes
-the receive loop entirely, and the parent's death watcher notices.
+The query's ``FaultInjection`` (``ctx.run.faults``) optionally injects
+deterministic per-call failures and process crashes; a crash escapes the
+receive loop entirely, and the parent's death watcher notices.
 """
 
 from __future__ import annotations
@@ -88,13 +88,20 @@ class _CallRunner:
         self.costs = costs
         self.endpoints = endpoints
         self.body = body
-        self.fail_fast = costs.on_error == "fail"
         self._enclosing = -1  # ctx.obs_span outside the running call
-        self.injector = (
-            costs.faults.injector_for(endpoints.name)
-            if costs.faults is not None and costs.faults.active()
-            else None
-        )
+        self._faults = None  # the query injection self.injector draws for
+        self.injector = None
+
+    def _follow(self, faults) -> None:
+        """Draw this child's faults from the stream of (``faults``, child
+        name): a run replays, a re-homed child follows its new query's."""
+        if faults != self._faults:
+            self.injector = (
+                faults.injector_for(self.endpoints.name)
+                if faults is not None and faults.active()
+                else None
+            )
+        self._faults = faults
 
     def _begin_span(self, seq: int, parent_span: int, started: float) -> int:
         """Open the per-call span and make it the context's enclosing span
@@ -134,15 +141,18 @@ class _CallRunner:
         end-of-calls and failure reports in ``batch`` instead.
         """
         ctx, body = self.ctx, self.body
-        kernel = ctx.kernel
+        kernel, run = ctx.kernel, ctx.run
         name, uplink = self.endpoints.name, self.endpoints.uplink
         cost = self.costs.result_tuple
-        streamed = batch is None and self.fail_fast
+        fail_fast = run.on_error == "fail"
+        streamed = batch is None and fail_fast
         unsent: list[tuple] = []  # every row, or a streamed single body's last
         started = kernel.now()
         span = self._begin_span(seq, parent_span, started)
         rows = 0
         try:
+            if run.faults is not self._faults:
+                self._follow(run.faults)
             if self.injector is not None:
                 self.injector.before_call()
             chunks = None if body.first is not None else body.chunks(ctx, param_row)
@@ -171,7 +181,7 @@ class _CallRunner:
                 chunk = None if chunks is None else await anext(chunks, None)
         except ReproError as error:
             self._end_span(span, rows, error=str(error))
-            if self.fail_fast:
+            if fail_fast:
                 # Seed semantics: a batch's failing call still sends its
                 # partial rows — stamped with its seq, like any streamed
                 # row — then the error; then the process exits.
@@ -184,7 +194,7 @@ class _CallRunner:
                     uplink.send(report)
             else:
                 batch[2].extend(reports)
-            return not self.fail_fast
+            return not fail_fast
         except Exception as error:  # a crash too: its span still closes
             self._end_span(span, rows, error=str(error))
             raise

@@ -98,7 +98,6 @@ class Kernel(ABC):
         functions=None,
         registry=None,
         seed: int = 0,
-        fault_rate: float = 0.0,
     ) -> None:
         """Hook called once per query before its plan runs.
 

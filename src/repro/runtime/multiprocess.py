@@ -59,7 +59,6 @@ class ProcessKernel(AsyncioKernel):
         functions=None,
         registry=None,
         seed: int = 0,
-        fault_rate: float = 0.0,
     ) -> None:
         """Point ``ctx.placement`` at this kernel's placement layer.
 
@@ -67,13 +66,7 @@ class ProcessKernel(AsyncioKernel):
         service registry) to the workers.
         """
         services = registry if self.local_services else None
-        self.placement.attach(
-            ctx,
-            functions=functions,
-            services=services,
-            seed=seed,
-            fault_rate=fault_rate,
-        )
+        self.placement.attach(ctx, functions=functions, services=services, seed=seed)
 
     def shutdown(self) -> None:
         """Stop workers first (their pipes feed the loop), then the loop."""

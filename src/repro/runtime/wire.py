@@ -83,7 +83,6 @@ class RegisterServices:
 
     payload: bytes
     seed: int
-    fault_rate: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,8 @@ class SpawnChild:
     cache_config: Any  # CacheConfig | None
     retries: int = 0
     retry_backoff: float = 0.5
+    on_error: str = "fail"
+    faults: Any = None  # FaultInjection | None
     # Observability: when the parent query is traced, the worker records
     # child-side spans with ids starting at span_base (disjoint from the
     # parent recorder's id space) and ships them back as they finish.
@@ -108,13 +109,16 @@ class SpawnChild:
 @dataclass(frozen=True)
 class RebindChild:
     """Re-home a warm child into a new query (the remote half of
-    ``ChildPool.rebind``): the new query's cache setting and retry policy,
-    and a fresh span recorder when the new query is traced."""
+    ``ChildPool.rebind``): the new query's cache setting, retry and
+    failure policies and injected faults, and a fresh span recorder when
+    the new query is traced."""
 
     child_id: int
     cache_config: Any = None  # CacheConfig | None, as in SpawnChild
     retries: int = 0
     retry_backoff: float = 0.5
+    on_error: str = "fail"
+    faults: Any = None
     tracing: bool = False
     span_base: int = 0
 

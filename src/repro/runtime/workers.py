@@ -143,9 +143,9 @@ def serialize_functions(registry) -> RegisterFunctions:
     return RegisterFunctions(pickle.dumps(shippable), tuple(stubs))
 
 
-def serialize_services(registry, *, seed: int, fault_rate: float = 0.0) -> RegisterServices:
+def serialize_services(registry, *, seed: int) -> RegisterServices:
     """Pickle a service registry so workers can bind a local broker."""
-    return RegisterServices(pickle.dumps(registry), seed, fault_rate)
+    return RegisterServices(pickle.dumps(registry), seed)
 
 
 class _UnshippedFunction:
@@ -281,12 +281,14 @@ class _ChildSlot:
             run.ttl = cache.ttl if cache is not None else None
         run.retries = spec.retries
         run.retry_backoff = spec.retry_backoff
+        run.on_error = spec.on_error
+        run.faults = spec.faults
         run.obs = TraceRecorder(first_id=spec.span_base) if spec.tracing else NULL_RECORDER
 
     def rebind(self, spec: RebindChild) -> None:
         """Re-home this warm child into a new query (remote rebind half):
-        the new query's cache setting and retry policy and, when it is
-        traced, a fresh span recorder.  Counters need nothing: the run is
+        the new query's cache setting, policies and injected faults and,
+        when it is traced, a fresh span recorder.  Counters need nothing: the run is
         drained per call."""
         self._set_policy(spec)
         self.ctx.obs_span = -1
@@ -449,9 +451,7 @@ class _WorkerRuntime:
             self._register_functions(message)
         elif isinstance(message, RegisterServices):
             registry = pickle.loads(message.payload)
-            self.local_broker = registry.bind(
-                self.kernel, seed=message.seed, fault_rate=message.fault_rate
-            )
+            self.local_broker = registry.bind(self.kernel, seed=message.seed)
             self.memo = CallMemo(self.kernel, CacheConfig())
         elif isinstance(message, ShutdownWorker):
             self._stop.set()

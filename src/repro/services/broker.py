@@ -104,18 +104,14 @@ class _Endpoint:
 class ServiceBroker:
     """Routes ``cwo`` calls to simulated endpoints under a kernel clock.
 
-    A broker instance is bound to one kernel run.  ``fault_rate`` injects
-    :class:`ServiceFault` on a seeded fraction of calls (0 by default);
-    failure-injection tests use it to exercise operator error paths.
+    One broker serves every query on its kernel (one on the one-shot
+    path, all of a resident engine's).  Server-time jitter and injected
+    faults (``call(fault_probability=)``) draw from one stream seeded by
+    ``seed``.
     """
 
-    def __init__(
-        self, kernel: Kernel, *, seed: int = 2009, fault_rate: float = 0.0
-    ) -> None:
-        if not 0.0 <= fault_rate < 1.0:
-            raise ValueError("fault_rate must be in [0, 1)")
+    def __init__(self, kernel: Kernel, *, seed: int = 2009) -> None:
         self.kernel = kernel
-        self.fault_rate = fault_rate
         self._endpoints: dict[str, _Endpoint] = {}
         self._stats: dict[str, CallStats] = {}
         self._rng = derive_rng(seed, "broker")
@@ -202,6 +198,7 @@ class ServiceBroker:
         recorder: CallRecorder | None = None,
         obs=None,
         obs_span: int = -1,
+        fault_probability: float = 0.0,
     ) -> tuple[tuple, ...]:
         """Invoke a web-service operation; returns the answer's rows.
 
@@ -213,6 +210,8 @@ class ServiceBroker:
         engine can attribute the call to the query that made it.  When an
         ``obs`` recorder is given, queue-wait and server-busy sub-spans are
         recorded under ``obs_span`` (the caller's web-service span).
+        ``fault_probability`` is the chance that the call fails with a
+        retriable :class:`ServiceFault` once it holds a server slot.
         """
         endpoint = self._endpoint(uri)
         document = endpoint.document
@@ -225,13 +224,13 @@ class ServiceBroker:
         if profile.timeout is None:
             return await self._perform(
                 endpoint, wsdl_operation, profile, arguments, recorder,
-                obs=obs, obs_span=obs_span,
+                obs=obs, obs_span=obs_span, fault_probability=fault_probability,
             )
         try:
             return await self.kernel.wait_for(
                 self._perform(
                     endpoint, wsdl_operation, profile, arguments, recorder,
-                    obs=obs, obs_span=obs_span,
+                    obs=obs, obs_span=obs_span, fault_probability=fault_probability,
                 ),
                 profile.timeout,
             )
@@ -254,6 +253,7 @@ class ServiceBroker:
         *,
         obs=None,
         obs_span: int = -1,
+        fault_probability: float = 0.0,
     ) -> tuple[tuple, ...]:
         operation = wsdl_operation.name
         service = endpoint.document.service_name
@@ -305,7 +305,7 @@ class ServiceBroker:
                 )
             for sink in sinks:
                 sink.queue_wait.add(queue_wait)
-            if self.fault_rate and self._rng.random() < self.fault_rate:
+            if fault_probability and self._rng.random() < fault_probability:
                 await kernel.sleep(profile.service_time)
                 for sink in sinks:
                     sink.faults += 1

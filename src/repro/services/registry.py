@@ -231,11 +231,9 @@ class ServiceRegistry:
                 f"no cost description for service {service_name!r}"
             ) from None
 
-    def bind(
-        self, kernel: Kernel, *, seed: int = 2009, fault_rate: float = 0.0
-    ) -> ServiceBroker:
-        """Create a broker for one kernel run with every endpoint registered."""
-        broker = ServiceBroker(kernel, seed=seed, fault_rate=fault_rate)
+    def bind(self, kernel: Kernel, *, seed: int = 2009) -> ServiceBroker:
+        """Create a broker on ``kernel`` with every endpoint registered."""
+        broker = ServiceBroker(kernel, seed=seed)
         for provider in self.providers:
             document = self.documents[provider.uri]
             costs = self.costs_for(document.service_name)

@@ -11,8 +11,8 @@ It is the only way to set them::
 
     wsmed.sql(q, options=QueryOptions(mode="adaptive", retries=2))
 
-Some fields only make sense on one surface: ``kernel`` / ``fault_rate``
-are rejected by the resident engine (which owns its kernel), and
+Some fields only make sense on one surface: ``kernel`` is rejected by
+the resident engine (which owns its kernel), and
 ``tenant`` / ``deadline_ms`` / ``observed`` are engine-level admission /
 statistics knobs rejected by the one-shot :meth:`WSMED.sql` path.
 """
@@ -48,13 +48,15 @@ class QueryOptions:
       ``retries``        per-call retries of retriable service faults.
       ``cache``          per-query web-service call cache configuration.
       ``process_costs``  process cost model override (batching etc.).
-      ``on_error``       pool failure policy shortcut (fail/retry/skip).
-      ``faults``         fault-injection knobs.
+      ``on_error``       pools' policy for a failed call: ``fail`` (the
+                         paper's: abort the tree), ``retry`` (redeliver the
+                         row, see ``ProcessCosts.max_redeliveries``) or
+                         ``skip`` (drop and count it).
+      ``faults``         every injected fault (``FaultInjection``).
       ``obs``            a TraceRecorder for span tracing.
 
     One-shot only (:meth:`WSMED.sql`):
       ``kernel``         execution kernel (defaults to a fresh SimKernel).
-      ``fault_rate``     broker-level random fault rate.
 
     Engine only (:class:`~repro.engine.QueryEngine`):
       ``tenant``         fair-queue admission identity.
@@ -68,14 +70,13 @@ class QueryOptions:
     retries: int = 0
     cache: Optional[CacheConfig] = None
     process_costs: Optional[ProcessCosts] = None
-    on_error: Optional[str] = None
+    on_error: str = "fail"
     faults: Optional[FaultInjection] = None
     name: str = "Query"
     obs: Optional[object] = None
     optimize: str = "heuristic"
     observed: Optional[dict] = None
     kernel: Optional[object] = None
-    fault_rate: float = 0.0
     tenant: str = "default"
     deadline_ms: Optional[float] = None
 
@@ -91,6 +92,11 @@ class QueryOptions:
             )
         if not _is_count(self.retries):
             raise PlanError(f"retries must be an integer >= 0, got {self.retries!r}")
+        if self.on_error not in ("fail", "retry", "skip"):
+            raise PlanError(
+                f"unknown on_error policy {self.on_error!r}; "
+                "use fail, retry or skip"
+            )
         if not isinstance(self.name, str):
             raise PlanError(f"name must be a string, got {self.name!r}")
         if self.deadline_ms is not None and not (
@@ -114,7 +120,7 @@ def _is_number(value: object) -> bool:
 
 
 #: Fields only the one-shot WSMED.sql surface honors.
-ONE_SHOT_ONLY = frozenset({"kernel", "fault_rate"})
+ONE_SHOT_ONLY = frozenset({"kernel"})
 #: Fields only the resident engine honors.
 ENGINE_ONLY = frozenset({"tenant", "deadline_ms"})
 

@@ -499,7 +499,7 @@ class WSMED:
         if opts.optimize == "cost":
             return self._explain_cost(sql_text, opts)
         calculus, plan, _ = self._compile(sql_text, opts)
-        model = CostModel(call_costs=self._profile_call_costs())
+        model = self.cost_model(opts.observed)
         return "\n".join(
             [
                 "-- calculus --",
@@ -615,9 +615,9 @@ class WSMED:
         web-service calls.
         ``process_costs`` overrides the system-wide cost model for this
         query (e.g. to enable micro-batching via ``batch_size``).
-        ``on_error`` / ``faults`` are shortcuts that override the pool
-        failure policy and fault-injection knobs of the effective
-        process costs (see :class:`~repro.parallel.costs.ProcessCosts`).
+        ``on_error`` is the pools' failure policy and ``faults`` (a
+        :class:`~repro.parallel.faults.FaultInjection`) the faults the
+        query injects on purpose; both ride the query's run.
         ``obs`` (a :class:`repro.obs.TraceRecorder`) turns on tracing:
         compile phases, operator invocations, per-call and web-service
         spans and the pools' instants land in its store, which the
@@ -633,9 +633,7 @@ class WSMED:
         opts = resolve_options(options, where="WSMED.sql", rejected=ENGINE_ONLY)
         _, plan, _ = self._compile(sql_text, opts)
         kernel = opts.kernel or SimKernel()
-        broker = self.registry.bind(
-            kernel, seed=self.seed, fault_rate=opts.fault_rate
-        )
+        broker = self.registry.bind(kernel, seed=self.seed)
         return kernel.run(self.run_plan(plan, opts, broker).collect())
 
     def cache_config_for(self, opts: QueryOptions) -> CacheConfig | None:
@@ -689,11 +687,7 @@ class WSMED:
         mode = ExecutionMode.of(opts.mode).value
         recorder = opts.obs if opts.obs is not None else NULL_RECORDER
         costs = opts.process_costs or self.process_costs
-        if opts.on_error is not None:
-            costs = _replace(costs, on_error=opts.on_error)
-        if opts.faults is not None:
-            costs = _replace(costs, faults=opts.faults)
-        run = QueryRun(retries=opts.retries)
+        run = QueryRun(retries=opts.retries, on_error=opts.on_error, faults=opts.faults)
         config = self.cache_config_for(opts)
         if config is not None:
             run.memo = memo if memo is not None else CallMemo(kernel, config)
@@ -707,11 +701,7 @@ class WSMED:
             run=run,
         )
         kernel.attach_placement(
-            ctx,
-            functions=self.functions,
-            registry=self.registry,
-            seed=self.seed,
-            fault_rate=broker.fault_rate,
+            ctx, functions=self.functions, registry=self.registry, seed=self.seed
         )
         executor = ParallelExecutor(ctx, costs, pool_registry=pool_registry)
         query_span = -1

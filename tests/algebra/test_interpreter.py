@@ -4,6 +4,7 @@ import pytest
 
 from repro.algebra.interpreter import ExecutionContext, compile_plan
 from repro.algebra.plan import ParamNode, PlanError
+from repro.parallel.faults import FaultInjection
 from repro.runtime.simulated import SimKernel
 from repro.util.errors import ServiceFault
 
@@ -84,7 +85,7 @@ def test_service_fault_propagates(world) -> None:
 
 def test_injected_faults_propagate(world) -> None:
     with pytest.raises(ServiceFault, match="transiently"):
-        world.run_central(QUERY2_SQL, fault_rate=0.2)
+        world.run_central(QUERY2_SQL, faults=FaultInjection(service_fault_probability=0.2))
 
 
 def test_param_node_outside_plan_function_rejected(world) -> None:

@@ -10,6 +10,7 @@ from repro import (
     QUERY1_SQL,
     AsyncioKernel,
     CacheConfig,
+    FaultInjection,
     ProcessCosts,
     QueryEngine,
     SimKernel,
@@ -243,6 +244,36 @@ def test_queries_with_distinct_ttls_lease_one_warm_tree() -> None:
     engine.close()
     assert stats.warm_leases >= 39
     assert stats.cold_starts == 1
+
+
+@pytest.mark.parametrize("kernel", ["sim", "process"])
+def test_a_warm_tree_follows_each_querys_failure_policy(kernel) -> None:
+    """The failure policy and injected faults ride the query, not the
+    tree's identity: a tree built under ``on_error="fail"`` is leased warm
+    to a query that retries injected failures, and follows its policy."""
+    from repro.runtime.multiprocess import ProcessKernel
+
+    resident = ProcessKernel(workers=1) if kernel == "process" else None
+    engine = fresh_engine(kernel=resident)
+    try:
+        strict = engine.sql(QUERY1_SQL, options=PARALLEL.replace(on_error="fail"))
+        cold_starts = engine.stats().cold_starts
+        tolerant = engine.sql(
+            QUERY1_SQL,
+            options=PARALLEL.replace(
+                on_error="retry",
+                faults=FaultInjection(call_failure_probability=0.1),
+            ),
+        )
+        stats = engine.stats()
+    finally:
+        engine.close()
+        if resident is not None:
+            resident.shutdown()
+    assert tolerant.as_bag() == strict.as_bag()
+    assert tolerant.fault_stats.redeliveries > 0
+    assert stats.cold_starts == cold_starts
+    assert tolerant.tree.processes_spawned == 0
 
 
 def test_a_query_cannot_set_the_bound_of_the_engine_memo() -> None:

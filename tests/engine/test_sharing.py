@@ -9,6 +9,7 @@ from repro import (
     QUERY1_SQL,
     AsyncioKernel,
     CacheConfig,
+    FaultInjection,
     QueryEngine,
 )
 from repro.wsmed.options import QueryOptions
@@ -156,8 +157,11 @@ def test_failed_shared_call_does_not_poison_waiters() -> None:
 
     engine = sharing_engine()
     engine.pool_registry.share_pools = False
-    engine.broker.fault_rate = 0.05  # deterministic: seeded broker RNG
-    results = engine.sql_many([QUERY1_SQL] * 4, options=PARALLEL.replace(retries=3))
+    # Deterministic: the faults draw from the resident broker's seeded RNG.
+    faulty = PARALLEL.replace(
+        retries=3, faults=FaultInjection(service_fault_probability=0.05)
+    )
+    results = engine.sql_many([QUERY1_SQL] * 4, options=faulty)
     engine.close()
 
     assert sum(r.cache_stats.failures for r in results) > 0  # leaders did fail...

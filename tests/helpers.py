@@ -15,6 +15,8 @@ from repro.algebra.interpreter import ExecutionContext, compile_plan
 from repro.calculus.generator import generate_calculus
 from repro.fdb.functions import FunctionRegistry, helping_function
 from repro.fdb.types import CHARSTRING, TupleType
+from repro.obs.run import QueryRun
+from repro.parallel.faults import FaultInjection
 from repro.runtime.simulated import SimKernel
 from repro.services.registry import ServiceRegistry, build_registry
 from repro.sql.parser import parse_query
@@ -83,13 +85,17 @@ class World:
     def central_plan(self, sql: str, name: str = "Query"):
         return create_central_plan(self.calculus(sql, name), self.functions)
 
-    def run_central(self, sql: str, *, fault_rate: float = 0.0):
-        """Execute the central plan; returns (rows, kernel, broker)."""
+    def run_central(self, sql: str, *, faults: FaultInjection | None = None):
+        """Execute the central plan under the injection ``faults``; returns
+        (rows, kernel, broker)."""
         plan = self.central_plan(sql)
         kernel = SimKernel()
-        broker = self.registry.bind(kernel, fault_rate=fault_rate)
+        broker = self.registry.bind(kernel)
         ctx = ExecutionContext(
-            kernel=kernel, broker=broker, functions=self.functions
+            kernel=kernel,
+            broker=broker,
+            functions=self.functions,
+            run=QueryRun(faults=faults),
         )
         rows = kernel.run(compile_plan(plan).rows(ctx))
         return rows, kernel, broker

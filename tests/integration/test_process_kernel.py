@@ -199,6 +199,24 @@ def test_local_services_workers_memoize_in_their_own_memo(wsmed) -> None:
     assert warm.as_bag() == cold.as_bag()
 
 
+def test_local_services_workers_inject_each_querys_service_faults(wsmed) -> None:
+    """Services ship to ``local_services`` workers once per registry, but
+    the faults their brokers inject are each query's own: on one reused
+    kernel a faulty query's worker-side calls fault (and are retried there,
+    in child processes), and the clean queries around it see none."""
+    options = QueryOptions(mode="parallel", fanouts=[2, 2])
+    faulty = options.replace(retries=60, faults=FaultInjection(service_fault_probability=0.8))
+    with ProcessKernel(workers=1, local_services=True) as kernel:
+        results = [
+            wsmed.sql(QUERY1_SQL, options=each.replace(kernel=kernel, obs=TraceRecorder()))
+            for each in (options, faulty, options)
+        ]
+    retried = [{event.process for event in r.spans.find("retry")} - {"q0"} for r in results]
+    assert retried[0] == retried[2] == set()
+    assert retried[1]  # worker children retried their own faulted calls
+    assert results[1].as_bag() == results[0].as_bag() == results[2].as_bag()
+
+
 def test_engine_keeps_worker_processes_warm(wsmed) -> None:
     with ProcessKernel(workers=2) as kernel:
         engine = QueryEngine(wsmed, kernel=kernel)

@@ -106,11 +106,11 @@ def _run_until_the_breaker_trips(recorder) -> QueryRun:
     pool's breaker aborts the query, so its run is read from the context."""
     world = make_world()
     plan = parallelize(world.central_plan(QUERY1_SQL), world.functions, fanouts=[5, 4])
-    costs = ProcessCosts(
-        on_error="skip", faults=FaultInjection(call_failure_probability=0.7)
-    ).scaled(0.01)
+    costs = ProcessCosts().scaled(0.01)
     kernel = SimKernel()
-    run = QueryRun() if recorder is None else QueryRun(obs=recorder)
+    run = QueryRun(on_error="skip", faults=FaultInjection(call_failure_probability=0.7))
+    if recorder is not None:
+        run.obs = recorder
     ctx = ExecutionContext(
         kernel=kernel, broker=world.registry.bind(kernel), functions=world.functions, run=run
     )

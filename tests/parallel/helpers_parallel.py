@@ -8,6 +8,7 @@ from repro.obs.run import QueryRun
 from repro.obs.spans import TraceRecorder
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.executor import ParallelExecutor
+from repro.parallel.faults import FaultInjection
 from repro.parallel.parallelizer import parallelize
 from repro.runtime.simulated import SimKernel
 
@@ -23,22 +24,24 @@ def run_parallel(
     fanouts: list[int] | None = None,
     adaptation: AdaptationParams | None = None,
     costs: ProcessCosts = FAST_COSTS,
-    fault_rate: float = 0.0,
+    on_error: str = "fail",
+    faults: FaultInjection | None = None,
     name: str = "Query",
 ):
-    """Parallelize and execute, traced; returns (rows, kernel, broker, ctx).
-    The run's spans and instants are in ``ctx.run.obs.store``."""
+    """Parallelize and execute, traced, under the query policy ``on_error``
+    and injection ``faults``; returns (rows, kernel, broker, ctx).  The
+    run's spans and instants are in ``ctx.run.obs.store``."""
     central = world.central_plan(sql, name)
     plan = parallelize(
         central, world.functions, fanouts=fanouts, adaptation=adaptation
     )
     kernel = SimKernel()
-    broker = world.registry.bind(kernel, fault_rate=fault_rate)
+    broker = world.registry.bind(kernel)
     ctx = ExecutionContext(
         kernel=kernel,
         broker=broker,
         functions=world.functions,
-        run=QueryRun(obs=TraceRecorder()),
+        run=QueryRun(obs=TraceRecorder(), on_error=on_error, faults=faults),
     )
     executor = ParallelExecutor(ctx, costs)
     rows = kernel.run(collect_chunks(executor.execute(compile_plan(plan))))

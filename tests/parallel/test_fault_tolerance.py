@@ -18,6 +18,7 @@ from repro.algebra.plan import AdaptationParams, ApplyNode, ParamNode, PlanFunct
 from repro.fdb.functions import FunctionRegistry, helping_function
 from repro.fdb.types import INTEGER, TupleType
 from repro.fdb.values import Bag
+from repro import QueryOptions
 from repro.obs.run import QueryRun
 from repro.obs.spans import TraceRecorder
 from repro.parallel.costs import ProcessCosts
@@ -54,7 +55,16 @@ KERNELS = [SimKernel, lambda: AsyncioKernel(time_scale=0.001)]
 # -- unit harness: an FF pool over a controllable helping function ------------------
 
 
-def make_pool(kernel, costs, implementation, *, fanout=2, pool_class=FFPool, params=None):
+def make_pool(
+    kernel,
+    costs,
+    implementation,
+    *,
+    fanout=2,
+    pool_class=FFPool,
+    params=None,
+    on_error="fail",
+):
     registry = FunctionRegistry()
     registry.register(
         helping_function(
@@ -66,7 +76,10 @@ def make_pool(kernel, costs, implementation, *, fanout=2, pool_class=FFPool, par
         )
     )
     ctx = ExecutionContext(
-        kernel=kernel, broker=None, functions=registry, run=QueryRun(obs=TraceRecorder())
+        kernel=kernel,
+        broker=None,
+        functions=registry,
+        run=QueryRun(obs=TraceRecorder(), on_error=on_error),
     )
     body = ApplyNode(
         child=ParamNode(schema=("x",)),
@@ -129,9 +142,9 @@ def expected(xs):
 
 
 def test_fault_policy_knob_validation() -> None:
-    assert ProcessCosts().on_error == "fail"
+    assert QueryOptions().on_error == "fail"
     with pytest.raises(PlanError, match="on_error"):
-        ProcessCosts(on_error="explode")
+        QueryOptions(on_error="explode")
     with pytest.raises(PlanError, match="max_redeliveries"):
         ProcessCosts(max_redeliveries=-1)
 
@@ -141,6 +154,8 @@ def test_fault_injection_validation_and_determinism() -> None:
         FaultInjection(call_failure_probability=1.5)
     with pytest.raises(PlanError, match="crash_probability"):
         FaultInjection(crash_probability=-0.1)
+    with pytest.raises(PlanError, match="service_fault_probability"):
+        FaultInjection(service_fault_probability=1.0)
     assert not FaultInjection().active()
     assert FaultInjection(call_failure_probability=0.1).active()
     assert FaultInjection(crash_probability=0.1).active()
@@ -167,7 +182,7 @@ def test_fault_injection_validation_and_determinism() -> None:
 @pytest.mark.parametrize("make_kernel", KERNELS)
 def test_retry_redelivers_failed_row(make_kernel) -> None:
     kernel = make_kernel()
-    pool, ctx = make_pool(kernel, fault_costs(on_error="retry"), flaky({3: 1}))
+    pool, ctx = make_pool(kernel, fault_costs(), flaky({3: 1}), on_error="retry")
     out = drive(kernel, pool, [(x,) for x in range(1, 7)])
     # Complete and duplicate-free despite the failure.
     assert sorted(out) == expected(range(1, 7))
@@ -188,7 +203,7 @@ def test_retry_redelivers_failed_row(make_kernel) -> None:
 def test_retry_budget_exhausted_fails_the_query() -> None:
     kernel = SimKernel()
     pool, ctx = make_pool(
-        kernel, fault_costs(on_error="retry", max_redeliveries=2), flaky({3: 99})
+        kernel, fault_costs(max_redeliveries=2), flaky({3: 99}), on_error="retry"
     )
     with pytest.raises(ReproError, match="max_redeliveries=2"):
         drive(kernel, pool, [(x,) for x in range(1, 7)])
@@ -200,7 +215,7 @@ def test_retry_budget_exhausted_fails_the_query() -> None:
 @pytest.mark.parametrize("make_kernel", KERNELS)
 def test_skip_drops_failed_row_and_counts_it(make_kernel) -> None:
     kernel = make_kernel()
-    pool, ctx = make_pool(kernel, fault_costs(on_error="skip"), flaky({3: 99}))
+    pool, ctx = make_pool(kernel, fault_costs(), flaky({3: 99}), on_error="skip")
     out = drive(kernel, pool, [(x,) for x in range(1, 7)])
     assert sorted(out) == expected([1, 2, 4, 5, 6])
     assert ctx.run.fault_stats.skipped_rows == 1
@@ -224,8 +239,9 @@ def test_fail_policy_aborts_without_fault_events() -> None:
 def test_breaker_escalates_a_mostly_dead_pool(monkeypatch) -> None:
     monkeypatch.setattr("repro.parallel.ff_applyp.BREAKER_MIN_CALLS", 5)
     kernel = SimKernel()
-    costs = fault_costs(on_error="skip")
-    pool, ctx = make_pool(kernel, costs, flaky({x: 99 for x in range(20)}))
+    pool, ctx = make_pool(
+        kernel, fault_costs(), flaky({x: 99 for x in range(20)}), on_error="skip"
+    )
     with pytest.raises(ReproError, match="circuit breaker open"):
         drive(kernel, pool, [(x,) for x in range(20)])
     trips = ctx.run.obs.store.find("breaker_open")
@@ -310,7 +326,7 @@ def test_child_slots_compare_by_identity() -> None:
 
 def test_cancelled_child_is_respawned() -> None:
     kernel = SimKernel()
-    pool, ctx = make_pool(kernel, fault_costs(on_error="retry"), ident, fanout=2)
+    pool, ctx = make_pool(kernel, fault_costs(), ident, fanout=2, on_error="retry")
 
     async def main():
         first = await feed(pool, [(1,), (2,)])
@@ -399,8 +415,8 @@ def _source(rows):
 @pytest.mark.parametrize("make_kernel", KERNELS)
 def test_batched_retry_recovers_without_duplicates(make_kernel) -> None:
     kernel = make_kernel()
-    costs = fault_costs(on_error="retry", batch_size=2)
-    pool, ctx = make_pool(kernel, costs, flaky({2: 1}), fanout=2)
+    costs = fault_costs(batch_size=2)
+    pool, ctx = make_pool(kernel, costs, flaky({2: 1}), fanout=2, on_error="retry")
     out = drive(kernel, pool, [(x,) for x in range(1, 7)])
     # A failed call inside a batch ships no rows; only the redelivery's
     # rows arrive, so nothing is duplicated.
@@ -413,13 +429,14 @@ def test_batched_retry_recovers_without_duplicates(make_kernel) -> None:
 
 
 def test_injected_failures_with_retry_recover_the_full_result(world, clean_q1) -> None:
-    costs = replace(
-        FAST_COSTS,
+    rows, _, _, ctx = run_parallel(
+        world,
+        QUERY1_SQL,
+        fanouts=[5, 4],
+        costs=replace(FAST_COSTS, max_redeliveries=6),
         on_error="retry",
-        max_redeliveries=6,
         faults=FaultInjection(call_failure_probability=0.15),
     )
-    rows, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4], costs=costs)
     # Complete and duplicate-free despite a 15% injected failure rate.
     assert Bag(rows) == Bag(clean_q1)
     assert len(ctx.run.obs.store.find("call_failed")) > 0
@@ -430,12 +447,13 @@ def test_injected_failures_with_retry_recover_the_full_result(world, clean_q1) -
 
 
 def test_injected_failures_with_skip_drop_rows(world, clean_q1) -> None:
-    costs = replace(
-        FAST_COSTS,
+    rows, _, _, ctx = run_parallel(
+        world,
+        QUERY1_SQL,
+        fanouts=[5, 4],
         on_error="skip",
         faults=FaultInjection(call_failure_probability=0.05),
     )
-    rows, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4], costs=costs)
     # Every produced row is genuine (a sub-multiset of the clean result)...
     assert not Counter(rows) - Counter(clean_q1)
     # ...but skipped calls lost some.
@@ -446,13 +464,14 @@ def test_injected_failures_with_skip_drop_rows(world, clean_q1) -> None:
 
 
 def test_injected_crash_respawns_and_recovers(world, clean_q1) -> None:
-    costs = replace(
-        FAST_COSTS,
+    rows, _, _, ctx = run_parallel(
+        world,
+        QUERY1_SQL,
+        fanouts=[5, 4],
+        costs=replace(FAST_COSTS, max_redeliveries=6),
         on_error="retry",
-        max_redeliveries=6,
         faults=FaultInjection(crash_probability=0.01),
     )
-    rows, _, _, ctx = run_parallel(world, QUERY1_SQL, fanouts=[5, 4], costs=costs)
     assert Bag(rows) == Bag(clean_q1)
     assert len(ctx.run.obs.store.find("respawn")) >= 1
     stats = ctx.run.fault_stats
@@ -476,14 +495,13 @@ def test_adaptive_cycles_count_failed_calls(world, clean_q1) -> None:
     assert all(
         "failed" not in event.attrs for event in clean_ctx.run.obs.store.find("cycle")
     )
-    costs = replace(
-        FAST_COSTS,
-        on_error="retry",
-        max_redeliveries=6,
-        faults=FaultInjection(call_failure_probability=0.1),
-    )
     rows, _, _, ctx = run_parallel(
-        world, QUERY1_SQL, adaptation=AdaptationParams(), costs=costs
+        world,
+        QUERY1_SQL,
+        adaptation=AdaptationParams(),
+        costs=replace(FAST_COSTS, max_redeliveries=6),
+        on_error="retry",
+        faults=FaultInjection(call_failure_probability=0.1),
     )
     assert Bag(rows) == Bag(clean_rows)
     cycles = ctx.run.obs.store.find("cycle")

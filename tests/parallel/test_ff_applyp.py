@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fdb.values import Bag
+from repro.parallel.faults import FaultInjection
 from repro.util.errors import ReproError
 
 from tests.helpers import QUERY1_SQL, QUERY2_SQL, make_world
@@ -113,7 +114,12 @@ def test_injected_fault_propagates_and_shuts_down(world) -> None:
     # child's call (ChildError path); both must surface as ReproError and
     # tear the tree down without deadlocking the kernel.
     with pytest.raises(ReproError, match="transiently|query process"):
-        run_parallel(world, QUERY2_SQL, fanouts=[3, 3], fault_rate=0.3)
+        run_parallel(
+            world,
+            QUERY2_SQL,
+            fanouts=[3, 3],
+            faults=FaultInjection(service_fault_probability=0.3),
+        )
 
 
 def test_child_plan_failure_reported_as_child_error(world) -> None:

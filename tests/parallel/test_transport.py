@@ -25,6 +25,7 @@ from repro.fdb.types import BOOLEAN, CHARSTRING, INTEGER, REAL, AtomicType
 from repro.obs.run import FaultStats, MessageStats, TreeStats
 from repro.obs.spans import Span
 from repro.parallel import messages
+from repro.parallel.faults import FaultInjection
 from repro.runtime import wire
 from repro.runtime.workers import read_frames, write_frame
 
@@ -64,7 +65,7 @@ RUN_DELTA = (
 WIRE_ENVELOPES = [
     wire.AnchorClock(model_now=12.5, time_scale=0.001),
     wire.RegisterFunctions(payload=b"\x80\x04]", stubs=("getallstates",)),
-    wire.RegisterServices(payload=b"\x80\x04N.", seed=2009, fault_rate=0.05),
+    wire.RegisterServices(payload=b"\x80\x04N.", seed=2009),
     wire.SpawnChild(
         child_id=3,
         name="q7",
@@ -72,6 +73,8 @@ WIRE_ENVELOPES = [
         cache_config=None,
         retries=2,
         retry_backoff=0.25,
+        on_error="retry",
+        faults=FaultInjection(call_failure_probability=0.1, service_fault_probability=0.05),
         tracing=True,
         span_base=3_000_000,
     ),
@@ -79,6 +82,7 @@ WIRE_ENVELOPES = [
         child_id=3,
         cache_config=CacheConfig(enabled=True, ttl=30.0),
         retries=1,
+        on_error="skip",
         tracing=False,
         span_base=0,
     ),

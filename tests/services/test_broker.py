@@ -2,21 +2,23 @@
 
 import pytest
 
+from repro.parallel.faults import FaultInjection
 from repro.runtime.simulated import SimKernel
 from repro.services.latency import EndpointProfile
 from repro.services.providers import GEOPLACES_URI, USZIP_URI, ZIPCODES_URI
 from repro.services.registry import build_registry, profile_by_name
-from repro.util.errors import ServiceFault, UnknownServiceError
+from repro.util.errors import PlanError, ServiceFault, UnknownServiceError
 
 
-def run_calls(profile="fast", fault_rate=0.0, calls=None, capacity_overrides=None):
-    """Run a list of (uri, service, operation, args) calls concurrently."""
+def run_calls(profile="fast", fault_probability=0.0, calls=None, capacity_overrides=None):
+    """Run a list of (uri, service, operation, args) calls concurrently,
+    each failing with a retriable fault at ``fault_probability``."""
     registry = build_registry(profile, capacity_overrides=capacity_overrides)
     kernel = SimKernel()
-    broker = registry.bind(kernel, fault_rate=fault_rate)
+    broker = registry.bind(kernel)
 
     async def one(call):
-        return await broker.call(*call)
+        return await broker.call(*call, fault_probability=fault_probability)
 
     async def main():
         return await kernel.gather(*[one(call) for call in calls])
@@ -118,13 +120,12 @@ def test_service_name_mismatch_rejected() -> None:
 def test_fault_injection_raises_service_fault() -> None:
     calls = [(GEOPLACES_URI, "GeoPlaces", "GetAllStates", []) for _ in range(20)]
     with pytest.raises(ServiceFault, match="transiently"):
-        run_calls(fault_rate=0.5, calls=calls)
+        run_calls(fault_probability=0.5, calls=calls)
 
 
-def test_fault_rate_validation() -> None:
-    registry = build_registry("fast")
-    with pytest.raises(ValueError):
-        registry.bind(SimKernel(), fault_rate=1.5)
+def test_service_fault_probability_validation() -> None:
+    with pytest.raises(PlanError, match="service_fault_probability"):
+        FaultInjection(service_fault_probability=1.5)
 
 
 def test_capacity_override() -> None:
@@ -175,14 +176,18 @@ def test_endpoint_profile_scaled() -> None:
 def test_injected_faults_are_counted() -> None:
     registry = build_registry("fast")
     kernel = SimKernel()
-    broker = registry.bind(kernel, fault_rate=0.5)
+    broker = registry.bind(kernel)
 
     async def main():
         faulted = 0
         for _ in range(20):
             try:
                 await broker.call(
-                    ZIPCODES_URI, "Zipcodes", "GetPlacesInside", ["80840"]
+                    ZIPCODES_URI,
+                    "Zipcodes",
+                    "GetPlacesInside",
+                    ["80840"],
+                    fault_probability=0.5,
                 )
             except ServiceFault:
                 faulted += 1

@@ -4,7 +4,7 @@ future work), and transient-fault retries."""
 
 import pytest
 
-from repro import QueryOptions, TraceRecorder, WSMED
+from repro import FaultInjection, QueryOptions, TraceRecorder, WSMED
 from repro.util.errors import BindingError, CalculusError, ReproError, ServiceFault
 
 BUSHY_SQL = """
@@ -194,14 +194,19 @@ def test_cartesian_product_rejected(wsmed) -> None:
 # -- retries ------------------------------------------------------------------------
 
 
+def service_faults(probability: float) -> FaultInjection:
+    """Retriable service faults the broker injects on that share of calls."""
+    return FaultInjection(service_fault_probability=probability)
+
+
 def test_retries_rescue_transient_faults(wsmed) -> None:
     sql = "SELECT gs.Name FROM GetAllStates gs WHERE gs.State = 'Ohio'"
     # Without retries a high fault rate kills the query...
     with pytest.raises(ServiceFault):
-        wsmed.sql(sql, options=QueryOptions(fault_rate=0.7))
+        wsmed.sql(sql, options=QueryOptions(faults=service_faults(0.7)))
     # ...with retries it survives, and the trace shows the attempts.
     result = wsmed.sql(
-        sql, options=QueryOptions(fault_rate=0.7, retries=25, obs=TraceRecorder())
+        sql, options=QueryOptions(faults=service_faults(0.7), retries=25, obs=TraceRecorder())
     )
     assert result.rows == [("Ohio",)]
     assert len(result.spans.find("retry")) >= 1
@@ -211,7 +216,7 @@ def test_retries_exhausted_still_fail(wsmed) -> None:
     with pytest.raises(ReproError):
         wsmed.sql(
             "SELECT gs.Name FROM GetAllStates gs",
-            options=QueryOptions(fault_rate=0.999, retries=2),
+            options=QueryOptions(faults=service_faults(0.999), retries=2),
         )
 
 
@@ -224,7 +229,11 @@ def test_retry_in_parallel_child(wsmed) -> None:
     result = wsmed.sql(
         sql,
         options=QueryOptions(
-            mode="parallel", fanouts=[4], fault_rate=0.05, retries=30, obs=TraceRecorder()
+            mode="parallel",
+            fanouts=[4],
+            faults=service_faults(0.05),
+            retries=30,
+            obs=TraceRecorder(),
         ),
     )
     assert len(result) == 260
@@ -236,7 +245,7 @@ def test_retry_trace_events_number_the_attempts(wsmed) -> None:
     """Each ``retry`` event carries the operation and a 1-based attempt."""
     sql = "SELECT gs.Name FROM GetAllStates gs WHERE gs.State = 'Ohio'"
     result = wsmed.sql(
-        sql, options=QueryOptions(fault_rate=0.7, retries=25, obs=TraceRecorder())
+        sql, options=QueryOptions(faults=service_faults(0.7), retries=25, obs=TraceRecorder())
     )
     retries = result.spans.find("retry")
     assert retries  # the 0.7 fault rate guarantees at least one
@@ -257,12 +266,11 @@ def test_exhausted_retries_leave_a_call_fault_marker(wsmed) -> None:
     from repro.runtime.simulated import SimKernel
 
     kernel = SimKernel()
-    broker = wsmed.registry.bind(kernel, fault_rate=0.999)
     ctx = ExecutionContext(
         kernel=kernel,
-        broker=broker,
+        broker=wsmed.registry.bind(kernel),
         functions=wsmed.functions,
-        run=QueryRun(retries=2, obs=TraceRecorder()),
+        run=QueryRun(retries=2, faults=service_faults(0.999), obs=TraceRecorder()),
     )
     wrapper = wsmed.functions.resolve("GetAllStates").implementation
 
@@ -282,8 +290,6 @@ def test_exhausted_retries_leave_a_call_fault_marker(wsmed) -> None:
 
 
 def test_fault_stats_surface_on_the_query_result(wsmed) -> None:
-    from repro.parallel.faults import FaultInjection
-
     sql = (
         "SELECT gp.ToCity FROM GetAllStates gs, GetPlacesWithin gp "
         "WHERE gp.state = gs.State AND gp.place = 'Atlanta' "

@@ -8,8 +8,10 @@ from repro import (
     QUERY1_SQL,
     AdaptationParams,
     CacheConfig,
+    FaultInjection,
     QueryEngine,
     QueryOptions,
+    SimKernel,
     WSMED,
 )
 from repro.util.errors import PlanError
@@ -109,10 +111,33 @@ def test_engine_rejects_one_shot_only_fields() -> None:
     system.import_all()
     engine = QueryEngine(system)
     try:
-        with pytest.raises(PlanError, match="fault_rate"):
-            engine.sql(QUERY1_SQL, options=QueryOptions(fault_rate=0.5))
+        with pytest.raises(PlanError, match="kernel"):
+            engine.sql(QUERY1_SQL, options=QueryOptions(kernel=SimKernel()))
         with pytest.raises(PlanError, match="observed"):
             engine.sql(QUERY1_SQL, options=QueryOptions(observed={}))
+    finally:
+        engine.close()
+
+
+def test_engine_query_service_faults_reach_the_resident_broker() -> None:
+    """A query's injected service faults fail its own calls at the
+    engine's resident broker, and the next query does not inherit them."""
+    system = WSMED(profile="fast")
+    system.import_all()
+    engine = QueryEngine(system)
+    sql = "SELECT gs.Name FROM GetAllStates gs WHERE gs.State = 'Ohio'"
+    try:
+        faulty = engine.sql(
+            sql,
+            options=QueryOptions(
+                faults=FaultInjection(service_fault_probability=0.7), retries=25
+            ),
+        )
+        assert faulty.rows == [("Ohio",)]
+        assert faulty.call_stats["GetAllStates"].faults > 0
+        clean = engine.sql(sql)
+        assert clean.rows == [("Ohio",)]
+        assert clean.call_stats["GetAllStates"].faults == 0
     finally:
         engine.close()
 
