@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Any, AsyncIterator, Awaitable, Callable, NamedTuple, Optional
 
 from repro.algebra.expressions import ColExpr, compile_expr
-from repro.cache import MISS
+from repro.cache import MISS, Footprint
 from repro.algebra.plan import (
     AFFApplyNode,
     AggregateNode,
@@ -93,10 +93,14 @@ class ExecutionContext:
     # and the execution fingerprint seed-identical.  Typed loosely
     # because the placement layer sits above this module.
     placement: Optional[object] = None
+    # The memo footprint of the plan-function call this (child) process
+    # is serving, when the query memoizes; None on the coordinator and
+    # when it does not.  Every memo answer beneath the call folds in.
+    footprint: Optional[Footprint] = None
 
     def for_process(self, name: str) -> "ExecutionContext":
         """A context for a child process: same run, private pools."""
-        return replace(self, process_name=name, pools={})
+        return replace(self, process_name=name, pools={}, footprint=None)
 
 
 async def round_trip(
@@ -106,6 +110,7 @@ async def round_trip(
     operation: str,
     arguments: list,
     obs_span: int = -1,
+    footprint: Footprint | None = None,
 ) -> tuple[Any, str]:
     """One web-service call as it leaves the query tree.
 
@@ -118,11 +123,13 @@ async def round_trip(
     the address space's memo answers it when the query memoizes
     (``run.memo``); a miss goes straight to the broker, which records the
     call into the run's :class:`~repro.services.broker.CallRecorder` and
-    fails it with the query's service fault probability (``run.faults``).
+    fails it when the query's service-fault stream (``run.service_faults``)
+    draws a fault.  The memo entry that answers the call (or, forwarded,
+    the coordinator's) folds into ``footprint``.
     """
     run = ctx.run
     if run.remote is not None:
-        return await run.remote.call(uri, service, operation, arguments, obs_span)
+        return await run.remote.call(uri, service, operation, arguments, obs_span, footprint)
     if run.memo is None:
         return await _dispatch(ctx, uri, service, operation, arguments, obs_span), MISS
     return await run.memo.call(
@@ -130,16 +137,18 @@ async def round_trip(
         partial(_dispatch, ctx, uri, service, operation, arguments, obs_span),
         run.cache_stats,
         run.ttl,
+        footprint,
     )
 
 
 def _dispatch(ctx, uri, service, operation, arguments, obs_span):
     """The round-trip coroutine of one call the memo did not answer."""
     run = ctx.run
+    faults = run.service_faults
     return ctx.broker.call(
         uri, service, operation, arguments, recorder=run.call_recorder,
         obs=run.obs if run.obs.enabled else None, obs_span=obs_span,
-        fault_probability=run.faults.service_fault_probability if run.faults else 0.0,
+        fault=faults is not None and faults.random() < run.faults.service_fault_probability,
     )
 
 
@@ -299,6 +308,11 @@ def _compile(node: PlanNode, above: Callable) -> PullChain:
                     remaining -= len(rows)
                     yield above(rows)
                     if not remaining:
+                        # Cut short: which rows made it depends on the
+                        # order they came in, so the plan-function call
+                        # this runs in has no bag to memoize.
+                        if ctx.footprint is not None:
+                            ctx.footprint.poison()
                         break
             finally:
                 # Stop consuming: propagate GeneratorExit down the chain so

@@ -22,8 +22,10 @@ Node inventory (paper correspondence):
 
 from __future__ import annotations
 
+import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 
 from repro.algebra.expressions import (
@@ -32,6 +34,7 @@ from repro.algebra.expressions import (
     expr_to_dict,
     render_expr,
 )
+from repro.cache import PlanSignature
 from repro.util.errors import PlanError
 
 
@@ -520,6 +523,16 @@ class PlanFunction:
             body=plan_from_dict(data["body"]),
         )
 
+    @cached_property
+    def memo_signature(self) -> PlanSignature:
+        """This plan function's key in the call memo: its structural form
+        (node ids renumbered, so every compilation of one definition
+        shares entries) and the functions it applies, at any depth."""
+        return PlanSignature(
+            json.dumps(structural_form(self.to_dict()), sort_keys=True),
+            plan_dependencies(self.body),
+        )
+
 
 # Stable identities for parallel operator nodes, assigned at plan-build
 # time.  Executor pools are keyed on these (never on ``id(node)``, which
@@ -691,3 +704,54 @@ def walk(node: PlanNode):
     yield node
     for child in node.children():
         yield from walk(child)
+
+
+def plan_dependencies(plan: PlanNode) -> frozenset[str]:
+    """Lower-cased names of every function the plan applies.
+
+    Recurses into the bodies of shipped plan functions — ``walk`` alone
+    stops at the FF/AFF node, but a re-imported OWF used three levels
+    down still invalidates the whole plan.
+    """
+    names: set[str] = set()
+    stack: list[PlanNode] = [plan]
+    while stack:
+        for node in walk(stack.pop()):
+            if isinstance(node, ApplyNode):
+                names.add(node.function.lower())
+            if isinstance(node, (FFApplyNode, AFFApplyNode)):
+                stack.append(node.plan_function.body)
+    return frozenset(names)
+
+
+def structural_form(serialized) -> object:
+    """Canonicalize a serialized plan (sub)tree for cross-plan matching.
+
+    Two independently compiled plans with identical structure differ only
+    in their ``node_id`` strings (assigned by a global counter at
+    plan-build time).  This renumbers every ``node_id`` in first-visit
+    order over a key-sorted traversal, so structurally identical
+    subplans — e.g. the same FF subtree inside two compilations of the
+    same query — map to the same form.  Common-subplan detection for
+    shared pool leases fingerprints this form instead of the raw
+    serialization; correctness does not lean on node ids there because
+    replaced definitions are invalidated explicitly
+    (:meth:`~repro.engine.pools.PoolRegistry.condemn`).
+    """
+    mapping: dict[str, str] = {}
+
+    def canon(obj):
+        if isinstance(obj, dict):
+            out = {}
+            for key in sorted(obj):
+                value = obj[key]
+                if key == "node_id" and isinstance(value, str):
+                    out[key] = mapping.setdefault(value, f"n{len(mapping)}")
+                else:
+                    out[key] = canon(value)
+            return out
+        if isinstance(obj, list):
+            return [canon(item) for item in obj]
+        return obj
+
+    return canon(serialized)

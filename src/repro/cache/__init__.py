@@ -11,6 +11,8 @@ from repro.cache.call_cache import (
     CacheConfig,
     CacheStats,
     CallMemo,
+    Footprint,
+    PlanSignature,
     stable_hash,
 )
 
@@ -25,5 +27,7 @@ __all__ = [
     "CacheConfig",
     "CacheStats",
     "CallMemo",
+    "Footprint",
+    "PlanSignature",
     "stable_hash",
 ]

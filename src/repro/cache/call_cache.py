@@ -17,6 +17,14 @@ query tree, :func:`~repro.algebra.interpreter.round_trip`:
 There is one memo per address space that executes calls — a one-shot
 query's, a resident engine's, or a ``local_services`` worker's — so every
 process of a query (and, on an engine, every query) shares it.
+
+The same memo holds whole plan-function results one level up: a plan
+function applied to a parameter tuple is a bag of rows over a chain of
+memoized calls, so its bag is exactly as memoizable as those calls.  A
+:class:`Footprint` accumulates, while the call runs, how many calls lie
+beneath it and when the first of their entries expires; the FF/AFF pool
+stores the bag under ``(PlanSignature, row)`` in the same ``OrderedDict``
+and LRU bound, and answers that tuple from it from then on.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Hashable
 
 from repro.runtime.base import Kernel
@@ -88,6 +96,9 @@ class CacheStats:
     ``evictions``   entries dropped by the LRU bound.
     ``expirations`` entries dropped because their TTL elapsed.
     ``failures``    leader calls that raised; their waiters re-checked.
+    ``plan_hits``   plan-function bags served without a dispatch; each
+                    adds the calls beneath it to ``hits``, so ``hits``
+                    stays "calls answered without the broker".
     """
 
     hits: int = 0
@@ -96,6 +107,7 @@ class CacheStats:
     evictions: int = 0
     expirations: int = 0
     failures: int = 0
+    plan_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -117,25 +129,74 @@ class CacheStats:
         return {**vars(self), "hit_rate": self.hit_rate}
 
 
+@dataclass(frozen=True)
+class PlanSignature:
+    """A plan function as the memo keys it: its canonical serialized
+    ``definition`` (equal definitions share entries) and the lower-cased
+    names of the ``functions`` it applies, at any depth (replacing one
+    drops its entries)."""
+
+    definition: str
+    functions: frozenset[str] = field(compare=False)
+
+
+class Footprint:
+    """What one plan-function call read from the memo, accumulated while
+    it runs: the memo-answerable web-service ``calls`` beneath it and the
+    earliest model time one of their entries ``expires`` (None = never).
+    Poisoned when the call's bag must not be stored (a fault, a failed or
+    redelivered call beneath it, a LIMIT that cut it short, a call no memo
+    answered); :attr:`value` is then None."""
+
+    __slots__ = ("calls", "expires", "valid")
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self.expires: float | None = None
+        self.valid = True
+
+    def add(self, calls: int, expires: float | None) -> None:
+        self.calls += calls
+        if expires is not None and (self.expires is None or expires < self.expires):
+            self.expires = expires
+
+    def merge(self, footprint: tuple[int, float | None] | None) -> None:
+        """Fold in the :attr:`value` of a call made beneath this one."""
+        if footprint is None:
+            self.valid = False
+        else:
+            self.add(*footprint)
+
+    def poison(self) -> None:
+        self.valid = False
+
+    @property
+    def value(self) -> tuple[int, float | None] | None:
+        """``(calls, expires)``, or None when poisoned."""
+        return (self.calls, self.expires) if self.valid else None
+
+
 class _Flight:
     """Single-flight rendezvous: the leader's outcome, read by waiters."""
 
-    __slots__ = ("done", "value", "error")
+    __slots__ = ("done", "value", "error", "expires")
 
     def __init__(self, kernel: Kernel) -> None:
         self.done = kernel.event()
         self.value: Any = None
         self.error: BaseException | None = None
+        self.expires: float | None = None  # of the entry the leader stored
 
 
 class CallMemo:
     """One address space's memo of web-service results (each call's rows,
-    an immutable tuple every caller shares), with single-flight.
+    an immutable tuple every caller shares), with single-flight, and of
+    plan-function bags (:meth:`lookup_plan`, :meth:`store_plan`).
 
-    The LRU bound is the owner's ``config.max_entries``; the TTL is per
-    entry, given by the query that stores it.  The counters are not the
-    memo's own: each call bumps the :class:`CacheStats` of the query it
-    serves.
+    The LRU bound is the owner's ``config.max_entries``, over call and
+    plan-function entries together; the TTL is per entry, given by the
+    query that stores it.  The counters are not the memo's own: each
+    call bumps the :class:`CacheStats` of the query it serves.
     """
 
     def __init__(self, kernel: Kernel, config: CacheConfig) -> None:
@@ -144,6 +205,9 @@ class CallMemo:
         # key -> (value, model time it expires at; None = never)
         self.entries: "OrderedDict[Hashable, tuple[Any, float | None]]" = OrderedDict()
         self.in_flight: dict[Hashable, _Flight] = {}
+        # Calls to invalidate_operation so far: a plan-function bag whose
+        # calls straddle one is not stored (see ChildPool._remember).
+        self.invalidations = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -164,12 +228,52 @@ class CallMemo:
         stats.expirations += 1
         return None
 
+    def lookup_plan(
+        self, key: tuple, stats: CacheStats
+    ) -> tuple[tuple, int, float | None] | None:
+        """The live bag stored under ``key`` = ``(PlanSignature, row)`` as
+        ``(rows, calls, expires_at)``, or None, dropping an expired one.
+        A hit counts one plan hit and ``calls`` call hits into ``stats``."""
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        (rows, calls), expires_at = entry
+        if expires_at is None or self.kernel.now() < expires_at:
+            self.entries.move_to_end(key)
+            stats.hits += calls
+            stats.plan_hits += 1
+            return rows, calls, expires_at
+        del self.entries[key]
+        stats.expirations += 1
+        return None
+
+    def store_plan(
+        self,
+        key: tuple,
+        rows: tuple,
+        footprint: tuple[int, float | None],
+        stats: CacheStats,
+    ) -> None:
+        """Store a plan function's bag under ``key`` until the earliest
+        expiry beneath it (``footprint = (calls, expires_at)``)."""
+        calls, expires_at = footprint
+        self._store(key, (rows, calls), expires_at, stats)
+
+    def _store(self, key: Hashable, value: Any, expires_at: float | None, stats) -> None:
+        entries = self.entries
+        entries[key] = (value, expires_at)
+        entries.move_to_end(key)
+        while len(entries) > self.max_entries:
+            entries.popitem(last=False)
+            stats.evictions += 1
+
     async def call(
         self,
         key: Hashable,
         invoke: Callable[[], Awaitable[Any]],
         stats: CacheStats | None = None,
         ttl: float | None = None,
+        footprint: Footprint | None = None,
     ) -> tuple[Any, str]:
         """Return ``(result, outcome)`` for the call identified by ``key``.
 
@@ -180,7 +284,9 @@ class CallMemo:
         run's counters; uncounted when omitted).  A result is stored for
         ``ttl`` model seconds (``None`` = until evicted).  A fault raises
         in the leader only and is not memoized: every waiter wakes,
-        re-checks, and one of them leads the call again.
+        re-checks, and one of them leads the call again.  The answering
+        entry is folded into ``footprint`` (the running plan-function
+        call's, when it is tracked).
         """
         if stats is None:
             stats = CacheStats()
@@ -190,11 +296,15 @@ class CallMemo:
             # Unhashable argument (never produced by the OWF path, but the
             # memo is public API): pass through without memoizing.
             stats.misses += 1
+            if footprint is not None:
+                footprint.poison()
             return await invoke(), MISS
 
         while True:
             entry = self.lookup(key, stats)
             if entry is not None:
+                if footprint is not None:
+                    footprint.add(1, entry[1])
                 return entry[0], HIT
             flight = self.in_flight.get(key)
             if flight is None:
@@ -202,6 +312,8 @@ class CallMemo:
             await flight.done.wait()
             if flight.error is None:
                 stats.collapsed += 1
+                if footprint is not None:
+                    footprint.add(1, flight.expires)
                 return flight.value, COLLAPSED
             # The leader's call failed.  That fault belongs to the caller
             # that issued it, so loop: re-check, and possibly lead.
@@ -217,19 +329,18 @@ class CallMemo:
             raise
         else:
             flight.value = value
-            entries = self.entries
-            entries[key] = (value, self.kernel.now() + ttl if ttl is not None else None)
-            entries.move_to_end(key)
-            while len(entries) > self.max_entries:
-                entries.popitem(last=False)
-                stats.evictions += 1
+            flight.expires = self.kernel.now() + ttl if ttl is not None else None
+            self._store(key, value, flight.expires, stats)
+            if footprint is not None:
+                footprint.add(1, flight.expires)
             return value, MISS
         finally:
             del self.in_flight[key]
             flight.done.set()
 
     def invalidate_operation(self, operation_name: str) -> int:
-        """Drop every memoized result of ``operation_name``.
+        """Drop every memoized result of ``operation_name``, and every
+        plan-function bag whose plan function applies it.
 
         Wired to ``WSMED.add_replace_listener`` by the resident engine:
         when ``import_wsdl`` or ``register_helping_function`` replaces a
@@ -238,8 +349,17 @@ class CallMemo:
         window a single query has between issuing a call and a concurrent
         re-import.
         """
+        self.invalidations += 1
         wanted = operation_name.lower()
-        stale = [key for key in self.entries if key[2].lower() == wanted]
+        stale = [
+            key
+            for key in self.entries
+            if (
+                wanted in key[0].functions
+                if type(key[0]) is PlanSignature
+                else key[2].lower() == wanted
+            )
+        ]
         for key in stale:
             del self.entries[key]
         return len(stale)

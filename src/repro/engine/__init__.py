@@ -1,5 +1,6 @@
 """Resident query engine: plan cache, warm pools, multi-query admission."""
 
+from repro.algebra.plan import plan_dependencies
 from repro.engine.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -8,12 +9,7 @@ from repro.engine.admission import (
     CapacityController,
 )
 from repro.engine.engine import EngineClosed, EngineStats, QueryEngine
-from repro.engine.plan_cache import (
-    CompiledPlan,
-    PlanCache,
-    PlanCacheStats,
-    plan_dependencies,
-)
+from repro.engine.plan_cache import CompiledPlan, PlanCache, PlanCacheStats
 from repro.engine.pools import PoolRegistry, PoolRegistryStats, pool_fingerprint
 
 __all__ = [

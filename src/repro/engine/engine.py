@@ -51,10 +51,10 @@ from contextlib import aclosing
 from dataclasses import dataclass
 from dataclasses import replace as _replace
 
-from repro.algebra.plan import INIT_FANOUT, AdaptationParams
+from repro.algebra.plan import INIT_FANOUT, AdaptationParams, plan_dependencies
 from repro.cache import CacheConfig, CallMemo
 from repro.engine.admission import AdmissionConfig, AdmissionController
-from repro.engine.plan_cache import CompiledPlan, PlanCache, plan_dependencies
+from repro.engine.plan_cache import CompiledPlan, PlanCache
 from repro.engine.pools import PoolRegistry
 from repro.runtime.base import Kernel
 from repro.runtime.simulated import SimKernel

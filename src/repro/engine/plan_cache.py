@@ -20,66 +20,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.algebra.plan import (
-    AdaptationParams,
-    AFFApplyNode,
-    ApplyNode,
-    FFApplyNode,
-    PlanNode,
-    walk,
-)
+from repro.algebra.plan import AdaptationParams, PlanNode
 from repro.util.errors import PlanError
-
-
-def plan_dependencies(plan: PlanNode) -> frozenset[str]:
-    """Lower-cased names of every function the plan applies.
-
-    Recurses into the bodies of shipped plan functions — ``walk`` alone
-    stops at the FF/AFF node, but a re-imported OWF used three levels
-    down still invalidates the whole plan.
-    """
-    names: set[str] = set()
-    stack: list[PlanNode] = [plan]
-    while stack:
-        for node in walk(stack.pop()):
-            if isinstance(node, ApplyNode):
-                names.add(node.function.lower())
-            if isinstance(node, (FFApplyNode, AFFApplyNode)):
-                stack.append(node.plan_function.body)
-    return frozenset(names)
-
-
-def structural_form(serialized) -> object:
-    """Canonicalize a serialized plan (sub)tree for cross-plan matching.
-
-    Two independently compiled plans with identical structure differ only
-    in their ``node_id`` strings (assigned by a global counter at
-    plan-build time).  This renumbers every ``node_id`` in first-visit
-    order over a key-sorted traversal, so structurally identical
-    subplans — e.g. the same FF subtree inside two compilations of the
-    same query — map to the same form.  Common-subplan detection for
-    shared pool leases fingerprints this form instead of the raw
-    serialization; correctness does not lean on node ids there because
-    replaced definitions are invalidated explicitly
-    (:meth:`~repro.engine.pools.PoolRegistry.condemn`).
-    """
-    mapping: dict[str, str] = {}
-
-    def canon(obj):
-        if isinstance(obj, dict):
-            out = {}
-            for key in sorted(obj):
-                value = obj[key]
-                if key == "node_id" and isinstance(value, str):
-                    out[key] = mapping.setdefault(value, f"n{len(mapping)}")
-                else:
-                    out[key] = canon(value)
-            return out
-        if isinstance(obj, list):
-            return [canon(item) for item in obj]
-        return obj
-
-    return canon(serialized)
 
 
 @dataclass

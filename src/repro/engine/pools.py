@@ -35,9 +35,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.algebra.interpreter import ExecutionContext
-from repro.algebra.plan import FFApplyNode, PlanNode
+from repro.algebra.plan import FFApplyNode, PlanNode, plan_dependencies, structural_form
 from repro.cache import stable_hash
-from repro.engine.plan_cache import plan_dependencies, structural_form
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.ff_applyp import ChildPool
 
@@ -52,7 +51,7 @@ def pool_fingerprint(
 
     With ``structural=True`` (the sharing engine's common-subplan mode),
     node ids are canonically renumbered first
-    (:func:`~repro.engine.plan_cache.structural_form`), so independently
+    (:func:`~repro.algebra.plan.structural_form`), so independently
     compiled but structurally identical subplans match; stale trees are
     then caught by explicit :meth:`PoolRegistry.condemn` invalidation
     rather than by fingerprint divergence.

@@ -21,6 +21,7 @@ add exactly.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -149,8 +150,12 @@ class QueryRun:
     retry_backoff: float = 0.5
     # QueryOptions.on_error and .faults (a FaultInjection, typed loosely:
     # it lives above this module), read per call by pools and children.
+    # `service_faults`: the query's own stream of service-fault draws
+    # (FaultInjection.service_fault_stream, derived from `faults` unless
+    # given), None when it injects none.
     on_error: str = "fail"
     faults: Optional[object] = None
+    service_faults: Optional[random.Random] = None
     # Where round_trip sends this query's calls (repro.algebra.interpreter).
     # `memo`: its address space's CallMemo when the query memoizes, storing
     # entries for `ttl` model seconds.  `remote`: inside an OS worker
@@ -167,6 +172,16 @@ class QueryRun:
     # Process numbers; a resident engine passes one counter to all its
     # queries, so names stay unique across the engine.
     names: Iterator[int] = field(default_factory=lambda: itertools.count(1))
+
+    def __post_init__(self) -> None:
+        if self.faults is not None and self.service_faults is None:
+            self.service_faults = self.faults.service_fault_stream()
+
+    @property
+    def memoizes(self) -> bool:
+        """Whether this run's calls are memoized: by its address space's
+        memo, or — a worker child's, forwarded — by the coordinator's."""
+        return self.memo is not None or (self.remote is not None and self.remote.memoizes)
 
     def next_process_name(self) -> str:
         return f"q{next(self.names)}"

@@ -8,7 +8,7 @@ runtime itself:
 * :class:`FaultInjection` — every fault a query injects on purpose:
   per-call failure and crash probabilities of its query processes,
   seeded per child so every run replays identically, and the probability
-  of a retriable service fault, drawn by the broker;
+  of a retriable service fault, drawn per call from the query's stream;
 * :class:`InjectedCrash` — the exception that simulates a query process
   dying abruptly (deliberately *not* a :class:`~repro.util.errors.ReproError`,
   so the child's per-call error handling cannot catch it).
@@ -22,6 +22,7 @@ lives in :class:`~repro.parallel.ff_applyp.ChildPool`.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from repro.util.errors import PlanError, ReproError
@@ -51,10 +52,12 @@ class FaultInjection:
                                   OOM kills, segfaults, machine loss.
     ``service_fault_probability`` chance that the broker fails a call
                                   with a retriable ``ServiceFault``
-                                  (drawn from the broker's stream).
-    ``seed``                      root of the per-child random streams, so
-                                  a run with the same seed injects the
-                                  same faults at the same calls.
+                                  (drawn from the query's own stream,
+                                  :meth:`service_fault_stream`).
+    ``seed``                      root of the per-child and service-fault
+                                  random streams, so a run with the same
+                                  seed injects the same faults at the
+                                  same calls.
     """
 
     call_failure_probability: float = 0.0
@@ -75,6 +78,16 @@ class FaultInjection:
     def active(self) -> bool:
         """Whether query processes fail or crash (service faults aside)."""
         return self.call_failure_probability > 0.0 or self.crash_probability > 0.0
+
+    def service_fault_stream(self, *labels: object) -> random.Random | None:
+        """The stream a query draws its service faults from, one draw per
+        call, derived from ``(seed, "service-faults", *labels)``: never the
+        broker's server-time jitter, so the faults move with the seed and
+        leave later queries' timings alone.  None when the probability is
+        0 — such a query draws nothing."""
+        if not self.service_fault_probability:
+            return None
+        return derive_rng(self.seed, "service-faults", *labels)
 
     def injector_for(self, process_name: str) -> "FaultInjector":
         """A deterministic per-child injector (independent streams)."""

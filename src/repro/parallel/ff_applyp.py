@@ -33,6 +33,13 @@ On top of the paper's protocol sits a pool-level fault-tolerance layer
 
 With the defaults (``on_error="fail"``, no fault injection) none of this
 changes a single message or trace event relative to the paper protocol.
+
+When the query memoizes (``ctx.run.memo``), the pool also memoizes its
+plan function: an input tuple whose bag the memo holds is answered from
+it without a dispatch, and a call that ends with a memo footprint
+(``EndOfCall.footprint``) has its rows stored as that tuple's bag.  A
+pool inside a child folds its calls' footprints, and poisons with any
+failure or early stop, into the footprint of the call the child serves.
 """
 
 from __future__ import annotations
@@ -98,6 +105,10 @@ class _Invocation:
     """State of one :meth:`ChildPool.run` — one parameter stream."""
 
     epoch: int  # stamps this invocation's pump messages
+    # The memo's invalidation count when the invocation began: every call
+    # beneath a bag it stores started after that, so a bag is stored only
+    # while the count stands (no definition was replaced under it).
+    memo_generation: int = 0
     in_flight: int = 0  # rows read from the input and not yet resolved
     input_done: bool = False
     first_round_announced: bool = False
@@ -147,6 +158,10 @@ class ChildPool:
         self.registry_key: int | None = None
         self.registry_deps: frozenset[str] = frozenset()
         self.registry_condemned = False
+        # When the running invocation's query memoizes: each in-flight
+        # call's rows so far (seq -> rows), stored as its bag at its
+        # end-of-call.  None otherwise.
+        self._bags: dict[int, list] | None = None
 
     def event(self, kind: str, *, category: str = "event", **attrs) -> None:
         """Record an instant of this pool on a traced run, under the
@@ -387,6 +402,8 @@ class ChildPool:
         policy = run.on_error
         faults = run.fault_stats
         faults.failed_calls += 1
+        if self.ctx.footprint is not None:
+            self.ctx.footprint.poison()  # faults are never memoized
         if policy == "skip":
             faults.skipped_rows += 1
         inv.failed += 1
@@ -464,6 +481,8 @@ class ChildPool:
         """
         self._pending.clear()
         self.batcher.discard()
+        if self._bags is not None:
+            self._bags.clear()
         for child in self.children:
             child.outstanding = 0
             child.inflight.clear()
@@ -515,16 +534,7 @@ class ChildPool:
             )
         inv = pump = None
         try:
-            if self._closed:
-                raise PlanError("operator pool used after shutdown")
-            if not self.children:
-                await self.on_first_use()
-            self._epoch += 1
-            if self._dirty():
-                # Defensive: the previous invocation stopped without running
-                # its reset (e.g. its generator was never finalized).
-                self._reset_invocation_state()
-            inv = _Invocation(epoch=self._epoch)
+            inv = await self._begin()
             pump = self.ctx.kernel.spawn(
                 self._pump(source, inv.epoch), name=f"{self.ctx.process_name}-pump"
             )
@@ -549,7 +559,10 @@ class ChildPool:
                 else:
                     handler = self._HANDLERS.get(type(message))
                     if handler is not None:
-                        await handler(self, inv, message)
+                        bag = await handler(self, inv, message)
+                        if bag is not None:  # a memoized input tuple
+                            for row in bag:
+                                yield row
                 if (
                     not inv.first_round_announced
                     and inv.in_flight >= len(self.children)
@@ -561,8 +574,11 @@ class ChildPool:
             # persistent pool ready for its next parameter stream.
             if inv is not None and inv.epoch == self._epoch and not self._closed:
                 self._reset_invocation_state()
+            if self.ctx.footprint is not None:
+                self.ctx.footprint.poison()  # a cut-short or failed apply
             raise
         finally:
+            self._bags = None
             if pump is not None:
                 pump.cancel()
             if obs.enabled:
@@ -572,6 +588,25 @@ class ChildPool:
                     children=len(self.children),
                 )
                 self._inv_span = -1
+
+    async def _begin(self) -> _Invocation:
+        """Start an invocation: the children exist, the previous
+        invocation's leftovers are gone, and — when the query memoizes —
+        the calls' bags are collected."""
+        if self._closed:
+            raise PlanError("operator pool used after shutdown")
+        if not self.children:
+            await self.on_first_use()
+        self._epoch += 1
+        if self._dirty():
+            # Defensive: the previous invocation stopped without running
+            # its reset (e.g. its generator was never finalized).
+            self._reset_invocation_state()
+        memo = self.ctx.run.memo
+        if memo is None:
+            return _Invocation(epoch=self._epoch)
+        self._bags = {}
+        return _Invocation(epoch=self._epoch, memo_generation=memo.invalidations)
 
     async def _pump(self, source: AsyncIterator[tuple], epoch: int) -> None:
         try:
@@ -589,10 +624,17 @@ class ChildPool:
     # -- per-message handlers (rows are handed up by the loop itself) -----------------
 
     async def _on_input_available(self, inv: _Invocation, message: InputAvailable):
+        """Dispatch an input tuple — or, when the memo holds its bag,
+        return the bag for the loop to yield, sending nothing."""
         if message.epoch != inv.epoch:
-            return  # input of an abandoned invocation
+            return None  # input of an abandoned invocation
+        if self._bags is not None:
+            bag = self._memoized(message.row)
+            if bag is not None:
+                return bag
         inv.in_flight += 1
         await self._dispatch(message.row)
+        return None
 
     async def _on_input_exhausted(self, inv: _Invocation, message: InputExhausted):
         if message.epoch != inv.epoch:
@@ -620,6 +662,12 @@ class ChildPool:
         if message.seq >= 0 and self._owner_of(message.child, message.seq) is None:
             return None
         self.on_result(message)
+        if self._bags is not None:
+            bag = self._bags.get(message.seq)
+            if bag is None:
+                self._bags[message.seq] = [message.row]
+            else:
+                bag.append(message.row)
         return message.row
 
     async def _resolve_call(self, inv: _Invocation, message: EndOfCall) -> bool:
@@ -628,7 +676,9 @@ class ChildPool:
         owner = self._owner_of(message.child, message.seq)
         if owner is None:
             return False
-        del owner.inflight[message.seq]
+        row = owner.inflight.pop(message.seq)
+        if self._bags is not None or self.ctx.footprint is not None:
+            self._remember(inv, row, message)
         self._retire_detached(message.child)
         inv.ok += 1
         inv.in_flight -= 1
@@ -637,6 +687,40 @@ class ChildPool:
             self._make_idle(owner)
         await self.on_end_of_call(message)
         return True
+
+    def _memoized(self, row: tuple) -> tuple | None:
+        """The bag the memo holds for ``row``, or None.  A hit counts the
+        calls beneath the bag as call hits, folds them into the footprint
+        of the call this process serves, and, traced, records one
+        ``plan_hit`` instant carrying that call count."""
+        run = self.ctx.run
+        key = (self.plan_function.memo_signature, row)
+        entry = run.memo.lookup_plan(key, run.cache_stats)
+        if entry is None:
+            return None
+        rows, calls, expires = entry
+        if self.ctx.footprint is not None:
+            self.ctx.footprint.add(calls, expires)
+        self.event("plan_hit", calls=calls)
+        return rows
+
+    def _remember(self, inv: _Invocation, row: tuple, message: EndOfCall) -> None:
+        """Fold a finished call's footprint into the call this process
+        serves, if any, and store its bag under its parameter tuple when
+        the query memoizes here — unless the footprint says it must not
+        be stored, the row failed before (a redelivery), or a definition
+        was replaced since the invocation began."""
+        footprint = message.footprint
+        if inv.fail_counts and repr(row) in inv.fail_counts:
+            footprint = None
+        if self.ctx.footprint is not None:
+            self.ctx.footprint.merge(footprint)
+        if self._bags is not None:
+            rows = tuple(self._bags.pop(message.seq, ()))
+            run = self.ctx.run
+            if footprint is not None and run.memo.invalidations == inv.memo_generation:
+                key = (self.plan_function.memo_signature, row)
+                run.memo.store_plan(key, rows, footprint, run.cache_stats)
 
     async def _on_end_of_call(self, inv: _Invocation, message: EndOfCall):
         if await self._resolve_call(inv, message):

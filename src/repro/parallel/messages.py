@@ -103,6 +103,12 @@ class EndOfCall:
     # distinguish slow calls from large results, and feeds the adaptive
     # batch controller.  0.0 when unknown (e.g. hand-built messages).
     service_time: float = 0.0
+    # The call's memo footprint (repro.cache.Footprint.value): the
+    # memo-answerable web-service calls beneath it and the earliest
+    # expiry among their entries.  None when the query does not memoize
+    # or the call's bag must not be stored; the pool stores the bag
+    # otherwise.
+    footprint: "tuple[int, float | None] | None" = None
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ of the kernel's OS workers:
   then its broker — so capacity semaphores, call statistics, memoization,
   multi-query sharing and fault accounting all stay centralized.  The
   reply carries the outcome, so the child records a call the memo
-  answered as a ``cache_hit``/``cache_collapsed``, not a ``service_call``.
+  answered as a ``cache_hit``/``cache_collapsed``, not a ``service_call``,
+  and the answering entry's footprint, which the child folds into the
+  footprint of the plan-function call it serves.
 * A child counts into a worker-local run whose trace rows, finished
   spans and counter deltas ride its call-ending ``FromChild`` (and its
   ``ChildExited``); :meth:`~repro.obs.run.QueryRun.absorb` folds them
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.algebra.interpreter import round_trip
-from repro.cache import CacheConfig, stable_hash
+from repro.cache import CacheConfig, Footprint, stable_hash
 from repro.runtime.base import Channel, Kernel, ProcessHandle
 from repro.runtime.wire import (
     BrokerRequest,
@@ -297,15 +299,23 @@ class Placement:
                 raise ReproError(
                     f"broker request from unknown child {request.child_id}"
                 )
+            ctx = binding.pool.ctx
+            footprint = Footprint() if ctx.run.memo is not None else None
             rows, outcome = await round_trip(
-                binding.pool.ctx,
+                ctx,
                 request.uri,
                 request.service,
                 request.operation,
                 list(request.arguments),
                 request.obs_span,
+                footprint,
             )
-            reply = BrokerResponse(request.request_id, payload=rows, outcome=outcome)
+            reply = BrokerResponse(
+                request.request_id,
+                payload=rows,
+                outcome=outcome,
+                footprint=None if footprint is None else footprint.value,
+            )
         except ServiceFault as fault:
             reply = BrokerResponse(
                 request.request_id,

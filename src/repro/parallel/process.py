@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from repro.algebra.interpreter import ExecutionContext, PullChain, compile_plan
 from repro.algebra.plan import PlanFunction
+from repro.cache import Footprint
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.messages import (
     CallFailed,
@@ -138,10 +139,14 @@ class _CallRunner:
         as produced, a ``single`` body's last one with the end-of-call;
         contained failures buffer them, so a failed call ships nothing
         (redelivery stays exact).  A ``ParamBatch``'s calls leave rows,
-        end-of-calls and failure reports in ``batch`` instead.
+        end-of-calls and failure reports in ``batch`` instead.  When the
+        query memoizes, the call's memo footprint accumulates in
+        ``ctx.footprint`` (one call at a time, so it is this call's) and
+        rides its end-of-call.
         """
         ctx, body = self.ctx, self.body
         kernel, run = ctx.kernel, ctx.run
+        footprint = ctx.footprint = Footprint() if run.memoizes else None
         name, uplink = self.endpoints.name, self.endpoints.uplink
         cost = self.costs.result_tuple
         fail_fast = run.on_error == "fail"
@@ -199,7 +204,10 @@ class _CallRunner:
             self._end_span(span, rows, error=str(error))
             raise
         self._end_span(span, rows)
-        end_of_call = EndOfCall(name, seq, rows, service_time=kernel.now() - started)
+        end_of_call = EndOfCall(
+            name, seq, rows, service_time=kernel.now() - started,
+            footprint=None if footprint is None else footprint.value,
+        )
         if batch is not None:
             batch[0].extend(unsent)
             batch[1].append(end_of_call)

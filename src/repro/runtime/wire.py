@@ -156,6 +156,10 @@ class BrokerResponse(NamedTuple):
     payload: Any = None
     error: Optional[tuple[str, str, bool]] = None
     outcome: str = "miss"
+    # The answering memo entry's footprint, ``(1, expires_at)`` on the
+    # coordinator's clock (repro.cache.Footprint.value); None when the
+    # query does not memoize.
+    footprint: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -229,7 +233,8 @@ class Pong:
 #: first four carry an envelope's fields in order; the others flatten the
 #: per-call message into the tuple as well: a ``ParamTuple`` down, a
 #: ``ResultTuple`` (with or without the call's ``EndOfCall``) or an
-#: ``EndOfCall`` up.
+#: ``EndOfCall`` up.  An ``EndOfCall`` with a memo footprint (a memoizing
+#: query's) travels pickled inside a plain ``FromChild``.
 (
     TO_CHILD, FROM_CHILD, BROKER_REQUEST, BROKER_RESPONSE,
     PARAM, RESULT, RESULT_END, END,
@@ -250,11 +255,12 @@ def _from_child(envelope: FromChild) -> tuple:
         end = message.end_of_call
         if end is None:
             return RESULT, child_id, message.child, message.row, message.seq, run
-        return (
-            RESULT_END, child_id, message.child, message.row, message.seq,
-            end.child, end.seq, end.rows, end.service_time, run,
-        )
-    if kind is messages.EndOfCall:
+        if end.footprint is None:
+            return (
+                RESULT_END, child_id, message.child, message.row, message.seq,
+                end.child, end.seq, end.rows, end.service_time, run,
+            )
+    elif kind is messages.EndOfCall and message.footprint is None:
         return (
             END, child_id, message.child, message.seq, message.rows,
             message.service_time, run,

@@ -199,16 +199,28 @@ class _BrokerProxy:
     statistics, memoization, cache counters and fault accounting stay
     central.  The reply's outcome comes back, so the child records a memo
     hit exactly like an in-process child; the counting was done where the
-    call was served.  Faults come back typed, with their ``retriable``
-    flag intact, for the child's retry loop.
+    call was served.  So does the answering entry's memo footprint, on
+    the coordinator's clock: the bags it ends up in are stored and
+    expire there.  Faults come back typed, with their ``retriable`` flag
+    intact, for the child's retry loop.
     """
 
     def __init__(self, runtime: "_WorkerRuntime", child_id: int) -> None:
         self._runtime = runtime
         self._child_id = child_id
+        # Whether the coordinator memoizes this child's query (its
+        # ``QueryRun.memoizes``): then each reply carries the footprint of
+        # the memo entry that answered.
+        self.memoizes = False
 
     async def call(
-        self, uri: str, service: str, operation: str, arguments: list, obs_span: int
+        self,
+        uri: str,
+        service: str,
+        operation: str,
+        arguments: list,
+        obs_span: int,
+        footprint=None,
     ) -> tuple[Any, str]:
         runtime = self._runtime
         request_id = next(runtime.request_ids)
@@ -231,6 +243,8 @@ class _BrokerProxy:
             if kind == "fault":
                 raise ServiceFault(message, retriable=retriable)
             raise ReproError(message)
+        if footprint is not None:
+            footprint.merge(reply.footprint)
         return reply.payload, reply.outcome
 
 
@@ -275,14 +289,19 @@ class _ChildSlot:
 
     def _set_policy(self, spec: SpawnChild | RebindChild) -> None:
         run = self.ctx.run
+        cache = spec.cache_config
         if run.remote is None:  # local services: calls run here
-            cache = spec.cache_config
             run.memo = self._runtime.memo if cache is not None else None
             run.ttl = cache.ttl if cache is not None else None
+        else:
+            run.remote.memoizes = cache is not None
         run.retries = spec.retries
         run.retry_backoff = spec.retry_backoff
         run.on_error = spec.on_error
         run.faults = spec.faults
+        run.service_faults = (
+            spec.faults.service_fault_stream(self.ctx.process_name) if spec.faults else None
+        )
         run.obs = TraceRecorder(first_id=spec.span_base) if spec.tracing else NULL_RECORDER
 
     def rebind(self, spec: RebindChild) -> None:

@@ -105,9 +105,10 @@ class ServiceBroker:
     """Routes ``cwo`` calls to simulated endpoints under a kernel clock.
 
     One broker serves every query on its kernel (one on the one-shot
-    path, all of a resident engine's).  Server-time jitter and injected
-    faults (``call(fault_probability=)``) draw from one stream seeded by
-    ``seed``.
+    path, all of a resident engine's).  Server-time jitter draws from one
+    stream seeded by ``seed``; whether a call faults is the calling
+    query's draw (``call(fault=)``), so a query's injected faults never
+    move another query's timings.
     """
 
     def __init__(self, kernel: Kernel, *, seed: int = 2009) -> None:
@@ -198,7 +199,7 @@ class ServiceBroker:
         recorder: CallRecorder | None = None,
         obs=None,
         obs_span: int = -1,
-        fault_probability: float = 0.0,
+        fault: bool = False,
     ) -> tuple[tuple, ...]:
         """Invoke a web-service operation; returns the answer's rows.
 
@@ -210,8 +211,9 @@ class ServiceBroker:
         engine can attribute the call to the query that made it.  When an
         ``obs`` recorder is given, queue-wait and server-busy sub-spans are
         recorded under ``obs_span`` (the caller's web-service span).
-        ``fault_probability`` is the chance that the call fails with a
-        retriable :class:`ServiceFault` once it holds a server slot.
+        With ``fault`` the call fails with a retriable
+        :class:`ServiceFault` once it has held a server slot for the
+        service time (an injected fault, drawn by the calling query).
         """
         endpoint = self._endpoint(uri)
         document = endpoint.document
@@ -224,13 +226,13 @@ class ServiceBroker:
         if profile.timeout is None:
             return await self._perform(
                 endpoint, wsdl_operation, profile, arguments, recorder,
-                obs=obs, obs_span=obs_span, fault_probability=fault_probability,
+                obs=obs, obs_span=obs_span, fault=fault,
             )
         try:
             return await self.kernel.wait_for(
                 self._perform(
                     endpoint, wsdl_operation, profile, arguments, recorder,
-                    obs=obs, obs_span=obs_span, fault_probability=fault_probability,
+                    obs=obs, obs_span=obs_span, fault=fault,
                 ),
                 profile.timeout,
             )
@@ -253,7 +255,7 @@ class ServiceBroker:
         *,
         obs=None,
         obs_span: int = -1,
-        fault_probability: float = 0.0,
+        fault: bool = False,
     ) -> tuple[tuple, ...]:
         operation = wsdl_operation.name
         service = endpoint.document.service_name
@@ -305,7 +307,7 @@ class ServiceBroker:
                 )
             for sink in sinks:
                 sink.queue_wait.add(queue_wait)
-            if fault_probability and self._rng.random() < fault_probability:
+            if fault:
                 await kernel.sleep(profile.service_time)
                 for sink in sinks:
                     sink.faults += 1

@@ -53,7 +53,9 @@ class OperationWrapper:
     def hit(self, ctx: ExecutionContext, arguments: list) -> tuple[tuple, ...] | None:
         """This call's memoized rows, or None: then await :meth:`call`
         (which alone serves a worker child that proxies its calls).  A
-        traced hit leaves the ``ws`` span a hit in :meth:`call` would."""
+        hit folds into the footprint of the plan-function call this
+        process serves; traced, it leaves the ``ws`` span a hit in
+        :meth:`call` would."""
         run = ctx.run
         if run.memo is None or run.remote is not None:
             return None
@@ -61,10 +63,14 @@ class OperationWrapper:
         key = (document.uri, document.service_name, self.name,
                tuple(self.coerce_arguments(arguments)))
         entry = run.memo.lookup(key, run.cache_stats)
-        if entry is not None and run.obs.enabled:
+        if entry is None:
+            return None
+        if ctx.footprint is not None:
+            ctx.footprint.add(1, entry[1])
+        if run.obs.enabled:
             now = ctx.kernel.now()
             run.obs.finish(self._ws_span(ctx, now), at=now, outcome=HIT)
-        return None if entry is None else entry[0]
+        return entry[0]
 
     async def call(self, ctx: ExecutionContext, arguments: list) -> tuple[tuple, ...]:
         """Invoke the wrapped operation; returns its rows.
@@ -74,7 +80,9 @@ class OperationWrapper:
         flattened rows.  The tuple is immutable, so the memo and every
         caller share one.  Each attempt is one ``round_trip``, whose
         outcome (``miss``, ``hit`` or ``collapsed``) its traced ``ws`` span
-        records.  Retriable service faults are retried per the context's
+        records, and whose answering memo entry folds into the footprint
+        of the plan-function call this process serves (a fault poisons
+        it).  Retriable service faults are retried per the context's
         policy; the final attempt's fault propagates.
         """
         coerced = self.coerce_arguments(arguments)
@@ -86,11 +94,14 @@ class OperationWrapper:
             ws_span = self._ws_span(ctx, ctx.kernel.now()) if obs.enabled else -1
             try:
                 out, outcome = await round_trip(
-                    ctx, document.uri, document.service_name, self.name, coerced, ws_span
+                    ctx, document.uri, document.service_name, self.name, coerced, ws_span,
+                    ctx.footprint,
                 )
             except ServiceFault as fault:
                 if ws_span != -1:
                     obs.finish(ws_span, at=ctx.kernel.now(), error=str(fault))
+                if ctx.footprint is not None:
+                    ctx.footprint.poison()  # faults are never memoized
                 attempt += 1
                 if not fault.retriable or attempt > run.retries:
                     # The fault survived the call-level retries; what

@@ -168,8 +168,9 @@ class QueryResult:
         cache = self.cache_stats
         if cache is None:
             return "call cache: off"
+        bags = f" ({cache.plan_hits} plan-function bags)" if cache.plan_hits else ""
         return (
-            f"call cache: {cache.hits} hits, {cache.misses} misses, "
+            f"call cache: {cache.hits} hits{bags}, {cache.misses} misses, "
             f"{cache.collapsed} collapsed, {cache.evictions} evicted, "
             f"{cache.expirations} expired ({cache.hit_rate:.0%} hit rate, "
             f"{cache.calls_avoided} calls avoided)"

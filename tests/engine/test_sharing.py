@@ -12,6 +12,7 @@ from repro import (
     FaultInjection,
     QueryEngine,
 )
+from repro.cache import PlanSignature
 from repro.wsmed.options import QueryOptions
 
 from tests.engine.test_engine import fresh_wsmed, trace_multiset, traced
@@ -192,7 +193,11 @@ def test_replace_mid_query_condemns_shared_trees() -> None:
     seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
 
     def memoized(operation: str) -> int:
-        return sum(1 for key in engine.memo.entries if key[2] == operation)
+        return sum(
+            1
+            for key in engine.memo.entries
+            if not isinstance(key[0], PlanSignature) and key[2] == operation
+        )
 
     async def replace_mid_flight():
         await kernel.sleep(0.3)
@@ -220,7 +225,11 @@ def test_replace_mid_query_condemns_shared_trees() -> None:
     assert stats.idle_pools == 0
 
     # A fresh query recompiles and cold-starts — nothing stale is reused.
+    # The memo answers all its tuples from the bags the second query
+    # stored (it began after the replacement), so the new tree's five
+    # top-level children are all it spawns.
     after = engine.sql(QUERY1_SQL, options=PARALLEL)
     assert sorted(after.rows) == sorted(seed.rows)
-    assert after.tree.processes_spawned == 25
+    assert after.tree.processes_spawned == 5
+    assert after.cache_stats.plan_hits == 50
     engine.close()

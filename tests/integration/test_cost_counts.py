@@ -4,8 +4,10 @@ Wall-clock benchmarks are noisy; the number of scheduler events, protocol
 messages and pipe envelopes a query costs is not.  These bounds were
 measured when the pull-chain interpreter, the folded end-of-call, the
 one-drain-per-instant channels and the framed worker pipe landed (warm
-Query1: 7,299 -> 1,972 kernel events, 1,340 -> 1,080 messages); a change
-that re-adds a hop fails here, by name, instead of in a benchmark.
+Query1: 7,299 -> 1,972 kernel events, 1,340 -> 1,080 messages), and again
+when the memo answered whole plan functions (1,972 -> 8 events, 1,080 -> 0
+messages); a change that re-adds a hop fails here, by name, instead of in
+a benchmark.
 """
 
 import pytest
@@ -25,7 +27,9 @@ Q1_PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 
 
 def test_warm_query1_kernel_events_and_messages() -> None:
-    """The ``engine_warm`` configuration: 311 cache hits, no broker call."""
+    """The ``engine_warm`` configuration: 311 cache hits, no broker call,
+    and no dispatch — the memo holds each parameter tuple's plan-function
+    bag, so the pool answers all 50 without a message."""
     system = WSMED(
         profile="fast",
         process_costs=ProcessCosts(dispatch="hash_affinity", prefetch=16).scaled(0.01),
@@ -42,12 +46,9 @@ def test_warm_query1_kernel_events_and_messages() -> None:
     finally:
         engine.close()
     assert result.total_calls == 0 and result.cache_stats.hits == 311
-    messages = result.message_stats
-    assert events <= 2_000
-    assert messages.total_messages <= 1_080
-    # 310 parameter tuples, 720 result tuples; the 260 leaf calls fold
-    # their end-of-call into their last row.
-    assert messages.end_of_calls <= 50
+    assert result.cache_stats.plan_hits == 50
+    assert events <= 8
+    assert result.message_stats.total_messages <= 100
 
 
 @pytest.mark.parametrize(

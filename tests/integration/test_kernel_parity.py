@@ -69,7 +69,9 @@ def test_query1_statistics_match_across_kernels(engine_warm) -> None:
         for name, value in sim_run.items():
             assert process_run[name] == value, name
     cold, warm = sim
-    assert warm["message_stats"].total_messages == 1_080
+    # A memoizing engine answers every warm tuple from its plan-function
+    # bags: no dispatch, on either kernel.
+    assert warm["message_stats"].total_messages == (0 if engine_warm else 1_080)
     assert cold["total_calls"] == 311
     if engine_warm:
         assert warm["cache_stats"]["hits"] == 311 and warm["total_calls"] == 0

@@ -35,7 +35,7 @@ from repro.parallel.placement import Placement
 from repro.obs import spans as spans_module
 from repro.util.errors import ReproError
 
-from tests.helpers import collect_chunks, make_world
+from tests.helpers import collect_chunks, make_world, wsdl_uri
 from tests.stats_oracle import fault_stats_from_trace, tree_stats_from_trace
 
 QUERIES = {
@@ -177,9 +177,13 @@ def test_untraced_worker_children_ship_no_events(monkeypatch) -> None:
     monkeypatch.setattr(Placement, "_on_message", spy)
     options = QueryOptions(mode="parallel", fanouts=[5, 4])
     with ProcessKernel(workers=1) as kernel:
-        engine = QueryEngine(_engine_warm_system(), kernel=kernel)
+        system = _engine_warm_system()
+        engine = QueryEngine(system, kernel=kernel)
         try:
             engine.sql(QUERY1_SQL, options=options)
+            # Drops the plan-function bags over the outer operations, so
+            # the warm query's worker children serve calls again.
+            system.import_wsdl(wsdl_uri(system, "GetAllStates"))
             deltas.clear()
             warm = engine.sql(QUERY1_SQL, options=options)
         finally:

@@ -506,3 +506,45 @@ def test_adaptive_cycles_count_failed_calls(world, clean_q1) -> None:
     assert Bag(rows) == Bag(clean_rows)
     cycles = ctx.run.obs.store.find("cycle")
     assert any(event.attrs.get("failed", 0) > 0 for event in cycles)
+
+
+# -- injected service faults: the query's own stream ----------------------------
+
+
+def _service_faults(seed: int | None = None, probability: float = 0.1) -> QueryOptions:
+    faults = FaultInjection(service_fault_probability=probability)
+    if seed is not None:
+        faults = replace(faults, seed=seed)
+    return QueryOptions(mode="parallel", fanouts=[5, 4], retries=10, faults=faults)
+
+
+def test_the_injection_seed_picks_which_service_calls_fault() -> None:
+    from repro import WSMED
+
+    system = WSMED(profile="fast")
+    system.import_all()
+    runs = [system.sql(QUERY1_SQL, options=_service_faults(seed)) for seed in (1, 2)]
+    faulted = [{name: stats.faults for name, stats in run.call_stats.items()} for run in runs]
+    assert all(sum(counts.values()) for counts in faulted)
+    assert faulted[0] != faulted[1]
+    assert runs[0].elapsed != runs[1].elapsed
+
+
+def test_a_faulty_query_leaves_the_next_querys_timing_alone() -> None:
+    """Service faults draw from the query's stream, not the broker's
+    jitter stream: on a resident engine, a clean query after one with
+    injected faults takes the model time it takes after a clean one."""
+    from repro import WSMED, QueryEngine
+
+    system = WSMED(profile="fast")
+    system.import_all()
+    clean = QueryOptions(mode="parallel", fanouts=[5, 4])
+    elapsed = []
+    for first in (clean, _service_faults()):
+        engine = QueryEngine(system)
+        try:
+            engine.sql(QUERY1_SQL, options=first)
+            elapsed.append(engine.sql(QUERY1_SQL, options=clean).elapsed)
+        finally:
+            engine.close()
+    assert elapsed[0] == pytest.approx(elapsed[1], rel=1e-9)

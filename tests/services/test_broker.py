@@ -10,18 +10,18 @@ from repro.services.registry import build_registry, profile_by_name
 from repro.util.errors import PlanError, ServiceFault, UnknownServiceError
 
 
-def run_calls(profile="fast", fault_probability=0.0, calls=None, capacity_overrides=None):
-    """Run a list of (uri, service, operation, args) calls concurrently,
-    each failing with a retriable fault at ``fault_probability``."""
+def run_calls(profile="fast", faulted=(), calls=None, capacity_overrides=None):
+    """Run a list of (uri, service, operation, args) calls concurrently;
+    the calls at the indexes in ``faulted`` fail with a retriable fault."""
     registry = build_registry(profile, capacity_overrides=capacity_overrides)
     kernel = SimKernel()
     broker = registry.bind(kernel)
 
-    async def one(call):
-        return await broker.call(*call, fault_probability=fault_probability)
+    async def one(index, call):
+        return await broker.call(*call, fault=index in faulted)
 
     async def main():
-        return await kernel.gather(*[one(call) for call in calls])
+        return await kernel.gather(*[one(index, call) for index, call in enumerate(calls)])
 
     results = kernel.run(main())
     return kernel, broker, results
@@ -120,7 +120,7 @@ def test_service_name_mismatch_rejected() -> None:
 def test_fault_injection_raises_service_fault() -> None:
     calls = [(GEOPLACES_URI, "GeoPlaces", "GetAllStates", []) for _ in range(20)]
     with pytest.raises(ServiceFault, match="transiently"):
-        run_calls(fault_probability=0.5, calls=calls)
+        run_calls(faulted={3}, calls=calls)
 
 
 def test_service_fault_probability_validation() -> None:
@@ -180,14 +180,14 @@ def test_injected_faults_are_counted() -> None:
 
     async def main():
         faulted = 0
-        for _ in range(20):
+        for index in range(20):
             try:
                 await broker.call(
                     ZIPCODES_URI,
                     "Zipcodes",
                     "GetPlacesInside",
                     ["80840"],
-                    fault_probability=0.5,
+                    fault=index % 2 == 0,
                 )
             except ServiceFault:
                 faulted += 1
@@ -195,7 +195,7 @@ def test_injected_faults_are_counted() -> None:
 
     faulted = kernel.run(main())
     stats = broker.stats("GetPlacesInside")
-    assert 0 < faulted < 20  # the seeded RNG faults some but not all
+    assert faulted == 10  # exactly the calls told to fault
     assert stats.faults == faulted
     assert stats.timeouts == 0
     assert stats.calls == 20 - faulted  # only completed calls count

@@ -199,16 +199,24 @@ def service_faults(probability: float) -> FaultInjection:
     return FaultInjection(service_fault_probability=probability)
 
 
+#: 51 calls: at a 0.7 fault rate some call faults whatever the seed.
+PLACES_SQL = (
+    "SELECT gp.ToCity FROM GetAllStates gs, GetPlacesWithin gp "
+    "WHERE gp.state = gs.State AND gp.place = 'Atlanta' "
+    "AND gp.distance = 15.0 AND gp.placeTypeToFind = 'City'"
+)
+
+
 def test_retries_rescue_transient_faults(wsmed) -> None:
-    sql = "SELECT gs.Name FROM GetAllStates gs WHERE gs.State = 'Ohio'"
     # Without retries a high fault rate kills the query...
     with pytest.raises(ServiceFault):
-        wsmed.sql(sql, options=QueryOptions(faults=service_faults(0.7)))
+        wsmed.sql(PLACES_SQL, options=QueryOptions(faults=service_faults(0.7)))
     # ...with retries it survives, and the trace shows the attempts.
     result = wsmed.sql(
-        sql, options=QueryOptions(faults=service_faults(0.7), retries=25, obs=TraceRecorder())
+        PLACES_SQL,
+        options=QueryOptions(faults=service_faults(0.7), retries=60, obs=TraceRecorder()),
     )
-    assert result.rows == [("Ohio",)]
+    assert len(result) == 260
     assert len(result.spans.find("retry")) >= 1
 
 
@@ -221,13 +229,8 @@ def test_retries_exhausted_still_fail(wsmed) -> None:
 
 
 def test_retry_in_parallel_child(wsmed) -> None:
-    sql = (
-        "SELECT gp.ToCity FROM GetAllStates gs, GetPlacesWithin gp "
-        "WHERE gp.state = gs.State AND gp.place = 'Atlanta' "
-        "AND gp.distance = 15.0 AND gp.placeTypeToFind = 'City'"
-    )
     result = wsmed.sql(
-        sql,
+        PLACES_SQL,
         options=QueryOptions(
             mode="parallel",
             fanouts=[4],
@@ -242,16 +245,18 @@ def test_retry_in_parallel_child(wsmed) -> None:
 
 
 def test_retry_trace_events_number_the_attempts(wsmed) -> None:
-    """Each ``retry`` event carries the operation and a 1-based attempt."""
-    sql = "SELECT gs.Name FROM GetAllStates gs WHERE gs.State = 'Ohio'"
+    """Each ``retry`` event carries the operation and a 1-based attempt:
+    the central plan makes its calls one after another, so each call's
+    retries are a run 1, 2, ... of their own."""
     result = wsmed.sql(
-        sql, options=QueryOptions(faults=service_faults(0.7), retries=25, obs=TraceRecorder())
+        PLACES_SQL,
+        options=QueryOptions(faults=service_faults(0.7), retries=60, obs=TraceRecorder()),
     )
     retries = result.spans.find("retry")
-    assert retries  # the 0.7 fault rate guarantees at least one
+    assert retries  # 51 calls at a 0.7 fault rate
     attempts = [event.attrs["attempt"] for event in retries]
-    assert attempts == list(range(1, len(retries) + 1))
-    assert all(event.attrs["operation"] == "GetAllStates" for event in retries)
+    assert all(a == 1 or a == b + 1 for b, a in zip([0, *attempts], attempts))
+    assert {event.attrs["operation"] for event in retries} <= {"GetAllStates", "GetPlacesWithin"}
 
 
 def test_exhausted_retries_leave_a_call_fault_marker(wsmed) -> None:

@@ -125,19 +125,24 @@ def test_engine_query_service_faults_reach_the_resident_broker() -> None:
     system = WSMED(profile="fast")
     system.import_all()
     engine = QueryEngine(system)
-    sql = "SELECT gs.Name FROM GetAllStates gs WHERE gs.State = 'Ohio'"
+    # 51 calls: at a 0.7 fault rate some call faults whatever the seed.
+    sql = (
+        "SELECT gp.ToCity FROM GetAllStates gs, GetPlacesWithin gp "
+        "WHERE gp.state = gs.State AND gp.place = 'Atlanta' "
+        "AND gp.distance = 15.0 AND gp.placeTypeToFind = 'City'"
+    )
     try:
         faulty = engine.sql(
             sql,
             options=QueryOptions(
-                faults=FaultInjection(service_fault_probability=0.7), retries=25
+                faults=FaultInjection(service_fault_probability=0.7), retries=60
             ),
         )
-        assert faulty.rows == [("Ohio",)]
-        assert faulty.call_stats["GetAllStates"].faults > 0
+        assert len(faulty) == 260
+        assert sum(stats.faults for stats in faulty.call_stats.values()) > 0
         clean = engine.sql(sql)
-        assert clean.rows == [("Ohio",)]
-        assert clean.call_stats["GetAllStates"].faults == 0
+        assert len(clean) == 260
+        assert sum(stats.faults for stats in clean.call_stats.values()) == 0
     finally:
         engine.close()
 

@@ -1,7 +1,8 @@
 """``QueryResult.report()`` and ``summary()`` render the result's counters
 directly.  Their text is pinned byte for byte for Query1 under the manual
 and adaptive trees, a cached and batched run, a fault-injection run, a
-drop-stage run and a warm query answered by a sharing engine's call memo.
+drop-stage run and a warm query answered by a sharing engine's call memo
+(whole plan-function bags: no dispatch, no message).
 """
 
 import pytest
@@ -114,13 +115,13 @@ EXPECTED = {
         "  process tree: 86 spawned, 17 dropped, avg fanouts ['8.0', '7.6']",
     ),
     "shared_warm": (
-        "calls: 0 web service calls in 0.01 model seconds (parallel mode)\n"
+        "calls: 0 web service calls in 0.00 model seconds (parallel mode)\n"
         "process tree: no child processes (central plan?)\n"
-        "call cache: 311 hits, 0 misses, 0 collapsed, 0 evicted, 0 expired (100% hit rate, 311 calls avoided)\n"
-        "messages: 1080 (310 down, 770 up); param batches: 0 carrying 0 tuples (+310 singles); result batches: 0 carrying 0 rows (+720 singles)\n"
+        "call cache: 311 hits (50 plan-function bags), 0 misses, 0 collapsed, 0 evicted, 0 expired (100% hit rate, 311 calls avoided)\n"
+        "batching: no inter-process messages (central plan?)\n"
         "faults: none",
-        "360 rows in 0.01 model seconds (parallel mode, 0 web service calls)\n"
-        "  call cache: 311 hits, 0 misses, 0 collapsed, 0 evicted, 0 expired (100% hit rate, 311 calls avoided)",
+        "360 rows in 0.00 model seconds (parallel mode, 0 web service calls)\n"
+        "  call cache: 311 hits (50 plan-function bags), 0 misses, 0 collapsed, 0 evicted, 0 expired (100% hit rate, 311 calls avoided)",
     ),
 }
 
