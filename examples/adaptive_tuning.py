@@ -6,6 +6,7 @@ non-leaf process decided locally, and compares the result to manual trees
 """
 
 from repro import QUERY1_SQL, AdaptationParams, WSMED, QueryOptions, TraceRecorder
+from repro.render import render_summary
 
 
 def main() -> None:
@@ -22,7 +23,7 @@ def main() -> None:
         ),
     )
     print("adaptive run:")
-    print(adaptive.summary())
+    print(render_summary(adaptive))
     print()
 
     print("adaptation decisions (cf. paper Figs 18-19):")

@@ -9,6 +9,7 @@ concurrent load.
 """
 
 from repro import QUERY2_SQL, QueryOptions, WSMED
+from repro.render import render_summary
 
 
 def main() -> None:
@@ -23,7 +24,7 @@ def main() -> None:
           f"(the US Air Force Academy is in Colorado, zip 80840)")
     print()
     print("central execution:")
-    print(central.summary())
+    print(render_summary(central))
     print()
 
     best = wsmed.sql(
@@ -31,7 +32,7 @@ def main() -> None:
         options=QueryOptions(mode="parallel", fanouts=[4, 3], name="Query2"),
     )
     print("parallel execution with the paper's best tree {4,3}:")
-    print(best.summary())
+    print(render_summary(best))
     print()
     print(f"speed-up: {central.elapsed / best.elapsed:.2f}x "
           f"(paper: 2412.95 s -> 1243.89 s, ~1.94x)")

@@ -264,6 +264,12 @@ def run_cli(scratch: str) -> None:
     _cli("--query", query1, "--profile", "uncontended", "--explain")
     _cli("--query", query1, *fast, "--explain", "--optimize", "cost",
          "--mode", "parallel", "--fanouts", "5,4")
+    # Explain renders every node kind of a plan: a filter, OR, DISTINCT and
+    # LIMIT in one, a GROUP BY (which OR rejects) in the other.
+    _cli("--query", "SELECT DISTINCT gs.State FROM GetAllStates gs WHERE gs.State = 'Utah' "
+         "OR gs.State = 'Ohio' LIMIT 3", *fast, "--explain")
+    _cli("--query", "SELECT gs.State, COUNT(*) FROM GetAllStates gs GROUP BY gs.State",
+         *fast, "--explain")
     _cli("--query", query1, *fast, "--engine", "--mode", "parallel",
          "--fanouts", "5,4", "--stats")
     _cli("--query", query1, *fast, "--share", "--mode", "adaptive", "--summary")
@@ -451,6 +457,7 @@ def run_trace_checks(scratch: str) -> None:
     ``python -m repro.obs.validate`` on every trace ``repro serve`` wrote."""
     from repro import QUERY1_SQL, QUERY2_SQL, WSMED, FaultInjection, QueryOptions, TraceRecorder
     from repro.obs import validate
+    from repro.render import render_report, write_chrome_trace
 
     wsmed = WSMED(profile="paper")
     wsmed.import_all()
@@ -462,9 +469,9 @@ def run_trace_checks(scratch: str) -> None:
     )
     if validate.validate_spans(result.spans):
         raise RuntimeError("the traced Fig-3 query has invalid spans")
-    result.report(sections=["calls", "critical_path"])
+    render_report(result, sections=["calls", "critical_path"])
     path = os.path.join(scratch, "TRACE_query2.json")
-    result.write_trace(path)
+    write_chrome_trace(result.spans, path)
     faulty = wsmed.sql(
         QUERY1_SQL,
         options=QueryOptions(
@@ -473,9 +480,9 @@ def run_trace_checks(scratch: str) -> None:
         ),
     )
     validate.validate_spans(faulty.spans)
-    faulty.report(sections=["faults"])
+    render_report(faulty, sections=["faults"])
     faults_path = os.path.join(scratch, "TRACE_query1_faults.json")
-    faulty.write_trace(faults_path)
+    write_chrome_trace(faulty.spans, faults_path)
     for trace in [path, faults_path, *Path(scratch, "traces").glob("*.json")]:
         if validate.main([str(trace)]) != 0:
             raise RuntimeError(f"invalid trace {trace}")

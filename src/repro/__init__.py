@@ -22,7 +22,8 @@ The package layers (see DESIGN.md for the full inventory):
 * :mod:`repro.sql`, :mod:`repro.calculus`, :mod:`repro.algebra` — the
   query compiler (SQL -> calculus -> central plan),
 * :mod:`repro.parallel` — ``FF_APPLYP`` / ``AFF_APPLYP`` and process trees,
-* :mod:`repro.wsmed` — the mediator facade tying it all together.
+* :mod:`repro.wsmed` — the mediator facade tying it all together,
+* :mod:`repro.render` — every report, view, plan and trace text.
 """
 
 from repro.algebra.optimizer import (
@@ -44,8 +45,6 @@ from repro.obs import (
     SpanStore,
     TraceRecorder,
     analyze_critical_path,
-    to_chrome_trace,
-    write_chrome_trace,
 )
 from repro.fdb.functions import AccessPath
 from repro.parallel.costs import ProcessCosts
@@ -124,8 +123,6 @@ __all__ = [
     "SpanStore",
     "CriticalPathReport",
     "analyze_critical_path",
-    "to_chrome_trace",
-    "write_chrome_trace",
     "AccessPath",
     "AppliedRewrite",
     "OptimizerReport",

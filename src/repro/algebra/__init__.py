@@ -34,7 +34,6 @@ from repro.algebra.plan import (
 )
 from repro.algebra.central import create_central_plan
 from repro.algebra.interpreter import ExecutionContext, PullChain, compile_plan
-from repro.algebra.explain import render_plan
 from repro.algebra.cost import CostModel, estimate_plan
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "ExecutionContext",
     "PullChain",
     "compile_plan",
-    "render_plan",
     "CostModel",
     "estimate_plan",
 ]

@@ -79,30 +79,6 @@ class OptimizerReport:
     estimate: PlanEstimate | None = None
     heuristic_estimate: PlanEstimate | None = None
 
-    def describe(self) -> str:
-        lines = []
-        for index, choice in enumerate(self.components):
-            order = " -> ".join(choice.functions)
-            lines.append(
-                f"component {index} [{choice.strategy}, "
-                f"{choice.subsets_explored} subsets]: {order} "
-                f"(est {choice.estimated_cost:.3f}s)"
-            )
-            if (
-                choice.heuristic_cost is not None
-                and choice.functions != choice.heuristic_functions
-            ):
-                heuristic = " -> ".join(choice.heuristic_functions)
-                lines.append(
-                    f"  heuristic order: {heuristic} "
-                    f"(est {choice.heuristic_cost:.3f}s)"
-                )
-        if self.join_shape:
-            lines.append(f"join shape [{self.join_strategy}]: {self.join_shape}")
-        for rewrite in self.rewrites:
-            lines.append("rewrite " + rewrite.describe().replace("\n", "\n  "))
-        return "\n".join(lines)
-
 
 def create_cost_based_plan(
     calculus: CalculusQuery,

@@ -66,17 +66,6 @@ class AppliedRewrite:
     bound_from: tuple[str, ...]  # how each alternative input got bound
     produced: tuple[str, ...]  # formerly-unbound variables now produced
 
-    def describe(self) -> str:
-        lines = [
-            f"{self.alias}: {self.original} -> {self.replacement}",
-            f"  because {self.reason}",
-        ]
-        for binding in self.bound_from:
-            lines.append(f"  input {binding}")
-        if self.produced:
-            lines.append(f"  now produces: {', '.join(self.produced)}")
-        return "\n".join(lines)
-
 
 class _PathFailure(Exception):
     """One candidate access path cannot repair the call (with reason)."""

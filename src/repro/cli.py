@@ -32,40 +32,47 @@ import argparse
 import contextlib
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import IO
 
 from repro.cache import CacheConfig
 from repro.engine import QueryEngine
 from repro.obs import TraceRecorder
 from repro.parallel.faults import FaultInjection
+from repro.render import (
+    REPORT_SECTIONS,
+    render_engine_stats,
+    render_gantt,
+    render_process_tree,
+    render_report,
+    render_share_stats,
+    render_summary,
+    render_table,
+    render_utilization,
+    write_chrome_trace,
+)
 from repro.runtime.base import Kernel
 from repro.util.errors import ReproError
 from repro.wsmed.options import QueryOptions
-from repro.wsmed.results import REPORT_SECTIONS, QueryResult
+from repro.wsmed.results import QueryResult
 from repro.wsmed.system import WSMED
 
-
-def format_table(result: QueryResult, max_rows: int = 20) -> str:
-    """Align a result as a text table, truncated to ``max_rows``."""
-    header = list(result.columns)
-    shown = [tuple(str(value) for value in row) for row in result.rows[:max_rows]]
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in shown)) if shown else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = [
-        " | ".join(name.ljust(widths[i]) for i, name in enumerate(header)),
-        "-+-".join("-" * width for width in widths),
-    ]
-    for row in shown:
-        lines.append(" | ".join(row[i].ljust(widths[i]) for i in range(len(header))))
-    if len(result.rows) > max_rows:
-        lines.append(f"... ({len(result.rows) - max_rows} more rows)")
-    lines.append(
-        f"({len(result.rows)} rows, {result.elapsed:.2f} model s, "
-        f"{result.total_calls} web service calls, {result.mode} mode)"
-    )
-    return "\n".join(lines)
+#: The view commands (``\tree``, ``\summary``, ``\util``, ``\gantt``,
+#: ``\stats [SECTION]``) and the one-shot flags that print them: each is
+#: one render function over the last query's result ...
+RESULT_VIEWS = {
+    "tree": lambda result: render_process_tree(result.spans),
+    "summary": render_summary,
+    "util": lambda result: render_utilization(result.spans),
+    "gantt": lambda result: render_gantt(result.spans),
+    "stats": render_report,
+    **{
+        f"stats {section}": partial(render_report, sections=section)
+        for section in REPORT_SECTIONS
+    },
+}
+#: ... or over the resident engine's stats (None without an engine).
+ENGINE_VIEWS = {"stats engine": render_engine_stats, "stats share": render_share_stats}
 
 
 def _parse_fanouts(text: str) -> list[int]:
@@ -128,13 +135,26 @@ class Shell:
         runner = self.engine.sql if self.engine is not None else self.wsmed.sql
         result = runner(sql, options=options)
         self.last_result = result
-        self.write(format_table(result, self.max_rows))
+        self.write(render_table(result, self.max_rows))
         if self.trace_out is not None:
-            result.write_trace(self.trace_out)
+            write_chrome_trace(result.spans, self.trace_out)
             self.write(f"trace written to {self.trace_out}")
 
     def explain(self, sql: str) -> None:
         self.write(self.wsmed.explain(sql, options=self.options))
+
+    def show(self, view: str) -> str:
+        """The text of one view (a key of ``RESULT_VIEWS`` or
+        ``ENGINE_VIEWS``)."""
+        if view in ENGINE_VIEWS:
+            return ENGINE_VIEWS[view](None if self.engine is None else self.engine.stats())
+        render = RESULT_VIEWS.get(view)
+        if render is None:
+            known = ", ".join(REPORT_SECTIONS + ("engine", "share"))
+            raise ReproError(f"unknown stats section {view[6:]!r}; known sections: {known}")
+        if self.last_result is None:
+            raise ReproError("no query has been executed yet")
+        return render(self.last_result)
 
     # -- meta commands -----------------------------------------------------------
 
@@ -168,7 +188,7 @@ class Shell:
             self._set(retries=int(argument))
             self.write(f"retries = {self.options.retries}")
         elif command == "stats":
-            self._stats_command(argument)
+            self.write(self.show(f"stats {argument.lower()}".rstrip()))
         elif command == "cache":
             self._cache_command(argument)
         elif command == "batch":
@@ -183,72 +203,11 @@ class Shell:
             self.write(f"rows = {self.max_rows}")
         elif command == "explain":
             self.explain(argument.rstrip(";"))
-        elif command == "tree":
-            if self.last_result is None:
-                raise ReproError("no query has been executed yet")
-            self.write(self.last_result.process_tree())
-        elif command == "summary":
-            if self.last_result is None:
-                raise ReproError("no query has been executed yet")
-            self.write(self.last_result.summary())
-        elif command == "util":
-            if self.last_result is None:
-                raise ReproError("no query has been executed yet")
-            self.write(self.last_result.utilization())
-        elif command == "gantt":
-            if self.last_result is None:
-                raise ReproError("no query has been executed yet")
-            from repro.parallel.visualize import render_gantt
-
-            self.write(render_gantt(self.last_result.spans))
+        elif command in RESULT_VIEWS:
+            self.write(self.show(command))
         else:
             raise ReproError(f"unknown command \\{command}; try \\help")
         return True
-
-    def _engine_report(self) -> None:
-        if self.engine is None:
-            self.write(
-                "resident engine: off (start with --engine to keep "
-                "plans and process trees warm between queries)"
-            )
-        else:
-            self.write(self.engine.stats().report())
-
-    def _share_report(self) -> None:
-        """``\\stats share``: the engine's multi-query sharing counters."""
-        if self.engine is None:
-            self.write(
-                "sharing: off (start with --engine --share to dedup "
-                "web-service calls across concurrent queries)"
-            )
-        else:
-            self.write(self.engine.stats().share_report())
-
-    def _stats_command(self, argument: str) -> None:
-        """``\\stats [SECTION]``: the unified statistics report.
-
-        Sections are those of :meth:`QueryResult.report` plus ``engine``
-        (the resident engine's own counters) and ``share`` (its
-        multi-query sharing tiers).  No argument shows every section of
-        the last execution.
-        """
-        section = argument.strip().lower()
-        if section == "engine":
-            self._engine_report()
-            return
-        if section == "share":
-            self._share_report()
-            return
-        if section and section not in REPORT_SECTIONS:
-            known = ", ".join(REPORT_SECTIONS + ("engine", "share"))
-            raise ReproError(
-                f"unknown stats section {section!r}; known sections: {known}"
-            )
-        if self.last_result is None:
-            raise ReproError("no query has been executed yet")
-        self.write(
-            self.last_result.report(sections=section if section else None)
-        )
 
     def _cache_command(self, argument: str) -> None:
         """``\\cache on [TTL] | off``: toggle memoization."""
@@ -685,12 +644,9 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
                     shell.explain(arguments.query)
                 else:
                     shell.run_sql(arguments.query)
-                    if arguments.tree:
-                        print(shell.last_result.process_tree(), file=out)
-                    if arguments.summary:
-                        print(shell.last_result.summary(), file=out)
-                    if arguments.stats:
-                        print(shell.last_result.report(), file=out)
+                    for view in ("tree", "summary", "stats"):
+                        if getattr(arguments, view):
+                            print(shell.show(view), file=out)
             except ReproError as error:
                 print(f"error: {error}", file=out)
                 return 1

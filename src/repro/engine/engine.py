@@ -125,55 +125,6 @@ class EngineStats:
     def as_dict(self) -> dict[str, object]:
         return dict(self.__dict__)
 
-    def report(self) -> str:
-        lines = [
-            f"queries executed: {self.queries} "
-            f"(active {self.active}, peak concurrency {self.peak_concurrency}"
-            f"/{self.max_concurrency})",
-            f"plan cache: {self.plan_cache_hits} hits, "
-            f"{self.plan_cache_misses} misses, "
-            f"{self.plan_cache_entries} cached "
-            f"({self.plan_cache_evictions} evicted, "
-            f"{self.plan_cache_invalidations} invalidated)",
-            f"pools: {self.warm_leases} warm leases, "
-            f"{self.cold_starts} cold starts, {self.idle_pools} idle "
-            f"({self.pools_condemned} condemned, {self.pools_trimmed} trimmed, "
-            f"{self.pools_closed} closed)",
-            f"resident query processes: {self.resident_processes}",
-        ]
-        if self.admission_policy != "static":
-            cap = (
-                f"fanout cap {self.admission_fanout_cap}"
-                if self.admission_fanout_cap
-                else "no fanout cap"
-            )
-            lines.append(
-                f"admission: {self.admission_policy} limit "
-                f"{self.admission_limit}/{self.max_concurrency}, "
-                f"{self.admission_shed} shed, {self.admission_queued} queued "
-                f"({self.admission_raises} raises, "
-                f"{self.admission_backoffs} backoffs, p50 inflation "
-                f"{self.admission_inflation:.2f}x, {cap})"
-            )
-        if self.reoptimizations or self.observed_operations:
-            lines.append(
-                f"cost optimizer: {self.observed_operations} operations "
-                f"observed, {self.reoptimizations} plans re-optimized"
-            )
-        if self.sharing:
-            lines.append(self.share_report())
-        return "\n".join(lines)
-
-    def share_report(self) -> str:
-        """The multi-query sharing section (CLI ``\\stats share``)."""
-        if not self.sharing:
-            return "sharing: off (construct the engine with share=True)"
-        return (
-            f"call memo: {self.memo_entries} entries\n"
-            f"shared pools: {self.shared_pool_leases} concurrent leases "
-            f"({self.pool_lease_waits} waits for a busy tree)"
-        )
-
 
 class QueryEngine:
     """Resident, multi-query execution service on top of :class:`WSMED`.

@@ -14,13 +14,16 @@ The subsystem has four layers:
 - :mod:`repro.obs.critical_path` -- walks a finished span tree and reports
   the longest dependent chain per query-process tree level (the paper's
   "slowest service dominates" analysis).
-- :mod:`repro.obs.export` / :mod:`repro.obs.validate` -- the Chrome
-  trace-event exporter plus structural well-formedness checks (also used
-  by CI on a real exported trace).
+- :mod:`repro.obs.validate` -- structural well-formedness checks of a
+  span store and of its Chrome trace-event export (also used by CI on a
+  real exported trace).
+
+Every text or trace JSON made from spans -- the process tree, the
+critical path, the Chrome trace-event export -- is a function of
+:mod:`repro.render`.
 """
 
 from repro.obs.critical_path import CriticalPathReport, LevelSummary, analyze_critical_path
-from repro.obs.export import to_chrome_trace, write_chrome_trace
 from repro.obs.spans import (
     NULL_RECORDER,
     NullRecorder,
@@ -39,8 +42,6 @@ __all__ = [
     "SpanStore",
     "TraceRecorder",
     "analyze_critical_path",
-    "to_chrome_trace",
     "validate_chrome_trace",
     "validate_spans",
-    "write_chrome_trace",
 ]

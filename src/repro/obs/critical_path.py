@@ -58,36 +58,6 @@ class CriticalPathReport:
         level = self.slowest_level
         return level.slowest_operation if level is not None else ""
 
-    def render(self) -> str:
-        if not self.path:
-            return "critical path: no spans recorded (run with tracing enabled)"
-        lines = [f"critical path: {self.total:.3f}s over {len(self.path)} spans"]
-        for span in self.path:
-            indent = "  " * min(self._depth(span), 8)
-            lines.append(
-                f"  {indent}{span.name} [{span.category}] {span.duration:.3f}s"
-            )
-        for level in self.levels:
-            slowest = level.slowest_operation or "-"
-            lines.append(
-                f"level {level.level}: {level.calls} ws calls, "
-                f"{level.busy:.3f}s busy, slowest service: {slowest}"
-            )
-        bottleneck = self.slowest_level
-        if bottleneck is not None and bottleneck.slowest_operation:
-            lines.append(
-                f"bottleneck: {bottleneck.slowest_operation} "
-                f"at level {bottleneck.level} "
-                f"({bottleneck.busy:.3f}s total busy time)"
-            )
-        return "\n".join(lines)
-
-    def _depth(self, span: Span) -> int:
-        try:
-            return self.path.index(span)
-        except ValueError:
-            return 0
-
 
 def _call_level(span: Span, store: SpanStore) -> int:
     """Number of ``call``-category ancestors (the query-process tree depth)."""

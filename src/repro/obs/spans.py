@@ -20,7 +20,7 @@ records ``spawn``, its fault reports (``call_failed``, ``redeliver``,
 decisions (category ``adapt``), a child ``install`` and ``process_exit``,
 an OWF ``retry`` and ``call_fault``.  A web-service call is a ``ws`` span
 whose ``outcome`` tells a broker round trip from a memo hit.  The
-process-tree, utilization and gantt views (:mod:`repro.parallel.visualize`)
+process-tree, utilization and gantt views (:mod:`repro.render`)
 and the Figs 18-20 bench derive what they show from these; the statistics
 on a query result are counters and do not.
 

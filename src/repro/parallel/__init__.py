@@ -23,12 +23,6 @@ from repro.parallel.costs import ProcessCosts
 from repro.parallel.executor import ParallelExecutor
 from repro.parallel.faults import FaultInjection
 from repro.parallel.parallelizer import parallelize, split_sections
-from repro.parallel.visualize import (
-    build_process_tree,
-    process_utilization,
-    render_process_tree,
-    render_utilization,
-)
 
 __all__ = [
     "run_level_synchronous",
@@ -37,8 +31,4 @@ __all__ = [
     "FaultInjection",
     "parallelize",
     "split_sections",
-    "build_process_tree",
-    "process_utilization",
-    "render_process_tree",
-    "render_utilization",
 ]

@@ -28,6 +28,7 @@ receive loop entirely, and the parent's death watcher notices.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.algebra.interpreter import ExecutionContext, PullChain, compile_plan
@@ -58,21 +59,29 @@ class ChildEndpoints:
     uplink: Channel  # this child -> parent (shared inbox)
 
 
-_installed: dict[int, tuple[dict, PlanFunction, PullChain]] = {}
+class _Installed:
+    """A shipped plan function, rehydrated and compiled.  It holds the
+    shipped dict, so the id that keys it stays unique while it lives."""
+
+    __slots__ = ("shipped", "plan_function", "body", "__weakref__")
+
+    def __init__(self, shipped: dict) -> None:
+        self.shipped = shipped
+        self.plan_function = PlanFunction.from_dict(shipped)
+        self.body = compile_plan(self.plan_function.body)
 
 
-def _install(serialized: dict) -> tuple[PlanFunction, PullChain]:
-    """A shipped plan function, rehydrated and compiled once per process
-    and message: the children a pool ships the same dict share the
-    (stateless) chain.  Entries keep their dict, so ids stay unique."""
-    entry = _installed.get(id(serialized))
-    if entry is None or entry[0] is not serialized:
-        if len(_installed) >= 256:
-            _installed.clear()
-        plan_function = PlanFunction.from_dict(serialized)
-        entry = serialized, plan_function, compile_plan(plan_function.body)
-        _installed[id(serialized)] = entry
-    return entry[1], entry[2]
+#: Installs by id of the shipped dict.  Each child holds its install until
+#: it exits, so the children a pool ships one dict share one (stateless)
+#: chain, and an entry lives no longer than the last of them.
+_installed: weakref.WeakValueDictionary[int, _Installed] = weakref.WeakValueDictionary()
+
+
+def _install(shipped: dict) -> _Installed:
+    installed = _installed.get(id(shipped))
+    if installed is None:
+        installed = _installed[id(shipped)] = _Installed(shipped)
+    return installed
 
 
 class _CallRunner:
@@ -257,7 +266,7 @@ async def child_main(
             ChildError(endpoints.name, f"expected a plan function, got {first!r}")
         )
         return
-    plan_function, body = _install(first.plan_function)
+    installed = _install(first.plan_function)  # held until this child exits
     await kernel.sleep(costs.install)
     if ctx.run.obs.enabled:
         ctx.run.obs.instant(
@@ -266,10 +275,10 @@ async def child_main(
             parent=first.span,
             process=endpoints.name,
             at=kernel.now(),
-            plan_function=plan_function.name,
+            plan_function=installed.plan_function.name,
         )
 
-    runner = _CallRunner(ctx, costs, endpoints, body)
+    runner = _CallRunner(ctx, costs, endpoints, installed.body)
     try:
         serving = True
         while serving:

@@ -80,7 +80,8 @@ from typing import Any, Optional
 from repro.algebra.plan import AdaptationParams
 from repro.cache import CacheConfig
 from repro.engine import AdmissionRejected, EngineClosed
-from repro.obs import TraceRecorder, write_chrome_trace
+from repro.obs import TraceRecorder
+from repro.render import write_chrome_trace
 from repro.util.errors import ReproError
 from repro.wsmed.options import QueryOptions
 

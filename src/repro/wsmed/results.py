@@ -1,8 +1,8 @@
 """Query results with execution statistics.
 
-The statistics surface is the :meth:`QueryResult.report` method: it renders
-named sections ("calls", "tree", "cache", "batch", "faults",
-"critical_path") straight from the result's counters.
+A result holds data: rows, counters, the plan that ran and, on a traced
+run, its spans.  Every text made from it is a function of
+:mod:`repro.render`.
 """
 
 from __future__ import annotations
@@ -10,17 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.algebra.plan import PlanNode
 from repro.cache import CacheStats
 from repro.fdb.values import Bag
 from repro.obs.critical_path import CriticalPathReport, analyze_critical_path
-from repro.obs.export import to_chrome_trace, write_chrome_trace
 from repro.obs.run import FaultStats, MessageStats, TreeStats
 from repro.obs.spans import SpanStore
 from repro.services.broker import CallStats
-from repro.util.errors import ReproError
-
-#: Section names accepted by :meth:`QueryResult.report`, in display order.
-REPORT_SECTIONS = ("calls", "tree", "cache", "batch", "faults", "critical_path")
 
 
 @dataclass
@@ -38,7 +34,9 @@ class QueryResult:
     total_calls: int
     call_stats: dict[str, CallStats] = field(default_factory=dict)
     tree: TreeStats = field(default_factory=TreeStats)
-    plan_text: str = ""
+    # The compiled plan that ran (the engine's plan cache keeps it alive
+    # anyway); None for a result built by hand.
+    plan: PlanNode | None = None
     # The query's call-memo counters across all its processes; None exactly
     # when the query did not memoize.
     cache_stats: CacheStats | None = None
@@ -72,169 +70,9 @@ class QueryResult:
         stats = self.call_stats.get(operation)
         return stats.calls if stats else 0
 
-    def _spans(self) -> SpanStore:
-        if self.spans is None:
-            raise ReproError(
-                "the query was not traced; run it with "
-                "QueryOptions(obs=TraceRecorder()) to record its spans"
-            )
-        return self.spans
-
-    def process_tree(self) -> str:
-        """ASCII rendering of the process tree this execution built."""
-        from repro.parallel.visualize import render_process_tree
-
-        return render_process_tree(self._spans())
-
-    def utilization(self, top: int = 12) -> str:
-        """Text report of the busiest query processes."""
-        from repro.parallel.visualize import render_utilization
-
-        return render_utilization(self._spans(), top=top)
-
-    def summary(self) -> str:
-        """One-paragraph execution report for interactive use."""
-        lines = [
-            f"{len(self.rows)} rows in {self.elapsed:.2f} model seconds "
-            f"({self.mode} mode, {self.total_calls} web service calls)",
-            *self._operation_lines(),
-        ]
-        if self.tree.processes_spawned:
-            lines.append("  " + self._render_tree())
-        if self.cache_stats is not None:
-            lines.append("  " + self._render_cache())
-        if self.message_stats.param_batches or self.message_stats.result_batches:
-            lines.append("  " + self._render_batch())
-        if self.fault_stats.any():
-            lines.append("  " + self._render_faults())
-        return "\n".join(lines)
-
-    # -- the report surface ------------------------------------------------------
-
-    def report(self, sections: list[str] | tuple[str, ...] | str | None = None) -> str:
-        """Render named statistics sections from the result's counters.
-
-        ``sections`` picks which to show (any of ``REPORT_SECTIONS``); the
-        default shows every section the execution produced data for.
-        """
-        if sections is None:
-            chosen = ["calls", "tree", "cache", "batch", "faults"]
-            if self.spans is not None:
-                chosen.append("critical_path")
-        elif isinstance(sections, str):
-            chosen = [sections]
-        else:
-            chosen = list(sections)
-        lines = []
-        for section in chosen:
-            renderer = self._SECTION_RENDERERS.get(section)
-            if renderer is None:
-                known = ", ".join(REPORT_SECTIONS)
-                raise ValueError(
-                    f"unknown report section {section!r}; known sections: {known}"
-                )
-            lines.append(renderer(self))
-        return "\n".join(lines)
-
-    def _operation_lines(self) -> list[str]:
-        """One indented line per called operation, sorted by name."""
-        return [
-            f"  {operation}: {stats.calls} calls, "
-            f"mean {stats.total_time.mean:.3f}s, "
-            f"queue {stats.queue_wait.mean:.3f}s"
-            for operation, stats in sorted(self.call_stats.items())
-        ]
-
-    def _render_calls(self) -> str:
-        return "\n".join(
-            [
-                f"calls: {self.total_calls} web service calls in "
-                f"{self.elapsed:.2f} model seconds ({self.mode} mode)",
-                *self._operation_lines(),
-            ]
-        )
-
-    def _render_tree(self) -> str:
-        tree = self.tree
-        if not tree.processes_spawned:
-            return "process tree: no child processes (central plan?)"
-        return (
-            f"process tree: {tree.processes_spawned} spawned, "
-            f"{tree.processes_dropped} dropped, "
-            f"avg fanouts {['%.1f' % f for f in tree.average_fanouts()]}"
-        )
-
-    def _render_cache(self) -> str:
-        cache = self.cache_stats
-        if cache is None:
-            return "call cache: off"
-        bags = f" ({cache.plan_hits} plan-function bags)" if cache.plan_hits else ""
-        return (
-            f"call cache: {cache.hits} hits{bags}, {cache.misses} misses, "
-            f"{cache.collapsed} collapsed, {cache.evictions} evicted, "
-            f"{cache.expirations} expired ({cache.hit_rate:.0%} hit rate, "
-            f"{cache.calls_avoided} calls avoided)"
-        )
-
-    def _render_batch(self) -> str:
-        messages = self.message_stats
-        if not messages.total_messages:
-            return "batching: no inter-process messages (central plan?)"
-        parts = [
-            f"messages: {messages.total_messages} "
-            f"({messages.downlink_messages} down, {messages.uplink_messages} up)",
-            f"param batches: {messages.param_batches} "
-            f"carrying {messages.batched_params} tuples "
-            f"(+{messages.param_tuples} singles)",
-            f"result batches: {messages.result_batches} "
-            f"carrying {messages.batched_results} rows "
-            f"(+{messages.result_tuples} singles)",
-        ]
-        if messages.flushes:
-            triggers = ", ".join(
-                f"{trigger}={messages.flushes[trigger]}"
-                for trigger in sorted(messages.flushes)
-            )
-            parts.append(f"flushes: {triggers}")
-        return "; ".join(parts)
-
-    def _render_faults(self) -> str:
-        faults = self.fault_stats
-        if not faults.any():
-            return "faults: none"
-        return (
-            f"faults: {faults.failed_calls} failed calls, "
-            f"{faults.redeliveries} redelivered, "
-            f"{faults.skipped_rows} skipped, "
-            f"{faults.respawns} children respawned, "
-            f"{faults.breaker_trips} breaker trips"
-        )
-
-    def _render_critical_path(self) -> str:
-        return self.critical_path().render()
-
-    _SECTION_RENDERERS = {
-        "calls": _render_calls,
-        "tree": _render_tree,
-        "cache": _render_cache,
-        "batch": _render_batch,
-        "faults": _render_faults,
-        "critical_path": _render_critical_path,
-    }
-
-    # -- tracing accessors --------------------------------------------------------
-
     def critical_path(self) -> CriticalPathReport:
         """Critical-path analysis of a traced run (empty when untraced)."""
         return analyze_critical_path(self.spans if self.spans is not None else SpanStore())
-
-    def chrome_trace(self) -> dict:
-        """The traced run as a Chrome trace-event JSON object."""
-        return to_chrome_trace(self.spans if self.spans is not None else SpanStore())
-
-    def write_trace(self, path: str) -> None:
-        """Write :meth:`chrome_trace` to ``path`` (open it in Perfetto)."""
-        write_chrome_trace(self.spans if self.spans is not None else SpanStore(), path)
 
 
 class QueryStream:

@@ -3,11 +3,12 @@
 Typical use::
 
     from repro import WSMED
+    from repro.render import render_summary
 
     wsmed = WSMED(profile="paper")
     wsmed.import_all()                     # read WSDLs, generate OWF views
     result = wsmed.sql(QUERY2, options=QueryOptions(mode="adaptive"))
-    print(result.summary())
+    print(render_summary(result))
 
 Execution modes (Sec. V of the paper):
 
@@ -35,7 +36,6 @@ from repro.algebra.cost import (
     estimate_plan,
     model_from_observations,
 )
-from repro.algebra.explain import render_plan
 from dataclasses import replace as _replace
 
 from repro.algebra.interpreter import ExecutionContext, compile_plan
@@ -60,6 +60,7 @@ from repro.obs.spans import NULL_RECORDER
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.executor import ParallelExecutor
 from repro.parallel.parallelizer import parallelize
+from repro.render import render_cost_explain, render_explain
 from repro.runtime.simulated import SimKernel
 from repro.services.broker import ServiceBroker
 from repro.services.registry import ServiceRegistry, build_registry
@@ -102,17 +103,6 @@ def _getzipcode(zipstr: str) -> list[tuple[str]]:
     worker processes by the multi-process kernel's code shipping.
     """
     return [(code,) for code in zipstr.split(",") if code]
-
-
-def _estimate_lines(estimate) -> list[str]:
-    """The two lines every explain report prints per plan estimate."""
-    return [
-        "web service calls: "
-        + ", ".join(
-            f"{op}={calls:.0f}" for op, calls in sorted(estimate.calls.items())
-        ),
-        f"sequential time: ~{estimate.sequential_time:.1f} s",
-    ]
 
 
 class DisjunctiveCalculus:
@@ -496,65 +486,19 @@ class WSMED:
         plan the query at all, the error the rewrite repaired.
         """
         opts = resolve_options(options, where="WSMED.explain", rejected=ENGINE_ONLY)
-        if opts.optimize == "cost":
-            return self._explain_cost(sql_text, opts)
-        calculus, plan, _ = self._compile(sql_text, opts)
-        model = self.cost_model(opts.observed)
-        return "\n".join(
-            [
-                "-- calculus --",
-                calculus.to_text(),
-                "",
-                "-- plan --",
-                render_plan(plan),
-                "",
-                "-- estimate --",
-                *_estimate_lines(estimate_plan(plan, self.functions, model)),
-            ]
-        )
-
-    def _explain_cost(self, sql_text: str, opts: QueryOptions) -> str:
-        """The cost-based explain: chosen plan vs heuristic plan."""
         calculus, plan, report = self._compile(sql_text, opts)
         model = self.cost_model(opts.observed)
-        annotations = {
-            node_id: (
-                f"  -- in≈{e.input_cardinality:.1f} out≈{e.output_cardinality:.1f}"
-                + (f" calls≈{e.calls:.0f} time≈{e.time:.1f}s" if e.calls else "")
-            )
-            for node_id, e in estimate_nodes(plan, self.functions, model).items()
-        }
-        sections = [
-            "-- calculus --",
-            calculus.to_text(),
-            "",
-            "-- cost-based plan --",
-            render_plan(plan, annotations=annotations),
-            "",
-            "-- optimizer --",
-            report.describe() if report is not None else "(no report)",
-        ]
-        estimate = report.estimate if report is not None else None
-        if estimate is not None:
-            sections += ["", "-- estimate (cost-based) --", *_estimate_lines(estimate)]
-        sections += ["", "-- heuristic plan --"]
+        if opts.optimize != "cost":
+            return render_explain(calculus, plan, estimate_plan(plan, self.functions, model))
         try:
-            _, heuristic_plan, _ = self._compile(
-                sql_text, opts.replace(optimize="heuristic")
-            )
+            _, heuristic_plan, _ = self._compile(sql_text, opts.replace(optimize="heuristic"))
         except BindingError as error:
-            sections.append(f"(not plannable without rewrites: {error})")
+            heuristic = error
         else:
-            sections.append(render_plan(heuristic_plan))
-            heuristic = estimate_plan(heuristic_plan, self.functions, model)
-            sections += ["", "-- estimate (heuristic) --", *_estimate_lines(heuristic)]
-            if estimate is not None and heuristic.sequential_time > 0:
-                ratio = estimate.sequential_time / heuristic.sequential_time
-                sections.append(
-                    f"cost-based vs heuristic: {ratio:.2f}x estimated "
-                    "sequential time"
-                )
-        return "\n".join(sections)
+            heuristic = heuristic_plan, estimate_plan(heuristic_plan, self.functions, model)
+        return render_cost_explain(
+            calculus, plan, estimate_nodes(plan, self.functions, model), report, heuristic
+        )
 
     def _profile_call_costs(self) -> dict[str, float]:
         if self._call_costs is None:
@@ -622,7 +566,7 @@ class WSMED:
         compile phases, operator invocations, per-call and web-service
         spans and the pools' instants land in its store, which the
         returned result exposes as ``QueryResult.spans`` (see
-        ``critical_path()``, ``chrome_trace()`` and ``process_tree()``).
+        ``critical_path()`` and the span views of :mod:`repro.render`).
         The default no-op recorder records nothing and computes exactly
         what a traced run does.
         ``optimize="cost"`` plans with the cost-based optimizer (and
@@ -738,7 +682,7 @@ class WSMED:
             total_calls=calls.total_calls(),
             call_stats=calls.all_stats(),
             tree=run.tree,
-            plan_text=render_plan(plan),
+            plan=plan,
             cache_stats=run.cache_stats if run.memo is not None else None,
             message_stats=run.message_stats,
             fault_stats=run.fault_stats,

@@ -12,6 +12,7 @@ plan anywhere one runs: at the coordinator and, through
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, AsyncIterator, Callable
 
 from repro.algebra.expressions import compile_expr
@@ -57,10 +58,10 @@ def oracle_chain(node: PlanNode) -> PullChain:
     return PullChain(chunks, False)
 
 
-def oracle_install(serialized: dict) -> tuple[PlanFunction, PullChain]:
+def oracle_install(serialized: dict) -> SimpleNamespace:
     """Stand-in for ``repro.parallel.process._install``."""
     plan_function = PlanFunction.from_dict(serialized)
-    return plan_function, oracle_chain(plan_function.body)
+    return SimpleNamespace(plan_function=plan_function, body=oracle_chain(plan_function.body))
 
 
 async def iterate_plan(

@@ -150,7 +150,7 @@ def test_or_plan_is_distinct_over_union(wsmed) -> None:
         WHERE gs.State = 'GA' OR gs.State = 'CO'
         """
     )
-    from repro.algebra.explain import render_plan
+    from repro.render import render_plan
 
     rendered = render_plan(plan)
     assert "∪ 2 branches" in rendered

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra.cost import CostModel, estimate_plan
-from repro.algebra.explain import render_plan
+from repro.render import render_plan
 
 from tests.helpers import make_world
 

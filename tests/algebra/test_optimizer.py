@@ -16,10 +16,10 @@ from benchmarks.worlds import (
 )
 from repro import QueryOptions
 from repro.algebra.cost import CostModel, model_from_observations
-from repro.algebra.explain import render_plan
 from repro.algebra import optimizer
 from repro.algebra.optimizer import create_cost_based_plan
 from repro.calculus.generator import generate_calculus
+from repro.render import render_optimizer_report, render_plan
 from repro.sql.parser import parse_query
 from repro.util.errors import BindingError
 
@@ -140,7 +140,7 @@ def test_adversarial_rows_match_heuristic(world) -> None:
 
 def test_report_describe_mentions_choices(world) -> None:
     _plan, report = _cost_plan(world, ADVERSARIAL_SQL)
-    text = report.describe()
+    text = render_optimizer_report(report)
     assert "component 0 [dp" in text
     assert "heuristic order:" in text
     assert "ck:CheckRegion" in text

@@ -18,6 +18,7 @@ from repro.cache import CacheConfig
 from repro.fdb.functions import helping_function
 from repro.fdb.types import CHARSTRING, TupleType
 from repro.parallel.costs import ProcessCosts
+from repro.render import render_report, render_summary
 from repro.wsmed.system import WSMED
 
 SKEW_SQL = """
@@ -83,8 +84,8 @@ def test_cache_cuts_calls_and_time_in_central_mode(wsmed) -> None:
     assert on.total_calls == DISTINCT_ZIPS  # every repeat served from cache
     assert on.cache_stats.hits == DISTINCT_ZIPS * (REPEATS - 1)
     assert on.elapsed < off.elapsed
-    assert "call cache:" in on.summary()
-    assert "call cache: off" not in on.report(sections="cache")
+    assert "call cache:" in render_summary(on)
+    assert "call cache: off" not in render_report(on, sections="cache")
 
 
 def test_cache_hits_show_up_in_trace(wsmed) -> None:

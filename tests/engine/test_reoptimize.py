@@ -19,6 +19,7 @@ from benchmarks.worlds import (
     endpoint as _profile,
 )
 from repro import QueryEngine, QueryOptions
+from repro.render import render_engine_stats
 from repro.services.registry import ServiceCosts
 
 COST = QueryOptions(mode="central", optimize="cost")
@@ -66,7 +67,7 @@ def test_stats_report_mentions_optimizer_when_active() -> None:
     engine = QueryEngine(build_optimizer_world(misdeclared=True))
     try:
         engine.sql(ADVERSARIAL_SQL, options=COST)
-        report = engine.stats().report()
+        report = render_engine_stats(engine.stats())
         assert "cost optimizer:" in report
         assert "re-optimized" in report
     finally:

@@ -13,6 +13,7 @@ from repro import (
     QueryEngine,
 )
 from repro.cache import PlanSignature
+from repro.render import render_report
 from repro.wsmed.options import QueryOptions
 
 from tests.engine.test_engine import fresh_wsmed, trace_multiset, traced
@@ -74,7 +75,7 @@ def test_cache_stats_are_none_exactly_when_the_query_does_not_memoize() -> None:
     assert uncached.cache_stats is None
     assert uncached.total_calls == 311
     assert memoized.cache_stats is not None
-    assert "call cache: off" in uncached.report("cache")
+    assert "call cache: off" in render_report(uncached, "cache")
 
 
 # -- result equivalence ------------------------------------------------------------

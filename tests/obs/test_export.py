@@ -5,8 +5,8 @@ import json
 from pathlib import Path
 
 from repro import QUERY1_SQL, QueryOptions, TraceRecorder, WSMED
-from repro.obs import to_chrome_trace, write_chrome_trace
 from repro.obs.validate import validate_chrome_trace
+from repro.render import to_chrome_trace, write_chrome_trace
 
 GOLDEN = Path(__file__).parent / "golden_chrome_trace.json"
 
@@ -71,13 +71,13 @@ def test_real_query_export_is_well_formed(tmp_path) -> None:
         QUERY1_SQL,
         options=QueryOptions(mode="parallel", fanouts=[5, 4], obs=TraceRecorder()),
     )
-    payload = result.chrome_trace()
+    payload = to_chrome_trace(result.spans)
     assert validate_chrome_trace(payload) == []
     # Both clock domains present: compile (pid 1) and execution (pid 2).
     pids = {ev["pid"] for ev in payload["traceEvents"] if ev["ph"] == "X"}
     assert pids == {1, 2}
     # Cross-process flows exist (shipped plan-function work).
     assert any(ev["ph"] == "s" for ev in payload["traceEvents"])
-    result.write_trace(str(tmp_path / "q1.json"))
+    write_chrome_trace(result.spans, str(tmp_path / "q1.json"))
     assert (tmp_path / "q1.json").exists()
 

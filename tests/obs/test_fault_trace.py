@@ -17,6 +17,7 @@ from repro import (
     WSMED,
 )
 from repro.obs.validate import main as validate_main, validate_spans
+from repro.render import write_chrome_trace
 
 FAULTY = QueryOptions(
     mode="parallel",
@@ -82,6 +83,6 @@ def test_fault_trace_is_well_formed(faulty_result) -> None:
 def test_fault_trace_exports_a_valid_chrome_trace(faulty_result, tmp_path, capsys) -> None:
     _, result = faulty_result
     path = tmp_path / "faults.trace.json"
-    result.write_trace(str(path))
+    write_chrome_trace(result.spans, str(path))
     assert validate_main([str(path)]) == 0
     assert capsys.readouterr().out.startswith("ok:")

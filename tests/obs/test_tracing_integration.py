@@ -17,6 +17,7 @@ from repro import (
     QueryOptions,
 )
 from repro.obs.validate import validate_spans
+from repro.render import render_critical_path, render_report, render_summary
 
 SCALE = 0.002  # one model second = 2 wall milliseconds
 
@@ -102,7 +103,7 @@ def test_query2_traced_under_sim_kernel(wsmed) -> None:
         "GetPlacesInside",
     }
     assert report.slowest_level is not None and report.slowest_level.level >= 0
-    rendered = report.render()
+    rendered = render_critical_path(report)
     assert "bottleneck:" in rendered and "level" in rendered
 
 
@@ -192,7 +193,7 @@ def test_engine_traces_warm_and_cold_queries(wsmed) -> None:
 def test_report_rejects_unknown_sections(wsmed) -> None:
     result = wsmed.sql(QUERY1_SQL, options=QueryOptions(mode="central"))
     with pytest.raises(ValueError, match="unknown report section"):
-        result.report(sections="nonsense")
+        render_report(result, sections="nonsense")
 
 
 def test_summary_emits_no_deprecation_warnings(wsmed) -> None:
@@ -202,8 +203,8 @@ def test_summary_emits_no_deprecation_warnings(wsmed) -> None:
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        result.summary()
-        result.report()
+        render_summary(result)
+        render_report(result)
 
 
 # -- concurrent traced queries ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the text gantt renderer."""
 
 from repro.obs.spans import SpanStore, TraceRecorder
-from repro.parallel.visualize import render_gantt
+from repro.render import render_gantt
 
 from tests.helpers import QUERY1_SQL, make_world
 from tests.parallel.helpers_parallel import run_parallel

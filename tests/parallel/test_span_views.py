@@ -14,7 +14,13 @@ from pathlib import Path
 import pytest
 
 from repro import QUERY1_SQL, QUERY2_SQL, QueryEngine, QueryOptions, TraceRecorder, WSMED
-from repro.parallel.visualize import build_process_tree, process_utilization, render_gantt
+from repro.render import (
+    build_process_tree,
+    process_utilization,
+    render_gantt,
+    render_process_tree,
+    render_utilization,
+)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_views.json").read_text())
 COLD = {
@@ -57,6 +63,10 @@ def query_span(result):
     return span
 
 
+def count_processes(node) -> int:
+    return 1 + sum(count_processes(child) for child in node.children)
+
+
 def edges(node) -> set:
     return {
         (node.name, child.name, child.plan_function) for child in node.children
@@ -66,8 +76,8 @@ def edges(node) -> set:
 @pytest.mark.parametrize("case", COLD)
 def test_cold_views_reproduce_the_golden_strings(cold_results, case) -> None:
     result = cold_results[case]
-    assert result.process_tree() == GOLDEN[case]["process_tree"]
-    assert result.utilization() == GOLDEN[case]["utilization"]
+    assert render_process_tree(result.spans) == GOLDEN[case]["process_tree"]
+    assert render_utilization(result.spans) == GOLDEN[case]["utilization"]
     assert render_gantt(result.spans, width=60) == GOLDEN[case]["gantt"]
 
 
@@ -85,7 +95,7 @@ def test_span_derived_parents_match_the_spawn_instants(cold_results, case) -> No
 def test_warm_engine_query_renders_its_whole_tree(engine_results) -> None:
     _, warm = engine_results
     assert not warm.spans.find("spawn")  # the tree came warm from the pool registry
-    lines = warm.process_tree().splitlines()
+    lines = render_process_tree(warm.spans).splitlines()
     assert lines[0] == "q0 (coordinator)"
     assert len(lines) == 1 + 25
     root = build_process_tree(warm.spans)
@@ -96,10 +106,10 @@ def test_warm_engine_query_renders_its_whole_tree(engine_results) -> None:
 def test_cold_engine_query_counts_calls_before_close(engine_results) -> None:
     cold, _ = engine_results
     assert not cold.spans.find("process_exit")  # its children exit at close()
-    text = cold.process_tree()
+    text = render_process_tree(cold.spans)
     assert "calls=0" not in text
     root = build_process_tree(cold.spans)
-    assert root.total_processes() == 26
+    assert count_processes(root) == 26
     assert sum(child.calls for child in root.children) == 50
 
 
@@ -111,7 +121,7 @@ def test_warm_engine_utilization_covers_the_tree_over_the_query(engine_results) 
     assert report["q0"].lifetime == pytest.approx(query.duration)
     assert all(entry.lifetime <= query.duration + 1e-9 for entry in report.values())
     assert sum(entry.calls for entry in report.values()) == warm.total_calls == 311
-    assert len(warm.utilization(top=40).splitlines()) == 1 + 26
+    assert len(render_utilization(warm.spans, top=40).splitlines()) == 1 + 26
 
 
 def test_warm_engine_gantt_spans_the_query_not_the_engine(engine_results) -> None:

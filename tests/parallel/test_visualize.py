@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel.visualize import (
+from repro.render import (
     build_process_tree,
     process_utilization,
     render_process_tree,
@@ -12,6 +12,10 @@ from repro.obs.spans import SpanStore, TraceRecorder
 
 from tests.helpers import QUERY1_SQL, make_world
 from tests.parallel.helpers_parallel import run_parallel
+
+
+def count_processes(node) -> int:
+    return 1 + sum(count_processes(child) for child in node.children)
 
 
 def peak_concurrency(spans: SpanStore, operation: str | None = None) -> int:
@@ -49,7 +53,7 @@ def test_tree_reconstruction_matches_fanouts(query1_trace) -> None:
         assert len(level1.children) == 2  # fo2
         for level2 in level1.children:
             assert level2.plan_function == "PF2"
-    assert root.total_processes() == 1 + 3 + 6
+    assert count_processes(root) == 1 + 3 + 6
 
 
 def test_tree_carries_call_counts(query1_trace) -> None:

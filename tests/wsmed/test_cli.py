@@ -4,8 +4,9 @@ import io
 
 import pytest
 
-from repro.cli import Shell, format_table, main
+from repro.cli import Shell, main
 from repro.engine import QueryEngine
+from repro.render import render_table
 from repro.util.errors import ReproError
 from repro.wsmed.options import QueryOptions
 from repro.wsmed.results import QueryResult
@@ -46,7 +47,7 @@ def test_format_table_alignment_and_footer() -> None:
         mode="central",
         total_calls=3,
     )
-    text = format_table(result)
+    text = render_table(result)
     lines = text.splitlines()
     assert lines[0].startswith("city")
     assert "Atlanta | GA" in text
@@ -61,7 +62,7 @@ def test_format_table_truncation() -> None:
         mode="central",
         total_calls=0,
     )
-    assert "(10 more rows)" in format_table(result, max_rows=20)
+    assert "(10 more rows)" in render_table(result, max_rows=20)
 
 
 # -- one-shot CLI ------------------------------------------------------------------

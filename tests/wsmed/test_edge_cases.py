@@ -4,7 +4,7 @@ import pytest
 
 from repro import QueryOptions, TraceRecorder, WSMED
 from repro.calculus.expressions import Const
-from repro.cli import format_table
+from repro.render import render_table
 from repro.wsmed.results import QueryResult
 
 
@@ -70,7 +70,7 @@ def test_format_table_empty_result() -> None:
     empty = QueryResult(
         columns=("a", "b"), rows=[], elapsed=0.0, mode="central", total_calls=0
     )
-    text = format_table(empty)
+    text = render_table(empty)
     assert "a" in text.splitlines()[0]
     assert "(0 rows" in text
 

@@ -5,6 +5,7 @@ future work), and transient-fault retries."""
 import pytest
 
 from repro import FaultInjection, QueryOptions, TraceRecorder, WSMED
+from repro.render import render_report, render_summary
 from repro.util.errors import BindingError, CalculusError, ReproError, ServiceFault
 
 BUSHY_SQL = """
@@ -302,8 +303,8 @@ def test_fault_stats_surface_on_the_query_result(wsmed) -> None:
     )
     clean = wsmed.sql(sql, options=QueryOptions(mode="parallel", fanouts=[4]))
     assert not clean.fault_stats.any()
-    assert clean.report(sections="faults") == "faults: none"
-    assert "faults:" not in clean.summary()
+    assert render_report(clean, sections="faults") == "faults: none"
+    assert "faults:" not in render_summary(clean)
 
     result = wsmed.sql(
         sql,
@@ -317,5 +318,5 @@ def test_fault_stats_surface_on_the_query_result(wsmed) -> None:
     assert result.as_bag() == clean.as_bag()
     assert result.fault_stats.failed_calls > 0
     assert result.fault_stats.redeliveries > 0
-    assert "failed calls" in result.report(sections="faults")
-    assert "faults:" in result.summary()
+    assert "failed calls" in render_report(result, sections="faults")
+    assert "faults:" in render_summary(result)

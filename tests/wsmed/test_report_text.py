@@ -1,4 +1,4 @@
-"""``QueryResult.report()`` and ``summary()`` render the result's counters
+"""``render_report`` and ``render_summary`` render a result's counters
 directly.  Their text is pinned byte for byte for Query1 under the manual
 and adaptive trees, a cached and batched run, a fault-injection run, a
 drop-stage run and a warm query answered by a sharing engine's call memo
@@ -17,6 +17,7 @@ from repro import (
     QueryOptions,
     WSMED,
 )
+from repro.render import render_report, render_summary
 
 PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 
@@ -116,9 +117,9 @@ EXPECTED = {
     ),
     "shared_warm": (
         "calls: 0 web service calls in 0.00 model seconds (parallel mode)\n"
-        "process tree: no child processes (central plan?)\n"
+        "process tree: no child processes spawned (parallel plan on a warm or unused tree)\n"
         "call cache: 311 hits (50 plan-function bags), 0 misses, 0 collapsed, 0 evicted, 0 expired (100% hit rate, 311 calls avoided)\n"
-        "batching: no inter-process messages (central plan?)\n"
+        "batching: no inter-process messages (parallel plan; no tuple was dispatched)\n"
         "faults: none",
         "360 rows in 0.00 model seconds (parallel mode, 0 web service calls)\n"
         "  call cache: 311 hits (50 plan-function bags), 0 misses, 0 collapsed, 0 evicted, 0 expired (100% hit rate, 311 calls avoided)",
@@ -147,4 +148,4 @@ def _result(wsmed, case):
 @pytest.mark.parametrize("case", EXPECTED)
 def test_report_and_summary_text_is_pinned(wsmed, case) -> None:
     result = _result(wsmed, case)
-    assert (result.report(), result.summary()) == EXPECTED[case]
+    assert (render_report(result), render_summary(result)) == EXPECTED[case]

@@ -5,6 +5,7 @@ import pytest
 from repro.fdb.functions import FunctionDef, FunctionKind, Parameter
 from repro.fdb.types import CHARSTRING, REAL, TupleType
 from repro.obs.run import TreeStats
+from repro.render import render_process_tree, render_summary, render_utilization
 from repro.services.broker import CallStats
 from repro.util.errors import ReproError
 from repro.wsmed.results import QueryResult
@@ -45,7 +46,7 @@ def test_calls_helper_defaults_to_zero() -> None:
 def test_summary_includes_stats_and_tree() -> None:
     tree = TreeStats(processes_spawned=25, processes_dropped=2, alive={("q0", "PF1"): 5})
     result = make_result(call_stats={"Op": CallStats(calls=3)}, tree=tree)
-    summary = result.summary()
+    summary = render_summary(result)
     assert "2 rows in 12.50 model seconds" in summary
     assert "Op: 3 calls" in summary
     assert "25 spawned, 2 dropped" in summary
@@ -55,9 +56,9 @@ def test_event_views_need_a_traced_run() -> None:
     result = make_result()
     assert result.spans is None
     with pytest.raises(ReproError, match="TraceRecorder"):
-        result.process_tree()
+        render_process_tree(result.spans)
     with pytest.raises(ReproError, match="not traced"):
-        result.utilization()
+        render_utilization(result.spans)
 
 
 def sample_function() -> FunctionDef:

@@ -10,6 +10,7 @@ from repro import (
     WSMED,
     QueryOptions,
 )
+from repro.render import render_summary
 from repro.util.errors import PlanError
 
 
@@ -103,7 +104,7 @@ def test_result_helpers(wsmed) -> None:
     assert result.as_dicts() == [{"Name": "Ohio"}]
     assert result.calls("GetAllStates") == 1
     assert result.calls("GetPlaceList") == 0
-    assert "1 rows" in result.summary()
+    assert "1 rows" in render_summary(result)
 
 
 def test_explain_contains_all_sections(wsmed) -> None:
@@ -145,4 +146,4 @@ def test_summary_mentions_tree_for_parallel(wsmed) -> None:
         QUERY1_SQL,
         options=QueryOptions(mode="parallel", fanouts=[3, 2]),
     )
-    assert "process tree" in result.summary()
+    assert "process tree" in render_summary(result)
