@@ -10,10 +10,8 @@ bottleneck) with elevated messaging costs, and sweeps
 ``ProcessCosts.batch_size`` against the fanout.  Measured claims:
 
 * batching cuts uplink+downlink messages by well over 30% (a batch of k
-  replaces one message per tuple and row with one per batch),
-* completion time drops measurably versus the per-tuple protocol, and
-* ``batch_adaptive`` lands within ~10% of the best fixed batch size
-  without being told the right size.
+  replaces one message per tuple and row with one per batch), and
+* completion time drops measurably versus the per-tuple protocol.
 """
 
 from __future__ import annotations
@@ -66,11 +64,8 @@ def _system() -> WSMED:
     return system
 
 
-def _run(system: WSMED, fanout: int, batch) -> dict:
-    if batch == "adaptive":
-        costs = replace(COSTS, batch_adaptive=True)
-    else:
-        costs = replace(COSTS, batch_size=batch)
+def _run(system: WSMED, fanout: int, batch: int) -> dict:
+    costs = replace(COSTS, batch_size=batch)
     result = system.sql(
         SQL,
         options=QueryOptions(mode="parallel", fanouts=[fanout], process_costs=costs),
@@ -92,11 +87,7 @@ def _run(system: WSMED, fanout: int, batch) -> dict:
 
 def run(smoke: bool = False) -> dict:
     system = _system()
-    runs = [
-        _run(system, fanout, batch)
-        for fanout in FANOUTS
-        for batch in (*BATCH_SIZES, "adaptive")
-    ]
+    runs = [_run(system, fanout, batch) for fanout in FANOUTS for batch in BATCH_SIZES]
     return {
         "workload": {
             "sql": "GetPlacesInside per zip (dependent join)",
@@ -124,11 +115,7 @@ def report(payload: dict) -> None:
         base = next(run for run in rows if run["batch"] == 1)
         print(f"  fanout {fanout}:")
         for run in rows:
-            label = (
-                "adaptive"
-                if run["batch"] == "adaptive"
-                else f"batch={run['batch']}"
-            )
+            label = f"batch={run['batch']}"
             speedup = base["elapsed"] / run["elapsed"]
             fewer = 1.0 - run["messages"] / base["messages"]
             print(
@@ -144,20 +131,15 @@ def check(payload: dict) -> None:
     for fanout in FANOUTS:
         rows = [run for run in payload["runs"] if run["fanout"] == fanout]
         base = next(run for run in rows if run["batch"] == 1)
-        fixed = [run for run in rows if run["batch"] not in (1, "adaptive")]
-        adaptive = next(run for run in rows if run["batch"] == "adaptive")
+        fixed = [run for run in rows if run["batch"] != 1]
 
         # >= 30% fewer uplink+downlink messages at every batched size.
         for run in fixed:
             assert run["messages"] <= 0.7 * base["messages"], run
-        assert adaptive["messages"] <= 0.7 * base["messages"]
 
         # A measurable completion-time win over the per-tuple protocol.
         best = min(fixed, key=lambda run: run["elapsed"])
         assert best["elapsed"] < 0.95 * base["elapsed"]
-
-        # Adaptive sizing lands within ~10% of the best fixed size.
-        assert adaptive["elapsed"] <= 1.10 * best["elapsed"]
 
 
 test_bench, main = harness.entry_points(__name__)

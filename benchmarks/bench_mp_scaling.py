@@ -222,9 +222,6 @@ def run(smoke: bool = False) -> dict:
             "fanout": FANOUT,
             "time_scale": TIME_SCALE,
             "local_services": True,
-            "calls_note": "with local_services=True workers execute "
-            "HashState in-process, so the coordinator's call recorder "
-            "only sees the central GetAllStates call",
         },
         "rows_identical_across_kernels": all(bag == bags[0] for bag in bags),
         "kernels": rows,

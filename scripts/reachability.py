@@ -258,7 +258,7 @@ def run_cli(scratch: str) -> None:
     _cli("--query", query1, *fast, "--mode", "parallel", "--fanouts", "5,4",
          "--tree", "--summary", "--stats", "--trace-out", trace)
     _cli("--query", query1, *fast, "--mode", "adaptive", "--cache",
-         "--batch", "adaptive", "--on-error", "retry", "--retries", "1")
+         "--batch", "2", "--on-error", "retry", "--retries", "1")
     _cli("--query", query1, *fast, "--mode", "parallel", "--fanouts", "3,2",
          "--batch", "4", "--optimize", "cost", "--summary")
     _cli("--query", query1, "--profile", "uncontended", "--explain")
@@ -318,7 +318,7 @@ SELECT gs.State
   FROM GetAllStates gs;
 SELECT o.owf, o.operation FROM ws_operations o;
 \cache on
-\batch adaptive
+\batch 8
 \faults inject 0.05 0.0
 \mode adaptive
 \optimize heuristic

@@ -15,8 +15,6 @@ from repro.algebra.expressions import (
     RowExpr,
     compile_expr,
     expr_from_calculus,
-    expr_from_dict,
-    expr_to_dict,
     render_expr,
 )
 from repro.algebra.plan import (
@@ -30,7 +28,6 @@ from repro.algebra.plan import (
     PlanNode,
     ProjectNode,
     SingletonNode,
-    plan_from_dict,
 )
 from repro.algebra.central import create_central_plan
 from repro.algebra.interpreter import ExecutionContext, PullChain, compile_plan
@@ -43,8 +40,6 @@ __all__ = [
     "RowExpr",
     "compile_expr",
     "expr_from_calculus",
-    "expr_from_dict",
-    "expr_to_dict",
     "render_expr",
     "AFFApplyNode",
     "ApplyNode",
@@ -56,7 +51,6 @@ __all__ = [
     "PlanNode",
     "ProjectNode",
     "SingletonNode",
-    "plan_from_dict",
     "create_central_plan",
     "ExecutionContext",
     "PullChain",

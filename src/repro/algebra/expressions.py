@@ -1,9 +1,10 @@
 """Row expressions evaluated by plan operators.
 
 Expressions are compiled against a node's input schema into positional
-accessors once per plan execution, then applied per row.  They serialize
-to plain dicts because plan functions containing them are *shipped* to
-child query processes (Sec. III.A's code shipping).
+accessors once per plan execution, then applied per row.  They are frozen
+dataclasses, so the plan functions containing them compare, print and
+pickle structurally when they are *shipped* to child query processes
+(Sec. III.A's code shipping).
 """
 
 from __future__ import annotations
@@ -97,26 +98,3 @@ def _as_text(value: Any) -> str:
 def render_expr(expression: RowExpr) -> str:
     return str(expression)
 
-
-# -- serialization (for plan-function shipping) -----------------------------------
-
-
-def expr_to_dict(expression: RowExpr) -> dict:
-    if isinstance(expression, ConstExpr):
-        return {"kind": "const", "value": expression.value}
-    if isinstance(expression, ColExpr):
-        return {"kind": "col", "name": expression.name}
-    if isinstance(expression, ConcatExpr):
-        return {"kind": "concat", "parts": [expr_to_dict(p) for p in expression.parts]}
-    raise PlanError(f"cannot serialize expression {expression!r}")
-
-
-def expr_from_dict(data: dict) -> RowExpr:
-    kind = data.get("kind")
-    if kind == "const":
-        return ConstExpr(data["value"])
-    if kind == "col":
-        return ColExpr(data["name"])
-    if kind == "concat":
-        return ConcatExpr(tuple(expr_from_dict(p) for p in data["parts"]))
-    raise PlanError(f"cannot deserialize expression from {data!r}")

@@ -2,8 +2,9 @@
 
 A plan is a tree of operator nodes, each with a static output ``schema``
 (tuple of column names; runtime rows are plain tuples in schema order).
-Plans and the plan functions that embed them serialize to dicts — this is
-the representation shipped to child query processes by ``FF_APPLYP``.
+A plan function is shipped to child query processes by ``FF_APPLYP`` as
+itself: an in-process child shares the object, a worker process gets an
+equal copy by pickle.
 
 Node inventory (paper correspondence):
 
@@ -22,18 +23,12 @@ Node inventory (paper correspondence):
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 
-from repro.algebra.expressions import (
-    RowExpr,
-    expr_from_dict,
-    expr_to_dict,
-    render_expr,
-)
+from repro.algebra.expressions import RowExpr, render_expr
 from repro.cache import PlanSignature
 from repro.util.errors import PlanError
 
@@ -75,18 +70,6 @@ class AdaptationParams:
                 f"got {self.max_fanout!r}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "threshold": self.threshold,
-            "drop_stage": self.drop_stage,
-            "max_fanout": self.max_fanout,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "AdaptationParams":
-        return AdaptationParams(**data)
-
 
 class PlanNode(ABC):
     """Base class: every node knows its output schema and children."""
@@ -103,8 +86,13 @@ class PlanNode(ABC):
     def label(self) -> str:
         """One-line description used by plan rendering."""
 
-    @abstractmethod
-    def to_dict(self) -> dict: ...
+    def __getstate__(self) -> dict:
+        """Pickle (a plan function shipped to a worker process) without the
+        compiled chain: the receiver compiles its own.  ``node_id`` is
+        kept, so the receiver's nested pools stay keyed as the sender's."""
+        state = self.__dict__.copy()
+        state.pop("_pull_chain", None)
+        return state
 
 
 @dataclass
@@ -117,9 +105,6 @@ class SingletonNode(PlanNode):
     def label(self) -> str:
         return "singleton"
 
-    def to_dict(self) -> dict:
-        return {"kind": "singleton"}
-
 
 @dataclass
 class ParamNode(PlanNode):
@@ -130,9 +115,6 @@ class ParamNode(PlanNode):
 
     def label(self) -> str:
         return f"param<{', '.join(self.schema)}>"
-
-    def to_dict(self) -> dict:
-        return {"kind": "param", "schema": list(self.schema)}
 
 
 @dataclass
@@ -161,15 +143,6 @@ class ApplyNode(PlanNode):
         outs = ", ".join(self.out_columns)
         return f"γ {self.function}({rendered}) -> <{outs}>"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "apply",
-            "child": self.child.to_dict(),
-            "function": self.function,
-            "arguments": [expr_to_dict(a) for a in self.arguments],
-            "out_columns": list(self.out_columns),
-        }
-
 
 @dataclass
 class MapNode(PlanNode):
@@ -190,14 +163,6 @@ class MapNode(PlanNode):
 
     def label(self) -> str:
         return f"γ map {self.out_column} = {render_expr(self.expression)}"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "map",
-            "child": self.child.to_dict(),
-            "expression": expr_to_dict(self.expression),
-            "out_column": self.out_column,
-        }
 
 
 _FILTER_OPS = ("=", "<", ">", "<=", ">=", "<>")
@@ -221,15 +186,6 @@ class FilterNode(PlanNode):
 
     def label(self) -> str:
         return f"σ {render_expr(self.left)} {self.op} {render_expr(self.right)}"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "filter",
-            "child": self.child.to_dict(),
-            "op": self.op,
-            "left": expr_to_dict(self.left),
-            "right": expr_to_dict(self.right),
-        }
 
 
 @dataclass
@@ -256,13 +212,6 @@ class ProjectNode(PlanNode):
         )
         return f"π {rendered}"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "project",
-            "child": self.child.to_dict(),
-            "items": [[name, expr_to_dict(expr)] for name, expr in self.items],
-        }
-
 
 @dataclass
 class DistinctNode(PlanNode):
@@ -279,9 +228,6 @@ class DistinctNode(PlanNode):
 
     def label(self) -> str:
         return "distinct"
-
-    def to_dict(self) -> dict:
-        return {"kind": "distinct", "child": self.child.to_dict()}
 
 
 @dataclass
@@ -311,13 +257,6 @@ class SortNode(PlanNode):
         )
         return f"sort {rendered}"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "sort",
-            "child": self.child.to_dict(),
-            "keys": [[column, ascending] for column, ascending in self.keys],
-        }
-
 
 @dataclass
 class LimitNode(PlanNode):
@@ -338,9 +277,6 @@ class LimitNode(PlanNode):
 
     def label(self) -> str:
         return f"limit {self.count}"
-
-    def to_dict(self) -> dict:
-        return {"kind": "limit", "child": self.child.to_dict(), "count": self.count}
 
 
 #: Aggregate kinds understood by :class:`AggregateNode` ("key" marks a
@@ -394,16 +330,6 @@ class AggregateNode(PlanNode):
         )
         return f"Γ {rendered}"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "aggregate",
-            "child": self.child.to_dict(),
-            "items": [
-                [name, kind, expr_to_dict(expr)]
-                for name, kind, expr in self.items
-            ],
-        }
-
 
 @dataclass
 class UnionNode(PlanNode):
@@ -434,12 +360,6 @@ class UnionNode(PlanNode):
 
     def label(self) -> str:
         return f"∪ {len(self.inputs)} branches"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "union",
-            "inputs": [branch.to_dict() for branch in self.inputs],
-        }
 
 
 @dataclass
@@ -477,14 +397,6 @@ class JoinNode(PlanNode):
         rendered = ", ".join(f"{l} = {r}" for l, r in self.conditions)
         return f"⋈ {rendered}"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "join",
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-            "conditions": [list(pair) for pair in self.conditions],
-        }
-
 
 @dataclass
 class PlanFunction:
@@ -508,30 +420,24 @@ class PlanFunction:
         results = ", ".join(self.result_schema)
         return f"{self.name}({params}) -> Stream of <{results}>"
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "param_schema": list(self.param_schema),
-            "body": self.body.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "PlanFunction":
-        return PlanFunction(
-            name=data["name"],
-            param_schema=tuple(data["param_schema"]),
-            body=plan_from_dict(data["body"]),
-        )
-
     @cached_property
     def memo_signature(self) -> PlanSignature:
-        """This plan function's key in the call memo: its structural form
-        (node ids renumbered, so every compilation of one definition
-        shares entries) and the functions it applies, at any depth."""
-        return PlanSignature(
-            json.dumps(structural_form(self.to_dict()), sort_keys=True),
-            plan_dependencies(self.body),
-        )
+        """This plan function's key in the call memo: its structure as
+        dataclass ``==`` compares it (``node_id`` is neither compared nor
+        in the ``repr``, so every compilation of one definition shares
+        entries) and the functions it applies, at any depth."""
+        return PlanSignature(repr(self), plan_dependencies(self.body))
+
+    @cached_property
+    def operator_ids(self) -> tuple[str, ...]:
+        """The ``node_id`` of every parallel operator in the body, at any
+        depth: what tells two compilations of one definition apart."""
+        ids: list[str] = []
+        for node in walk(self.body):
+            if isinstance(node, (FFApplyNode, AFFApplyNode)):
+                ids.append(node.node_id)
+                ids.extend(node.plan_function.operator_ids)
+        return tuple(ids)
 
 
 # Stable identities for parallel operator nodes, assigned at plan-build
@@ -573,15 +479,6 @@ class FFApplyNode(PlanNode):
             f"FF_APPLYP[{self.plan_function.name}, fo={self.fanout}]"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "ff_apply",
-            "child": self.child.to_dict(),
-            "plan_function": self.plan_function.to_dict(),
-            "fanout": self.fanout,
-            "node_id": self.node_id,
-        }
-
 
 @dataclass
 class AFFApplyNode(PlanNode):
@@ -611,93 +508,6 @@ class AFFApplyNode(PlanNode):
             f"drop={'on' if self.params.drop_stage else 'off'}]"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "aff_apply",
-            "child": self.child.to_dict(),
-            "plan_function": self.plan_function.to_dict(),
-            "params": self.params.to_dict(),
-            "node_id": self.node_id,
-        }
-
-
-def plan_from_dict(data: dict) -> PlanNode:
-    """Deserialize a plan tree (inverse of each node's ``to_dict``)."""
-    kind = data.get("kind")
-    if kind == "singleton":
-        return SingletonNode()
-    if kind == "param":
-        return ParamNode(schema=tuple(data["schema"]))
-    if kind == "apply":
-        return ApplyNode(
-            child=plan_from_dict(data["child"]),
-            function=data["function"],
-            arguments=tuple(expr_from_dict(a) for a in data["arguments"]),
-            out_columns=tuple(data["out_columns"]),
-        )
-    if kind == "map":
-        return MapNode(
-            child=plan_from_dict(data["child"]),
-            expression=expr_from_dict(data["expression"]),
-            out_column=data["out_column"],
-        )
-    if kind == "filter":
-        return FilterNode(
-            child=plan_from_dict(data["child"]),
-            op=data["op"],
-            left=expr_from_dict(data["left"]),
-            right=expr_from_dict(data["right"]),
-        )
-    if kind == "project":
-        return ProjectNode(
-            child=plan_from_dict(data["child"]),
-            items=tuple((name, expr_from_dict(expr)) for name, expr in data["items"]),
-        )
-    if kind == "distinct":
-        return DistinctNode(child=plan_from_dict(data["child"]))
-    if kind == "sort":
-        return SortNode(
-            child=plan_from_dict(data["child"]),
-            keys=tuple((column, ascending) for column, ascending in data["keys"]),
-        )
-    if kind == "limit":
-        return LimitNode(child=plan_from_dict(data["child"]), count=data["count"])
-    if kind == "aggregate":
-        return AggregateNode(
-            child=plan_from_dict(data["child"]),
-            items=tuple(
-                (name, agg_kind, expr_from_dict(expr))
-                for name, agg_kind, expr in data["items"]
-            ),
-        )
-    if kind == "union":
-        return UnionNode(
-            inputs=tuple(plan_from_dict(branch) for branch in data["inputs"])
-        )
-    if kind == "join":
-        return JoinNode(
-            left=plan_from_dict(data["left"]),
-            right=plan_from_dict(data["right"]),
-            conditions=tuple(tuple(pair) for pair in data["conditions"]),
-        )
-    if kind == "ff_apply":
-        node = FFApplyNode(
-            child=plan_from_dict(data["child"]),
-            plan_function=PlanFunction.from_dict(data["plan_function"]),
-            fanout=data["fanout"],
-        )
-        node.node_id = data.get("node_id", node.node_id)
-        return node
-    if kind == "aff_apply":
-        node = AFFApplyNode(
-            child=plan_from_dict(data["child"]),
-            plan_function=PlanFunction.from_dict(data["plan_function"]),
-            params=AdaptationParams.from_dict(data["params"]),
-        )
-        node.node_id = data.get("node_id", node.node_id)
-        return node
-    raise PlanError(f"cannot deserialize plan node from {data!r}")
-
 
 def walk(node: PlanNode):
     """Depth-first iteration over a plan tree (node first, then children)."""
@@ -723,35 +533,3 @@ def plan_dependencies(plan: PlanNode) -> frozenset[str]:
                 stack.append(node.plan_function.body)
     return frozenset(names)
 
-
-def structural_form(serialized) -> object:
-    """Canonicalize a serialized plan (sub)tree for cross-plan matching.
-
-    Two independently compiled plans with identical structure differ only
-    in their ``node_id`` strings (assigned by a global counter at
-    plan-build time).  This renumbers every ``node_id`` in first-visit
-    order over a key-sorted traversal, so structurally identical
-    subplans — e.g. the same FF subtree inside two compilations of the
-    same query — map to the same form.  Common-subplan detection for
-    shared pool leases fingerprints this form instead of the raw
-    serialization; correctness does not lean on node ids there because
-    replaced definitions are invalidated explicitly
-    (:meth:`~repro.engine.pools.PoolRegistry.condemn`).
-    """
-    mapping: dict[str, str] = {}
-
-    def canon(obj):
-        if isinstance(obj, dict):
-            out = {}
-            for key in sorted(obj):
-                value = obj[key]
-                if key == "node_id" and isinstance(value, str):
-                    out[key] = mapping.setdefault(value, f"n{len(mapping)}")
-                else:
-                    out[key] = canon(value)
-            return out
-        if isinstance(obj, list):
-            return [canon(item) for item in obj]
-        return obj
-
-    return canon(serialized)

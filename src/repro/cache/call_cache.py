@@ -131,10 +131,11 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class PlanSignature:
-    """A plan function as the memo keys it: its canonical serialized
-    ``definition`` (equal definitions share entries) and the lower-cased
-    names of the ``functions`` it applies, at any depth (replacing one
-    drops its entries)."""
+    """A plan function as the memo keys it: its ``definition`` (its
+    ``repr``, which holds what dataclass ``==`` compares and no node id,
+    so every compilation of one definition shares entries) and the
+    lower-cased names of the ``functions`` it applies, at any depth
+    (replacing one drops its entries)."""
 
     definition: str
     functions: frozenset[str] = field(compare=False)

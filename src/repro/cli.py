@@ -120,11 +120,11 @@ class Shell:
     def _set(self, **fields) -> None:
         self.options = self.options.replace(**fields)
 
-    def set_batch(self, **fields) -> None:
-        """Micro-batching overrides (``ProcessCosts.batch_*``) on top of
-        the system's cost model; they accumulate until ``\batch off``."""
+    def set_batch(self, size: int) -> None:
+        """``ProcessCosts.batch_size`` on top of the system's cost model,
+        until ``\batch off``."""
         costs = self.options.process_costs or self.wsmed.process_costs
-        self._set(process_costs=replace(costs, **fields))
+        self._set(process_costs=replace(costs, batch_size=size))
 
     # -- execution ------------------------------------------------------------
 
@@ -226,23 +226,17 @@ class Shell:
             raise ReproError(r"usage: \cache on [TTL] | off (counters: \stats cache)")
 
     def _batch_command(self, argument: str) -> None:
-        """``\\batch N | adaptive | off``: micro-batching."""
+        """``\\batch N | off``: micro-batching."""
         word = argument.partition(" ")[0].lower()
         if word == "off":
             self._set(process_costs=None)
             self.write("batch = off (per-tuple protocol)")
-        elif word == "adaptive":
-            self.set_batch(batch_adaptive=True)
-            self.write("batch = adaptive")
         else:
             try:
                 size = int(word)
             except ValueError:
-                raise ReproError(
-                    r"usage: \batch N | adaptive | off "
-                    r"(counters: \stats batch)"
-                ) from None
-            self.set_batch(batch_size=size)
+                raise ReproError(r"usage: \batch N | off (counters: \stats batch)") from None
+            self.set_batch(size)
             self.write(f"batch size = {size}")
 
     def _faults_command(self, argument: str) -> None:
@@ -323,7 +317,6 @@ meta commands:
   \\cache on [TTL]   memoize web-service calls (optional TTL, model s)
   \\cache off        disable the call cache
   \\batch N          coalesce N parameter/result tuples per message
-  \\batch adaptive   adapt the batch size per child at run time
   \\batch off        back to the per-tuple protocol
   \\faults P         failure policy: fail | retry | skip
   \\faults inject F [C]  inject per-call failures (prob F) / crashes (C)
@@ -368,8 +361,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--batch",
-        metavar="N|adaptive",
-        help="micro-batch N tuples per message, or adapt per child",
+        metavar="N",
+        help="micro-batch N tuples per message",
     )
     parser.add_argument(
         "--on-error",
@@ -620,18 +613,11 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     )
     shell.trace = arguments.query is None or arguments.tree
     if arguments.batch:
-        if arguments.batch.strip().lower() == "adaptive":
-            shell.set_batch(batch_adaptive=True)
-        else:
-            try:
-                shell.set_batch(batch_size=int(arguments.batch))
-            except (ValueError, ReproError):
-                print(
-                    f"error: --batch expects a size or 'adaptive', "
-                    f"got {arguments.batch!r}",
-                    file=out,
-                )
-                return 1
+        try:
+            shell.set_batch(int(arguments.batch))
+        except (ValueError, ReproError):
+            print(f"error: --batch expects a size, got {arguments.batch!r}", file=out)
+            return 1
     # `with kernel:` (Kernel.__enter__/__exit__) guarantees the worker
     # fleet / event loop is torn down even when the query raises.
     with kernel if kernel is not None else contextlib.nullcontext():

@@ -559,7 +559,9 @@ class QueryEngine:
 
     def close(self) -> None:
         """Shut down every warm pool, then the resident kernel, and drop
-        the memoized results.
+        the memoized results.  The kernel goes down even when the caller
+        passed it in: a later query on a shut-down ``ProcessKernel``
+        raises :class:`~repro.util.errors.KernelError`.
 
         Idempotent.  ``run_until_completion`` semantics mean no query is
         in flight when this can run, so "draining" is simply closing the

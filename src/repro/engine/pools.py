@@ -11,10 +11,11 @@ and spawns zero processes.
 The fingerprint covers everything that must match for reuse to be
 transparent:
 
-* the serialized plan function (including the stable ``node_id`` of
-  every nested operator — so a warm lease only ever happens for the
-  *same compiled plan object*, i.e. after a plan-cache hit; a replaced
-  definition recompiles, gets fresh node ids, and cold-starts),
+* the plan function's structure (its cached ``memo_signature``) and the
+  stable ``node_id`` of every nested operator — so a warm lease only
+  ever happens for the *same compiled plan object*, i.e. after a
+  plan-cache hit; a replaced definition recompiles, gets fresh node ids,
+  and cold-starts,
 * the operator shape (FF fanout / AFF adaptation parameters),
 * the process cost model.
 
@@ -30,12 +31,11 @@ synchronous registration code).
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.algebra.interpreter import ExecutionContext
-from repro.algebra.plan import FFApplyNode, PlanNode, plan_dependencies, structural_form
+from repro.algebra.plan import FFApplyNode, PlanNode, plan_dependencies
 from repro.cache import stable_hash
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.ff_applyp import ChildPool
@@ -50,26 +50,15 @@ def pool_fingerprint(
     """Stable identity of the child-process tree one operator would build.
 
     With ``structural=True`` (the sharing engine's common-subplan mode),
-    node ids are canonically renumbered first
-    (:func:`~repro.algebra.plan.structural_form`), so independently
-    compiled but structurally identical subplans match; stale trees are
-    then caught by explicit :meth:`PoolRegistry.condemn` invalidation
-    rather than by fingerprint divergence.
+    the nested operator ids are left out, so independently compiled but
+    structurally identical subplans match; stale trees are then caught by
+    explicit :meth:`PoolRegistry.condemn` invalidation rather than by
+    fingerprint divergence.
     """
-    if isinstance(node, FFApplyNode):
-        shape = ("ff", node.fanout)
-    else:
-        shape = ("aff", tuple(sorted(node.params.to_dict().items())))
-    serialized = node.plan_function.to_dict()
-    if structural:
-        serialized = structural_form(serialized)
-    return stable_hash(
-        (
-            shape,
-            json.dumps(serialized, sort_keys=True),
-            repr(costs),
-        )
-    )
+    function = node.plan_function
+    shape = ("ff", node.fanout) if isinstance(node, FFApplyNode) else ("aff", node.params)
+    nested = () if structural else function.operator_ids
+    return stable_hash((shape, function.memo_signature.definition, nested, costs))
 
 
 @dataclass

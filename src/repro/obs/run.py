@@ -14,8 +14,11 @@ A child inside an OS worker counts into a worker-local run instead.
 :meth:`QueryRun.drain` takes what it counted since the last drain as one
 picklable value, which rides the child's next call-ending message (and its
 exit report) to the coordinator, where :meth:`QueryRun.absorb` folds it
-into the owning query's run.  Every counter is a plain sum, so the deltas
-add exactly.
+into the owning query's run.  Every counter is a plain sum (or, for a
+call's timings, a count/sum/min/max), so the deltas add exactly.  A
+``local_services`` worker's broker records its calls into the child's
+run, so they reach the query's call statistics this way; a proxied call
+is recorded where the coordinator's broker serves it.
 """
 
 from __future__ import annotations
@@ -187,18 +190,22 @@ class QueryRun:
         return f"q{next(self.names)}"
 
     def drain(self) -> tuple | None:
-        """Take the counter deltas, and on a traced run the finished
-        spans, recorded since the last drain; None when there are none."""
+        """Take the call statistics and counter deltas, and on a traced
+        run the finished spans, recorded since the last drain; None when
+        there are none."""
         spans = self.obs.take() if self.obs.enabled else []
-        delta = (spans, *(_take(counter) for counter in self._counters()))
+        calls = self.call_recorder.take()
+        delta = (spans, calls, *(_take(counter) for counter in self._counters()))
         return delta if any(delta) else None
 
     def absorb(self, delta: tuple) -> None:
         """Fold a :meth:`drain` of another run into this one."""
-        spans, *counters = delta
+        spans, calls, *counters = delta
         if self.obs.enabled:
             for span in spans:
                 self.obs.store.add(span)
+        if calls is not None:
+            self.call_recorder.absorb(calls)
         for into, counter in zip(self._counters(), counters):
             _add(into, counter)
 

@@ -49,11 +49,6 @@ class ProcessCosts:
                        amortize ``message_latency`` over the batch while
                        still paying ``ship_param``/``result_tuple`` per
                        row.
-    ``batch_adaptive`` when True, the per-child batch size is adjusted at
-                       run time from observed per-call service time vs.
-                       ``message_latency``: cheap calls get large batches,
-                       straggler children fall back to batch 1 so
-                       first-finished placement stays adaptive.
     ``max_redeliveries`` times one parameter row may be redelivered under
                        the query's ``on_error="retry"`` before its failure
                        becomes a query error.
@@ -68,7 +63,6 @@ class ProcessCosts:
     dispatch: str = "first_finished"
     prefetch: int = 1
     batch_size: int = 1
-    batch_adaptive: bool = False
     max_redeliveries: int = 2
 
     def __post_init__(self) -> None:

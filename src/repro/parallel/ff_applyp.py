@@ -129,7 +129,6 @@ class ChildPool:
     ) -> None:
         self.ctx = ctx
         self.plan_function = plan_function
-        self._plan_function_dict = plan_function.to_dict()
         self.costs = costs
         self.inbox = ctx.kernel.channel(
             f"{ctx.process_name}/{plan_function.name}/inbox",
@@ -231,7 +230,7 @@ class ChildPool:
     def _ship_function(self, child: _Child) -> None:
         """Ship the plan function and make the child available for work."""
         child.endpoints.downlink.send(
-            ShipPlanFunction(self._plan_function_dict, span=self._inv_span)
+            ShipPlanFunction(self.plan_function, span=self._inv_span)
         )
         self.ctx.run.tree.spawned(self.ctx.process_name, self.plan_function.name)
         self.event(
@@ -682,7 +681,6 @@ class ChildPool:
         self._retire_detached(message.child)
         inv.ok += 1
         inv.in_flight -= 1
-        self.batcher.observe(message)
         if owner in self.children:
             self._make_idle(owner)
         await self.on_end_of_call(message)

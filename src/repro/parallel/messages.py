@@ -11,8 +11,9 @@ Internal to the parent's event loop (from its input pump task):
     :class:`InputAvailable`, :class:`InputExhausted`, :class:`InputFailed`;
     and from the per-child death watchers: :class:`ChildDied`.
 
-Plan functions travel as serialized dicts — the receiving process
-re-hydrates its own copy, which is what makes the code shipping real.
+A plan function travels as itself.  In-process children share the
+sender's object, and so its compiled chain; a child in a worker process
+gets an equal copy by pickle, node ids included, and compiles it there.
 
 The per-tuple messages (:class:`ParamTuple`/:class:`ResultTuple`) are the
 paper's protocol; the batch messages are the micro-batched extension that
@@ -24,11 +25,15 @@ only the per-tuple messages are ever sent — seed behavior, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.algebra.plan import PlanFunction
 
 
 @dataclass(frozen=True)
 class ShipPlanFunction:
-    plan_function: dict  # serialized PlanFunction
+    plan_function: "PlanFunction"
     # Observability (repro.obs): id of the sender-side span this message
     # belongs to, so child-side spans can link back to the invocation that
     # produced them across the process boundary.  -1 = tracing off.
@@ -100,8 +105,8 @@ class EndOfCall:
     rows: int  # tuples the call produced (monitoring input for AFF)
     # Child-side occupancy of the call in model seconds (plan-function
     # execution including per-row result shipping CPU).  Lets monitoring
-    # distinguish slow calls from large results, and feeds the adaptive
-    # batch controller.  0.0 when unknown (e.g. hand-built messages).
+    # distinguish slow calls from large results.  0.0 when unknown (e.g.
+    # hand-built messages).
     service_time: float = 0.0
     # The call's memo footprint (repro.cache.Footprint.value): the
     # memo-answerable web-service calls beneath it and the earliest

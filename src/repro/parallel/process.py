@@ -28,11 +28,9 @@ receive loop entirely, and the parent's death watcher notices.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from repro.algebra.interpreter import ExecutionContext, PullChain, compile_plan
-from repro.algebra.plan import PlanFunction
 from repro.cache import Footprint
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.messages import (
@@ -57,31 +55,6 @@ class ChildEndpoints:
     name: str
     downlink: Channel  # parent -> this child
     uplink: Channel  # this child -> parent (shared inbox)
-
-
-class _Installed:
-    """A shipped plan function, rehydrated and compiled.  It holds the
-    shipped dict, so the id that keys it stays unique while it lives."""
-
-    __slots__ = ("shipped", "plan_function", "body", "__weakref__")
-
-    def __init__(self, shipped: dict) -> None:
-        self.shipped = shipped
-        self.plan_function = PlanFunction.from_dict(shipped)
-        self.body = compile_plan(self.plan_function.body)
-
-
-#: Installs by id of the shipped dict.  Each child holds its install until
-#: it exits, so the children a pool ships one dict share one (stateless)
-#: chain, and an entry lives no longer than the last of them.
-_installed: weakref.WeakValueDictionary[int, _Installed] = weakref.WeakValueDictionary()
-
-
-def _install(shipped: dict) -> _Installed:
-    installed = _installed.get(id(shipped))
-    if installed is None:
-        installed = _installed[id(shipped)] = _Installed(shipped)
-    return installed
 
 
 class _CallRunner:
@@ -266,7 +239,8 @@ async def child_main(
             ChildError(endpoints.name, f"expected a plan function, got {first!r}")
         )
         return
-    installed = _install(first.plan_function)  # held until this child exits
+    plan_function = first.plan_function
+    body = compile_plan(plan_function.body)  # one chain per shipped object
     await kernel.sleep(costs.install)
     if ctx.run.obs.enabled:
         ctx.run.obs.instant(
@@ -275,10 +249,10 @@ async def child_main(
             parent=first.span,
             process=endpoints.name,
             at=kernel.now(),
-            plan_function=installed.plan_function.name,
+            plan_function=plan_function.name,
         )
 
-    runner = _CallRunner(ctx, costs, endpoints, installed.body)
+    runner = _CallRunner(ctx, costs, endpoints, body)
     try:
         serving = True
         while serving:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from repro.parallel.placement import Placement
 from repro.runtime.realtime import AsyncioKernel
 from repro.runtime.workers import WorkerPool
+from repro.util.errors import KernelError
 
 
 class ProcessKernel(AsyncioKernel):
@@ -63,8 +64,14 @@ class ProcessKernel(AsyncioKernel):
         """Point ``ctx.placement`` at this kernel's placement layer.
 
         Ships the function registry (and, under ``local_services``, the
-        service registry) to the workers.
+        service registry) to the workers.  A shut-down kernel has no
+        workers left to place children on, and none are started again.
         """
+        if self.worker_pool.closed:
+            raise KernelError(
+                "this ProcessKernel is shut down (QueryEngine.close() shuts down "
+                "the kernel it runs on); build a new kernel"
+            )
         services = registry if self.local_services else None
         self.placement.attach(ctx, functions=functions, services=services, seed=seed)
 

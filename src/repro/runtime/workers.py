@@ -705,6 +705,11 @@ class WorkerPool:
         except OSError:
             self._worker_died(worker)
 
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`shutdown` ran; the fleet never starts again."""
+        return self._closed
+
     def alive_workers(self) -> list[WorkerHandle]:
         return [worker for worker in self.workers if worker.alive]
 

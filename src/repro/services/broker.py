@@ -68,6 +68,27 @@ class CallRecorder:
     def all_stats(self) -> dict[str, CallStats]:
         return dict(self._stats)
 
+    def take(self) -> dict[str, CallStats] | None:
+        """What was recorded since the last take, or None when nothing
+        was.  The recorder restarts from zero in place: a call in flight
+        still writes into its operation's :class:`CallStats`."""
+        taken = {}
+        for operation, stat in self._stats.items():
+            if stat != CallStats():
+                taken[operation] = CallStats(**vars(stat))
+                stat.__init__()
+        return taken or None
+
+    def absorb(self, taken: dict[str, CallStats]) -> None:
+        """Add another recorder's :meth:`take` to this one."""
+        for operation, delta in taken.items():
+            stat = self.stats(operation)
+            for name, value in vars(delta).items():
+                if isinstance(value, RunningStat):
+                    getattr(stat, name).merge(value)
+                else:
+                    setattr(stat, name, getattr(stat, name) + value)
+
 
 class _Endpoint:
     """One registered service host: provider + capacity + profiles."""

@@ -27,6 +27,13 @@ class RunningStat:
         if value > self.maximum:
             self.maximum = value
 
+    def merge(self, other: "RunningStat") -> None:
+        """Fold the samples ``other`` aggregated into this one."""
+        self.count += other.count
+        self.total += other.total
+        self.minimum = min(self.minimum, other.minimum)
+        self.maximum = max(self.maximum, other.maximum)
+
     @property
     def mean(self) -> float:
         """Mean of the samples seen so far; 0.0 when empty."""

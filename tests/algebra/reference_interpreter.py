@@ -6,13 +6,12 @@ and only here, as the oracle ``test_compiled_plan_oracle.py`` holds
 async generators, re-resolving functions and re-compiling expressions on
 every execution.  :func:`oracle_chain` wraps it in the ``PullChain`` shape
 (one row per chunk, never ``single``) so it can stand in for a compiled
-plan anywhere one runs: at the coordinator and, through
-``repro.parallel.process._install``, inside every child.
+plan anywhere one runs: at the coordinator and, patched over
+``repro.parallel.process.compile_plan``, inside every child.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Any, AsyncIterator, Callable
 
 from repro.algebra.expressions import compile_expr
@@ -28,7 +27,6 @@ from repro.algebra.plan import (
     LimitNode,
     MapNode,
     ParamNode,
-    PlanFunction,
     PlanNode,
     ProjectNode,
     SingletonNode,
@@ -56,12 +54,6 @@ def oracle_chain(node: PlanNode) -> PullChain:
             yield (row,)
 
     return PullChain(chunks, False)
-
-
-def oracle_install(serialized: dict) -> SimpleNamespace:
-    """Stand-in for ``repro.parallel.process._install``."""
-    plan_function = PlanFunction.from_dict(serialized)
-    return SimpleNamespace(plan_function=plan_function, body=oracle_chain(plan_function.body))
 
 
 async def iterate_plan(

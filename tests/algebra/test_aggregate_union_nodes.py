@@ -1,5 +1,7 @@
 """Unit tests for the aggregation and union plan nodes."""
 
+import pickle
+
 import pytest
 
 from repro.algebra.expressions import ColExpr, ConstExpr
@@ -8,7 +10,6 @@ from repro.algebra.plan import (
     FilterNode,
     PlanError,
     UnionNode,
-    plan_from_dict,
 )
 from repro.util.errors import CalculusError
 from repro.wsmed.system import WSMED
@@ -101,17 +102,15 @@ def test_union_requires_two_branches() -> None:
         UnionNode((only,))
 
 
-def test_aggregate_and_union_survive_dict_round_trip() -> None:
+def test_aggregate_and_union_survive_a_pickle_round_trip() -> None:
     source, _ = rows_source("data", [("a", 1)], ["tag", "n"])
     aggregate = AggregateNode(
         source,
         (("tag", "key", ColExpr("tag")), ("cnt", "count", ColExpr("n"))),
     )
-    rebuilt = plan_from_dict(aggregate.to_dict())
-    assert rebuilt.to_dict() == aggregate.to_dict()
+    assert pickle.loads(pickle.dumps(aggregate)) == aggregate
     union = UnionNode((source, source))
-    rebuilt = plan_from_dict(union.to_dict())
-    assert rebuilt.to_dict() == union.to_dict()
+    assert pickle.loads(pickle.dumps(union)) == union
 
 
 # -- compiler-level guards -------------------------------------------------------

@@ -39,7 +39,7 @@ def use_oracle(monkeypatch):
 
     def swap():
         monkeypatch.setattr("repro.wsmed.system.compile_plan", oracle.oracle_chain)
-        monkeypatch.setattr("repro.parallel.process._install", oracle.oracle_install)
+        monkeypatch.setattr("repro.parallel.process.compile_plan", oracle.oracle_chain)
 
     return swap
 

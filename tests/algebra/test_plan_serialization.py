@@ -1,36 +1,63 @@
-"""Tests for plan node construction rules and dict (de)serialization.
+"""Tests for plan node construction rules and pickling.
 
-Serialization matters beyond persistence: it is the code-shipping format
-``FF_APPLYP`` sends to child query processes, so a round-trip must preserve
-semantics exactly.
+Pickling matters beyond persistence: it is how ``FF_APPLYP`` ships a plan
+function to a child in a worker process, so a round trip must give back
+an equal plan with the same parallel-operator ids, and must work after
+the plan ran (its compiled chains stay behind).
 """
+
+import pickle
 
 import pytest
 
+from repro import QUERY1_SQL, QUERY2_SQL, WSMED, QueryOptions
 from repro.algebra.expressions import (
     ColExpr,
     ConcatExpr,
     ConstExpr,
     compile_expr,
-    expr_from_dict,
-    expr_to_dict,
 )
 from repro.algebra.plan import (
     AdaptationParams,
     AFFApplyNode,
+    AggregateNode,
     ApplyNode,
+    DistinctNode,
     FFApplyNode,
     FilterNode,
+    JoinNode,
+    LimitNode,
     MapNode,
     ParamNode,
     PlanFunction,
     ProjectNode,
     SingletonNode,
-    plan_from_dict,
+    SortNode,
+    UnionNode,
+    walk,
 )
 from repro.util.errors import PlanError
 
-from tests.helpers import QUERY1_SQL, QUERY2_SQL, make_world
+from tests.helpers import make_world
+
+
+def roundtrip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+def every_node(plan):
+    """Every node of ``plan``, the bodies of its plan functions included."""
+    stack = [plan]
+    while stack:
+        for node in walk(stack.pop()):
+            yield node
+            if isinstance(node, (FFApplyNode, AFFApplyNode)):
+                stack.append(node.plan_function.body)
+
+
+def operator_ids(plan) -> list[str]:
+    parallel = (FFApplyNode, AFFApplyNode)
+    return [node.node_id for node in every_node(plan) if isinstance(node, parallel)]
 
 
 def test_expr_compile_const_col_concat() -> None:
@@ -48,7 +75,7 @@ def test_expr_unknown_column_raises() -> None:
 
 def test_expr_serialization_roundtrip() -> None:
     expr = ConcatExpr((ColExpr("city"), ConstExpr(", "), ColExpr("st")))
-    assert expr_from_dict(expr_to_dict(expr)) == expr
+    assert roundtrip(expr) == expr
 
 
 def test_apply_schema_concatenates() -> None:
@@ -103,17 +130,83 @@ def test_adaptation_params_validation() -> None:
         AdaptationParams(p=0)
     with pytest.raises(PlanError):
         AdaptationParams(threshold=0.0)
-    roundtrip = AdaptationParams.from_dict(AdaptationParams(p=3).to_dict())
-    assert roundtrip.p == 3
+    assert roundtrip(AdaptationParams(p=3)) == AdaptationParams(p=3)
 
 
-def test_central_plan_roundtrips_through_dict() -> None:
+def test_central_plan_survives_a_pickle_round_trip() -> None:
     world = make_world()
     for sql in (QUERY1_SQL, QUERY2_SQL):
         plan = world.central_plan(sql)
-        restored = plan_from_dict(plan.to_dict())
-        assert restored.to_dict() == plan.to_dict()
+        restored = roundtrip(plan)
+        assert restored == plan
         assert restored.schema == plan.schema
+
+
+def _every_kind() -> list:
+    param = ParamNode(schema=("a", "b"))
+    apply = ApplyNode(param, "f", (ColExpr("a"), ConstExpr(2)), ("c",))
+    function = PlanFunction("PF1", ("a", "b"), apply)
+    return [
+        SingletonNode(),
+        param,
+        apply,
+        MapNode(param, ConcatExpr((ColExpr("a"), ConstExpr(", "))), "m"),
+        FilterNode(param, "<>", ColExpr("a"), ConstExpr(1.5)),
+        ProjectNode(param, (("x", ColExpr("b")),)),
+        DistinctNode(param),
+        SortNode(param, (("a", True), ("b", False))),
+        LimitNode(param, 3),
+        AggregateNode(param, (("a", "key", ColExpr("a")), ("n", "count", ConstExpr(1)))),
+        UnionNode((param, ParamNode(schema=("a", "b")))),
+        JoinNode(ParamNode(schema=("l",)), ParamNode(schema=("r",)), (("l", "r"),)),
+        FFApplyNode(param, function, fanout=3),
+        AFFApplyNode(param, function, AdaptationParams(p=3, drop_stage=True)),
+    ]
+
+
+def _node_classes():
+    from repro.algebra import plan
+
+    return [
+        value
+        for value in vars(plan).values()
+        if isinstance(value, type)
+        and issubclass(value, plan.PlanNode)
+        and value is not plan.PlanNode
+    ]
+
+
+def test_every_node_kind_survives_a_pickle_round_trip() -> None:
+    kinds = _every_kind()
+    assert {type(node) for node in kinds} == set(_node_classes())
+    for node in kinds:
+        restored = roundtrip(node)
+        assert restored == node
+        assert restored.schema == node.schema
+        assert restored.label() == node.label()
+        if isinstance(node, (FFApplyNode, AFFApplyNode)):
+            assert restored.node_id == node.node_id
+            assert restored.plan_function.memo_signature == node.plan_function.memo_signature
+
+
+@pytest.mark.parametrize(
+    "sql, options",
+    [
+        (QUERY1_SQL, QueryOptions(mode="parallel", fanouts=[5, 4])),
+        (QUERY2_SQL, QueryOptions(mode="adaptive")),
+    ],
+    ids=["query1", "query2-adaptive"],
+)
+def test_an_executed_plan_pickles_without_its_compiled_chains(sql, options) -> None:
+    system = WSMED(profile="fast")
+    system.import_all()
+    plan = system.sql(sql, options=options).plan
+    compiled = [node for node in every_node(plan) if node._pull_chain is not None]
+    assert compiled, "running the plan compiles its plan-function bodies"
+    restored = roundtrip(plan)
+    assert restored == plan
+    assert all("_pull_chain" not in vars(node) for node in every_node(restored))
+    assert operator_ids(restored) == operator_ids(plan)
 
 
 def test_plan_function_roundtrip() -> None:
@@ -124,7 +217,8 @@ def test_plan_function_roundtrip() -> None:
         out_columns=("zstr",),
     )
     pf = PlanFunction("PF3", ("st1",), body)
-    restored = PlanFunction.from_dict(pf.to_dict())
+    restored = roundtrip(pf)
+    assert restored == pf
     assert restored.signature() == pf.signature()
     assert restored.result_schema == ("st1", "zstr")
 
@@ -136,11 +230,7 @@ def test_aff_node_roundtrip() -> None:
         plan_function=pf,
         params=AdaptationParams(p=2, drop_stage=True),
     )
-    restored = plan_from_dict(node.to_dict())
+    restored = roundtrip(node)
     assert isinstance(restored, AFFApplyNode)
     assert restored.params.drop_stage is True
-
-
-def test_plan_from_dict_unknown_kind() -> None:
-    with pytest.raises(PlanError):
-        plan_from_dict({"kind": "teleport"})
+    assert restored.node_id == node.node_id

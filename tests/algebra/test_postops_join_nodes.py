@@ -1,5 +1,7 @@
 """Unit tests for the post-processing and join plan nodes."""
 
+import pickle
+
 import pytest
 
 from repro.algebra.expressions import ColExpr
@@ -13,7 +15,6 @@ from repro.algebra.plan import (
     ProjectNode,
     SingletonNode,
     SortNode,
-    plan_from_dict,
 )
 from repro.fdb.functions import FunctionRegistry, helping_function
 from repro.fdb.types import CHARSTRING, INTEGER, TupleType
@@ -122,7 +123,7 @@ def test_new_nodes_serialize_roundtrip() -> None:
         ),
     ]
     for node in nodes:
-        restored = plan_from_dict(node.to_dict())
-        assert restored.to_dict() == node.to_dict()
+        restored = pickle.loads(pickle.dumps(node))
+        assert restored == node
         assert restored.schema == node.schema
         assert restored.label() == node.label()

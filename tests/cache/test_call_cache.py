@@ -266,7 +266,7 @@ def test_invalidate_operation_drops_only_that_operation(kernel) -> None:
 
 def test_cache_stats_merge_and_rates() -> None:
     run = QueryRun(cache_stats=CacheStats(hits=3, misses=1))
-    run.absorb(([], CacheStats(hits=1, misses=1, collapsed=2, evictions=4), MessageStats()))
+    run.absorb(([], None, CacheStats(hits=1, misses=1, collapsed=2, evictions=4), MessageStats()))
     stats = run.cache_stats
     assert stats.hits == 4
     assert stats.misses == 2

@@ -12,7 +12,6 @@ of this runs: the counts are the ones the seed protocol pins.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
 import pytest
@@ -64,7 +63,7 @@ def _bags(engine: QueryEngine, plan_function: str) -> dict:
     bags = {}
     for (signature, *rest), (value, expires) in engine.memo.entries.items():
         if isinstance(signature, PlanSignature):
-            if json.loads(signature.definition)["name"] == plan_function:
+            if signature.definition.startswith(f"PlanFunction(name={plan_function!r},"):
                 (row,), (rows, calls) = rest, value
                 bags[row] = (Counter(rows), calls, expires)
     return bags

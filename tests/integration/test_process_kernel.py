@@ -31,6 +31,7 @@ from repro import (
 from repro.obs import TraceRecorder, validate_spans
 from repro.parallel.placement import SPAN_BLOCK
 from repro.runtime.multiprocess import ProcessKernel
+from repro.util.errors import KernelError
 from tests.helpers import wsdl_uri
 from tests.stats_oracle import fault_stats_from_trace, tree_stats_from_trace
 
@@ -72,17 +73,27 @@ def test_local_services_ship_the_registry_to_the_workers(wsmed, sim_results) -> 
     """``local_services=True`` pickles the whole ServiceRegistry — WSDL
     operations, GeoDatabase and its indexes — into each worker, after the
     parent (the ``sim_results`` run) has compiled and used the SOAP codecs
-    of those very operations.  Worker-local calls are not mirrored to the
-    parent, which sees only the coordinator's own call: assert the bag."""
+    of those very operations.  The workers' calls reach the query's call
+    statistics with their children's telemetry, one-shot and on an
+    engine: the same counts as the SimKernel's."""
     operation = next(iter(wsmed.registry.documents.values())).operation("GetAllStates")
     assert "codec" in vars(operation.output_element)
+    options = QueryOptions(mode="parallel", fanouts=[5, 4])
     with ProcessKernel(workers=2, local_services=True) as kernel:
-        result = wsmed.sql(
-            QUERY1_SQL,
-            options=QueryOptions(mode="parallel", fanouts=[5, 4], kernel=kernel),
-        )
-    assert len(result) == 360
-    assert result.as_bag() == sim_results["q1_parallel"].as_bag()
+        result = wsmed.sql(QUERY1_SQL, options=options.replace(kernel=kernel))
+    with ProcessKernel(workers=1, local_services=True) as kernel:
+        engine = QueryEngine(wsmed, kernel=kernel)
+        try:
+            on_engine = engine.sql(QUERY1_SQL, options=options)
+        finally:
+            engine.close()
+    sim = sim_results["q1_parallel"]
+    calls = {name: (stat.calls, stat.rows) for name, stat in sim.call_stats.items()}
+    for each in (result, on_engine):
+        assert len(each) == 360
+        assert each.as_bag() == sim.as_bag()
+        assert each.total_calls == sim.total_calls == 311
+        assert {name: (stat.calls, stat.rows) for name, stat in each.call_stats.items()} == calls
 
 
 def test_parallel_query2_row_identical_to_sim(wsmed, sim_results) -> None:
@@ -378,6 +389,26 @@ def test_process_kernel_shutdown_is_idempotent(wsmed) -> None:
     kernel.shutdown()
     assert kernel.worker_pool.pids() == []
     kernel.shutdown()  # second call must be a no-op
+
+
+def test_a_closed_engines_kernel_raises_a_typed_error(wsmed) -> None:
+    """``QueryEngine.close()`` shuts down the kernel it runs on, one passed
+    in too (no worker may outlive it).  A second engine on that kernel
+    fails its first query with a ``KernelError`` saying so."""
+    options = QueryOptions(mode="parallel", fanouts=[5, 4])
+    kernel = ProcessKernel(workers=1)
+    first = QueryEngine(wsmed, kernel=kernel)
+    try:
+        assert len(first.sql(QUERY1_SQL, options=options)) == 360
+    finally:
+        first.close()
+    assert kernel.worker_pool.pids() == []
+    second = QueryEngine(wsmed, kernel=kernel)
+    try:
+        with pytest.raises(KernelError, match="ProcessKernel is shut down"):
+            second.sql(QUERY1_SQL, options=options)
+    finally:
+        second.close()
 
 
 def test_default_kernels_untouched_by_placement_hook(wsmed) -> None:

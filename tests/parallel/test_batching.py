@@ -20,7 +20,6 @@ from repro.obs.spans import TraceRecorder
 from repro.parallel.aff_applyp import AFFPool
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.ff_applyp import FFPool
-from repro.parallel.messages import EndOfCall
 from repro.runtime.simulated import SimKernel
 from repro.util.errors import PlanError
 
@@ -200,26 +199,26 @@ def test_batching_composes_with_call_cache() -> None:
     assert batched.message_stats.param_batches > 0
 
 
-def test_adaptive_batching_on_aff_preserves_rows(world) -> None:
+def test_batching_on_aff_preserves_rows(world) -> None:
     central, _, _ = world.run_central(QUERY1_SQL)
     rows, _, _, ctx = run_parallel(
         world,
         QUERY1_SQL,
         adaptation=AdaptationParams(),
-        costs=batch_costs(batch_adaptive=True),
+        costs=batch_costs(batch_size=4),
     )
     assert Bag(rows) == Bag(central)
     # Cycle monitoring keeps running under batched end-of-call delivery.
     assert ctx.run.obs.store.find("cycle")
 
 
-def test_adaptive_batching_with_drop_stage(world) -> None:
+def test_batching_with_drop_stage(world) -> None:
     central, _, _ = world.run_central(QUERY2_SQL)
     rows, _, _, _ = run_parallel(
         world,
         QUERY2_SQL,
         adaptation=AdaptationParams(p=2, threshold=0.9, drop_stage=True),
-        costs=batch_costs(batch_adaptive=True),
+        costs=batch_costs(batch_size=4),
     )
     # A dropped victim's buffered batch is flushed ahead of its shutdown,
     # so no parameter tuple is ever lost to the drop stage.
@@ -246,58 +245,6 @@ def test_stream_end_flushes_partial_batch() -> None:
     assert sorted(out) == [(i, i) for i in range(6)]
     triggers = [event.attrs["trigger"] for event in ctx.run.obs.store.find("batch_flush")]
     assert triggers == ["size", "stream_end"]
-
-
-# -- adaptive sizing ---------------------------------------------------------------
-
-
-def test_adaptive_size_grows_for_cheap_calls() -> None:
-    kernel = SimKernel()
-    pool, _ = make_pool(
-        kernel, ProcessCosts(message_latency=0.02, batch_adaptive=True), fanout=2
-    )
-    batcher = pool.batcher
-    # Cheap calls: round trip (0.04 s) dominates a 0.08 s call at 5%
-    # target overhead -> batch of 10.
-    batcher.observe(EndOfCall("q1", 1, 1, service_time=0.08))
-    assert batcher.target_size("q1") == 10
-    # Straggler: service time dwarfs messaging -> back to per-tuple.
-    batcher.observe(EndOfCall("q2", 2, 1, service_time=50.0))
-    assert batcher.target_size("q2") == 1
-    # Instantaneous calls cap at the adaptive maximum.
-    batcher.observe(EndOfCall("q3", 3, 1, service_time=0.0))
-    assert batcher.target_size("q3") == 32
-
-
-def test_adaptive_size_is_one_when_messaging_is_free() -> None:
-    kernel = SimKernel()
-    pool, _ = make_pool(
-        kernel, ProcessCosts(message_latency=0.0, batch_adaptive=True), fanout=2
-    )
-    pool.batcher.observe(EndOfCall("q1", 1, 1, service_time=0.01))
-    assert pool.batcher.target_size("q1") == 1
-
-
-def test_adaptive_tail_cap_spreads_scarce_pending() -> None:
-    kernel = SimKernel()
-    pool, _ = make_pool(
-        kernel, ProcessCosts(message_latency=0.02, batch_adaptive=True), fanout=2
-    )
-
-    async def main():
-        await pool.spawn_children(2)
-        batcher = pool.batcher
-        batcher.observe(EndOfCall(pool.children[0].endpoints.name, 1, 1, 0.08))
-        name = pool.children[0].endpoints.name
-        assert batcher.target_size(name) == 10
-        # Only 4 tuples left for 2 children: fair share caps the batch.
-        pool._pending.extend([(i,) for i in range(4)])
-        assert batcher.target_size(name) == 2
-        pool._pending.clear()
-        assert batcher.target_size(name) == 10
-        await pool.close()
-
-    kernel.run(main())
 
 
 # -- service-time metadata (EndOfCall) ----------------------------------------------

@@ -3,10 +3,11 @@
 ``ExecutionContext.pools`` used to be keyed on ``id(node)``; a
 garbage-collected node's id can be reused by the allocator, silently
 aliasing another operator's pool.  Plan nodes now carry a ``node_id``
-assigned at construction, which also survives the code-shipping dict
-round trip.
+assigned at construction, which also survives the pickle round trip
+that ships a plan function to a worker process.
 """
 
+import pickle
 import re
 
 import pytest
@@ -20,7 +21,6 @@ from repro.algebra.plan import (
     ParamNode,
     PlanFunction,
     SingletonNode,
-    plan_from_dict,
 )
 from repro.parallel.executor import ParallelExecutor
 from repro.runtime.simulated import SimKernel
@@ -62,17 +62,21 @@ def test_node_id_does_not_affect_equality() -> None:
     assert ff_a.node_id != ff_b.node_id
 
 
-def test_node_id_survives_dict_round_trip() -> None:
+def _roundtrip(node):
+    return pickle.loads(pickle.dumps(node))
+
+
+def test_node_id_survives_a_pickle_round_trip() -> None:
     ff = _ff_node()
-    restored = plan_from_dict(ff.to_dict())
+    restored = _roundtrip(ff)
     assert restored.node_id == ff.node_id
-    assert restored.to_dict() == ff.to_dict()
+    assert restored == ff
     aff = AFFApplyNode(
         child=ParamNode(schema=("x",)),
         plan_function=_plan_function(),
         params=AdaptationParams(p=3),
     )
-    assert plan_from_dict(aff.to_dict()).node_id == aff.node_id
+    assert _roundtrip(aff).node_id == aff.node_id
 
 
 def test_pools_keyed_per_operator_not_per_object_id() -> None:
@@ -91,9 +95,9 @@ def test_pools_keyed_per_operator_not_per_object_id() -> None:
     assert set(ctx.pools) == {node_a.node_id, node_b.node_id}
     # ...while the same operator keeps its persistent pool.
     assert acquire(node_a) is pool_a
-    # And a re-hydrated copy of the plan (code shipping) still maps to
+    # And an unpickled copy of the plan (code shipping) still maps to
     # the same pool: identity rides on node_id, not the object.
-    restored = plan_from_dict(node_a.to_dict())
+    restored = _roundtrip(node_a)
     assert acquire(restored) is pool_a
 
 

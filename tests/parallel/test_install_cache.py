@@ -1,21 +1,19 @@
-"""A process's plan-function installs live no longer than the children
-that run them.
+"""A closed engine's plan functions are garbage-collectable.
 
-A child compiles the plan function shipped to it once per process and
-message (``repro.parallel.process._install``): the children a pool ships
-one dict share one chain.  An install must go with the last child holding
-it, so a closed engine's plan functions and compiled chains do not stay
-resident in the coordinator or in a ``ProcessKernel`` worker.
+A child installs the plan function shipped to it by compiling its body
+(``repro.parallel.process.child_main``); the chain is kept on the plan
+nodes, and nothing else holds it.  So once an engine is closed, or a
+``ProcessKernel`` worker's condemned tree has shut down, no plan function
+of it stays resident in the coordinator or in the worker.
 """
 
-import json
+import gc
 import weakref
 
 from repro import QUERY1_SQL, WSMED, QueryEngine, QueryOptions
-from repro.algebra.plan import AFFApplyNode, FFApplyNode, walk
+from repro.algebra.plan import AFFApplyNode, FFApplyNode, PlanFunction, walk
 from repro.fdb.functions import helping_function
 from repro.fdb.types import CHARSTRING, TupleType
-from repro.parallel import process
 from repro.runtime.multiprocess import ProcessKernel
 
 from tests.helpers import wsdl_uri
@@ -31,10 +29,15 @@ Where  gs.State = gi.USState and gs.State = 'Colorado'
 
 
 def live_installs(anything: str) -> list[tuple[str]]:
-    """Every install alive in the calling process, as its shipped dict."""
+    """Every plan function installed in the calling process (its body
+    compiled there) and still alive, by structure.  Uncompiled ones are
+    left out: a worker forked from the coordinator inherits the
+    coordinator's plans without running them."""
+    gc.collect()
     return [
-        (json.dumps(installed.shipped, sort_keys=True),)
-        for installed in list(process._installed.values())
+        (found.memo_signature.definition,)
+        for found in gc.get_objects()
+        if isinstance(found, PlanFunction) and found.body._pull_chain is not None
     ]
 
 
@@ -52,42 +55,39 @@ def fresh_wsmed() -> WSMED:
     return system
 
 
-def shipped(plan) -> set[str]:
-    """The plan's plan functions, nested ones too, as their shipped dicts."""
-    found: set[str] = set()
+def plan_functions(plan) -> list[PlanFunction]:
+    """The plan's plan functions, nested ones too."""
+    found: list[PlanFunction] = []
     stack = [plan]
     while stack:
         for node in walk(stack.pop()):
             if isinstance(node, (FFApplyNode, AFFApplyNode)):
-                found.add(json.dumps(node.plan_function.to_dict(), sort_keys=True))
+                found.append(node.plan_function)
                 stack.append(node.plan_function.body)
     return found
+
+
+def shipped(plan) -> set[str]:
+    return {function.memo_signature.definition for function in plan_functions(plan)}
 
 
 def test_closed_engines_leave_no_install_in_the_coordinator() -> None:
     closed: list[weakref.ref] = []
     for _ in range(2):
-        before = set(map(id, process._installed.values()))
         engine = QueryEngine(fresh_wsmed())
-        engine.sql(QUERY1_SQL, options=PARALLEL)
-        closed += [weakref.ref(i) for i in process._installed.values() if id(i) not in before]
+        result = engine.sql(QUERY1_SQL, options=PARALLEL)
+        closed += [weakref.ref(function) for function in plan_functions(result.plan)]
         engine.close()
-    assert len(closed) == 2 * 6  # per engine: the top pool's, and each PF1 child's nested pool's
-    before = set(map(id, process._installed.values()))
-    engine = QueryEngine(fresh_wsmed())
-    try:
-        engine.sql(QUERY1_SQL, options=PARALLEL)
-        assert [ref for ref in closed if ref() is not None] == []
-        # Compile once: 25 children, 6 pools, 6 installs.
-        assert len([i for i in process._installed.values() if id(i) not in before]) == 6
-    finally:
-        engine.close()
+        del engine, result
+    assert len(closed) == 2 * 2  # per engine: PF1 and the PF2 nested in it
+    gc.collect()
+    assert [ref for ref in closed if ref() is not None] == []
 
 
 def test_closed_pools_leave_no_install_in_a_worker() -> None:
     """The worker forks from a coordinator where two closed engines ran,
     then serves a tree that a WSDL re-import condemns: the query after it
-    finds neither's installs in the worker."""
+    finds neither's plan functions in the worker."""
     closed: set[str] = set()
     for _ in range(2):
         engine = QueryEngine(fresh_wsmed())

@@ -5,11 +5,11 @@ coordinator and its workers: the query protocol of ``FF_APPLYP``
 (:mod:`repro.parallel.messages`, wrapped in ``ToChild``/``FromChild``)
 and the transport envelopes (:mod:`repro.runtime.wire`).  These tests
 lock the wire format down: every message type must survive
-``pickle.dumps``/``loads`` unchanged — including serialized plan
-functions, whose dict form is what makes code shipping real — and every
-envelope must survive a frame, ``write_frame`` to ``read_frames``.  In a
-frame the per-call envelopes are tag-first tuples of plain values: their
-pickle names no class at all.
+``pickle.dumps``/``loads`` unchanged — including the plan functions a
+``ShipPlanFunction`` carries to a worker, nested operator ids and all —
+and every envelope must survive a frame, ``write_frame`` to
+``read_frames``.  In a frame the per-call envelopes are tag-first tuples
+of plain values: their pickle names no class at all.
 """
 
 import pickle
@@ -19,7 +19,7 @@ import socket
 import pytest
 
 from repro import QUERY1_SQL, QUERY2_SQL, QueryOptions, WSMED
-from repro.algebra.plan import PlanFunction
+from repro.algebra.plan import AFFApplyNode, FFApplyNode, ParamNode, PlanFunction, walk
 from repro.cache import CacheConfig, CacheStats
 from repro.fdb.types import BOOLEAN, CHARSTRING, INTEGER, REAL, AtomicType
 from repro.obs.run import FaultStats, MessageStats, TreeStats
@@ -28,6 +28,7 @@ from repro.parallel import messages
 from repro.parallel.faults import FaultInjection
 from repro.runtime import wire
 from repro.runtime.workers import read_frames, write_frame
+from repro.services.broker import CallStats
 
 
 def roundtrip(value):
@@ -37,7 +38,7 @@ def roundtrip(value):
 END = messages.EndOfCall(child="q3", seq=7, rows=15, service_time=0.82)
 
 QUERY_MESSAGES = [
-    messages.ShipPlanFunction({"name": "pf1", "param_schema": [], "body": {}}, span=4),
+    messages.ShipPlanFunction(PlanFunction("pf1", ("a",), ParamNode(schema=("a",))), span=4),
     messages.ParamTuple(seq=3, row=("Georgia", 15.0), span=9),
     messages.ParamBatch(seq_start=4, rows=(("a",), ("b",)), span=-1),
     messages.Shutdown(reason="query finished"),
@@ -53,9 +54,10 @@ QUERY_MESSAGES = [
     messages.InputFailed(message="upstream failed", epoch=1),
 ]
 
-#: A traced worker run's drain: finished spans, counter deltas.
+#: A traced worker run's drain: finished spans, call statistics, counter deltas.
 RUN_DELTA = (
     [Span(id=3_000_001, name="call#4", category="call", process="q7", start=1.0, end=1.5)],
+    {"GetPlaceList": CallStats(calls=2, rows=14, bytes_transferred=1200)},
     CacheStats(hits=4, misses=2),
     MessageStats(param_tuples=3, flushes={"size": 1}),
     TreeStats(processes_spawned=2, alive={("q7", "PF2"): 2}),
@@ -273,17 +275,24 @@ def test_serialized_plan_functions_roundtrip(wsmed, sql) -> None:
     functions = _plan_functions(wsmed, sql, mode="parallel", fanouts=[3, 2])
     assert functions, "parallel plans must contain plan functions"
     for function in functions:
-        data = function.to_dict()
-        assert roundtrip(data) == data
-        rebuilt = PlanFunction.from_dict(roundtrip(data))
-        assert rebuilt.to_dict() == data
+        rebuilt = roundtrip(function)
+        assert rebuilt == function
+        assert rebuilt.memo_signature == function.memo_signature
+        assert rebuilt.operator_ids == function.operator_ids
         assert rebuilt.name == function.name
         assert rebuilt.param_schema == function.param_schema
+    nested = [
+        node
+        for function in functions
+        for node in walk(function.body)
+        if isinstance(node, (FFApplyNode, AFFApplyNode))
+    ]
+    assert nested, "the outer plan function nests a parallel operator"
 
 
 def test_ship_plan_function_message_roundtrips_with_real_payload(wsmed) -> None:
     function = _plan_functions(wsmed, QUERY1_SQL, mode="parallel", fanouts=[5, 4])[0]
-    message = messages.ShipPlanFunction(function.to_dict(), span=12)
+    message = messages.ShipPlanFunction(function, span=12)
     assert roundtrip(message) == message
 
 
