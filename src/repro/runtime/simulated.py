@@ -133,11 +133,11 @@ class SimChannel(base.Channel):
         self.name = name
         self.latency = latency
         self._kernel = kernel
-        # Heap of (deliver_time, seq, message); seq keeps FIFO order among
-        # messages sent at the same instant.
-        self._queue: list[tuple[float, int, Any]] = []
+        # (deliver_time, message) in send order.  The latency is fixed and
+        # virtual time never goes back, so delivery times never decrease
+        # along the queue: FIFO is delivery order.
+        self._queue: deque[tuple[float, Any]] = deque()
         self._waiters: deque[SimTask] = deque()
-        self._seq = 0
         self._recv = _RecvRequest(self)
         # When the last drain scheduled here runs, if it has not yet: a
         # second drain for the same instant would find nothing to hand over.
@@ -145,8 +145,7 @@ class SimChannel(base.Channel):
 
     def send(self, message: Any) -> None:
         deliver_at = self._kernel.now() + self.latency
-        heapq.heappush(self._queue, (deliver_at, self._seq, message))
-        self._seq += 1
+        self._queue.append((deliver_at, message))
         if self._waiters:
             self._schedule_drain(deliver_at)
 
@@ -170,7 +169,7 @@ class SimChannel(base.Channel):
             waiter = self._waiters.popleft()
             if waiter._done or waiter._cancel_requested:
                 continue
-            message = heapq.heappop(self._queue)[2]
+            message = self._queue.popleft()[1]
             kernel._step(waiter, value=message)
         if self._waiters and self._queue:
             self._schedule_drain(self._queue[0][0])
@@ -403,7 +402,7 @@ class SimKernel(base.Kernel):
                 channel = request.channel
                 queue = channel._queue
                 if queue and queue[0][0] <= self._now:
-                    value = heapq.heappop(queue)[2]  # already arrived
+                    value = queue.popleft()[1]  # already arrived
                     continue
                 channel._waiters.append(task)
                 if queue:

@@ -53,12 +53,22 @@ Protocol (all bodies JSON, all responses either JSON or NDJSON):
     stops the query's pool invocations and returns its admission ticket.
     Every response carries ``Connection: close``.
 
+    Every JSON text — each NDJSON line, and each error, ``/stats`` and
+    ``/healthz`` body — is written by one encoder built at import (the
+    ``_json`` accelerator's, with ``default=str``): a chunk of rows
+    becomes its chunked-transfer bytes with one encode call per row.
+
 ``GET /stats``
     The engine's resident-state snapshot
     (:meth:`repro.engine.QueryEngine.stats`) as JSON.
 
 ``GET /healthz``
     Liveness probe.
+
+Requests carry their body with ``Content-Length``.  One with
+``Transfer-Encoding`` is answered ``411 Length Required``, two
+``Content-Length`` headers that disagree a 400, and a request head over
+64 KiB ``431 Request Header Fields Too Large``.
 
 The server's accept loop runs *inside* the engine's resident kernel
 (``engine.kernel.run(server.run())``), so queries execute on the same
@@ -75,7 +85,8 @@ import json
 import math
 import os
 import re
-from typing import Any, Optional
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
+from typing import Any, Iterable, Optional
 
 from repro.algebra.plan import AdaptationParams
 from repro.cache import CacheConfig
@@ -86,6 +97,8 @@ from repro.util.errors import ReproError
 from repro.wsmed.options import QueryOptions
 
 _MAX_BODY = 4 * 1024 * 1024
+#: Longest request head (request line and headers) read; past it, a 431.
+_MAX_HEAD = 64 * 1024
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]+")
 
 
@@ -101,8 +114,29 @@ _RESPONSE_HEAD = (
 )
 
 
-def _chunk(data: bytes) -> bytes:
-    return f"{len(data):x}\r\n".encode("ascii") + data + b"\r\n"
+# Every JSON text the server writes comes from one encoder built at
+# import, with ``dumps(payload, default=str)``'s output and none of its
+# per-call set-up.  No circular check: rows are flat tuples of atoms and
+# the other payloads flat dicts.  The output is ASCII (non-ASCII is
+# escaped), so its length in characters is its length in bytes.
+if c_make_encoder is not None:
+    _c_encode = c_make_encoder(
+        None, str, encode_basestring_ascii, None, ": ", ", ", False, False, True
+    )
+
+    def _encode(payload: Any) -> str:
+        return "".join(_c_encode(payload, 0))
+
+else:  # no _json accelerator
+    _encode = JSONEncoder(default=str).encode
+
+
+def _frames(payloads: Iterable[Any]) -> bytes:
+    """Chunked-transfer bytes for ``payloads``: one NDJSON line each, one
+    HTTP chunk per line."""
+    return "".join(
+        [f"{len(line) + 1:x}\r\n{line}\n\r\n" for line in map(_encode, payloads)]
+    ).encode("ascii")
 
 
 class _HttpError(Exception):
@@ -116,8 +150,10 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    411: "Length Required",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -171,7 +207,7 @@ class QueryServer:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=_MAX_HEAD
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -281,19 +317,37 @@ class QueryServer:
     ) -> tuple[str, str, bytes]:
         try:
             head = await reader.readuntil(b"\r\n\r\n")
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except asyncio.LimitOverrunError:
+            raise _HttpError(
+                431, f"request head over {_MAX_HEAD} bytes"
+            ) from None
+        except asyncio.IncompleteReadError:
             raise _HttpError(400, "malformed HTTP request") from None
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split()
         if len(parts) != 3:
             raise _HttpError(400, f"malformed request line: {lines[0]!r}")
         method, target, _version = parts
-        headers = {}
+        lengths = []
         for line in lines[1:]:
-            if ":" in line:
-                key, _, value = line.partition(":")
-                headers[key.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length", "0") or "0"
+            key, colon, value = line.partition(":")
+            if not colon:
+                continue
+            key = key.strip().lower()
+            if key == "transfer-encoding":
+                raise _HttpError(
+                    411, "Transfer-Encoding is not supported; send Content-Length"
+                )
+            if key == "content-length":
+                lengths.append(value.strip())
+        distinct = list(dict.fromkeys(lengths))
+        if len(distinct) > 1:
+            raise _HttpError(
+                400,
+                f"conflicting Content-Length headers: {distinct[0]!r} "
+                f"and {distinct[1]!r}",
+            )
+        raw_length = (distinct[0] if distinct else "") or "0"
         try:
             length = int(raw_length)
         except ValueError:
@@ -330,8 +384,7 @@ class QueryServer:
         # Admission, compilation and the wait for the first row: whatever
         # fails here gets its own status code, since no byte is sent yet.
         first = await anext(chunks, None)
-        line = self._line
-        buffer = [_RESPONSE_HEAD, _chunk(line({"columns": list(stream.columns)}))]
+        buffer = [_RESPONSE_HEAD, _frames([{"columns": list(stream.columns)}])]
         sent = flushed = 0
 
         async def flush() -> None:
@@ -352,11 +405,11 @@ class QueryServer:
             if first is not None:
                 # The status line, the columns and the first row leave
                 # together; later rows in writes of FLUSH_ROWS.
-                buffer += [_chunk(line(list(row))) for row in first]
+                buffer.append(_frames(first))
                 sent = len(first)
                 await flush()
                 async for chunk in chunks:
-                    buffer += [_chunk(line(list(row))) for row in chunk]
+                    buffer.append(_frames(chunk))
                     sent += len(chunk)
                     if sent - flushed >= FLUSH_ROWS:
                         await flush()
@@ -388,7 +441,7 @@ class QueryServer:
                 trailer["cache"] = result.cache_stats.as_dict()
             if recorder is not None and result.spans is not None:
                 trailer["trace_file"] = self._write_trace(result.spans, option_kwargs)
-        buffer += [_chunk(line(trailer)), b"0\r\n\r\n"]
+        buffer += [_frames([trailer]), b"0\r\n\r\n"]
         await flush()
         if isinstance(interrupted, asyncio.CancelledError):
             raise interrupted
@@ -400,10 +453,6 @@ class QueryServer:
         path = os.path.join(self.trace_dir, f"{stem}-{next(self._trace_ids)}.trace.json")
         write_chrome_trace(spans, path)
         return path
-
-    @staticmethod
-    def _line(payload: Any) -> bytes:
-        return (json.dumps(payload, default=str) + "\n").encode("utf-8")
 
     #: QueryOptions fields expressible in the ``"options"`` object of the
     #: POST /sql JSON schema.
@@ -500,7 +549,7 @@ class QueryServer:
         payload: dict,
         headers: dict[str, str] | None = None,
     ) -> None:
-        body = json.dumps(payload, default=str).encode("utf-8")
+        body = _encode(payload).encode("ascii")
         text = _STATUS_TEXT.get(status, "Error")
         extra = "".join(
             f"{key}: {value}\r\n" for key, value in (headers or {}).items()

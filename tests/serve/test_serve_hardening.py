@@ -153,6 +153,47 @@ def test_negative_content_length_is_a_400() -> None:
     assert b"negative" in reply
 
 
+def test_conflicting_content_lengths_are_a_400_naming_both() -> None:
+    body = json.dumps({"sql": "Select 1", "options": {"name": "padding"}})
+    with running_server(StubEngine(_ok)) as server:
+        reply = raw_exchange(
+            server.port,
+            f"POST /sql HTTP/1.1\r\nHost: t\r\nContent-Length: {len(body)}\r\n"
+            f"Content-Length: 3\r\n\r\n{body}".encode("ascii"),
+        )
+    assert b"400" in reply.split(b"\r\n", 1)[0], reply
+    error = json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"]
+    assert "Content-Length" in error
+    assert f"{len(body)}" in error and "'3'" in error
+
+
+def test_a_chunked_request_body_is_a_411() -> None:
+    body = json.dumps({"sql": "Select 1"}).encode("ascii")
+    with running_server(StubEngine(_ok)) as server:
+        reply = raw_exchange(
+            server.port,
+            b"POST /sql HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):x}\r\n".encode("ascii")
+            + body
+            + b"\r\n0\r\n\r\n",
+        )
+    assert reply.startswith(b"HTTP/1.1 411 Length Required\r\n"), reply
+    assert b"Transfer-Encoding" in reply
+
+
+def test_an_oversized_request_head_is_a_431() -> None:
+    with running_server(StubEngine(_ok)) as server:
+        reply = raw_exchange(
+            server.port,
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nX-Big: "
+            + b"x" * 70_000
+            + b"\r\n\r\n",
+        )
+    assert reply.startswith(
+        b"HTTP/1.1 431 Request Header Fields Too Large\r\n"
+    ), reply[:200]
+
+
 def test_missing_body_post_is_a_clean_400() -> None:
     with running_server(StubEngine(_ok)) as server:
         response, payload = request(server, "POST", "/sql")
