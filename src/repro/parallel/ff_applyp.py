@@ -520,52 +520,56 @@ class ChildPool:
         their parent, which is what links the span tree across the
         process boundary.
         """
-        obs = self.ctx.run.obs
+        ctx = self.ctx
+        obs = ctx.run.obs
         if obs.enabled:
             self._inv_span = obs.start(
                 f"invoke:{self.plan_function.name}",
                 category="invoke",
-                parent=self.ctx.obs_span,
-                process=self.ctx.process_name,
-                at=self.ctx.kernel.now(),
+                parent=ctx.obs_span,
+                process=ctx.process_name,
+                at=ctx.kernel.now(),
                 plan_function=self.plan_function.name,
                 children=len(self.children),
             )
         inv = pump = None
         try:
             inv = await self._begin()
-            pump = self.ctx.kernel.spawn(
-                self._pump(source, inv.epoch), name=f"{self.ctx.process_name}-pump"
+            pump = ctx.kernel.spawn(
+                self._pump(source, inv.epoch), name=f"{ctx.process_name}-pump"
             )
+            # Per-message lookups, hoisted: no invocation replaces these
+            # objects (a rebind re-homes ctx.run, so that is read per row).
+            recv, pending, children = self.inbox.recv, self._pending, self.children
+            accept_row, resolve_call = self._accept_row, self._resolve_call
+            handlers = self._HANDLERS
             while True:
-                if inv.input_done and not self._pending:
+                if inv.input_done and not pending:
                     # No more rows can join a buffer: release any partial
                     # batches so their end-of-calls can drain in_flight.
                     self.batcher.flush_all("stream_end")
                     if inv.in_flight == 0:
                         break
-                message = await self.inbox.recv()
-                if type(message) is ResultTuple:
-                    row = self._accept_row(message)
+                message = await recv()
+                kind = type(message)
+                if kind is ResultTuple:
+                    row = accept_row(message)
                     if row is not None:
-                        self.ctx.run.message_stats.result_tuples += 1
+                        ctx.run.message_stats.result_tuples += 1
                         yield row
                     if message.end_of_call is not None:
-                        await self._resolve_call(inv, message.end_of_call)
-                elif type(message) is ResultBatch:
+                        await resolve_call(inv, message.end_of_call)
+                elif kind is ResultBatch:
                     async for row in self._replay_batch(inv, message):
                         yield row
                 else:
-                    handler = self._HANDLERS.get(type(message))
+                    handler = handlers.get(kind)
                     if handler is not None:
                         bag = await handler(self, inv, message)
                         if bag is not None:  # a memoized input tuple
                             for row in bag:
                                 yield row
-                if (
-                    not inv.first_round_announced
-                    and inv.in_flight >= len(self.children)
-                ):
+                if not inv.first_round_announced and inv.in_flight >= len(children):
                     inv.first_round_announced = True
                     self._broadcast_ready()
         except BaseException:
@@ -573,19 +577,15 @@ class ChildPool:
             # persistent pool ready for its next parameter stream.
             if inv is not None and inv.epoch == self._epoch and not self._closed:
                 self._reset_invocation_state()
-            if self.ctx.footprint is not None:
-                self.ctx.footprint.poison()  # a cut-short or failed apply
+            if ctx.footprint is not None:
+                ctx.footprint.poison()  # a cut-short or failed apply
             raise
         finally:
             self._bags = None
             if pump is not None:
                 pump.cancel()
             if obs.enabled:
-                obs.finish(
-                    self._inv_span,
-                    at=self.ctx.kernel.now(),
-                    children=len(self.children),
-                )
+                obs.finish(self._inv_span, at=ctx.kernel.now(), children=len(self.children))
                 self._inv_span = -1
 
     async def _begin(self) -> _Invocation:
@@ -650,7 +650,8 @@ class ChildPool:
     def _owner_of(self, child: str, seq: int) -> _Child | None:
         """The slot call ``seq`` is in flight on; None once the call was
         resolved or written off (a message of an abandoned invocation)."""
-        owner = self._find_child(child)
+        # _find_child, inlined: this runs for every result row.
+        owner = self._by_name.get(child) or self._detached.get(child)
         if owner is None or seq not in owner.inflight:
             return None
         return owner

@@ -20,6 +20,9 @@ paper's protocol; the batch messages are the micro-batched extension that
 amortizes ``message_latency`` over several calls (one message transit per
 batch, per-row ship costs unchanged).  With ``ProcessCosts.batch_size=1``
 only the per-tuple messages are ever sent — seed behavior, bit for bit.
+
+Messages are plain dataclasses, not frozen ones (a frozen one builds
+four times slower); nothing changes a message once it is sent.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.algebra.plan import PlanFunction
 
 
-@dataclass(frozen=True)
+@dataclass
 class ShipPlanFunction:
     plan_function: "PlanFunction"
     # Observability (repro.obs): id of the sender-side span this message
@@ -40,14 +43,14 @@ class ShipPlanFunction:
     span: int = -1
 
 
-@dataclass(frozen=True)
+@dataclass
 class ParamTuple:
     seq: int
     row: tuple
     span: int = -1  # sender-side invocation span (repro.obs); -1 = off
 
 
-@dataclass(frozen=True)
+@dataclass
 class ParamBatch:
     """Several parameter tuples in one downlink message.
 
@@ -60,17 +63,17 @@ class ParamBatch:
     span: int = -1  # sender-side invocation span (repro.obs); -1 = off
 
 
-@dataclass(frozen=True)
+@dataclass
 class Shutdown:
     reason: str = "query finished"
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReadyToReceive:
     """Broadcast after the first round of parameter tuples (Sec. III.A)."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class ResultTuple:
     child: str
     row: tuple
@@ -83,7 +86,7 @@ class ResultTuple:
     end_of_call: "EndOfCall | None" = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class ResultBatch:
     """All result rows of one executed :class:`ParamBatch`, plus the
     per-call :class:`EndOfCall` metadata, in one uplink message.
@@ -98,7 +101,7 @@ class ResultBatch:
     end_of_calls: tuple["EndOfCall", ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class EndOfCall:
     child: str
     seq: int
@@ -116,7 +119,7 @@ class EndOfCall:
     footprint: "tuple[int, float | None] | None" = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class ChildError:
     """The child hit an unrecoverable error and exits (``on_error="fail"``)."""
 
@@ -128,7 +131,7 @@ class ChildError:
     seq: int = -1
 
 
-@dataclass(frozen=True)
+@dataclass
 class CallFailed:
     """One call failed, but the child keeps serving (``on_error != "fail"``).
 
@@ -145,7 +148,7 @@ class CallFailed:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class ChildDied:
     """A query process exited without being told to shut down.
 
@@ -158,7 +161,7 @@ class ChildDied:
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass
 class InputAvailable:
     row: tuple
     # Invocation epoch of the pump that sent the message.  A persistent
@@ -168,12 +171,12 @@ class InputAvailable:
     epoch: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass
 class InputExhausted:
     epoch: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass
 class InputFailed:
     message: str
     epoch: int = 0

@@ -57,6 +57,8 @@ class Event(ABC):
 class ProcessHandle(ABC):
     """Handle to a spawned process (a kernel-scheduled coroutine)."""
 
+    __slots__ = ()  # a subclass may keep its handles slotted
+
     name: str
 
     @property

@@ -1,18 +1,24 @@
 """Discrete-event virtual-time kernel.
 
 Processes are plain ``async def`` coroutines.  Awaiting one of the kernel's
-primitives yields a *request* object through the coroutine chain to the
-scheduler, which resumes the process when the request is satisfied — at a
-later point of the virtual clock, never of the wall clock.  The scheduler is
-fully deterministic: ties in time are broken by a monotone sequence number,
-so every run of an experiment with the same seed produces identical traces.
+primitives yields a *request* through the coroutine chain to the scheduler
+— a bare float for a sleep, a request object otherwise — which resumes the
+process when the request is satisfied, at a later point of the virtual
+clock, never of the wall clock.  The scheduler is fully deterministic: ties
+in time are broken by a monotone sequence number, so every run of an
+experiment with the same seed produces identical traces.
+
+A heap entry is ``(time, seq, action, argument)``: the scheduler calls
+``action(argument)``, a bound method, so scheduling builds no closure.
 """
 
 from __future__ import annotations
 
 import heapq
+import types
 from asyncio import CancelledError
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Coroutine, Generator
 
 from repro.runtime import base
@@ -20,21 +26,15 @@ from repro.util.errors import DeadlockError, KernelError
 
 
 class _Request:
-    """A scheduler request; awaiting one yields it to the scheduler and
-    returns the value the task is resumed with."""
+    """A scheduler request; awaiting one (or ``recv``/``acquire``, which
+    yield their primitive's own) yields it to the scheduler and returns the
+    value the task is resumed with."""
 
     __slots__ = ()
 
     def __await__(self) -> Generator["_Request", Any, Any]:
         value = yield self
         return value
-
-
-class _SleepRequest(_Request):
-    __slots__ = ("duration",)
-
-    def __init__(self, duration: float) -> None:
-        self.duration = duration
 
 
 class _RecvRequest(_Request):
@@ -68,12 +68,14 @@ class _JoinRequest(_Request):
 class SimTask(base.ProcessHandle):
     """A coroutine scheduled by :class:`SimKernel`."""
 
+    __slots__ = ("name", "_kernel", "_coro", "_done", "_cancel_requested", "_result",
+                 "_error", "_joiners", "_wake_token", "_parked_on")
+
     def __init__(self, kernel: "SimKernel", coro: Coroutine, name: str) -> None:
         self.name = name
         self._kernel = kernel
         self._coro = coro
         self._done = False
-        self._cancelled = False
         self._cancel_requested = False
         self._result: Any = None
         self._error: BaseException | None = None
@@ -81,7 +83,7 @@ class SimTask(base.ProcessHandle):
         # Incremented whenever the task is rescheduled so that stale wakeup
         # callbacks (e.g. a sleep that was cancelled) become no-ops.
         self._wake_token = 0
-        self._parked_on: _Request | None = None  # described only in a deadlock
+        self._parked_on: Any = None  # a request or a sleep; named in a deadlock
 
     @property
     def done(self) -> bool:
@@ -107,23 +109,25 @@ class SimTask(base.ProcessHandle):
         # Invalidate whatever wakeup the task was waiting for and deliver
         # CancelledError at the current virtual time instead.
         self._wake_token += 1
-        self._kernel._schedule(
-            self._kernel.now(),
-            lambda: self._kernel._step(self, exc=CancelledError()),
-        )
+        kernel = self._kernel
+        kernel._schedule(kernel._now, partial(kernel._step, exc=CancelledError()), self)
 
     # -- internal -----------------------------------------------------------
+
+    def _wake(self, token: int) -> None:
+        """End a sleep, unless a cancel moved the token on since."""
+        if self._wake_token == token:
+            self._kernel._step(self)
 
     def _finish(self, result: Any, error: BaseException | None) -> None:
         self._done = True
         self._result = result
         self._error = error
-        self._cancelled = isinstance(error, CancelledError)
         kernel = self._kernel
         kernel._tasks.pop(self, None)
         joiners, self._joiners = self._joiners, []
         for joiner in joiners:
-            kernel._schedule(kernel.now(), lambda j=joiner: kernel._step(j))
+            kernel._schedule(kernel._now, kernel._step, joiner)
 
 
 class SimChannel(base.Channel):
@@ -137,42 +141,43 @@ class SimChannel(base.Channel):
         # virtual time never goes back, so delivery times never decrease
         # along the queue: FIFO is delivery order.
         self._queue: deque[tuple[float, Any]] = deque()
-        self._waiters: deque[SimTask] = deque()
+        # Parked receivers, oldest first: one in practice, so a list, not a deque.
+        self._waiters: list[SimTask] = []
         self._recv = _RecvRequest(self)
         # When the last drain scheduled here runs, if it has not yet: a
         # second drain for the same instant would find nothing to hand over.
         self._drain_at: float | None = None
 
     def send(self, message: Any) -> None:
-        deliver_at = self._kernel.now() + self.latency
+        deliver_at = self._kernel._now + self.latency
         self._queue.append((deliver_at, message))
-        if self._waiters:
-            self._schedule_drain(deliver_at)
+        if self._waiters and self._drain_at != deliver_at:
+            self._drain_at = deliver_at
+            self._kernel._schedule(deliver_at, self._drain, deliver_at)
 
-    def recv(self) -> _RecvRequest:
-        return self._recv
+    @types.coroutine
+    def recv(self):
+        return (yield self._recv)
 
     # -- internal -----------------------------------------------------------
 
     def _schedule_drain(self, at: float) -> None:
         if self._drain_at != at:
             self._drain_at = at
-            self._kernel._schedule(at, self._drain)
+            self._kernel._schedule(at, self._drain, at)
 
-    def _drain(self) -> None:
-        """Hand ready messages to parked receivers, in FIFO order."""
-        kernel = self._kernel
-        now = kernel.now()
+    def _drain(self, now: float) -> None:
+        """Hand messages ready at ``now`` to parked receivers, in FIFO order."""
         if self._drain_at == now:
             self._drain_at = None
-        while self._waiters and self._queue and self._queue[0][0] <= now:
-            waiter = self._waiters.popleft()
+        waiters, queue, step = self._waiters, self._queue, self._kernel._step
+        while waiters and queue and queue[0][0] <= now:
+            waiter = waiters.pop(0)
             if waiter._done or waiter._cancel_requested:
                 continue
-            message = self._queue.popleft()[1]
-            kernel._step(waiter, value=message)
-        if self._waiters and self._queue:
-            self._schedule_drain(self._queue[0][0])
+            step(waiter, queue.popleft()[1])
+        if waiters and queue:
+            self._schedule_drain(queue[0][0])
 
 
 class SimSemaphore(base.Semaphore):
@@ -186,8 +191,9 @@ class SimSemaphore(base.Semaphore):
         self._waiters: deque[SimTask] = deque()
         self._acquire = _AcquireRequest(self)
 
-    def acquire(self) -> _AcquireRequest:
-        return self._acquire
+    @types.coroutine
+    def acquire(self):
+        yield self._acquire
 
     def release(self) -> None:
         self._value += 1
@@ -212,7 +218,7 @@ class SimSemaphore(base.Semaphore):
             if waiter._done or waiter._cancel_requested:
                 continue
             self._value -= 1
-            kernel._schedule(kernel.now(), lambda w=waiter: kernel._step(w))
+            kernel._schedule(kernel._now, kernel._step, waiter)
             break
 
 
@@ -234,7 +240,7 @@ class SimEvent(base.Event):
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:
             if not waiter._done:
-                kernel._schedule(kernel.now(), lambda w=waiter: kernel._step(w))
+                kernel._schedule(kernel._now, kernel._step, waiter)
 
     def is_set(self) -> bool:
         return self._set
@@ -242,7 +248,7 @@ class SimEvent(base.Event):
 
 #: What a parked task waits on, as a DeadlockError names it.
 _PARKED_ON = {
-    _SleepRequest: lambda request: "sleep",
+    float: lambda request: "sleep",
     _RecvRequest: lambda request: f"recv({request.channel.name})",
     _AcquireRequest: lambda request: "semaphore",
     _WaitRequest: lambda request: "event",
@@ -266,7 +272,7 @@ class SimKernel(base.Kernel):
 
     def __init__(self, *, resident: bool = False) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
         # Unfinished tasks in spawn order (a task leaves as it finishes), so
         # a resident kernel never walks the warm processes parked in it;
@@ -289,10 +295,12 @@ class SimKernel(base.Kernel):
     def now(self) -> float:
         return self._now
 
+    @types.coroutine
     def sleep(self, duration: float):
         if duration < 0:
             raise KernelError(f"cannot sleep a negative duration: {duration}")
-        return _SleepRequest(duration)
+        # The scheduler tells a sleep by its type: an int sleeps as a float.
+        yield duration + 0.0
 
     def channel(self, name: str = "", latency: float = 0.0) -> SimChannel:
         return SimChannel(self, name, latency)
@@ -307,25 +315,25 @@ class SimKernel(base.Kernel):
         task = SimTask(self, coro, name or f"task-{self._spawned}")
         self._spawned += 1
         self._tasks[task] = None
-        self._schedule(self._now, lambda: self._step(task))
+        self._schedule(self._now, self._step, task)
         return task
 
     def run(self, coro: Coroutine) -> Any:
         main = self.spawn(coro, name="main")
-        heap, pop = self._heap, heapq.heappop
+        heap, pop, limit = self._heap, heapq.heappop, MAX_EVENTS
         events = 0
         while heap and not main._done:
             events += 1
-            if events > MAX_EVENTS:
+            if events > limit:
                 raise KernelError(
-                    f"simulation exceeded {MAX_EVENTS} events; "
+                    f"simulation exceeded {limit} events; "
                     "likely a livelock in operator code"
                 )
-            time, _, action = pop(heap)
+            time, _, action, argument = pop(heap)
             if time < self._now:
                 raise KernelError("scheduler time went backwards")
             self._now = time
-            action()
+            action(argument)
         self._events += events
         if not main.done:
             waiting = ", ".join(
@@ -363,8 +371,8 @@ class SimKernel(base.Kernel):
 
     # -- internal -----------------------------------------------------------
 
-    def _schedule(self, time: float, action: Callable[[], None]) -> None:
-        heapq.heappush(self._heap, (time, self._seq, action))
+    def _schedule(self, time: float, action: Callable[[Any], None], argument: Any) -> None:
+        heapq.heappush(self._heap, (time, self._seq, action, argument))
         self._seq += 1
 
     def _step(
@@ -373,13 +381,14 @@ class SimKernel(base.Kernel):
         """Advance ``task`` until it parks, sleeps or finishes."""
         if task._done:
             return
+        coro = task._coro
         while True:
             try:
                 if exc is not None:
                     pending_exc, exc = exc, None
-                    request = task._coro.throw(pending_exc)
+                    request = coro.throw(pending_exc)
                 else:
-                    request = task._coro.send(value)
+                    request = coro.send(value)
             except StopIteration as stop:
                 task._finish(stop.value, None)
                 return
@@ -391,13 +400,12 @@ class SimKernel(base.Kernel):
                 return
             value = None
             kind = type(request)
-            if kind is _SleepRequest:
-                token = task._wake_token
-                self._schedule(
-                    self._now + request.duration,
-                    # A cancel moves the token on: this wake-up is then void.
-                    lambda: task._wake_token == token and self._step(task),
+            if kind is float:
+                heapq.heappush(
+                    self._heap,
+                    (self._now + request, self._seq, task._wake, task._wake_token),
                 )
+                self._seq += 1
             elif kind is _RecvRequest:
                 channel = request.channel
                 queue = channel._queue

@@ -348,16 +348,11 @@ class QueryServer:
                 f"and {distinct[1]!r}",
             )
         raw_length = (distinct[0] if distinct else "") or "0"
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise _HttpError(
-                400, f"malformed Content-Length: {raw_length!r}"
-            ) from None
-        if length < 0:
-            raise _HttpError(
-                400, f"negative Content-Length: {raw_length!r}"
-            )
+        # ASCII digits only: int() would also take "+12", "1_2" and "-0".
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            kind = "negative" if raw_length.startswith("-") else "malformed"
+            raise _HttpError(400, f"{kind} Content-Length: {raw_length!r}")
+        length = int(raw_length)
         if length > _MAX_BODY:
             raise _HttpError(413, f"request body over {_MAX_BODY} bytes")
         body = await reader.readexactly(length) if length else b""

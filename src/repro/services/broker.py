@@ -18,7 +18,7 @@ than 5000 calls".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Awaitable
 
 from repro.runtime.base import Kernel, Semaphore
 from repro.services import soap
@@ -60,7 +60,7 @@ class CallRecorder:
         self._stats: dict[str, CallStats] = {}
 
     def stats(self, operation: str) -> CallStats:
-        return self._stats.setdefault(operation, CallStats())
+        return self._stats.get(operation) or self._stats.setdefault(operation, CallStats())
 
     def total_calls(self) -> int:
         return sum(stat.calls for stat in self._stats.values())
@@ -171,7 +171,7 @@ class ServiceBroker:
     # -- statistics --------------------------------------------------------------
 
     def stats(self, operation: str) -> CallStats:
-        return self._stats.setdefault(operation, CallStats())
+        return self._stats.get(operation) or self._stats.setdefault(operation, CallStats())
 
     def total_calls(self) -> int:
         return sum(stat.calls for stat in self._stats.values())
@@ -210,7 +210,7 @@ class ServiceBroker:
             sinks.append(recorder.stats(operation))
         return sinks
 
-    async def call(
+    def call(
         self,
         uri: str,
         service: str,
@@ -221,8 +221,9 @@ class ServiceBroker:
         obs=None,
         obs_span: int = -1,
         fault: bool = False,
-    ) -> tuple[tuple, ...]:
-        """Invoke a web-service operation; returns the answer's rows.
+    ) -> Awaitable[tuple[tuple, ...]]:
+        """Invoke a web-service operation; the awaitable returns the
+        answer's rows.
 
         This is the transport behind the ``cwo`` built-in of the paper's
         Fig 2 (line 14).  If the operation's profile declares a timeout,
@@ -235,6 +236,7 @@ class ServiceBroker:
         With ``fault`` the call fails with a retriable
         :class:`ServiceFault` once it has held a server slot for the
         service time (an injected fault, drawn by the calling query).
+        Without a timeout the awaitable is :meth:`_perform`'s coroutine.
         """
         endpoint = self._endpoint(uri)
         document = endpoint.document
@@ -244,25 +246,26 @@ class ServiceBroker:
             )
         wsdl_operation = document.operation(operation)
         profile = endpoint.profile_for(operation)
+        performed = self._perform(
+            endpoint, wsdl_operation, profile, arguments, recorder,
+            obs=obs, obs_span=obs_span, fault=fault,
+        )
         if profile.timeout is None:
-            return await self._perform(
-                endpoint, wsdl_operation, profile, arguments, recorder,
-                obs=obs, obs_span=obs_span, fault=fault,
-            )
+            return performed
+        return self._race(performed, service, operation, profile.timeout, recorder)
+
+    async def _race(
+        self, performed, service: str, operation: str, timeout: float,
+        recorder: CallRecorder | None,
+    ) -> tuple[tuple, ...]:
+        """``performed`` against a deadline of ``timeout`` model seconds."""
         try:
-            return await self.kernel.wait_for(
-                self._perform(
-                    endpoint, wsdl_operation, profile, arguments, recorder,
-                    obs=obs, obs_span=obs_span, fault=fault,
-                ),
-                profile.timeout,
-            )
+            return await self.kernel.wait_for(performed, timeout)
         except TimeoutError:
             for sink in self._sinks(operation, recorder):
                 sink.timeouts += 1
             raise ServiceFault(
-                f"{service}.{operation} timed out after "
-                f"{profile.timeout} model seconds",
+                f"{service}.{operation} timed out after {timeout} model seconds",
                 retriable=True,
             ) from None
 

@@ -11,11 +11,14 @@ between the hand-over and the resume must not lose.
 """
 
 import asyncio
+import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.worlds import build_world
+from repro import QUERY1_SQL, WSMED, QueryEngine, QueryOptions
 from repro.runtime.realtime import AsyncioKernel
 from repro.runtime.simulated import SimKernel
 
@@ -309,3 +312,72 @@ def test_a_zero_sleep_lets_a_ready_task_run_first(make_kernel) -> None:
         return seen
 
     assert kernel.run(main()) == ["ready"]
+
+
+# -- the scheduler's resume order, pinned ------------------------------------------
+
+
+class _ResumeLog(SimKernel):
+    """A SimKernel that notes ``(virtual time, task name)`` each time it
+    resumes a task."""
+
+    def __init__(self, *, resident: bool = False) -> None:
+        super().__init__(resident=resident)
+        self.resumed: list[str] = []
+
+    def _step(self, task, value=None, exc=None) -> None:
+        if not task._done:
+            self.resumed.append(f"{self._now!r} {task.name}")
+        super()._step(task, value, exc)
+
+
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def _query1_resume_orders() -> dict[str, tuple[int, str]]:
+    system = WSMED(profile="paper")
+    system.import_all()
+    orders = {}
+    for label, options in (
+        ("central", QueryOptions(mode="central")),
+        ("parallel", QueryOptions(mode="parallel", fanouts=[5, 4])),
+        ("adaptive", QueryOptions(mode="adaptive")),
+    ):
+        kernel = _ResumeLog()
+        system.sql(QUERY1_SQL, options=options.replace(kernel=kernel))
+        orders[label] = (len(kernel.resumed), _digest(kernel.resumed))
+    return orders
+
+
+def _engine_resume_order() -> tuple[int, str]:
+    """Join, aggregate and LIMIT on one resident engine, each run cold and
+    then warm, so warm trees and their late messages are in the order."""
+    world = build_world()
+    kernel = _ResumeLog(resident=True)
+    engine = QueryEngine(world.build(), kernel=kernel)
+    try:
+        for _ in range(2):
+            engine.sql(world.join_sql(), options=QueryOptions(mode="adaptive"))
+            engine.sql(
+                world.aggregate_sql(), options=QueryOptions(mode="parallel", fanouts=[3, 2])
+            )
+            engine.sql(
+                world.chain_sql(limit=4), options=QueryOptions(mode="parallel", fanouts=[2, 2])
+            )
+    finally:
+        engine.close()
+    return len(kernel.resumed), _digest(kernel.resumed)
+
+
+def test_task_resume_order_is_pinned() -> None:
+    """Which task the scheduler resumes, and at what virtual time, over the
+    paper's Query1 and a resident engine's join, aggregate and LIMIT: a
+    change to the kernel or the message path may make a step cheaper, never
+    move, add or drop one."""
+    assert _query1_resume_orders() == {
+        "central": (934, "5741903e7f4bfd3d"),
+        "parallel": (3291, "61c3640ca20cf56b"),
+        "adaptive": (3491, "847231c3c170ad65"),
+    }
+    assert _engine_resume_order() == (2214, "15c49944d5450e4b")

@@ -153,6 +153,22 @@ def test_negative_content_length_is_a_400() -> None:
     assert b"negative" in reply
 
 
+@pytest.mark.parametrize("value", ["+12", "1_2", "-0"], ids=["plus", "underscore", "minus_zero"])
+def test_a_content_length_of_anything_but_digits_is_a_400(value) -> None:
+    """``int()`` reads all three as a length (12, 12, 0); HTTP allows only
+    ASCII digits."""
+    body = b'{"sql": "1"}'  # 12 bytes
+    with running_server(StubEngine(_ok)) as server:
+        reply = raw_exchange(
+            server.port,
+            f"POST /sql HTTP/1.1\r\nHost: t\r\nContent-Length: {value}\r\n\r\n".encode("ascii")
+            + body,
+        )
+    assert b"400" in reply.split(b"\r\n", 1)[0], reply
+    error = json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"]
+    assert "Content-Length" in error and repr(value) in error
+
+
 def test_conflicting_content_lengths_are_a_400_naming_both() -> None:
     body = json.dumps({"sql": "Select 1", "options": {"name": "padding"}})
     with running_server(StubEngine(_ok)) as server:
