@@ -18,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmarks.worlds import build_world
-from repro import QUERY1_SQL, WSMED, QueryEngine, QueryOptions
+from repro import (
+    QUERY1_SQL,
+    WSMED,
+    AdaptationParams,
+    CacheConfig,
+    ProcessCosts,
+    QueryEngine,
+    QueryOptions,
+)
 from repro.runtime.realtime import AsyncioKernel
 from repro.runtime.simulated import SimKernel
 
@@ -370,14 +378,78 @@ def _engine_resume_order() -> tuple[int, str]:
     return len(kernel.resumed), _digest(kernel.resumed)
 
 
+def _pool_path_resume_orders() -> dict[str, tuple[int, str, float, int]]:
+    """Query1 down the pool paths the default costs never take: batched
+    dispatch, the adaptive drop stage (unbatched and batched) and
+    round-robin dispatch, with each run's model seconds and drop stages."""
+    system = WSMED(profile="paper")
+    system.import_all()
+    batched = ProcessCosts(batch_size=4)
+    drop = AdaptationParams(drop_stage=True)
+    orders = {}
+    for label, options in (
+        ("batched", QueryOptions(mode="parallel", fanouts=[5, 4], process_costs=batched)),
+        ("drop", QueryOptions(mode="adaptive", adaptation=drop)),
+        (
+            "batched drop",
+            QueryOptions(mode="adaptive", adaptation=drop, process_costs=batched),
+        ),
+        (
+            "round-robin",
+            QueryOptions(
+                mode="parallel",
+                fanouts=[5, 4],
+                process_costs=ProcessCosts(dispatch="round_robin"),
+            ),
+        ),
+    ):
+        kernel = _ResumeLog()
+        result = system.sql(QUERY1_SQL, options=options.replace(kernel=kernel))
+        orders[label] = (
+            len(kernel.resumed),
+            _digest(kernel.resumed),
+            round(result.elapsed, 4),
+            result.tree.drop_stages,
+        )
+    return orders
+
+
+def _warm_affinity_resume_order() -> tuple[int, str]:
+    """One cold and one warm Query1 ``{5,4}`` on a resident engine under
+    cache-affinity routing with pipelined dispatch and the call memo on."""
+    system = WSMED(
+        profile="fast",
+        process_costs=ProcessCosts(dispatch="hash_affinity", prefetch=16).scaled(0.01),
+        cache=CacheConfig(enabled=True),
+    )
+    system.import_all()
+    kernel = _ResumeLog(resident=True)
+    engine = QueryEngine(system, kernel=kernel)
+    try:
+        for _ in range(2):
+            engine.sql(QUERY1_SQL, options=QueryOptions(mode="parallel", fanouts=[5, 4]))
+    finally:
+        engine.close()
+    return len(kernel.resumed), _digest(kernel.resumed)
+
+
 def test_task_resume_order_is_pinned() -> None:
     """Which task the scheduler resumes, and at what virtual time, over the
-    paper's Query1 and a resident engine's join, aggregate and LIMIT: a
-    change to the kernel or the message path may make a step cheaper, never
-    move, add or drop one."""
+    paper's Query1 (also batched, dropping children, round-robin and on a
+    warm cache-affinity engine) and a resident engine's join, aggregate
+    and LIMIT: a change to the kernel, the message path or the pool may make
+    a step cheaper, never move, add or drop one."""
     assert _query1_resume_orders() == {
         "central": (934, "5741903e7f4bfd3d"),
         "parallel": (3291, "61c3640ca20cf56b"),
         "adaptive": (3491, "847231c3c170ad65"),
     }
     assert _engine_resume_order() == (2214, "15c49944d5450e4b")
+    # The paths that batch, pipeline, drop a child or deal round-robin.
+    assert _pool_path_resume_orders() == {
+        "batched": (2681, "b34eaae3bf49ac77", 66.1032, 0),
+        "drop": (3705, "d5a7e6fb71437759", 59.8718, 17),
+        "batched drop": (3163, "25839f248dcff4f7", 70.1076, 20),
+        "round-robin": (3091, "d8d8405f533c5b31", 61.0228, 0),
+    }
+    assert _warm_affinity_resume_order() == (3123, "db6360cef0ef3721")
