@@ -26,12 +26,17 @@ import math
 from repro.algebra.interpreter import ExecutionContext
 from repro.algebra.plan import INIT_FANOUT, AdaptationParams, PlanFunction
 from repro.parallel.costs import ProcessCosts
-from repro.parallel.ff_applyp import ChildPool
-from repro.parallel.messages import CallFailed, EndOfCall, ResultTuple, Shutdown
+from repro.parallel.ff_applyp import ChildPool, _Invocation
+from repro.parallel.messages import CallFailed, EndOfCall, ResultTuple
+
+#: Add and drop stages one pool may run before adaptation stops.
+MAX_STAGES = 50
 
 
 class AFFPool(ChildPool):
-    """The adaptive pool behind one ``AFF_APPLYP`` node."""
+    """The adaptive pool behind one ``AFF_APPLYP`` node: the FF pool with
+    an ``INIT_FANOUT`` init stage, monitoring of every accepted row and
+    resolved call, and add/drop stages."""
 
     def __init__(
         self,
@@ -39,12 +44,9 @@ class AFFPool(ChildPool):
         plan_function: PlanFunction,
         costs: ProcessCosts,
         params: AdaptationParams,
-        *,
-        max_stages: int = 50,
     ) -> None:
-        super().__init__(ctx, plan_function, costs)
+        super().__init__(ctx, plan_function, costs, INIT_FANOUT)
         self.params = params
-        self._max_stages = max_stages
         self._stages = 0
         self._adapting = True
         self._had_first_cycle = False
@@ -54,7 +56,7 @@ class AFFPool(ChildPool):
     # -- lifecycle hooks --------------------------------------------------------
 
     async def on_first_use(self) -> None:
-        await self.spawn_children(INIT_FANOUT)
+        await super().on_first_use()
         self._cycle_started_at = self.ctx.kernel.now()
         self.event("init_stage", category="adapt", children=len(self.children))
 
@@ -75,12 +77,18 @@ class AFFPool(ChildPool):
         """
         self._start_cycle(self.ctx.kernel.now())
 
-    def on_result(self, message: ResultTuple) -> None:
-        self._results_in_cycle += 1
+    def _accept_row(self, message: ResultTuple) -> tuple | None:
+        row = super()._accept_row(message)
+        if row is not None:
+            self._results_in_cycle += 1
+        return row
 
-    async def on_end_of_call(self, message: EndOfCall) -> None:
+    async def _resolve_call(self, inv: _Invocation, message: EndOfCall) -> bool:
+        if not await super()._resolve_call(inv, message):
+            return False
         self._service_in_cycle += message.service_time
         await self._slot_done()
+        return True
 
     async def on_call_failed(self, message: CallFailed) -> None:
         """A failed call still completes a monitoring slot.
@@ -154,7 +162,7 @@ class AFFPool(ChildPool):
 
     async def _add_stage(self) -> None:
         self._stages += 1
-        if self._stages > self._max_stages:
+        if self._stages > MAX_STAGES:
             self._stop("stage limit reached")
             return
         room = self.params.max_fanout - len(self.children)
@@ -170,26 +178,15 @@ class AFFPool(ChildPool):
 
     async def _drop_stage(self) -> None:
         self._stages += 1
-        if self._stages > self._max_stages:
+        if self._stages > MAX_STAGES:
             self._stop("stage limit reached")
             return
         if len(self.children) <= INIT_FANOUT:
             self._stop("cannot drop below the initial tree")
             return
         victim = self.children[-1]
-        # Any partial batch buffered for the victim must go out ahead of
-        # the shutdown (the downlink is FIFO), or its rows would be lost.
-        self.batcher.flush(victim, "drop_stage")
-        self.children.remove(victim)
-        self._by_name.pop(victim.endpoints.name, None)
-        if victim.inflight:
-            # Its remaining in-flight calls are still current and must be
-            # allowed to resolve; keep the slot findable until they do.
-            self._detached[victim.endpoints.name] = victim
+        self.drop_child(victim)
         self.ctx.run.tree.dropped(self.ctx.process_name, self.plan_function.name)
-        # The child finishes any in-flight call (its downlink is FIFO),
-        # then reads the shutdown and tears down its own subtree.
-        victim.endpoints.downlink.send(Shutdown("dropped by adaptation"))
         self.event(
             "drop_stage",
             category="adapt",

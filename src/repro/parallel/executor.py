@@ -17,7 +17,7 @@ from repro.algebra.interpreter import ExecutionContext, PullChain
 from repro.algebra.plan import AFFApplyNode, FFApplyNode, PlanNode
 from repro.parallel.aff_applyp import AFFPool
 from repro.parallel.costs import ProcessCosts
-from repro.parallel.ff_applyp import ChildPool, FFPool
+from repro.parallel.ff_applyp import ChildPool
 from repro.util.errors import PlanError
 
 
@@ -56,7 +56,7 @@ class ParallelExecutor:
 
     def _build_pool(self, node: PlanNode, ctx: ExecutionContext) -> ChildPool:
         if isinstance(node, FFApplyNode):
-            return FFPool(ctx, node.plan_function, self.costs, node.fanout)
+            return ChildPool(ctx, node.plan_function, self.costs, node.fanout)
         return AFFPool(ctx, node.plan_function, self.costs, node.params)
 
     async def _acquire_pool(

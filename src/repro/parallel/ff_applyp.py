@@ -5,11 +5,21 @@ use it spawns ``fanout`` children and ships each the plan function; then,
 per invocation, it streams parameter tuples to idle children (one tuple
 per child in the first round, then one new tuple per end-of-call — the
 first-finished policy) and emits result rows the moment any child delivers
-them.
+them.  The adaptive pool (:mod:`repro.parallel.aff_applyp`) is this pool
+plus monitoring cycles and add/drop stages.
 
 The input stream is drained by a pump task into the operator's inbox, so
 one event loop serves input arrival, results, and end-of-call messages
 without needing a select primitive.
+
+With ``ProcessCosts.batch_size > 1`` the pool micro-batches: tuples
+dispatched to a child wait in its buffer and leave as one
+:class:`ParamBatch` when ``batch_size`` rows have accumulated (*size*),
+when adaptation drops the child (*drop_stage*), or when the parameter
+stream ends (*stream_end*), so nothing is stranded.  A batch pays
+``message_latency`` once plus the per-row ``ship_param``/``result_tuple``
+CPU: fewer round trips, not free work.  With ``batch_size=1`` every
+tuple leaves at once as a :class:`ParamTuple`, the paper's protocol.
 
 On top of the paper's protocol sits a pool-level fault-tolerance layer
 (the query's ``ctx.run.on_error``):
@@ -51,7 +61,6 @@ from typing import AsyncIterator
 from repro.algebra.interpreter import ExecutionContext
 from repro.algebra.plan import PlanFunction
 from repro.cache import stable_hash
-from repro.parallel.batching import BatchController
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.messages import (
     CallFailed,
@@ -61,6 +70,8 @@ from repro.parallel.messages import (
     InputAvailable,
     InputExhausted,
     InputFailed,
+    ParamBatch,
+    ParamTuple,
     ReadyToReceive,
     ResultBatch,
     ResultTuple,
@@ -119,17 +130,20 @@ class _Invocation:
 
 
 class ChildPool:
-    """Pool of child query processes below one FF/AFF operator instance."""
+    """Pool of child query processes below one FF/AFF operator instance;
+    as itself, the ``FF_APPLYP`` pool of a fixed, chosen ``fanout``."""
 
     def __init__(
         self,
         ctx: ExecutionContext,
         plan_function: PlanFunction,
         costs: ProcessCosts,
+        fanout: int,
     ) -> None:
         self.ctx = ctx
         self.plan_function = plan_function
         self.costs = costs
+        self.fanout = fanout
         self.inbox = ctx.kernel.channel(
             f"{ctx.process_name}/{plan_function.name}/inbox",
             latency=costs.message_latency,
@@ -146,7 +160,16 @@ class ChildPool:
         self._rotation = 0  # next child index under round-robin dispatch
         self._closed = False
         self._epoch = 0  # invocation counter; stamps pump messages
-        self.batcher = BatchController(self)
+        # Micro-batching: child name -> rows dispatched to it and not yet
+        # shipped; a key exists only while its list is non-empty.
+        self._batch_size = costs.batch_size
+        self._buffers: dict[str, list[tuple]] = {}
+        # Tuples one child may hold: ``prefetch`` batches.
+        self._capacity = costs.prefetch * costs.batch_size
+        # Whether dispatch may assign several tuples to one child: under
+        # the pipelined protocol (prefetch > 1), and whenever batching is
+        # on — a child must be able to hold a whole batch at prefetch 1.
+        self._pipelined = costs.prefetch > 1 or costs.batch_size > 1
         # Observability (repro.obs): id of the current invocation's span.
         # Stamped onto every downlink message so child-side call spans can
         # link back across the process boundary; -1 = tracing off.
@@ -255,27 +278,18 @@ class ChildPool:
         if not self._closed:
             self.inbox.send(ChildDied(name, reason))
 
-    def _pipelined(self) -> bool:
-        """Whether dispatch may assign several tuples to one child.
-
-        True for ``prefetch > 1`` (the pipelined protocol) and whenever
-        batching is enabled — a child must be allowed to hold a whole
-        batch even at prefetch depth 1.
-        """
-        return self.costs.prefetch > 1 or self.batcher.enabled
-
     def _make_idle(self, child: _Child) -> None:
         """End-of-call bookkeeping: the child can take more work."""
         child.outstanding = max(0, child.outstanding - 1)
-        if self._pipelined():
+        if self._pipelined:
             # Refill up to capacity.  Without batching one end-of-call
             # frees exactly one slot, so this takes one pending tuple
             # just like the seed protocol; with batching the child must
             # be topped up to a full batch or its buffer would sit below
             # the size trigger with nothing in flight to trigger it.
-            while self._pending and child.outstanding < self.batcher.capacity(child):
+            while self._pending and child.outstanding < self._capacity:
                 self._dispatch_now(child, self._take_pending(child))
-                if not self.batcher.enabled:
+                if self._batch_size == 1:
                     break
             return
         if self._pending:
@@ -284,8 +298,60 @@ class ChildPool:
             self._idle.append(child)
 
     def _dispatch_now(self, child: _Child, row: tuple) -> None:
+        """Hand one tuple (ship cost already paid) to ``child``: sent at
+        once without batching, else buffered until a flush trigger."""
         child.outstanding += 1
-        self.batcher.add(child, row)
+        if self._batch_size == 1:
+            self._send_single(child, row)
+            return
+        buffer = self._buffers.setdefault(child.endpoints.name, [])
+        buffer.append(row)
+        if len(buffer) >= self._batch_size:
+            self._flush(child, "size")
+
+    def _send_single(self, child: _Child, row: tuple) -> None:
+        self._seq += 1
+        child.inflight[self._seq] = row
+        child.endpoints.downlink.send(ParamTuple(self._seq, row, span=self._inv_span))
+        self.ctx.run.message_stats.param_tuples += 1
+
+    def _flush(self, child: _Child, trigger: str) -> None:
+        """Send whatever is buffered for ``child`` as one message."""
+        name = child.endpoints.name
+        buffer = self._buffers.pop(name, None)
+        if buffer is None:
+            return
+        stats = self.ctx.run.message_stats
+        if len(buffer) == 1:
+            # A batch of one needs no batch framing.
+            self._send_single(child, buffer[0])
+        else:
+            seq_start = self._seq + 1
+            self._seq += len(buffer)
+            for offset, row in enumerate(buffer):
+                child.inflight[seq_start + offset] = row
+            child.endpoints.downlink.send(
+                ParamBatch(seq_start, tuple(buffer), span=self._inv_span)
+            )
+            stats.param_batches += 1
+            stats.batched_params += len(buffer)
+        stats.flushes[trigger] = stats.flushes.get(trigger, 0) + 1
+        self.event("batch_flush", child=name, size=len(buffer), trigger=trigger)
+
+    def drop_child(self, child: _Child) -> None:
+        """Take ``child`` out of service and shut it down (an adaptation
+        drop stage).  Its partial batch goes out ahead of the shutdown
+        (the downlink is FIFO), or its rows would be lost; its in-flight
+        calls are still current and resolve while it stays findable."""
+        self._flush(child, "drop_stage")
+        self.children.remove(child)
+        name = child.endpoints.name
+        del self._by_name[name]
+        if child.inflight:
+            self._detached[name] = child
+        # The child finishes any in-flight call, then reads the shutdown
+        # and tears down its own subtree.
+        child.endpoints.downlink.send(Shutdown("dropped by adaptation"))
 
     def _affinity_target(self, row: tuple) -> _Child:
         """The child a tuple hashes to under ``hash_affinity`` dispatch."""
@@ -321,20 +387,18 @@ class ChildPool:
             # saturated target falls back to the policies below —
             # first-finished placement beats a growing queue.
             target = self._affinity_target(row)
-            if target.outstanding < self.batcher.capacity(target):
+            if target.outstanding < self._capacity:
                 # Test membership first: a failed deque.remove builds its
                 # error message from the slot's (large) repr.
                 if target in self._idle:
                     self._idle.remove(target)
                 self._dispatch_now(target, row)
                 return
-        if self._pipelined():
+        if self._pipelined:
             # Pipelined dispatch: the least-loaded child with room takes
             # the tuple (first-finished generalized to depth > 1).
             candidates = [
-                child
-                for child in self.children
-                if child.outstanding < self.batcher.capacity(child)
+                child for child in self.children if child.outstanding < self._capacity
             ]
             if candidates:
                 self._dispatch_now(
@@ -370,9 +434,9 @@ class ChildPool:
         """Remove a dead/failed child from every pool structure.
 
         Returns the rows the child still owed: its in-flight calls (with
-        their sequence numbers) plus any rows buffered for it in the
-        batcher (seq ``-1`` — never shipped).  Without the eviction, a
-        later dispatch to the dead child would hang the query forever.
+        their sequence numbers) plus any rows buffered for it (seq ``-1``
+        — never shipped).  Without the eviction, a later dispatch to the
+        dead child would hang the query forever.
         """
         child = self._by_name.pop(name, None) or self._detached.pop(name, None)
         if child is None:
@@ -384,7 +448,7 @@ class ChildPool:
         lost = list(child.inflight.items())
         child.inflight.clear()
         child.outstanding = 0
-        lost.extend((-1, row) for row in self.batcher.take_buffer(name))
+        lost.extend((-1, row) for row in self._buffers.pop(name, ()))
         return lost
 
     def _register_failure(
@@ -479,7 +543,7 @@ class ChildPool:
         generator.
         """
         self._pending.clear()
-        self.batcher.discard()
+        self._buffers.clear()
         if self._bags is not None:
             self._bags.clear()
         for child in self.children:
@@ -542,12 +606,14 @@ class ChildPool:
             # objects (a rebind re-homes ctx.run, so that is read per row).
             recv, pending, children = self.inbox.recv, self._pending, self.children
             accept_row, resolve_call = self._accept_row, self._resolve_call
-            handlers = self._HANDLERS
+            handlers, buffers = self._HANDLERS, self._buffers
             while True:
                 if inv.input_done and not pending:
                     # No more rows can join a buffer: release any partial
                     # batches so their end-of-calls can drain in_flight.
-                    self.batcher.flush_all("stream_end")
+                    if buffers:
+                        for name in list(buffers):
+                            self._flush(self._by_name[name], "stream_end")
                     if inv.in_flight == 0:
                         break
                 message = await recv()
@@ -657,11 +723,10 @@ class ChildPool:
         return owner
 
     def _accept_row(self, message: ResultTuple) -> tuple | None:
-        """The per-row step: tell the monitor and hand the row up, unless
-        its call was written off (``seq`` -1 = unknown call, accepted)."""
-        if message.seq >= 0 and self._owner_of(message.child, message.seq) is None:
+        """The per-row step: hand the row up, unless its call was written
+        off."""
+        if self._owner_of(message.child, message.seq) is None:
             return None
-        self.on_result(message)
         if self._bags is not None:
             bag = self._bags.get(message.seq)
             if bag is None:
@@ -684,7 +749,6 @@ class ChildPool:
         inv.in_flight -= 1
         if owner in self.children:
             self._make_idle(owner)
-        await self.on_end_of_call(message)
         return True
 
     def _memoized(self, row: tuple) -> tuple | None:
@@ -830,19 +894,13 @@ class ChildPool:
             ctx.placement.rebind_pool(self)
         self.on_rebind()
 
-    # -- hooks overridden by the adaptive pool -----------------------------------------
+    # -- hooks extended by the adaptive pool -----------------------------------------
 
     async def on_first_use(self) -> None:
-        raise PlanError("ChildPool.on_first_use must be provided by a subclass")
+        await self.spawn_children(self.fanout)
 
     def on_rebind(self) -> None:
         """Per-pool reset when leased into a new query; FF needs none."""
-
-    def on_result(self, message: ResultTuple) -> None:
-        """Monitoring hook; the plain FF pool does nothing here."""
-
-    async def on_end_of_call(self, message: EndOfCall) -> None:
-        """Adaptation hook; the plain FF pool does nothing here."""
 
     async def on_call_failed(self, message: CallFailed) -> None:
         """Monitoring hook for failed calls; the plain FF pool ignores it."""
@@ -856,7 +914,7 @@ class ChildPool:
         self._closed = True
         # An abandoned query may leave partial batches behind; they are
         # discarded exactly like the per-tuple protocol's pending queue.
-        self.batcher.discard()
+        self._buffers.clear()
         for child in self.children:
             child.endpoints.downlink.send(Shutdown())
 
@@ -871,20 +929,3 @@ class ChildPool:
         self._idle.clear()
         self._by_name.clear()
         self._detached.clear()
-
-
-class FFPool(ChildPool):
-    """The non-adaptive pool: a fixed, manually chosen fanout."""
-
-    def __init__(
-        self,
-        ctx: ExecutionContext,
-        plan_function: PlanFunction,
-        costs: ProcessCosts,
-        fanout: int,
-    ) -> None:
-        super().__init__(ctx, plan_function, costs)
-        self.fanout = fanout
-
-    async def on_first_use(self) -> None:
-        await self.spawn_children(self.fanout)

@@ -79,9 +79,8 @@ class ResultTuple:
     row: tuple
     # Sequence number of the call that produced the row, so the parent can
     # discard rows of calls it has already written off (a failed previous
-    # invocation of a persistent pool).  -1 = unknown (hand-built
-    # messages); such rows are always accepted.
-    seq: int = -1
+    # invocation of a persistent pool).
+    seq: int
     # The call's EndOfCall, riding on its last row (handled after the row).
     end_of_call: "EndOfCall | None" = None
 
@@ -108,9 +107,8 @@ class EndOfCall:
     rows: int  # tuples the call produced (monitoring input for AFF)
     # Child-side occupancy of the call in model seconds (plan-function
     # execution including per-row result shipping CPU).  Lets monitoring
-    # distinguish slow calls from large results.  0.0 when unknown (e.g.
-    # hand-built messages).
-    service_time: float = 0.0
+    # distinguish slow calls from large results.
+    service_time: float
     # The call's memo footprint (repro.cache.Footprint.value): the
     # memo-answerable web-service calls beneath it and the earliest
     # expiry among their entries.  None when the query does not memoize

@@ -11,10 +11,11 @@ It is the only way to set them::
 
     wsmed.sql(q, options=QueryOptions(mode="adaptive", retries=2))
 
-Some fields only make sense on one surface: ``kernel`` is rejected by
-the resident engine (which owns its kernel), and
-``tenant`` / ``deadline_ms`` / ``observed`` are engine-level admission /
-statistics knobs rejected by the one-shot :meth:`WSMED.sql` path.
+Some fields only make sense on one surface: ``kernel`` and ``observed``
+are rejected by the resident engine (which owns its kernel and feeds the
+cost model its own statistics), and ``tenant`` / ``deadline_ms`` are
+engine-level admission knobs rejected by the one-shot :meth:`WSMED.sql`
+path.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Micro-batched messaging: seed equivalence, triggers, and composition.
 
-Unit tests drive an :class:`FFPool` directly over an identity plan
+Unit tests drive a :class:`ChildPool` directly over an identity plan
 function, so flush triggers and message accounting can be asserted
 precisely; integration tests run the paper queries through the full stack
 with batching enabled and compare against the central plan.
@@ -19,7 +19,7 @@ from repro.obs.run import QueryRun
 from repro.obs.spans import TraceRecorder
 from repro.parallel.aff_applyp import AFFPool
 from repro.parallel.costs import ProcessCosts
-from repro.parallel.ff_applyp import FFPool
+from repro.parallel.ff_applyp import ChildPool
 from repro.runtime.simulated import SimKernel
 from repro.util.errors import PlanError
 
@@ -53,7 +53,7 @@ def _registry() -> FunctionRegistry:
     return registry
 
 
-def make_pool(kernel, costs, *, fanout=2, pool_class=FFPool, params=None):
+def make_pool(kernel, costs, *, fanout=2, pool_class=ChildPool, params=None):
     ctx = ExecutionContext(
         kernel=kernel, broker=None, functions=_registry(), run=QueryRun(obs=TraceRecorder())
     )
@@ -257,17 +257,17 @@ def test_end_of_call_carries_service_time() -> None:
         kernel, costs, pool_class=AFFPool, params=AdaptationParams(p=1)
     )
     observed: list[float] = []
-    original = AFFPool.on_end_of_call
+    original = AFFPool._resolve_call
 
-    async def recording(self, message):
+    async def recording(self, inv, message):
         observed.append(message.service_time)
-        await original(self, message)
+        return await original(self, inv, message)
 
-    AFFPool.on_end_of_call = recording
+    AFFPool._resolve_call = recording
     try:
         drive(kernel, pool, [(i,) for i in range(8)])
     finally:
-        AFFPool.on_end_of_call = original
+        AFFPool._resolve_call = original
     assert observed
     # Every call occupies the child for its per-row result CPU.
     assert all(value > 0 for value in observed)

@@ -23,7 +23,7 @@ from repro.obs.run import QueryRun
 from repro.obs.spans import TraceRecorder
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.faults import FaultInjection
-from repro.parallel.ff_applyp import FFPool, _Child
+from repro.parallel.ff_applyp import ChildPool, _Child
 from repro.runtime.realtime import AsyncioKernel
 from repro.runtime.simulated import SimKernel
 from repro.util.errors import PlanError, ReproError
@@ -61,7 +61,7 @@ def make_pool(
     implementation,
     *,
     fanout=2,
-    pool_class=FFPool,
+    pool_class=ChildPool,
     params=None,
     on_error="fail",
 ):
