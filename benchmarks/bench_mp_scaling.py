@@ -19,11 +19,17 @@ digest and holds its thread for a fixed work interval.  Measured rows:
 * ``AsyncioKernel`` (everything on one loop) — the serial baseline;
 * ``ProcessKernel`` at 1/2/4/8 workers, same query, same fanout;
 * the HTTP front end (``repro.serve``): cold/warm request latency and
-  sequential request throughput over a resident engine.
+  sequential request throughput over a resident engine;
+* proxy mode (the default: every worker call is proxied to the
+  coordinator's broker): Query1 ``{5,4}`` with the cache off on a
+  resident engine over ``AsyncioKernel`` and over ``ProcessKernel`` at 1
+  and 2 workers, at ``time_scale`` 0.001 and 0.01, the median wall of
+  five warm queries.
 
-Checked claim (full mode): at 4 workers the wall-clock speedup over the
+Checked claims (full mode): at 4 workers the wall-clock speedup over the
 asyncio baseline is >= 2x, and every kernel returns the identical bag of
-rows.
+rows — in the proxy section too, where the wall times are reported, not
+asserted.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import functools
 import hashlib
 import http.client
 import json
+import statistics
 import threading
 import time
 
@@ -54,6 +61,12 @@ FANOUT = [8]
 TIME_SCALE = 0.0005  # model seconds are negligible; blocking work dominates
 WORK_SECONDS = 0.02  # per-call synchronous hold (client library + server)
 PBKDF2_ITERATIONS = 20_000
+
+# The proxy-mode section: Query1 on the paper's own services.
+PROXY_OPTIONS = QueryOptions(mode="parallel", fanouts=[5, 4])
+PROXY_TIME_SCALES = (0.001, 0.01)
+PROXY_WORKER_COUNTS = (1, 2)
+PROXY_REPEATS = 5
 
 HASH_SQL = """
 Select gs.Name, hs.digest
@@ -203,6 +216,61 @@ def measure_http() -> dict:
     }
 
 
+def _proxy_row(wsmed: WSMED, workers: int, time_scale: float, repeats: int) -> dict:
+    """Median wall of ``repeats`` Query1 runs on a resident engine (over
+    ``AsyncioKernel`` when ``workers`` is 0), after one warm-up that
+    spawns (and on ``ProcessKernel`` forks) the tree."""
+    if workers:
+        kernel = ProcessKernel(workers=workers, time_scale=time_scale)
+    else:
+        kernel = AsyncioKernel(resident=True, time_scale=time_scale)
+    engine = QueryEngine(wsmed, kernel=kernel)
+    try:
+        engine.sql(QUERY1_SQL, options=PROXY_OPTIONS)
+        walls = []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            result = engine.sql(QUERY1_SQL, options=PROXY_OPTIONS)
+            walls.append(time.perf_counter() - started)
+    finally:
+        engine.close()  # shuts the kernel down too
+    return {
+        "kernel": "process" if workers else "asyncio",
+        "workers": workers,
+        "time_scale": time_scale,
+        "query_ms_p50": statistics.median(walls) * 1e3,
+        "rows": len(result.rows),
+        "calls": result.total_calls,
+        "bag": sorted(result.rows),
+    }
+
+
+def measure_proxy(smoke: bool) -> dict:
+    """Query1 ``{5,4}``, cache off, proxy mode against ``AsyncioKernel``."""
+    wsmed = WSMED(profile="fast")
+    wsmed.import_all()
+    scales = PROXY_TIME_SCALES[:1] if smoke else PROXY_TIME_SCALES
+    repeats = 1 if smoke else PROXY_REPEATS
+    rows = [
+        _proxy_row(wsmed, workers, time_scale, repeats)
+        for time_scale in scales
+        for workers in (0, *PROXY_WORKER_COUNTS)
+    ]
+    bags = [row.pop("bag") for row in rows]
+    return {
+        "workload": {
+            "sql": "Query1",
+            "mode": "parallel",
+            "fanouts": PROXY_OPTIONS.fanouts,
+            "profile": "fast",
+            "cache": False,
+            "repeats": repeats,
+        },
+        "rows_identical_across_kernels": all(bag == bags[0] for bag in bags),
+        "kernels": rows,
+    }
+
+
 def run(smoke: bool = False) -> dict:
     work_seconds, iterations = (0.005, 2_000) if smoke else (WORK_SECONDS, PBKDF2_ITERATIONS)
     counts = (1, 2) if smoke else WORKER_COUNTS
@@ -226,6 +294,7 @@ def run(smoke: bool = False) -> dict:
         "rows_identical_across_kernels": all(bag == bags[0] for bag in bags),
         "kernels": rows,
         "http_front_end": measure_http(),
+        "proxy_mode": measure_proxy(smoke),
     }
 
 
@@ -248,10 +317,18 @@ def report(payload: dict) -> None:
         f"{http_row['sequential_requests_per_s']:.1f} requests/s "
         f"({http_row['rows_per_request']} rows each)"
     )
+    print("proxy mode, Query1 {5,4}, cache off (median wall per warm query):")
+    for row in payload["proxy_mode"]["kernels"]:
+        label = f"process x{row['workers']}" if row["workers"] else "asyncio"
+        print(
+            f"  time_scale {row['time_scale']:<6} {label:>11}: "
+            f"{row['query_ms_p50']:7.1f} ms ({row['rows']} rows, {row['calls']} calls)"
+        )
 
 
 def check(payload: dict) -> None:
     assert payload["rows_identical_across_kernels"]
+    assert payload["proxy_mode"]["rows_identical_across_kernels"]
     assert payload["http_front_end"]["rows_per_request"] == 360
     # Full runs only: the smoke run stops at two workers.
     for row in payload["kernels"]:

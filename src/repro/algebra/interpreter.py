@@ -376,8 +376,11 @@ def _compile(node: PlanNode, above: Callable) -> PullChain:
                 ctx.kernel.spawn(branch.rows(ctx, param_row), name=f"union-{i}")
                 for i, branch in enumerate(branches)
             ]
-            for task in tasks:
-                yield above(await task.join())
+            try:
+                for task in tasks:
+                    yield above(await task.join())
+            finally:
+                _cancel_unfinished(tasks)  # a cancelled or closed consumer
 
         return PullChain(union, False)
 
@@ -391,8 +394,11 @@ def _compile(node: PlanNode, above: Callable) -> PullChain:
         async def join(ctx, param_row):
             left_task = ctx.kernel.spawn(left.rows(ctx, param_row), name="join-left")
             right_task = ctx.kernel.spawn(right.rows(ctx, param_row), name="join-right")
-            left_rows = await left_task.join()
-            right_rows = await right_task.join()
+            try:
+                left_rows = await left_task.join()
+                right_rows = await right_task.join()
+            finally:
+                _cancel_unfinished((left_task, right_task))
             table: dict = {}
             for row in right_rows:
                 table.setdefault(right_key(row), []).append(row)
@@ -403,6 +409,13 @@ def _compile(node: PlanNode, above: Callable) -> PullChain:
         return PullChain(join, True)
 
     raise PlanError(f"cannot interpret plan node {node!r}")
+
+
+def _cancel_unfinished(tasks) -> None:
+    """Cancel the branch tasks an operator leaves behind unfinished."""
+    for task in tasks:
+        if not task.done:
+            task.cancel()
 
 
 def _step(node: PlanNode) -> Callable:

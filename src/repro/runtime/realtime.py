@@ -6,6 +6,13 @@ workloads can execute as real concurrent programs in a test-friendly amount
 of wall time.  Web-service latency is I/O waiting, so — per the reproduction
 note — ``asyncio`` concurrency is the faithful Python equivalent of the
 paper's parallel query processes despite the GIL.
+
+Every timed wait costs one loop turn before it costs a timer.  A sleep
+takes its deadline at the call, yields once and sets a timer only for
+what the turn did not cover; a channel keeps at most one pending lander,
+first a ``call_soon``, re-armed with ``call_at`` only while the oldest
+message in transit is still short of its deadline.  At a small
+``time_scale`` a wait is shorter than a loop turn, so it sets no timer.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Any, Coroutine
 from repro.runtime import base
 from repro.util.errors import KernelError
 
-#: Wall delays within the clock's resolution are zero: no timer is set.
+#: Message latencies within the clock's resolution are zero: no lander is set.
 _CLOCK_RESOLUTION = time.get_clock_info("monotonic").resolution
 
 
@@ -36,9 +43,11 @@ def _hand_over(futures: deque, value: Any) -> bool:
 class _AsyncChannel(base.Channel):
     """Deques of arrived messages and of parked receivers' futures.  A
     receiver cancelled after it was handed a message puts it back at the
-    head.  Above the clock's resolution a latency is a ``call_later``
-    that lands the oldest message in transit, so order holds even when
-    two timers share a deadline."""
+    head.  Above the clock's resolution a message enters transit with its
+    deadline, and one pending lander hands over every message whose
+    deadline has passed, oldest first: it is set by ``call_soon`` when
+    transit was empty and re-armed by ``call_at`` on the head's deadline
+    while any message is left, so order holds and none lands early."""
 
     def __init__(self, kernel: "AsyncioKernel", name: str, latency: float) -> None:
         self.name = name
@@ -46,21 +55,29 @@ class _AsyncChannel(base.Channel):
         self._kernel = kernel
         self._messages: deque[Any] = deque()
         self._receivers: deque[asyncio.Future] = deque()
-        self._in_transit: deque[Any] = deque()
+        self._in_transit: deque[tuple[float, Any]] = deque()  # (deadline, message)
+        self._lander: asyncio.Handle | None = None
 
     def send(self, message: Any) -> None:
         delay = self.latency * self._kernel.time_scale
         if delay <= _CLOCK_RESOLUTION:
             if not _hand_over(self._receivers, message):
                 self._messages.append(message)
-        else:
-            self._in_transit.append(message)
-            asyncio.get_running_loop().call_later(delay, self._land)
+            return
+        loop = asyncio.get_running_loop()
+        self._in_transit.append((loop.time() + delay, message))
+        if self._lander is None:
+            self._lander = loop.call_soon(self._land)
 
     def _land(self) -> None:
-        message = self._in_transit.popleft()
-        if not _hand_over(self._receivers, message):
-            self._messages.append(message)
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        in_transit = self._in_transit
+        while in_transit and in_transit[0][0] <= now:
+            message = in_transit.popleft()[1]
+            if not _hand_over(self._receivers, message):
+                self._messages.append(message)
+        self._lander = loop.call_at(in_transit[0][0], self._land) if in_transit else None
 
     async def recv(self) -> Any:
         if self._messages:
@@ -111,9 +128,13 @@ class _AsyncEvent(asyncio.Event, base.Event):
 
 
 @types.coroutine
-def _bare_yield():
-    """One yield to the loop: ``asyncio.sleep(0)`` without its coroutine."""
+def _sleep_until(loop: asyncio.AbstractEventLoop, deadline: float):
+    """One yield to the loop, as ``asyncio.sleep(0)`` does without its
+    coroutine; then, while ``deadline`` (loop time) has not passed, a
+    timer for what is left (``asyncio`` may fire one a clock tick early)."""
     yield
+    while (remaining := deadline - loop.time()) > 0:
+        yield from asyncio.sleep(remaining)
 
 
 class _AsyncHandle(base.ProcessHandle):
@@ -154,10 +175,12 @@ class AsyncioKernel(base.Kernel):
         return (loop.time() - self._start) / self.time_scale
 
     def sleep(self, duration: float):
+        """Wake at ``duration`` scaled model seconds after the call, never
+        earlier: one loop turn first, and a timer only for the rest."""
         if duration < 0:
             raise KernelError(f"cannot sleep a negative duration: {duration}")
-        delay = duration * self.time_scale
-        return asyncio.sleep(delay) if delay > _CLOCK_RESOLUTION else _bare_yield()
+        loop = asyncio.get_running_loop()
+        return _sleep_until(loop, loop.time() + duration * self.time_scale)
 
     def channel(self, name: str = "", latency: float = 0.0) -> _AsyncChannel:
         return _AsyncChannel(self, name, latency)

@@ -111,6 +111,14 @@ class SimTask(base.ProcessHandle):
         self._wake_token += 1
         kernel = self._kernel
         kernel._schedule(kernel._now, partial(kernel._step, exc=CancelledError()), self)
+        # One join rule on both kernels: as awaiting an ``asyncio.Task``
+        # does, a cancelled joiner cancels the task it joins.
+        request = self._parked_on
+        if type(request) is _JoinRequest:
+            joined = request.task
+            if self in joined._joiners:
+                joined._joiners.remove(self)
+            joined.cancel()
 
     # -- internal -----------------------------------------------------------
 

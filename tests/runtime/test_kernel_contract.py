@@ -6,8 +6,9 @@ here must hold on the discrete-event ``SimKernel`` and on the real-time
 first (delivery, capacity, the clock); the cases after them pin the paths the
 real-time primitives implement themselves — handing a message straight to
 a parked receiver, handing a released slot straight to a parked waiter,
-and the bare yield of a zero-delay sleep — including what a cancellation
-between the hand-over and the resume must not lose.
+and the loop turn a zero-delay sleep yields — including what a
+cancellation between the hand-over and the resume must not lose, and the
+one join rule: a cancelled joiner cancels the task it joins.
 """
 
 import asyncio
@@ -320,6 +321,83 @@ def test_a_zero_sleep_lets_a_ready_task_run_first(make_kernel) -> None:
         return seen
 
     assert kernel.run(main()) == ["ready"]
+
+
+# -- joins -------------------------------------------------------------------------
+
+
+RESIDENT_KERNELS = {
+    "sim": lambda: SimKernel(resident=True),
+    "asyncio": lambda: AsyncioKernel(time_scale=1e-5, resident=True),
+}
+
+
+def _running(kernel, prefix: str) -> list[str]:
+    """Names of the kernel's unfinished tasks that start with ``prefix``."""
+    if isinstance(kernel, SimKernel):
+        names = [task.name for task in kernel._tasks]
+    else:
+        names = [task.get_name() for task in asyncio.all_tasks() if not task.done()]
+    return sorted(name for name in names if name.startswith(prefix))
+
+
+@kernels
+def test_a_joiner_cancelled_mid_join_leaves_its_joinee_cancelled(make_kernel) -> None:
+    """One join rule on both kernels: cancelling a task parked on
+    ``join()`` cancels the task it joins, as awaiting an ``asyncio.Task``
+    does."""
+    kernel = make_kernel()
+
+    async def main():
+        async def idle():
+            await kernel.sleep(1e6)
+
+        joinee = kernel.spawn(idle(), name="joinee")
+
+        async def wait_on():
+            await joinee.join()
+
+        joiner = kernel.spawn(wait_on(), name="joiner")
+        await kernel.sleep(1.0)  # the joiner is parked on the join
+        joiner.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await joiner.join()
+        with pytest.raises(asyncio.CancelledError):
+            await joinee.join()
+        return joinee.done
+
+    assert kernel.run(main()) is True
+
+
+@pytest.mark.parametrize(
+    "make_kernel", RESIDENT_KERNELS.values(), ids=RESIDENT_KERNELS.keys()
+)
+def test_a_union_whose_consumer_is_cancelled_leaves_no_branch_running(make_kernel) -> None:
+    world = build_world()
+    kernel = make_kernel()
+    engine = QueryEngine(world.build(), kernel=kernel)
+
+    async def main():
+        stream = engine.stream(world.or_sql(), options=QueryOptions(mode="central"))
+        consumer = kernel.spawn(stream.collect(), name="consumer")
+        for _ in range(100):  # until the union has spawned its branches
+            if _running(kernel, "union-"):
+                break
+            await kernel.sleep(0.1)
+        started = _running(kernel, "union-")
+        consumer.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await consumer.join()
+        for _ in range(10):  # a few turns for the cancels, not for the calls
+            await kernel.sleep(0)
+        return started, _running(kernel, "union-")
+
+    try:
+        started, left = kernel.run(main())
+    finally:
+        engine.close()
+    assert started == ["union-0", "union-1"]
+    assert left == []
 
 
 # -- the scheduler's resume order, pinned ------------------------------------------
