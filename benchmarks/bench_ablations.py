@@ -28,7 +28,6 @@
 
 from repro import ProcessCosts, QueryOptions, WSMED
 from repro.algebra.interpreter import ExecutionContext
-from repro.parallel.baseline import run_level_synchronous
 from repro.runtime.simulated import SimKernel
 
 from benchmarks import harness
@@ -40,6 +39,7 @@ from benchmarks.harness import (
     run_parallel,
     wsmed,
 )
+from benchmarks.level_synchronous import run_level_synchronous
 
 NAME = None
 BEST_Q1 = QueryOptions(mode="parallel", fanouts=[5, 4])

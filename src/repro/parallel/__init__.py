@@ -18,14 +18,12 @@ This subpackage implements the paper's contribution:
   plan interpreter and owns pool shutdown.
 """
 
-from repro.parallel.baseline import run_level_synchronous
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.executor import ParallelExecutor
 from repro.parallel.faults import FaultInjection
 from repro.parallel.parallelizer import parallelize, split_sections
 
 __all__ = [
-    "run_level_synchronous",
     "ProcessCosts",
     "ParallelExecutor",
     "FaultInjection",

@@ -55,8 +55,10 @@ Protocol (all bodies JSON, all responses either JSON or NDJSON):
 
     Every JSON text — each NDJSON line, and each error, ``/stats`` and
     ``/healthz`` body — is written by one encoder built at import (the
-    ``_json`` accelerator's, with ``default=str``): a chunk of rows
-    becomes its chunked-transfer bytes with one encode call per row.
+    ``_json`` accelerator's, with ``default=str``).  Rows leave as the
+    rows of one write, framed in one pass: those that arrive between two
+    writes, whatever engine chunks they came in, become their
+    chunked-transfer bytes in one call right before the write.
 
 ``GET /stats``
     The engine's resident-state snapshot
@@ -119,23 +121,30 @@ _RESPONSE_HEAD = (
 # per-call set-up.  No circular check: rows are flat tuples of atoms and
 # the other payloads flat dicts.  The output is ASCII (non-ASCII is
 # escaped), so its length in characters is its length in bytes.
+# ``_pieces(payload, 0)`` is the text of ``payload`` in pieces.
 if c_make_encoder is not None:
-    _c_encode = c_make_encoder(
+    _pieces = c_make_encoder(
         None, str, encode_basestring_ascii, None, ": ", ", ", False, False, True
     )
 
-    def _encode(payload: Any) -> str:
-        return "".join(_c_encode(payload, 0))
+else:  # no _json accelerator: the pure-Python encoder writes the same text
+    _python_encoder = JSONEncoder(default=str)
 
-else:  # no _json accelerator
-    _encode = JSONEncoder(default=str).encode
+    def _pieces(payload: Any, _level: int) -> Iterable[str]:
+        return _python_encoder.iterencode(payload)
+
+
+def _encode(payload: Any) -> str:
+    return "".join(_pieces(payload, 0))
 
 
 def _frames(payloads: Iterable[Any]) -> bytes:
     """Chunked-transfer bytes for ``payloads``: one NDJSON line each, one
-    HTTP chunk per line."""
+    HTTP chunk per line.  The server frames the rows of one socket write
+    in one call; with the accelerator, no Python function runs per row."""
+    lines = ["".join(_pieces(payload, 0)) for payload in payloads]
     return "".join(
-        [f"{len(line) + 1:x}\r\n{line}\n\r\n" for line in map(_encode, payloads)]
+        [f"{len(line) + 1:x}\r\n{line}\n\r\n" for line in lines]
     ).encode("ascii")
 
 
@@ -379,14 +388,17 @@ class QueryServer:
         # Admission, compilation and the wait for the first row: whatever
         # fails here gets its own status code, since no byte is sent yet.
         first = await anext(chunks, None)
-        buffer = [_RESPONSE_HEAD, _frames([{"columns": list(stream.columns)}])]
-        sent = flushed = 0
+        # The next write carries the head (first write only), then the
+        # rows received since the last write, framed in one pass whatever
+        # chunks they arrived in, then its tail.
+        head = [_RESPONSE_HEAD, _frames([{"columns": list(stream.columns)}])]
+        pending: list = []
+        sent = 0
 
-        async def flush() -> None:
-            nonlocal flushed
-            writer.write(b"".join(buffer))
-            buffer.clear()
-            flushed = sent
+        async def flush(*tail: bytes) -> None:
+            writer.write(b"".join([*head, _frames(pending), *tail]))
+            head.clear()
+            pending.clear()
             await writer.drain()
 
         # From here on the answer is a 200 (its header leaves with the
@@ -400,13 +412,13 @@ class QueryServer:
             if first is not None:
                 # The status line, the columns and the first row leave
                 # together; later rows in writes of FLUSH_ROWS.
-                buffer.append(_frames(first))
+                pending += first
                 sent = len(first)
                 await flush()
                 async for chunk in chunks:
-                    buffer.append(_frames(chunk))
+                    pending += chunk
                     sent += len(chunk)
-                    if sent - flushed >= FLUSH_ROWS:
+                    if len(pending) >= FLUSH_ROWS:
                         await flush()
         except (ConnectionError, asyncio.IncompleteReadError):
             raise  # client is gone; there is nobody to finish the body for
@@ -436,8 +448,9 @@ class QueryServer:
                 trailer["cache"] = result.cache_stats.as_dict()
             if recorder is not None and result.spans is not None:
                 trailer["trace_file"] = self._write_trace(result.spans, option_kwargs)
-        buffer += [_frames([trailer]), b"0\r\n\r\n"]
-        await flush()
+        # Rows still pending leave ahead of the trailer, an error one too,
+        # so ``rows_sent`` counts exactly the row lines on the wire.
+        await flush(_frames([trailer]), b"0\r\n\r\n")
         if isinstance(interrupted, asyncio.CancelledError):
             raise interrupted
 

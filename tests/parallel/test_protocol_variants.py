@@ -4,11 +4,11 @@
 import pytest
 
 from repro.algebra.interpreter import ExecutionContext
-from repro.parallel.baseline import run_level_synchronous
 from repro.parallel.costs import ProcessCosts
 from repro.runtime.simulated import SimKernel
 from repro.util.errors import PlanError
 
+from benchmarks.level_synchronous import run_level_synchronous
 from tests.helpers import QUERY1_SQL, make_world
 from tests.parallel.helpers_parallel import run_parallel
 

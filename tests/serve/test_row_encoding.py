@@ -6,14 +6,25 @@ The reference frame is ``test_row_streaming._chunk``: the bytes a server
 that called ``json.dumps`` per line wrote for that line.
 """
 
+import asyncio
+import importlib.util
 import json
+import json.encoder
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve import server as server_module
 from repro.serve.server import FLUSH_ROWS, _encode, _frames
-from tests.serve.test_row_streaming import _chunk, buffered_body, post, read_to_end
+from tests.serve.test_row_streaming import (
+    HEAD,
+    _chunk,
+    buffered_body,
+    post,
+    read_to_end,
+)
 from tests.serve.test_serve_hardening import StubEngine, StubResult, running_server
 
 
@@ -103,3 +114,99 @@ def test_a_streamed_body_of_tricky_rows_equals_the_buffered_one() -> None:
         with sock:
             received = read_to_end(sock)
     assert received == buffered_body(columns, TRICKY_ROWS, StubResult())
+
+
+@pytest.fixture
+def counted_writes(monkeypatch):
+    """Counts ``_frames`` calls and keeps the bytes of every socket write
+    the server makes (the client side reads a raw socket)."""
+    seen = {"frames": 0, "writes": []}
+    frames = server_module._frames
+    write = asyncio.StreamWriter.write
+
+    def counting_frames(payloads):
+        seen["frames"] += 1
+        return frames(payloads)
+
+    def recording_write(writer, data):
+        seen["writes"].append(bytes(data))
+        return write(writer, data)
+
+    monkeypatch.setattr(server_module, "_frames", counting_frames)
+    monkeypatch.setattr(asyncio.StreamWriter, "write", recording_write)
+    return seen
+
+
+def _row_lines(data: bytes) -> int:
+    """Row lines in a write: NDJSON lines that are JSON arrays."""
+    return data.count(b"\r\n[")
+
+
+def test_rows_are_framed_once_per_socket_write(counted_writes) -> None:
+    """One-row chunks, as a warm Query1 yields them: the writes keep their
+    cadence (the first row with the head, then one per FLUSH_ROWS rows,
+    the rest with the trailer) and each write's rows are framed in one
+    call, plus one call each for the column header and the trailer."""
+    rows = [(k,) for k in range(2 * FLUSH_ROWS + 5)]
+
+    async def body(stream, sql_text, options):
+        stream.columns = ("k",)
+        for row in rows:
+            yield [row]
+        stream.result = StubResult()
+
+    with running_server(StubEngine(body)) as server:
+        with post(server.port) as sock:
+            received = read_to_end(sock)
+    writes = counted_writes["writes"]
+    assert received == buffered_body(("k",), rows, StubResult())
+    assert b"".join(writes) == received
+    assert [_row_lines(data) for data in writes] == [1, FLUSH_ROWS, FLUSH_ROWS, 4]
+    assert writes[0].startswith(HEAD) and writes[-1].endswith(b"0\r\n\r\n")
+    assert counted_writes["frames"] <= len(writes) + 2
+
+
+def test_a_failure_after_more_than_a_flush_of_rows_loses_none() -> None:
+    """150 one-row chunks, then the query fails: the 49 rows received
+    since the last write leave ahead of the error trailer, so every row
+    is on the wire and ``rows_sent`` counts them all."""
+    rows = [(k,) for k in range(150)]
+
+    async def body(stream, sql_text, options):
+        stream.columns = ("k",)
+        for row in rows:
+            yield [row]
+        raise RuntimeError("query failed after 150 rows")
+
+    with running_server(StubEngine(body)) as server:
+        with post(server.port) as sock:
+            received = read_to_end(sock)
+    trailer = {"error": "RuntimeError: query failed after 150 rows", "rows_sent": 150}
+    lines = [{"columns": ["k"]}, *map(list, rows), trailer]
+    assert received == HEAD + b"".join(map(_chunk, lines)) + b"0\r\n\r\n"
+
+
+@pytest.fixture(scope="module")
+def pure_python_server():
+    """A second copy of ``repro.serve.server`` loaded with no ``_json``
+    accelerator, beside the real module, which stays as it is."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json.encoder, "c_make_encoder", None)
+        spec = importlib.util.spec_from_file_location(
+            "repro.serve._server_without_accelerator", server_module.__file__
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    assert module.c_make_encoder is None
+    assert module._pieces is not server_module._pieces
+    return module
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads)
+def test_without_the_accelerator_each_frame_still_matches_json_dumps(
+    pure_python_server, payload
+) -> None:
+    reference = list(payload) if isinstance(payload, tuple) else payload
+    assert pure_python_server._encode(payload) == json.dumps(reference, default=str)
+    assert pure_python_server._frames([payload]) == _chunk(reference)
