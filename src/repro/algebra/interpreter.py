@@ -11,7 +11,7 @@ function's parameter (a child's per-call body, such as Query1's PF2) is
 one coroutine that returns its one chunk.
 
 ``FF_APPLYP``/``AFF_APPLYP`` nodes run through the pool that
-:mod:`repro.parallel.executor` hands out via ``ctx.acquire_pool``; a
+:func:`repro.parallel.pools.install_pools` hands out via ``ctx.acquire_pool``; a
 context without one (a central-only execution) rejects parallel plans
 explicitly.
 """
@@ -280,7 +280,7 @@ def _compile(node: PlanNode, above: Callable) -> PullChain:
             if ctx.acquire_pool is None:
                 raise PlanError(
                     f"plan contains {node.label()} but the execution context has "
-                    "no parallel handler; use the parallel executor"
+                    "no pool acquirer; install one with repro.parallel.pools.install_pools"
                 )
             pool = await ctx.acquire_pool(node, ctx)
             async for row in pool.run(_rows(child.chunks, ctx, param_row)):

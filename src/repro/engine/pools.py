@@ -39,6 +39,7 @@ from repro.algebra.plan import FFApplyNode, PlanNode, plan_dependencies
 from repro.cache import stable_hash
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.ff_applyp import ChildPool
+from repro.parallel.pools import new_pool
 
 
 def pool_fingerprint(
@@ -90,7 +91,7 @@ class PoolRegistry:
         # fingerprints become structural (common-subplan detection).
         self.share_pools = False
         # Bumped by every condemn(); _condemned_at remembers at which
-        # epoch each function name was last replaced.  register() uses
+        # epoch each function name was last replaced.  acquire() uses
         # the pair to catch pools built from a plan that was compiled
         # *before* a replacement but registered *after* the condemn
         # sweep — under structural fingerprints such a stale tree would
@@ -109,7 +110,7 @@ class PoolRegistry:
         # Pools awaiting asynchronous shutdown (condemned or trimmed).
         self._doomed: list[ChildPool] = []
 
-    # -- executor protocol -------------------------------------------------------
+    # -- acquisition -------------------------------------------------------
 
     def _fingerprint(self, node: PlanNode, costs: ProcessCosts) -> int:
         return pool_fingerprint(node, costs, structural=self.share_pools)
@@ -127,77 +128,65 @@ class PoolRegistry:
         self.stats.warm_leases += 1
         return pool
 
-    def lease(
-        self, node: PlanNode, costs: ProcessCosts, ctx: ExecutionContext
-    ) -> ChildPool | None:
-        """A warm pool matching ``node`` under ``ctx``, or None."""
-        return self._pop_free(self._fingerprint(node, costs), ctx)
-
-    async def lease_or_wait(
+    async def acquire(
         self,
         node: PlanNode,
         costs: ProcessCosts,
         ctx: ExecutionContext,
         held: list[int],
-    ) -> tuple[ChildPool | None, int]:
-        """A warm pool, waiting for a busy one when sharing allows it.
+        epoch: int,
+    ) -> ChildPool:
+        """The pool for ``node`` in the coordinator ``ctx``: a warm one if
+        one is free, else — sharing on — a busy one after it is released,
+        else a freshly built one, stamped so it can be released later.
 
-        Returns ``(pool_or_None, fingerprint)``; ``None`` means the
-        caller should cold-start (and register under the fingerprint).
         A query waits only while another query holds a matching tree —
-        that holder releases in its executor's ``finally``, so the wait
+        that holder releases in its run's ``finally``, so the wait
         terminates.  ``held`` lists the fingerprints this query already
-        holds; waiting is allowed only on fingerprints above all of them,
-        which totally orders acquisitions across queries and rules out
-        circular waits (queries running the same cached plan acquire in
-        identical plan order anyway — the common-subplan case this
-        serves).
+        holds (the acquired one is appended); waiting is allowed only on
+        fingerprints above all of them, which totally orders acquisitions
+        across queries and rules out circular waits (queries running the
+        same cached plan acquire in identical plan order anyway — the
+        common-subplan case this serves).
+
+        ``epoch`` is the registry epoch captured when the query's plan
+        was compiled (or fetched from the plan cache).  If any dependency
+        of a fresh pool was condemned since, the plan — and therefore
+        this tree — embeds a replaced definition: the pool is flagged
+        immediately so it serves only its own query and is doomed at
+        release.
         """
         key = self._fingerprint(node, costs)
         waited = False
-        while True:
-            pool = self._pop_free(key, ctx)
-            if pool is not None:
-                if waited:
-                    self.stats.shared_leases += 1
-                return pool, key
-            if not self.share_pools:
-                return None, key
-            if not self._leased.get(key):
-                return None, key
-            if held and max(held) >= key:
-                return None, key
+        pool = self._pop_free(key, ctx)
+        while (
+            pool is None
+            and self.share_pools
+            and self._leased.get(key)
+            and not (held and max(held) >= key)
+        ):
             waited = True
             self.stats.lease_waits += 1
             event = ctx.kernel.event()
             self._waiters.setdefault(key, []).append(event)
             await event.wait()
-
-    def register(
-        self,
-        node: PlanNode,
-        costs: ProcessCosts,
-        pool: ChildPool,
-        *,
-        epoch: int | None = None,
-    ) -> None:
-        """Stamp a freshly built pool so it can be released later.
-
-        ``epoch`` is the registry epoch captured when the pool's plan was
-        compiled (or fetched from the plan cache).  If any dependency was
-        condemned since, the plan — and therefore this tree — embeds a
-        replaced definition: the pool is flagged immediately so it serves
-        only its own query and is doomed at release.
-        """
-        pool.registry_key = self._fingerprint(node, costs)
+            pool = self._pop_free(key, ctx)
+        held.append(key)
+        if pool is not None:
+            if waited:
+                self.stats.shared_leases += 1
+            return pool
+        pool = new_pool(node, ctx, costs)
+        pool.registry_key = key
         pool.registry_deps = plan_dependencies(node.plan_function.body)
-        pool.registry_condemned = epoch is not None and any(
+        pool.registry_condemned = any(
             self._condemned_at.get(dep, 0) > epoch for dep in pool.registry_deps
         )
         if pool.registry_condemned:
             self.stats.condemned += 1
-        self._leased.setdefault(pool.registry_key, []).append(pool)
+        self._leased.setdefault(key, []).append(pool)
         self.stats.cold_starts += 1
+        return pool
 
     def release(self, pool: ChildPool) -> None:
         """Hand a pool back after its query; it becomes leasable again.

@@ -14,18 +14,17 @@ This subpackage implements the paper's contribution:
   children;
 * :mod:`repro.parallel.aff_applyp` — the adaptive ``AFF_APPLYP`` runtime:
   binary init stage, monitoring cycles, add and drop stages (Sec. V.A);
-* :mod:`repro.parallel.executor` — wires the parallel handler into the
-  plan interpreter and owns pool shutdown.
+* :mod:`repro.parallel.pools` — installs the pool acquirer the plan
+  interpreter asks for each parallel operator's pool, and closes (or
+  releases to a resident engine) a query's pools at its end.
 """
 
 from repro.parallel.costs import ProcessCosts
-from repro.parallel.executor import ParallelExecutor
 from repro.parallel.faults import FaultInjection
 from repro.parallel.parallelizer import parallelize, split_sections
 
 __all__ = [
     "ProcessCosts",
-    "ParallelExecutor",
     "FaultInjection",
     "parallelize",
     "split_sections",

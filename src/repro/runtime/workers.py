@@ -253,7 +253,7 @@ class _ChildSlot:
 
     def __init__(self, runtime: "_WorkerRuntime", spec: SpawnChild) -> None:
         from repro.algebra.interpreter import ExecutionContext
-        from repro.parallel.executor import ParallelExecutor
+        from repro.parallel.pools import install_pools
 
         self._runtime = runtime
         self.child_id = spec.child_id
@@ -276,8 +276,8 @@ class _ChildSlot:
         )
         self._set_policy(spec)
         # Nested FF/AFF operators inside the shipped plan function run
-        # worker-locally under this executor.
-        ParallelExecutor(self.ctx, spec.costs)
+        # worker-locally, their pools built in this process.
+        install_pools(self.ctx, spec.costs)
         self.endpoints = ChildEndpoints(
             name=spec.name,
             downlink=kernel.channel(

@@ -17,14 +17,21 @@ from repro.fdb.functions import FunctionRegistry, helping_function
 from repro.fdb.types import CHARSTRING, TupleType
 from repro.obs.run import QueryRun
 from repro.parallel.faults import FaultInjection
+from repro.parallel.pools import close_pools, install_pools
 from repro.runtime.simulated import SimKernel
 from repro.services.registry import ServiceRegistry, build_registry
 from repro.sql.parser import parse_query
 from repro.wsmed.owf import generate_owf
 
-async def collect_chunks(chunks) -> list[tuple]:
-    """Every row of a stream of row chunks (``ParallelExecutor.execute``)."""
-    return [row async for chunk in chunks for row in chunk]
+async def run_in_context(ctx: ExecutionContext, plan, costs) -> list[tuple]:
+    """Every row of ``plan`` run as the coordinator of ``ctx``, with the
+    pool acquirer and the teardown of :meth:`repro.WSMED.run_plan`."""
+    install_pools(ctx, costs)
+    chunks = compile_plan(plan).chunks(ctx, None)
+    try:
+        return [row async for chunk in chunks for row in chunk]
+    finally:
+        await close_pools(ctx, chunks)
 
 
 QUERY1_SQL = """

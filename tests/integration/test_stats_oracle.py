@@ -27,15 +27,14 @@ from repro import (
     TraceRecorder,
     WSMED,
 )
-from repro.algebra.interpreter import ExecutionContext, compile_plan
+from repro.algebra.interpreter import ExecutionContext
 from repro.obs.run import QueryRun
-from repro.parallel.executor import ParallelExecutor
 from repro.parallel.parallelizer import parallelize
 from repro.parallel.placement import Placement
 from repro.obs import spans as spans_module
 from repro.util.errors import ReproError
 
-from tests.helpers import collect_chunks, make_world, wsdl_uri
+from tests.helpers import make_world, run_in_context, wsdl_uri
 from tests.stats_oracle import fault_stats_from_trace, tree_stats_from_trace
 
 QUERIES = {
@@ -115,7 +114,7 @@ def _run_until_the_breaker_trips(recorder) -> QueryRun:
         kernel=kernel, broker=world.registry.bind(kernel), functions=world.functions, run=run
     )
     with pytest.raises(ReproError, match="circuit breaker open"):
-        kernel.run(collect_chunks(ParallelExecutor(ctx, costs).execute(compile_plan(plan))))
+        kernel.run(run_in_context(ctx, plan, costs))
     return run
 
 

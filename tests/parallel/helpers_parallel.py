@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from repro.algebra.interpreter import ExecutionContext, compile_plan
+from repro.algebra.interpreter import ExecutionContext
 from repro.algebra.plan import AdaptationParams
 from repro.obs.run import QueryRun
 from repro.obs.spans import TraceRecorder
 from repro.parallel.costs import ProcessCosts
-from repro.parallel.executor import ParallelExecutor
 from repro.parallel.faults import FaultInjection
 from repro.parallel.parallelizer import parallelize
 from repro.runtime.simulated import SimKernel
 
-from tests.helpers import World, collect_chunks
+from tests.helpers import World, run_in_context
 
 FAST_COSTS = ProcessCosts().scaled(0.01)
 
@@ -43,6 +42,5 @@ def run_parallel(
         functions=world.functions,
         run=QueryRun(obs=TraceRecorder(), on_error=on_error, faults=faults),
     )
-    executor = ParallelExecutor(ctx, costs)
-    rows = kernel.run(collect_chunks(executor.execute(compile_plan(plan))))
+    rows = kernel.run(run_in_context(ctx, plan, costs))
     return rows, kernel, broker, ctx

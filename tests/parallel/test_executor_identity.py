@@ -1,4 +1,4 @@
-"""Stable per-operator identity for the executor's persistent pools.
+"""Stable per-operator identity for the pool acquirer's persistent pools.
 
 ``ExecutionContext.pools`` used to be keyed on ``id(node)``; a
 garbage-collected node's id can be reused by the allocator, silently
@@ -22,7 +22,8 @@ from repro.algebra.plan import (
     PlanFunction,
     SingletonNode,
 )
-from repro.parallel.executor import ParallelExecutor
+from repro.parallel.costs import ProcessCosts
+from repro.parallel.pools import install_pools
 from repro.runtime.simulated import SimKernel
 from repro.util.errors import PlanError
 
@@ -82,10 +83,10 @@ def test_node_id_survives_a_pickle_round_trip() -> None:
 def test_pools_keyed_per_operator_not_per_object_id() -> None:
     kernel = SimKernel()
     ctx = ExecutionContext(kernel=kernel, broker=None, functions=None)
-    executor = ParallelExecutor(ctx)
+    install_pools(ctx, ProcessCosts())
 
     def acquire(node):
-        return kernel.run(executor._acquire_pool(node, ctx))
+        return kernel.run(ctx.acquire_pool(node, ctx))
 
     # Two structurally equal operators must get two distinct pools...
     node_a, node_b = _ff_node(), _ff_node()
@@ -104,6 +105,6 @@ def test_pools_keyed_per_operator_not_per_object_id() -> None:
 def test_pool_for_rejects_non_parallel_nodes() -> None:
     kernel = SimKernel()
     ctx = ExecutionContext(kernel=kernel, broker=None, functions=None)
-    executor = ParallelExecutor(ctx)
+    install_pools(ctx, ProcessCosts())
     with pytest.raises(PlanError, match="not a parallel operator"):
-        kernel.run(executor._acquire_pool(SingletonNode(), ctx))
+        kernel.run(ctx.acquire_pool(SingletonNode(), ctx))
