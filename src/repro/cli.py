@@ -180,8 +180,6 @@ class Shell:
             self._set(fanouts=_parse_fanouts(argument))
             self.write(f"fanouts = {self.options.fanouts}")
         elif command == "optimize":
-            if argument not in ("heuristic", "cost"):
-                raise ReproError("optimize must be heuristic or cost")
             self._set(optimize=argument)
             self.write(f"optimize = {argument}")
         elif command == "retries":

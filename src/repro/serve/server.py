@@ -188,11 +188,7 @@ class QueryServer:
         trace_dir: str = "traces",
         default_optimize: str = "heuristic",
     ) -> None:
-        if default_optimize not in ("heuristic", "cost"):
-            raise ReproError(
-                f'default_optimize must be "heuristic" or "cost", '
-                f"got {default_optimize!r}"
-            )
+        QueryOptions(optimize=default_optimize)  # rejects an unknown level
         self.engine = engine
         self.host = host
         self.port = port
@@ -377,12 +373,12 @@ class QueryServer:
         recorder = TraceRecorder() if trace else None
         if recorder is not None:
             option_kwargs["obs"] = recorder
-        if self.engine.closed:
-            raise _HttpError(503, "engine is shut down")
         try:
             options = QueryOptions(**option_kwargs)
         except TypeError as error:
             raise _HttpError(400, f"bad query options: {error}")
+        if self.engine.closed:
+            raise _HttpError(503, "engine is shut down")
         stream = self.engine.stream(sql_text, options=options)
         chunks = aiter(stream)
         # Admission, compilation and the wait for the first row: whatever
@@ -501,25 +497,7 @@ class QueryServer:
         unknown = set(fields) - self._OPTION_FIELDS
         if unknown:
             raise _HttpError(400, f"unknown options fields: {sorted(unknown)}")
-        tenant = fields.get("tenant")
-        if tenant is not None and (
-            not isinstance(tenant, str) or not tenant.strip()
-        ):
-            raise _HttpError(400, f"bad tenant field: {tenant!r}")
-        deadline = fields.get("deadline_ms")
-        if deadline is not None:
-            if isinstance(deadline, bool) or not isinstance(
-                deadline, (int, float)
-            ) or deadline <= 0:
-                raise _HttpError(
-                    400, f"deadline_ms must be a positive number: {deadline!r}"
-                )
-        optimize = fields.setdefault("optimize", self.default_optimize)
-        if optimize not in ("heuristic", "cost"):
-            raise _HttpError(
-                400,
-                f'optimize must be "heuristic" or "cost": {optimize!r}',
-            )
+        fields.setdefault("optimize", self.default_optimize)
         adaptation = fields.get("adaptation")
         if isinstance(adaptation, dict):
             try:

@@ -100,11 +100,19 @@ class QueryOptions:
             )
         if not isinstance(self.name, str):
             raise PlanError(f"name must be a string, got {self.name!r}")
+        if self.optimize not in ("heuristic", "cost"):
+            raise PlanError(
+                f"unknown optimize level {self.optimize!r}; use heuristic or cost"
+            )
+        if not (isinstance(self.tenant, str) and self.tenant.strip()):
+            raise PlanError(f"tenant must be a non-blank string, got {self.tenant!r}")
         if self.deadline_ms is not None and not (
-            _is_number(self.deadline_ms) and math.isfinite(self.deadline_ms)
+            _is_number(self.deadline_ms)
+            and math.isfinite(self.deadline_ms)
+            and self.deadline_ms > 0
         ):
             raise PlanError(
-                f"deadline_ms must be a finite number, got {self.deadline_ms!r}"
+                f"deadline_ms must be a finite number > 0, got {self.deadline_ms!r}"
             )
 
     def replace(self, **overrides) -> "QueryOptions":
