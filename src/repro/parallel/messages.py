@@ -69,11 +69,6 @@ class Shutdown:
 
 
 @dataclass
-class ReadyToReceive:
-    """Broadcast after the first round of parameter tuples (Sec. III.A)."""
-
-
-@dataclass
 class ResultTuple:
     child: str
     row: tuple

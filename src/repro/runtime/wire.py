@@ -125,7 +125,7 @@ class RebindChild:
 
 class ToChild(NamedTuple):
     """One query-protocol message for a child's downlink (ShipPlanFunction,
-    ParamTuple, ParamBatch, ReadyToReceive, Shutdown)."""
+    ParamTuple, ParamBatch, Shutdown)."""
 
     child_id: int
     payload: Any

@@ -244,10 +244,10 @@ def test_cache_off_counts_are_the_seed_protocols() -> None:
     finally:
         engine.close()
     assert warm.cache_stats is None and warm.total_calls == 311
-    assert (events, warm.message_stats.total_messages) == (3_043, 1_080)
+    assert (events, warm.message_stats.total_messages) == (2_919, 1_080)
     paper = WSMED(profile="paper")
     paper.import_all()
-    for options, expected in ((Q1_PARALLEL, 3_395), (Q1_ADAPTIVE, 3_596)):
+    for options, expected in ((Q1_PARALLEL, 3_299), (Q1_ADAPTIVE, 3_492)):
         kernel = SimKernel()
         result = paper.sql(QUERY1_SQL, options=options.replace(kernel=kernel))
         assert (kernel.events_processed, result.message_stats.total_messages) == (expected, 1_080)

@@ -42,7 +42,6 @@ QUERY_MESSAGES = [
     messages.ParamTuple(seq=3, row=("Georgia", 15.0), span=9),
     messages.ParamBatch(seq_start=4, rows=(("a",), ("b",)), span=-1),
     messages.Shutdown(reason="query finished"),
-    messages.ReadyToReceive(),
     messages.ResultTuple(child="q2", row=("Atlanta", "GA"), seq=5),
     messages.ResultBatch(child="q2", rows=(("x",), ("y",)), end_of_calls=(END,)),
     END,
@@ -116,7 +115,7 @@ WIRE_ENVELOPES = [
 PER_CALL_ENVELOPES = [
     wire.ToChild(3, messages.ParamTuple(seq=5, row=("Atlanta", "Georgia", 15.0), span=9)),
     wire.ToChild(3, messages.ParamBatch(seq_start=4, rows=(("a",), ("b",)))),
-    wire.ToChild(3, messages.ReadyToReceive()),
+    wire.ToChild(3, messages.Shutdown(reason="query finished")),
     wire.FromChild(3, messages.ResultTuple(child="q7", row=("Decatur", "GA"), seq=5)),
     wire.FromChild(
         3, messages.ResultTuple(child="q7", row=("Decatur", "GA"), seq=7, end_of_call=END)

@@ -519,15 +519,15 @@ def test_task_resume_order_is_pinned() -> None:
     a step cheaper, never move, add or drop one."""
     assert _query1_resume_orders() == {
         "central": (934, "5741903e7f4bfd3d"),
-        "parallel": (3291, "61c3640ca20cf56b"),
-        "adaptive": (3491, "847231c3c170ad65"),
+        "parallel": (3195, "9ad64a53de147ad0"),
+        "adaptive": (3387, "08ffb8b7c2b23bca"),
     }
-    assert _engine_resume_order() == (2214, "15c49944d5450e4b")
+    assert _engine_resume_order() == (2198, "fdee55a3883bcf00")
     # The paths that batch, pipeline, drop a child or deal round-robin.
     assert _pool_path_resume_orders() == {
-        "batched": (2681, "b34eaae3bf49ac77", 66.1032, 0),
-        "drop": (3705, "d5a7e6fb71437759", 59.8718, 17),
-        "batched drop": (3163, "25839f248dcff4f7", 70.1076, 20),
-        "round-robin": (3091, "d8d8405f533c5b31", 61.0228, 0),
+        "batched": (2476, "41bcfdc7e8927d1d", 66.1032, 0),
+        "drop": (3590, "06a79da8f367a52c", 59.8718, 17),
+        "batched drop": (2881, "c3545ac786cc7d52", 70.1076, 20),
+        "round-robin": (2995, "2a3ac1a96502ac63", 61.0228, 0),
     }
-    assert _warm_affinity_resume_order() == (3123, "db6360cef0ef3721")
+    assert _warm_affinity_resume_order() == (2999, "e96ef3389fd07d04")
