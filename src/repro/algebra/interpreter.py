@@ -99,8 +99,11 @@ class ExecutionContext:
     footprint: Optional[Footprint] = None
 
     def for_process(self, name: str) -> "ExecutionContext":
-        """A context for a child process: same run, private pools."""
-        return replace(self, process_name=name, pools={}, footprint=None)
+        """A context for a child process: same run, private pools, and no
+        pool acquirer until the child installs its own."""
+        return replace(
+            self, process_name=name, pools={}, footprint=None, acquire_pool=None
+        )
 
 
 async def round_trip(

@@ -425,8 +425,8 @@ class PlanFunction:
         """This plan function's key in the call memo: its structure as
         dataclass ``==`` compares it (``node_id`` is neither compared nor
         in the ``repr``, so every compilation of one definition shares
-        entries) and the functions it applies, at any depth."""
-        return PlanSignature(repr(self), plan_dependencies(self.body))
+        entries)."""
+        return PlanSignature(repr(self))
 
     @cached_property
     def operator_ids(self) -> tuple[str, ...]:
@@ -514,22 +514,3 @@ def walk(node: PlanNode):
     yield node
     for child in node.children():
         yield from walk(child)
-
-
-def plan_dependencies(plan: PlanNode) -> frozenset[str]:
-    """Lower-cased names of every function the plan applies.
-
-    Recurses into the bodies of shipped plan functions — ``walk`` alone
-    stops at the FF/AFF node, but a re-imported OWF used three levels
-    down still invalidates the whole plan.
-    """
-    names: set[str] = set()
-    stack: list[PlanNode] = [plan]
-    while stack:
-        for node in walk(stack.pop()):
-            if isinstance(node, ApplyNode):
-                names.add(node.function.lower())
-            if isinstance(node, (FFApplyNode, AFFApplyNode)):
-                stack.append(node.plan_function.body)
-    return frozenset(names)
-

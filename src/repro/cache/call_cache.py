@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Hashable
 
 from repro.runtime.base import Kernel
@@ -133,12 +133,10 @@ class CacheStats:
 class PlanSignature:
     """A plan function as the memo keys it: its ``definition`` (its
     ``repr``, which holds what dataclass ``==`` compares and no node id,
-    so every compilation of one definition shares entries) and the
-    lower-cased names of the ``functions`` it applies, at any depth
-    (replacing one drops its entries)."""
+    so every compilation of one definition shares entries).  The type
+    tells a bag's key apart from a call's."""
 
     definition: str
-    functions: frozenset[str] = field(compare=False)
 
 
 class Footprint:
@@ -206,9 +204,6 @@ class CallMemo:
         # key -> (value, model time it expires at; None = never)
         self.entries: "OrderedDict[Hashable, tuple[Any, float | None]]" = OrderedDict()
         self.in_flight: dict[Hashable, _Flight] = {}
-        # Calls to invalidate_operation so far: a plan-function bag whose
-        # calls straddle one is not stored (see ChildPool._remember).
-        self.invalidations = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -338,29 +333,3 @@ class CallMemo:
         finally:
             del self.in_flight[key]
             flight.done.set()
-
-    def invalidate_operation(self, operation_name: str) -> int:
-        """Drop every memoized result of ``operation_name``, and every
-        plan-function bag whose plan function applies it.
-
-        Wired to ``WSMED.add_replace_listener`` by the resident engine:
-        when ``import_wsdl`` or ``register_helping_function`` replaces a
-        definition, results the old provider produced must not serve later
-        queries.  In-flight calls cannot be recalled — the same small race
-        window a single query has between issuing a call and a concurrent
-        re-import.
-        """
-        self.invalidations += 1
-        wanted = operation_name.lower()
-        stale = [
-            key
-            for key in self.entries
-            if (
-                wanted in key[0].functions
-                if type(key[0]) is PlanSignature
-                else key[2].lower() == wanted
-            )
-        ]
-        for key in stale:
-            del self.entries[key]
-        return len(stale)

@@ -1,6 +1,5 @@
 """Resident query engine: plan cache, warm pools, multi-query admission."""
 
-from repro.algebra.plan import plan_dependencies
 from repro.engine.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -26,6 +25,5 @@ __all__ = [
     "PoolRegistry",
     "PoolRegistryStats",
     "QueryEngine",
-    "plan_dependencies",
     "pool_fingerprint",
 ]

@@ -13,18 +13,19 @@ parts resident:
   real-time world persists across queries, so server-side state
   (endpoint semaphores, the seeded jitter stream) behaves like one
   long-running service substrate;
+* **one catalogue** — the engine freezes ``wsmed.functions`` at
+  construction: replacing a definition or declaring an access path then
+  raises :class:`~repro.fdb.functions.FunctionError` (build a new
+  ``WSMED`` and engine instead), so nothing resident below goes stale;
 * **compiled-plan cache** — :class:`~repro.engine.plan_cache.PlanCache`
-  keyed by ``(sql, mode, fanouts, adaptation, name, optimize)``,
-  invalidated when ``import_wsdl``/``register_helping_function``
-  replaces a definition;
+  keyed by ``(sql, mode, fanouts, adaptation, name, optimize)``;
 * **warm child-pool reuse** — coordinator-level operator pools are
   leased from / released to a :class:`~repro.engine.pools.PoolRegistry`
   instead of being spawned and shut down per query, so a warm query
   ships zero plan functions and spawns zero processes;
 * **one call memo** — a :class:`~repro.cache.CallMemo` for the engine's
   lifetime, which every query that memoizes shares (every process of it,
-  and every concurrent query), dropped on a kernel generation change and
-  per operation when a definition is replaced;
+  and every concurrent query), dropped on a kernel generation change;
 * **concurrent admission** — :meth:`sql_many` multiplexes N queries on
   the one kernel behind the one
   :class:`~repro.engine.admission.AdmissionController`; per-query
@@ -51,7 +52,7 @@ from contextlib import aclosing
 from dataclasses import dataclass
 from dataclasses import replace as _replace
 
-from repro.algebra.plan import INIT_FANOUT, AdaptationParams, plan_dependencies
+from repro.algebra.plan import INIT_FANOUT, AdaptationParams
 from repro.cache import CacheConfig, CallMemo
 from repro.engine.admission import AdmissionConfig, AdmissionController
 from repro.engine.plan_cache import CompiledPlan, PlanCache
@@ -91,11 +92,9 @@ class EngineStats:
     plan_cache_hits: int
     plan_cache_misses: int
     plan_cache_evictions: int
-    plan_cache_invalidations: int
     plan_cache_entries: int
     warm_leases: int
     cold_starts: int
-    pools_condemned: int
     pools_trimmed: int
     pools_closed: int
     idle_pools: int
@@ -215,33 +214,12 @@ class QueryEngine:
         self._active = 0
         self._peak_active = 0
         self._closed = False
-        wsmed.add_replace_listener(self._on_function_replaced)
+        wsmed.functions.freeze()
 
     @property
     def max_concurrency(self) -> int:
         """Ceiling of the admission limit, fixed at construction."""
         return self.admission.capacity.ceiling
-
-    # -- invalidation ------------------------------------------------------------
-
-    def _on_function_replaced(self, name: str) -> None:
-        """A definition changed: stale plans, pools and memoized results go.
-
-        Fires synchronously from ``import_wsdl`` /
-        ``register_helping_function`` — possibly *mid-query* under
-        concurrent admission: leased pools are flagged and doomed at
-        release (the running query finishes on its consistent tree), and
-        memoized results of the replaced operation are dropped so no
-        later call observes the old provider.
-        """
-        self.plan_cache.invalidate(name)
-        self.pool_registry.condemn(name)
-        self.memo.invalidate_operation(name)
-        # A replaced endpoint may have a different performance profile;
-        # observations of the old one must not steer the optimizer.
-        for operation in list(self._observed_totals):
-            if operation.lower() == name:
-                del self._observed_totals[operation]
 
     # -- query execution ------------------------------------------------------------
 
@@ -428,8 +406,7 @@ class QueryEngine:
             self._absorb_observations(stream.result.call_stats)
             if self._drifted(compiled):
                 # Replacing the entry recompiles the plan with fresh node
-                # ids, so its warm pools cold-start once — the same trade
-                # the condemn/invalidation machinery already makes.
+                # ids, so its warm pools cold-start once.
                 self.plan_cache.put(
                     key, self._compile_entry(sql_text, opts.replace(obs=None))
                 )
@@ -464,7 +441,6 @@ class QueryEngine:
         )
         return CompiledPlan(
             plan=plan,
-            dependencies=plan_dependencies(plan),
             optimize=opts.optimize,
             assumptions=dict(report.assumptions) if report else None,
             report=report,
@@ -529,11 +505,9 @@ class QueryEngine:
             plan_cache_hits=plan_stats.hits,
             plan_cache_misses=plan_stats.misses,
             plan_cache_evictions=plan_stats.evictions,
-            plan_cache_invalidations=plan_stats.invalidations,
             plan_cache_entries=len(self.plan_cache),
             warm_leases=pool_stats.warm_leases,
             cold_starts=pool_stats.cold_starts,
-            pools_condemned=pool_stats.condemned,
             pools_trimmed=pool_stats.trimmed,
             pools_closed=pool_stats.closed,
             idle_pools=self.pool_registry.idle_pools(),

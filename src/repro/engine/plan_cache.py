@@ -4,9 +4,8 @@ Compiling a query (parse -> calculus -> central plan -> parallelize) is
 pure CPU work that depends only on ``(sql_text, mode, fanouts,
 adaptation, name)`` and on the function definitions the plan applies.
 The cache memoizes the compiled plan under a stable fingerprint of the
-former and tracks the latter as a *dependency set*, so replacing a
-definition (``import_wsdl`` re-import, ``register_helping_function``)
-evicts exactly the plans that would now be stale.
+former; the latter cannot change under it, because the engine freezes
+its catalogue (see :meth:`~repro.fdb.functions.FunctionRegistry.freeze`).
 
 Reusing the compiled plan object is also what makes warm child-pool
 reuse sound: pool fingerprints (see :mod:`repro.engine.pools`) include
@@ -26,7 +25,7 @@ from repro.util.errors import PlanError
 
 @dataclass
 class CompiledPlan:
-    """A cached compilation result plus its function dependencies.
+    """A cached compilation result.
 
     Cost-optimized compilations also carry the optimizer's planning
     ``assumptions`` — per-function ``(call cost, fanout)`` the cost model
@@ -36,7 +35,6 @@ class CompiledPlan:
     """
 
     plan: PlanNode
-    dependencies: frozenset[str]
     optimize: str = "heuristic"
     assumptions: dict[str, tuple[float, float]] | None = None
     report: object | None = None
@@ -47,7 +45,6 @@ class PlanCacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0  # entries dropped by the LRU bound
-    invalidations: int = 0  # entries evicted because a dependency changed
 
 
 class PlanCache:
@@ -109,19 +106,3 @@ class PlanCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-
-    def invalidate(self, function_name: str) -> int:
-        """Evict every cached plan that applies ``function_name``.
-
-        Called when a definition is replaced; returns the eviction count.
-        """
-        wanted = function_name.lower()
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if wanted in entry.dependencies
-        ]
-        for key in stale:
-            del self._entries[key]
-        self.stats.invalidations += len(stale)
-        return len(stale)

@@ -14,19 +14,14 @@ transparent:
 * the plan function's structure (its cached ``memo_signature``) and the
   stable ``node_id`` of every nested operator — so a warm lease only
   ever happens for the *same compiled plan object*, i.e. after a
-  plan-cache hit; a replaced definition recompiles, gets fresh node ids,
-  and cold-starts,
+  plan-cache hit; a recompiled plan gets fresh node ids and cold-starts,
 * the operator shape (FF fanout / AFF adaptation parameters),
 * the process cost model.
 
 The cache configuration is not part of it: children hold no memo of
-their own, so one tree serves queries with any cache setting.
-
-Explicit invalidation complements the fingerprint: when a function
-definition is replaced, :meth:`PoolRegistry.condemn` moves every idle
-pool that depends on it to a doomed list, closed on the next
-:meth:`drain` (shutdown is asynchronous; replacement happens in
-synchronous registration code).
+their own, so one tree serves queries with any cache setting.  Nor are
+the function definitions: the engine freezes its catalogue, so a tree
+never outlives a definition it applies.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.algebra.interpreter import ExecutionContext
-from repro.algebra.plan import FFApplyNode, PlanNode, plan_dependencies
+from repro.algebra.plan import FFApplyNode, PlanNode
 from repro.cache import stable_hash
 from repro.parallel.costs import ProcessCosts
 from repro.parallel.ff_applyp import ChildPool
@@ -52,9 +47,7 @@ def pool_fingerprint(
 
     With ``structural=True`` (the sharing engine's common-subplan mode),
     the nested operator ids are left out, so independently compiled but
-    structurally identical subplans match; stale trees are then caught by
-    explicit :meth:`PoolRegistry.condemn` invalidation rather than by
-    fingerprint divergence.
+    structurally identical subplans match.
     """
     function = node.plan_function
     shape = ("ff", node.fanout) if isinstance(node, FFApplyNode) else ("aff", node.params)
@@ -67,7 +60,6 @@ class PoolRegistryStats:
     cold_starts: int = 0  # pools built because no warm one matched
     warm_leases: int = 0  # queries served from a resident tree
     released: int = 0  # pools handed back after a query
-    condemned: int = 0  # pools (idle or leased) invalidated by a replaced definition
     trimmed: int = 0  # idle pools dropped by the LRU bound
     closed: int = 0  # pools actually shut down
     lease_waits: int = 0  # queries that parked for a busy warm tree (sharing on)
@@ -76,7 +68,7 @@ class PoolRegistryStats:
 
 
 class PoolRegistry:
-    """Free lists of idle warm pools, with LRU bounds and invalidation.
+    """Free lists of idle warm pools, with an LRU bound.
 
     A leased pool is exclusively owned by its query until released, so
     concurrent queries with the same fingerprint each get their own tree
@@ -90,14 +82,6 @@ class PoolRegistry:
         # *wait* for a busy warm tree instead of cold-cloning it, and
         # fingerprints become structural (common-subplan detection).
         self.share_pools = False
-        # Bumped by every condemn(); _condemned_at remembers at which
-        # epoch each function name was last replaced.  acquire() uses
-        # the pair to catch pools built from a plan that was compiled
-        # *before* a replacement but registered *after* the condemn
-        # sweep — under structural fingerprints such a stale tree would
-        # otherwise be leasable by queries running the new definition.
-        self.epoch = 0
-        self._condemned_at: dict[str, int] = {}
         # fingerprint -> stack of idle pools; OrderedDict gives LRU order
         # across fingerprints for the trim policy.
         self._free: "OrderedDict[int, list[ChildPool]]" = OrderedDict()
@@ -107,7 +91,7 @@ class PoolRegistry:
         # events parked in _waiters until a release hands the tree over.
         self._leased: dict[int, list[ChildPool]] = {}
         self._waiters: dict[int, list] = {}
-        # Pools awaiting asynchronous shutdown (condemned or trimmed).
+        # Trimmed pools awaiting asynchronous shutdown.
         self._doomed: list[ChildPool] = []
 
     # -- acquisition -------------------------------------------------------
@@ -134,7 +118,6 @@ class PoolRegistry:
         costs: ProcessCosts,
         ctx: ExecutionContext,
         held: list[int],
-        epoch: int,
     ) -> ChildPool:
         """The pool for ``node`` in the coordinator ``ctx``: a warm one if
         one is free, else — sharing on — a busy one after it is released,
@@ -148,13 +131,6 @@ class PoolRegistry:
         across queries and rules out circular waits (queries running the
         same cached plan acquire in identical plan order anyway — the
         common-subplan case this serves).
-
-        ``epoch`` is the registry epoch captured when the query's plan
-        was compiled (or fetched from the plan cache).  If any dependency
-        of a fresh pool was condemned since, the plan — and therefore
-        this tree — embeds a replaced definition: the pool is flagged
-        immediately so it serves only its own query and is doomed at
-        release.
         """
         key = self._fingerprint(node, costs)
         waited = False
@@ -178,26 +154,13 @@ class PoolRegistry:
             return pool
         pool = new_pool(node, ctx, costs)
         pool.registry_key = key
-        pool.registry_deps = plan_dependencies(node.plan_function.body)
-        pool.registry_condemned = any(
-            self._condemned_at.get(dep, 0) > epoch for dep in pool.registry_deps
-        )
-        if pool.registry_condemned:
-            self.stats.condemned += 1
         self._leased.setdefault(key, []).append(pool)
         self.stats.cold_starts += 1
         return pool
 
     def release(self, pool: ChildPool) -> None:
-        """Hand a pool back after its query; it becomes leasable again.
-
-        A pool condemned *mid-lease* (its definition was replaced while a
-        query was running on it) goes to the doomed list instead of the
-        free list — the finishing query keeps its (already consistent)
-        results, but no later query may see the stale tree.  Waiters for
-        the fingerprint are woken either way: they re-check and either
-        grab the freed tree or cold-start against the new definition.
-        """
+        """Hand a pool back after its query; it becomes leasable again,
+        and waiters for its fingerprint wake to re-check the free list."""
         key = pool.registry_key
         if key is None:
             return
@@ -206,12 +169,7 @@ class PoolRegistry:
             bucket.remove(pool)
             if not bucket:
                 del self._leased[key]
-        try:
-            if pool._closed:
-                return
-            if pool.registry_condemned:
-                self._doomed.append(pool)
-                return
+        if not pool._closed:
             self.stats.released += 1
             self._free.setdefault(key, []).append(pool)
             self._free.move_to_end(key)
@@ -224,51 +182,8 @@ class PoolRegistry:
                     del self._free[old_key]
                 self._idle -= 1
                 self.stats.trimmed += 1
-        finally:
-            self._wake_waiters(key)
-
-    def _wake_waiters(self, key: int) -> None:
         for event in self._waiters.pop(key, []):
             event.set()
-
-    # -- invalidation ------------------------------------------------------------
-
-    def condemn(self, function_name: str) -> int:
-        """Doom every pool whose plan function applies ``function_name``.
-
-        Synchronous on purpose — it runs from ``import_wsdl`` /
-        ``register_helping_function``, outside the kernel; the doomed
-        pools are actually shut down by the next :meth:`drain`.  Idle
-        pools are doomed immediately; *leased* pools are flagged and
-        doomed at release, so a concurrent query finishes on the tree it
-        started with but nobody reuses it.
-        """
-        wanted = function_name.lower()
-        self.epoch += 1
-        self._condemned_at[wanted] = self.epoch
-        count = 0
-        for key in list(self._free):
-            bucket = self._free[key]
-            kept = []
-            for pool in bucket:
-                if wanted in pool.registry_deps:
-                    self._doomed.append(pool)
-                    self._idle -= 1
-                    self.stats.condemned += 1
-                    count += 1
-                else:
-                    kept.append(pool)
-            if kept:
-                self._free[key] = kept
-            else:
-                del self._free[key]
-        for bucket in self._leased.values():
-            for pool in bucket:
-                if wanted in pool.registry_deps and not pool.registry_condemned:
-                    pool.registry_condemned = True
-                    self.stats.condemned += 1
-                    count += 1
-        return count
 
     # -- shutdown ------------------------------------------------------------------
 

@@ -19,7 +19,12 @@ from repro.util.errors import ReproError
 
 
 class FunctionError(ReproError):
-    """Raised on registry misuse: duplicate names, unknown lookups."""
+    """Raised on registry misuse: duplicate names, unknown lookups, and
+    changes to a frozen registry."""
+
+
+#: Why a frozen registry refuses a change, and what to do instead.
+_FROZEN = "a QueryEngine runs on this catalogue; build a new WSMED and engine"
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,10 @@ class FunctionRegistry:
     SQL identifiers are case-insensitive, so the registry resolves
     ``getallstates`` and ``GetAllStates`` to the same function while
     preserving the declared spelling for display.
+
+    A :class:`~repro.engine.QueryEngine` freezes the registry it runs on:
+    its cached plans, warm trees and memoized results hold the definitions
+    as they were, so from then on only new names register.
     """
 
     def __init__(self) -> None:
@@ -115,6 +124,7 @@ class FunctionRegistry:
         # call of that function (see declare_access_path).
         self._access_paths: dict[str, list[AccessPath]] = {}
         self._version = 0
+        self._frozen = False
 
     @property
     def version(self) -> int:
@@ -130,8 +140,19 @@ class FunctionRegistry:
 
     def replace(self, function: FunctionDef) -> None:
         """Register, overwriting any previous definition (re-import of a WSDL)."""
+        self.check_replaceable(function.name)
         self._functions[function.name.lower()] = function
         self._version += 1
+
+    def freeze(self) -> None:
+        """Refuse, from now on, to change a registered definition or to
+        declare an access path; a new name still registers."""
+        self._frozen = True
+
+    def check_replaceable(self, name: str) -> None:
+        """Raise :class:`FunctionError` if replacing ``name`` is refused."""
+        if self._frozen and name.lower() in self._functions:
+            raise FunctionError(f"cannot replace {name!r}: {_FROZEN}")
 
     def resolve(self, name: str) -> FunctionDef:
         try:
@@ -167,6 +188,10 @@ class FunctionRegistry:
         parameter of a target function must be reachable through the
         mapping, otherwise the rewrite could never construct a call.
         """
+        if self._frozen:
+            raise FunctionError(
+                f"cannot declare an access path of {function!r}: {_FROZEN}"
+            )
         f = self.resolve(function)
         g = self.resolve(alternative)
         if f.name.lower() == g.name.lower():

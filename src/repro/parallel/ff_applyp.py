@@ -115,10 +115,6 @@ class _Invocation:
     """State of one :meth:`ChildPool.run` — one parameter stream."""
 
     epoch: int  # stamps this invocation's pump messages
-    # The memo's invalidation count when the invocation began: every call
-    # beneath a bag it stores started after that, so a bag is stored only
-    # while the count stands (no definition was replaced under it).
-    memo_generation: int = 0
     in_flight: int = 0  # rows read from the input and not yet resolved
     input_done: bool = False
     # Failure accounting (redelivery budgets + circuit breaker).
@@ -173,11 +169,8 @@ class ChildPool:
         # link back across the process boundary; -1 = tracing off.
         self._inv_span = -1
         # Stamped by repro.engine.pools.PoolRegistry.acquire when a
-        # resident engine keeps this tree warm: its fingerprint, the
-        # functions it applies, and whether a replaced one doomed it.
+        # resident engine keeps this tree warm: its fingerprint.
         self.registry_key: int | None = None
-        self.registry_deps: frozenset[str] = frozenset()
-        self.registry_condemned = False
         # When the running invocation's query memoizes: each in-flight
         # call's rows so far (seq -> rows), stored as its bag at its
         # end-of-call.  None otherwise.
@@ -662,11 +655,9 @@ class ChildPool:
             # Defensive: the previous invocation stopped without running
             # its reset (e.g. its generator was never finalized).
             self._reset_invocation_state()
-        memo = self.ctx.run.memo
-        if memo is None:
-            return _Invocation(epoch=self._epoch)
-        self._bags = {}
-        return _Invocation(epoch=self._epoch, memo_generation=memo.invalidations)
+        if self.ctx.run.memo is not None:
+            self._bags = {}
+        return _Invocation(epoch=self._epoch)
 
     async def _pump(self, source: AsyncIterator[tuple], epoch: int) -> None:
         try:
@@ -759,8 +750,7 @@ class ChildPool:
         """Fold a finished call's footprint into the call this process
         serves, if any, and store its bag under its parameter tuple when
         the query memoizes here — unless the footprint says it must not
-        be stored, the row failed before (a redelivery), or a definition
-        was replaced since the invocation began."""
+        be stored or the row failed before (a redelivery)."""
         footprint = message.footprint
         if inv.fail_counts and repr(row) in inv.fail_counts:
             footprint = None
@@ -769,7 +759,7 @@ class ChildPool:
         if self._bags is not None:
             rows = tuple(self._bags.pop(message.seq, ()))
             run = self.ctx.run
-            if footprint is not None and run.memo.invalidations == inv.memo_generation:
+            if footprint is not None:
                 key = (self.plan_function.memo_signature, row)
                 run.memo.store_plan(key, rows, footprint, run.cache_stats)
 

@@ -169,11 +169,12 @@ class Placement:
     ) -> None:
         """Point an execution context at this placement and ship code.
 
-        The function registry grows between queries (``importwsdl``
-        registers new OWFs lazily), so it is re-serialized when its
-        mutation counter moved and shipped only when the pickled form
-        actually changed; services are shipped once per registry object.
-        Both are replayed automatically to respawned workers.
+        The function registry can change between queries (a one-shot
+        ``import_wsdl`` re-import, or a new name registered under an
+        engine), so it is re-serialized when its mutation counter moved
+        and shipped only when the pickled form actually changed; services
+        are shipped once per registry object.  Both are replayed
+        automatically to respawned workers.
         """
         from repro.runtime.workers import serialize_functions, serialize_services
 

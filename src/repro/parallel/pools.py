@@ -30,23 +30,20 @@ def new_pool(node: PlanNode, ctx: ExecutionContext, costs: ProcessCosts) -> Chil
 def install_pools(
     ctx: ExecutionContext, costs: ProcessCosts, registry=None
 ) -> None:
-    """Give ``ctx`` — and the child contexts derived from it — an
-    ``acquire_pool`` that builds each operator's pool on first use.
+    """Give ``ctx`` an ``acquire_pool`` that builds each operator's pool
+    on first use.
 
     With a ``registry`` (the resident engine's
-    :class:`~repro.engine.pools.PoolRegistry`), the pools of ``ctx``
-    itself — the coordinator's — are acquired from it instead, so a warm
-    query reuses the previous query's child-process trees.  Pools inside
-    child processes belong to that child's (resident) subtree and
-    already survive with it.
+    :class:`~repro.engine.pools.PoolRegistry`), the pools of ``ctx`` —
+    the coordinator's — are acquired from it instead, so a warm query
+    reuses the previous query's child-process trees.  A child process
+    installs its own acquirer (:func:`~repro.parallel.process.child_main`):
+    its pools belong to its (resident) subtree and already survive with
+    it, and its acquirer holds nothing of the query that spawned it.
     """
     # Fingerprints of registry pools this query holds — the acquisition
     # order PoolRegistry.acquire keeps cross-query sharing deadlock-free.
     held: list[int] = []
-    # The registry epoch under which this query's plan is current: the
-    # caller installs in the same kernel step that compiled (or fetched)
-    # the plan, so a later condemn shows as registry.epoch moving past it.
-    epoch = registry.epoch if registry is not None else 0
 
     async def acquire_pool(node: PlanNode, at: ExecutionContext) -> ChildPool:
         if not isinstance(node, (FFApplyNode, AFFApplyNode)):
@@ -56,8 +53,8 @@ def install_pools(
         # would silently alias another operator's pool.
         pool = at.pools.get(node.node_id)
         if pool is None:
-            if registry is not None and at is ctx:
-                pool = await registry.acquire(node, costs, at, held, epoch)
+            if registry is not None:
+                pool = await registry.acquire(node, costs, at, held)
             else:
                 pool = new_pool(node, at, costs)
             at.pools[node.node_id] = pool

@@ -228,6 +228,11 @@ async def child_main(
     """Body of a query process (one level of the tree of Fig 4).  On exit
     it closes its nested operators' pools — without waiting when closed
     from outside (shutdown, garbage collection): nothing may be awaited."""
+    from repro.parallel.pools import install_pools
+
+    # A child's pools are never registry pools, so its acquirer holds only
+    # the costs — not the context of the query that spawned it.
+    install_pools(ctx, costs)
     kernel = ctx.kernel
     await kernel.sleep(costs.startup)
 

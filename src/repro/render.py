@@ -255,12 +255,10 @@ def render_engine_stats(stats: EngineStats | None) -> str:
         f"plan cache: {stats.plan_cache_hits} hits, "
         f"{stats.plan_cache_misses} misses, "
         f"{stats.plan_cache_entries} cached "
-        f"({stats.plan_cache_evictions} evicted, "
-        f"{stats.plan_cache_invalidations} invalidated)",
+        f"({stats.plan_cache_evictions} evicted)",
         f"pools: {stats.warm_leases} warm leases, "
         f"{stats.cold_starts} cold starts, {stats.idle_pools} idle "
-        f"({stats.pools_condemned} condemned, {stats.pools_trimmed} trimmed, "
-        f"{stats.pools_closed} closed)",
+        f"({stats.pools_trimmed} trimmed, {stats.pools_closed} closed)",
         f"resident query processes: {stats.resident_processes}",
     ]
     if stats.admission_policy != "static":

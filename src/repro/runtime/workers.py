@@ -253,7 +253,6 @@ class _ChildSlot:
 
     def __init__(self, runtime: "_WorkerRuntime", spec: SpawnChild) -> None:
         from repro.algebra.interpreter import ExecutionContext
-        from repro.parallel.pools import install_pools
 
         self._runtime = runtime
         self.child_id = spec.child_id
@@ -275,9 +274,6 @@ class _ChildSlot:
             ),
         )
         self._set_policy(spec)
-        # Nested FF/AFF operators inside the shipped plan function run
-        # worker-locally, their pools built in this process.
-        install_pools(self.ctx, spec.costs)
         self.endpoints = ChildEndpoints(
             name=spec.name,
             downlink=kernel.channel(
@@ -496,8 +492,7 @@ class _WorkerRuntime:
         self.functions = registry
         self.memo = CallMemo(self.kernel, CacheConfig())
         # Children spawned before a re-registration keep their old
-        # registry snapshot — same semantics as a pool condemned and
-        # respawned by the engine on function replacement.
+        # registry snapshot.
 
     def _spawn_child(self, spec: SpawnChild) -> None:
         try:

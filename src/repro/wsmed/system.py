@@ -141,11 +141,6 @@ class WSMED:
         self.catalog = Catalog()
         self.functions = FunctionRegistry()
         self._wrappers: dict[str, object] = {}
-        # Notified with the (lower-cased) function name whenever a
-        # definition is replaced — the resident engine subscribes to
-        # invalidate cached plans and condemn warm pools.  Must exist
-        # before the constructor registers the built-in views below.
-        self._replace_listeners: list = []
         # Lazily computed by _profile_call_costs() / _profile_fanouts();
         # invalidated by _notify_replace so a swapped registry (or a
         # re-imported endpoint with a new profile) is re-profiled.
@@ -226,16 +221,20 @@ class WSMED:
         """Import one WSDL document: catalog metadata + OWF views.
 
         Returns the names of the generated OWFs.  Re-importing replaces
-        the previous definitions.
+        the previous definitions — unless a :class:`~repro.engine.QueryEngine`
+        runs on this system: then a re-import raises
+        :class:`~repro.fdb.functions.FunctionError` before the catalog or
+        the function registry changes.
         """
         document = self.registry.document(uri)
+        wrappers = [generate_owf(document, name) for name in document.operations]
+        for wrapper in wrappers:
+            self.functions.check_replaceable(wrapper.name)
         self.catalog.record_service(uri, document.service_name, document.port_name)
         generated = []
-        for operation_name in document.operations:
-            wrapper = generate_owf(document, operation_name)
+        for operation_name, wrapper in zip(document.operations, wrappers):
             function = wrapper.as_function()
             self.functions.replace(function)
-            self._notify_replace(function.name)
             self._wrappers[function.name.lower()] = wrapper
             self.catalog.record_operation(
                 uri,
@@ -246,6 +245,7 @@ class WSMED:
                 result_columns=[(n, str(t)) for n, t in wrapper.result_columns],
             )
             generated.append(function.name)
+        self._notify_replace()
         return generated
 
     def import_all(self) -> list[str]:
@@ -257,26 +257,14 @@ class WSMED:
 
     def register_helping_function(self, function: FunctionDef) -> None:
         self.functions.replace(function)
-        self._notify_replace(function.name)
+        self._notify_replace()
 
-    def add_replace_listener(self, listener) -> None:
-        """Subscribe to definition replacements.
-
-        ``listener(name)`` fires after a function named ``name`` (lower
-        case) is replaced by :meth:`import_wsdl` or
-        :meth:`register_helping_function` — plans and process trees
-        compiled against the old definition are stale from that point.
-        """
-        self._replace_listeners.append(listener)
-
-    def _notify_replace(self, name: str) -> None:
+    def _notify_replace(self) -> None:
         # A replaced definition may come from a re-registered endpoint
         # whose cost profile changed; drop the lazily cached profile
         # snapshots so the next explain()/cost_model() re-reads them.
         self._call_costs = None
         self._fanout_hints = None
-        for listener in self._replace_listeners:
-            listener(name.lower())
 
     # -- introspection -------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 from benchmarks.e2e.world import ChainWorld
-from repro import QUERY1_SQL, QUERY2_SQL, AsyncioKernel, QueryEngine, QueryOptions, WSMED
+from repro import QUERY1_SQL, QUERY2_SQL, AsyncioKernel, QueryOptions, WSMED
 from repro.algebra.expressions import ColExpr, ConstExpr
 from repro.algebra.interpreter import ExecutionContext, compile_plan
 from repro.algebra.plan import (
@@ -209,26 +209,22 @@ def test_a_compiled_chain_reaches_a_replaced_function() -> None:
     assert kernel.run(chain.rows(ctx)) == [(7,), (8,)]
 
 
-def test_wsdl_reimport_between_engine_queries_reaches_the_new_owf() -> None:
+def test_one_shot_wsdl_reimport_reaches_the_new_owf() -> None:
     system = WSMED(profile="fast")
     system.import_all()
-    engine = QueryEngine(system)
     options = QueryOptions(mode="parallel", fanouts=[5, 4])
-    try:
-        first = engine.sql(QUERY1_SQL, options=options)
-        uri = system.functions.resolve("GetPlaceList").implementation.document.uri
-        system.import_wsdl(uri)
-        fresh = system.functions.resolve("GetPlaceList").implementation
-        calls = []
-        original = fresh.call
+    first = system.sql(QUERY1_SQL, options=options)
+    uri = system.functions.resolve("GetPlaceList").implementation.document.uri
+    system.import_wsdl(uri)
+    fresh = system.functions.resolve("GetPlaceList").implementation
+    calls = []
+    original = fresh.call
 
-        async def counted(ctx, arguments):
-            calls.append(arguments)
-            return await original(ctx, arguments)
+    async def counted(ctx, arguments):
+        calls.append(arguments)
+        return await original(ctx, arguments)
 
-        fresh.call = counted
-        second = engine.sql(QUERY1_SQL, options=options)
-    finally:
-        engine.close()
+    fresh.call = counted
+    second = system.sql(QUERY1_SQL, options=options)
     assert Counter(second.rows) == Counter(first.rows)
     assert len(calls) == 260  # every GetPlaceList call went to the re-imported OWF

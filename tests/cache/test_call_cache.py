@@ -247,20 +247,6 @@ def test_failed_leader_does_not_poison_waiters(kernel) -> None:
     assert invoke.calls == 2
 
 
-def test_invalidate_operation_drops_only_that_operation(kernel) -> None:
-    cache = CallMemo(kernel, CacheConfig(enabled=True))
-    invoke = Invoker(kernel)
-
-    async def main():
-        for operation in ("GetAllStates", "GetPlaceList", "GetPlaceList"):
-            await cache.call(("uri", "Geo", operation, (len(cache),)), invoke)
-
-    kernel.run(main())
-    assert len(cache) == 3
-    assert cache.invalidate_operation("getplacelist") == 2
-    assert [key[2] for key in cache.entries] == ["GetAllStates"]
-
-
 # -- stats plumbing ----------------------------------------------------------
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import QUERY1_SQL, WSMED, ExecutionMode, QueryOptions
-from repro.engine import CompiledPlan, PlanCache, plan_dependencies
+from repro.engine import CompiledPlan, PlanCache
 from repro.util.errors import PlanError
 
 
@@ -16,7 +16,7 @@ def wsmed():
 
 def _compiled(wsmed, sql, **kwargs) -> CompiledPlan:
     plan = wsmed.plan(sql, options=QueryOptions(**kwargs))
-    return CompiledPlan(plan=plan, dependencies=plan_dependencies(plan))
+    return CompiledPlan(plan=plan)
 
 
 def test_fingerprint_normalizes_whitespace() -> None:
@@ -66,27 +66,6 @@ def test_lru_eviction(wsmed) -> None:
     assert cache.get(keys[0]) is None  # oldest evicted
     assert cache.get(keys[1]) is compiled
     assert cache.get(keys[2]) is compiled
-
-
-def test_dependencies_cover_shipped_plan_functions(wsmed) -> None:
-    compiled = _compiled(wsmed, QUERY1_SQL, mode="parallel", fanouts=[5, 4])
-    # GetPlaceList is applied three levels down, inside the innermost
-    # shipped plan function — the dependency walk must still find it.
-    assert {"getallstates", "getplaceswithin", "getplacelist"} <= compiled.dependencies
-
-
-def test_invalidate_evicts_dependent_plans_only(wsmed) -> None:
-    cache = PlanCache(capacity=8)
-    q1 = PlanCache.fingerprint(QUERY1_SQL, ExecutionMode.PARALLEL, [5, 4], None, "Q1")
-    central = PlanCache.fingerprint(QUERY1_SQL, ExecutionMode.CENTRAL, None, None, "Qc")
-    cache.put(q1, _compiled(wsmed, QUERY1_SQL, mode="parallel", fanouts=[5, 4]))
-    cache.put(central, _compiled(wsmed, QUERY1_SQL, mode="central"))
-    assert cache.invalidate("GetPlaceList") == 2
-    assert len(cache) == 0
-    cache.put(q1, _compiled(wsmed, QUERY1_SQL, mode="parallel", fanouts=[5, 4]))
-    assert cache.invalidate("GetInfoByState") == 0  # not referenced by Query1
-    assert len(cache) == 1
-    assert cache.stats.invalidations == 2
 
 
 def test_capacity_must_be_positive() -> None:

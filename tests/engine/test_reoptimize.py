@@ -19,6 +19,7 @@ from benchmarks.worlds import (
     endpoint as _profile,
 )
 from repro import QueryEngine, QueryOptions
+from repro.fdb.functions import FunctionError
 from repro.render import render_engine_stats
 from repro.services.registry import ServiceCosts
 
@@ -74,15 +75,15 @@ def test_stats_report_mentions_optimizer_when_active() -> None:
         engine.close()
 
 
-def test_observations_dropped_when_function_replaced() -> None:
+def test_observations_survive_a_refused_reimport() -> None:
     engine = QueryEngine(build_optimizer_world())
     try:
         engine.sql(ADVERSARIAL_SQL, options=COST)
         observed = engine.observed_stats()
-        assert "CheckRegion" in observed
         assert observed["CheckRegion"][1] == pytest.approx(0.25)
-        engine.wsmed.import_wsdl(ProbeProvider.uri)
-        assert "CheckRegion" not in engine.observed_stats()
+        with pytest.raises(FunctionError, match="build a new WSMED and engine"):
+            engine.wsmed.import_wsdl(ProbeProvider.uri)
+        assert engine.observed_stats() == observed
     finally:
         engine.close()
 

@@ -1,4 +1,4 @@
-"""Cross-query sharing: equivalence, fault isolation, mid-query invalidation.
+"""Cross-query sharing: equivalence, fault isolation, one catalogue mid-query.
 
 A sharing engine memoizes by default, so concurrent queries dedup through
 the engine's one call memo; shared pools ride on top.  A call the memo
@@ -12,7 +12,7 @@ from repro import (
     FaultInjection,
     QueryEngine,
 )
-from repro.cache import PlanSignature
+from repro.fdb.functions import FunctionError
 from repro.render import render_report
 from repro.wsmed.options import QueryOptions
 
@@ -172,65 +172,43 @@ def test_failed_shared_call_does_not_poison_waiters() -> None:
         assert sorted(result.rows) == sorted(seed.rows)
 
 
-# -- mid-query invalidation ------------------------------------------------------
+# -- one catalogue ------------------------------------------------------------------
 
 
-def test_replace_mid_query_condemns_shared_trees() -> None:
-    """A definition replaced while leased must not leak a stale tree.
-
-    Two overlapping queries share one warm tree (the second waits for
-    the lease).  Mid-flight, the WSDL of ``GetPlacesWithin`` is
-    re-imported — the replace listener fires, condemning the leased
-    pool and dropping the operation's memoized results.  Both
-    in-flight queries finish on the trees they started with; afterwards
-    nothing stale is leasable, and that includes the second query's
-    tree, which was *compiled* before the replacement but *built* after
-    the condemn sweep (the registry's epoch guard catches it even
-    though its structural fingerprint matches recompiled plans).
-    """
+def test_reimport_mid_query_is_refused_and_the_queries_complete() -> None:
+    """A re-import while two overlapping queries share one tree raises the
+    typed error and changes nothing: the first query makes all 311 calls
+    and returns its 360 rows, the second is answered by the memo, and both
+    trees are leasable afterwards."""
     wsmed = fresh_wsmed()
     engine = sharing_engine(wsmed)
     kernel = engine.kernel
-    seed = fresh_wsmed().sql(QUERY1_SQL, options=PARALLEL)
+    version = wsmed.functions.version
 
-    def memoized(operation: str) -> int:
-        return sum(
-            1
-            for key in engine.memo.entries
-            if not isinstance(key[0], PlanSignature) and key[2] == operation
-        )
-
-    async def replace_mid_flight():
+    async def reimport_mid_flight():
         await kernel.sleep(0.3)
-        uri = wsdl_uri(wsmed, "GetPlacesWithin")
-        held = memoized("GetPlacesWithin")
-        wsmed.import_wsdl(uri)
-        return held, memoized("GetPlacesWithin")
+        try:
+            wsmed.import_wsdl(wsdl_uri(wsmed, "GetPlacesWithin"))
+        except FunctionError as error:
+            return error
 
     async def scenario():
         return await kernel.gather(
-            replace_mid_flight(),
+            reimport_mid_flight(),
             engine.sql_async(QUERY1_SQL, options=PARALLEL),
             engine.sql_async(QUERY1_SQL, options=PARALLEL),
         )
 
-    (held, kept), first, second = kernel.run(scenario())
-    stats = engine.stats()
+    refused, first, second = kernel.run(scenario())
+    assert "build a new WSMED and engine" in str(refused)
+    assert wsmed.functions.version == version
+    assert (len(first.rows), first.total_calls) == (360, 311)
+    assert second.total_calls == 0
+    assert sorted(second.rows) == sorted(first.rows)
 
-    assert sorted(first.rows) == sorted(seed.rows)
-    assert sorted(second.rows) == sorted(seed.rows)
-    assert stats.pools_condemned >= 2  # the leased tree + the stale build
-    assert held > 0 and kept == 0  # the replacement dropped the results
-    # Neither tree survived into the free lists: the replacement doomed
-    # the leased one at release and the epoch guard doomed the other.
-    assert stats.idle_pools == 0
-
-    # A fresh query recompiles and cold-starts — nothing stale is reused.
-    # The memo answers all its tuples from the bags the second query
-    # stored (it began after the replacement), so the new tree's five
-    # top-level children are all it spawns.
     after = engine.sql(QUERY1_SQL, options=PARALLEL)
-    assert sorted(after.rows) == sorted(seed.rows)
-    assert after.tree.processes_spawned == 5
-    assert after.cache_stats.plan_hits == 50
+    stats = engine.stats()
     engine.close()
+    assert sorted(after.rows) == sorted(first.rows)
+    assert after.tree.processes_spawned == 0
+    assert stats.plan_cache_misses == 1

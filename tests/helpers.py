@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from repro.algebra.central import create_central_plan
 from repro.algebra.interpreter import ExecutionContext, compile_plan
+from repro.cache import CallMemo, PlanSignature
 from repro.calculus.generator import generate_calculus
 from repro.fdb.functions import FunctionRegistry, helping_function
 from repro.fdb.types import CHARSTRING, TupleType
@@ -68,6 +69,20 @@ def wsdl_uri(wsmed, owf: str) -> str:
     """The WSDL document ``owf`` was imported from, read off the catalog."""
     (uri,) = {row[0] for row in wsmed.catalog.operations.scan() if row[3] == owf}
     return uri
+
+
+def forget(memo: CallMemo, operations: set[str], plan_functions: set[str]) -> None:
+    """Drop from ``memo`` the answers of ``operations`` and the bags of the
+    plan functions named ``plan_functions``, so that the next query's warm
+    children serve those tuples again and call those operations anew."""
+    prefixes = tuple(f"PlanFunction(name={name!r}," for name in plan_functions)
+    for key in list(memo.entries):
+        if (
+            key[0].definition.startswith(prefixes)
+            if isinstance(key[0], PlanSignature)
+            else key[2] in operations
+        ):
+            del memo.entries[key]
 
 
 def build_functions(registry: ServiceRegistry) -> FunctionRegistry:

@@ -32,7 +32,7 @@ from repro.obs import TraceRecorder, validate_spans
 from repro.parallel.placement import SPAN_BLOCK
 from repro.runtime.multiprocess import ProcessKernel
 from repro.util.errors import KernelError
-from tests.helpers import wsdl_uri
+from tests.helpers import forget
 from tests.stats_oracle import fault_stats_from_trace, tree_stats_from_trace
 
 
@@ -280,10 +280,10 @@ def test_worker_spans_reach_the_traced_query(wsmed) -> None:
 
 def test_memo_answers_are_attributed_in_worker_children() -> None:
     """On a sharing engine, a worker child's call the coordinator's memo
-    answered is a ``ws`` span with outcome ``hit``, not ``miss``.  The
-    outer operations' WSDL is re-imported between the queries: that drops
-    the plan-function bags over them, so the children run again, against
-    a call memo that still holds every GetPlaceList answer."""
+    answered is a ``ws`` span with outcome ``hit``, not ``miss``.  Between
+    the queries the memo forgets the outer operations' answers and the
+    plan-function bags over them, so the children run again, against a
+    call memo that still holds every GetPlaceList answer."""
     system = WSMED(profile="fast")
     system.import_all()
     options = QueryOptions(mode="parallel", fanouts=[5, 4])
@@ -291,7 +291,7 @@ def test_memo_answers_are_attributed_in_worker_children() -> None:
         engine = QueryEngine(system, kernel=kernel, share=True)
         try:
             cold = engine.sql(QUERY1_SQL, options=options)
-            system.import_wsdl(wsdl_uri(system, "GetAllStates"))
+            forget(engine.memo, {"GetAllStates", "GetPlacesWithin"}, {"PF1"})
             warm = engine.sql(QUERY1_SQL, options=options.replace(obs=TraceRecorder()))
         finally:
             engine.close()

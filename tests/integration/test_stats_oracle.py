@@ -34,7 +34,7 @@ from repro.parallel.placement import Placement
 from repro.obs import spans as spans_module
 from repro.util.errors import ReproError
 
-from tests.helpers import make_world, run_in_context, wsdl_uri
+from tests.helpers import forget, make_world, run_in_context
 from tests.stats_oracle import fault_stats_from_trace, tree_stats_from_trace
 
 QUERIES = {
@@ -180,9 +180,8 @@ def test_untraced_worker_children_ship_no_events(monkeypatch) -> None:
         engine = QueryEngine(system, kernel=kernel)
         try:
             engine.sql(QUERY1_SQL, options=options)
-            # Drops the plan-function bags over the outer operations, so
-            # the warm query's worker children serve calls again.
-            system.import_wsdl(wsdl_uri(system, "GetAllStates"))
+            # So that the warm query's worker children serve calls again.
+            forget(engine.memo, {"GetAllStates", "GetPlacesWithin"}, {"PF1"})
             deltas.clear()
             warm = engine.sql(QUERY1_SQL, options=options)
         finally:

@@ -3,7 +3,7 @@
 A child installs the plan function shipped to it by compiling its body
 (``repro.parallel.process.child_main``); the chain is kept on the plan
 nodes, and nothing else holds it.  So once an engine is closed, or a
-``ProcessKernel`` worker's condemned tree has shut down, no plan function
+``ProcessKernel`` worker's trimmed tree has shut down, no plan function
 of it stays resident in the coordinator or in the worker.
 """
 
@@ -15,8 +15,6 @@ from repro.algebra.plan import AFFApplyNode, FFApplyNode, PlanFunction, walk
 from repro.fdb.functions import helping_function
 from repro.fdb.types import CHARSTRING, TupleType
 from repro.runtime.multiprocess import ProcessKernel
-
-from tests.helpers import wsdl_uri
 
 PARALLEL = QueryOptions(mode="parallel", fanouts=[5, 4])
 
@@ -84,25 +82,24 @@ def test_closed_engines_leave_no_install_in_the_coordinator() -> None:
     assert [ref for ref in closed if ref() is not None] == []
 
 
-def test_closed_pools_leave_no_install_in_a_worker() -> None:
+def test_closed_pools_leave_no_install_in_a_worker(monkeypatch) -> None:
     """The worker forks from a coordinator where two closed engines ran,
-    then serves a tree that a WSDL re-import condemns: the query after it
+    then serves a tree that the idle-pool bound trims: the query after it
     finds neither's plan functions in the worker."""
     closed: set[str] = set()
     for _ in range(2):
         engine = QueryEngine(fresh_wsmed())
         closed |= shipped(engine.sql(QUERY1_SQL, options=PARALLEL).plan)
         engine.close()
-    system = fresh_wsmed()
-    engine = QueryEngine(system, kernel=ProcessKernel(workers=1))
+    monkeypatch.setattr("repro.engine.engine.MAX_IDLE_POOLS", 0)
+    engine = QueryEngine(fresh_wsmed(), kernel=ProcessKernel(workers=1))
     try:
         closed |= shipped(engine.sql(QUERY1_SQL, options=PARALLEL).plan)
-        system.import_wsdl(wsdl_uri(system, "GetPlacesWithin"))
         probe = engine.sql(PROBE_SQL, options=QueryOptions(mode="parallel", fanouts=[2]))
         pools_closed = engine.stats().pools_closed
     finally:
         engine.close()
-    assert pools_closed >= 1  # the condemned Query1 tree was shut down first
+    assert pools_closed >= 1  # the trimmed Query1 tree was shut down first
     live = {row[0] for row in probe.rows}
     assert shipped(probe.plan) <= live  # the probe ran in a worker child
     assert not live & closed
